@@ -332,6 +332,30 @@ func TestMetricsEndpointCountersMove(t *testing.T) {
 	}
 }
 
+// TestVerifierMemoGauge: a /v1/check with a formula the ring's verifier has
+// not seen grows podc_verifier_memo_bytes; the identical request again is
+// answered from the memo and leaves the gauge where it was.
+func TestVerifierMemoGauge(t *testing.T) {
+	ts := newTestServer(t)
+	before := metricValue(t, scrapeMetrics(t, ts), "podc_verifier_memo_bytes")
+	req := checkRequest{Ring: 4, Formula: "forall i . AG (d[i] -> AF c[i])"}
+	resp, body := postJSON(t, ts.URL+"/v1/check", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("check status %d: %s", resp.StatusCode, body)
+	}
+	first := metricValue(t, scrapeMetrics(t, ts), "podc_verifier_memo_bytes")
+	if first <= before {
+		t.Fatalf("podc_verifier_memo_bytes did not grow on a new formula (%v -> %v)", before, first)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/check", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("check status %d: %s", resp.StatusCode, body)
+	}
+	if again := metricValue(t, scrapeMetrics(t, ts), "podc_verifier_memo_bytes"); again != first {
+		t.Fatalf("podc_verifier_memo_bytes moved on a repeated formula (%v -> %v)", first, again)
+	}
+}
+
 // swapLogOutput redirects the standard logger into w until the returned
 // restore function runs.
 func swapLogOutput(w io.Writer) func() {

@@ -69,6 +69,10 @@ func newServerMetrics(session *podc.Session, queueDepth, slotsBusy func() int64)
 		"Session cache lookups deduplicated onto an identical in-flight computation.",
 		func() int64 { return session.CacheStats().Joins })
 
+	reg.GaugeFunc("podc_verifier_memo_bytes",
+		"Bytes of memoised satisfaction sets (set words plus keys) across the session's cached ring verifiers.",
+		func() float64 { _, b := session.VerifierMemoStats(); return float64(b) })
+
 	reg.GaugeFunc("podc_store_enabled",
 		"1 when the persistent verdict store is configured and usable, 0 otherwise.",
 		func() float64 {

@@ -122,25 +122,19 @@ func (b BitSet) ClearAll() {
 	}
 }
 
-// BitSetFromBools packs a []bool state set into a BitSet of the same
-// capacity.  It is the bridge between the model checker's boolean
-// satisfaction sets and the word-at-a-time sweeps.
-func BitSetFromBools(in []bool) BitSet {
-	b := NewBitSet(len(in))
-	for i, v := range in {
-		if v {
-			b[i>>6] |= 1 << (uint(i) & 63)
-		}
+// Complement returns a fresh set holding the integers of [0, n) that are not
+// in b, for a set created with NewBitSet(n).  The bits at and above n in the
+// last word stay clear, so Count, Empty and Equal never see phantom
+// elements.
+func (b BitSet) Complement(n int) BitSet {
+	out := make(BitSet, len(b))
+	for i, w := range b {
+		out[i] = ^w
 	}
-	return b
-}
-
-// WriteBools overwrites dst (same capacity the set was created with) so that
-// dst[i] reports membership of i.
-func (b BitSet) WriteBools(dst []bool) {
-	for i := range dst {
-		dst[i] = b[i>>6]&(1<<(uint(i)&63)) != 0
+	if rem := uint(n) & 63; rem != 0 {
+		out[n>>6] &= 1<<rem - 1
 	}
+	return out
 }
 
 // ForEachWord calls fn on every non-zero word together with its word index,

@@ -105,6 +105,51 @@ func TestBitSetAlgebraMatchesMapSets(t *testing.T) {
 	}
 }
 
+// TestBitSetComplementMasksTail: the complement over n elements keeps every
+// bit at and above n clear, at sizes on and around the word boundaries, so
+// Count, Empty and Equal see exactly [0, n); complementing twice gives the
+// original set back.
+func TestBitSetComplementMasksTail(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 129} {
+		full := NewBitSet(n)
+		for i := 0; i < n; i++ {
+			full.Set(i)
+		}
+		sparse := NewBitSet(n)
+		for i := 0; i < n; i += 3 {
+			sparse.Set(i)
+		}
+		for _, tc := range []struct {
+			name string
+			b    BitSet
+		}{{"empty", NewBitSet(n)}, {"full", full}, {"sparse", sparse}} {
+			orig := tc.b.Clone()
+			c := tc.b.Complement(n)
+			if !tc.b.Equal(orig) {
+				t.Fatalf("n=%d %s: Complement modified its receiver", n, tc.name)
+			}
+			if want := n - tc.b.Count(); c.Count() != want {
+				t.Errorf("n=%d %s: complement Count = %d, want %d", n, tc.name, c.Count(), want)
+			}
+			if c.Empty() != (tc.b.Count() == n) {
+				t.Errorf("n=%d %s: complement Empty = %v", n, tc.name, c.Empty())
+			}
+			ref := NewBitSet(n)
+			for i := 0; i < n; i++ {
+				if !tc.b.Get(i) {
+					ref.Set(i)
+				}
+			}
+			if !c.Equal(ref) || c.Intersects(tc.b) {
+				t.Errorf("n=%d %s: complement differs from [0,n) minus the set", n, tc.name)
+			}
+			if !c.Complement(n).Equal(tc.b) {
+				t.Errorf("n=%d %s: double complement is not the original set", n, tc.name)
+			}
+		}
+	}
+}
+
 func TestTransitionMatrix(t *testing.T) {
 	b := NewBuilder("tm")
 	s0 := b.AddState(P("a"))

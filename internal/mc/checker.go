@@ -17,8 +17,9 @@
 // (logic.Instantiate); the "exactly one" atoms O_i P_i are evaluated
 // directly from the structure's labelling.
 //
-// A Checker memoises the satisfaction set of every subformula it evaluates,
-// so repeated queries against the same structure are cheap.  NewMinimized
+// A Checker memoises the satisfaction set of every subformula it evaluates
+// as a kripke.BitSet — one bit per state — so repeated queries against the
+// same structure are cheap and each memo entry costs n/8 bytes.  NewMinimized
 // (minimize.go) additionally routes the checker through the correspondence
 // engine of package bisim: the structure is quotiented by its verified
 // maximal self-correspondence first, which preserves all CTL* (no nexttime)
@@ -28,6 +29,7 @@ package mc
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/kripke"
 	"repro/internal/logic"
@@ -35,11 +37,17 @@ import (
 
 // Checker evaluates formulas over a fixed Kripke structure.  A Checker is
 // not safe for concurrent use; create one per goroutine (they are cheap, the
-// underlying structure is shared).
+// underlying structure is shared).  MemoStats alone may be called while a
+// query runs.
 type Checker struct {
-	m     *kripke.Structure
-	cache map[string][]bool
+	m *kripke.Structure
+	// cache is the memo.  Its entries are never modified once inserted, so
+	// atom entries may alias the structure's StatesWith sets.
+	cache map[string]kripke.BitSet
 	stats Stats
+
+	// memoEntries and memoBytes track the memo's size for MemoStats.
+	memoEntries, memoBytes atomic.Int64
 
 	// workers caps the worker pools of the word-at-a-time engines (the
 	// frontier gather in vector.go, the packed tableau's edge and component
@@ -107,7 +115,7 @@ type Stats struct {
 
 // New returns a Checker for m.
 func New(m *kripke.Structure) *Checker {
-	return &Checker{m: m, cache: make(map[string][]bool)}
+	return &Checker{m: m, cache: make(map[string]kripke.BitSet)}
 }
 
 // Structure returns the structure the checker operates on.
@@ -115,6 +123,14 @@ func (c *Checker) Structure() *kripke.Structure { return c.m }
 
 // Stats returns the accumulated work counters.
 func (c *Checker) Stats() Stats { return c.stats }
+
+// MemoStats reports how many satisfaction sets the checker has memoised and
+// their size in bytes: the sets' words plus the text of their keys.  The
+// counters are atomics updated on every memo insert, so MemoStats may be
+// called while a query is running.
+func (c *Checker) MemoStats() (entries, bytes int) {
+	return int(c.memoEntries.Load()), int(c.memoBytes.Load())
+}
 
 // Holds reports whether the closed formula f holds in the initial state of
 // the structure, i.e. whether M, s0 ⊨ f.  Cancelling ctx aborts the
@@ -129,18 +145,19 @@ func (c *Checker) HoldsAt(ctx context.Context, f logic.Formula, s kripke.State) 
 	if err != nil {
 		return false, err
 	}
-	if int(s) < 0 || int(s) >= len(sat) {
-		return false, fmt.Errorf("mc: state %d out of range [0,%d)", s, len(sat))
+	// The set's capacity is rounded up to whole words, so the bound is the
+	// structure's state count.
+	if n := c.m.NumStates(); int(s) < 0 || int(s) >= n {
+		return false, fmt.Errorf("mc: state %d out of range [0,%d)", s, n)
 	}
-	return sat[s], nil
+	return sat.Get(int(s)), nil
 }
 
-// Sat returns the satisfaction set of the state formula f: a slice indexed
-// by state that is true exactly at the states satisfying f.  Indexed
+// Sat returns the satisfaction set of the state formula f: a BitSet over the
+// structure's states holding exactly the states satisfying f.  Indexed
 // quantifiers are instantiated over the structure's index set first.  The
-// returned slice is shared with the checker's cache and must not be
-// modified.
-func (c *Checker) Sat(ctx context.Context, f logic.Formula) ([]bool, error) {
+// returned set is shared with the checker's memo and must not be modified.
+func (c *Checker) Sat(ctx context.Context, f logic.Formula) (kripke.BitSet, error) {
 	if f == nil {
 		return nil, fmt.Errorf("mc: nil formula")
 	}
@@ -165,13 +182,7 @@ func (c *Checker) CountSat(ctx context.Context, f logic.Formula) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, b := range sat {
-		if b {
-			n++
-		}
-	}
-	return n, nil
+	return sat.Count(), nil
 }
 
 // SatStates returns the states satisfying f in increasing order.
@@ -181,17 +192,16 @@ func (c *Checker) SatStates(ctx context.Context, f logic.Formula) ([]kripke.Stat
 		return nil, err
 	}
 	var out []kripke.State
-	for s, b := range sat {
-		if b {
-			out = append(out, kripke.State(s))
-		}
-	}
+	sat.ForEach(func(s int) bool {
+		out = append(out, kripke.State(s))
+		return true
+	})
 	return out, nil
 }
 
 // satState evaluates a state formula that contains no indexed quantifiers
 // and no free index variables.
-func (c *Checker) satState(f logic.Formula) ([]bool, error) {
+func (c *Checker) satState(f logic.Formula) (kripke.BitSet, error) {
 	key := logic.Key(f)
 	if sat, ok := c.cache[key]; ok {
 		return sat, nil
@@ -204,11 +214,15 @@ func (c *Checker) satState(f logic.Formula) ([]bool, error) {
 		return nil, err
 	}
 	c.cache[key] = sat
+	c.memoEntries.Add(1)
+	c.memoBytes.Add(int64(len(key) + 8*len(sat)))
 	c.stats.StateSetsComputed++
 	return sat, nil
 }
 
-func (c *Checker) computeState(f logic.Formula) ([]bool, error) {
+// computeState returns a set the memo may keep: every combinator below
+// writes into a fresh set and leaves its operands untouched.
+func (c *Checker) computeState(f logic.Formula) (kripke.BitSet, error) {
 	n := c.m.NumStates()
 	switch node := f.(type) {
 	case *logic.Const:
@@ -220,9 +234,11 @@ func (c *Checker) computeState(f logic.Formula) ([]bool, error) {
 	case *logic.IndexedAtom:
 		return nil, fmt.Errorf("mc: formula contains free indexed proposition %s", node)
 	case *logic.One:
-		sat := make([]bool, n)
+		sat := kripke.NewBitSet(n)
 		for s := 0; s < n; s++ {
-			sat[s] = c.m.ExactlyOne(kripke.State(s), node.Prop)
+			if c.m.ExactlyOne(kripke.State(s), node.Prop) {
+				sat.Set(s)
+			}
 		}
 		return sat, nil
 	case *logic.Not:
@@ -230,7 +246,7 @@ func (c *Checker) computeState(f logic.Formula) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		return complement(inner), nil
+		return inner.Complement(n), nil
 	case *logic.And:
 		sat := constSet(n, true)
 		for _, g := range node.Fs {
@@ -238,7 +254,7 @@ func (c *Checker) computeState(f logic.Formula) ([]bool, error) {
 			if err != nil {
 				return nil, err
 			}
-			intersectInto(sat, gs)
+			sat.And(gs)
 		}
 		return sat, nil
 	case *logic.Or:
@@ -248,7 +264,7 @@ func (c *Checker) computeState(f logic.Formula) ([]bool, error) {
 			if err != nil {
 				return nil, err
 			}
-			unionInto(sat, gs)
+			sat.Or(gs)
 		}
 		return sat, nil
 	case *logic.Implies:
@@ -262,10 +278,11 @@ func (c *Checker) computeState(f logic.Formula) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		sat := make([]bool, n)
-		for s := range sat {
-			sat[s] = l[s] == r[s]
-		}
+		// l ↔ r holds where both hold or neither does.
+		sat := intersect(l, r)
+		neither := l.Complement(n)
+		neither.AndNot(r)
+		sat.Or(neither)
 		return sat, nil
 	case *logic.A:
 		// A p ≡ ¬ E ¬p.
@@ -273,7 +290,7 @@ func (c *Checker) computeState(f logic.Formula) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		return complement(inner), nil
+		return inner.Complement(n), nil
 	case *logic.E:
 		return c.satExistsPath(node.F)
 	case *logic.ForallIndex, *logic.ExistsIndex:
@@ -286,7 +303,7 @@ func (c *Checker) computeState(f logic.Formula) ([]bool, error) {
 // satExistsPath evaluates E p for a path formula p.  It takes the CTL fast
 // path when p is a single temporal operator over state formulas and falls
 // back to the tableau engine otherwise.
-func (c *Checker) satExistsPath(p logic.Formula) ([]bool, error) {
+func (c *Checker) satExistsPath(p logic.Formula) (kripke.BitSet, error) {
 	// E applied to a state formula adds nothing (every state starts some
 	// path when the relation is total; on partial structures we interpret
 	// E f over finite or infinite paths, which agrees for state formulas).
@@ -312,7 +329,7 @@ func (c *Checker) satExistsPath(p logic.Formula) ([]bool, error) {
 // Like the positive EU/EG fast paths, the negation rewrites agree with the
 // tableau engine on total transition relations (every structure the repo
 // builds is total via MakeTotal).
-func (c *Checker) tryCTL(p logic.Formula) ([]bool, bool, error) {
+func (c *Checker) tryCTL(p logic.Formula) (kripke.BitSet, bool, error) {
 	switch node := p.(type) {
 	case *logic.X:
 		if !logic.IsStateFormula(node.F) {
@@ -407,7 +424,7 @@ func (c *Checker) tryCTL(p logic.Formula) ([]bool, bool, error) {
 
 // euOrEG evaluates E[f U g] ∨ EG h, the shape shared by the R, W and
 // negated-U rewrites.
-func (c *Checker) euOrEG(f, g, h []bool) ([]bool, bool, error) {
+func (c *Checker) euOrEG(f, g, h kripke.BitSet) (kripke.BitSet, bool, error) {
 	sat, err := c.satEU(f, g)
 	if err != nil {
 		return nil, false, err
@@ -416,7 +433,7 @@ func (c *Checker) euOrEG(f, g, h []bool) ([]bool, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	unionInto(sat, eg)
+	sat.Or(eg)
 	return sat, true, nil
 }
 
@@ -424,13 +441,14 @@ func (c *Checker) euOrEG(f, g, h []bool) ([]bool, bool, error) {
 // formula; a negated single temporal operator over state formulas is pushed
 // through its dual so it stays on the labelling fast path instead of falling
 // to the tableau.  Deeper negations return ok=false.
-func (c *Checker) tryCTLNegated(p logic.Formula) ([]bool, bool, error) {
+func (c *Checker) tryCTLNegated(p logic.Formula) (kripke.BitSet, bool, error) {
+	n := c.m.NumStates()
 	if logic.IsStateFormula(p) {
 		inner, err := c.satState(p)
 		if err != nil {
 			return nil, false, err
 		}
-		return complement(inner), true, nil
+		return inner.Complement(n), true, nil
 	}
 	switch node := p.(type) {
 	case *logic.X:
@@ -442,7 +460,7 @@ func (c *Checker) tryCTLNegated(p logic.Formula) ([]bool, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		sat, err := c.satEX(complement(inner))
+		sat, err := c.satEX(inner.Complement(n))
 		if err != nil {
 			return nil, false, err
 		}
@@ -460,8 +478,8 @@ func (c *Checker) tryCTLNegated(p logic.Formula) ([]bool, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		notG, notH := complement(g), complement(h)
-		return c.euOrEG(notH, intersect(notG, notH), notH)
+		notH := h.Complement(n)
+		return c.euOrEG(notH, intersect(g.Complement(n), notH), notH)
 	case *logic.Ev:
 		// E ¬F g ≡ EG ¬g.
 		if !logic.IsStateFormula(node.F) {
@@ -471,7 +489,7 @@ func (c *Checker) tryCTLNegated(p logic.Formula) ([]bool, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		sat, err := c.satEG(complement(inner))
+		sat, err := c.satEG(inner.Complement(n))
 		if err != nil {
 			return nil, false, err
 		}
@@ -485,7 +503,7 @@ func (c *Checker) tryCTLNegated(p logic.Formula) ([]bool, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		sat, err := c.satEU(constSet(c.m.NumStates(), true), complement(inner))
+		sat, err := c.satEU(constSet(n, true), inner.Complement(n))
 		if err != nil {
 			return nil, false, err
 		}
@@ -495,55 +513,30 @@ func (c *Checker) tryCTLNegated(p logic.Formula) ([]bool, bool, error) {
 	}
 }
 
-// atomSet seeds the satisfaction set of an atomic proposition from the
-// structure's precomputed per-prop state sets: no per-state label scan, just
-// a walk over the (usually sparse) bits.
-func (c *Checker) atomSet(p kripke.Prop) []bool {
-	sat := make([]bool, c.m.NumStates())
+// atomSet returns the satisfaction set of an atomic proposition: the
+// structure's precomputed per-prop state set itself, shared rather than
+// copied (memo entries are never modified), or an empty set when no state
+// carries p.
+func (c *Checker) atomSet(p kripke.Prop) kripke.BitSet {
 	if bs := c.m.StatesWith(p); bs != nil {
-		bs.ForEach(func(s int) bool { sat[s] = true; return true })
+		return bs
 	}
-	return sat
+	return kripke.NewBitSet(c.m.NumStates())
 }
 
-// ---------------------------------------------------------------------------
-// Boolean state-set helpers.
-// ---------------------------------------------------------------------------
-
-func constSet(n int, v bool) []bool {
-	sat := make([]bool, n)
+// constSet returns a fresh set over n states holding all of them (v) or
+// none.
+func constSet(n int, v bool) kripke.BitSet {
+	sat := kripke.NewBitSet(n)
 	if v {
-		for i := range sat {
-			sat[i] = true
-		}
+		return sat.Complement(n)
 	}
 	return sat
 }
 
-func complement(in []bool) []bool {
-	out := make([]bool, len(in))
-	for i, b := range in {
-		out[i] = !b
-	}
+// intersect returns a fresh set a ∩ b.
+func intersect(a, b kripke.BitSet) kripke.BitSet {
+	out := a.Clone()
+	out.And(b)
 	return out
-}
-
-func intersect(a, b []bool) []bool {
-	out := make([]bool, len(a))
-	for i := range a {
-		out[i] = a[i] && b[i]
-	}
-	return out
-}
-
-func intersectInto(dst, src []bool) {
-	for i := range dst {
-		dst[i] = dst[i] && src[i]
-	}
-}
-
-func unionInto(dst, src []bool) {
-	for i := range dst {
-		dst[i] = dst[i] || src[i]
-	}
 }

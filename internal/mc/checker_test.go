@@ -265,8 +265,8 @@ func TestTableauAgreesWithCTLFastPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Sat(%q): %v", slowText, err)
 			}
-			for s := range fast {
-				if fast[s] != slow[s] {
+			for s := 0; s < m.NumStates(); s++ {
+				if fast.Get(s) != slow.Get(s) {
 					t.Fatalf("iter %d: CTL and tableau disagree on %q vs %q at state %d\n%s",
 						iter, fastText, slowText, s, dumpStructure(m))
 				}
@@ -341,8 +341,8 @@ func TestCTLStarDualityRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Sat(!E! %s): %v", pf, err)
 			}
-			for s := range aSat {
-				if aSat[s] != eSat[s] {
+			for s := 0; s < m.NumStates(); s++ {
+				if aSat.Get(s) != eSat.Get(s) {
 					t.Fatalf("duality violated for %q at state %d\n%s", pf, s, dumpStructure(m))
 				}
 			}

@@ -2,7 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/kripke"
@@ -37,7 +36,7 @@ import (
 const placeholderPrefix = "$mc$"
 
 // satExistsLTL evaluates E p for a path formula p that is not CTL-shaped.
-func (c *Checker) satExistsLTL(p logic.Formula) ([]bool, error) {
+func (c *Checker) satExistsLTL(p logic.Formula) (kripke.BitSet, error) {
 	atomized, placeholders, err := c.atomizePathFormula(logic.Desugar(p))
 	if err != nil {
 		return nil, err
@@ -62,8 +61,8 @@ func (c *Checker) satExistsLTL(p logic.Formula) ([]bool, error) {
 // quantifier by a fresh placeholder atom and returns the rewritten formula
 // together with the placeholder satisfaction sets.  The input must already
 // be desugared (no A, F, G, R, W, →, ↔ nodes).
-func (c *Checker) atomizePathFormula(p logic.Formula) (logic.Formula, map[string][]bool, error) {
-	placeholders := make(map[string][]bool)
+func (c *Checker) atomizePathFormula(p logic.Formula) (logic.Formula, map[string]kripke.BitSet, error) {
+	placeholders := make(map[string]kripke.BitSet)
 	counter := 0
 	var rewrite func(f logic.Formula) (logic.Formula, error)
 	rewrite = func(f logic.Formula) (logic.Formula, error) {
@@ -189,7 +188,7 @@ type tableauNode struct {
 // runTableau builds the product of the structure with the tableau and
 // returns the states s for which some node (s, K) with root ∈ K reaches a
 // nontrivial self-fulfilling SCC.
-func (c *Checker) runTableau(tb *tableau, placeholders map[string][]bool) ([]bool, error) {
+func (c *Checker) runTableau(tb *tableau, placeholders map[string]kripke.BitSet) (kripke.BitSet, error) {
 	numStates := c.m.NumStates()
 	rootIdx := tb.keyOf[logic.Key(tb.root)]
 
@@ -272,11 +271,11 @@ func (c *Checker) runTableau(tb *tableau, placeholders map[string][]bool) ([]boo
 	}
 	canReach := g.BackwardReachable(seeds...)
 
-	sat := make([]bool, numStates)
+	sat := kripke.NewBitSet(numStates)
 	for s := 0; s < numStates; s++ {
 		for _, ni := range nodesOfState[s] {
 			if nodes[ni].truth[rootIdx] && canReach[ni] {
-				sat[s] = true
+				sat.Set(s)
 				break
 			}
 		}
@@ -288,7 +287,7 @@ func (c *Checker) runTableau(tb *tableau, placeholders map[string][]bool) ([]boo
 // atoms, placeholders, instantiated indexed atoms and "exactly one" atoms)
 // at state s.  Non-leaf entries are left false and are filled in by
 // evaluateDerived.
-func (c *Checker) baseTruth(tb *tableau, s kripke.State, placeholders map[string][]bool) ([]bool, error) {
+func (c *Checker) baseTruth(tb *tableau, s kripke.State, placeholders map[string]kripke.BitSet) ([]bool, error) {
 	truth := make([]bool, len(tb.closure))
 	for idx, f := range tb.closure {
 		switch node := f.(type) {
@@ -296,7 +295,7 @@ func (c *Checker) baseTruth(tb *tableau, s kripke.State, placeholders map[string
 			truth[idx] = node.Value
 		case *logic.Atom:
 			if sat, ok := placeholders[node.Name]; ok {
-				truth[idx] = sat[s]
+				truth[idx] = sat.Get(int(s))
 			} else {
 				truth[idx] = c.m.Holds(s, kripke.P(node.Name))
 			}
@@ -406,15 +405,4 @@ func PathFormulaComplexity(p logic.Formula) int {
 		return true
 	})
 	return count
-}
-
-// sortedPlaceholderNames is a test helper exposing deterministic placeholder
-// ordering; it is exported within the package for white-box tests.
-func sortedPlaceholderNames(placeholders map[string][]bool) []string {
-	names := make([]string, 0, len(placeholders))
-	for n := range placeholders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

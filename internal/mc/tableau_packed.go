@@ -38,7 +38,7 @@ const (
 // runTableauPacked decides E ψ with the packed product.  ok=false means the
 // formula is out of the packed engine's envelope and the scalar tableau must
 // run instead.
-func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string][]bool) ([]bool, bool, error) {
+func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string]kripke.BitSet) (kripke.BitSet, bool, error) {
 	numClosure := len(tb.closure)
 	free := len(tb.untils) + len(tb.nexts)
 	if numClosure > maxPackedClosure || free > maxPackedFree {
@@ -215,12 +215,12 @@ func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string][]bool) 
 	}
 	canReach := g.BackwardReachable(seeds...)
 
-	sat := make([]bool, numStates)
+	sat := kripke.NewBitSet(numStates)
 	for s := 0; s < numStates; s++ {
 		sid, base := sigOf[s], nodeBase[s]
 		for j := 0; j < sigStart[sid+1]-sigStart[sid]; j++ {
 			if asg[sigStart[sid]+j]&rootBit != 0 && canReach[base+j] {
-				sat[s] = true
+				sat.Set(s)
 				break
 			}
 		}
@@ -232,7 +232,7 @@ func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string][]bool) 
 // placeholders, instantiated indexed atoms, "exactly one" atoms) of every
 // state into one word per state, mirroring baseTruth.  Derived and elementary
 // bits stay zero.
-func (c *Checker) leafSignatures(tb *tableau, placeholders map[string][]bool) ([]uint64, error) {
+func (c *Checker) leafSignatures(tb *tableau, placeholders map[string]kripke.BitSet) ([]uint64, error) {
 	n := c.m.NumStates()
 	sigs := make([]uint64, n)
 	for idx, f := range tb.closure {
@@ -248,19 +248,13 @@ func (c *Checker) leafSignatures(tb *tableau, placeholders map[string][]bool) ([
 				}
 			}
 		case *logic.Atom:
-			if sat, ok := placeholders[node.Name]; ok {
-				for s, v := range sat {
-					if v {
-						sigs[s] |= bit
-					}
-				}
-			} else if bs := c.m.StatesWith(kripke.P(node.Name)); bs != nil {
-				bs.ForEach(func(s int) bool { sigs[s] |= bit; return true })
+			bs, ok := placeholders[node.Name]
+			if !ok {
+				bs = c.m.StatesWith(kripke.P(node.Name))
 			}
+			bs.ForEach(func(s int) bool { sigs[s] |= bit; return true })
 		case *logic.InstAtom:
-			if bs := c.m.StatesWith(kripke.PI(node.Prop, node.Index)); bs != nil {
-				bs.ForEach(func(s int) bool { sigs[s] |= bit; return true })
-			}
+			c.m.StatesWith(kripke.PI(node.Prop, node.Index)).ForEach(func(s int) bool { sigs[s] |= bit; return true })
 		case *logic.One:
 			for s := 0; s < n; s++ {
 				if c.m.ExactlyOne(kripke.State(s), node.Prop) {

@@ -2,9 +2,11 @@ package mc
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/kripke"
 	"repro/internal/logic"
 )
 
@@ -17,7 +19,7 @@ import (
 
 // tableauBothEngines atomizes the path formula p, builds its tableau and
 // returns the satisfaction sets computed by the scalar and packed products.
-func tableauBothEngines(t *testing.T, c *Checker, p logic.Formula) (scalar, packed []bool) {
+func tableauBothEngines(t *testing.T, c *Checker, p logic.Formula) (scalar, packed kripke.BitSet) {
 	t.Helper()
 	atomized, placeholders, err := c.atomizePathFormula(logic.Desugar(p))
 	if err != nil {
@@ -65,10 +67,10 @@ func TestScalarTableauMatchesPacked(t *testing.T) {
 			c := New(m).SetWorkers(workers)
 			for _, f := range formulas {
 				scalar, packed := tableauBothEngines(t, c, f)
-				for s := range scalar {
-					if scalar[s] != packed[s] {
+				for s := 0; s < m.NumStates(); s++ {
+					if scalar.Get(s) != packed.Get(s) {
 						t.Fatalf("iter %d workers %d formula %s: scalar and packed disagree at state %d (scalar %v, packed %v)",
-							iter, workers, f, s, scalar[s], packed[s])
+							iter, workers, f, s, scalar.Get(s), packed.Get(s))
 					}
 				}
 			}
@@ -109,9 +111,9 @@ func TestScalarFallbackWideFormula(t *testing.T) {
 	if err != nil {
 		t.Fatalf("E F^11 q: %v", err)
 	}
-	for s := range wide {
-		if wide[s] != efq[s] {
-			t.Fatalf("E F^11 q disagrees with EF q at state %d (scalar %v, oracle %v)", s, wide[s], efq[s])
+	for s := 0; s < m.NumStates(); s++ {
+		if wide.Get(s) != efq.Get(s) {
+			t.Fatalf("E F^11 q disagrees with EF q at state %d (scalar %v, oracle %v)", s, wide.Get(s), efq.Get(s))
 		}
 	}
 
@@ -119,10 +121,10 @@ func TestScalarFallbackWideFormula(t *testing.T) {
 	if err != nil {
 		t.Fatalf("E ((X p) | F^10 q): %v", err)
 	}
-	for s := range mixed {
-		want := exp[s] || efq[s]
-		if mixed[s] != want {
-			t.Fatalf("E ((X p) | F^10 q) disagrees with EX p ∨ EF q at state %d (scalar %v, oracle %v)", s, mixed[s], want)
+	for s := 0; s < m.NumStates(); s++ {
+		want := exp.Get(s) || efq.Get(s)
+		if mixed.Get(s) != want {
+			t.Fatalf("E ((X p) | F^10 q) disagrees with EX p ∨ EF q at state %d (scalar %v, oracle %v)", s, mixed.Get(s), want)
 		}
 	}
 }
@@ -157,8 +159,18 @@ func TestSortedPlaceholderNames(t *testing.T) {
 		t.Fatalf("sortedPlaceholderNames = %v, want [%s0 %s1]", names, placeholderPrefix, placeholderPrefix)
 	}
 	for _, name := range names {
-		if got := len(placeholders[name]); got != c.m.NumStates() {
-			t.Fatalf("placeholder %s has %d entries, want %d", name, got, c.m.NumStates())
+		if got, want := len(placeholders[name]), (c.m.NumStates()+63)/64; got != want {
+			t.Fatalf("placeholder %s has %d words, want %d", name, got, want)
 		}
 	}
+}
+
+// sortedPlaceholderNames returns the placeholder names in sorted order.
+func sortedPlaceholderNames(placeholders map[string]kripke.BitSet) []string {
+	names := make([]string, 0, len(placeholders))
+	for n := range placeholders {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

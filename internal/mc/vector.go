@@ -6,75 +6,58 @@ import (
 	"repro/internal/kripke"
 )
 
-// This file implements the word-at-a-time CTL labelling engine the checker
-// actually runs (ctl.go keeps the scalar reference).  Satisfaction sets are
-// kripke.BitSet values; the EU/EG least fixpoints advance one breadth-first
-// level per iteration, where a level is computed by sweeping the predecessor
-// lists of the frontier's set bits and the level arithmetic (restrict to f,
-// drop already-satisfied states, merge) is three word-parallel BitSet
-// operations.  EG finds its seed states — members of nontrivial strongly
-// connected components of the f-restricted structure — with an implicit
-// iterative Tarjan pass that never materialises the restricted graph.
+// This file implements the CTL labelling algorithms (Clarke, Emerson,
+// Sistla 1986) on kripke.BitSet satisfaction sets:
 //
-// All three return exactly the sets (and accumulate exactly the Stats
-// counters) of their scalar counterparts: a frontier state is counted once
-// when it enters the fixpoint, matching the reference's one-pop-per-state
-// worklist accounting.  vector_test.go pins the equivalence on randomized
-// structures, word-boundary state counts and degenerate prop sets.
+//	EX f     : states with a successor satisfying f
+//	E[f U g] : least fixpoint, computed backwards from the g states
+//	EG f     : states from which some infinite path stays in f forever,
+//	           anchored at the nontrivial SCCs of the f-restricted structure
+//
+// The universal operators are obtained by duality in the checker.  The EU/EG
+// least fixpoints advance one breadth-first level per iteration, where a
+// level is computed by sweeping the predecessor lists of the frontier's set
+// bits and the level arithmetic (restrict to f, drop already-satisfied
+// states, merge) is three word-parallel BitSet operations.  EG finds its
+// seed states with an implicit iterative Tarjan pass that never materialises
+// the restricted graph.
+//
+// vector_test.go keeps the scalar reference implementations (one state at a
+// time, EG over a materialised restricted graph) and pins these functions to
+// them on randomized structures, word-boundary state counts and degenerate
+// prop sets: identical sets and identical Stats counters, since a frontier
+// state is counted once when it enters the fixpoint, matching the
+// reference's one-pop-per-state worklist accounting.
 
 // satEX returns the states with at least one successor in f, computed as a
 // predecessor sweep over f's set bits (one pass over the edges into f,
 // instead of one scan per state).
-func (c *Checker) satEX(f []bool) ([]bool, error) {
-	n := c.m.NumStates()
-	fb := kripke.BitSetFromBools(f)
-	out := kripke.NewBitSet(n)
-	if err := c.gatherPreds(fb, out); err != nil {
+func (c *Checker) satEX(f kripke.BitSet) (kripke.BitSet, error) {
+	out := kripke.NewBitSet(c.m.NumStates())
+	if err := c.gatherPreds(f, out); err != nil {
 		return nil, err
 	}
-	sat := make([]bool, n)
-	out.WriteBools(sat)
-	return sat, nil
-}
-
-// satEU returns the states satisfying E[f U g].
-func (c *Checker) satEU(f, g []bool) ([]bool, error) {
-	n := c.m.NumStates()
-	fb := kripke.BitSetFromBools(f)
-	gb := kripke.BitSetFromBools(g)
-	sat, err := c.euCore(fb, gb)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, n)
-	sat.WriteBools(out)
 	return out, nil
 }
 
-// satEG returns the states satisfying EG f.
-func (c *Checker) satEG(f []bool) ([]bool, error) {
-	n := c.m.NumStates()
-	fb := kripke.BitSetFromBools(f)
-	seeds, err := c.egSeeds(fb)
+// satEG returns the states satisfying EG f: backward closure within f of
+// the states on a nontrivial f-restricted component.
+func (c *Checker) satEG(f kripke.BitSet) (kripke.BitSet, error) {
+	seeds, err := c.egSeeds(f)
 	if err != nil {
 		return nil, err
 	}
-	sat, err := c.euCore(fb, seeds)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, n)
-	sat.WriteBools(out)
-	return out, nil
+	return c.satEU(f, seeds)
 }
 
-// euCore computes the least fixpoint Z = g ∪ (f ∩ EX Z) on BitSets: a
-// backwards breadth-first sweep whose per-level arithmetic is word-parallel.
-// The caller owns both arguments; they are not modified.
-func (c *Checker) euCore(fb, gb kripke.BitSet) (kripke.BitSet, error) {
+// satEU returns the states satisfying E[f U g]: the least fixpoint
+// Z = g ∪ (f ∩ EX Z), a backwards breadth-first sweep whose per-level
+// arithmetic is word-parallel.  Neither argument is modified; the result is
+// a fresh set.
+func (c *Checker) satEU(f, g kripke.BitSet) (kripke.BitSet, error) {
 	n := c.m.NumStates()
-	sat := gb.Clone()
-	frontier := gb.Clone()
+	sat := g.Clone()
+	frontier := g.Clone()
 	next := kripke.NewBitSet(n)
 	for !frontier.Empty() {
 		if err := c.cancelled(); err != nil {
@@ -87,7 +70,7 @@ func (c *Checker) euCore(fb, gb kripke.BitSet) (kripke.BitSet, error) {
 		if err := c.gatherPreds(frontier, next); err != nil {
 			return nil, err
 		}
-		next.And(fb)
+		next.And(f)
 		next.AndNot(sat)
 		sat.Or(next)
 		frontier, next = next, frontier

@@ -1,22 +1,125 @@
 package mc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/kripke"
+	"repro/internal/logic"
 )
 
 // Metamorphic battery for the word-at-a-time CTL engine (vector.go): on
 // randomized total structures — including state counts straddling the 64-bit
 // word boundary — and on degenerate satisfaction sets (empty, full), the
 // vector EX/EU/EG must return exactly the satisfaction sets of the scalar
-// reference implementations in ctl.go, and the fixpoint engines must
-// accumulate exactly the same Stats counters.  The battery runs at worker
-// budgets 0 and 4; the large-structure cases push the frontier past
-// gatherParallelWords so the chunked parallel gather is exercised for real.
+// reference implementations below, and the fixpoint engines must accumulate
+// exactly the same Stats counters.  The battery runs at worker budgets 0 and
+// 4; the large-structure cases push the frontier past gatherParallelWords so
+// the chunked parallel gather is exercised for real.
 
 // vectorWorkerCounts are the worker budgets every equivalence case runs at.
 var vectorWorkerCounts = []int{0, 4}
+
+// ---------------------------------------------------------------------------
+// The scalar reference: the CTL labelling algorithms one state at a time on
+// []bool sets indexed by state, EG over a materialised f-restricted graph.
+// ---------------------------------------------------------------------------
+
+// satEXScalar returns the states that have at least one successor in f.
+func (c *Checker) satEXScalar(f []bool) []bool {
+	n := c.m.NumStates()
+	sat := make([]bool, n)
+	for s := 0; s < n; s++ {
+		for _, t := range c.m.Succ(kripke.State(s)) {
+			if f[t] {
+				sat[s] = true
+				break
+			}
+		}
+	}
+	return sat
+}
+
+// satEUScalar returns the states satisfying E[f U g]: the least fixpoint of
+// Z = g ∪ (f ∩ EX Z), computed with a backwards worklist over predecessors.
+func (c *Checker) satEUScalar(f, g []bool) []bool {
+	n := c.m.NumStates()
+	sat := make([]bool, n)
+	worklist := make([]kripke.State, 0, n)
+	for s := 0; s < n; s++ {
+		if g[s] {
+			sat[s] = true
+			worklist = append(worklist, kripke.State(s))
+		}
+	}
+	for len(worklist) > 0 {
+		c.stats.FixpointIterations++
+		t := worklist[len(worklist)-1]
+		worklist = worklist[:len(worklist)-1]
+		for _, s := range c.m.Pred(t) {
+			if !sat[s] && f[s] {
+				sat[s] = true
+				worklist = append(worklist, s)
+			}
+		}
+	}
+	return sat
+}
+
+// satEGScalar returns the states satisfying EG f: the structure is
+// restricted to the f states, the nontrivial strongly connected components
+// of the restriction are found, and backwards reachability within f to them
+// is computed.
+func (c *Checker) satEGScalar(f []bool) []bool {
+	n := c.m.NumStates()
+	g := graph.New(n)
+	for s := 0; s < n; s++ {
+		if !f[s] {
+			continue
+		}
+		for _, t := range c.m.Succ(kripke.State(s)) {
+			if f[t] {
+				g.AddEdge(s, int(t))
+			}
+		}
+	}
+	scc := g.SCC()
+	seed := make([]bool, n)
+	for comp := 0; comp < scc.NumComponents(); comp++ {
+		if scc.IsTrivial(g, comp) {
+			continue
+		}
+		for _, v := range scc.Components[comp] {
+			if f[v] {
+				seed[v] = true
+			}
+		}
+	}
+	return c.satEUScalar(f, seed)
+}
+
+// bitsFromBools packs a []bool state set into a BitSet of the same capacity.
+func bitsFromBools(in []bool) kripke.BitSet {
+	b := kripke.NewBitSet(len(in))
+	for i, v := range in {
+		if v {
+			b.Set(i)
+		}
+	}
+	return b
+}
+
+// notBools returns the pointwise negation of in.
+func notBools(in []bool) []bool {
+	out := make([]bool, len(in))
+	for i, v := range in {
+		out[i] = !v
+	}
+	return out
+}
 
 // boolSetCases yields the satisfaction-set shapes fed to the operators: a
 // random set, the empty set and the full set (the two degenerate shapes hit
@@ -27,11 +130,7 @@ func boolSetCases(r *rand.Rand, n int) map[string][]bool {
 		random[i] = r.Intn(3) > 0
 	}
 	empty := make([]bool, n)
-	full := make([]bool, n)
-	for i := range full {
-		full[i] = true
-	}
-	return map[string][]bool{"random": random, "empty": empty, "full": full}
+	return map[string][]bool{"random": random, "empty": empty, "full": notBools(empty)}
 }
 
 // vectorSizes mixes small random sizes with the word-boundary counts 63, 64
@@ -45,15 +144,22 @@ func vectorSizes(r *rand.Rand, iter int) int {
 	return 2 + r.Intn(40)
 }
 
-func assertSameSat(t *testing.T, label string, got, want []bool) {
+// assertSameSat compares a vector result with the scalar reference state by
+// state, then as whole sets: Equal and Count would also see any bit set at
+// or beyond the state count.
+func assertSameSat(t *testing.T, label string, got kripke.BitSet, want []bool) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d != %d", label, len(got), len(want))
+	if words := (len(want) + 63) / 64; len(got) != words {
+		t.Fatalf("%s: %d words, want %d", label, len(got), words)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: state %d: vector=%v scalar=%v", label, i, got[i], want[i])
+	for i := range want {
+		if got.Get(i) != want[i] {
+			t.Fatalf("%s: state %d: vector=%v scalar=%v", label, i, got.Get(i), want[i])
 		}
+	}
+	ref := bitsFromBools(want)
+	if !got.Equal(ref) || got.Count() != ref.Count() {
+		t.Fatalf("%s: set bits beyond the %d states (count %d, want %d)", label, len(want), got.Count(), ref.Count())
 	}
 }
 
@@ -68,7 +174,7 @@ func TestVectorEXMatchesScalar(t *testing.T) {
 		for name, f := range boolSetCases(r, m.NumStates()) {
 			want := New(m).satEXScalar(f)
 			for _, w := range vectorWorkerCounts {
-				got, err := New(m).SetWorkers(w).satEX(f)
+				got, err := New(m).SetWorkers(w).satEX(bitsFromBools(f))
 				if err != nil {
 					t.Fatalf("iter=%d %s workers=%d: satEX: %v", iter, name, w, err)
 				}
@@ -93,7 +199,7 @@ func TestVectorEUMatchesScalarWithStats(t *testing.T) {
 				want := cs.satEUScalar(f, g)
 				for _, w := range vectorWorkerCounts {
 					cv := New(m).SetWorkers(w)
-					got, err := cv.satEU(f, g)
+					got, err := cv.satEU(bitsFromBools(f), bitsFromBools(g))
 					if err != nil {
 						t.Fatalf("iter=%d f=%s g=%s workers=%d: satEU: %v", iter, fname, gname, w, err)
 					}
@@ -122,7 +228,7 @@ func TestVectorEGMatchesScalarWithStats(t *testing.T) {
 			want := cs.satEGScalar(f)
 			for _, w := range vectorWorkerCounts {
 				cv := New(m).SetWorkers(w)
-				got, err := cv.satEG(f)
+				got, err := cv.satEG(bitsFromBools(f))
 				if err != nil {
 					t.Fatalf("iter=%d %s workers=%d: satEG: %v", iter, name, w, err)
 				}
@@ -156,12 +262,12 @@ func TestVectorParallelGatherOnLargeFrontier(t *testing.T) {
 	wantEG := cs.satEGScalar(f)
 	for _, w := range vectorWorkerCounts {
 		cv := New(m).SetWorkers(w)
-		gotEU, err := cv.satEU(f, g)
+		gotEU, err := cv.satEU(bitsFromBools(f), bitsFromBools(g))
 		if err != nil {
 			t.Fatalf("workers=%d: satEU: %v", w, err)
 		}
 		assertSameSat(t, fmt.Sprintf("large EU workers=%d", w), gotEU, wantEU)
-		gotEG, err := cv.satEG(f)
+		gotEG, err := cv.satEG(bitsFromBools(f))
 		if err != nil {
 			t.Fatalf("workers=%d: satEG: %v", w, err)
 		}
@@ -170,5 +276,60 @@ func TestVectorParallelGatherOnLargeFrontier(t *testing.T) {
 			t.Fatalf("workers=%d: FixpointIterations: vector=%d scalar=%d",
 				w, cv.stats.FixpointIterations, cs.stats.FixpointIterations)
 		}
+	}
+}
+
+// TestVectorDualsAtWordBoundaries: negation and the universal operators are
+// complements (A ψ ≡ ¬E¬ψ), and a complement must leave the bits at and
+// above the state count clear.  At word-boundary state counts, Sat of !p,
+// AX p, AF p and AG p must equal the scalar oracle as whole sets, Count
+// included.  (A structure needs at least one state, so n = 0 is covered by
+// the kripke.BitSet tests alone.)
+func TestVectorDualsAtWordBoundaries(t *testing.T) {
+	r := rand.New(rand.NewSource(860705))
+	ctx := context.Background()
+	for _, n := range []int{1, 63, 64, 65, 129} {
+		m := randomStructure(r, n)
+		p := make([]bool, n)
+		for s := range p {
+			p[s] = m.Holds(kripke.State(s), kripke.P("p"))
+		}
+		oracle := New(m)
+		notP := notBools(p)
+		all := notBools(make([]bool, n))
+		cases := []struct {
+			formula string
+			want    []bool
+		}{
+			{"!p", notP},
+			{"AX p", notBools(oracle.satEXScalar(notP))},
+			{"AF p", notBools(oracle.satEGScalar(notP))},
+			{"AG p", notBools(oracle.satEUScalar(all, notP))},
+		}
+		for _, w := range vectorWorkerCounts {
+			c := New(m).SetWorkers(w)
+			for _, tc := range cases {
+				got, err := c.Sat(ctx, logic.MustParse(tc.formula))
+				if err != nil {
+					t.Fatalf("n=%d workers=%d: Sat(%s): %v", n, w, tc.formula, err)
+				}
+				assertSameSat(t, fmt.Sprintf("n=%d workers=%d %s", n, w, tc.formula), got, tc.want)
+			}
+		}
+	}
+}
+
+// TestVectorHoldsAtOutOfRange: a 65-state structure's sets span two words
+// (128 bit positions), so HoldsAt must bound the state by the structure's
+// state count, not by the set's capacity.
+func TestVectorHoldsAtOutOfRange(t *testing.T) {
+	m := randomStructure(rand.New(rand.NewSource(860706)), 65)
+	c := New(m)
+	ctx := context.Background()
+	if _, err := c.HoldsAt(ctx, logic.MustParse("!p"), 64); err != nil {
+		t.Fatalf("HoldsAt(64) on 65 states: %v", err)
+	}
+	if _, err := c.HoldsAt(ctx, logic.MustParse("!p"), 65); err == nil {
+		t.Fatal("HoldsAt(65) on 65 states should report out of range")
 	}
 }

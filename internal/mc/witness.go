@@ -70,10 +70,8 @@ func (c *Checker) Witness(ctx context.Context, f logic.Formula, s kripke.State) 
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range c.m.Succ(s) {
-			if inner[t] {
-				return &Trace{States: []kripke.State{s, t}, LoopStart: -1}, nil
-			}
+		if t := c.succIn(s, inner); t != kripke.NoState {
+			return &Trace{States: []kripke.State{s, t}, LoopStart: -1}, nil
 		}
 	case *logic.Ev:
 		goal, err := c.Sat(ctx, node.F)
@@ -140,11 +138,11 @@ func (c *Checker) Counterexample(ctx context.Context, f logic.Formula, s kripke.
 
 // untilWitness finds a shortest path from s to a goal state travelling
 // through "through" states (the start state may be a goal state itself).
-func (c *Checker) untilWitness(s kripke.State, through, goal []bool) (*Trace, error) {
-	if goal[s] {
+func (c *Checker) untilWitness(s kripke.State, through, goal kripke.BitSet) (*Trace, error) {
+	if goal.Get(int(s)) {
 		return &Trace{States: []kripke.State{s}, LoopStart: -1}, nil
 	}
-	if !through[s] {
+	if !through.Get(int(s)) {
 		return nil, fmt.Errorf("mc: state %d satisfies neither operand of the until", s)
 	}
 	prev := make([]kripke.State, c.m.NumStates())
@@ -165,11 +163,11 @@ bfs:
 			}
 			seen[v] = true
 			prev[v] = u
-			if goal[v] {
+			if goal.Get(int(v)) {
 				target = v
 				break bfs
 			}
-			if through[v] {
+			if through.Get(int(v)) {
 				queue = append(queue, v)
 			}
 		}
@@ -190,7 +188,7 @@ bfs:
 
 // lassoWitness finds a path from s that stays in inv forever: a stem leading
 // to a cycle entirely inside inv.
-func (c *Checker) lassoWitness(s kripke.State, inv []bool) (*Trace, error) {
+func (c *Checker) lassoWitness(s kripke.State, inv kripke.BitSet) (*Trace, error) {
 	// Greedy walk inside states satisfying EG inv (which s does, since the
 	// caller established EG inv at s): repeatedly move to a successor that
 	// still satisfies EG inv until a state repeats.
@@ -198,7 +196,7 @@ func (c *Checker) lassoWitness(s kripke.State, inv []bool) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !egInv[s] {
+	if !egInv.Get(int(s)) {
 		return nil, fmt.Errorf("mc: internal error: lasso witness requested at a non-EG state %d", s)
 	}
 	visitedAt := map[kripke.State]int{}
@@ -210,16 +208,20 @@ func (c *Checker) lassoWitness(s kripke.State, inv []bool) (*Trace, error) {
 		}
 		visitedAt[cur] = len(states)
 		states = append(states, cur)
-		next := kripke.NoState
-		for _, t := range c.m.Succ(cur) {
-			if egInv[t] {
-				next = t
-				break
-			}
-		}
+		next := c.succIn(cur, egInv)
 		if next == kripke.NoState {
 			return nil, fmt.Errorf("mc: internal error: EG witness walk stuck at state %d", cur)
 		}
 		cur = next
 	}
+}
+
+// succIn returns the first successor of s in set, or kripke.NoState.
+func (c *Checker) succIn(s kripke.State, set kripke.BitSet) kripke.State {
+	for _, t := range c.m.Succ(s) {
+		if set.Get(int(t)) {
+			return t
+		}
+	}
+	return kripke.NoState
 }

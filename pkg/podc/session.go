@@ -187,6 +187,26 @@ func (s *Session) RingVerifier(ctx context.Context, r int) (*Verifier, error) {
 	})
 }
 
+// VerifierMemoStats sums Verifier.MemoStats over the session's cached ring
+// verifiers; verifiers still being built are skipped.  It never waits for a
+// running query.
+func (s *Session) VerifierMemoStats() (entries, bytes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, f := range s.verifiers {
+		select {
+		case <-f.done:
+			if f.err == nil {
+				e, b := f.val.MemoStats()
+				entries += e
+				bytes += b
+			}
+		default:
+		}
+	}
+	return entries, bytes
+}
+
 // CheckRing model checks a formula against the cached ring M_r.
 func (s *Session) CheckRing(ctx context.Context, r int, f Formula) (bool, error) {
 	v, err := s.RingVerifier(ctx, r)

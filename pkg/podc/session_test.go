@@ -42,6 +42,53 @@ func TestSessionCachesRingsAndVerifiers(t *testing.T) {
 	}
 }
 
+// TestSessionVerifierMemoStatsConcurrent reads the memo gauge's source while
+// checks run on the cached ring verifiers (under -race this pins that the
+// reader needs no verifier lock), then checks the totals only grow.
+func TestSessionVerifierMemoStatsConcurrent(t *testing.T) {
+	ctx := context.Background()
+	s := podc.NewSession()
+	formulas := []string{
+		"forall i . AG (d[i] -> AF c[i])",
+		"forall i . EF c[i]",
+		"exists i . AG !c[i]",
+		"forall i . A[n[i] U t[i]]",
+	}
+	var wg sync.WaitGroup
+	for _, r := range []int{3, 4} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, text := range formulas {
+				if _, err := s.CheckRing(ctx, r, podc.MustParseFormula(text)); err != nil {
+					t.Errorf("CheckRing(%d, %s): %v", r, text, err)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	lastEntries, lastBytes := 0, 0
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		entries, bytes := s.VerifierMemoStats()
+		if entries < lastEntries || bytes < lastBytes {
+			t.Fatalf("memo stats shrank: (%d, %d) -> (%d, %d)", lastEntries, lastBytes, entries, bytes)
+		}
+		lastEntries, lastBytes = entries, bytes
+	}
+	if lastEntries == 0 || lastBytes == 0 {
+		t.Fatalf("memo stats after the checks = (%d, %d), want both positive", lastEntries, lastBytes)
+	}
+}
+
 func TestSessionDeduplicatesConcurrentCorrespondences(t *testing.T) {
 	ctx := context.Background()
 	s := podc.NewSession(podc.WithWorkers(2))

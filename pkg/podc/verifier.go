@@ -114,6 +114,10 @@ func (v *Verifier) SatStates(ctx context.Context, f Formula) ([]State, error) {
 	return statesFromRaw(ss), nil
 }
 
+// MemoStats reports how many satisfaction sets the verifier has memoised
+// and their size in bytes.  It does not wait for a running query.
+func (v *Verifier) MemoStats() (entries, bytes int) { return v.checker.MemoStats() }
+
 // Witness returns a trace demonstrating that the existential CTL formula f
 // holds in the initial state (EX g, EF g, E[g U h], EG g shapes, possibly
 // under instantiated indexed quantifiers).

@@ -5,7 +5,8 @@
 # across PRs instead of living in commit messages.
 #
 # Usage:
-#   scripts/bench.sh                # full run (default benchtime), writes BENCH_pr9.json
+#   scripts/bench.sh                # full run (default benchtime), writes .bench_build/gobench.json
+#                                   # (gitignored; copy it to a BENCH_*.json to commit a record)
 #   scripts/bench.sh --smoke        # 1 iteration per benchmark: the CI smoke job
 #   BENCH_OUT=out.json scripts/bench.sh
 #   BENCHTIME=3x scripts/bench.sh   # custom -benchtime
@@ -22,7 +23,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_pr9.json}"
+out="${BENCH_OUT:-.bench_build/gobench.json}"
+mkdir -p "$(dirname "$out")"
 benchtime="${BENCHTIME:-1s}"
 if [ "${1:-}" = "--smoke" ]; then
     benchtime="1x"
