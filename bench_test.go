@@ -478,9 +478,8 @@ func BenchmarkMinimizeStutteredStructure(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// PR9: incremental engines.  The full-range sweep (r=4..14, every topology)
-// cold, warm-started (each size seeded from the previous quotient) and
-// replayed from a populated verdict store.  The replay benchmark is the
+// The verdict store.  The full-range sweep (r=4..14, every topology) cold
+// and replayed from a populated verdict store.  The replay benchmark is the
 // acceptance number for the persistent store: a second full battery must be
 // pure cache replay plus revalidation, several times faster than deciding
 // cold.
@@ -515,16 +514,6 @@ func BenchmarkSweepFullRangeCold(b *testing.B) {
 		decided, _ := sweepFullRange(b, experiments.Runner{})
 		if decided == 0 {
 			b.Fatal("cold sweep decided nothing")
-		}
-	}
-}
-
-func BenchmarkSweepFullRangeWarm(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		decided, _ := sweepFullRange(b, experiments.Runner{Warm: true})
-		if decided == 0 {
-			b.Fatal("warm sweep decided nothing")
 		}
 	}
 }

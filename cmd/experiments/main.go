@@ -16,7 +16,6 @@
 //	experiments -sweep default   # the default battery: sizes 4..20, up to the 21M-state r=20 ring
 //	experiments -sweep 6,8 -topologies star,torus   # sweep selected topologies only
 //	experiments -sweep default -build-workers 4     # cap the construction pool
-//	experiments -sweep default -warm                # seed each size from the previous one
 //	experiments -sweep default -store .verdicts     # replay/record verdicts across runs
 //	experiments -sweep default -cpuprofile sweep.prof   # profile the run
 //
@@ -60,7 +59,6 @@ func run() int {
 	sweep := flag.String("sweep", "", `comma separated sizes ("default" for the standard battery): decide each topology's cutoff correspondence for each size, streaming results`)
 	topologies := flag.String("topologies", "all", `comma separated topologies to sweep ("all" or a subset of `+strings.Join(podc.TopologyNames(), ",")+`)`)
 	storeDir := flag.String("store", "", "persistent verdict store directory: replay already-decided correspondences from it and record fresh ones (created if needed)")
-	warm := flag.Bool("warm", false, "warm-started sweeps: decide sizes in ascending order, seeding each refinement with the previous size's partition")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile of the run to this file")
 	flag.Parse()
@@ -99,9 +97,6 @@ func run() int {
 	sessionOpts := []podc.Option{podc.WithWorkers(*workers), podc.WithParallelBuild(*buildWorkers)}
 	if *storeDir != "" {
 		sessionOpts = append(sessionOpts, podc.WithStore(*storeDir))
-	}
-	if *warm {
-		sessionOpts = append(sessionOpts, podc.WithWarmSweep())
 	}
 	session := podc.NewSession(sessionOpts...)
 	render := func(tbl *podc.Table) {
@@ -245,11 +240,8 @@ func runSweep(ctx context.Context, session *podc.Session, spec, topoSpec string,
 				verdict = fmt.Sprintf("build-only (orbits=%d)", row.QuotientStates)
 			}
 			note := ""
-			switch {
-			case row.CacheHit:
+			if row.CacheHit {
 				note = "  [replayed from store]"
-			case row.Seeded:
-				note = "  [seeded]"
 			}
 			fmt.Printf("%-6s n=%-4d states=%-8d corresponds=%-5s max degree=%-3d build=%-12s decide=%s%s\n",
 				row.Topology, row.R, row.States, verdict, row.MaxDegree, row.Build.Round(1000), row.Decide.Round(1000), note)

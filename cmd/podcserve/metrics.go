@@ -14,7 +14,7 @@ import (
 // in-flight dedup joins), the persistent verdict store (hits/misses/
 // invalid/writes, replacing the one-shot /v1/store counter dump as the way
 // to *watch* the store), and the refinement engines (process-wide compute
-// calls, seed-audit outcomes, parallel splitter batches).
+// calls, parallel splitter batches).
 //
 // Handler-side instruments are written on the request path; everything
 // below the handler joins as a CounterFunc/GaugeFunc sampled at scrape
@@ -103,12 +103,6 @@ func newServerMetrics(session *podc.Session, queueDepth, slotsBusy func() int64)
 	reg.CounterFunc("podc_engine_refinements_total",
 		"Process-wide partition-refinement computations (store replays never reach the engine).",
 		bisim.ComputeCalls)
-	reg.CounterFunc("podc_engine_seed_accepted_total",
-		"Seeded refinements whose warm-start seed passed the quotient audit.",
-		func() int64 { a, _ := bisim.SeedOutcomes(); return a })
-	reg.CounterFunc("podc_engine_seed_rejected_total",
-		"Seeded refinements whose seed failed the audit and recomputed cold.",
-		func() int64 { _, r := bisim.SeedOutcomes(); return r })
 	reg.CounterFunc("podc_engine_refine_batches_total",
 		"Splitter-queue batches drained by the parallel refinement engine.",
 		bisim.RefineBatches)

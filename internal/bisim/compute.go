@@ -56,18 +56,8 @@ type Result struct {
 	// harness.  For the refinement engine OuterIterations counts the
 	// refinement/divergence passes plus the final pruning rounds; for the
 	// nested-fixpoint oracle it counts the outer pruning rounds alone.
-	// Seeded and unseeded runs of the same pair return identical relations
-	// and degrees but may differ in these counters.
 	OuterIterations int
 	DegreeRounds    int
-	// BlockOfLeft / BlockOfRight are the stable partition the refinement
-	// engine read the relation off (s ~ t iff BlockOfLeft[s] ==
-	// BlockOfRight[t]), recorded only under Options.RecordPartition.  Block
-	// ids are dense but otherwise arbitrary.
-	BlockOfLeft  []int32
-	BlockOfRight []int32
-	// SeedOutcome reports what the engine did with Options.Seed.
-	SeedOutcome SeedOutcome
 }
 
 // Corresponds reports whether the two structures correspond in the sense of
@@ -111,24 +101,14 @@ func Compute(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*Resul
 var computeCalls atomic.Int64
 
 // ComputeCalls returns the process-wide number of Compute invocations so
-// far (seeded runs count once; a rejected seed's cold restart happens
-// inside the same invocation).
+// far.
 func ComputeCalls() int64 { return computeCalls.Load() }
 
-// seedAccepted / seedRejected count the audit outcomes of seeded
-// refinements process-wide (unseeded runs count under neither), and
 // refineBatches counts the splitter-queue batches the parallel drain has
-// executed.  Like computeCalls they exist so a serving process can expose
-// engine activity as monotone metrics without the engines importing the
+// executed.  Like computeCalls it exists so a serving process can expose
+// engine activity as a monotone metric without the engines importing the
 // metrics package.
-var seedAccepted, seedRejected, refineBatches atomic.Int64
-
-// SeedOutcomes returns the process-wide counts of seeded refinements whose
-// seed passed the quotient audit (accepted) and of seeds the audit threw
-// away, forcing a cold in-call recompute (rejected).
-func SeedOutcomes() (accepted, rejected int64) {
-	return seedAccepted.Load(), seedRejected.Load()
-}
+var refineBatches atomic.Int64
 
 // RefineBatches returns the process-wide number of splitter-queue batches
 // drained by the parallel refinement engine (Options.Workers > 1); the

@@ -7,12 +7,3 @@ func SetMaskDegreeBlockLimit(v int) int {
 	maskDegreeBlockLimit = v
 	return old
 }
-
-// SetSeedAuditBlockLimit is a test hook: it lets the external test package
-// force the audit's over-budget rejection path and returns the previous
-// limit.
-func SetSeedAuditBlockLimit(v int) int {
-	old := seedAuditBlockLimit
-	seedAuditBlockLimit = v
-	return old
-}

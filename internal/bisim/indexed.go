@@ -174,7 +174,6 @@ func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair
 			// instead of reallocating them per pair — and a worker that
 			// never claims a pair never pays for slabs.
 			wOpts := opts
-			wOpts.SeedProvider = nil
 			for {
 				if err := cancelled(ctx); err != nil {
 					return
@@ -188,10 +187,6 @@ func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair
 					wOpts.arena = &computeArena{}
 				} else {
 					wOpts.arena.reset()
-				}
-				wOpts.Seed = nil
-				if opts.SeedProvider != nil {
-					wOpts.Seed = opts.SeedProvider(p, leftRed[p.I], rightRed[p.I2])
 				}
 				r, err := Compute(ctx, leftRed[p.I], rightRed[p.I2], wOpts)
 				if err != nil {

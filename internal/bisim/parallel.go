@@ -145,11 +145,16 @@ func (r *refiner) drainParallel(ctx context.Context) error {
 	return nil
 }
 
-// applySplits collects the candidate blocks of the splitter's predecessor
-// set and splits each.  With a worker budget and enough candidates, the
-// in-block backward closures are computed concurrently into per-candidate
-// slots first (they are mutually independent); the divides always replay
-// sequentially in candidate order, so block numbering is deterministic.
+// applySplits splits every other block against the splitter sp, whose
+// predecessor set dp computeDP filled: a block is stable with respect to sp
+// when either all or none of its states can reach sp by a path staying
+// inside the block.  The candidates are the blocks holding a state with an
+// edge into the splitter; splitting one candidate never moves states of
+// another (the split-off halves hold no state of dp), so their in-block
+// backward closures are mutually independent.  With a worker budget and
+// enough candidates the closures are computed concurrently into
+// per-candidate slots first; the divides always replay sequentially in
+// candidate order, so block numbering is deterministic.
 func (r *refiner) applySplits(ctx context.Context, sp int32, dp kripke.BitSet) error {
 	r.stamp++
 	cands := r.candScratch[:0]
@@ -161,7 +166,7 @@ func (r *refiner) applySplits(ctx context.Context, sp int32, dp kripke.BitSet) e
 		}
 		return true
 	})
-	defer func() { r.candScratch = cands[:0] }()
+	r.candScratch = cands[:0]
 	if r.workers <= 1 || len(cands) < parallelCandidateMin {
 		for _, bid := range cands {
 			r.splitReach(bid, dp)
@@ -187,7 +192,7 @@ func (r *refiner) applySplits(ctx context.Context, sp int32, dp kripke.BitSet) e
 		pos.CopyFrom(r.blocks[bid].set)
 		pos.And(dp)
 		if !pos.Empty() {
-			r.wStacks[worker] = r.closeBackwardWithinStack(bid, pos, r.wStacks[worker])
+			r.wStacks[worker] = r.closeBackwardWithin(bid, pos, r.wStacks[worker])
 		}
 	})
 	if err != nil {
@@ -203,25 +208,6 @@ func (r *refiner) applySplits(ctx context.Context, sp int32, dp kripke.BitSet) e
 		}
 	}
 	return nil
-}
-
-// closeBackwardWithinStack is closeBackwardWithin with a caller-owned
-// worklist, so concurrent closures do not share the refiner's scratch stack.
-// It returns the (possibly grown) stack for reuse.
-func (r *refiner) closeBackwardWithinStack(bid int32, set kripke.BitSet, stack []int32) []int32 {
-	stack = stack[:0]
-	set.ForEach(func(v int) bool { stack = append(stack, int32(v)); return true })
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range r.cPred[v] {
-			if r.blockOf[p] == bid && !set.Get(int(p)) {
-				set.Set(int(p))
-				stack = append(stack, p)
-			}
-		}
-	}
-	return stack
 }
 
 // divergencePassParallel mirrors divergencePass in waves: the divergence
@@ -255,7 +241,7 @@ func (r *refiner) divergencePassParallel(ctx context.Context) (bool, error) {
 			div.CopyFrom(r.blocks[bid].set)
 			div.And(r.divMask)
 			if !div.Empty() {
-				r.wStacks[worker] = r.closeBackwardWithinStack(bid, div, r.wStacks[worker])
+				r.wStacks[worker] = r.closeBackwardWithin(bid, div, r.wStacks[worker])
 			}
 		})
 		if err != nil {

@@ -77,11 +77,11 @@ type refiner struct {
 	posSlots     []kripke.BitSet
 	wStacks      [][]int32
 
-	// Scratch state for refineAgainst, reused across splitter pops so the
-	// hottest loop allocates nothing: dpScratch holds the splitter's direct
-	// predecessors, candScratch the candidate block list, and candStamp
-	// (one entry per block, grown like inQueue) marks candidates of the
-	// current pop, identified by stamp.
+	// Scratch state for the splitter pops of drain and applySplits, reused
+	// so the hottest loop allocates nothing: dpScratch holds the splitter's
+	// direct predecessors, candScratch the candidate block list, and
+	// candStamp (one entry per block, grown like inQueue) marks candidates
+	// of the current pop, identified by stamp.
 	dpScratch   kripke.BitSet
 	candScratch []int32
 	candStamp   []int32
@@ -304,45 +304,17 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 		}
 	}
 
-	// Initial partition: one block per label class, intersected with the
-	// seed's classes when a (well-formed) seed was supplied.  A seeded run
-	// is audited before its partition is trusted; a rejected seed restarts
-	// the refinement from the label partition alone, on the same contracted
-	// graph (seed.go explains why the audit makes any seed safe).
-	seedOf := seedComponents(opts.Seed, n, n2, comp, cN, ar)
-	r.initPartition(compLabel, seedOf, ar)
+	// Initial partition: one block per label class.
+	r.initPartition(compLabel)
 	res := &Result{}
 	if err := r.stabilize(ctx, res); err != nil {
 		return nil, err
-	}
-	if seedOf != nil {
-		ok, err := r.auditSeed(ctx, compLabel)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			res.SeedOutcome = SeedAccepted
-			seedAccepted.Add(1)
-		} else {
-			res.SeedOutcome = SeedRejected
-			seedRejected.Add(1)
-			r.resetPartition()
-			r.initPartition(compLabel, nil, ar)
-			if err := r.stabilize(ctx, res); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// Per-union-state block id: s ~ t iff stateBlock[s] == stateBlock[n+t].
 	stateBlock := ar.i32s(N, false)
 	for u := 0; u < N; u++ {
 		stateBlock[u] = r.blockOf[comp[u]]
-	}
-	if opts.RecordPartition {
-		// Plain allocations: the recorded partition outlives the arena.
-		res.BlockOfLeft = append([]int32(nil), stateBlock[:n]...)
-		res.BlockOfRight = append([]int32(nil), stateBlock[n:]...)
 	}
 
 	// Minimal degrees.  With few enough blocks the successor-block set of a
@@ -382,25 +354,16 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 	return pruneAndFinish(ctx, m, m2, inR, opts, res, computeDegreesFast)
 }
 
-// initPartition builds the initial blocks over the contracted components:
-// one block per label class, or — when seedOf is non-nil — per (label
-// class, seed class) pair, and enqueues every block as a splitter.  It may
-// be called again after resetPartition to restart a rejected seeded run.
-func (r *refiner) initPartition(compLabel, seedOf []int32, ar *computeArena) {
-	if r.blockOf == nil {
-		r.blockOf = ar.i32s(r.cN, false) // fully written below
-	}
-	type initKey struct{ lbl, seed int32 }
-	blockBy := make(map[initKey]int32)
+// initPartition builds the initial blocks over the contracted components,
+// one per label class, and enqueues every block as a splitter.
+func (r *refiner) initPartition(compLabel []int32) {
+	r.blockOf = r.arena.i32s(r.cN, false) // fully written below
+	blockBy := make(map[int32]int32)
 	for c := 0; c < r.cN; c++ {
-		key := initKey{lbl: compLabel[c]}
-		if seedOf != nil {
-			key.seed = seedOf[c]
-		}
-		bid, ok := blockBy[key]
+		bid, ok := blockBy[compLabel[c]]
 		if !ok {
 			bid = int32(len(r.blocks))
-			blockBy[key] = bid
+			blockBy[compLabel[c]] = bid
 			set := r.getSet()
 			for i := range set {
 				set[i] = 0
@@ -417,21 +380,6 @@ func (r *refiner) initPartition(compLabel, seedOf []int32, ar *computeArena) {
 	for bid := range r.blocks {
 		r.enqueue(int32(bid))
 	}
-}
-
-// resetPartition returns every block to the set pool and clears the
-// partition state, so initPartition can rebuild it from scratch on the same
-// contracted graph (the graph arrays — adjacency, divMask, matrix — are
-// partition-independent and stay).
-func (r *refiner) resetPartition() {
-	for _, b := range r.blocks {
-		r.putSet(b.set)
-	}
-	r.blocks = r.blocks[:0]
-	r.queue = r.queue[:0]
-	r.inQueue = r.inQueue[:0]
-	r.candStamp = r.candStamp[:0]
-	r.blockVersion = r.blockVersion[:0]
 }
 
 // stabilize runs the refinement loop — splitter drain alternating with
@@ -828,34 +776,12 @@ func (r *refiner) drain(ctx context.Context) error {
 		bid := r.queue[0]
 		r.queue = r.queue[1:]
 		r.inQueue[bid] = false
-		r.refineAgainst(bid)
+		r.computeDP(bid, r.dpScratch)
+		if err := r.applySplits(ctx, bid, r.dpScratch); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// refineAgainst splits every other block against the splitter sp: a block is
-// stable with respect to sp when either all or none of its states can reach
-// sp by a path staying inside the block.
-func (r *refiner) refineAgainst(sp int32) {
-	dp := r.dpScratch
-	r.computeDP(sp, dp)
-	// Candidate blocks: those holding a state with an edge into the splitter.
-	// Splitting one candidate never moves states of another, so the list
-	// stays valid as we go (the split-off halves hold no state of dp).
-	r.stamp++
-	cands := r.candScratch[:0]
-	dp.ForEach(func(v int) bool {
-		b := r.blockOf[v]
-		if b != sp && r.candStamp[b] != r.stamp {
-			r.candStamp[b] = r.stamp
-			cands = append(cands, b)
-		}
-		return true
-	})
-	for _, bid := range cands {
-		r.splitReach(bid, dp)
-	}
-	r.candScratch = cands[:0]
 }
 
 // computeDP fills dp with the contracted nodes that have a direct edge into
@@ -891,7 +817,7 @@ func (r *refiner) splitReach(bid int32, dp kripke.BitSet) {
 		r.putSet(pos)
 		return
 	}
-	r.closeBackwardWithin(bid, pos)
+	r.stackBuf = r.closeBackwardWithin(bid, pos, r.stackBuf)
 	if !r.divide(bid, pos) {
 		r.putSet(pos)
 	}
@@ -899,9 +825,11 @@ func (r *refiner) splitReach(bid int32, dp kripke.BitSet) {
 
 // closeBackwardWithin extends set to every state of block bid that can reach
 // set via transitions staying inside the block.  The inside of a block is
-// acyclic (silent SCCs are contracted), so plain BFS terminates.
-func (r *refiner) closeBackwardWithin(bid int32, set kripke.BitSet) {
-	stack := r.stackBuf[:0]
+// acyclic (silent SCCs are contracted), so plain BFS terminates.  The
+// worklist is caller-owned, so concurrent closures never share one; the
+// (possibly grown) stack is returned for reuse.
+func (r *refiner) closeBackwardWithin(bid int32, set kripke.BitSet, stack []int32) []int32 {
+	stack = stack[:0]
 	set.ForEach(func(v int) bool { stack = append(stack, int32(v)); return true })
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -913,7 +841,7 @@ func (r *refiner) closeBackwardWithin(bid int32, set kripke.BitSet) {
 			}
 		}
 	}
-	r.stackBuf = stack[:0]
+	return stack
 }
 
 // divide splits block bid into pos and the rest, re-enqueueing what the
@@ -988,7 +916,7 @@ func (r *refiner) divergencePass() bool {
 			r.putSet(div)
 			continue
 		}
-		r.closeBackwardWithin(int32(bid), div)
+		r.stackBuf = r.closeBackwardWithin(int32(bid), div, r.stackBuf)
 		if r.divide(int32(bid), div) {
 			changed = true
 		} else {

@@ -58,30 +58,6 @@ type Options struct {
 	// never exceeds it).
 	MaxDegreeRounds int
 
-	// Seed, when non-nil, warm-starts the partition-refinement engine from
-	// the given partition of the disjoint union instead of the label
-	// partition alone (the engine always intersects the seed with the label
-	// classes).  Every seeded run is audited before its result is trusted —
-	// see the Seed type — so an invalid seed costs a cold recomputation,
-	// never a wrong answer.  The nested-fixpoint oracle (MaxDegreeRounds)
-	// ignores seeds and always starts cold.
-	Seed *Seed
-
-	// SeedProvider supplies IndexedCompute with one seed per index pair
-	// (the reductions the pair will be decided on are passed in; state ids
-	// of a reduction equal those of its source structure).  Returning nil
-	// leaves that pair cold.  Compute ignores the field; it is consulted
-	// only by IndexedCompute, which installs the returned seed as the
-	// per-pair Options.Seed.
-	SeedProvider func(p IndexPair, left, right *kripke.Structure) *Seed
-
-	// RecordPartition makes the refinement engine record the stable
-	// partition it decided the relation from (Result.BlockOfLeft /
-	// BlockOfRight), which is what warm-started sweeps project onto the
-	// next family size.  The nested-fixpoint oracle has no partition to
-	// record and leaves the fields nil.
-	RecordPartition bool
-
 	// Workers caps the pool IndexedCompute decides the IN pairs on (zero
 	// or negative meaning one worker per available CPU) and, when greater
 	// than one, additionally switches Compute's refinement internals onto

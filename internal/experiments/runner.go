@@ -73,13 +73,6 @@ type Runner struct {
 	// and records fresh decisions into it.  Build-only and failed rows are
 	// never stored.
 	Store *store.Store
-	// Warm makes sweeps decide each topology's sizes sequentially in
-	// ascending order, seeding every decision with the previous size's
-	// recorded partition projected through the topology's state projection
-	// (family.WarmSeedProvider).  Topologies without a projection fall
-	// back to cold decisions; a projection the seed audit rejects costs
-	// one cold recompute, never a wrong answer.
-	Warm bool
 }
 
 // defaultDecideStateBudget keeps the decided portion of a default sweep
@@ -220,10 +213,7 @@ type SweepRow struct {
 	// instance was built and no refinement ran; the states, transitions
 	// and degrees come from the stored (and revalidated) record.
 	CacheHit bool
-	// Seeded marks rows whose decision accepted at least one warm-start
-	// seed projected from the previous size (Runner.Warm).
-	Seeded bool
-	Err    error
+	Err      error
 }
 
 // CorrespondenceSweep is the classic ring sweep: it decides the cutoff
@@ -265,7 +255,7 @@ func SweepRowsTable(rows []SweepRow) *Table {
 	t := &Table{
 		ID:      "SWEEP",
 		Title:   "Cutoff correspondence M_cutoff ~ M_n across sizes (worker pool)",
-		Columns: []string{"topology", "n", "states", "transitions", "build", "states/s", "decide", "corresponds", "max degree", "orbits", "warm"},
+		Columns: []string{"topology", "n", "states", "transitions", "build", "states/s", "decide", "corresponds", "max degree", "orbits", "store"},
 	}
 	for _, row := range rows {
 		topo := row.Topology
@@ -280,20 +270,17 @@ func SweepRowsTable(rows []SweepRow) *Table {
 		if row.QuotientStates > 0 {
 			orbits = fmt.Sprintf("%d", row.QuotientStates)
 		}
-		warm := ""
-		switch {
-		case row.CacheHit:
-			warm = "replay"
-		case row.Seeded:
-			warm = "seeded"
+		replay := ""
+		if row.CacheHit {
+			replay = "replay"
 		}
 		t.AddRow(topo, row.R, row.States, row.Transitions, row.BuildElapsed, int(row.StatesPerSec),
-			row.DecideElapsed, corresponds, row.MaxDegree, orbits, warm)
+			row.DecideElapsed, corresponds, row.MaxDegree, orbits, replay)
 	}
 	t.Notes = append(t.Notes,
 		"decide times the partition-refinement engine on all index pairs of the topology's cutoff IN relation",
 		"every 'yes' row extends the range of sizes over which Theorem 5 transfers the family's specifications",
 		"build-only rows exceed the decide budget: the raw space is explored (states/s is the packed-BFS throughput) and its symmetry quotient counted (orbits), but no correspondence is decided",
-		"warm='replay' rows come from the persistent verdict store without building or deciding anything; warm='seeded' rows were decided starting from the previous size's partition (audited, never trusted)")
+		"store='replay' rows come from the persistent verdict store without building or deciding anything; rows with an empty store column were computed in this run")
 	return t
 }

@@ -51,47 +51,6 @@ func assertRowsAgree(t *testing.T, label string, cold, other []SweepRow) {
 	}
 }
 
-// TestWarmSweepMatchesCold drives the ring sweep warm and cold over the same
-// sizes: identical verdicts, and every size past the first must actually
-// have accepted its projected seed — otherwise the warm path silently
-// degraded to a cold sweep.
-func TestWarmSweepMatchesCold(t *testing.T) {
-	sizes := []int{4, 5, 6, 7}
-	cold := collectSweep(t, Runner{}, family.Ring(), sizes)
-	warm := collectSweep(t, Runner{Warm: true}, family.Ring(), sizes)
-	assertRowsAgree(t, "warm", cold, warm)
-	for i, row := range warm {
-		if i == 0 {
-			if row.Seeded {
-				t.Fatalf("first warm row n=%d has nothing to seed from, yet reports Seeded", row.R)
-			}
-			continue
-		}
-		if !row.Seeded {
-			t.Fatalf("warm row n=%d did not accept any projected seed", row.R)
-		}
-	}
-	for _, row := range cold {
-		if row.Seeded || row.CacheHit {
-			t.Fatalf("cold row n=%d reports Seeded/CacheHit", row.R)
-		}
-	}
-}
-
-// TestWarmSweepUnprojectableTopology: a topology without a state projection
-// must still sweep correctly warm — all rows cold-decided, none seeded.
-func TestWarmSweepUnprojectableTopology(t *testing.T) {
-	sizes := []int{4, 5, 6}
-	cold := collectSweep(t, Runner{}, family.Star(), sizes)
-	warm := collectSweep(t, Runner{Warm: true}, family.Star(), sizes)
-	assertRowsAgree(t, "star warm", cold, warm)
-	for _, row := range warm {
-		if row.Seeded {
-			t.Fatalf("star n=%d reports a seeded decision; the star has no projector", row.R)
-		}
-	}
-}
-
 // TestStoreReplaySweep is the acceptance gate for the verdict store: a
 // second sweep against a populated store must be pure cache replay — every
 // row a hit, zero refinement computations — and must report the same
@@ -171,30 +130,6 @@ func TestStoreReplayAllTopologies(t *testing.T) {
 	}
 	if delta := bisim.ComputeCalls() - before; delta != 0 {
 		t.Fatalf("cross-topology replay ran %d refinement computations, want 0", delta)
-	}
-}
-
-// TestWarmSweepPopulatesStore: warm and store compose — the warm first run
-// seeds across sizes and writes every verdict, the second run replays.
-func TestWarmSweepPopulatesStore(t *testing.T) {
-	s, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Logf = t.Logf
-	sizes := []int{4, 5, 6}
-	first := collectSweep(t, Runner{Warm: true, Store: s}, family.Ring(), sizes)
-	for i, row := range first {
-		if i > 0 && !row.Seeded {
-			t.Fatalf("warm+store first run n=%d not seeded", row.R)
-		}
-	}
-	second := collectSweep(t, Runner{Warm: true, Store: s}, family.Ring(), sizes)
-	assertRowsAgree(t, "warm replay", first, second)
-	for _, row := range second {
-		if !row.CacheHit {
-			t.Fatalf("warm replay n=%d missed the store", row.R)
-		}
 	}
 }
 

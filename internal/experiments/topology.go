@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/bisim"
@@ -26,9 +25,6 @@ import (
 // instantiate (for example odd sizes of the 2-row torus) come back as rows
 // with Err set, so a sweep over a mixed size list keeps going.
 func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes []int) <-chan SweepRow {
-	if r.Warm {
-		return r.warmTopologySweep(ctx, topo, sizes)
-	}
 	out := make(chan SweepRow)
 	go func() {
 		defer close(out)
@@ -54,7 +50,7 @@ func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes [
 		for k, size := range sizes {
 			k, size := k, size
 			jobs[k] = Job{ID: fmt.Sprintf("%s n=%d", topo.Name(), size), Run: func(ctx context.Context) (*Table, error) {
-				rows[k] = r.sweepRow(ctx, topo, small, size)
+				rows[k] = r.decideRow(ctx, topo, small, size)
 				return nil, nil
 			}}
 		}
@@ -67,67 +63,6 @@ func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes [
 		}
 	}()
 	return out
-}
-
-// warmPrev carries one size's decision into the next size's seed: the built
-// instance, the decision with its recorded partitions, and the size they
-// belong to.
-type warmPrev struct {
-	size  int
-	large *kripke.Structure
-	res   *bisim.IndexedResult
-}
-
-// warmTopologySweep is the Runner.Warm variant of TopologySweep: sizes are
-// decided sequentially in ascending order so each decision can start from
-// its predecessor's stable partition, projected to the next size.  The
-// per-size decisions still fan their index pairs out over Workers; only the
-// across-size axis is serialised, which is exactly the axis the seeding
-// makes cheap.
-func (r Runner) warmTopologySweep(ctx context.Context, topo family.Topology, sizes []int) <-chan SweepRow {
-	out := make(chan SweepRow)
-	go func() {
-		defer close(out)
-		emit := func(row SweepRow) bool {
-			select {
-			case out <- row:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		small, err := topo.Build(topo.CutoffSize())
-		if err != nil {
-			for _, size := range sizes {
-				if !emit(SweepRow{Topology: topo.Name(), R: size, Err: err}) {
-					return
-				}
-			}
-			return
-		}
-		order := append([]int(nil), sizes...)
-		sort.Ints(order)
-		var prev *warmPrev
-		for _, size := range order {
-			if ctx.Err() != nil {
-				return
-			}
-			row, large, res := r.decideRow(ctx, topo, small, size, true, prev)
-			if large != nil && res != nil {
-				prev = &warmPrev{size: size, large: large, res: res}
-			}
-			if !emit(row) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// sweepRow measures one (topology, size) cell of a sweep.
-func (r Runner) sweepRow(ctx context.Context, topo family.Topology, small *kripke.Structure, size int) SweepRow {
-	row, _, _ := r.decideRow(ctx, topo, small, size, false, nil)
-	return row
 }
 
 // sweepKey addresses one sweep cell's verdict in the persistent store.  The
@@ -149,21 +84,20 @@ func sweepKey(topo family.Topology, size int) store.Key {
 	}
 }
 
-// decideRow measures one (topology, size) cell of a sweep and, for warm
-// sweeps, hands the built instance and decision back so the next size can
-// seed from them.  Topologies with a packed definition are explored by the
-// parallel packed-BFS engine (byte-identical to the sequential build);
-// sizes whose spaces exceed the decide budget come back as build-only rows
-// carrying the raw-space counts, the construction throughput and the
-// symmetry-quotient orbit count, with the reachable set checked for orbit
-// closure instead of being decided.  When the runner has a store, the cell
+// decideRow measures one (topology, size) cell of a sweep.  Topologies with
+// a packed definition are explored by the parallel packed-BFS engine
+// (byte-identical to the sequential build); sizes whose spaces exceed the
+// decide budget come back as build-only rows carrying the raw-space counts,
+// the construction throughput and the symmetry-quotient orbit count, with
+// the reachable set checked for orbit closure instead of being decided.
+// When the runner has a store, the cell
 // is first looked up there — a valid entry replays the verdict without
 // building anything — and fresh decisions are written back.
-func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *kripke.Structure, size int, warm bool, prev *warmPrev) (SweepRow, *kripke.Structure, *bisim.IndexedResult) {
+func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *kripke.Structure, size int) SweepRow {
 	row := SweepRow{Topology: topo.Name(), R: size}
 	if err := topo.ValidSize(size); err != nil {
 		row.Err = err
-		return row, nil, nil
+		return row
 	}
 	key := sweepKey(topo, size)
 	if r.Store != nil {
@@ -177,7 +111,7 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 				row.Transitions = rec.Transitions
 				row.MaxDegree = rec.MaxDegree
 				row.Corresponds = rec.Corresponds
-				return row, nil, nil
+				return row
 			}
 		}
 	}
@@ -187,7 +121,7 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 		sp, err := explore.Explore(ctx, pi.Def, explore.Options{Workers: r.BuildWorkers})
 		if err != nil {
 			row.Err = err
-			return row, nil, nil
+			return row
 		}
 		exploreElapsed := time.Since(buildStart)
 		row.States = sp.NumStates()
@@ -199,16 +133,16 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 			row.BuildOnly = true
 			row.BuildElapsed = exploreElapsed
 			row.Err = quotientStats(ctx, pi, sp, &row)
-			return row, nil, nil
+			return row
 		}
 		m, err := explore.BuildFromSpace(ctx, pi.Def, sp)
 		if err != nil {
 			row.Err = err
-			return row, nil, nil
+			return row
 		}
 		if large, err = pi.FinishBuilt(m); err != nil {
 			row.Err = err
-			return row, nil, nil
+			return row
 		}
 		// MakeTotal variants may add self loops the raw space lacks.
 		row.States = large.NumStates()
@@ -217,7 +151,7 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 		var err error
 		if large, err = topo.Build(size); err != nil {
 			row.Err = err
-			return row, nil, nil
+			return row
 		}
 		row.States = large.NumStates()
 		row.Transitions = large.NumTransitions()
@@ -227,29 +161,18 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 	// -workers bounds the total concurrency of a sweep.
 	opts := family.CorrespondOptions(topo)
 	opts.Workers = r.Workers
-	if warm {
-		// Record this size's stable partitions for the next size's seed,
-		// and start from the previous size's if it is available.
-		opts.RecordPartition = true
-		if prev != nil {
-			opts.SeedProvider = family.WarmSeedProvider(topo, prev.size, size, prev.large, large, prev.res)
-		}
-	}
 	decideStart := time.Now()
 	res, err := bisim.IndexedCompute(ctx, small, large,
 		topo.IndexRelation(topo.CutoffSize(), size), opts)
 	row.DecideElapsed = time.Since(decideStart)
 	if err != nil {
 		row.Err = err
-		return row, nil, nil
+		return row
 	}
 	row.Corresponds = res.Corresponds()
 	for _, pr := range res.Pairs {
 		if d := pr.Relation.MaxDegree(); d > row.MaxDegree {
 			row.MaxDegree = d
-		}
-		if pr.SeedOutcome == bisim.SeedAccepted {
-			row.Seeded = true
 		}
 	}
 	if r.Store != nil {
@@ -265,7 +188,7 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 			row.Err = fmt.Errorf("experiments: caching %s n=%d: %w", topo.Name(), size, err)
 		}
 	}
-	return row, large, res
+	return row
 }
 
 // quotientStats fills the symmetry statistics of a build-only row: the

@@ -8,8 +8,8 @@ import (
 
 // This file defines the payload schemas the rest of the repository stores:
 // the semantic content of an indexed correspondence decision (verdicts and
-// relations, not work counters — seeded and cold runs agree on the former
-// and legitimately differ on the latter), failure evidence in replayable
+// relations, not work counters, which describe how a decision ran rather
+// than what it decided), failure evidence in replayable
 // form, and sweep-row metadata.  Kinds:
 //
 //	"correspondence" — CorrespondenceRecord

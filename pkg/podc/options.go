@@ -46,13 +46,10 @@ type config struct {
 	buildWorkers  int
 	symmetry      bool
 
-	// persistence knobs (WithStore, WithWarmSweep): storeDir roots the
-	// persistent verdict store a Session replays decided correspondences,
-	// certificates and evidence from; warmSweep makes session sweeps decide
-	// sizes in ascending order, seeding each refinement with the previous
-	// size's partition.
-	storeDir  string
-	warmSweep bool
+	// persistence knob (WithStore): storeDir roots the persistent verdict
+	// store a Session replays decided correspondences, certificates and
+	// evidence from.
+	storeDir string
 }
 
 // topologyOrRing returns the configured topology, defaulting to the token
@@ -209,17 +206,6 @@ func WithSymmetry() Option {
 // caching never turns into a failed request.
 func WithStore(dir string) Option {
 	return func(c *config) { c.storeDir = dir }
-}
-
-// WithWarmSweep makes session sweeps decide each topology's sizes
-// sequentially in ascending order, seeding every refinement with the
-// previous size's stable partition projected to the next size
-// (family.WarmSeedProvider).  The refinement engine audits every seed, so
-// a projection that turns out wrong costs one cold recompute — never a
-// wrong answer.  Topologies without a state projection sweep cold as
-// before.
-func WithWarmSweep() Option {
-	return func(c *config) { c.warmSweep = true }
 }
 
 // WithTopology selects the family an operation works on: DecideCorrespondence

@@ -456,9 +456,6 @@ type SweepResult struct {
 	// CacheHit marks sizes replayed from the session's persistent verdict
 	// store (WithStore): nothing was built or decided for them.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Seeded marks sizes whose decision accepted a warm-start seed
-	// projected from the previous size (WithWarmSweep).
-	Seeded bool `json:"seeded,omitempty"`
 	// Err is non-nil when this size failed (the sweep continues with the
 	// remaining sizes).
 	Err error `json:"-"`
@@ -501,7 +498,6 @@ func (s *Session) SweepTopology(ctx context.Context, topo Topology, sizes []int)
 		Workers:      s.cfg.workers,
 		BuildWorkers: s.cfg.buildWorkers,
 		Store:        s.verdictStore(),
-		Warm:         s.cfg.warmSweep,
 	}
 	return func(yield func(SweepResult) bool) {
 		ctx, cancel := context.WithCancel(ctx)
@@ -521,7 +517,6 @@ func (s *Session) SweepTopology(ctx context.Context, topo Topology, sizes []int)
 				BuildOnly:      row.BuildOnly,
 				QuotientStates: row.QuotientStates,
 				CacheHit:       row.CacheHit,
-				Seeded:         row.Seeded,
 				Err:            row.Err,
 			}
 			if !yield(res) {
@@ -568,7 +563,6 @@ func SweepResultsTable(rows []SweepResult) *Table {
 			BuildOnly:      r.BuildOnly,
 			QuotientStates: r.QuotientStates,
 			CacheHit:       r.CacheHit,
-			Seeded:         r.Seeded,
 			Err:            r.Err,
 		}
 	}

@@ -177,44 +177,6 @@ func TestSessionStoreOpenFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
-func TestSessionWarmSweepMatchesColdSweep(t *testing.T) {
-	ctx := context.Background()
-	sizes := []int{4, 5, 6}
-
-	collect := func(s *podc.Session) []podc.SweepResult {
-		var rows []podc.SweepResult
-		for row := range s.Sweep(ctx, sizes) {
-			if row.Err != nil {
-				t.Fatalf("n=%d: %v", row.R, row.Err)
-			}
-			rows = append(rows, row)
-		}
-		return rows
-	}
-	cold := collect(podc.NewSession())
-	warm := collect(podc.NewSession(podc.WithWarmSweep()))
-	if len(cold) != len(warm) {
-		t.Fatalf("%d warm rows vs %d cold rows", len(warm), len(cold))
-	}
-	byR := make(map[int]podc.SweepResult, len(cold))
-	for _, row := range cold {
-		byR[row.R] = row
-	}
-	seeded := 0
-	for _, row := range warm {
-		c := byR[row.R]
-		if row.Corresponds != c.Corresponds || row.States != c.States || row.MaxDegree != c.MaxDegree {
-			t.Fatalf("warm n=%d disagrees with cold: %+v vs %+v", row.R, row, c)
-		}
-		if row.Seeded {
-			seeded++
-		}
-	}
-	if seeded == 0 {
-		t.Fatal("no warm sweep row accepted its seed — the warm path never engaged")
-	}
-}
-
 func TestSessionStoreSweepReplay(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
