@@ -270,12 +270,10 @@ func BenchmarkCorrespondenceM3ToMr(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The workers dimension pins the parallel refinement engine against the
-	// sequential one in BENCH_pr8.json: workers=1 keeps Compute fully
-	// sequential, workers>1 switches it onto the batched drain and the
-	// word-at-a-time degree pass of internal/bisim/parallel.go (the packed
-	// engine engages on the worker budget, not on the core count, so the
-	// comparison is meaningful on any machine).
+	// The workers dimension sizes only IndexedCompute's index-pair pool
+	// (capped at GOMAXPROCS); every pair decision is one sequential Compute
+	// at any worker count, so workers=8 measures the pool's overlap of the
+	// pair decisions against workers=1.
 	for _, r := range []int{4, 6, 8} {
 		for _, workers := range []int{1, 8} {
 			r, workers := r, workers

@@ -54,7 +54,7 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "render the tables as JSON")
 	only := flag.String("only", "", "run only the experiment with this identifier (e.g. E1, E6, E7)")
 	stream := flag.Bool("stream", false, "print each table as soon as its experiment finishes (completion order)")
-	workers := flag.Int("workers", 0, "worker pool size for experiment jobs and index-pair pools; >1 also switches decisions onto the parallel refinement and word-at-a-time checking engines (0 = one per CPU)")
+	workers := flag.Int("workers", 0, "worker pool size for experiment jobs and index-pair pools; >1 also fans the model checker's word-at-a-time passes across the pool (0 = one per CPU)")
 	buildWorkers := flag.Int("build-workers", 0, "parallel packed-BFS construction pool size for sweeps and instance builds (0 = one per CPU)")
 	sweep := flag.String("sweep", "", `comma separated sizes ("default" for the standard battery): decide each topology's cutoff correspondence for each size, streaming results`)
 	topologies := flag.String("topologies", "all", `comma separated topologies to sweep ("all" or a subset of `+strings.Join(podc.TopologyNames(), ",")+`)`)

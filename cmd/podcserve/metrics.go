@@ -104,7 +104,7 @@ func newServerMetrics(session *podc.Session, queueDepth, slotsBusy func() int64)
 		"Process-wide partition-refinement computations (store replays never reach the engine).",
 		bisim.ComputeCalls)
 	reg.CounterFunc("podc_engine_refine_batches_total",
-		"Splitter-queue batches drained by the parallel refinement engine.",
+		"Always 0: the batched parallel splitter drain it counted was deleted; kept until per-request engine counters replace it.",
 		bisim.RefineBatches)
 	return m
 }

@@ -104,16 +104,13 @@ var computeCalls atomic.Int64
 // far.
 func ComputeCalls() int64 { return computeCalls.Load() }
 
-// refineBatches counts the splitter-queue batches the parallel drain has
-// executed.  Like computeCalls it exists so a serving process can expose
-// engine activity as a monotone metric without the engines importing the
-// metrics package.
-var refineBatches atomic.Int64
-
-// RefineBatches returns the process-wide number of splitter-queue batches
-// drained by the parallel refinement engine (Options.Workers > 1); the
-// sequential drain never increments it.
-func RefineBatches() int64 { return refineBatches.Load() }
+// RefineBatches always returns 0.  It counted the splitter-queue batches of
+// a batched parallel drain that no longer exists; the refinement engine
+// pops one splitter at a time at every worker count.  It stays only because
+// the benchmark harness and the podc_engine_refine_batches_total metric
+// read it, until per-request engine counters replace the process-global
+// ones.
+func RefineBatches() int64 { return 0 }
 
 // ComputeFixpoint runs the original nested-fixpoint decision procedure on
 // the label-equal candidate pair set.  It is retained as the cross-check

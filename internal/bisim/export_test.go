@@ -7,3 +7,12 @@ func SetMaskDegreeBlockLimit(v int) int {
 	maskDegreeBlockLimit = v
 	return old
 }
+
+// SetPackedLeftLimit is a test hook: lowering the limit to zero makes the
+// packed degree pass step aside, so the external test package can force
+// maskedFinish on any input.  It returns the previous limit.
+func SetPackedLeftLimit(v int) int {
+	old := packedLeftLimit
+	packedLeftLimit = v
+	return old
+}

@@ -151,11 +151,9 @@ func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The pool exists to overlap pair decisions on real cores; the
-	// refinement internals already honour Options.Workers inside a single
-	// decision.  More pool goroutines than cores buy no overlap but each
-	// would grow its own arena slabs, so cap the pool at the core budget
-	// (workers beyond it still parallelise *within* each Compute).
+	// The pool exists to overlap pair decisions on real cores.  More pool
+	// goroutines than cores buy no overlap but each would grow its own
+	// arena slabs, so cap the pool at the core budget.
 	if mp := runtime.GOMAXPROCS(0); workers > mp {
 		workers = mp
 	}

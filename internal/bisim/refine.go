@@ -37,10 +37,13 @@ import (
 // word-parallel; for moderate sizes the transition relation itself is kept
 // as bitset rows (kripke.TransitionMatrix).
 //
-// Once the partition is stable the candidate relation "same block" is handed
-// to the shared pruneAndFinish tail, which assigns the minimal degrees with
-// the same inner fixpoint the legacy engine uses — so the two engines return
-// bit-identical results — and defensively re-prunes (a no-op when the
+// Once the partition is stable the candidate relation "same block" gets its
+// minimal degrees from one of three degree passes, chosen by the input's
+// shape alone: maskedFinishPacked (packed.go) when every block fits a
+// 64-bit row, maskedFinish when a block holds more than 64 left states, and
+// the shared pruneAndFinish tail past 64 blocks.  All three reproduce the
+// inner fixpoint of the legacy engine, so the engines return bit-identical
+// results; pruneAndFinish also defensively re-prunes (a no-op when the
 // partition is exact, a safety net otherwise).
 
 // maxDenseMatrixStates bounds the contracted-graph size for which the
@@ -64,19 +67,6 @@ type refiner struct {
 	queue   []int32
 	inQueue []bool
 
-	// Worker budget (Options.Workers; ≤ 1 keeps every loop sequential) and
-	// the state backing the batched drain of parallel.go: blockVersion is
-	// bumped whenever a block's set shrinks in divide, so a batch can detect
-	// that a precomputed splitter predecessor set went stale; the remaining
-	// fields are reusable buffers for the per-batch slots.
-	workers      int
-	blockVersion []uint32
-	dpBatch      []kripke.BitSet
-	dpVersions   []uint32
-	batchIDs     []int32
-	posSlots     []kripke.BitSet
-	wStacks      [][]int32
-
 	// Scratch state for the splitter pops of drain and applySplits, reused
 	// so the hottest loop allocates nothing: dpScratch holds the splitter's
 	// direct predecessors, candScratch the candidate block list, and
@@ -97,8 +87,7 @@ type refiner struct {
 	succScratch kripke.BitSet // enqueueSuccessors accumulator
 
 	// arena (possibly nil) backs the block sets and large scratch arrays so
-	// IndexedCompute can recycle them across pair computes.  All hand-outs
-	// happen in sequential sections; workers only fill what they were given.
+	// IndexedCompute can recycle them across pair computes.
 	arena *computeArena
 }
 
@@ -241,7 +230,6 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 		cN:        cN,
 		divMask:   kripke.BitSet(ar.bitset(cN, true)),
 		dpScratch: kripke.BitSet(ar.bitset(cN, false)), // computeDP clears it first
-		workers:   opts.Workers,
 		arena:     ar,
 	}
 	for c := 0; c < cN; c++ {
@@ -317,24 +305,20 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 		stateBlock[u] = r.blockOf[comp[u]]
 	}
 
-	// Minimal degrees.  With few enough blocks the successor-block set of a
-	// state fits one machine word, pairs live in a compact table indexed per
-	// right state, and the clause checks degenerate to bit tests
-	// (maskedFinish); otherwise, or in the never-expected case that a pair
-	// turns out to have no finite degree (the refinement would have
-	// over-approximated), fall back to the generic prune-and-assign loop,
-	// which handles any candidate set.
+	// Minimal degrees; the input's shape picks the route.  With few enough
+	// blocks the successor-block set of a state fits one machine word, and
+	// when no block holds more than 64 left states the pairs of one right
+	// state fit one word as well, so whole rows resolve at once
+	// (maskedFinishPacked).  Wider blocks take the per-pair compact table
+	// (maskedFinish).  Past 64 blocks, or in the never-expected case that a
+	// pair turns out to have no finite degree (the refinement would have
+	// over-approximated), the generic prune-and-assign loop takes over; it
+	// handles any candidate set.
 	if len(r.blocks) <= maskDegreeBlockLimit {
-		if r.workers > 1 {
-			out, ok, err := maskedFinishPacked(ctx, m, m2, stateBlock, len(r.blocks), opts, res, r.workers)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return out, nil
-			}
+		out, ok, err := maskedFinishPacked(ctx, m, m2, stateBlock, len(r.blocks), opts, res)
+		if err == nil && !ok {
+			out, ok, err = maskedFinish(ctx, m, m2, stateBlock, len(r.blocks), opts, res)
 		}
-		out, ok, err := maskedFinish(ctx, m, m2, stateBlock, len(r.blocks), opts, res)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +355,6 @@ func (r *refiner) initPartition(compLabel []int32) {
 			r.blocks = append(r.blocks, &rblock{set: set})
 			r.inQueue = append(r.inQueue, false)
 			r.candStamp = append(r.candStamp, 0)
-			r.blockVersion = append(r.blockVersion, 0)
 		}
 		r.blocks[bid].set.Set(c)
 		r.blocks[bid].size++
@@ -394,17 +377,7 @@ func (r *refiner) stabilize(ctx context.Context, res *Result) error {
 		if err := r.drain(ctx); err != nil {
 			return err
 		}
-		var divChanged bool
-		if r.workers > 1 {
-			var err error
-			divChanged, err = r.divergencePassParallel(ctx)
-			if err != nil {
-				return err
-			}
-		} else {
-			divChanged = r.divergencePass()
-		}
-		if !divChanged {
+		if !r.divergencePass() {
 			return nil
 		}
 	}
@@ -764,9 +737,6 @@ func (r *refiner) enqueue(bid int32) {
 // latency a small multiple of a single split's cost without measurably
 // slowing the refinement loop.
 func (r *refiner) drain(ctx context.Context) error {
-	if r.workers > 1 {
-		return r.drainParallel(ctx)
-	}
 	for pops := 0; len(r.queue) > 0; pops++ {
 		if pops&255 == 0 {
 			if err := cancelled(ctx); err != nil {
@@ -777,17 +747,13 @@ func (r *refiner) drain(ctx context.Context) error {
 		r.queue = r.queue[1:]
 		r.inQueue[bid] = false
 		r.computeDP(bid, r.dpScratch)
-		if err := r.applySplits(ctx, bid, r.dpScratch); err != nil {
-			return err
-		}
+		r.applySplits(bid, r.dpScratch)
 	}
 	return nil
 }
 
 // computeDP fills dp with the contracted nodes that have a direct edge into
-// the splitter: a pure function of the splitter's current member set, which
-// is what lets drainParallel precompute it for queued splitters ahead of
-// their pop.
+// the splitter sp.
 func (r *refiner) computeDP(sp int32, dp kripke.BitSet) {
 	for i := range dp {
 		dp[i] = 0
@@ -805,6 +771,30 @@ func (r *refiner) computeDP(sp int32, dp kripke.BitSet) {
 	}
 }
 
+// applySplits splits every other block against the splitter sp, whose
+// predecessor set dp computeDP filled: a block is stable with respect to sp
+// when either all or none of its states can reach sp by a path staying
+// inside the block.  The candidates are the blocks holding a state with an
+// edge into the splitter; splitting one candidate never moves states of
+// another (the split-off halves hold no state of dp), so they are split in
+// turn, in order of first appearance in dp.
+func (r *refiner) applySplits(sp int32, dp kripke.BitSet) {
+	r.stamp++
+	cands := r.candScratch[:0]
+	dp.ForEach(func(v int) bool {
+		b := r.blockOf[v]
+		if b != sp && r.candStamp[b] != r.stamp {
+			r.candStamp[b] = r.stamp
+			cands = append(cands, b)
+		}
+		return true
+	})
+	r.candScratch = cands[:0]
+	for _, bid := range cands {
+		r.splitReach(bid, dp)
+	}
+}
+
 // splitReach splits block bid by "can reach the splitter through the block".
 // Both halves are stable against the splitter afterwards: every state on a
 // witnessing path lies in the positive half itself.
@@ -817,7 +807,7 @@ func (r *refiner) splitReach(bid int32, dp kripke.BitSet) {
 		r.putSet(pos)
 		return
 	}
-	r.stackBuf = r.closeBackwardWithin(bid, pos, r.stackBuf)
+	r.closeBackwardWithin(bid, pos)
 	if !r.divide(bid, pos) {
 		r.putSet(pos)
 	}
@@ -825,11 +815,9 @@ func (r *refiner) splitReach(bid int32, dp kripke.BitSet) {
 
 // closeBackwardWithin extends set to every state of block bid that can reach
 // set via transitions staying inside the block.  The inside of a block is
-// acyclic (silent SCCs are contracted), so plain BFS terminates.  The
-// worklist is caller-owned, so concurrent closures never share one; the
-// (possibly grown) stack is returned for reuse.
-func (r *refiner) closeBackwardWithin(bid int32, set kripke.BitSet, stack []int32) []int32 {
-	stack = stack[:0]
+// acyclic (silent SCCs are contracted), so plain BFS terminates.
+func (r *refiner) closeBackwardWithin(bid int32, set kripke.BitSet) {
+	stack := r.stackBuf[:0]
 	set.ForEach(func(v int) bool { stack = append(stack, int32(v)); return true })
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -841,7 +829,7 @@ func (r *refiner) closeBackwardWithin(bid int32, set kripke.BitSet, stack []int3
 			}
 		}
 	}
-	return stack
+	r.stackBuf = stack
 }
 
 // divide splits block bid into pos and the rest, re-enqueueing what the
@@ -860,10 +848,6 @@ func (r *refiner) divide(bid int32, pos kripke.BitSet) bool {
 	r.blocks = append(r.blocks, &rblock{set: rest, size: b.size - posCount})
 	r.inQueue = append(r.inQueue, false)
 	r.candStamp = append(r.candStamp, 0)
-	if r.blockVersion != nil {
-		r.blockVersion[bid]++ // the block's set shrinks to pos below
-		r.blockVersion = append(r.blockVersion, 0)
-	}
 	r.putSet(b.set)
 	b.set = pos
 	b.size = posCount
@@ -916,7 +900,7 @@ func (r *refiner) divergencePass() bool {
 			r.putSet(div)
 			continue
 		}
-		r.stackBuf = r.closeBackwardWithin(int32(bid), div, r.stackBuf)
+		r.closeBackwardWithin(int32(bid), div)
 		if r.divide(int32(bid), div) {
 			changed = true
 		} else {

@@ -58,15 +58,11 @@ type Options struct {
 	// never exceeds it).
 	MaxDegreeRounds int
 
-	// Workers caps the pool IndexedCompute decides the IN pairs on (zero
-	// or negative meaning one worker per available CPU) and, when greater
-	// than one, additionally switches Compute's refinement internals onto
-	// the batched parallel engine of parallel.go: splitter predecessor
-	// sets, candidate closures and degree rounds fan out across the
-	// budget.  Results are byte-identical at every worker count — the
-	// parallel engine replays all partition mutations in the sequential
-	// order — so Workers only trades goroutines for latency.  Zero (the
-	// default) keeps Compute itself fully sequential.
+	// Workers caps the pool IndexedCompute decides the IN pairs on, zero
+	// or negative meaning one worker per available CPU (the pool never
+	// exceeds GOMAXPROCS).  Each pair decision is one sequential Compute,
+	// and Compute itself ignores Workers, so results are byte-identical at
+	// every worker count.
 	Workers int
 
 	// arena, when non-nil, recycles the engine's large scratch allocations

@@ -136,7 +136,9 @@ func importPathFor(dir string) (string, error) {
 // "internal/lint/...") into the sorted list of package directories that
 // contain at least one non-test Go file.  Like the go tool, the walk prunes
 // testdata, vendor and hidden/underscore directories — golden analyzer
-// fixtures under testdata are analyzed only when named explicitly.
+// fixtures under testdata are analyzed only when named explicitly — and
+// every directory below the walk root holding its own go.mod, since that
+// is a separate module the go tool's ./... does not reach either.
 func expandPatterns(patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var dirs []string
@@ -166,7 +168,8 @@ func expandPatterns(patterns []string) ([]string, error) {
 			}
 			name := d.Name()
 			if path != root && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				fileExists(filepath.Join(path, "go.mod"))) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(path) {
@@ -180,6 +183,11 @@ func expandPatterns(patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -117,5 +119,36 @@ func TestExpandPatternsSkipsTestdata(t *testing.T) {
 	}
 	if len(dirs) != 1 {
 		t.Fatalf("expandPatterns(./...) from internal/lint = %v, want just .", dirs)
+	}
+}
+
+func TestMainSkipsNestedModules(t *testing.T) {
+	// A directory holding its own go.mod is a separate module: ./... stops
+	// there, as it does for the go tool, so a nested package that would
+	// fail to type-check under the outer module's import path is never
+	// loaded.
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":              "module example.com/outer\n\ngo 1.24\n",
+		"ok/ok.go":            "package ok\n\nfunc F() int { return 1 }\n",
+		"nested/go.mod":       "module example.com/nested\n\ngo 1.24\n",
+		"nested/bad.go":       "package bad\n\nvar X int = \"not an int\"\n",
+		"nested/deep/deep.go": "package deep\n\nimport \"example.com/nested/missing\"\n\nvar _ = missing.Y\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	code, out, errb := runMain(t, root+"/...")
+	if code != 0 || out != "" {
+		t.Fatalf("tree with a nested module: exit %d, stdout %q, stderr %q", code, out, errb)
+	}
+	if code, _, _ := runMain(t, filepath.Join(root, "nested")); code != 2 {
+		t.Fatalf("naming the nested package explicitly: exit %d, want 2 (it must fail to type-check)", code)
 	}
 }

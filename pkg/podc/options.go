@@ -94,14 +94,14 @@ func (c config) bisimOptions() bisim.Options {
 // computations, sweeps and experiment batteries.  Zero or negative (the
 // default) means one worker per available CPU for those pools.
 //
-// A value greater than one additionally switches the hot paths inside a
-// single decision onto their multi-core engines: partition refinement
-// drains its splitter queue in concurrent batches, and the model checker's
-// EX/EU/EG evaluation and tableau component passes fan their word-at-a-time
-// sweeps across the budget.  Every result — relations, degrees, work
-// counters, evidence formulas, satisfaction sets — is byte-identical at
-// every worker count (the differential batteries in internal/bisim and
-// internal/mc pin this), so the knob only trades goroutines for latency.
+// A value greater than one additionally lets the model checker fan its
+// EX/EU/EG evaluation and tableau component passes across the budget.
+// Partition refinement is sequential within one decision at every setting;
+// the index-pair pool overlaps decisions instead.  Every result —
+// relations, degrees, work counters, evidence formulas, satisfaction sets —
+// is byte-identical at every worker count (the differential batteries in
+// internal/bisim and internal/mc pin this), so the knob only trades
+// goroutines for latency.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
