@@ -2,6 +2,7 @@ package bisim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/kripke"
 )
@@ -60,49 +61,47 @@ func Check(m, m2 *kripke.Structure, rel *Relation, opts Options) []Violation {
 
 	out = append(out, checkTotality(m, m2, rel, opts)...)
 
-	for _, p := range rel.Pairs() {
-		if p.Degree < 0 {
-			out = append(out, Violation{Clause: "degree", S: p.S, T: p.T,
-				Detail: fmt.Sprintf("degree %d is negative", p.Degree)})
-			continue
+	ix, ones := newPairIndex(rel), opts.normalizedOneProps()
+	rel.eachPair(func(s, t kripke.State, degree int) {
+		if degree < 0 {
+			out = append(out, Violation{Clause: "degree", S: s, T: t,
+				Detail: fmt.Sprintf("degree %d is negative", degree)})
+			return
 		}
-		if opts.labelOf(m, p.S) != opts.labelOf(m2, p.T) {
-			out = append(out, Violation{Clause: "2a", S: p.S, T: p.T,
-				Detail: fmt.Sprintf("labels differ: %v vs %v", m.Label(p.S), m2.Label(p.T))})
-			continue
+		if m.LabelKeyWithOnes(s, ones) != m2.LabelKeyWithOnes(t, ones) {
+			out = append(out, Violation{Clause: "2a", S: s, T: t,
+				Detail: fmt.Sprintf("labels differ: %v vs %v", m.Label(s), m2.Label(t))})
+			return
 		}
-		if !clause2b(m, m2, rel, p.S, p.T, p.Degree) {
-			out = append(out, Violation{Clause: "2b", S: p.S, T: p.T,
-				Detail: fmt.Sprintf("transfer condition fails at degree %d", p.Degree)})
+		if !clause2b(m, m2, ix, s, t, degree) {
+			out = append(out, Violation{Clause: "2b", S: s, T: t,
+				Detail: fmt.Sprintf("transfer condition fails at degree %d", degree)})
 		}
-		if !clause2c(m, m2, rel, p.S, p.T, p.Degree) {
-			out = append(out, Violation{Clause: "2c", S: p.S, T: p.T,
-				Detail: fmt.Sprintf("transfer condition fails at degree %d", p.Degree)})
+		if !clause2c(m, m2, ix, s, t, degree) {
+			out = append(out, Violation{Clause: "2c", S: s, T: t,
+				Detail: fmt.Sprintf("transfer condition fails at degree %d", degree)})
 		}
-	}
+	})
 	return out
 }
 
 func checkTotality(m, m2 *kripke.Structure, rel *Relation, opts Options) []Violation {
 	var out []Violation
-	leftStates := m.States()
-	rightStates := m2.States()
-	if opts.ReachableOnly {
-		leftStates = m.ReachableStates()
-		rightStates = m2.ReachableStates()
-	}
-	for _, s := range leftStates {
-		if len(rel.RelatedLeft(s)) == 0 {
-			out = append(out, Violation{Clause: "total-left", S: s, T: kripke.NoState,
+	leftCovered, rightCovered := rel.coverage()
+	eachInScope(m, opts, func(s int) bool {
+		if !leftCovered.Get(s) {
+			out = append(out, Violation{Clause: "total-left", S: kripke.State(s), T: kripke.NoState,
 				Detail: fmt.Sprintf("state %d of %s is unrelated", s, m.Name())})
 		}
-	}
-	for _, t := range rightStates {
-		if len(rel.RelatedRight(t)) == 0 {
-			out = append(out, Violation{Clause: "total-right", S: kripke.NoState, T: t,
+		return true
+	})
+	eachInScope(m2, opts, func(t int) bool {
+		if !rightCovered.Get(t) {
+			out = append(out, Violation{Clause: "total-right", S: kripke.NoState, T: kripke.State(t),
 				Detail: fmt.Sprintf("state %d of %s is unrelated", t, m2.Name())})
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -111,22 +110,22 @@ func checkTotality(m, m2 *kripke.Structure, rel *Relation, opts Options) []Viola
 //
 //	[∃ t→t1 with (s,t1) ∈ E and degree(s,t1) < k]  ∨
 //	[∀ s→s1:  ((s1,t) ∈ E and degree(s1,t) < k)  ∨  (∃ t→t1 with (s1,t1) ∈ E)]
-func clause2b(m, m2 *kripke.Structure, rel *Relation, s, t kripke.State, k int) bool {
+func clause2b(m, m2 *kripke.Structure, ix *pairIndex, s, t kripke.State, k int) bool {
 	// First disjunct: the second structure stutters, with a smaller degree.
 	for _, t1 := range m2.Succ(t) {
-		if d, ok := rel.Degree(s, t1); ok && d < k {
+		if d, ok := ix.degree(s, t1); ok && d < k {
 			return true
 		}
 	}
 	// Second disjunct: every move of the first structure is either a
 	// stutter (smaller degree) or matched by a move of the second.
 	for _, s1 := range m.Succ(s) {
-		if d, ok := rel.Degree(s1, t); ok && d < k {
+		if d, ok := ix.degree(s1, t); ok && d < k {
 			continue
 		}
 		matched := false
 		for _, t1 := range m2.Succ(t) {
-			if rel.Contains(s1, t1) {
+			if _, ok := ix.degree(s1, t1); ok {
 				matched = true
 				break
 			}
@@ -140,19 +139,19 @@ func clause2b(m, m2 *kripke.Structure, rel *Relation, s, t kripke.State, k int) 
 
 // clause2c is the mirror image of clause2b (roles of the structures
 // swapped).
-func clause2c(m, m2 *kripke.Structure, rel *Relation, s, t kripke.State, k int) bool {
+func clause2c(m, m2 *kripke.Structure, ix *pairIndex, s, t kripke.State, k int) bool {
 	for _, s1 := range m.Succ(s) {
-		if d, ok := rel.Degree(s1, t); ok && d < k {
+		if d, ok := ix.degree(s1, t); ok && d < k {
 			return true
 		}
 	}
 	for _, t1 := range m2.Succ(t) {
-		if d, ok := rel.Degree(s, t1); ok && d < k {
+		if d, ok := ix.degree(s, t1); ok && d < k {
 			continue
 		}
 		matched := false
 		for _, s1 := range m.Succ(s) {
-			if rel.Contains(s1, t1) {
+			if _, ok := ix.degree(s1, t1); ok {
 				matched = true
 				break
 			}
@@ -162,4 +161,63 @@ func clause2c(m, m2 *kripke.Structure, rel *Relation, s, t kripke.State, k int) 
 		}
 	}
 	return true
+}
+
+// pairIndex looks pairs up for Check, whose transfer clauses probe the
+// relation several times per pair.  Row s is cut into buckets of
+// 2^shift[s] states of the second structure, about one bucket per pair of
+// the row, and dir records where each bucket starts, so a lookup scans one
+// bucket (about one pair when the row's states are spread out) instead of
+// searching the whole row.  Like the relation, it grows with the related
+// pairs: at most 8 bytes per pair plus 13 per state of the first structure.
+type pairIndex struct {
+	rel    *Relation
+	shift  []uint8
+	dirOff []int32 // row s's bucket starts, then its end, are dir[dirOff[s]:dirOff[s+1]]
+	dir    []int32
+}
+
+func newPairIndex(rel *Relation) *pairIndex {
+	ix := &pairIndex{rel: rel, shift: make([]uint8, rel.n), dirOff: make([]int32, rel.n+1)}
+	width := bits.Len(uint(rel.n2 - 1))
+	for s := 0; s < rel.n; s++ {
+		lo, hi := rel.span(kripke.State(s))
+		size := 0
+		if hi > lo {
+			k := max(width-bits.Len(uint(hi-lo)), 0)
+			ix.shift[s] = uint8(k)
+			size = (rel.n2-1)>>k + 2
+		}
+		ix.dirOff[s+1] = ix.dirOff[s] + int32(size)
+	}
+	ix.dir = make([]int32, ix.dirOff[rel.n])
+	for s := 0; s < rel.n; s++ {
+		lo, hi := rel.span(kripke.State(s))
+		d, k, p := ix.dir[ix.dirOff[s]:ix.dirOff[s+1]], ix.shift[s], lo
+		for b := range d {
+			for p < hi && int(rel.cols[p])>>k < b {
+				p++
+			}
+			d[b] = int32(p)
+		}
+	}
+	return ix
+}
+
+// degree is rel.Degree(s, t).
+func (ix *pairIndex) degree(s, t kripke.State) (int, bool) {
+	off := ix.dirOff[s]
+	if off == ix.dirOff[s+1] {
+		return 0, false
+	}
+	b := off + int32(int(t)>>ix.shift[s])
+	for i := ix.dir[b]; i < ix.dir[b+1]; i++ {
+		if c := ix.rel.cols[i]; c >= int32(t) {
+			if c != int32(t) {
+				break
+			}
+			return int(ix.rel.degs[i]), true
+		}
+	}
+	return 0, false
 }

@@ -202,12 +202,20 @@ func pruneAndFinish(ctx context.Context, m, m2 *kripke.Structure, inR []bool, op
 // and the totality flags.
 func finishResult(m, m2 *kripke.Structure, inR []bool, deg []int, opts Options, res *Result) (*Result, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
-	rel := NewRelation(n, n2)
+	rel, cursor := newRelationRows(n, n2, func(s int) int {
+		count := 0
+		for _, ok := range inR[s*n2 : (s+1)*n2] {
+			if ok {
+				count++
+			}
+		}
+		return count
+	})
 	for s := 0; s < n; s++ {
 		for t := 0; t < n2; t++ {
-			i := s*n2 + t
-			if inR[i] {
-				rel.Set(kripke.State(s), kripke.State(t), deg[i])
+			if i := s*n2 + t; inR[i] {
+				rel.cols[cursor[s]], rel.degs[cursor[s]] = int32(t), int32(deg[i])
+				cursor[s]++
 			}
 		}
 	}
@@ -228,26 +236,33 @@ func Correspond(ctx context.Context, m, m2 *kripke.Structure, opts Options) (boo
 }
 
 func totality(m, m2 *kripke.Structure, rel *Relation, opts Options) (left, right bool) {
-	leftStates := m.States()
-	rightStates := m2.States()
+	leftCovered, rightCovered := rel.coverage()
+	return allInScope(m, opts, leftCovered.Get), allInScope(m2, opts, rightCovered.Get)
+}
+
+// eachInScope calls fn, in increasing order, on every state of m that
+// totality must cover: all of them, or under ReachableOnly only those in
+// m's shared reachable set.  fn returning false stops the iteration.
+func eachInScope(m *kripke.Structure, opts Options, fn func(s int) bool) {
 	if opts.ReachableOnly {
-		leftStates = m.ReachableStates()
-		rightStates = m2.ReachableStates()
+		m.Reachable().ForEach(fn)
+		return
 	}
-	left, right = true, true
-	for _, s := range leftStates {
-		if !rel.anyRelatedLeft(s) {
-			left = false
-			break
+	for s := 0; s < m.NumStates(); s++ {
+		if !fn(s) {
+			return
 		}
 	}
-	for _, t := range rightStates {
-		if !rel.anyRelatedRight(t) {
-			right = false
-			break
-		}
-	}
-	return left, right
+}
+
+// allInScope reports whether covered holds for every state of m in scope.
+func allInScope(m *kripke.Structure, opts Options, covered func(s int) bool) bool {
+	all := true
+	eachInScope(m, opts, func(s int) bool {
+		all = covered(s)
+		return all
+	})
+	return all
 }
 
 // computeDegrees assigns to deg the minimal degree of every pair of the

@@ -801,29 +801,26 @@ func (ex *explainer) localize(path []int) []kripke.State {
 // orphanLeft returns a left state related to nothing on the right,
 // preferring reachable ones, mirroring the totality sweep of the engines.
 func (ex *explainer) orphanLeft(res *Result, opts Options) (kripke.State, bool) {
-	states := ex.m.States()
-	if opts.ReachableOnly {
-		states = ex.m.ReachableStates()
-	}
-	for _, s := range states {
-		if !res.Relation.anyRelatedLeft(s) {
-			return s, true
-		}
-	}
-	return kripke.NoState, false
+	covered, _ := res.Relation.coverage()
+	return firstUncovered(ex.m, opts, covered)
 }
 
 func (ex *explainer) orphanRight(res *Result, opts Options) (kripke.State, bool) {
-	states := ex.m2.States()
-	if opts.ReachableOnly {
-		states = ex.m2.ReachableStates()
-	}
-	for _, t := range states {
-		if !res.Relation.anyRelatedRight(t) {
-			return t, true
+	_, covered := res.Relation.coverage()
+	return firstUncovered(ex.m2, opts, covered)
+}
+
+// firstUncovered returns the first state of m in scope missing from covered.
+func firstUncovered(m *kripke.Structure, opts Options, covered kripke.BitSet) (kripke.State, bool) {
+	orphan := kripke.NoState
+	eachInScope(m, opts, func(s int) bool {
+		if covered.Get(s) {
+			return true
 		}
-	}
-	return kripke.NoState, false
+		orphan = kripke.State(s)
+		return false
+	})
+	return orphan, orphan != kripke.NoState
 }
 
 // explainOrphan builds evidence for a totality failure: the orphaned

@@ -275,40 +275,5 @@ func maskedFinishPacked(ctx context.Context, m, m2 *kripke.Structure, stateBlock
 		return nil, false, nil
 	}
 
-	rel := NewRelation(n, n2)
-	for t := 0; t < n2; t++ {
-		base := pairBase[t]
-		for j, s := range blockLefts[stateBlock[n+t]] {
-			rel.Set(kripke.State(s), kripke.State(t), int(deg[base+int32(j)]))
-		}
-	}
-	res.OuterIterations++
-	res.DegreeRounds += int(rounds)
-	res.Relation = rel
-	_, res.InitialRelated = rel.Degree(m.Initial(), m2.Initial())
-
-	rightCount := make([]int32, numBlocks)
-	for t := 0; t < n2; t++ {
-		rightCount[stateBlock[n+t]]++
-	}
-	leftStates := m.States()
-	rightStates := m2.States()
-	if opts.ReachableOnly {
-		leftStates = m.ReachableStates()
-		rightStates = m2.ReachableStates()
-	}
-	res.TotalLeft, res.TotalRight = true, true
-	for _, s := range leftStates {
-		if rightCount[stateBlock[s]] == 0 {
-			res.TotalLeft = false
-			break
-		}
-	}
-	for _, t := range rightStates {
-		if len(blockLefts[stateBlock[n+int(t)]]) == 0 {
-			res.TotalRight = false
-			break
-		}
-	}
-	return res, true, nil
+	return blockFinish(m, m2, stateBlock, blockLefts, pairBase, deg, rounds, opts, res), true, nil
 }

@@ -619,41 +619,36 @@ func maskedFinish(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int
 		return nil, false, nil
 	}
 
-	rel := NewRelation(n, n2)
-	for id := 0; id < total; id++ {
-		rel.Set(kripke.State(pairS[id]), kripke.State(pairT[id]), int(deg[id]))
+	return blockFinish(m, m2, stateBlock, blockLefts, pairBase, deg, rounds, opts, res), true, nil
+}
+
+// blockFinish packages the outcome of a block-structured degree pass
+// (maskedFinish, maskedFinishPacked), where deg[pairBase[t]+j] is the
+// degree of the pair (blockLefts[b][j], t) for t's block b.  Walking t
+// upwards fills every relation row in increasing right state, and
+// totality comes straight from the block structure: a state is covered
+// iff the other side populates its block.
+func blockFinish(m, m2 *kripke.Structure, stateBlock []int32, blockLefts [][]int32, pairBase, deg []int32, rounds int32, opts Options, res *Result) *Result {
+	n, n2 := m.NumStates(), m2.NumStates()
+	rightCount := make([]int32, len(blockLefts))
+	for t := 0; t < n2; t++ {
+		rightCount[stateBlock[n+t]]++
+	}
+	rel, cursor := newRelationRows(n, n2, func(s int) int { return int(rightCount[stateBlock[s]]) })
+	for t := 0; t < n2; t++ {
+		base := pairBase[t]
+		for j, s := range blockLefts[stateBlock[n+t]] {
+			rel.cols[cursor[s]], rel.degs[cursor[s]] = int32(t), deg[base+int32(j)]
+			cursor[s]++
+		}
 	}
 	res.OuterIterations++
 	res.DegreeRounds += int(rounds)
 	res.Relation = rel
 	_, res.InitialRelated = rel.Degree(m.Initial(), m2.Initial())
-
-	// Totality straight from the block structure: a state is covered iff the
-	// other side populates its block.
-	rightCount := make([]int32, numBlocks)
-	for t := 0; t < n2; t++ {
-		rightCount[stateBlock[n+t]]++
-	}
-	leftStates := m.States()
-	rightStates := m2.States()
-	if opts.ReachableOnly {
-		leftStates = m.ReachableStates()
-		rightStates = m2.ReachableStates()
-	}
-	res.TotalLeft, res.TotalRight = true, true
-	for _, s := range leftStates {
-		if rightCount[stateBlock[s]] == 0 {
-			res.TotalLeft = false
-			break
-		}
-	}
-	for _, t := range rightStates {
-		if len(blockLefts[stateBlock[n+int(t)]]) == 0 {
-			res.TotalRight = false
-			break
-		}
-	}
-	return res, true, nil
+	res.TotalLeft = allInScope(m, opts, func(s int) bool { return rightCount[stateBlock[s]] > 0 })
+	res.TotalRight = allInScope(m2, opts, func(t int) bool { return len(blockLefts[stateBlock[n+t]]) > 0 })
+	return res
 }
 
 // computeDegreesFast assigns exactly the same minimal degrees as

@@ -30,11 +30,14 @@
 package bisim
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"repro/internal/explore"
 	"repro/internal/kripke"
 )
 
@@ -92,43 +95,93 @@ func (o Options) labelOf(m *kripke.Structure, s kripke.State) string {
 const InfiniteDegree = -1
 
 // Relation is an explicit correspondence candidate between two structures:
-// for every pair (s, s') it records either a degree ≥ 0 or absence.
+// the related pairs (s, s') and their degrees.  It stores only the related
+// pairs, as compressed sparse rows: row s lists the states of the second
+// structure related to s in increasing order, each with its degree.  A
+// relation therefore costs 8 bytes per related pair plus 4 bytes per state
+// of the first structure, however large |S|×|S'| is.
 type Relation struct {
-	n, n2   int
-	degrees []int32 // n*n2 entries; InfiniteDegree-1 == -2 means "absent"
+	n, n2  int
+	rowOff []int32 // rowOff[s]:rowOff[s+1] spans row s in cols and degs
+	cols   []int32 // related states of the second structure
+	degs   []int32 // the degree of each pair
 }
-
-const absent = -2
 
 // NewRelation returns an empty relation between structures with n and n2
 // states.
 func NewRelation(n, n2 int) *Relation {
-	r := &Relation{n: n, n2: n2, degrees: make([]int32, n*n2)}
-	for i := range r.degrees {
-		r.degrees[i] = absent
+	return &Relation{n: n, n2: n2, rowOff: make([]int32, n+1)}
+}
+
+// newRelationRows returns a relation between structures with n and n2
+// states whose row s has room for exactly rowLen(s) pairs, plus a fill
+// cursor per row (the row's start).  The caller fills every slot, writing
+// each row in increasing order of its second-structure states.
+func newRelationRows(n, n2 int, rowLen func(s int) int) (*Relation, []int32) {
+	r := &Relation{n: n, n2: n2, rowOff: make([]int32, n+1)}
+	cursor := make([]int32, n)
+	total := 0
+	for s := 0; s < n; s++ {
+		cursor[s] = int32(total)
+		total += rowLen(s)
+		r.rowOff[s+1] = int32(total)
 	}
-	return r
+	r.cols = make([]int32, total)
+	r.degs = make([]int32, total)
+	return r, cursor
 }
 
 // Dims returns the state counts (|S|, |S'|) the relation is defined over.
 func (r *Relation) Dims() (int, int) { return r.n, r.n2 }
 
-func (r *Relation) idx(s, t kripke.State) int { return int(s)*r.n2 + int(t) }
+// span returns the bounds of row s in cols and degs.
+func (r *Relation) span(s kripke.State) (lo, hi int) {
+	return int(r.rowOff[s]), int(r.rowOff[s+1])
+}
 
-// Set records that s corresponds to t with the given degree (≥ 0).
+// find returns the position of (s, t) in cols and degs, or the position it
+// would be inserted at and false.
+func (r *Relation) find(s, t kripke.State) (int, bool) {
+	lo, hi := r.span(s)
+	i, ok := slices.BinarySearch(r.cols[lo:hi], int32(t))
+	return lo + i, ok
+}
+
+// Set records that s corresponds to t with the given degree (≥ 0),
+// overwriting the degree of a pair already present.  A new pair shifts
+// the later pairs and row offsets, so Set suits hand-built relations; the
+// decision procedures build their rows in one counting pass instead.
 func (r *Relation) Set(s, t kripke.State, degree int) {
-	r.degrees[r.idx(s, t)] = int32(degree)
+	i, ok := r.find(s, t)
+	if ok {
+		r.degs[i] = int32(degree)
+		return
+	}
+	r.cols = slices.Insert(r.cols, i, int32(t))
+	r.degs = slices.Insert(r.degs, i, int32(degree))
+	for k := int(s) + 1; k <= r.n; k++ {
+		r.rowOff[k]++
+	}
 }
 
 // Remove deletes the pair (s, t) from the relation.
 func (r *Relation) Remove(s, t kripke.State) {
-	r.degrees[r.idx(s, t)] = absent
+	i, ok := r.find(s, t)
+	if !ok {
+		return
+	}
+	r.cols = slices.Delete(r.cols, i, i+1)
+	r.degs = slices.Delete(r.degs, i, i+1)
+	for k := int(s) + 1; k <= r.n; k++ {
+		r.rowOff[k]--
+	}
 }
 
 // Contains reports whether (s, t) is in the relation (with any degree,
 // including pairs marked with an infinite degree during computation).
 func (r *Relation) Contains(s, t kripke.State) bool {
-	return r.degrees[r.idx(s, t)] != absent
+	_, ok := r.find(s, t)
+	return ok
 }
 
 // Degree returns the degree of the pair (s, t) and whether the pair is in
@@ -136,28 +189,20 @@ func (r *Relation) Contains(s, t kripke.State) bool {
 // decision procedure is still running; final relations returned by Compute
 // only contain finite degrees.
 func (r *Relation) Degree(s, t kripke.State) (int, bool) {
-	d := r.degrees[r.idx(s, t)]
-	if d == absent {
+	i, ok := r.find(s, t)
+	if !ok {
 		return 0, false
 	}
-	return int(d), true
+	return int(r.degs[i]), true
 }
 
 // Size returns the number of pairs in the relation.
-func (r *Relation) Size() int {
-	count := 0
-	for _, d := range r.degrees {
-		if d != absent {
-			count++
-		}
-	}
-	return count
-}
+func (r *Relation) Size() int { return len(r.cols) }
 
 // MaxDegree returns the largest finite degree in the relation (0 if empty).
 func (r *Relation) MaxDegree() int {
 	max := int32(0)
-	for _, d := range r.degrees {
+	for _, d := range r.degs {
 		if d > max {
 			max = d
 		}
@@ -165,62 +210,65 @@ func (r *Relation) MaxDegree() int {
 	return int(max)
 }
 
-// Pairs returns every pair in the relation, ordered by (s, t).
-func (r *Relation) Pairs() []Pair {
-	var out []Pair
+// eachPair calls fn on every pair in (s, t) order.
+func (r *Relation) eachPair(fn func(s, t kripke.State, degree int)) {
 	for s := 0; s < r.n; s++ {
-		for t := 0; t < r.n2; t++ {
-			if d := r.degrees[r.idx(kripke.State(s), kripke.State(t))]; d != absent {
-				out = append(out, Pair{S: kripke.State(s), T: kripke.State(t), Degree: int(d)})
-			}
+		for i := r.rowOff[s]; i < r.rowOff[s+1]; i++ {
+			fn(kripke.State(s), kripke.State(r.cols[i]), int(r.degs[i]))
 		}
 	}
+}
+
+// Pairs returns every pair in the relation, ordered by (s, t), or nil for
+// an empty relation.
+func (r *Relation) Pairs() []Pair {
+	if len(r.cols) == 0 {
+		return nil
+	}
+	out := make([]Pair, 0, len(r.cols))
+	r.eachPair(func(s, t kripke.State, degree int) {
+		out = append(out, Pair{S: s, T: t, Degree: degree})
+	})
 	return out
 }
 
 // RelatedLeft returns the states of the second structure related to s.
 func (r *Relation) RelatedLeft(s kripke.State) []kripke.State {
-	var out []kripke.State
-	for t := 0; t < r.n2; t++ {
-		if r.degrees[r.idx(s, kripke.State(t))] != absent {
-			out = append(out, kripke.State(t))
-		}
+	lo, hi := r.span(s)
+	if lo == hi {
+		return nil
+	}
+	out := make([]kripke.State, hi-lo)
+	for i, t := range r.cols[lo:hi] {
+		out[i] = kripke.State(t)
 	}
 	return out
-}
-
-// anyRelatedLeft reports whether s is related to at least one state of the
-// second structure, without materialising the row.
-func (r *Relation) anyRelatedLeft(s kripke.State) bool {
-	base := int(s) * r.n2
-	for t := 0; t < r.n2; t++ {
-		if r.degrees[base+t] != absent {
-			return true
-		}
-	}
-	return false
-}
-
-// anyRelatedRight reports whether t is related to at least one state of the
-// first structure, without materialising the column.
-func (r *Relation) anyRelatedRight(t kripke.State) bool {
-	for s := 0; s < r.n; s++ {
-		if r.degrees[s*r.n2+int(t)] != absent {
-			return true
-		}
-	}
-	return false
 }
 
 // RelatedRight returns the states of the first structure related to t.
 func (r *Relation) RelatedRight(t kripke.State) []kripke.State {
 	var out []kripke.State
 	for s := 0; s < r.n; s++ {
-		if r.degrees[r.idx(kripke.State(s), t)] != absent {
+		if r.Contains(kripke.State(s), t) {
 			out = append(out, kripke.State(s))
 		}
 	}
 	return out
+}
+
+// coverage returns the states of each structure that occur in some pair,
+// in one pass over the stored pairs.
+func (r *Relation) coverage() (left, right kripke.BitSet) {
+	left, right = kripke.NewBitSet(r.n), kripke.NewBitSet(r.n2)
+	for s := 0; s < r.n; s++ {
+		if r.rowOff[s] < r.rowOff[s+1] {
+			left.Set(s)
+		}
+	}
+	for _, t := range r.cols {
+		right.Set(int(t))
+	}
+	return left, right
 }
 
 // Pair is one element of a correspondence relation.
@@ -250,8 +298,14 @@ func (r *Relation) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// maxRelationStates bounds the state counts a decoded relation may claim: a
+// relation costs 4 bytes per state of the first structure, so an unbounded
+// count from disk or HTTP would be an allocation of the sender's choosing.
+const maxRelationStates = explore.DefaultMaxStates
+
 // UnmarshalRelationJSON decodes a relation previously produced by
-// MarshalJSON.
+// MarshalJSON.  It rejects pairs out of range, negative or implausible
+// degrees, and a pair listed twice (which would carry two degrees).
 func UnmarshalRelationJSON(data []byte) (*Relation, error) {
 	var js struct {
 		N     int    `json:"n"`
@@ -261,10 +315,9 @@ func UnmarshalRelationJSON(data []byte) (*Relation, error) {
 	if err := json.Unmarshal(data, &js); err != nil {
 		return nil, fmt.Errorf("bisim: decoding relation: %w", err)
 	}
-	if js.N <= 0 || js.N2 <= 0 {
+	if js.N <= 0 || js.N2 <= 0 || js.N > maxRelationStates || js.N2 > maxRelationStates {
 		return nil, fmt.Errorf("bisim: decoding relation: invalid dimensions %dx%d", js.N, js.N2)
 	}
-	r := NewRelation(js.N, js.N2)
 	for _, p := range js.Pairs {
 		if int(p.S) < 0 || int(p.S) >= js.N || int(p.T) < 0 || int(p.T) >= js.N2 {
 			return nil, fmt.Errorf("bisim: decoding relation: pair (%d,%d) out of range", p.S, p.T)
@@ -274,11 +327,31 @@ func UnmarshalRelationJSON(data []byte) (*Relation, error) {
 		}
 		if p.Degree > math.MaxInt32 {
 			// Degrees are stored as int32 (the paper bounds minimal degrees
-			// by |S| + |S'|); reject rather than silently truncate onto the
-			// absent/InfiniteDegree sentinels.
+			// by |S| + |S'|); reject rather than silently truncate.
 			return nil, fmt.Errorf("bisim: decoding relation: pair (%d,%d) has implausible degree %d", p.S, p.T, p.Degree)
 		}
-		r.Set(p.S, p.T, p.Degree)
+	}
+	// MarshalJSON writes pairs in (s, t) order; accept any order, but a
+	// repeated pair is an error rather than last-one-wins.
+	pairCmp := func(a, b Pair) int {
+		if a.S != b.S {
+			return cmp.Compare(a.S, b.S)
+		}
+		return cmp.Compare(a.T, b.T)
+	}
+	slices.SortFunc(js.Pairs, pairCmp)
+	rowLen := make([]int32, js.N)
+	for i, p := range js.Pairs {
+		if i > 0 && pairCmp(js.Pairs[i-1], p) == 0 {
+			return nil, fmt.Errorf("bisim: decoding relation: pair (%d,%d) listed twice", p.S, p.T)
+		}
+		rowLen[p.S]++
+	}
+	r, cursor := newRelationRows(js.N, js.N2, func(s int) int { return int(rowLen[s]) })
+	for _, p := range js.Pairs {
+		i := cursor[p.S]
+		r.cols[i], r.degs[i] = int32(p.T), int32(p.Degree)
+		cursor[p.S]++
 	}
 	return r, nil
 }

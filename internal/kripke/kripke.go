@@ -119,7 +119,43 @@ type Structure struct {
 	// cache is a pointer so shallow copies like Rename share it).
 	props *propCache
 
+	// reach caches the states reachable from the initial state, built on
+	// first use.  It depends only on the transition relation and the
+	// initial state, so reductions share it along with the CSR arrays.
+	reach *reachCache
+
 	indexValues []int
+}
+
+// reachCache lazily holds the reachable-state set of one transition
+// relation.
+type reachCache struct {
+	once sync.Once
+	set  BitSet
+}
+
+// Reachable returns the set of states reachable from the initial state
+// (including it), computed on first use and shared by every reduction of
+// the same structure.  Like StatesWith, the returned set is shared and must
+// not be modified.  Safe for concurrent callers.
+func (m *Structure) Reachable() BitSet {
+	m.reach.once.Do(func() {
+		seen := NewBitSet(m.NumStates())
+		seen.Set(int(m.initial))
+		stack := []State{m.initial}
+		for len(stack) > 0 {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, t := range m.Succ(s) {
+				if !seen.Get(int(t)) {
+					seen.Set(int(t))
+					stack = append(stack, t)
+				}
+			}
+		}
+		m.reach.set = seen
+	})
+	return m.reach.set
 }
 
 // propCache lazily holds the per-proposition state sets of one structure.
@@ -631,6 +667,7 @@ func (b *Builder) BuildPartial() (*Structure, error) {
 	}
 
 	m.props = &propCache{}
+	m.reach = &reachCache{}
 
 	m.indexValues = make([]int, 0, len(b.indexValues))
 	//lint:ordered index values are collected then sorted immediately below

@@ -19,27 +19,15 @@ import "fmt"
 //   - Induced: the substructure induced by an arbitrary state subset.
 
 // ReachableStates returns the set of states reachable from the initial
-// state (including it), in increasing order.
+// state (including it), in increasing order.  The slice is fresh and may be
+// modified by the caller; Reachable returns the shared set without copying.
 func (m *Structure) ReachableStates() []State {
-	seen := make([]bool, m.NumStates())
-	stack := []State{m.initial}
-	seen[m.initial] = true
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range m.Succ(s) {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	var out []State
-	for s, ok := range seen {
-		if ok {
-			out = append(out, State(s))
-		}
-	}
+	reach := m.Reachable()
+	out := make([]State, 0, reach.Count())
+	reach.ForEach(func(s int) bool {
+		out = append(out, State(s))
+		return true
+	})
 	return out
 }
 
@@ -117,37 +105,30 @@ func (m *Structure) reduceWith(keep, renameTo int) *Structure {
 		succOff:   m.succOff,
 		predEdges: m.predEdges,
 		predOff:   m.predOff,
-		ones:      m.ones, // the O_i P_i atoms live in AP and are preserved verbatim
+		reach:     m.reach, // same relation and initial state, same reachable set
+		ones:      m.ones,  // the O_i P_i atoms live in AP and are preserved verbatim
 	}
 	// The reduction of a label set depends only on the set, so the work is
 	// done once per distinct LabelID of m — the correspondence engine
 	// rebuilds reductions constantly, and per-state label work dominated
 	// this function's cost before labels were interned.  Distinct labels of
-	// m may collapse onto one reduced label, so the reduced ids are interned
-	// again.
+	// m may collapse onto one reduced label (a family instance has a label
+	// per state but only a handful of reduced ones), so each reduced label
+	// is built in scratch space and cloned only the first time it appears.
 	intern := make(map[string]LabelID)
 	idMap := make([]LabelID, m.NumLabels())
-	kept := 0
-	for _, lbl := range m.labelSets {
-		for _, p := range lbl {
-			if !p.Indexed || p.Index == keep {
-				kept++
-			}
-		}
-	}
-	backing := make([]Prop, 0, kept)
+	var reduced []Prop
 	var scratch []byte
 	for id, lbl := range m.labelSets {
-		start := len(backing)
+		reduced = reduced[:0]
 		for _, p := range lbl {
 			switch {
 			case !p.Indexed:
-				backing = append(backing, p)
+				reduced = append(reduced, p)
 			case p.Index == keep:
-				backing = append(backing, PI(p.Name, renameTo))
+				reduced = append(reduced, PI(p.Name, renameTo))
 			}
 		}
-		reduced := backing[start:len(backing):len(backing)]
 		// Insertion sort: surviving labels have at most a handful of props.
 		for i := 1; i < len(reduced); i++ {
 			for j := i; j > 0 && reduced[j].Less(reduced[j-1]); j-- {
@@ -160,10 +141,8 @@ func (m *Structure) reduceWith(keep, renameTo int) *Structure {
 			rid = LabelID(len(out.labelSets))
 			key := string(scratch)
 			intern[key] = rid
-			out.labelSets = append(out.labelSets, reduced)
+			out.labelSets = append(out.labelSets, append(make([]Prop, 0, len(reduced)), reduced...))
 			out.labelKeys = append(out.labelKeys, key)
-		} else {
-			backing = backing[:start] // duplicate reduced label: reclaim
 		}
 		idMap[id] = rid
 	}
