@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 )
@@ -16,12 +15,12 @@ import (
 // The core theorem of the paper (Theorems 2 and 5) says two states are
 // related by the maximal correspondence iff they satisfy the same CTL*-X
 // formulas, so whenever Compute answers "not equivalent" a distinguishing
-// formula must exist.  The extraction replays the partition refinement of
-// refine.go with full provenance: every split is recorded as a node of a
-// block tree whose edges remember the splitter and the split kind, in the
-// style of Korver's distinguishing-formula construction for branching
-// bisimulation, adapted to the divergence-sensitive stuttering equivalence
-// the engine decides:
+// formula must exist.  The extraction runs the partition refinement of
+// refine.go with a provenance recorder attached: every split is recorded as
+// a node of a block tree whose edges remember the splitter and the split
+// kind, in the style of Korver's distinguishing-formula construction for
+// branching bisimulation, adapted to the divergence-sensitive stuttering
+// equivalence the engine decides:
 //
 //   - a root block is a label class; two states in different roots are
 //     separated by a single literal (an atom, its negation, or an O_i P_i
@@ -40,10 +39,9 @@ import (
 // model checker of internal/mc and confirm it holds on one side and fails
 // on the other (see mc.ReplayEvidence).
 //
-// The provenance refiner is deliberately separate from the production
-// engine of refine.go: evidence extraction is a cold path that runs only
-// after a verdict of "not equivalent", so the hot refinement loops stay
-// free of bookkeeping.
+// There is one refinement loop.  The refiner calls the recorder once per
+// initial label block and once per proper split; under Compute the
+// recorder is nil, so the hot loops pay one pointer test per split.
 
 // EvidenceReason says which clause of the correspondence definition the
 // evidence refutes.
@@ -121,11 +119,24 @@ func Explain(ctx context.Context, m, m2 *kripke.Structure, opts Options, res *Re
 	if res.Corresponds() {
 		return nil, nil
 	}
-	ex, err := newExplainer(ctx, m, m2, opts)
+	n, n2 := m.NumStates(), m2.NumStates()
+	if n == 0 || n2 == 0 {
+		return nil, fmt.Errorf("bisim: Explain: structures must be non-empty (got %d and %d states)", n, n2)
+	}
+	// Run the production refiner with the recorder attached.  It is called
+	// directly rather than through Compute, so MaxDegreeRounds, which
+	// selects the nested-fixpoint engine there, has no effect on evidence.
+	r, compLabel, err := newRefiner(ctx, m, m2, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := ex.refine(ctx); err != nil {
+	ex := &explainer{m: m, m2: m2, opts: opts, n: n, n2: n2, r: r, compRep: make([]int, r.cN)}
+	for u := n + n2 - 1; u >= 0; u-- {
+		ex.compRep[r.comp[u]] = u
+	}
+	r.prov = ex
+	r.initPartition(compLabel)
+	if err := r.stabilize(ctx, &Result{}); err != nil {
 		return nil, err
 	}
 	switch {
@@ -180,7 +191,7 @@ func ExplainIndexed(ctx context.Context, m, m2 *kripke.Structure, res *IndexedRe
 }
 
 // ---------------------------------------------------------------------------
-// The provenance refiner.
+// The provenance recorder.
 // ---------------------------------------------------------------------------
 
 type splitKind int
@@ -200,132 +211,52 @@ type enode struct {
 	kind     splitKind
 	parent   int32 // -1 for roots
 	splitter int32 // snapshot of the splitter node, reach splits only
-	label    int32 // label class, roots only
+	label    int32 // index into explainer.classes, roots only
 	members  kripke.BitSet
-	split    bool // true once the node has children
 
 	formula logic.Formula // memoized characterizing formula
 }
 
-// explainer replays the refinement of refine.go over the disjoint union
-// with provenance: contracted silent SCCs, reach splits, divergence splits.
+// explainer records the splits of the production refiner (refine.go) as a
+// tree of immutable enodes, and builds formulas and evidence from it.
 type explainer struct {
 	m, m2 *kripke.Structure
 	opts  Options
 	n, n2 int
 
-	cN      int
-	comp    []int // contracted component of every union state
-	cSucc   [][]int32
-	cPred   [][]int32
-	divMask kripke.BitSet
+	r       *refiner
+	compRep []int          // one union state per contracted node
+	classes []kripke.State // representative union state per root
 
-	classOf []int32        // label class per contracted node
-	classes []kripke.State // representative union state per class
-
-	blockOf []int32 // current leaf per contracted node
-	nodes   []*enode
-
-	queue   []int32
-	inQueue map[int32]bool
+	nodes []*enode
+	leaf  []int32 // current enode of every refiner block
 }
 
-func newExplainer(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*explainer, error) {
-	n, n2 := m.NumStates(), m2.NumStates()
-	if n == 0 || n2 == 0 {
-		return nil, fmt.Errorf("bisim: Explain: structures must be non-empty (got %d and %d states)", n, n2)
-	}
-	N := n + n2
-	ex := &explainer{m: m, m2: m2, opts: opts, n: n, n2: n2, inQueue: map[int32]bool{}}
-
-	// Label classes of the union, interned by the same canonical key the
-	// engines compare (LabelKeyWithOnes over the normalised OneProps).
-	classID := make([]int32, N)
-	intern := map[string]int32{}
-	for u := 0; u < N; u++ {
-		if u&1023 == 0 {
-			if err := cancelled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		key := ex.unionLabelKey(u)
-		id, ok := intern[key]
-		if !ok {
-			id = int32(len(intern))
-			intern[key] = id
-			ex.classes = append(ex.classes, kripke.State(u))
-		}
-		classID[u] = id
-	}
-
-	// Silent adjacency (edges between label-equal states) and its SCCs.
-	silent := make([][]int, N)
-	for u := 0; u < N; u++ {
-		if u&1023 == 0 {
-			if err := cancelled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		for _, v := range ex.unionSucc(u) {
-			if classID[u] == classID[v] {
-				silent[u] = append(silent[u], v)
-			}
-		}
-	}
-	comp, cN := graph.FromAdjacency(silent).SCCComp()
-	if err := cancelled(ctx); err != nil {
-		return nil, err
-	}
-	ex.comp, ex.cN = comp, cN
-	ex.divMask = kripke.NewBitSet(cN)
-	compSize := make([]int32, cN)
-	ex.classOf = make([]int32, cN)
-	for u := 0; u < N; u++ {
-		compSize[comp[u]]++
-		ex.classOf[comp[u]] = classID[u]
-	}
-	for c := 0; c < cN; c++ {
-		if compSize[c] > 1 {
-			ex.divMask.Set(c)
-		}
-	}
-	ex.cSucc = make([][]int32, cN)
-	ex.cPred = make([][]int32, cN)
-	for u := 0; u < N; u++ {
-		if u&1023 == 0 {
-			if err := cancelled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		cu := comp[u]
-		for _, v := range ex.unionSucc(u) {
-			cv := comp[v]
-			if cu == cv {
-				if u == v {
-					ex.divMask.Set(cu) // silent self loop
-				}
-				continue
-			}
-			ex.cSucc[cu] = append(ex.cSucc[cu], int32(cv))
-			ex.cPred[cv] = append(ex.cPred[cv], int32(cu))
-		}
-	}
-
-	// Initial partition: one root node per label class.
-	ex.blockOf = make([]int32, cN)
-	byClass := map[int32]int32{}
-	for c := 0; c < cN; c++ {
-		cls := ex.classOf[c]
-		id, ok := byClass[cls]
-		if !ok {
-			id = ex.addNode(&enode{kind: rootBlock, parent: -1, splitter: -1, label: cls, members: kripke.NewBitSet(cN)})
-			byClass[cls] = id
-		}
-		ex.nodes[id].members.Set(c)
-		ex.blockOf[c] = id
-	}
-	return ex, nil
+// recordRoot records an initial label block.  The refiner recycles block
+// sets, so the members are copied.
+func (ex *explainer) recordRoot(set kripke.BitSet) {
+	first := -1
+	set.ForEach(func(c int) bool { first = c; return false })
+	label := int32(len(ex.classes))
+	ex.classes = append(ex.classes, kripke.State(ex.compRep[first]))
+	ex.leaf = append(ex.leaf, ex.addNode(&enode{kind: rootBlock, parent: -1, splitter: -1, label: label, members: set.Clone()}))
 }
+
+// recordSplit records the proper split of refiner block bid into pos, which
+// keeps the id bid, and rest, which becomes the next new block; splitter is
+// the refiner block of a reach split, -1 for a divergence split.
+func (ex *explainer) recordSplit(bid int32, pos, rest kripke.BitSet, splitter int32) {
+	parent := ex.leaf[bid]
+	posKind, negKind, spNode := divPos, divNeg, int32(-1)
+	if splitter >= 0 {
+		posKind, negKind, spNode = reachPos, reachNeg, ex.leaf[splitter]
+	}
+	ex.leaf[bid] = ex.addNode(&enode{kind: posKind, parent: parent, splitter: spNode, members: pos.Clone()})
+	ex.leaf = append(ex.leaf, ex.addNode(&enode{kind: negKind, parent: parent, splitter: spNode, members: rest.Clone()}))
+}
+
+// leafOf returns the current enode of union state u.
+func (ex *explainer) leafOf(u int) int32 { return ex.leaf[ex.r.blockOf[ex.r.comp[u]]] }
 
 // unionSucc returns the successors of union state u as union states.
 func (ex *explainer) unionSucc(u int) []int {
@@ -342,14 +273,6 @@ func (ex *explainer) unionSucc(u int) []int {
 	return out
 }
 
-// unionLabelKey returns the canonical compared label of union state u.
-func (ex *explainer) unionLabelKey(u int) string {
-	if u < ex.n {
-		return ex.opts.labelOf(ex.m, kripke.State(u))
-	}
-	return ex.opts.labelOf(ex.m2, kripke.State(u-ex.n))
-}
-
 // sideState maps union state u to its structure and state.
 func (ex *explainer) sideState(u int) (*kripke.Structure, kripke.State) {
 	if u < ex.n {
@@ -362,164 +285,6 @@ func (ex *explainer) addNode(nd *enode) int32 {
 	nd.id = int32(len(ex.nodes))
 	ex.nodes = append(ex.nodes, nd)
 	return nd.id
-}
-
-func (ex *explainer) enqueue(id int32) {
-	if !ex.inQueue[id] {
-		ex.inQueue[id] = true
-		ex.queue = append(ex.queue, id)
-	}
-}
-
-// refine runs the full refinement to stability: reach splits driven by a
-// splitter queue, then divergence splits, iterated until neither makes
-// progress — the same fixpoint as computeRefined, with provenance.
-func (ex *explainer) refine(ctx context.Context) error {
-	for _, nd := range ex.nodes {
-		ex.enqueue(nd.id)
-	}
-	for {
-		if err := ex.drain(ctx); err != nil {
-			return err
-		}
-		if !ex.divergencePass() {
-			return nil
-		}
-	}
-}
-
-func (ex *explainer) drain(ctx context.Context) error {
-	for pops := 0; len(ex.queue) > 0; pops++ {
-		if pops&63 == 0 {
-			if err := cancelled(ctx); err != nil {
-				return err
-			}
-		}
-		sp := ex.queue[0]
-		ex.queue = ex.queue[1:]
-		ex.inQueue[sp] = false
-		if ex.nodes[sp].split {
-			continue // superseded; its children were enqueued at split time
-		}
-		ex.refineAgainst(sp)
-	}
-	return nil
-}
-
-// refineAgainst splits every other leaf against the splitter sp by "can
-// reach sp inside the block".
-func (ex *explainer) refineAgainst(sp int32) {
-	dp := kripke.NewBitSet(ex.cN)
-	ex.nodes[sp].members.ForEach(func(v int) bool {
-		for _, p := range ex.cPred[v] {
-			dp.Set(int(p))
-		}
-		return true
-	})
-	seen := map[int32]bool{}
-	var cands []int32
-	dp.ForEach(func(v int) bool {
-		b := ex.blockOf[v]
-		if b != sp && !seen[b] {
-			seen[b] = true
-			cands = append(cands, b)
-		}
-		return true
-	})
-	for _, bid := range cands {
-		b := ex.nodes[bid]
-		pos := kripke.NewBitSet(ex.cN)
-		pos.CopyFrom(b.members)
-		pos.And(dp)
-		if pos.Empty() {
-			continue
-		}
-		ex.closeBackwardWithin(bid, pos)
-		ex.divide(bid, pos, reachPos, sp)
-	}
-}
-
-// closeBackwardWithin extends set to every member of block bid that can
-// reach set without leaving the block (the inside of a block is acyclic
-// after silent-SCC contraction).
-func (ex *explainer) closeBackwardWithin(bid int32, set kripke.BitSet) {
-	var stack []int32
-	set.ForEach(func(v int) bool { stack = append(stack, int32(v)); return true })
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range ex.cPred[v] {
-			if ex.blockOf[p] == bid && !set.Get(int(p)) {
-				set.Set(int(p))
-				stack = append(stack, p)
-			}
-		}
-	}
-}
-
-// divide splits leaf bid into pos and the rest when the split is proper,
-// recording provenance, and re-enqueues what may have been destabilised.
-func (ex *explainer) divide(bid int32, pos kripke.BitSet, kind splitKind, splitter int32) bool {
-	b := ex.nodes[bid]
-	posCount := pos.Count()
-	if posCount == 0 || posCount == b.members.Count() {
-		return false
-	}
-	rest := kripke.NewBitSet(ex.cN)
-	rest.CopyFrom(b.members)
-	rest.AndNot(pos)
-	negKind := reachNeg
-	if kind == divPos {
-		negKind = divNeg
-	}
-	posID := ex.addNode(&enode{kind: kind, parent: bid, splitter: splitter, members: pos})
-	negID := ex.addNode(&enode{kind: negKind, parent: bid, splitter: splitter, members: rest})
-	b.split = true
-	pos.ForEach(func(v int) bool { ex.blockOf[v] = posID; return true })
-	rest.ForEach(func(v int) bool { ex.blockOf[v] = negID; return true })
-	ex.enqueue(posID)
-	ex.enqueue(negID)
-	ex.enqueueSuccessors(pos)
-	ex.enqueueSuccessors(rest)
-	return true
-}
-
-func (ex *explainer) enqueueSuccessors(set kripke.BitSet) {
-	set.ForEach(func(v int) bool {
-		for _, w := range ex.cSucc[v] {
-			ex.enqueue(ex.blockOf[w])
-		}
-		return true
-	})
-}
-
-// divergencePass splits leaves whose members disagree on "can stutter
-// forever inside the block"; it reports whether any split happened.
-func (ex *explainer) divergencePass() bool {
-	changed := false
-	// Leaves may split during the loop; snapshot the current leaf set.
-	var leaves []int32
-	for _, nd := range ex.nodes {
-		if !nd.split {
-			leaves = append(leaves, nd.id)
-		}
-	}
-	for _, bid := range leaves {
-		if ex.nodes[bid].split {
-			continue
-		}
-		div := kripke.NewBitSet(ex.cN)
-		div.CopyFrom(ex.nodes[bid].members)
-		div.And(ex.divMask)
-		if div.Empty() {
-			continue
-		}
-		ex.closeBackwardWithin(bid, div)
-		if ex.divide(bid, div, divPos, -1) {
-			changed = true
-		}
-	}
-	return changed
 }
 
 // ---------------------------------------------------------------------------
@@ -645,7 +410,7 @@ func (ex *explainer) splitCondition(nd *enode) (logic.Formula, error) {
 // established to be unrelated).
 func (ex *explainer) explainInitial(s, t kripke.State) (*Evidence, error) {
 	us, ut := int(s), ex.n+int(t)
-	ls, lt := ex.blockOf[ex.comp[us]], ex.blockOf[ex.comp[ut]]
+	ls, lt := ex.leafOf(us), ex.leafOf(ut)
 	if ls == lt {
 		return nil, fmt.Errorf("bisim: Explain: initial states reported unrelated but refinement left them together")
 	}
@@ -705,16 +470,17 @@ func (ex *explainer) explainInitial(s, t kripke.State) (*Evidence, error) {
 // structure.
 func (ex *explainer) gamePath(u int, nd *enode) ([]kripke.State, int) {
 	parent := ex.nodes[nd.parent]
-	inParent := func(v int) bool { return parent.members.Get(ex.comp[v]) }
+	comp := ex.r.comp
+	inParent := func(v int) bool { return parent.members.Get(comp[v]) }
 	switch nd.kind {
 	case reachPos:
-		target := func(v int) bool { return ex.nodes[nd.splitter].members.Get(ex.comp[v]) }
+		target := func(v int) bool { return ex.nodes[nd.splitter].members.Get(comp[v]) }
 		path := ex.bfsPath(u, inParent, target)
 		return ex.localize(path), -1
 	case divPos:
 		// Stem to a divergent contracted node inside the parent block, then
 		// a loop inside that silent SCC.
-		target := func(v int) bool { return ex.divMask.Get(ex.comp[v]) && inParent(v) }
+		target := func(v int) bool { return ex.r.divMask.Get(comp[v]) && inParent(v) }
 		stem := ex.bfsPath(u, inParent, target)
 		if len(stem) == 0 {
 			return nil, -1
@@ -727,7 +493,7 @@ func (ex *explainer) gamePath(u int, nd *enode) ([]kripke.State, int) {
 		for {
 			next := -1
 			for _, v := range ex.unionSucc(cur) {
-				if ex.comp[v] == ex.comp[entry] {
+				if comp[v] == comp[entry] {
 					next = v
 					break
 				}
@@ -836,13 +602,13 @@ func (ex *explainer) explainOrphan(orphan kripke.State, left bool) (*Evidence, e
 		u, own = ex.n+int(orphan), ex.m2
 		reason = ReasonTotalRight
 	}
-	leaf := ex.blockOf[ex.comp[u]]
+	leaf := ex.leafOf(u)
 	// Sanity: the orphan's leaf must contain no state of the other side.
 	// One O(N) pass marks which components hold a state of that side.
-	otherSide := kripke.NewBitSet(ex.cN)
+	otherSide := kripke.NewBitSet(ex.r.cN)
 	for w := 0; w < ex.n+ex.n2; w++ {
 		if (w < ex.n) != left {
-			otherSide.Set(ex.comp[w])
+			otherSide.Set(ex.r.comp[w])
 		}
 	}
 	if ex.nodes[leaf].members.Intersects(otherSide) {

@@ -2,6 +2,8 @@ package bisim_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bisim"
@@ -170,6 +172,59 @@ func TestExplainTotalityOrphan(t *testing.T) {
 	ev := mustExplain(t, m, m2, bisim.Options{})
 	if ev.Reason != bisim.ReasonTotalRight {
 		t.Errorf("reason = %s, want %s", ev.Reason, bisim.ReasonTotalRight)
+	}
+}
+
+// TestExplainManyOneProps: with 65 "exactly one" atoms the engine's label
+// key outgrows one word of truth bits.  The two structures differ only in
+// the truth of the 65th atom (last in sorted order) at the state after the
+// initial one, so the refiner must key on the whole pattern to separate
+// them, and the evidence must still replay.
+func TestExplainManyOneProps(t *testing.T) {
+	props := make([]string, 65)
+	for j := range props {
+		props[j] = fmt.Sprintf("o%02d", j)
+	}
+	build := func(name string, secondOnes []string) *kripke.Structure {
+		b := kripke.NewBuilder(name)
+		s0 := b.AddState(kripke.P("a"))
+		s1 := b.AddState(kripke.P("b"))
+		for _, e := range [][2]kripke.State{{s0, s1}, {s1, s1}} {
+			if err := b.AddTransition(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.SetOnes(s0, props); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetOnes(s1, secondOnes); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetInitial(s0); err != nil {
+			t.Fatal(err)
+		}
+		m, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := build("ones-left", props)
+	m2 := build("ones-right", props[:64])
+	opts := bisim.Options{OneProps: props}
+	oracle, err := bisim.ComputeFixpoint(context.Background(), m, m2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Corresponds() {
+		t.Fatal("oracle reports the structures correspond; the test input is wrong")
+	}
+	ev := mustExplain(t, m, m2, opts)
+	if ev.Reason != bisim.ReasonInitial {
+		t.Errorf("reason = %s, want %s", ev.Reason, bisim.ReasonInitial)
+	}
+	if !strings.Contains(ev.Formula.String(), "o64") {
+		t.Errorf("formula %s does not mention the distinguishing atom o64", ev.Formula)
 	}
 }
 

@@ -1,6 +1,10 @@
 package bisim
 
-import "repro/internal/kripke"
+import (
+	"context"
+
+	"repro/internal/kripke"
+)
 
 // SetMaskDegreeBlockLimit is a test hook: it lets the external test package
 // force the generic degree path and returns the previous limit.
@@ -28,4 +32,18 @@ func RelationBytes(r *Relation) int {
 // CheckLookup returns the pair lookup Check's transfer clauses use on r.
 func CheckLookup(r *Relation) func(s, t kripke.State) (int, bool) {
 	return newPairIndex(r).degree
+}
+
+// MaxDenseMatrixStates is the contracted-union size past which the refiner
+// keeps adjacency lists instead of bitset transition rows.
+const MaxDenseMatrixStates = maxDenseMatrixStates
+
+// ContractedStates returns the number of contracted nodes the refiner
+// works on for the union of m and m2.
+func ContractedStates(m, m2 *kripke.Structure, opts Options) int {
+	r, _, err := newRefiner(context.Background(), m, m2, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r.cN
 }

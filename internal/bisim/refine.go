@@ -45,6 +45,9 @@ import (
 // inner fixpoint of the legacy engine, so the engines return bit-identical
 // results; pruneAndFinish also defensively re-prunes (a no-op when the
 // partition is exact, a safety net otherwise).
+//
+// Explain (evidence.go) runs this same refiner with a provenance recorder
+// attached, so this file holds the only splitter drain and divergence pass.
 
 // maxDenseMatrixStates bounds the contracted-graph size for which the
 // engine keeps bitset successor/predecessor rows.  Building the rows costs
@@ -57,6 +60,7 @@ const maxDenseMatrixStates = 1 << 10
 
 type refiner struct {
 	cN      int       // contracted (silent-SCC) node count
+	comp    []int     // contracted node of every union state
 	cSucc   [][]int32 // contracted adjacency, no self edges
 	cPred   [][]int32
 	mat     *kripke.TransitionMatrix // bitset rows over contracted nodes, nil when too large
@@ -89,6 +93,10 @@ type refiner struct {
 	// arena (possibly nil) backs the block sets and large scratch arrays so
 	// IndexedCompute can recycle them across pair computes.
 	arena *computeArena
+
+	// prov records every block the refinement creates, for Explain; nil
+	// under Compute.
+	prov *explainer
 }
 
 // getSet returns a block-sized BitSet with arbitrary contents (callers
@@ -116,180 +124,9 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 	n, n2 := m.NumStates(), m2.NumStates()
 	N := n + n2
 	ar := opts.arena // nil for direct calls; every helper degrades to make
-
-	// Canonical label of every union state, interned to dense ids.  The two
-	// structures intern labels independently (kripke.LabelID), so only the
-	// *distinct* label keys are string-hashed — once per structure — and the
-	// per-state key is a pair of small integers: the cross-structure key id
-	// and the truth bits of the "exactly one" atoms, which is exactly the
-	// comparison Options.labelOf performs.
-	oneProps := opts.normalizedOneProps()
-	if len(oneProps) > 64 {
-		// The bit-packed key below would overflow; nothing realistic has
-		// this many indexed propositions, so just take the slow oracle.
-		return computeFixpoint(ctx, m, m2, opts)
-	}
-	onesBits := func(st *kripke.Structure, s kripke.State) uint64 {
-		var bits uint64
-		for j, p := range oneProps {
-			if st.ExactlyOne(s, p) {
-				bits |= 1 << uint(j)
-			}
-		}
-		return bits
-	}
-	strIntern := make(map[string]int32)
-	internStr := func(key string) int32 {
-		id, ok := strIntern[key]
-		if !ok {
-			id = int32(len(strIntern))
-			strIntern[key] = id
-		}
-		return id
-	}
-	leftKeyID := make([]int32, m.NumLabels())
-	for id := range leftKeyID {
-		leftKeyID[id] = internStr(m.LabelKeyByID(kripke.LabelID(id)))
-	}
-	rightKeyID := make([]int32, m2.NumLabels())
-	for id := range rightKeyID {
-		rightKeyID[id] = internStr(m2.LabelKeyByID(kripke.LabelID(id)))
-	}
-	type classKey struct {
-		key  int32
-		ones uint64
-	}
-	labelID := ar.i32s(N, false) // fully written below
-	intern := make(map[classKey]int32)
-	internKey := func(key classKey) int32 {
-		id, ok := intern[key]
-		if !ok {
-			id = int32(len(intern))
-			intern[key] = id
-		}
-		return id
-	}
-	for s := 0; s < n; s++ {
-		labelID[s] = internKey(classKey{leftKeyID[m.LabelID(kripke.State(s))], onesBits(m, kripke.State(s))})
-	}
-	for t := 0; t < n2; t++ {
-		labelID[n+t] = internKey(classKey{rightKeyID[m2.LabelID(kripke.State(t))], onesBits(m2, kripke.State(t))})
-	}
-
-	// Union successor iteration (second structure offset by n), without
-	// materialising a combined adjacency.
-	unionSucc := func(u int) []kripke.State {
-		if u < n {
-			return m.Succ(kripke.State(u))
-		}
-		return m2.Succ(kripke.State(u - n))
-	}
-	offset := func(u int) int {
-		if u < n {
-			return 0
-		}
-		return n
-	}
-
-	// Contract the silent SCCs: components of the subgraph whose edges stay
-	// within one label class.  The adjacency is built flat (counting pass,
-	// then fill) to avoid per-state slice growth.
-	silentCount := ar.intsN(N, true)
-	totalSilent := 0
-	for u := 0; u < N; u++ {
-		off := offset(u)
-		for _, v := range unionSucc(u) {
-			if labelID[u] == labelID[off+int(v)] {
-				silentCount[u]++
-				totalSilent++
-			}
-		}
-	}
-	silentAdj := make([][]int, N)
-	silentBacking := ar.intsN(totalSilent, false) // append-filled via the capped headers
-	pos := 0
-	for u := 0; u < N; u++ {
-		silentAdj[u] = silentBacking[pos : pos : pos+silentCount[u]]
-		pos += silentCount[u]
-		off := offset(u)
-		for _, v := range unionSucc(u) {
-			if labelID[u] == labelID[off+int(v)] {
-				silentAdj[u] = append(silentAdj[u], off+int(v))
-			}
-		}
-	}
-	comp, cN := graph.FromAdjacency(silentAdj).SCCComp()
-	compSize := ar.i32s(cN, true)
-	compLabel := ar.i32s(cN, false) // every component has a member, so fully written
-	for u := 0; u < N; u++ {
-		compSize[comp[u]]++
-		compLabel[comp[u]] = labelID[u]
-	}
-
-	r := &refiner{
-		cN:        cN,
-		divMask:   kripke.BitSet(ar.bitset(cN, true)),
-		dpScratch: kripke.BitSet(ar.bitset(cN, false)), // computeDP clears it first
-		arena:     ar,
-	}
-	for c := 0; c < cN; c++ {
-		if compSize[c] > 1 {
-			r.divMask.Set(c) // a multi-state silent SCC contains a silent cycle
-		}
-	}
-	// Contracted adjacency, counting pass then fill.  Parallel edges between
-	// two components are kept: every consumer either dedups through a bitset
-	// or tolerates revisits, and skipping a dedup map here is cheaper.
-	succCount := ar.intsN(cN, true)
-	predCount := ar.intsN(cN, true)
-	totalEdges := 0
-	for u := 0; u < N; u++ {
-		cu := comp[u]
-		off := offset(u)
-		for _, v := range unionSucc(u) {
-			uv := off + int(v)
-			cv := comp[uv]
-			if cu == cv {
-				if u == uv {
-					r.divMask.Set(cu) // silent self loop
-				}
-				continue
-			}
-			succCount[cu]++
-			predCount[cv]++
-			totalEdges++
-		}
-	}
-	r.cSucc = make([][]int32, cN)
-	r.cPred = make([][]int32, cN)
-	succBacking := ar.i32s(totalEdges, false)
-	predBacking := ar.i32s(totalEdges, false)
-	sPos, pPos := 0, 0
-	for c := 0; c < cN; c++ {
-		r.cSucc[c] = succBacking[sPos : sPos : sPos+succCount[c]]
-		sPos += succCount[c]
-		r.cPred[c] = predBacking[pPos : pPos : pPos+predCount[c]]
-		pPos += predCount[c]
-	}
-	for u := 0; u < N; u++ {
-		cu := comp[u]
-		off := offset(u)
-		for _, v := range unionSucc(u) {
-			cv := comp[off+int(v)]
-			if cu == cv {
-				continue
-			}
-			r.cSucc[cu] = append(r.cSucc[cu], int32(cv))
-			r.cPred[cv] = append(r.cPred[cv], int32(cu))
-		}
-	}
-	if cN <= maxDenseMatrixStates {
-		r.mat = kripke.NewTransitionMatrix(cN)
-		for u, vs := range r.cSucc {
-			for _, v := range vs {
-				r.mat.Add(u, int(v))
-			}
-		}
+	r, compLabel, err := newRefiner(ctx, m, m2, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	// Initial partition: one block per label class.
@@ -302,7 +139,7 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 	// Per-union-state block id: s ~ t iff stateBlock[s] == stateBlock[n+t].
 	stateBlock := ar.i32s(N, false)
 	for u := 0; u < N; u++ {
-		stateBlock[u] = r.blockOf[comp[u]]
+		stateBlock[u] = r.blockOf[r.comp[u]]
 	}
 
 	// Minimal degrees; the input's shape picks the route.  With few enough
@@ -338,6 +175,238 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 	return pruneAndFinish(ctx, m, m2, inR, opts, res, computeDegreesFast)
 }
 
+// newRefiner preprocesses the disjoint union of m and m2 (second structure
+// offset by n) for refinement: it interns every union state's compared
+// label, contracts the silent SCCs, and builds the contracted adjacency and
+// divergence mask.  It returns the refiner, whose partition initPartition
+// then seeds, and the label class of every contracted node.  Compute and
+// Explain share it, so both refine the same graph.  Every loop over the
+// union polls ctx once per 1,024 states.
+func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*refiner, []int32, error) {
+	n, n2 := m.NumStates(), m2.NumStates()
+	N := n + n2
+	ar := opts.arena
+
+	// Canonical label of every union state, interned to dense ids.  The two
+	// structures intern labels independently (kripke.LabelID), so only the
+	// *distinct* label keys are string-hashed — once per structure — and the
+	// per-state key is a pair of small integers: the cross-structure key id
+	// and the truth bits of the "exactly one" atoms, which is exactly the
+	// comparison Options.labelOf performs.
+	oneProps := opts.normalizedOneProps()
+	onesKey := func(st *kripke.Structure, s kripke.State) uint64 {
+		var bits uint64
+		for j, p := range oneProps {
+			if st.ExactlyOne(s, p) {
+				bits |= 1 << uint(j)
+			}
+		}
+		return bits
+	}
+	if len(oneProps) > 64 {
+		// The truth bits overflow one word: intern the multi-word pattern
+		// and key on its id instead.
+		pattern := make([]byte, (len(oneProps)+7)/8)
+		patternID := make(map[string]uint64)
+		onesKey = func(st *kripke.Structure, s kripke.State) uint64 {
+			clear(pattern)
+			for j, p := range oneProps {
+				if st.ExactlyOne(s, p) {
+					pattern[j/8] |= 1 << uint(j%8)
+				}
+			}
+			id, ok := patternID[string(pattern)]
+			if !ok {
+				id = uint64(len(patternID))
+				patternID[string(pattern)] = id
+			}
+			return id
+		}
+	}
+	strIntern := make(map[string]int32)
+	internStr := func(key string) int32 {
+		id, ok := strIntern[key]
+		if !ok {
+			id = int32(len(strIntern))
+			strIntern[key] = id
+		}
+		return id
+	}
+	leftKeyID := make([]int32, m.NumLabels())
+	for id := range leftKeyID {
+		leftKeyID[id] = internStr(m.LabelKeyByID(kripke.LabelID(id)))
+	}
+	rightKeyID := make([]int32, m2.NumLabels())
+	for id := range rightKeyID {
+		rightKeyID[id] = internStr(m2.LabelKeyByID(kripke.LabelID(id)))
+	}
+	type classKey struct {
+		key  int32
+		ones uint64
+	}
+	labelID := ar.i32s(N, false) // fully written below
+	intern := make(map[classKey]int32)
+	for u := 0; u < N; u++ {
+		if err := pollUnion(ctx, u); err != nil {
+			return nil, nil, err
+		}
+		var key classKey
+		if u < n {
+			key = classKey{leftKeyID[m.LabelID(kripke.State(u))], onesKey(m, kripke.State(u))}
+		} else {
+			key = classKey{rightKeyID[m2.LabelID(kripke.State(u-n))], onesKey(m2, kripke.State(u-n))}
+		}
+		id, ok := intern[key]
+		if !ok {
+			id = int32(len(intern))
+			intern[key] = id
+		}
+		labelID[u] = id
+	}
+
+	// Union successor iteration (second structure offset by n), without
+	// materialising a combined adjacency.
+	unionSucc := func(u int) []kripke.State {
+		if u < n {
+			return m.Succ(kripke.State(u))
+		}
+		return m2.Succ(kripke.State(u - n))
+	}
+	offset := func(u int) int {
+		if u < n {
+			return 0
+		}
+		return n
+	}
+
+	// Contract the silent SCCs: components of the subgraph whose edges stay
+	// within one label class.  The adjacency is built flat (counting pass,
+	// then fill) to avoid per-state slice growth.
+	silentCount := ar.intsN(N, true)
+	totalSilent := 0
+	for u := 0; u < N; u++ {
+		if err := pollUnion(ctx, u); err != nil {
+			return nil, nil, err
+		}
+		off := offset(u)
+		for _, v := range unionSucc(u) {
+			if labelID[u] == labelID[off+int(v)] {
+				silentCount[u]++
+				totalSilent++
+			}
+		}
+	}
+	silentAdj := make([][]int, N)
+	silentBacking := ar.intsN(totalSilent, false) // append-filled via the capped headers
+	pos := 0
+	for u := 0; u < N; u++ {
+		if err := pollUnion(ctx, u); err != nil {
+			return nil, nil, err
+		}
+		silentAdj[u] = silentBacking[pos : pos : pos+silentCount[u]]
+		pos += silentCount[u]
+		off := offset(u)
+		for _, v := range unionSucc(u) {
+			if labelID[u] == labelID[off+int(v)] {
+				silentAdj[u] = append(silentAdj[u], off+int(v))
+			}
+		}
+	}
+	comp, cN := graph.FromAdjacency(silentAdj).SCCComp()
+	if err := cancelled(ctx); err != nil {
+		return nil, nil, err
+	}
+	compSize := ar.i32s(cN, true)
+	compLabel := ar.i32s(cN, false) // every component has a member, so fully written
+	for u := 0; u < N; u++ {
+		compSize[comp[u]]++
+		compLabel[comp[u]] = labelID[u]
+	}
+
+	r := &refiner{
+		cN:        cN,
+		comp:      comp,
+		divMask:   kripke.BitSet(ar.bitset(cN, true)),
+		dpScratch: kripke.BitSet(ar.bitset(cN, false)), // computeDP clears it first
+		arena:     ar,
+	}
+	for c := 0; c < cN; c++ {
+		if compSize[c] > 1 {
+			r.divMask.Set(c) // a multi-state silent SCC contains a silent cycle
+		}
+	}
+	// Contracted adjacency, counting pass then fill.  Parallel edges between
+	// two components are kept: every consumer either dedups through a bitset
+	// or tolerates revisits, and skipping a dedup map here is cheaper.
+	succCount := ar.intsN(cN, true)
+	predCount := ar.intsN(cN, true)
+	totalEdges := 0
+	for u := 0; u < N; u++ {
+		if err := pollUnion(ctx, u); err != nil {
+			return nil, nil, err
+		}
+		cu := comp[u]
+		off := offset(u)
+		for _, v := range unionSucc(u) {
+			uv := off + int(v)
+			cv := comp[uv]
+			if cu == cv {
+				if u == uv {
+					r.divMask.Set(cu) // silent self loop
+				}
+				continue
+			}
+			succCount[cu]++
+			predCount[cv]++
+			totalEdges++
+		}
+	}
+	r.cSucc = make([][]int32, cN)
+	r.cPred = make([][]int32, cN)
+	succBacking := ar.i32s(totalEdges, false)
+	predBacking := ar.i32s(totalEdges, false)
+	sPos, pPos := 0, 0
+	for c := 0; c < cN; c++ {
+		r.cSucc[c] = succBacking[sPos : sPos : sPos+succCount[c]]
+		sPos += succCount[c]
+		r.cPred[c] = predBacking[pPos : pPos : pPos+predCount[c]]
+		pPos += predCount[c]
+	}
+	for u := 0; u < N; u++ {
+		if err := pollUnion(ctx, u); err != nil {
+			return nil, nil, err
+		}
+		cu := comp[u]
+		off := offset(u)
+		for _, v := range unionSucc(u) {
+			cv := comp[off+int(v)]
+			if cu == cv {
+				continue
+			}
+			r.cSucc[cu] = append(r.cSucc[cu], int32(cv))
+			r.cPred[cv] = append(r.cPred[cv], int32(cu))
+		}
+	}
+	if cN <= maxDenseMatrixStates {
+		r.mat = kripke.NewTransitionMatrix(cN)
+		for u, vs := range r.cSucc {
+			for _, v := range vs {
+				r.mat.Add(u, int(v))
+			}
+		}
+	}
+	return r, compLabel, nil
+}
+
+// pollUnion polls ctx at every 1,024th union state u of a preprocessing
+// loop.
+func pollUnion(ctx context.Context, u int) error {
+	if u&1023 != 0 {
+		return nil
+	}
+	return cancelled(ctx)
+}
+
 // initPartition builds the initial blocks over the contracted components,
 // one per label class, and enqueues every block as a splitter.
 func (r *refiner) initPartition(compLabel []int32) {
@@ -360,7 +429,10 @@ func (r *refiner) initPartition(compLabel []int32) {
 		r.blocks[bid].size++
 		r.blockOf[c] = bid
 	}
-	for bid := range r.blocks {
+	for bid, b := range r.blocks {
+		if r.prov != nil {
+			r.prov.recordRoot(b.set)
+		}
 		r.enqueue(int32(bid))
 	}
 }
@@ -786,14 +858,14 @@ func (r *refiner) applySplits(sp int32, dp kripke.BitSet) {
 	})
 	r.candScratch = cands[:0]
 	for _, bid := range cands {
-		r.splitReach(bid, dp)
+		r.splitReach(bid, sp, dp)
 	}
 }
 
-// splitReach splits block bid by "can reach the splitter through the block".
-// Both halves are stable against the splitter afterwards: every state on a
-// witnessing path lies in the positive half itself.
-func (r *refiner) splitReach(bid int32, dp kripke.BitSet) {
+// splitReach splits block bid by "can reach the splitter sp through the
+// block".  Both halves are stable against the splitter afterwards: every
+// state on a witnessing path lies in the positive half itself.
+func (r *refiner) splitReach(bid, sp int32, dp kripke.BitSet) {
 	b := r.blocks[bid]
 	pos := r.getSet()
 	pos.CopyFrom(b.set)
@@ -803,7 +875,7 @@ func (r *refiner) splitReach(bid int32, dp kripke.BitSet) {
 		return
 	}
 	r.closeBackwardWithin(bid, pos)
-	if !r.divide(bid, pos) {
+	if !r.divide(bid, pos, sp) {
 		r.putSet(pos)
 	}
 }
@@ -828,9 +900,10 @@ func (r *refiner) closeBackwardWithin(bid int32, set kripke.BitSet) {
 }
 
 // divide splits block bid into pos and the rest, re-enqueueing what the
-// split may have destabilised.  It reports whether a proper split happened
-// (and takes ownership of pos exactly when it does).
-func (r *refiner) divide(bid int32, pos kripke.BitSet) bool {
+// split may have destabilised; splitter is the block a reach split ran
+// against, -1 for a divergence split.  It reports whether a proper split
+// happened (and takes ownership of pos exactly when it does).
+func (r *refiner) divide(bid int32, pos kripke.BitSet, splitter int32) bool {
 	b := r.blocks[bid]
 	posCount := pos.Count()
 	if posCount == 0 || posCount == b.size {
@@ -847,6 +920,9 @@ func (r *refiner) divide(bid int32, pos kripke.BitSet) bool {
 	b.set = pos
 	b.size = posCount
 	rest.ForEach(func(v int) bool { r.blockOf[v] = nid; return true })
+	if r.prov != nil {
+		r.prov.recordSplit(bid, pos, rest, splitter)
+	}
 	// Other blocks must re-check stability against each half, and each half
 	// must re-check stability against its successor blocks (a half's
 	// inside-the-block closure is smaller than its parent's was).
@@ -896,7 +972,7 @@ func (r *refiner) divergencePass() bool {
 			continue
 		}
 		r.closeBackwardWithin(int32(bid), div)
-		if r.divide(int32(bid), div) {
+		if r.divide(int32(bid), div, -1) {
 			changed = true
 		} else {
 			r.putSet(div)

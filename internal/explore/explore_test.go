@@ -98,17 +98,61 @@ func TestExploreMatchesSequentialReference(t *testing.T) {
 	}
 }
 
-// TestBuildMatchesRingBuild: the labelled parallel build is byte-identical
-// to the hand-rolled sequential ring builder, for every worker count.
+// unpackedRingReference builds M_r from the unpacked ring rules
+// (GlobalState.Successors and GlobalState.Label), which share no code with
+// the packed successor and label functions of ring.PackedDef: a FIFO
+// exploration keyed by GlobalState.Key with first-occurrence numbering.
+func unpackedRingReference(t *testing.T, r int) *kripke.Structure {
+	t.Helper()
+	b := kripke.NewBuilder(fmt.Sprintf("ring[%d]", r))
+	for i := 1; i <= r; i++ {
+		b.DeclareIndex(i)
+	}
+	init := ring.NewGlobalState(r)
+	index := map[string]kripke.State{init.Key(): b.AddState(init.Label()...)}
+	states := []ring.GlobalState{init}
+	for frontier := 0; frontier < len(states); frontier++ {
+		for _, next := range states[frontier].Successors() {
+			id, ok := index[next.Key()]
+			if !ok {
+				id = b.AddState(next.Label()...)
+				index[next.Key()] = id
+				states = append(states, next)
+			}
+			if err := b.AddTransition(kripke.State(frontier), id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := b.SetInitial(0); err != nil {
+		t.Fatal(err)
+	}
+	m, err := b.BuildPartial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestBuildMatchesRingBuild: the labelled parallel build, for every worker
+// count, and ring.Build are byte-identical to the structure the unpacked
+// ring rules generate.
 func TestBuildMatchesRingBuild(t *testing.T) {
+	encode := func(m *kripke.Structure) string {
+		var buf bytes.Buffer
+		if err := kripke.EncodeText(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
 	for _, r := range []int{2, 3, 6, 9} {
+		want := encode(unpackedRingReference(t, r))
 		inst, err := ring.Build(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := kripke.EncodeText(&want, inst.M); err != nil {
-			t.Fatal(err)
+		if encode(inst.M) != want {
+			t.Fatalf("r=%d: ring.Build differs from the unpacked reference", r)
 		}
 		for _, workers := range []int{1, 4, 16} {
 			m, _, err := explore.Build(context.Background(), ring.PackedDef(r),
@@ -116,12 +160,8 @@ func TestBuildMatchesRingBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("r=%d workers=%d: %v", r, workers, err)
 			}
-			var got bytes.Buffer
-			if err := kripke.EncodeText(&got, m); err != nil {
-				t.Fatal(err)
-			}
-			if got.String() != want.String() {
-				t.Fatalf("r=%d workers=%d: parallel build differs from ring.Build", r, workers)
+			if encode(m) != want {
+				t.Fatalf("r=%d workers=%d: parallel build differs from the unpacked reference", r, workers)
 			}
 		}
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // PackedDef returns the explore.Def of the r-process ring protocol: the
-// same packed-code successor rules and labelling that buildInstance uses,
-// exposed to the parallel construction engine.  The Succ closure is pure
-// over the code, so it is safe for the engine's concurrent workers.
+// packed-code successor rules and labelling every ring construction path
+// explores.  The Succ closure is pure over the code, so it is safe for the
+// engine's concurrent workers.
 func PackedDef(r int) explore.Def {
 	return packedDef(r, fmt.Sprintf("ring[%d]", r), false)
 }
@@ -47,21 +47,10 @@ type BuildOptions struct {
 }
 
 // BuildWith constructs M_r through the parallel packed-BFS engine.  The
-// result is byte-identical (kripke.EncodeText) to Build(r)'s, for every
-// worker count; see internal/explore for the determinism argument.
+// result is byte-identical (kripke.EncodeText) for every worker count; see
+// internal/explore for the determinism argument.
 func BuildWith(ctx context.Context, r int, opts BuildOptions) (*Instance, error) {
-	if r < 1 {
-		return nil, fmt.Errorf("ring: need at least one process, got %d", r)
-	}
-	limit := opts.MaxStates
-	if limit <= 0 {
-		limit = MaxExplicitStates
-	}
-	if expected := expectedReachable(r); expected > limit {
-		return nil, fmt.Errorf("ring: r=%d has about %d reachable states, beyond the explicit limit %d; "+
-			"use LocalCheck / the correspondence theorem instead: %w", r, expected, limit, ErrTooLarge)
-	}
-	m, sp, err := explore.Build(ctx, PackedDef(r), explore.Options{Workers: opts.Workers, MaxStates: limit})
+	m, sp, err := explorePacked(ctx, r, PackedDef, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -69,6 +58,23 @@ func BuildWith(ctx context.Context, r int, opts BuildOptions) (*Instance, error)
 		return nil, fmt.Errorf("ring: building M_%d: %w", r, err)
 	}
 	return instanceFromSpace(r, m, sp), nil
+}
+
+// explorePacked builds the (partial) structure of the r-process ring
+// definition def(r), refusing sizes beyond the explicit-construction limit.
+func explorePacked(ctx context.Context, r int, def func(int) explore.Def, opts BuildOptions) (*kripke.Structure, *explore.Space, error) {
+	if r < 1 {
+		return nil, nil, fmt.Errorf("ring: need at least one process, got %d", r)
+	}
+	limit := opts.MaxStates
+	if limit <= 0 {
+		limit = MaxExplicitStates
+	}
+	if expected := expectedReachable(r); expected > limit {
+		return nil, nil, fmt.Errorf("ring: r=%d has about %d reachable states, beyond the explicit limit %d; "+
+			"use LocalCheck / the correspondence theorem instead: %w", r, expected, limit, ErrTooLarge)
+	}
+	return explore.Build(ctx, def(r), explore.Options{Workers: opts.Workers, MaxStates: limit})
 }
 
 // instanceFromSpace assembles the Instance views (decoded states, packed

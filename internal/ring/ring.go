@@ -13,6 +13,7 @@
 package ring
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -237,11 +238,9 @@ type Instance struct {
 	M *kripke.Structure
 	// States maps every kripke state to its ring state.
 	States []GlobalState
-	// indexOf maps a packed ring state to its kripke state.  Instances
-	// assembled from an explored space leave it nil and use lookup, the
-	// space's own code table, instead of duplicating it.
-	indexOf map[uint64]kripke.State
-	lookup  func(uint64) (int32, bool)
+	// lookup maps a packed ring state to its kripke state through the
+	// explored space's own code table.
+	lookup func(uint64) (int32, bool)
 }
 
 // ---------------------------------------------------------------------------
@@ -249,10 +248,10 @@ type Instance struct {
 //
 // A reachable global state assigns one of four parts to each of r ≤ 16
 // processes, so it packs into a uint64 at two bits per process (process i at
-// bits 2(i-1), in Part's constant order).  The BFS in buildInstance works on
-// these codes exclusively: successor generation is register arithmetic,
-// frontier dedup is one map[uint64] probe, and no GlobalState (or its Key
-// string) is ever allocated for a state that has already been seen.  The
+// bits 2(i-1), in Part's constant order).  The packed BFS of internal/explore
+// works on these codes exclusively (see PackedDef): successor generation is
+// register arithmetic, frontier dedup is one table probe, and no GlobalState
+// (or its Key string) is ever allocated during exploration.  The
 // explicit-construction limit (MaxExplicitStates) keeps r well below the
 // 32-process packing capacity.
 // ---------------------------------------------------------------------------
@@ -388,86 +387,12 @@ const MaxExplicitStates = 1 << 21
 // "this size can never be built" apart from engine failures.
 var ErrTooLarge = errors.New("instance beyond the explicit-construction limit")
 
-// Build constructs M_r for a ring of r processes (r ≥ 1).  For r beyond the
-// explicit-construction limit it returns an error: that is exactly the
-// regime the correspondence theorem (and the LocalCheck in this package)
-// exists for.
+// Build constructs M_r for a ring of r processes (r ≥ 1) with a single
+// construction worker.  For r beyond the explicit-construction limit it
+// returns an error: that is exactly the regime the correspondence theorem
+// (and the LocalCheck in this package) exists for.
 func Build(r int) (*Instance, error) {
-	inst, err := buildInstance(r, fmt.Sprintf("ring[%d]", r), false)
-	if err != nil {
-		return nil, err
-	}
-	if err := inst.M.Validate(); err != nil {
-		return nil, fmt.Errorf("ring: building M_%d: %w", r, err)
-	}
-	return inst, nil
-}
-
-// buildInstance is the one construction path behind Build and BuildBuggy: a
-// breadth-first exploration of the reachable global states over packed
-// uint64 codes.  The returned instance's structure is *partial* (BuildBuggy
-// deadlocks by design); Build validates totality, BuildBuggy adds self
-// loops.
-func buildInstance(r int, name string, buggy bool) (*Instance, error) {
-	if r < 1 {
-		return nil, fmt.Errorf("ring: need at least one process, got %d", r)
-	}
-	if expected := expectedReachable(r); expected > MaxExplicitStates {
-		return nil, fmt.Errorf("ring: r=%d has about %d reachable states, beyond the explicit limit %d; "+
-			"use LocalCheck / the correspondence theorem instead: %w", r, expected, MaxExplicitStates, ErrTooLarge)
-	}
-	b := kripke.NewBuilder(name)
-	b.Grow(expectedReachable(r), expectedReachable(r)*(r+1))
-	for i := 1; i <= r; i++ {
-		b.DeclareIndex(i)
-	}
-	inst := &Instance{R: r, indexOf: make(map[uint64]kripke.State, expectedReachable(r))}
-
-	// codes[s] is the packed form of inst.States[s]; the decoded Parts views
-	// are carved out of chunked backing arrays so the per-state allocation
-	// count stays constant.
-	var codes []uint64
-	var partsBacking []Part
-	var labelScratch []kripke.Prop
-	add := func(code uint64) kripke.State {
-		if id, ok := inst.indexOf[code]; ok {
-			return id
-		}
-		labelScratch = appendPackedLabel(labelScratch[:0], code, r)
-		id := b.AddStateNormalized(labelScratch)
-		inst.indexOf[code] = id
-		codes = append(codes, code)
-		if len(partsBacking) < r {
-			partsBacking = make([]Part, 4096*r)
-		}
-		parts := partsBacking[:r:r]
-		partsBacking = partsBacking[r:]
-		decodeInto(parts, code)
-		inst.States = append(inst.States, GlobalState{Parts: parts})
-		return id
-	}
-
-	initID := add(packState(NewGlobalState(r)))
-	if err := b.SetInitial(initID); err != nil {
-		return nil, err
-	}
-	var succBuf []uint64
-	for frontier := 0; frontier < len(codes); frontier++ {
-		code := codes[frontier]
-		from := kripke.State(frontier)
-		succBuf = appendPackedSuccessors(succBuf[:0], code, r, buggy)
-		for _, next := range succBuf {
-			if err := b.AddTransition(from, add(next)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	m, err := b.BuildPartial()
-	if err != nil {
-		return nil, fmt.Errorf("ring: building %s: %w", name, err)
-	}
-	inst.M = m
-	return inst, nil
+	return BuildWith(context.Background(), r, BuildOptions{Workers: 1})
 }
 
 // expectedReachable returns r * 2^r, the size of the reachable state space
@@ -492,12 +417,8 @@ func (in *Instance) StateID(g GlobalState) (kripke.State, bool) {
 	if g.R() != in.R {
 		return kripke.NoState, false
 	}
-	if in.lookup != nil {
-		id, ok := in.lookup(packState(g))
-		return kripke.State(id), ok
-	}
-	id, ok := in.indexOf[packState(g)]
-	return id, ok
+	id, ok := in.lookup(packState(g))
+	return kripke.State(id), ok
 }
 
 // ---------------------------------------------------------------------------
@@ -616,12 +537,12 @@ func (g GlobalState) SuccessorsBuggy() []GlobalState {
 }
 
 // BuildBuggy constructs the Kripke structure of the broken protocol variant
-// (see SuccessorsBuggy) for a ring of r processes.
+// (see SuccessorsBuggy) for a ring of r processes.  The variant deadlocks,
+// so deadlock states receive self loops.
 func BuildBuggy(r int) (*Instance, error) {
-	inst, err := buildInstance(r, fmt.Sprintf("ring-buggy[%d]", r), true)
+	m, sp, err := explorePacked(context.Background(), r, PackedDefBuggy, BuildOptions{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	inst.M = inst.M.MakeTotal()
-	return inst, nil
+	return instanceFromSpace(r, m.MakeTotal(), sp), nil
 }

@@ -202,18 +202,20 @@ func RingCorrespondenceWithEvidence(ctx context.Context, small, large *Ring) (*I
 	if small == nil || large == nil {
 		return nil, nil, fmt.Errorf("podc: RingCorrespondenceWithEvidence: nil ring")
 	}
-	res, ev, pair, err := ring.DecideCorrespondenceWithEvidence(ctx, small.inst, large.inst)
+	res, err := ring.DecideCorrespondence(ctx, small.inst, large.inst)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Not family.DecideWithEvidence: it would rebuild the instances and
+	// reject size 1, which BuildRing accepts.
+	fev, err := family.ExplainBuilt(ctx, family.Ring(), small.inst.M, small.Size(), large.inst.M, large.Size(), res)
 	if err != nil {
 		return nil, nil, err
 	}
 	corr := &IndexedCorrespondence{
 		res: res,
 		in:  indexPairsFromRaw(ring.IndexRelationFor(small.Size(), large.Size())),
+		ev:  evidenceFromFamily(fev),
 	}
-	if ev == nil {
-		return corr, nil, nil
-	}
-	out := wrapRawEvidence(ev, pair, true) // replayed inside the ring decider
-	corr.ev = out
-	return corr, out, nil
+	return corr, corr.ev, nil
 }
