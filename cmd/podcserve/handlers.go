@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -207,22 +209,37 @@ func (s *server) shed(w http.ResponseWriter, r *http.Request) {
 
 // decodeRequest decodes the JSON request body into `into` with the
 // service's hardening applied: the body is capped at MaxBody bytes
-// (overflow is 413, not an OOM), and unknown fields are rejected with a 400
+// (overflow is 413, not an OOM), unknown fields are rejected with a 400
 // naming the field, so a typoed "topolgy" fails loudly instead of silently
-// running the default topology.  It writes the error response itself and
-// reports whether decoding succeeded.
+// running the default topology, and anything but whitespace after the one
+// JSON value is rejected with a 400 quoting it.  It writes the error
+// response itself and reports whether decoding succeeded.
 func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			httpError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d byte limit", maxErr.Limit))
-			return false
-		}
+	err := dec.Decode(into)
+	var rest []byte
+	if err == nil {
+		rest, err = io.ReadAll(io.MultiReader(dec.Buffered(), r.Body))
+	}
+	var maxErr *http.MaxBytesError
+	switch {
+	case errors.As(err, &maxErr):
+		httpError(w, r, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d byte limit", maxErr.Limit))
+		return false
+	case err != nil:
 		httpError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	if trailing := bytes.TrimLeft(rest, " \t\r\n"); len(trailing) > 0 {
+		const show = 32
+		if len(trailing) > show {
+			trailing = trailing[:show]
+		}
+		httpError(w, r, http.StatusBadRequest,
+			fmt.Errorf("decoding request: trailing data after the JSON value: %q", trailing))
 		return false
 	}
 	return true

@@ -54,6 +54,43 @@ func TestUnknownFieldIs400(t *testing.T) {
 	}
 }
 
+// TestTrailingDataIs400 posts a valid request followed by a second JSON
+// value (and by junk) on every body-decoding endpoint and expects a 400
+// quoting the trailing data, while trailing whitespace stays accepted.
+func TestTrailingDataIs400(t *testing.T) {
+	ts := newTestServer(t)
+	for path, body := range map[string]string{
+		"/v1/check":      `{"ring":3,"formula":"true"}`,
+		"/v1/correspond": `{"large":4}`,
+		"/v1/transfer":   `{"large":4}`,
+	} {
+		for _, trailing := range []string{` {"x":1}`, "\nnot json"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body+trailing))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct{ Error string }
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %q: status %d (want 400): %+v %v", path, body+trailing, resp.StatusCode, got, err)
+			}
+			if want := strconv.Quote(strings.TrimLeft(trailing, " \n")); !strings.Contains(got.Error, "trailing data") || !strings.Contains(got.Error, want) {
+				t.Errorf("%s %q: 400 error should quote the trailing data %s: %s", path, body+trailing, want, got.Error)
+			}
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body+" \r\n\t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d (want 200): %s", path, resp.StatusCode, got)
+		}
+	}
+}
+
 // TestLoadShedding429 fills the admission semaphore with no queue behind it
 // and expects further requests to be shed with 429, a Retry-After hint, and
 // a moving shed counter.

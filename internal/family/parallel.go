@@ -84,6 +84,55 @@ func BuildParallel(ctx context.Context, t Topology, n, workers int) (*kripke.Str
 	return pi.FinishBuilt(m)
 }
 
+// IndexAction returns the action of the instance's automorphism group on
+// the states of m, a structure built from the explored space sp (state s
+// of m is state s of sp).  Each generator's state permutation is
+// Group.Apply followed by Space.Lookup, and its index permutation follows
+// from the field permutation, index k living in field k-1.
+// kripke.NewIndexAction then verifies the action on m for every state and
+// generator, so a group that is not an automorphism of the instance is an
+// error naming the generator and the state.
+func (pi PackedInstance) IndexAction(ctx context.Context, sp *explore.Space, m *kripke.Structure) (*kripke.IndexAction, error) {
+	if pi.Group == nil {
+		return nil, fmt.Errorf("family: %s has no symmetry group wired", pi.Def.Name)
+	}
+	if sp.NumStates() != m.NumStates() {
+		return nil, fmt.Errorf("family: %s: space has %d states, structure %d", pi.Def.Name, sp.NumStates(), m.NumStates())
+	}
+	g := pi.Group
+	perms := g.Generators()
+	gens := make([]kripke.IndexGenerator, len(perms))
+	for gi, p := range perms {
+		states := make([]int32, sp.NumStates())
+		for s, code := range sp.Codes() {
+			if s&0xffff == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			img := g.Apply(p, code)
+			t, ok := sp.Lookup(img)
+			if !ok {
+				return nil, fmt.Errorf("family: %s: generator %d maps state %d (code %#x) to code %#x, which is not a reachable state",
+					pi.Def.Name, gi, s, code, img)
+			}
+			states[s] = t
+		}
+		// Field j of the image is field p[j] of the argument, so process
+		// p[j]+1 moves to process j+1.
+		index := make(map[int]int, len(p))
+		for j, src := range p {
+			index[int(src)+1] = j + 1
+		}
+		gens[gi] = kripke.IndexGenerator{States: states, Index: index}
+	}
+	a, err := kripke.NewIndexAction(m, gens)
+	if err != nil {
+		return nil, fmt.Errorf("family: %w", err)
+	}
+	return a, nil
+}
+
 // BuildQuotient constructs the symmetry quotient of the topology's size-n
 // instance: one representative per orbit of the instance's automorphism
 // group, with witness-decorated transitions (see internal/symmetry).

@@ -15,7 +15,13 @@
 // Indexed CTL* formulas are evaluated on a concrete structure by
 // instantiating the ∧i / ∨i quantifiers over the structure's index set
 // (logic.Instantiate); the "exactly one" atoms O_i P_i are evaluated
-// directly from the structure's labelling.
+// directly from the structure's labelling.  One exception: a checker given
+// a verified symmetry action (SetIndexAction) answers Holds/HoldsAt for a
+// top-level ∧i φ(i) or ∨i φ(i) whose body mentions only the bound index by
+// computing the satisfaction set of φ(rep) once per orbit representative
+// and testing the image of the queried state for each index (orbit.go).
+// Sat, CountSat, SatStates, witnesses, counterexamples and explanations
+// always instantiate.
 //
 // A Checker memoises the satisfaction set of every subformula it evaluates
 // as a kripke.BitSet — one bit per state — so repeated queries against the
@@ -59,6 +65,11 @@ type Checker struct {
 	// engines poll it at subformula boundaries and inside the tableau
 	// product so long-running checks are cancellable.
 	ctx context.Context
+
+	// action, when set, is a verified index-permutation action on m that
+	// Holds/HoldsAt use to evaluate top-level index quantifiers once per
+	// orbit (orbit.go).
+	action *kripke.IndexAction
 }
 
 // SetWorkers caps the checker's internal worker pools at n (0 or 1 disables
@@ -141,14 +152,18 @@ func (c *Checker) Holds(ctx context.Context, f logic.Formula) (bool, error) {
 
 // HoldsAt reports whether f holds at state s.
 func (c *Checker) HoldsAt(ctx context.Context, f logic.Formula, s kripke.State) (bool, error) {
+	// Satisfaction sets are rounded up to whole words, so the bound is the
+	// structure's state count; it is checked before any set is computed.
+	if n := c.m.NumStates(); int(s) < 0 || int(s) >= n {
+		return false, fmt.Errorf("mc: state %d out of range [0,%d)", s, n)
+	}
+	if q, ok := c.orbitQuantifier(f); ok {
+		c.bind(ctx)
+		return c.holdsByOrbit(q, s)
+	}
 	sat, err := c.Sat(ctx, f)
 	if err != nil {
 		return false, err
-	}
-	// The set's capacity is rounded up to whole words, so the bound is the
-	// structure's state count.
-	if n := c.m.NumStates(); int(s) < 0 || int(s) >= n {
-		return false, fmt.Errorf("mc: state %d out of range [0,%d)", s, n)
 	}
 	return sat.Get(int(s)), nil
 }

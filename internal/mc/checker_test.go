@@ -557,3 +557,89 @@ func TestTableauComplexityLimit(t *testing.T) {
 		t.Error("expected the tableau limit to trigger")
 	}
 }
+
+// TestHoldsAtOutOfRangeComputesNothing checks that HoldsAt rejects a state
+// outside the structure before it computes (and memoises) any
+// satisfaction set.
+func TestHoldsAtOutOfRangeComputesNothing(t *testing.T) {
+	m := buildBranch(t)
+	c := New(m)
+	for _, s := range []kripke.State{-1, kripke.State(m.NumStates())} {
+		if _, err := c.HoldsAt(context.Background(), logic.MustParse("AG (p | q | r)"), s); err == nil {
+			t.Errorf("HoldsAt(%d) on %d states should report out of range", s, m.NumStates())
+		}
+	}
+	if got := c.Stats().StateSetsComputed; got != 0 {
+		t.Errorf("out-of-range HoldsAt computed %d satisfaction sets, want 0", got)
+	}
+	if entries, _ := c.MemoStats(); entries != 0 {
+		t.Errorf("out-of-range HoldsAt left %d memo entries, want 0", entries)
+	}
+}
+
+// TestOrbitEvaluationOnSwappedPair checks the orbit path of Holds/HoldsAt
+// on a two-process token structure whose process swap is an automorphism:
+//
+//	0{t[1]} <-> 1{c[1] t[1]},  0 <-> 2{t[2]},  2 <-> 3{c[2] t[2]}
+//
+// With the swap attached, every formula agrees with a plain checker at
+// every state, a top-level quantifier needs one set instead of two, and an
+// action verified on another structure is refused.
+func TestOrbitEvaluationOnSwappedPair(t *testing.T) {
+	ctx := context.Background()
+	build := func() *kripke.Structure {
+		b := kripke.NewBuilder("pair")
+		s0 := b.AddState(kripke.PI("t", 1))
+		s1 := b.AddState(kripke.PI("c", 1), kripke.PI("t", 1))
+		s2 := b.AddState(kripke.PI("t", 2))
+		s3 := b.AddState(kripke.PI("c", 2), kripke.PI("t", 2))
+		mustEdges(t, b, [][2]kripke.State{{s0, s1}, {s1, s0}, {s0, s2}, {s2, s0}, {s2, s3}, {s3, s2}})
+		mustInitial(t, b, s0)
+		return mustBuild(t, b)
+	}
+	m := build()
+	swap := []kripke.IndexGenerator{{States: []int32{2, 3, 0, 1}, Index: map[int]int{1: 2, 2: 1}}}
+	action, err := kripke.NewIndexAction(m, swap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, orbit := New(m), New(m)
+	if err := orbit.SetIndexAction(action); err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		"forall i . AG EF c[i]",
+		"exists i . EX c[i]",
+		"forall i . (t[i] -> EX c[i])",
+		"exists i . A[t[i] U c[i]]",
+		"forall i . (one t & !c[i])",
+		"forall i . (t[1] | c[i])",
+		"exists i . forall j . (t[i] | t[j])",
+		"AG (exists i . t[i])",
+	} {
+		f := logic.MustParse(text)
+		for s := range kripke.State(m.NumStates()) {
+			want, err1 := plain.HoldsAt(ctx, f, s)
+			got, err2 := orbit.HoldsAt(ctx, f, s)
+			if err1 != nil || err2 != nil || got != want {
+				t.Fatalf("%s at %d: orbit %v (%v), instantiation %v (%v)", text, s, got, err2, want, err1)
+			}
+		}
+	}
+
+	fresh := New(m)
+	if err := fresh.SetIndexAction(action); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Holds(ctx, logic.MustParse("forall i . EF c[i]")); err != nil {
+		t.Fatal(err)
+	}
+	// c[1], EF c[1]: the representative's instance only.
+	if got := fresh.Stats().StateSetsComputed; got != 2 {
+		t.Errorf("orbit path computed %d satisfaction sets, want 2", got)
+	}
+
+	if err := New(build()).SetIndexAction(action); err == nil {
+		t.Error("SetIndexAction accepted an action verified on another structure")
+	}
+}

@@ -85,7 +85,7 @@ func instanceFromSpace(r int, m *kripke.Structure, sp *explore.Space) *Instance 
 		R:      r,
 		M:      m,
 		States: make([]GlobalState, len(codes)),
-		lookup: sp.Lookup,
+		space:  sp,
 	}
 	partsBacking := make([]Part, len(codes)*r)
 	for s, code := range codes {

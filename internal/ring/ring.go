@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/explore"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 )
@@ -238,9 +239,9 @@ type Instance struct {
 	M *kripke.Structure
 	// States maps every kripke state to its ring state.
 	States []GlobalState
-	// lookup maps a packed ring state to its kripke state through the
-	// explored space's own code table.
-	lookup func(uint64) (int32, bool)
+	// space is the explored space M was built from: state s of M is its
+	// state s, and its code table maps packed ring states to kripke states.
+	space *explore.Space
 }
 
 // ---------------------------------------------------------------------------
@@ -408,6 +409,10 @@ func expectedReachable(r int) int {
 // the experiments (r · 2^r).
 func ExpectedReachable(r int) int { return expectedReachable(r) }
 
+// Space returns the explored space M was built from; state s of M is
+// state s of the space.
+func (in *Instance) Space() *explore.Space { return in.space }
+
 // StateOf returns the ring view of a kripke state.
 func (in *Instance) StateOf(s kripke.State) GlobalState { return in.States[s] }
 
@@ -417,7 +422,7 @@ func (in *Instance) StateID(g GlobalState) (kripke.State, bool) {
 	if g.R() != in.R {
 		return kripke.NoState, false
 	}
-	id, ok := in.lookup(packState(g))
+	id, ok := in.space.Lookup(packState(g))
 	return kripke.State(id), ok
 }
 

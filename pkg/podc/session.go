@@ -175,6 +175,10 @@ func (s *Session) Ring(ctx context.Context, r int) (*Ring, error) {
 
 // RingVerifier returns the cached Verifier for M_r; its memoised
 // satisfaction sets are shared by every subsequent check against that size.
+// Unless it checks a minimized quotient, the verifier carries the ring's
+// rotation action, verified once on M_r, so Check answers a top-level
+// "forall i" or "exists i" from one satisfaction set instead of r (see
+// mc.Checker.SetIndexAction).
 func (s *Session) RingVerifier(ctx context.Context, r int) (*Verifier, error) {
 	return getOrCompute(ctx, s, s.verifiers, r, func() (*Verifier, error) {
 		rg, err := s.Ring(ctx, r)
@@ -183,7 +187,14 @@ func (s *Session) RingVerifier(ctx context.Context, r int) (*Verifier, error) {
 		}
 		// The session's full option state applies — no hand-copied subset,
 		// so knobs like WithReachableOnly reach the quotient decision too.
-		return newVerifier(ctx, rg.Structure(), s.cfg)
+		v, err := newVerifier(ctx, rg.Structure(), s.cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := v.attachRingAction(ctx, rg); err != nil {
+			return nil, err
+		}
+		return v, nil
 	})
 }
 

@@ -42,6 +42,66 @@ func TestSessionCachesRingsAndVerifiers(t *testing.T) {
 	}
 }
 
+// TestSessionRingVerifierChecksPerOrbit compares the session's ring
+// verifier, which carries the ring's verified rotation action, with a
+// plain verifier of the same structure: every verdict (at the initial
+// state and at every state) agrees, and the session's verifier answers the
+// top-level quantifiers with fewer memoised satisfaction sets.  A
+// minimized session's verifier checks a quotient and must not carry the
+// action, yet answers the same.
+func TestSessionRingVerifierChecksPerOrbit(t *testing.T) {
+	ctx := context.Background()
+	const r = 4
+	rg, err := podc.BuildRing(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := podc.NewVerifier(ctx, rg.Structure())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orbit, err := podc.NewSession().RingVerifier(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minimized, err := podc.NewSession(podc.WithMinimize()).RingVerifier(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formulas := []string{
+		"forall i . AG (d[i] -> AF c[i])",
+		"exists i . EX EX c[i]",
+		"forall i . A[n[i] U t[i]]",
+		"exists i . AG !c[i]",
+		"forall i . EF (c[i] & one t)",
+	}
+	for _, text := range formulas {
+		f := podc.MustParseFormula(text)
+		want, err := plain.Check(ctx, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := orbit.Check(ctx, f); err != nil || got != want {
+			t.Errorf("%s: session verifier %v (%v), plain %v", text, got, err, want)
+		}
+		if got, err := minimized.Check(ctx, f); err != nil || got != want {
+			t.Errorf("%s: minimized verifier %v (%v), plain %v", text, got, err, want)
+		}
+		for s := range rg.Structure().NumStates() {
+			want, err1 := plain.CheckAt(ctx, f, podc.State(s))
+			got, err2 := orbit.CheckAt(ctx, f, podc.State(s))
+			if err1 != nil || err2 != nil || got != want {
+				t.Fatalf("%s at state %d: session verifier %v (%v), plain %v (%v)", text, s, got, err2, want, err1)
+			}
+		}
+	}
+	orbitEntries, _ := orbit.MemoStats()
+	plainEntries, _ := plain.MemoStats()
+	if orbitEntries >= plainEntries {
+		t.Errorf("session verifier memoised %d sets, plain %d: the rotation action was not used", orbitEntries, plainEntries)
+	}
+}
+
 // TestSessionVerifierMemoStatsConcurrent reads the memo gauge's source while
 // checks run on the cached ring verifiers (under -race this pins that the
 // reader needs no verifier lock), then checks the totals only grow.
