@@ -62,13 +62,14 @@ func Check(m, m2 *kripke.Structure, rel *Relation, opts Options) []Violation {
 	out = append(out, checkTotality(m, m2, rel, opts)...)
 
 	ix, ones := newPairIndex(rel), opts.normalizedOneProps()
+	keys, keys2 := newLabelKeys(m, ones), newLabelKeys(m2, ones)
 	rel.eachPair(func(s, t kripke.State, degree int) {
 		if degree < 0 {
 			out = append(out, Violation{Clause: "degree", S: s, T: t,
 				Detail: fmt.Sprintf("degree %d is negative", degree)})
 			return
 		}
-		if m.LabelKeyWithOnes(s, ones) != m2.LabelKeyWithOnes(t, ones) {
+		if keys.of(s) != keys2.of(t) {
 			out = append(out, Violation{Clause: "2a", S: s, T: t,
 				Detail: fmt.Sprintf("labels differ: %v vs %v", m.Label(s), m2.Label(t))})
 			return
@@ -83,6 +84,30 @@ func Check(m, m2 *kripke.Structure, rel *Relation, opts Options) []Violation {
 		}
 	})
 	return out
+}
+
+// labelKeys computes each state's clause-2a label key at most once: a
+// relation relates a state to many states of the other structure, and
+// building the key is the costly part of comparing two labels.
+type labelKeys struct {
+	m    *kripke.Structure
+	ones []string
+	keys []string
+	done kripke.BitSet
+}
+
+func newLabelKeys(m *kripke.Structure, ones []string) *labelKeys {
+	n := m.NumStates()
+	return &labelKeys{m: m, ones: ones, keys: make([]string, n), done: kripke.NewBitSet(n)}
+}
+
+// of returns m.LabelKeyWithOnes(s, ones).
+func (lk *labelKeys) of(s kripke.State) string {
+	if !lk.done.Get(int(s)) {
+		lk.keys[s] = lk.m.LabelKeyWithOnes(s, lk.ones)
+		lk.done.Set(int(s))
+	}
+	return lk.keys[s]
 }
 
 func checkTotality(m, m2 *kripke.Structure, rel *Relation, opts Options) []Violation {

@@ -30,8 +30,11 @@
 package bisim
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -312,6 +315,10 @@ func UnmarshalRelationJSON(data []byte) (*Relation, error) {
 		N2    int    `json:"n2"`
 		Pairs []Pair `json:"pairs"`
 	}
+	// json.Unmarshal appends into the slice's capacity, so counting the
+	// pairs' keys up front saves growing the slice; the count is bounded
+	// by the input's length.
+	js.Pairs = make([]Pair, 0, bytes.Count(data, []byte(`"degree"`)))
 	if err := json.Unmarshal(data, &js); err != nil {
 		return nil, fmt.Errorf("bisim: decoding relation: %w", err)
 	}
@@ -355,3 +362,139 @@ func UnmarshalRelationJSON(data []byte) (*Relation, error) {
 	}
 	return r, nil
 }
+
+// AppendCSR appends the relation's compressed sparse rows to dst and
+// returns the extended slice.  For every state s of the first structure,
+// in order, it writes the row's length, then the row's states of the
+// second structure as gaps (each state minus its predecessor in the row
+// minus one; the first state's predecessor is -1), then the row's degrees,
+// all as unsigned varints.  The dimensions are not part of the encoding;
+// DecodeCSR takes them separately.  The gap form cannot express a
+// repeated or unordered pair.
+func (r *Relation) AppendCSR(dst []byte) []byte {
+	for s := 0; s < r.n; s++ {
+		lo, hi := r.span(kripke.State(s))
+		dst = binary.AppendUvarint(dst, uint64(hi-lo))
+		prev := int32(-1)
+		for _, t := range r.cols[lo:hi] {
+			dst = binary.AppendUvarint(dst, uint64(t-prev-1))
+			prev = t
+		}
+		for _, d := range r.degs[lo:hi] {
+			dst = binary.AppendUvarint(dst, uint64(d))
+		}
+	}
+	return dst
+}
+
+// DecodeCSR decodes a relation between structures with n and n2 states
+// from the rows AppendCSR writes.  A first pass validates without
+// allocating: every row's length is checked against the bytes left (a pair
+// takes at least two), every state against n2 and every value against
+// math.MaxInt32, and truncated or non-minimal varints and trailing bytes
+// are rejected, so a relation has exactly one accepted encoding.  A second
+// pass fills rows sized by the first.
+func DecodeCSR(n, n2 int, data []byte) (*Relation, error) {
+	if n <= 0 || n2 <= 0 || n > maxRelationStates || n2 > maxRelationStates {
+		return nil, fmt.Errorf("bisim: decoding relation rows: invalid dimensions %dx%d", n, n2)
+	}
+	total, err := readCSR(n, n2, data, nil)
+	if err != nil {
+		return nil, err
+	}
+	r := &Relation{n: n, n2: n2, rowOff: make([]int32, n+1), cols: make([]int32, total), degs: make([]int32, total)}
+	if _, err := readCSR(n, n2, data, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// readCSR walks the rows of an AppendCSR encoding and returns the number
+// of pairs.  With into nil it only validates; otherwise it writes the rows
+// into into's arrays, which a validating walk has sized.
+func readCSR(n, n2 int, data []byte, into *Relation) (int, error) {
+	total := 0
+	for s := 0; s < n; s++ {
+		length, rest, err := uvarint32(data)
+		if err != nil {
+			return 0, fmt.Errorf("bisim: decoding relation rows: row %d: %w", s, err)
+		}
+		data = rest
+		if length > len(data)/2 {
+			return 0, &rowLengthError{row: s, pairs: length, left: len(data)}
+		}
+		t := -1
+		for k := 0; k < length; k++ {
+			gap, rest, err := uvarint32(data)
+			if err != nil {
+				return 0, fmt.Errorf("bisim: decoding relation rows: row %d: %w", s, err)
+			}
+			data = rest
+			if gap >= n2-1-t {
+				return 0, fmt.Errorf("bisim: decoding relation rows: row %d: state %d out of range", s, t+1+gap)
+			}
+			t += gap + 1
+			if into != nil {
+				into.cols[total+k] = int32(t)
+			}
+		}
+		for k := 0; k < length; k++ {
+			degree, rest, err := uvarint32(data)
+			if err != nil {
+				return 0, fmt.Errorf("bisim: decoding relation rows: row %d: %w", s, err)
+			}
+			data = rest
+			if into != nil {
+				into.degs[total+k] = int32(degree)
+			}
+		}
+		total += length
+		if into != nil {
+			into.rowOff[s+1] = int32(total)
+		}
+	}
+	if len(data) != 0 {
+		return 0, fmt.Errorf("bisim: decoding relation rows: %d trailing bytes", len(data))
+	}
+	return total, nil
+}
+
+// uvarint32 reads one unsigned varint of at most math.MaxInt32 from the
+// front of data and returns it with the bytes after it.  It rejects a
+// truncated varint and a non-minimal one (a zero final byte after the
+// first), the encodings binary.AppendUvarint never writes.
+func uvarint32(data []byte) (int, []byte, error) {
+	v := uint64(0)
+	for i := 0; i < len(data) && i < binary.MaxVarintLen32; i++ {
+		c := data[i]
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			switch {
+			case c == 0 && i > 0:
+				return 0, nil, errVarintNotMinimal
+			case v > math.MaxInt32:
+				return 0, nil, errVarintTooLarge
+			}
+			return int(v), data[i+1:], nil
+		}
+	}
+	if len(data) < binary.MaxVarintLen32 {
+		return 0, nil, errVarintTruncated
+	}
+	return 0, nil, errVarintTooLarge
+}
+
+// rowLengthError rejects a row claiming more pairs than the bytes left
+// can hold.  It formats its message only when asked, so rejecting a
+// hostile length allocates nothing but the error value.
+type rowLengthError struct{ row, pairs, left int }
+
+func (e *rowLengthError) Error() string {
+	return fmt.Sprintf("bisim: decoding relation rows: row %d claims %d pairs with %d bytes left", e.row, e.pairs, e.left)
+}
+
+var (
+	errVarintTruncated  = errors.New("truncated varint")
+	errVarintNotMinimal = errors.New("non-minimal varint")
+	errVarintTooLarge   = errors.New("varint above math.MaxInt32")
+)

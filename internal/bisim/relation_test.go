@@ -318,3 +318,81 @@ func FuzzRelationJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRelationCSR decodes arbitrary bytes as the compressed sparse rows of
+// an n×n2 relation.  Decoding must fail or yield in-range rows of strictly
+// increasing states, and a decoded relation must re-encode to exactly the
+// bytes it came from.  A relation built from the same bytes must survive
+// AppendCSR → DecodeCSR, and the bytes behind a first row that claims more
+// pairs than they can hold must be rejected before anything is allocated
+// for the relation.
+//
+//	go test ./internal/bisim -run '^$' -fuzz FuzzRelationCSR -fuzztime 30s
+func FuzzRelationCSR(f *testing.F) {
+	r := bisim.NewRelation(3, 4)
+	r.Set(0, 1, 0)
+	r.Set(2, 3, 2)
+	r.Set(2, 0, 1)
+	f.Add(uint8(3), uint16(4), r.AppendCSR(nil))
+	f.Add(uint8(1), uint16(1), []byte{0})
+	f.Add(uint8(1), uint16(2), []byte{2, 0, 0, 0, 0})
+	f.Add(uint8(1), uint16(2), []byte{2, 0, 0, 0})                         // truncated
+	f.Add(uint8(1), uint16(2), []byte{1, 0x80, 0x00, 0})                   // non-minimal varint
+	f.Add(uint8(1), uint16(1), []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0x07}) // degree math.MaxInt32
+	f.Add(uint8(1), uint16(1), []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // degree 2^32-1
+	f.Add(uint8(1), uint16(1), []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0x87}) // varint over 5 bytes
+	f.Add(uint8(1), uint16(1), []byte{0, 0})                               // trailing byte
+	f.Add(uint8(1), uint16(3), []byte{2, 1, 1, 0, 0})                      // second state past n2
+	f.Add(uint8(1), uint16(9), []byte{0x7f, 1, 2})                         // row longer than the bytes
+	f.Add(uint8(0), uint16(1), []byte{})
+	f.Fuzz(func(t *testing.T, n uint8, n2 uint16, data []byte) {
+		if got, err := bisim.DecodeCSR(int(n), int(n2), data); err == nil {
+			gn, gn2 := got.Dims()
+			if gn != int(n) || gn2 != int(n2) {
+				t.Fatalf("decoded dimensions %dx%d, want %dx%d", gn, gn2, n, n2)
+			}
+			pairs := got.Pairs()
+			for i, p := range pairs {
+				if p.S < 0 || int(p.S) >= gn || p.T < 0 || int(p.T) >= gn2 || p.Degree < 0 {
+					t.Fatalf("decoded pair %+v is outside %d×%d or has a negative degree", p, gn, gn2)
+				}
+				if i > 0 && pairs[i-1].S == p.S && pairs[i-1].T >= p.T {
+					t.Fatalf("row %d is not strictly increasing: %+v then %+v", p.S, pairs[i-1], p)
+				}
+			}
+			if got.Size() != len(pairs) {
+				t.Fatalf("Size = %d but Pairs has %d", got.Size(), len(pairs))
+			}
+			if again := got.AppendCSR(nil); !bytes.Equal(again, data) {
+				t.Fatalf("re-encoding gives %x, decoded %x", again, data)
+			}
+		}
+		if n == 0 || n2 == 0 {
+			return
+		}
+		built := bisim.NewRelation(int(n), int(n2))
+		for i := 0; i+3 < len(data); i += 4 {
+			t2 := (int(data[i+1])<<8 | int(data[i+2])) % int(n2)
+			built.Set(kripke.State(int(data[i])%int(n)), kripke.State(t2), int(data[i+3])<<(data[i+3]%24))
+		}
+		back, err := bisim.DecodeCSR(int(n), int(n2), built.AppendCSR(nil))
+		if err != nil {
+			t.Fatalf("decoding an encoded relation: %v", err)
+		}
+		if !slices.Equal(back.Pairs(), built.Pairs()) {
+			t.Fatalf("round trip changed the relation: %v vs %v", back.Pairs(), built.Pairs())
+		}
+		rest := data[:min(len(data), 200)] // so the claim fits one varint byte
+		oversized := append([]byte{byte(len(rest)/2 + 1)}, rest...)
+		var decodeErr error
+		allocs := testing.AllocsPerRun(20, func() {
+			_, decodeErr = bisim.DecodeCSR(int(n), int(n2), oversized)
+		})
+		if decodeErr == nil {
+			t.Fatalf("a row claiming %d pairs in %d bytes decoded", len(rest)/2+1, len(rest))
+		}
+		if allocs > 1 {
+			t.Fatalf("rejecting an oversized row allocated %v times, want only the error value", allocs)
+		}
+	})
+}

@@ -309,18 +309,30 @@ func BuildCertificate(ctx context.Context, family Family, smallSize, largeSize i
 	if err != nil {
 		return nil, err
 	}
+	return CertificateFrom(family.Name(), smallSize, largeSize, family.OneProps(), in, res)
+}
+
+// CertificateFrom packages a decided indexed correspondence between the
+// family's instances smallSize and largeSize as a certificate, one entry
+// per pair of in (the index relation res was decided over), in in's order.
+// It fails when res does not correspond: no certificate exists.
+func CertificateFrom(familyName string, smallSize, largeSize int, oneProps []string, in []bisim.IndexPair, res *bisim.IndexedResult) (*TransferCertificate, error) {
 	if !res.Corresponds() {
 		return nil, fmt.Errorf("core: %s instances %d and %d do not correspond; no certificate exists",
-			family.Name(), smallSize, largeSize)
+			familyName, smallSize, largeSize)
 	}
 	cert := &TransferCertificate{
-		Family:    family.Name(),
+		Family:    familyName,
 		SmallSize: smallSize,
 		LargeSize: largeSize,
-		OneProps:  family.OneProps(),
+		OneProps:  oneProps,
 	}
 	for _, p := range in {
-		cert.Pairs = append(cert.Pairs, CertifiedIndexPair{I: p.I, I2: p.I2, Relation: res.Pairs[p].Relation})
+		pr, ok := res.Pairs[p]
+		if !ok {
+			return nil, fmt.Errorf("core: %s %d vs %d: index pair (%d,%d) was not decided", familyName, smallSize, largeSize, p.I, p.I2)
+		}
+		cert.Pairs = append(cert.Pairs, CertifiedIndexPair{I: p.I, I2: p.I2, Relation: pr.Relation})
 	}
 	return cert, nil
 }

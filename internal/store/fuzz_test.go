@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,10 +13,10 @@ import (
 
 // FuzzStoreEnvelope writes arbitrary bytes at a key's entry path and reads
 // them back through Get.  Get must never panic; it may report a hit only for
-// a well-formed envelope of the current engine version whose key echo
-// addresses the file and whose payload digest matches; every other input
-// must be counted under Stats.Invalid (or surface as an I/O error), never
-// as a plain miss.
+// a header line of the current engine version whose key echo addresses the
+// file and whose digest matches the payload bytes after the line; every
+// other input must be counted under Stats.Invalid (or surface as an I/O
+// error), never as a plain miss.
 //
 //	go test ./internal/store -run '^$' -fuzz FuzzStoreEnvelope -fuzztime 30s
 func FuzzStoreEnvelope(f *testing.F) {
@@ -37,6 +38,9 @@ func FuzzStoreEnvelope(f *testing.F) {
 	f.Add([]byte(strings.Replace(string(valid), EngineVersion, "bcg-engines-v0", 1)))
 	f.Add([]byte(strings.Replace(string(valid), `"corresponds":true`, `"corresponds":false`, 1)))
 	f.Add([]byte(strings.Replace(string(valid), `"topology":"ring"`, `"topology":"star"`, 1)))
+	f.Add([]byte(strings.Replace(string(valid), "\n", " ", 1)))
+	f.Add(append(valid, ' '))
+	f.Add(allJSONEntry(f, "bcg-engines-v9", key, valid[bytes.IndexByte(valid, '\n')+1:]))
 
 	s, err := Open(f.TempDir())
 	if err != nil {
@@ -81,23 +85,46 @@ func FuzzStoreEnvelope(f *testing.F) {
 }
 
 // decodeEnvelope is the fuzzer's independent statement of a valid entry for
-// key: the envelope parses, names the current engine version, echoes a key
-// that hashes to key's address, and carries a payload that matches its
-// digest and decodes as a SweepRecord.
+// key: the bytes before the first newline parse as a header naming the
+// current engine version and echoing a key that hashes to key's address,
+// and the bytes after it match the header's digest and decode as a
+// SweepRecord.
 func decodeEnvelope(blob []byte, key Key) (SweepRecord, bool) {
-	var e struct {
+	var h struct {
+		EngineVersion string `json:"engine_version"`
+		Key           Key    `json:"key"`
+		PayloadSHA256 string `json:"payload_sha256"`
+	}
+	var rec SweepRecord
+	i := bytes.IndexByte(blob, '\n')
+	if i < 0 {
+		return rec, false
+	}
+	line, payload := blob[:i], blob[i+1:]
+	if json.Unmarshal(line, &h) != nil || h.EngineVersion != EngineVersion || h.Key.Hash() != key.Hash() {
+		return rec, false
+	}
+	sum := sha256.Sum256(payload)
+	if hex.EncodeToString(sum[:]) != h.PayloadSHA256 || json.Unmarshal(payload, &rec) != nil {
+		return rec, false
+	}
+	return rec, true
+}
+
+// allJSONEntry renders an entry in the single-object layout of engine
+// versions up to bcg-engines-v9: {engine_version, key, payload_sha256,
+// payload}, with no header line.
+func allJSONEntry(tb testing.TB, version string, key Key, payload []byte) []byte {
+	tb.Helper()
+	sum := sha256.Sum256(payload)
+	blob, err := json.Marshal(struct {
 		EngineVersion string          `json:"engine_version"`
 		Key           Key             `json:"key"`
 		PayloadSHA256 string          `json:"payload_sha256"`
 		Payload       json.RawMessage `json:"payload"`
+	}{version, key, hex.EncodeToString(sum[:]), payload})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	var rec SweepRecord
-	if json.Unmarshal(blob, &e) != nil || e.EngineVersion != EngineVersion || e.Key.Hash() != key.Hash() {
-		return rec, false
-	}
-	sum := sha256.Sum256(e.Payload)
-	if hex.EncodeToString(sum[:]) != e.PayloadSHA256 || json.Unmarshal(e.Payload, &rec) != nil {
-		return rec, false
-	}
-	return rec, true
+	return blob
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/bisim"
@@ -22,7 +23,10 @@ import (
 // formulas are re-parsed and replayed through the model checker before
 // anything trusts them.
 
-// PairRecord is one index pair's decision.
+// PairRecord is one index pair's decision.  Its JSON carries the relation
+// as {"n", "n2", "csr"}: the dimensions and the base64 of the relation's
+// compressed sparse rows (bisim.Relation.AppendCSR), about two bytes per
+// related pair where the relation's own pair-list JSON takes thirty.
 type PairRecord struct {
 	I              int             `json:"i"`
 	I2             int             `json:"i2"`
@@ -30,6 +34,51 @@ type PairRecord struct {
 	TotalLeft      bool            `json:"total_left"`
 	TotalRight     bool            `json:"total_right"`
 	Relation       *bisim.Relation `json:"relation"`
+}
+
+// pairRecordJSON is PairRecord's encoding: the outer Relation field, being
+// shallower, replaces the embedded one under the "relation" name.
+type pairRecordJSON struct {
+	pairRecordFields
+	Relation *relationCSR `json:"relation"`
+}
+
+// pairRecordFields is PairRecord without its JSON methods.
+type pairRecordFields PairRecord
+
+// relationCSR is a relation's stored form.
+type relationCSR struct {
+	N   int    `json:"n"`
+	N2  int    `json:"n2"`
+	CSR []byte `json:"csr"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (p PairRecord) MarshalJSON() ([]byte, error) {
+	js := pairRecordJSON{pairRecordFields: pairRecordFields(p)}
+	if p.Relation != nil {
+		n, n2 := p.Relation.Dims()
+		js.Relation = &relationCSR{N: n, N2: n2, CSR: p.Relation.AppendCSR(nil)}
+	}
+	return json.Marshal(js)
+}
+
+// UnmarshalJSON implements json.Unmarshaler; the relation's rows are
+// checked by bisim.DecodeCSR.
+func (p *PairRecord) UnmarshalJSON(data []byte) error {
+	var js pairRecordJSON
+	if err := json.Unmarshal(data, &js); err != nil {
+		return err
+	}
+	*p = PairRecord(js.pairRecordFields)
+	if js.Relation != nil {
+		rel, err := bisim.DecodeCSR(js.Relation.N, js.Relation.N2, js.Relation.CSR)
+		if err != nil {
+			return fmt.Errorf("store: pair (%d,%d): %w", p.I, p.I2, err)
+		}
+		p.Relation = rel
+	}
+	return nil
 }
 
 // CorrespondenceRecord is the persistent form of a bisim.IndexedResult:

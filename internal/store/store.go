@@ -10,9 +10,10 @@
 // of its key, and the key bakes in the engine version: any semantic change
 // to the decision procedures must bump EngineVersion, after which every old
 // entry misses and is transparently recomputed.  Nothing in this package is
-// trusted on the read path — entries echo their key and carry a payload
-// digest, and a corrupt, truncated, tampered or version-skewed file is
-// counted, logged and treated as a miss, never returned.
+// trusted on the read path — an entry is a header line that echoes its key
+// and carries the digest of the payload bytes after it, and a corrupt,
+// truncated, tampered or version-skewed file is counted, logged and
+// treated as a miss, never returned.
 //
 // Writes go through a temp file in the store directory followed by an
 // atomic rename, so concurrent sessions sharing one directory never observe
@@ -22,6 +23,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,7 +40,7 @@ import (
 // internal/family or the model checker change observable behaviour —
 // relations, degrees, evidence, certificate contents — so stale entries
 // miss instead of resurrecting old semantics.
-const EngineVersion = "bcg-engines-v9"
+const EngineVersion = "bcg-engines-v10"
 
 // Key addresses one cached verdict.  Every field participates in the
 // content hash, as does EngineVersion.
@@ -82,15 +84,17 @@ func (k Key) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// entry is the on-disk envelope around a payload.
-type entry struct {
+// header is the first line of an entry file.  The payload's bytes follow
+// the line's newline verbatim, so a read checks the digest over them in
+// place and decodes them once.  encoding/json escapes newlines inside
+// strings, so the header's own encoding never contains one.
+type header struct {
 	// EngineVersion and Key echo what the entry was written for; the read
 	// path re-derives the expected values and discards mismatches.
 	EngineVersion string `json:"engine_version"`
 	Key           Key    `json:"key"`
-	// PayloadSHA256 is the hex digest of the raw payload bytes.
-	PayloadSHA256 string          `json:"payload_sha256"`
-	Payload       json.RawMessage `json:"payload"`
+	// PayloadSHA256 is the hex digest of the payload bytes.
+	PayloadSHA256 string `json:"payload_sha256"`
 }
 
 // Stats is a snapshot of a store's counters.
@@ -147,11 +151,13 @@ func (s *Store) path(hash string) string {
 }
 
 // Get looks the key up and, on a valid hit, unmarshals the stored payload
-// into `into` and returns true.  A missing file is a plain miss; an
-// existing file that fails any integrity check (envelope syntax, engine
-// version, key echo, payload digest, payload syntax) is logged, counted
-// under Invalid, and reported as a miss so the caller recomputes.  I/O
-// errors other than non-existence are returned.
+// into `into` and returns true.  A *json.RawMessage target receives the
+// payload bytes themselves, once they are checked to be valid JSON, not a
+// copy.  A missing file is a plain miss; an existing file that fails any
+// integrity check (header syntax, engine version, key echo, payload
+// digest, payload syntax) is logged, counted under Invalid, and reported
+// as a miss so the caller recomputes.  I/O errors other than non-existence
+// are returned.
 func (s *Store) Get(key Key, into any) (bool, error) {
 	if s == nil || s.dir == "" {
 		return false, nil
@@ -170,21 +176,30 @@ func (s *Store) Get(key Key, into any) (bool, error) {
 		s.logf("store: discarding %s (%s %s/%d~%d): %s", s.path(hash), key.Kind, key.Topology, key.Small, key.Large, reason)
 		return false, nil
 	}
-	var e entry
-	if err := json.Unmarshal(blob, &e); err != nil {
-		return reject(fmt.Sprintf("corrupt envelope: %v", err))
+	line, payload, found := bytes.Cut(blob, []byte{'\n'})
+	if !found {
+		return reject("no header line")
 	}
-	if e.EngineVersion != EngineVersion {
-		return reject(fmt.Sprintf("engine version %q, want %q", e.EngineVersion, EngineVersion))
+	var h header
+	if err := json.Unmarshal(line, &h); err != nil {
+		return reject(fmt.Sprintf("corrupt header: %v", err))
 	}
-	if e.Key.Hash() != hash {
+	if h.EngineVersion != EngineVersion {
+		return reject(fmt.Sprintf("engine version %q, want %q", h.EngineVersion, EngineVersion))
+	}
+	if h.Key.Hash() != hash {
 		return reject("key echo does not match the file's address")
 	}
-	sum := sha256.Sum256(e.Payload)
-	if hex.EncodeToString(sum[:]) != e.PayloadSHA256 {
+	sum := sha256.Sum256(payload)
+	if hex.EncodeToString(sum[:]) != h.PayloadSHA256 {
 		return reject("payload digest mismatch")
 	}
-	if err := json.Unmarshal(e.Payload, into); err != nil {
+	if raw, ok := into.(*json.RawMessage); ok {
+		if !json.Valid(payload) {
+			return reject("corrupt payload: not valid JSON")
+		}
+		*raw = payload
+	} else if err := json.Unmarshal(payload, into); err != nil {
 		return reject(fmt.Sprintf("corrupt payload: %v", err))
 	}
 	s.hits.Add(1)
@@ -205,21 +220,20 @@ func (s *Store) Put(key Key, payload any) error {
 		return fmt.Errorf("store: marshalling payload for %s: %w", key.Kind, err)
 	}
 	sum := sha256.Sum256(raw)
-	blob, err := json.Marshal(entry{
+	line, err := json.Marshal(header{
 		EngineVersion: EngineVersion,
 		Key:           key,
 		PayloadSHA256: hex.EncodeToString(sum[:]),
-		Payload:       raw,
 	})
 	if err != nil {
-		return fmt.Errorf("store: marshalling entry for %s: %w", key.Kind, err)
+		return fmt.Errorf("store: marshalling header for %s: %w", key.Kind, err)
 	}
 	hash := key.Hash()
 	tmp, err := os.CreateTemp(s.dir, hash+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: creating temp entry: %w", err)
 	}
-	if _, err := tmp.Write(blob); err != nil {
+	if _, err := tmp.Write(append(append(line, '\n'), raw...)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: writing %s: %w", tmp.Name(), err)

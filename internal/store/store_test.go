@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -76,6 +80,14 @@ func TestRoundTrip(t *testing.T) {
 	have, _ := json.Marshal(&got)
 	if string(want) != string(have) {
 		t.Fatalf("round trip changed the record:\nput: %s\ngot: %s", want, have)
+	}
+	if !strings.Contains(string(want), `"csr":`) || strings.Contains(string(want), `"pairs":[{"s"`) {
+		t.Fatalf("record relations are not stored as CSR rows: %.200s", want)
+	}
+	for i, p := range got.Pairs {
+		if !slices.Equal(p.Relation.Pairs(), rec.Pairs[i].Relation.Pairs()) {
+			t.Fatalf("pair (%d,%d): relation changed in the round trip", p.I, p.I2)
+		}
 	}
 	restored, err := got.Restore()
 	if err != nil {
@@ -201,18 +213,69 @@ func TestDamagedEntriesAreMisses(t *testing.T) {
 	})
 	t.Run("version-mismatch", func(t *testing.T) {
 		corrupt(t, "version", func(blob []byte) []byte {
-			var e map[string]json.RawMessage
-			if err := json.Unmarshal(blob, &e); err != nil {
+			line, payload, _ := bytes.Cut(blob, []byte{'\n'})
+			var h map[string]json.RawMessage
+			if err := json.Unmarshal(line, &h); err != nil {
 				t.Fatal(err)
 			}
-			e["engine_version"] = json.RawMessage(`"bcg-engines-v0"`)
-			out, err := json.Marshal(e)
+			h["engine_version"] = json.RawMessage(`"bcg-engines-v0"`)
+			out, err := json.Marshal(h)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return out
+			return append(append(out, '\n'), payload...)
 		})
 	})
+	t.Run("csr-rows-with-matching-digest", func(t *testing.T) {
+		corrupt(t, "csr rows", func(blob []byte) []byte {
+			// Re-sign a payload whose first relation has a trailing byte
+			// in its rows: only bisim.DecodeCSR can reject it.
+			line, payload, _ := bytes.Cut(blob, []byte{'\n'})
+			var rec map[string]json.RawMessage
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				t.Fatal(err)
+			}
+			var pairs []map[string]json.RawMessage
+			if err := json.Unmarshal(rec["pairs"], &pairs); err != nil {
+				t.Fatal(err)
+			}
+			var rel struct {
+				N   int    `json:"n"`
+				N2  int    `json:"n2"`
+				CSR []byte `json:"csr"`
+			}
+			if err := json.Unmarshal(pairs[0]["relation"], &rel); err != nil {
+				t.Fatal(err)
+			}
+			rel.CSR = append(rel.CSR, 0)
+			pairs[0]["relation"] = mustJSON(t, rel)
+			rec["pairs"] = mustJSON(t, pairs)
+			payload = mustJSON(t, rec)
+			var h header
+			if err := json.Unmarshal(line, &h); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(payload)
+			h.PayloadSHA256 = hex.EncodeToString(sum[:])
+			return append(append(mustJSON(t, h), '\n'), payload...)
+		})
+	})
+	t.Run("no-header-line", func(t *testing.T) {
+		corrupt(t, "no header line", func(blob []byte) []byte {
+			return bytes.Replace(blob, []byte{'\n'}, []byte{' '}, 1)
+		})
+	})
+	// An entry in the single-object layout of bcg-engines-v9 and before,
+	// placed at the current key's path: neither the old version string nor
+	// the current one makes it a hit.
+	for _, version := range []string{"bcg-engines-v9", EngineVersion} {
+		t.Run("all-json-layout/"+version, func(t *testing.T) {
+			corrupt(t, "all-JSON layout", func(blob []byte) []byte {
+				_, payload, _ := bytes.Cut(blob, []byte{'\n'})
+				return allJSONEntry(t, version, testKey(), payload)
+			})
+		})
+	}
 	t.Run("payload-tampered", func(t *testing.T) {
 		corrupt(t, "tampered", func(blob []byte) []byte {
 			// Flip the stored verdict without updating the digest.
@@ -224,6 +287,15 @@ func TestDamagedEntriesAreMisses(t *testing.T) {
 			return []byte(strings.Replace(string(blob), `"topology":"ring"`, `"topology":"star"`, 1))
 		})
 	})
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // TestPayloadTamperActuallyFlipped guards the tampered-entry fixture: the

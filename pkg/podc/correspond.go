@@ -140,6 +140,9 @@ type IndexedCorrespondence struct {
 	res *bisim.IndexedResult
 	in  []IndexPair
 	ev  *Evidence
+	// restored marks a result read back from the verdict store rather
+	// than decided in this process.
+	restored bool
 }
 
 // IndexedCorrespond decides the indexed correspondence of Section 4 between

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/family"
 	"repro/internal/kripke"
@@ -290,7 +291,7 @@ func (s *Session) Correspondence(ctx context.Context, topo Topology, small, larg
 			// Restore audits the record's internal consistency; a record
 			// that fails it is recomputed like any other miss.
 			if res, rerr := rec.Restore(); rerr == nil {
-				return &IndexedCorrespondence{res: res, in: indexPairsFromRaw(t.IndexRelation(small, large))}, nil
+				return &IndexedCorrespondence{res: res, in: indexPairsFromRaw(t.IndexRelation(small, large)), restored: true}, nil
 			}
 		}
 		sm, err := s.topologyInstance(ctx, t, small)
@@ -403,7 +404,23 @@ func (s *Session) TransferCertificate(ctx context.Context, topo Topology, small,
 				}
 			}
 		}
-		cert, err := BuildTransferCertificate(ctx, s.sessionFamily(ctx, t), small, large)
+		// Package the session's own decision of the pair rather than
+		// deciding it a second time.  A correspondence restored from the
+		// store has passed only Restore's structural audit, so its
+		// certificate is validated like a stored one, and the pair is
+		// decided afresh if either fails.
+		corr, err := s.Correspondence(ctx, topo, small, large)
+		if err != nil {
+			return nil, err
+		}
+		var cert *TransferCertificate
+		decided, err := core.CertificateFrom(t.Name(), small, large, t.Atoms(), t.IndexRelation(small, large), corr.res)
+		if err == nil {
+			cert = &TransferCertificate{cert: decided}
+		}
+		if corr.restored && (err != nil || cert.Validate(s.sessionFamily(ctx, t)) != nil) {
+			cert, err = BuildTransferCertificate(ctx, s.sessionFamily(ctx, t), small, large)
+		}
 		if err != nil {
 			return nil, err
 		}

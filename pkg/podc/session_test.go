@@ -1,13 +1,16 @@
 package podc_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bisim"
 	"repro/pkg/podc"
 )
 
@@ -351,5 +354,46 @@ func TestSessionTransferCertificateCached(t *testing.T) {
 	}
 	if c1.SmallSize() != 3 || c1.LargeSize() != 4 {
 		t.Errorf("certificate sizes (%d, %d)", c1.SmallSize(), c1.LargeSize())
+	}
+}
+
+// TestSessionCertificateMatchesBuildTransferCertificate pins the session's
+// certificate, packaged from its own correspondence decision, to the one
+// BuildTransferCertificate decides from scratch: byte-identical JSON for
+// every topology's cutoff → n pair, n in 4..8, with one refinement per
+// index pair (the correspondence's) and none for the certificate.
+func TestSessionCertificateMatchesBuildTransferCertificate(t *testing.T) {
+	ctx := context.Background()
+	s := podc.NewSession()
+	for _, topo := range podc.Topologies() {
+		c := topo.CutoffSize()
+		for n := max(c, 4); n <= 8; n++ {
+			if topo.ValidSize(n) != nil {
+				continue
+			}
+			want, err := podc.BuildTransferCertificate(ctx, topo.Family(), c, n)
+			if err != nil {
+				t.Fatalf("%s %d~%d: %v", topo, c, n, err)
+			}
+			before := bisim.ComputeCalls()
+			got, err := s.TransferCertificate(ctx, topo, c, n)
+			if err != nil {
+				t.Fatalf("%s %d~%d: %v", topo, c, n, err)
+			}
+			if calls, pairs := bisim.ComputeCalls()-before, len(topo.IndexRelation(c, n)); calls != int64(pairs) {
+				t.Errorf("%s %d~%d: %d refinements for %d index pairs; the certificate must reuse the correspondence's", topo, c, n, calls, pairs)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("%s %d~%d: session certificate differs from BuildTransferCertificate's", topo, c, n)
+			}
+		}
 	}
 }

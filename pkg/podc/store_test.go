@@ -1,6 +1,7 @@
 package podc_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/store"
 	"repro/pkg/podc"
 )
 
@@ -207,6 +209,65 @@ func TestSessionStoreSweepReplay(t *testing.T) {
 	for _, row := range second {
 		if !row.CacheHit {
 			t.Fatalf("replay sweep n=%d missed the store", row.R)
+		}
+	}
+}
+
+// TestSessionCertificateFromStoredCorrespondence covers a store holding the
+// correspondence but not the certificate: the certificate is packaged from
+// the restored relations without a refinement, and validated first, since
+// those relations passed only Restore's structural audit.  A record whose
+// relations were emptied — re-signed, so only validation can catch it —
+// must not reach the certificate; the pair is decided afresh instead.
+func TestSessionCertificateFromStoredCorrespondence(t *testing.T) {
+	ctx := context.Background()
+	want, err := podc.BuildTransferCertificate(ctx, podc.RingTopology().Family(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tamper := range []bool{false, true} {
+		dir := t.TempDir()
+		if _, err := podc.NewSession(podc.WithStore(dir)).RingCorrespondence(ctx, 3, 5); err != nil {
+			t.Fatal(err)
+		}
+		if tamper {
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := store.Key{Kind: "correspondence", Topology: "ring", Small: 3, Large: 5,
+				Atoms: podc.RingTopology().Atoms(), ReachableOnly: true}
+			var rec store.CorrespondenceRecord
+			if ok, err := st.Get(key, &rec); err != nil || !ok {
+				t.Fatalf("stored correspondence not found: (%v, %v)", ok, err)
+			}
+			for i, p := range rec.Pairs {
+				n, n2 := p.Relation.Dims()
+				rec.Pairs[i].Relation = bisim.NewRelation(n, n2)
+			}
+			if err := st.Put(key, &rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := podc.NewSession(podc.WithStore(dir))
+		before := bisim.ComputeCalls()
+		cert, err := s.RingTransferCertificate(ctx, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls := bisim.ComputeCalls() - before; (calls != 0) != tamper {
+			t.Errorf("tampered=%v: %d refinements", tamper, calls)
+		}
+		gotJSON, err := json.Marshal(cert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("tampered=%v: certificate differs from BuildTransferCertificate's", tamper)
 		}
 	}
 }
