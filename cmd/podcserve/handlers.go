@@ -331,25 +331,20 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, errors.New("give either ring or structure, not both"))
 		return
 	case req.Ring > 0:
-		rg, err := s.session.Ring(ctx, req.Ring)
+		v, err := s.session.Verifier(ctx, podc.RingTopology(), req.Ring)
 		if err != nil {
 			httpError(w, r, statusFor(err), err)
 			return
 		}
-		holds, err := s.session.CheckRing(ctx, req.Ring, formula)
+		holds, err := v.Check(ctx, formula)
 		if err != nil {
 			httpError(w, r, statusFor(err), err)
 			return
 		}
 		resp.Holds = holds
-		resp.Structure = rg.Structure().Name()
-		resp.States = rg.Structure().NumStates()
+		resp.Structure = v.Original().Name()
+		resp.States = v.Original().NumStates()
 		if req.Evidence {
-			v, err := s.session.RingVerifier(ctx, req.Ring)
-			if err != nil {
-				httpError(w, r, statusFor(err), err)
-				return
-			}
 			ev, err := explainCheck(ctx, v, formula)
 			if err != nil {
 				httpError(w, r, statusFor(err), err)

@@ -201,7 +201,7 @@ func TestTransferCertificate(t *testing.T) {
 		t.Errorf("certificate sizes = (%d, %d), want (%d, 5)", cert.SmallSize(), cert.LargeSize(), podc.RingCutoffSize)
 	}
 	// The served certificate re-validates against freshly built instances.
-	if err := cert.Validate(podc.TokenRingFamily()); err != nil {
+	if err := cert.Validate(podc.RingTopology().Family()); err != nil {
 		t.Errorf("served certificate fails validation: %v", err)
 	}
 }

@@ -114,11 +114,12 @@ func runBuggyEvidence(ctx context.Context, buggy *podc.Ring) {
 		fmt.Fprintln(os.Stderr, "ringverify:", err)
 		return
 	}
-	ev, err := podc.ExplainRingCorrespondence(ctx, correct, buggy)
+	res, err := podc.RingCorrespondence(ctx, correct, buggy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ringverify:", err)
 		return
 	}
+	ev := res.Evidence()
 	if ev == nil {
 		fmt.Printf("correct M_%d and buggy M_%d indexed-correspond (unexpected)\n", small, buggy.Size())
 		return
@@ -161,7 +162,7 @@ func runCorrespondence(ctx context.Context, inst *podc.Ring) {
 			fmt.Fprintln(os.Stderr, "ringverify:", err)
 			return
 		}
-		res, ev, err := podc.RingCorrespondenceWithEvidence(ctx, smallInst, inst)
+		res, err := podc.RingCorrespondence(ctx, smallInst, inst)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ringverify:", err)
 			return
@@ -171,7 +172,7 @@ func runCorrespondence(ctx context.Context, inst *podc.Ring) {
 			verdict = "indexed-correspond (Theorem 5 transfers restricted ICTL*)"
 		}
 		fmt.Printf("M_%d and M_%d %s\n", small, inst.Size(), verdict)
-		if ev != nil {
+		if ev := res.Evidence(); ev != nil {
 			printEvidence(ev)
 		}
 	}

@@ -28,7 +28,7 @@ func main() {
 	// Step 1: the paper's workflow for the whole family, starting from the
 	// corrected cutoff instance (three processes).
 	specs := append(podc.RingInvariants(), podc.RingProperties()...)
-	report, err := podc.VerifyFamily(ctx, podc.TokenRingFamily(), specs,
+	report, err := podc.VerifyFamily(ctx, podc.RingTopology().Family(), specs,
 		podc.WithSmallSize(podc.RingCutoffSize),
 		podc.WithCorrespondenceSizes(4, 5, 6, 7),
 	)

@@ -19,6 +19,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,42 +45,6 @@ type Family interface {
 	// O_i P_i are part of the family's specification vocabulary.
 	OneProps() []string
 }
-
-// FamilyFunc is a convenient function-based Family implementation.
-type FamilyFunc struct {
-	FamilyName string
-	Build      func(n int) (*kripke.Structure, error)
-	Indices    func(small, n int) []bisim.IndexPair
-	Ones       []string
-}
-
-// Name implements Family.
-func (f *FamilyFunc) Name() string { return f.FamilyName }
-
-// Instance implements Family.
-func (f *FamilyFunc) Instance(n int) (*kripke.Structure, error) {
-	if f.Build == nil {
-		return nil, fmt.Errorf("core: family %s has no instance builder", f.FamilyName)
-	}
-	return f.Build(n)
-}
-
-// IndexRelation implements Family.
-func (f *FamilyFunc) IndexRelation(small, n int) []bisim.IndexPair {
-	if f.Indices != nil {
-		return f.Indices(small, n)
-	}
-	// Default: pair index 1 with index 1 and the last small index with every
-	// remaining large index (the paper's Section 5 relation).
-	out := []bisim.IndexPair{{I: 1, I2: 1}}
-	for i := 2; i <= n; i++ {
-		out = append(out, bisim.IndexPair{I: small, I2: i})
-	}
-	return out
-}
-
-// OneProps implements Family.
-func (f *FamilyFunc) OneProps() []string { return f.Ones }
 
 // Spec is a named specification to verify.
 type Spec struct {
@@ -338,9 +303,35 @@ func CertificateFrom(familyName string, smallSize, largeSize int, oneProps []str
 }
 
 // Validate re-checks the certificate against freshly built instances.  It
-// returns nil when every per-index relation is a valid correspondence
-// relation between the reductions.
+// returns nil when the certificate names the family and its atoms, lists
+// exactly the family's index relation between the two sizes in
+// CertificateFrom's order, and every per-index relation is a valid
+// correspondence relation between the reductions.  A certificate that
+// leaves out pairs or atoms would otherwise validate without certifying
+// anything.
 func (c *TransferCertificate) Validate(family Family) error {
+	if c.Family != family.Name() {
+		return fmt.Errorf("core: certificate is for family %q, not %q", c.Family, family.Name())
+	}
+	if !slices.Equal(c.OneProps, family.OneProps()) {
+		return fmt.Errorf("core: certificate for %s %d vs %d has one_props %v, the family's are %v",
+			c.Family, c.SmallSize, c.LargeSize, c.OneProps, family.OneProps())
+	}
+	in := family.IndexRelation(c.SmallSize, c.LargeSize)
+	if len(c.Pairs) != len(in) {
+		return fmt.Errorf("core: certificate for %s %d vs %d has %d index pairs, the index relation %d",
+			c.Family, c.SmallSize, c.LargeSize, len(c.Pairs), len(in))
+	}
+	for k, p := range c.Pairs {
+		if p.I != in[k].I || p.I2 != in[k].I2 {
+			return fmt.Errorf("core: certificate for %s %d vs %d: entry %d is index pair (%d,%d), the index relation's is (%d,%d)",
+				c.Family, c.SmallSize, c.LargeSize, k, p.I, p.I2, in[k].I, in[k].I2)
+		}
+		if p.Relation == nil {
+			return fmt.Errorf("core: certificate for %s %d vs %d: index pair (%d,%d) has no relation",
+				c.Family, c.SmallSize, c.LargeSize, p.I, p.I2)
+		}
+	}
 	small, err := family.Instance(c.SmallSize)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,22 +13,43 @@ import (
 	"repro/internal/ring"
 )
 
+// testFamily is a function-based Family: build constructs M_n (a nil
+// build makes every instance fail), in is the IN relation and ones the
+// "exactly one" atoms.
+type testFamily struct {
+	name  string
+	build func(n int) (*kripke.Structure, error)
+	in    func(small, n int) []bisim.IndexPair
+	ones  []string
+}
+
+func (f *testFamily) Name() string { return f.name }
+
+func (f *testFamily) Instance(n int) (*kripke.Structure, error) {
+	if f.build == nil {
+		return nil, fmt.Errorf("family %s has no instance builder", f.name)
+	}
+	return f.build(n)
+}
+
+func (f *testFamily) IndexRelation(small, n int) []bisim.IndexPair { return f.in(small, n) }
+
+func (f *testFamily) OneProps() []string { return f.ones }
+
 // ringFamily adapts the token ring of Section 5 to the core.Family
 // interface.
 func ringFamily() Family {
-	return &FamilyFunc{
-		FamilyName: "token-ring",
-		Build: func(n int) (*kripke.Structure, error) {
+	return &testFamily{
+		name: "token-ring",
+		build: func(n int) (*kripke.Structure, error) {
 			inst, err := ring.Build(n)
 			if err != nil {
 				return nil, err
 			}
 			return inst.M, nil
 		},
-		Indices: func(small, n int) []bisim.IndexPair {
-			return ring.CutoffIndexRelation(small, n)
-		},
-		Ones: []string{ring.PropToken},
+		in:   ring.CutoffIndexRelation,
+		ones: []string{ring.PropToken},
 	}
 }
 
@@ -164,7 +186,7 @@ func TestVerifierErrors(t *testing.T) {
 		t.Error("formula with a free index variable should be rejected by the checker")
 	}
 	// A family whose builder fails propagates the error.
-	broken := &FamilyFunc{FamilyName: "broken"}
+	broken := &testFamily{name: "broken"}
 	vb, err := NewVerifier(broken, Options{SmallSize: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -179,23 +201,6 @@ func TestVerifierErrors(t *testing.T) {
 	}
 	if _, err := vc.Run(context.Background(), ringSpecs()); err == nil {
 		t.Error("an instance beyond the explicit limit should fail loudly")
-	}
-}
-
-func TestFamilyFuncDefaults(t *testing.T) {
-	f := &FamilyFunc{FamilyName: "f"}
-	in := f.IndexRelation(2, 4)
-	if len(in) != 4 {
-		t.Fatalf("default IndexRelation has %d pairs", len(in))
-	}
-	if in[0] != (bisim.IndexPair{I: 1, I2: 1}) {
-		t.Errorf("first pair = %v", in[0])
-	}
-	if f.OneProps() != nil {
-		t.Error("OneProps default should be nil")
-	}
-	if f.Name() != "f" {
-		t.Error("Name wrong")
 	}
 }
 
@@ -233,5 +238,48 @@ func TestTransferCertificateRoundTrip(t *testing.T) {
 	// No certificate exists between M_2 and larger rings.
 	if _, err := BuildCertificate(context.Background(), family, 2, 4); err == nil {
 		t.Error("BuildCertificate must refuse the non-corresponding pair (2,4)")
+	}
+}
+
+// TestValidateRejectsHollowCertificates: a certificate must name the
+// family and its atoms and list exactly the family's index relation, in
+// order, before its relations are checked; otherwise a certificate with
+// fewer (or no) pairs would validate without certifying anything.
+func TestValidateRejectsHollowCertificates(t *testing.T) {
+	family := ringFamily()
+	for name, hollow := range map[string]func(*TransferCertificate){
+		"empty pairs":       func(c *TransferCertificate) { c.Pairs = []CertifiedIndexPair{} },
+		"no pairs":          func(c *TransferCertificate) { c.Pairs = nil },
+		"wrong family":      func(c *TransferCertificate) { c.Family = "star" },
+		"dropped one_props": func(c *TransferCertificate) { c.OneProps = nil },
+		"one missing pair":  func(c *TransferCertificate) { c.Pairs = c.Pairs[:len(c.Pairs)-1] },
+		"pairs reordered": func(c *TransferCertificate) {
+			c.Pairs[0], c.Pairs[1] = c.Pairs[1], c.Pairs[0]
+		},
+		"null relation": func(c *TransferCertificate) { c.Pairs[0].Relation = nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cert, err := BuildCertificate(context.Background(), family, ring.CutoffSize, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cert.Validate(family); err != nil {
+				t.Fatalf("intact certificate: %v", err)
+			}
+			hollow(cert)
+			// Round-trip through JSON, as a stored certificate arrives.
+			data, err := json.Marshal(cert)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded TransferCertificate
+			if err := json.Unmarshal(data, &decoded); err != nil {
+				t.Fatal(err)
+			}
+			if err := decoded.Validate(family); err == nil {
+				t.Errorf("hollow certificate validated: family %q, one_props %v, %d pairs",
+					decoded.Family, decoded.OneProps, len(decoded.Pairs))
+			}
+		})
 	}
 }

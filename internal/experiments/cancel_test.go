@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/family"
 )
 
 func settleGoroutines(t *testing.T, baseline int) {
@@ -69,7 +71,7 @@ func TestSweepCancelledMidway(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// Plenty of sizes so the sweep is busy when the cancel lands.
 	sizes := []int{4, 5, 6, 7, 8, 9, 10, 11}
-	ch := Runner{Workers: 2}.CorrespondenceSweep(ctx, sizes)
+	ch := Runner{Workers: 2}.TopologySweep(ctx, family.Ring(), sizes)
 	got := 0
 	for row := range ch {
 		got++

@@ -6,7 +6,8 @@
 //
 // The experiments are independent, so they execute on the worker-pool
 // runner of runner.go, which also streams results as they complete and
-// sweeps ring sizes through the correspondence engine (CorrespondenceSweep).
+// sweeps a topology's sizes through the correspondence engine
+// (TopologySweep).
 //
 // Experiment identifiers follow DESIGN.md:
 //

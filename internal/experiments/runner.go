@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/family"
 	"repro/internal/store"
 )
 
@@ -19,10 +18,9 @@ import (
 //
 //   - the standard experiment battery E1..E10 (StandardJobs), where the
 //     jobs are heterogeneous tables, and
-//   - parameter sweeps (TopologySweep and its ring specialisation
-//     CorrespondenceSweep), where one job per size decides a topology's
-//     cutoff correspondence M_cutoff ~ M_n and the interesting output is
-//     how cost grows with n.
+//   - parameter sweeps (TopologySweep), where one job per size decides a
+//     topology's cutoff correspondence M_cutoff ~ M_n and the interesting
+//     output is how cost grows with n.
 //
 // Jobs are independent, so the pool preserves nothing but the job order of
 // collected results; streamed results arrive in completion order, which is
@@ -214,32 +212,6 @@ type SweepRow struct {
 	// and degrees come from the stored (and revalidated) record.
 	CacheHit bool
 	Err      error
-}
-
-// CorrespondenceSweep is the classic ring sweep: it decides the cutoff
-// correspondence M_cutoff ~ M_r for every requested ring size through the
-// topology-parametric engine (TopologySweep with the ring family).  This is
-// the workload the parameterized method makes cheap to extend: every
-// verdict that comes back true extends the range of ring sizes over which
-// Theorem 5 transfers the Section 5 properties.
-func (r Runner) CorrespondenceSweep(ctx context.Context, sizes []int) <-chan SweepRow {
-	return r.TopologySweep(ctx, family.Ring(), sizes)
-}
-
-// SweepTable collects a CorrespondenceSweep into one table, sorted by ring
-// size.
-func (r Runner) SweepTable(ctx context.Context, sizes []int) (*Table, error) {
-	var rows []SweepRow
-	for row := range r.CorrespondenceSweep(ctx, sizes) {
-		if row.Err != nil {
-			return nil, fmt.Errorf("experiments: sweep r=%d: %w", row.R, row.Err)
-		}
-		rows = append(rows, row)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return SweepRowsTable(rows), nil
 }
 
 // SweepRowsTable renders already-collected sweep rows as one table, sorted

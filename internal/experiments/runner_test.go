@@ -90,7 +90,7 @@ func TestStandardJobsMatchAll(t *testing.T) {
 func TestCorrespondenceSweep(t *testing.T) {
 	sizes := []int{4, 5, 6}
 	var rows []SweepRow
-	for row := range (Runner{Workers: 2}).CorrespondenceSweep(context.Background(), sizes) {
+	for row := range (Runner{Workers: 2}).TopologySweep(context.Background(), family.Ring(), sizes) {
 		if row.Err != nil {
 			t.Fatalf("sweep r=%d: %v", row.R, row.Err)
 		}

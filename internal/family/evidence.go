@@ -74,27 +74,3 @@ func ExplainBuilt(ctx context.Context, t Topology, small *kripke.Structure, smal
 	ev.Confirmed = true
 	return ev, nil
 }
-
-// DecideWithEvidence decides the correspondence between the topology's
-// instances of the two sizes and, when they do not correspond, extracts
-// and replays the distinguishing evidence.  The evidence is nil exactly
-// when the instances correspond.
-func DecideWithEvidence(ctx context.Context, t Topology, small, large int) (*bisim.IndexedResult, *Evidence, error) {
-	sm, err := t.Build(small)
-	if err != nil {
-		return nil, nil, fmt.Errorf("family: %s: building small instance: %w", t.Name(), err)
-	}
-	lg, err := t.Build(large)
-	if err != nil {
-		return nil, nil, fmt.Errorf("family: %s: building large instance: %w", t.Name(), err)
-	}
-	res, err := DecideBuilt(ctx, t, sm, small, lg, large)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := ExplainBuilt(ctx, t, sm, small, lg, large, res)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ev, nil
-}

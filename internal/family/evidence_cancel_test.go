@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/bisim"
 )
 
 // Cancellation conventions for the evidence-threaded deciders, matching
@@ -31,12 +33,36 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// decideWithEvidence builds the topology's instances of the two sizes,
+// decides their correspondence with DecideBuilt and, when they do not
+// correspond, extracts and replays the evidence with ExplainBuilt — the
+// chain the session layer runs over its cached instances.
+func decideWithEvidence(ctx context.Context, t Topology, small, large int) (*bisim.IndexedResult, *Evidence, error) {
+	sm, err := t.Build(small)
+	if err != nil {
+		return nil, nil, err
+	}
+	lg, err := t.Build(large)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := DecideBuilt(ctx, t, sm, small, lg, large)
+	if err != nil {
+		return nil, nil, err
+	}
+	ev, err := ExplainBuilt(ctx, t, sm, small, lg, large, res)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, ev, nil
+}
+
 // TestDecideWithEvidenceAlreadyCancelled: a cancelled context stops the
 // evidence-threaded decider before it leaks work.
 func TestDecideWithEvidenceAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := DecideWithEvidence(ctx, Ring(), 2, 5); !errors.Is(err, context.Canceled) {
+	if _, _, err := decideWithEvidence(ctx, Ring(), 2, 5); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -52,7 +78,7 @@ func TestDecideWithEvidenceCancelledMidway(t *testing.T) {
 		// Ring 2 vs 9 fails to correspond, so a completed run would reach
 		// the evidence extraction and replay stages; cancellation may land
 		// in any stage.
-		_, _, err := DecideWithEvidence(ctx, Ring(), 2, 9)
+		_, _, err := decideWithEvidence(ctx, Ring(), 2, 9)
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond)
@@ -63,7 +89,7 @@ func TestDecideWithEvidenceCancelledMidway(t *testing.T) {
 			t.Errorf("err = %v, want context.Canceled (or completion)", err)
 		}
 	case <-time.After(15 * time.Second):
-		t.Fatal("DecideWithEvidence did not return promptly after cancellation")
+		t.Fatal("decideWithEvidence did not return promptly after cancellation")
 	}
 	settleGoroutines(t, baseline)
 }
@@ -72,7 +98,7 @@ func TestDecideWithEvidenceCancelledMidway(t *testing.T) {
 // correspondence, so it is free even with evidence requested everywhere.
 func TestExplainBuiltNilOnSuccess(t *testing.T) {
 	ctx := context.Background()
-	res, ev, err := DecideWithEvidence(ctx, Star(), 3, 4)
+	res, ev, err := decideWithEvidence(ctx, Star(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

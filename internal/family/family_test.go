@@ -2,6 +2,7 @@ package family
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -290,6 +291,17 @@ func TestBuildDeterminism(t *testing.T) {
 			if fmt.Sprint(a.Succ(s)) != fmt.Sprint(b.Succ(s)) {
 				t.Fatalf("%s[%d]: state %d has different successors across builds", topo.Name(), n, s)
 			}
+		}
+	}
+}
+
+// TestBuildParallelRefusesOversizedRing: the packed route refuses rings
+// beyond the explicit-construction budget up front with the sequential
+// Build's typed error, instead of exploring up to the state cap.
+func TestBuildParallelRefusesOversizedRing(t *testing.T) {
+	for _, n := range []int{17, 25, 40} {
+		if _, _, err := BuildParallel(context.Background(), Ring(), n, 1); !errors.Is(err, ring.ErrTooLarge) {
+			t.Errorf("BuildParallel(ring, %d) err = %v, want ring.ErrTooLarge", n, err)
 		}
 	}
 }

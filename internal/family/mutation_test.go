@@ -91,7 +91,7 @@ func TestMutationHarnessCorrectBaseline(t *testing.T) {
 	for _, base := range tokenTopologies() {
 		small := base.CutoffSize()
 		large := harnessLargeSize(t, base)
-		res, ev, err := DecideWithEvidence(ctx, base, small, large)
+		res, ev, err := decideWithEvidence(ctx, base, small, large)
 		if err != nil {
 			t.Fatalf("%s: %v", base.Name(), err)
 		}

@@ -31,6 +31,9 @@ type PackedInstance struct {
 	// Build, honoured by the labelled parallel path so both refuse the
 	// same sizes.
 	MaxStates int
+	// TooLarge, when non-nil, is the sequential Build's up-front refusal
+	// of this size; BuildParallel returns it without exploring.
+	TooLarge error
 }
 
 // Packable is the optional Topology extension providing packed
@@ -70,18 +73,28 @@ func (pi PackedInstance) FinishBuilt(m *kripke.Structure) (*kripke.Structure, er
 
 // BuildParallel constructs the topology's size-n instance through the
 // parallel packed-BFS engine with the given worker count, byte-identical
-// (kripke.EncodeText) to t.Build(n) for every worker count.  Topologies
-// without a packed definition fall back to the sequential Build.
-func BuildParallel(ctx context.Context, t Topology, n, workers int) (*kripke.Structure, error) {
+// (kripke.EncodeText) to t.Build(n) for every worker count, and returns
+// the explored space too (state s of the structure is state s of the
+// space).  Topologies without a packed definition fall back to the
+// sequential Build and return a nil space.
+func BuildParallel(ctx context.Context, t Topology, n, workers int) (*kripke.Structure, *explore.Space, error) {
 	pi, ok := Packed(t, n)
 	if !ok {
-		return t.Build(n)
+		m, err := t.Build(n)
+		return m, nil, err
 	}
-	m, _, err := explore.Build(ctx, pi.Def, explore.Options{Workers: workers, MaxStates: pi.MaxStates})
+	if pi.TooLarge != nil {
+		return nil, nil, pi.TooLarge
+	}
+	m, sp, err := explore.Build(ctx, pi.Def, explore.Options{Workers: workers, MaxStates: pi.MaxStates})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return pi.FinishBuilt(m)
+	m, err = pi.FinishBuilt(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, sp, nil
 }
 
 // IndexAction returns the action of the instance's automorphism group on

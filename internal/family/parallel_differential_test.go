@@ -61,9 +61,12 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			}
 			wantText := encodeText(t, want)
 			for _, workers := range []int{1, 3, 8} {
-				got, err := BuildParallel(ctx, topo, n, workers)
+				got, sp, err := BuildParallel(ctx, topo, n, workers)
 				if err != nil {
 					t.Fatalf("%s: BuildParallel(%d, workers=%d): %v", topo.Name(), n, workers, err)
+				}
+				if sp == nil || sp.NumStates() != got.NumStates() {
+					t.Fatalf("%s n=%d workers=%d: BuildParallel returned no space matching its %d states", topo.Name(), n, workers, got.NumStates())
 				}
 				if gotText := encodeText(t, got); gotText != wantText {
 					t.Fatalf("%s n=%d workers=%d: parallel build differs from sequential\nparallel:\n%.400s\nsequential:\n%.400s",

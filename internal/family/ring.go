@@ -62,6 +62,7 @@ func (ringTopology) Packed(n int) (PackedInstance, bool) {
 		Group:     symmetry.Cyclic(n, 2),
 		Validate:  true,
 		MaxStates: ring.MaxExplicitStates,
+		TooLarge:  ring.CheckSize(n, 0),
 	}, true
 }
 

@@ -66,11 +66,11 @@ func Battery(ctx context.Context, session *podc.Session) ([]Request, error) {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		rg, err := session.Ring(ctx, ring)
+		v, err := session.Verifier(ctx, podc.RingTopology(), ring)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		holds, err := session.CheckRing(ctx, ring, f)
+		holds, err := v.Check(ctx, f)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -81,8 +81,8 @@ func Battery(ctx context.Context, session *podc.Session) ([]Request, error) {
 		expect, err := canonicalOf(checkExpect{
 			Holds:      holds,
 			Formula:    f.String(),
-			Structure:  rg.Structure().Name(),
-			States:     rg.Structure().NumStates(),
+			Structure:  v.Original().Name(),
+			States:     v.Original().NumStates(),
 			Restricted: f.IsRestricted(),
 		})
 		if err != nil {

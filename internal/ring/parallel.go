@@ -66,15 +66,28 @@ func explorePacked(ctx context.Context, r int, def func(int) explore.Def, opts B
 	if r < 1 {
 		return nil, nil, fmt.Errorf("ring: need at least one process, got %d", r)
 	}
+	if err := CheckSize(r, opts.MaxStates); err != nil {
+		return nil, nil, err
+	}
 	limit := opts.MaxStates
 	if limit <= 0 {
 		limit = MaxExplicitStates
 	}
+	return explore.Build(ctx, def(r), explore.Options{Workers: opts.Workers, MaxStates: limit})
+}
+
+// CheckSize returns the ErrTooLarge refusal Build gives an r-process ring
+// whose r·2^r reachable states exceed limit (zero or negative:
+// MaxExplicitStates), or nil when the ring fits.
+func CheckSize(r, limit int) error {
+	if limit <= 0 {
+		limit = MaxExplicitStates
+	}
 	if expected := expectedReachable(r); expected > limit {
-		return nil, nil, fmt.Errorf("ring: r=%d has about %d reachable states, beyond the explicit limit %d; "+
+		return fmt.Errorf("ring: r=%d has about %d reachable states, beyond the explicit limit %d; "+
 			"use LocalCheck / the correspondence theorem instead: %w", r, expected, limit, ErrTooLarge)
 	}
-	return explore.Build(ctx, def(r), explore.Options{Workers: opts.Workers, MaxStates: limit})
+	return nil
 }
 
 // instanceFromSpace assembles the Instance views (decoded states, packed

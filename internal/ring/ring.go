@@ -409,10 +409,6 @@ func expectedReachable(r int) int {
 // the experiments (r · 2^r).
 func ExpectedReachable(r int) int { return expectedReachable(r) }
 
-// Space returns the explored space M was built from; state s of M is
-// state s of the space.
-func (in *Instance) Space() *explore.Space { return in.space }
-
 // StateOf returns the ring view of a kripke state.
 func (in *Instance) StateOf(s kripke.State) GlobalState { return in.States[s] }
 

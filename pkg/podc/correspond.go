@@ -178,7 +178,9 @@ func IndexedCorrespond(ctx context.Context, left, right *Structure, in []IndexPa
 // Evidence returns the machine-checked explanation of a failed indexed
 // correspondence: the offending index pair, the distinguishing formula
 // over its reductions and the game path.  It is non-nil exactly when the
-// correspondence was computed with WithEvidence and does not hold.
+// correspondence does not hold and was decided by RingCorrespondence or by
+// IndexedCorrespond with WithEvidence (a Session answers evidence through
+// CorrespondenceEvidence).
 func (c *IndexedCorrespondence) Evidence() *Evidence {
 	if c == nil {
 		return nil

@@ -23,9 +23,8 @@
 //     (RingTopology) or one of the generalised token-circulation families
 //     (StarTopology, LineTopology, TreeTopology, TorusTopology), all backed
 //     by internal/family — bundling its instance generator, inductive index
-//     relation, cutoff heuristic and specifications; WithTopology routes
-//     DecideCorrespondence, Session caches and sweeps to the selected
-//     family;
+//     relation, cutoff heuristic and specifications; every Session method
+//     takes the topology it works on;
 //   - Network and ProcessTemplate expose the guarded-command substrate for
 //     defining new families beyond the built-in topologies;
 //   - Family and VerifyFamily run the paper's three-step methodology
@@ -33,9 +32,10 @@
 //     every size) and produce portable TransferCertificates — any
 //     Topology adapts via its Family method;
 //   - Session is the serving-side entry point: a long-lived, concurrency-safe
-//     cache of built instances, verifiers, decided correspondences (keyed by
-//     topology and sizes) and experiment tables, with streaming (iter.Seq)
-//     delivery of sweeps and experiment batteries.
+//     cache of built instances and their verifiers (keyed by topology, size
+//     and construction route), decided correspondences (keyed by topology
+//     and sizes) and experiment tables, with streaming (iter.Seq) delivery
+//     of sweeps and experiment batteries.
 //
 // Every potentially long-running operation takes a context.Context and
 // returns promptly with the context's error once it is cancelled or its
@@ -44,7 +44,7 @@
 // its refinement loop.
 //
 // Behaviour is configured with functional options (WithWorkers,
-// WithMinimize, WithAtoms, WithTopology, ...) rather than option structs;
+// WithMinimize, WithAtoms, WithStore, ...) rather than option structs;
 // options that do not apply to an operation are ignored.
 //
 // The command line tools under cmd/ and the runnable examples under

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bisim"
 	"repro/internal/family"
 	"repro/internal/mc"
-	"repro/internal/ring"
 )
 
 // This file is the public face of the evidence subsystem: when a
@@ -181,41 +180,4 @@ func (v *Verifier) Explain(ctx context.Context, f Formula) (*Explanation, error)
 		out.Trace = wrapTrace(raw.Trace, v.checker.Structure())
 	}
 	return out, nil
-}
-
-// ExplainRingCorrespondence decides the indexed correspondence between two
-// built ring instances and, when they do not correspond, returns the
-// machine-extracted distinguishing evidence for the first failing index
-// pair (nil when they correspond).  The formula is replayed through the
-// model checker before it is returned.
-func ExplainRingCorrespondence(ctx context.Context, small, large *Ring) (*Evidence, error) {
-	_, ev, err := RingCorrespondenceWithEvidence(ctx, small, large)
-	return ev, err
-}
-
-// RingCorrespondenceWithEvidence decides the canonical indexed ring
-// correspondence between two built instances and, on failure, extracts
-// the replay-confirmed distinguishing evidence in the same pass — the
-// decision procedure runs exactly once.  The evidence is nil exactly when
-// the instances correspond.
-func RingCorrespondenceWithEvidence(ctx context.Context, small, large *Ring) (*IndexedCorrespondence, *Evidence, error) {
-	if small == nil || large == nil {
-		return nil, nil, fmt.Errorf("podc: RingCorrespondenceWithEvidence: nil ring")
-	}
-	res, err := ring.DecideCorrespondence(ctx, small.inst, large.inst)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Not family.DecideWithEvidence: it would rebuild the instances and
-	// reject size 1, which BuildRing accepts.
-	fev, err := family.ExplainBuilt(ctx, family.Ring(), small.inst.M, small.Size(), large.inst.M, large.Size(), res)
-	if err != nil {
-		return nil, nil, err
-	}
-	corr := &IndexedCorrespondence{
-		res: res,
-		in:  indexPairsFromRaw(ring.IndexRelationFor(small.Size(), large.Size())),
-		ev:  evidenceFromFamily(fev),
-	}
-	return corr, corr.ev, nil
 }

@@ -20,7 +20,7 @@ func TestWithEvidenceIndexedCorrespond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := podc.RingIndexRelation(2, 3)
+	in := podc.RingTopology().IndexRelation(2, 3)
 	corr, err := podc.IndexedCorrespond(ctx, m2.Structure(), m3.Structure(), in,
 		podc.WithAtoms("t"), podc.WithReachableOnly(), podc.WithEvidence())
 	if err != nil {
@@ -61,10 +61,11 @@ func TestWithEvidenceBuggyRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := podc.ExplainRingCorrespondence(ctx, correct, buggy)
+		corr, err := podc.RingCorrespondence(ctx, correct, buggy)
 		if err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
+		ev := corr.Evidence()
 		if ev == nil {
 			t.Fatalf("r=%d: correct and buggy rings unexpectedly correspond", r)
 		}
@@ -79,23 +80,27 @@ func TestWithEvidenceBuggyRing(t *testing.T) {
 // correspondence.
 func TestWithEvidenceDecideCorrespondence(t *testing.T) {
 	ctx := context.Background()
-	corr, err := podc.DecideCorrespondence(ctx, 2, 4, podc.WithEvidence())
+	s := podc.NewSession()
+	corr, err := s.Correspondence(ctx, podc.RingTopology(), 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if corr.Corresponds() {
 		t.Fatal("ring M_2 vs M_4 must not correspond")
 	}
-	if ev := corr.Evidence(); ev == nil || !ev.Confirmed {
-		t.Fatalf("expected confirmed evidence, got %s", ev)
+	if ev, err := s.CorrespondenceEvidence(ctx, podc.RingTopology(), 2, 4); err != nil || ev == nil || !ev.Confirmed {
+		t.Fatalf("expected confirmed evidence, got %s (err %v)", ev, err)
 	}
-	star, _ := podc.TopologyByName("star")
-	ok, err := podc.DecideCorrespondence(ctx, 3, 5, podc.WithTopology(star), podc.WithEvidence())
+	ok, err := s.Correspondence(ctx, podc.StarTopology(), 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok.Corresponds() || ok.Evidence() != nil {
-		t.Fatalf("star M_3 vs M_5 should correspond without evidence, got %v / %s", ok.Corresponds(), ok.Evidence())
+	ev, err := s.CorrespondenceEvidence(ctx, podc.StarTopology(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok.Corresponds() || ev != nil {
+		t.Fatalf("star M_3 vs M_5 should correspond without evidence, got %v / %s", ok.Corresponds(), ev)
 	}
 }
 

@@ -101,17 +101,18 @@ func ExampleTopology() {
 	// sizes covered by Theorem 5: [6 8 10]
 }
 
-// ExampleDecideCorrespondence contrasts two families at the same sizes:
-// the ring's two-process instance is refuted (the reproduction's headline
-// finding), while the requestless line family genuinely has a two-process
-// cutoff.
-func ExampleDecideCorrespondence() {
+// ExampleSession_Correspondence_cutoffs contrasts two families at the same
+// sizes: the ring's two-process instance is refuted (the reproduction's
+// headline finding), while the requestless line family genuinely has a
+// two-process cutoff.
+func ExampleSession_Correspondence_cutoffs() {
 	ctx := context.Background()
-	ringCorr, err := podc.DecideCorrespondence(ctx, 2, 4)
+	session := podc.NewSession()
+	ringCorr, err := session.Correspondence(ctx, podc.RingTopology(), 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lineCorr, err := podc.DecideCorrespondence(ctx, 2, 4, podc.WithTopology(podc.LineTopology()))
+	lineCorr, err := session.Correspondence(ctx, podc.LineTopology(), 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -252,8 +252,10 @@ func (c *TransferCertificate) LargeSize() int { return c.cert.LargeSize }
 func (c *TransferCertificate) MarshalJSON() ([]byte, error) { return json.Marshal(c.cert) }
 
 // Validate re-checks the certificate against freshly built instances of the
-// family.  It returns nil when every per-index relation is a valid
-// correspondence relation between the reductions.
+// family.  It returns nil when the certificate names the family and its
+// atoms, lists exactly the family's index relation between the two sizes,
+// and every per-index relation is a valid correspondence relation between
+// the reductions.
 func (c *TransferCertificate) Validate(f Family) error {
 	if f == nil {
 		return fmt.Errorf("podc: TransferCertificate.Validate: nil family")

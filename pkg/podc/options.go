@@ -1,11 +1,6 @@
 package podc
 
-import (
-	"fmt"
-
-	"repro/internal/bisim"
-	"repro/internal/family"
-)
+import "repro/internal/bisim"
 
 // Option configures a Verifier, a correspondence computation, a Session or
 // a family verification run.  Options follow the functional-options
@@ -28,14 +23,6 @@ type config struct {
 	correspondenceSizes  []int
 	skipRestrictionCheck bool
 
-	// topology selects the family DecideCorrespondence, Session sweeps and
-	// correspondence caches operate on (nil means the token ring);
-	// topologyInvalid records that WithTopology was given the invalid zero
-	// Topology, which must surface as an error rather than a silent ring
-	// fallback.
-	topology        family.Topology
-	topologyInvalid bool
-
 	// construction knobs (WithParallelBuild, WithSymmetry): parallelBuild
 	// routes instance construction through the parallel packed-BFS engine
 	// (byte-identical to the sequential build, so it shares the sequential
@@ -50,26 +37,6 @@ type config struct {
 	// store a Session replays decided correspondences, certificates and
 	// evidence from.
 	storeDir string
-}
-
-// topologyOrRing returns the configured topology, defaulting to the token
-// ring — the paper's own family — when none was given.
-func (c config) topologyOrRing() family.Topology {
-	if c.topology == nil {
-		return family.Ring()
-	}
-	return c.topology
-}
-
-// topologyOrError returns the configured topology (the ring by default),
-// rejecting a configuration that passed the invalid zero Topology —
-// typically a discarded TopologyByName failure; answering for the wrong
-// family would be a silent wrong result.
-func (c config) topologyOrError() (family.Topology, error) {
-	if c.topologyInvalid {
-		return nil, fmt.Errorf("podc: WithTopology: invalid topology (zero value — did a TopologyByName lookup fail?)")
-	}
-	return c.topologyOrRing(), nil
 }
 
 func buildConfig(opts []Option) config {
@@ -206,18 +173,4 @@ func WithSymmetry() Option {
 // caching never turns into a failed request.
 func WithStore(dir string) Option {
 	return func(c *config) { c.storeDir = dir }
-}
-
-// WithTopology selects the family an operation works on: DecideCorrespondence
-// decides that topology's canonical correspondence, and a Session configured
-// with it sweeps and caches that family by default.  Operations that are not
-// topology-parametric ignore the option.  The default is the token ring.
-// Passing the invalid zero Topology (e.g. a discarded TopologyByName
-// failure) makes the receiving operation fail rather than silently answer
-// for the ring.
-func WithTopology(t Topology) Option {
-	return func(c *config) {
-		c.topology = t.t
-		c.topologyInvalid = t.t == nil
-	}
 }

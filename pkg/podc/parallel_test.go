@@ -20,7 +20,7 @@ func TestSessionParallelBuildSingleFlight(t *testing.T) {
 	s := podc.NewSession(podc.WithParallelBuild(4))
 
 	start := make(chan struct{})
-	rings := make([]*podc.Ring, goroutines)
+	rings := make([]*podc.Structure, goroutines)
 	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -28,7 +28,7 @@ func TestSessionParallelBuildSingleFlight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start // release everyone at once so the flights really race
-			rings[g], errs[g] = s.Ring(ctx, r)
+			rings[g], errs[g] = s.Instance(ctx, podc.RingTopology(), r)
 		}(g)
 	}
 	close(start)
@@ -49,7 +49,7 @@ func TestSessionParallelBuildSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := rings[0].Structure(), seq.Structure()
+	got, want := rings[0], seq.Structure()
 	if got.NumStates() != want.NumStates() || got.NumTransitions() != want.NumTransitions() {
 		t.Fatalf("parallel-built ring has %d states / %d transitions, sequential has %d / %d",
 			got.NumStates(), got.NumTransitions(), want.NumStates(), want.NumTransitions())

@@ -173,6 +173,9 @@ func TestRingSurfaceAndTransfer(t *testing.T) {
 	if !corr.Corresponds() {
 		t.Fatal("the corrected cutoff correspondence M_3 ~ M_5 must hold")
 	}
+	if corr.Evidence() != nil {
+		t.Errorf("a holding correspondence carries evidence: %s", corr.Evidence())
+	}
 	// The paper's two-process cutoff fails (the reproduction finding).
 	two, err := podc.BuildRing(2)
 	if err != nil {
@@ -188,8 +191,11 @@ func TestRingSurfaceAndTransfer(t *testing.T) {
 	if len(refuted.FailingPairs()) == 0 {
 		t.Error("expected failing index pairs for the refuted claim")
 	}
+	if ev := refuted.Evidence(); ev == nil || !ev.Confirmed {
+		t.Errorf("the refuted claim carries no confirmed evidence: %s", ev)
+	}
 
-	cert, err := podc.BuildTransferCertificate(ctx, podc.TokenRingFamily(), podc.RingCutoffSize, 4)
+	cert, err := podc.BuildTransferCertificate(ctx, podc.RingTopology().Family(), podc.RingCutoffSize, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +207,17 @@ func TestRingSurfaceAndTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := decoded.Validate(podc.TokenRingFamily()); err != nil {
+	if err := decoded.Validate(podc.RingTopology().Family()); err != nil {
 		t.Errorf("decoded certificate fails validation: %v", err)
 	}
-	if _, err := podc.BuildTransferCertificate(ctx, podc.TokenRingFamily(), 2, 4); err == nil {
+	if _, err := podc.BuildTransferCertificate(ctx, podc.RingTopology().Family(), 2, 4); err == nil {
 		t.Error("no certificate may exist for the refuted two-process cutoff")
 	}
 }
 
 func TestVerifyFamilyTokenRing(t *testing.T) {
 	ctx := context.Background()
-	report, err := podc.VerifyFamily(ctx, podc.TokenRingFamily(), podc.RingProperties(),
+	report, err := podc.VerifyFamily(ctx, podc.RingTopology().Family(), podc.RingProperties(),
 		podc.WithSmallSize(podc.RingCutoffSize),
 		podc.WithCorrespondenceSizes(4, 5),
 	)
@@ -230,7 +236,7 @@ func TestVerifyFamilyTokenRing(t *testing.T) {
 			t.Errorf("property %s should be transferable", res.Name)
 		}
 	}
-	if !strings.Contains(report.Summary(), "token-ring") {
+	if !strings.Contains(report.Summary(), "family ring:") {
 		t.Errorf("summary should name the family: %s", report.Summary())
 	}
 }

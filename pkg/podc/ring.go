@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/family"
 	"repro/internal/ring"
 )
 
@@ -97,48 +98,29 @@ func namedFormulasToSpecs(nfs []ring.NamedFormula) []Spec {
 // three-process cutoff is needed.
 func RingDistinguishingFormula() Formula { return wrapFormula(ring.DistinguishingFormula()) }
 
-// RingIndexRelation returns the canonical IN relation for comparing
-// M_small with M_r: the paper's Section 5 relation for small = 2 (the claim
-// under refutation) and the corrected cutoff relation otherwise.
-func RingIndexRelation(small, large int) []IndexPair {
-	return indexPairsFromRaw(ring.IndexRelationFor(small, large))
-}
-
 // RingCorrespondence decides the indexed correspondence between two
-// explicitly built ring instances with the canonical IN relation and
-// vocabulary ("exactly one token", totality over reachable states).  It is
-// the entry point the sweeps, the HTTP service and the examples share.
+// explicitly built ring instances (correct or buggy, of any size BuildRing
+// accepts) with the canonical IN relation and vocabulary ("exactly one
+// token", totality over reachable states).  When they do not correspond,
+// the result's Evidence is the replay-confirmed distinguishing evidence,
+// extracted from the same decision.
 func RingCorrespondence(ctx context.Context, small, large *Ring) (*IndexedCorrespondence, error) {
 	if small == nil || large == nil {
 		return nil, fmt.Errorf("podc: RingCorrespondence: nil ring instance")
 	}
-	in := ring.IndexRelationFor(small.inst.R, large.inst.R)
 	res, err := ring.DecideCorrespondence(ctx, small.inst, large.inst)
 	if err != nil {
 		return nil, err
 	}
-	return &IndexedCorrespondence{res: res, in: indexPairsFromRaw(in)}, nil
-}
-
-// TokenRingFamily returns the token ring as a Family, with the corrected
-// cutoff index relation, ready for VerifyFamily and transfer certificates.
-// It is equivalent to RingTopology().Family(); the Topology route
-// additionally carries the cutoff heuristic and the Section 5 specs.
-func TokenRingFamily() Family {
-	return &FamilyFunc{
-		FamilyName: "token-ring",
-		BuildFunc: func(n int) (*Structure, error) {
-			inst, err := ring.Build(n)
-			if err != nil {
-				return nil, err
-			}
-			return wrapStructure(inst.M), nil
-		},
-		Indices: func(small, n int) []IndexPair {
-			return indexPairsFromRaw(ring.CutoffIndexRelation(small, n))
-		},
-		AtomNames: []string{ring.PropToken},
+	fev, err := family.ExplainBuilt(ctx, family.Ring(), small.inst.M, small.Size(), large.inst.M, large.Size(), res)
+	if err != nil {
+		return nil, err
 	}
+	return &IndexedCorrespondence{
+		res: res,
+		in:  indexPairsFromRaw(ring.IndexRelationFor(small.Size(), large.Size())),
+		ev:  evidenceFromFamily(fev),
+	}, nil
 }
 
 // RingRelationVariant selects which printed Section 5 relation the local

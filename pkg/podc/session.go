@@ -14,14 +14,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/family"
 	"repro/internal/kripke"
-	"repro/internal/ring"
 	"repro/internal/store"
 )
 
 // Session is the long-lived, serving-side entry point of the library: it
-// caches built ring instances, verifiers (and their memoised satisfaction
+// caches built family instances, verifiers (and their memoised satisfaction
 // sets), decided correspondences and finished experiment tables across
 // calls, so that a process answering many verification requests — the HTTP
 // service of cmd/podcserve, a REPL, a long sweep — pays for each expensive
@@ -48,20 +48,19 @@ type Session struct {
 	cacheHits, cacheMisses, cacheJoins atomic.Int64
 
 	mu         sync.Mutex
-	rings      map[int]*flight[*Ring]
-	verifiers  map[int]*flight[*Verifier]
-	instances  map[instanceKey]*flight[*Structure]
+	instances  map[instanceKey]*flight[*instance]
+	verifiers  map[instanceKey]*flight[*Verifier]
 	corr       map[pairKey]*flight[*IndexedCorrespondence]
 	certs      map[pairKey]*flight[*TransferCertificate]
 	tables     map[string]*flight[*Table]
 	structures map[string]*Structure
 }
 
-// instanceKey addresses one built family instance in the session cache.
-// mode separates construction routes that yield different structures: ""
-// for direct and parallel builds (proven byte-identical, so they share
-// entries) and "sym" for the symmetry-unfolded route, whose structures are
-// bisimilar but renumbered.
+// instanceKey addresses one built family instance, and its verifier, in
+// the session cache.  mode separates construction routes that yield
+// different structures: "" for direct and parallel builds (proven
+// byte-identical, so they share entries) and "sym" for the
+// symmetry-unfolded route, whose structures are bisimilar but renumbered.
 type instanceKey struct {
 	topology string
 	n        int
@@ -77,6 +76,20 @@ func (c config) instanceMode() string {
 	return ""
 }
 
+// instanceKey returns the cache key of the topology's size-n instance
+// under the session's configured construction route.
+func (s *Session) instanceKey(t family.Topology, n int) instanceKey {
+	return instanceKey{topology: t.Name(), n: n, mode: s.cfg.instanceMode()}
+}
+
+// instance is one cached family instance: its structure and, when it was
+// built by exploration, the explored space (state s of the structure is
+// state s of the space), from which Verifier derives the index action.
+type instance struct {
+	m  *Structure
+	sp *explore.Space
+}
+
 // pairKey addresses one decided correspondence (or transfer certificate)
 // in the session cache.
 type pairKey struct {
@@ -90,9 +103,8 @@ type pairKey struct {
 func NewSession(opts ...Option) *Session {
 	return &Session{
 		cfg:        buildConfig(opts),
-		rings:      make(map[int]*flight[*Ring]),
-		verifiers:  make(map[int]*flight[*Verifier]),
-		instances:  make(map[instanceKey]*flight[*Structure]),
+		instances:  make(map[instanceKey]*flight[*instance]),
+		verifiers:  make(map[instanceKey]*flight[*Verifier]),
 		corr:       make(map[pairKey]*flight[*IndexedCorrespondence]),
 		certs:      make(map[pairKey]*flight[*TransferCertificate]),
 		tables:     make(map[string]*flight[*Table]),
@@ -157,49 +169,54 @@ func getOrCompute[K comparable, T any](ctx context.Context, s *Session, m map[K]
 	}
 }
 
-// Ring returns the cached ring instance M_r, building it on first use.
-// Sessions configured with WithParallelBuild construct it on the packed-BFS
-// worker pool; the result is byte-identical to the sequential build, so the
-// cache needs no separate key.
-func (s *Session) Ring(ctx context.Context, r int) (*Ring, error) {
-	return getOrCompute(ctx, s, s.rings, r, func() (*Ring, error) {
-		if s.cfg.parallelBuild {
-			inst, err := ring.BuildWith(ctx, r, ring.BuildOptions{Workers: s.cfg.buildWorkers})
-			if err != nil {
-				return nil, err
-			}
-			return &Ring{inst: inst}, nil
-		}
-		return BuildRing(r)
-	})
-}
-
-// RingVerifier returns the cached Verifier for M_r; its memoised
-// satisfaction sets are shared by every subsequent check against that size.
-// Unless it checks a minimized quotient, the verifier carries the ring's
-// rotation action, verified once on M_r, so Check answers a top-level
-// "forall i" or "exists i" from one satisfaction set instead of r (see
-// mc.Checker.SetIndexAction).
-func (s *Session) RingVerifier(ctx context.Context, r int) (*Verifier, error) {
-	return getOrCompute(ctx, s, s.verifiers, r, func() (*Verifier, error) {
-		rg, err := s.Ring(ctx, r)
+// Verifier returns the cached Verifier for the topology's instance M_n;
+// its memoised satisfaction sets are shared by every later check against
+// that instance.  When the instance was built by exploration (the ring
+// always, every topology under WithParallelBuild) and the verifier does not
+// check a minimized quotient, it carries the topology's index action,
+// verified once on M_n, so Check answers a top-level "forall i" or
+// "exists i" from one satisfaction set per index orbit instead of n (see
+// mc.Checker.SetIndexAction).  Other verifiers instantiate the quantifier;
+// the answers are the same.
+func (s *Session) Verifier(ctx context.Context, topo Topology, n int) (*Verifier, error) {
+	if !topo.IsValid() {
+		return nil, fmt.Errorf("podc: Verifier: invalid topology (zero value)")
+	}
+	t := topo.t
+	return getOrCompute(ctx, s, s.verifiers, s.instanceKey(t, n), func() (*Verifier, error) {
+		inst, err := s.topologyInstance(ctx, t, n)
 		if err != nil {
 			return nil, err
 		}
 		// The session's full option state applies — no hand-copied subset,
 		// so knobs like WithReachableOnly reach the quotient decision too.
-		v, err := newVerifier(ctx, rg.Structure(), s.cfg)
+		v, err := newVerifier(ctx, inst.m, s.cfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := v.attachRingAction(ctx, rg); err != nil {
+		// Quotient states are not instance states, and a sequential or
+		// unfolded build kept no space to build the action from.
+		pi, ok := family.Packed(t, n)
+		if v.min || inst.sp == nil || !ok || pi.Group == nil {
+			return v, nil
+		}
+		a, err := pi.IndexAction(ctx, inst.sp, inst.m.raw())
+		if err != nil {
+			// An action that fails verification is not attached and the
+			// verifier keeps instantiating; only cancellation is an error.
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			return v, nil
+		}
+		if err := v.checker.SetIndexAction(a); err != nil {
 			return nil, err
 		}
 		return v, nil
 	})
 }
 
-// VerifierMemoStats sums Verifier.MemoStats over the session's cached ring
+// VerifierMemoStats sums Verifier.MemoStats over the session's cached
 // verifiers; verifiers still being built are skipped.  It never waits for a
 // running query.
 func (s *Session) VerifierMemoStats() (entries, bytes int) {
@@ -219,56 +236,53 @@ func (s *Session) VerifierMemoStats() (entries, bytes int) {
 	return entries, bytes
 }
 
-// CheckRing model checks a formula against the cached ring M_r.
-func (s *Session) CheckRing(ctx context.Context, r int, f Formula) (bool, error) {
-	v, err := s.RingVerifier(ctx, r)
-	if err != nil {
-		return false, err
-	}
-	return v.Check(ctx, f)
-}
-
 // Instance returns the cached instance M_n of the topology, building it on
-// first use.  Ring instances share the richer Ring cache.
+// first use.
 func (s *Session) Instance(ctx context.Context, topo Topology, n int) (*Structure, error) {
 	if !topo.IsValid() {
 		return nil, fmt.Errorf("podc: Instance: invalid topology (zero value)")
 	}
-	return s.topologyInstance(ctx, topo.raw(), n)
+	inst, err := s.topologyInstance(ctx, topo.t, n)
+	if err != nil {
+		return nil, err
+	}
+	return inst.m, nil
 }
 
-func (s *Session) topologyInstance(ctx context.Context, t family.Topology, n int) (*Structure, error) {
-	mode := s.cfg.instanceMode()
-	if mode == "" && t.Name() == family.Ring().Name() {
-		// Ring instances share the richer Ring cache; the symmetry route
-		// renumbers states, so it stays in the per-mode instance cache.
-		rg, err := s.Ring(ctx, n)
+func (s *Session) topologyInstance(ctx context.Context, t family.Topology, n int) (*instance, error) {
+	return getOrCompute(ctx, s, s.instances, s.instanceKey(t, n), func() (*instance, error) {
+		m, sp, err := s.buildInstance(ctx, t, n)
 		if err != nil {
 			return nil, err
 		}
-		return rg.Structure(), nil
-	}
-	return getOrCompute(ctx, s, s.instances, instanceKey{topology: t.Name(), n: n, mode: mode}, func() (*Structure, error) {
-		m, err := s.buildInstance(ctx, t, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStructure(m), nil
+		return &instance{m: wrapStructure(m), sp: sp}, nil
 	})
 }
 
 // buildInstance constructs one topology instance through the session's
 // configured route: the certified quotient-unfold (WithSymmetry), the
 // parallel packed-BFS engine (WithParallelBuild) or the sequential Build.
-func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (*kripke.Structure, error) {
+// The space is nil unless the instance was explored.
+func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (*kripke.Structure, *explore.Space, error) {
 	switch {
 	case s.cfg.symmetry:
 		m, _, err := family.BuildUnfolded(ctx, t, n)
-		return m, err
+		return m, nil, err
 	case s.cfg.parallelBuild:
 		return family.BuildParallel(ctx, t, n, s.cfg.buildWorkers)
+	case t.Name() == family.Ring().Name():
+		// ring.Build already is the packed explorer with one worker, so
+		// this route builds the same structure and keeps the space for
+		// the index action, without ring.Instance's decoded state views:
+		// M_8 takes 5.3 ms and 2.66 MB against ring.Build's 5.4 ms and
+		// 2.84 MB (median of 5, 2-CPU Xeon, go 1.24).  The token
+		// topologies' packed route allocates 3-4x their sequential Build
+		// (star[8] 128 KB against 38 KB, torus[8] 134 KB against 43 KB),
+		// so they keep t.Build.
+		return family.BuildParallel(ctx, t, n, 1)
 	default:
-		return t.Build(n)
+		m, err := t.Build(n)
+		return m, nil, err
 	}
 }
 
@@ -282,7 +296,7 @@ func (s *Session) Correspondence(ctx context.Context, topo Topology, small, larg
 	if small > large {
 		return nil, fmt.Errorf("podc: Correspondence: need small <= large, got %d > %d", small, large)
 	}
-	t := topo.raw()
+	t := topo.t
 	return getOrCompute(ctx, s, s.corr, pairKey{topology: t.Name(), small: small, large: large}, func() (*IndexedCorrespondence, error) {
 		st := s.verdictStore()
 		key := s.storeKey("correspondence", t, small, large)
@@ -302,19 +316,13 @@ func (s *Session) Correspondence(ctx context.Context, topo Topology, small, larg
 		if err != nil {
 			return nil, err
 		}
-		res, err := family.DecideBuilt(ctx, t, sm.raw(), small, lg.raw(), large)
+		res, err := family.DecideBuilt(ctx, t, sm.m.raw(), small, lg.m.raw(), large)
 		if err != nil {
 			return nil, err
 		}
 		storePut(st, key, store.RecordIndexed(res))
 		return &IndexedCorrespondence{res: res, in: indexPairsFromRaw(t.IndexRelation(small, large))}, nil
 	})
-}
-
-// RingCorrespondence decides (and caches) the canonical indexed ring
-// correspondence between M_small and M_large.
-func (s *Session) RingCorrespondence(ctx context.Context, small, large int) (*IndexedCorrespondence, error) {
-	return s.Correspondence(ctx, RingTopology(), small, large)
 }
 
 // CorrespondenceEvidence returns the machine-checked evidence for a failed
@@ -332,7 +340,7 @@ func (s *Session) CorrespondenceEvidence(ctx context.Context, topo Topology, sma
 	if corr.Corresponds() {
 		return nil, nil
 	}
-	t := topo.raw()
+	t := topo.t
 	st := s.verdictStore()
 	key := s.storeKey("evidence", t, small, large)
 	var rec store.EvidenceRecord
@@ -352,7 +360,7 @@ func (s *Session) CorrespondenceEvidence(ctx context.Context, topo Topology, sma
 	if err != nil {
 		return nil, err
 	}
-	fev, err := family.ExplainBuilt(ctx, t, sm.raw(), small, lg.raw(), large, corr.res)
+	fev, err := family.ExplainBuilt(ctx, t, sm.m.raw(), small, lg.m.raw(), large, corr.res)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +376,11 @@ func (s *Session) sessionFamily(ctx context.Context, t family.Topology) Family {
 	return &FamilyFunc{
 		FamilyName: t.Name(),
 		BuildFunc: func(n int) (*Structure, error) {
-			return s.topologyInstance(ctx, t, n)
+			inst, err := s.topologyInstance(ctx, t, n)
+			if err != nil {
+				return nil, err
+			}
+			return inst.m, nil
 		},
 		Indices: func(small, n int) []IndexPair {
 			return indexPairsFromRaw(t.IndexRelation(small, n))
@@ -388,7 +400,7 @@ func (s *Session) TransferCertificate(ctx context.Context, topo Topology, small,
 	if small > large {
 		return nil, fmt.Errorf("podc: TransferCertificate: need small <= large, got %d > %d", small, large)
 	}
-	t := topo.raw()
+	t := topo.t
 	return getOrCompute(ctx, s, s.certs, pairKey{topology: t.Name(), small: small, large: large}, func() (*TransferCertificate, error) {
 		st := s.verdictStore()
 		key := s.storeKey("certificate", t, small, large)
@@ -427,12 +439,6 @@ func (s *Session) TransferCertificate(ctx context.Context, topo Topology, small,
 		storePut(st, key, cert)
 		return cert, nil
 	})
-}
-
-// RingTransferCertificate builds (and caches) the ring transfer
-// certificate for the pair (small, large).
-func (s *Session) RingTransferCertificate(ctx context.Context, small, large int) (*TransferCertificate, error) {
-	return s.TransferCertificate(ctx, RingTopology(), small, large)
 }
 
 // AddStructure registers a named structure with the session, so later
@@ -489,21 +495,6 @@ type SweepResult struct {
 	Err error `json:"-"`
 }
 
-// Sweep decides the cutoff correspondence M_cutoff ~ M_n of the session's
-// configured topology (WithTopology; the token ring by default) for every
-// requested size on a worker pool and yields each verdict the moment it is
-// decided, in completion order.  Breaking out of the iteration cancels the
-// remaining work; cancelling ctx ends the stream early.  Every verdict that
-// comes back true extends the range of sizes over which Theorem 5 transfers
-// the family's specifications.
-func (s *Session) Sweep(ctx context.Context, sizes []int) iter.Seq[SweepResult] {
-	t, err := s.cfg.topologyOrError()
-	if err != nil {
-		return errorSweep(err, sizes)
-	}
-	return s.SweepTopology(ctx, Topology{t: t}, sizes)
-}
-
 // errorSweep yields one failed SweepResult per requested size, so
 // configuration errors surface through the same stream the consumer is
 // already reading.
@@ -517,7 +508,12 @@ func errorSweep(err error, sizes []int) iter.Seq[SweepResult] {
 	}
 }
 
-// SweepTopology is Sweep for an explicitly chosen topology.
+// SweepTopology decides the cutoff correspondence M_cutoff ~ M_n of the
+// topology for every requested size on a worker pool and yields each
+// verdict the moment it is decided, in completion order.  Breaking out of
+// the iteration cancels the remaining work; cancelling ctx ends the stream
+// early.  Every verdict that comes back true extends the range of sizes
+// over which Theorem 5 transfers the family's specifications.
 func (s *Session) SweepTopology(ctx context.Context, topo Topology, sizes []int) iter.Seq[SweepResult] {
 	if !topo.IsValid() {
 		return errorSweep(fmt.Errorf("podc: SweepTopology: invalid topology (zero value)"), sizes)
@@ -530,7 +526,7 @@ func (s *Session) SweepTopology(ctx context.Context, topo Topology, sizes []int)
 	return func(yield func(SweepResult) bool) {
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		ch := runner.TopologySweep(ctx, topo.raw(), sizes)
+		ch := runner.TopologySweep(ctx, topo.t, sizes)
 		for row := range ch {
 			res := SweepResult{
 				Topology:       row.Topology,
@@ -555,22 +551,6 @@ func (s *Session) SweepTopology(ctx context.Context, topo Topology, sizes []int)
 			}
 		}
 	}
-}
-
-// SweepTable collects a Sweep of the session's configured topology into
-// one table sorted by size; it fails on the first erroring size.
-func (s *Session) SweepTable(ctx context.Context, sizes []int) (*Table, error) {
-	var rows []SweepResult
-	for row := range s.Sweep(ctx, sizes) {
-		if row.Err != nil {
-			return nil, fmt.Errorf("podc: sweep %s n=%d: %w", row.Topology, row.R, row.Err)
-		}
-		rows = append(rows, row)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return SweepResultsTable(rows), nil
 }
 
 // SweepResultsTable renders already-collected sweep results as one table,
@@ -717,7 +697,7 @@ type CacheStats struct {
 }
 
 // CacheStats reports the session's cache counters across every cached
-// artefact kind (rings, verifiers, instances, correspondences, certificates,
+// artefact kind (instances, verifiers, correspondences, certificates,
 // experiment tables).
 func (s *Session) CacheStats() CacheStats {
 	return CacheStats{

@@ -17,91 +17,117 @@ import (
 func TestSessionCachesRingsAndVerifiers(t *testing.T) {
 	ctx := context.Background()
 	s := podc.NewSession(podc.WithWorkers(2))
-	r1, err := s.Ring(ctx, 4)
+	ring := podc.RingTopology()
+	m1, err := s.Instance(ctx, ring, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Ring(ctx, 4)
+	m2, err := s.Instance(ctx, ring, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
-		t.Error("Session.Ring must return the cached instance")
+	if m1 != m2 {
+		t.Error("Session.Instance must return the cached instance")
 	}
-	v1, err := s.RingVerifier(ctx, 4)
+	v1, err := s.Verifier(ctx, ring, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := s.RingVerifier(ctx, 4)
+	v2, err := s.Verifier(ctx, ring, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1 != v2 {
-		t.Error("Session.RingVerifier must return the cached verifier")
+		t.Error("Session.Verifier must return the cached verifier")
 	}
-	holds, err := s.CheckRing(ctx, 4, podc.MustParseFormula("forall i . AG (d[i] -> AF c[i])"))
+	if v1.Original() != m1 {
+		t.Error("the cached verifier must check the cached instance")
+	}
+	holds, err := v1.Check(ctx, podc.MustParseFormula("forall i . AG (d[i] -> AF c[i])"))
 	if err != nil || !holds {
 		t.Errorf("liveness on M_4 = %v, %v", holds, err)
 	}
 }
 
-// TestSessionRingVerifierChecksPerOrbit compares the session's ring
-// verifier, which carries the ring's verified rotation action, with a
-// plain verifier of the same structure: every verdict (at the initial
-// state and at every state) agrees, and the session's verifier answers the
-// top-level quantifiers with fewer memoised satisfaction sets.  A
-// minimized session's verifier checks a quotient and must not carry the
-// action, yet answers the same.
+// TestSessionRingVerifierChecksPerOrbit compares the verifier of every
+// session construction route with a plain verifier of the structure that
+// route built: every verdict agrees, at the initial state and (unless the
+// verifier checks a quotient) at every state.  Routes that explored the
+// instance (the ring by default; any topology under WithParallelBuild)
+// carry its verified index action and answer the top-level quantifiers
+// with fewer memoised satisfaction sets than the plain verifier.
+// WithMinimize (quotient states are not instance states), WithSymmetry
+// (the unfolded build keeps no space) and a star built sequentially carry
+// no action and memoise exactly as many sets.
 func TestSessionRingVerifierChecksPerOrbit(t *testing.T) {
 	ctx := context.Background()
-	const r = 4
-	rg, err := podc.BuildRing(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := podc.NewVerifier(ctx, rg.Structure())
-	if err != nil {
-		t.Fatal(err)
-	}
-	orbit, err := podc.NewSession().RingVerifier(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minimized, err := podc.NewSession(podc.WithMinimize()).RingVerifier(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	formulas := []string{
+	ringFormulas := []string{
 		"forall i . AG (d[i] -> AF c[i])",
 		"exists i . EX EX c[i]",
 		"forall i . A[n[i] U t[i]]",
 		"exists i . AG !c[i]",
 		"forall i . EF (c[i] & one t)",
 	}
-	for _, text := range formulas {
-		f := podc.MustParseFormula(text)
-		want, err := plain.Check(ctx, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := orbit.Check(ctx, f); err != nil || got != want {
-			t.Errorf("%s: session verifier %v (%v), plain %v", text, got, err, want)
-		}
-		if got, err := minimized.Check(ctx, f); err != nil || got != want {
-			t.Errorf("%s: minimized verifier %v (%v), plain %v", text, got, err, want)
-		}
-		for s := range rg.Structure().NumStates() {
-			want, err1 := plain.CheckAt(ctx, f, podc.State(s))
-			got, err2 := orbit.CheckAt(ctx, f, podc.State(s))
-			if err1 != nil || err2 != nil || got != want {
-				t.Fatalf("%s at state %d: session verifier %v (%v), plain %v (%v)", text, s, got, err2, want, err1)
-			}
-		}
+	starFormulas := []string{
+		"forall i . AG EF t[i]",
+		"exists i . EX t[i]",
+		"forall i . AG (t[i] -> EF (n[i] & !t[i]))",
+		"exists i . AG !t[i]",
 	}
-	orbitEntries, _ := orbit.MemoStats()
-	plainEntries, _ := plain.MemoStats()
-	if orbitEntries >= plainEntries {
-		t.Errorf("session verifier memoised %d sets, plain %d: the rotation action was not used", orbitEntries, plainEntries)
+	for _, tc := range []struct {
+		name     string
+		opts     []podc.Option
+		topo     podc.Topology
+		n        int
+		formulas []string
+		orbit    bool
+	}{
+		{"ring/default", nil, podc.RingTopology(), 4, ringFormulas, true},
+		{"ring/parallel-build", []podc.Option{podc.WithParallelBuild(2)}, podc.RingTopology(), 4, ringFormulas, true},
+		{"ring/minimize", []podc.Option{podc.WithMinimize()}, podc.RingTopology(), 4, ringFormulas, false},
+		{"ring/symmetry", []podc.Option{podc.WithSymmetry()}, podc.RingTopology(), 4, ringFormulas, false},
+		{"star/default", nil, podc.StarTopology(), 5, starFormulas, false},
+		{"star/parallel-build", []podc.Option{podc.WithParallelBuild(2)}, podc.StarTopology(), 5, starFormulas, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := podc.NewSession(tc.opts...).Verifier(ctx, tc.topo, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := v.Original()
+			plain, err := podc.NewVerifier(ctx, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, text := range tc.formulas {
+				f := podc.MustParseFormula(text)
+				want, err := plain.Check(ctx, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := v.Check(ctx, f); err != nil || got != want {
+					t.Errorf("%s: session verifier %v (%v), plain %v", text, got, err, want)
+				}
+				if v.Minimized() {
+					continue
+				}
+				for s := range m.NumStates() {
+					want, err1 := plain.CheckAt(ctx, f, podc.State(s))
+					got, err2 := v.CheckAt(ctx, f, podc.State(s))
+					if err1 != nil || err2 != nil || got != want {
+						t.Fatalf("%s at state %d: session verifier %v (%v), plain %v (%v)", text, s, got, err2, want, err1)
+					}
+				}
+			}
+			entries, _ := v.MemoStats()
+			plainEntries, _ := plain.MemoStats()
+			switch {
+			case tc.orbit && entries >= plainEntries:
+				t.Errorf("session verifier memoised %d sets, plain %d: the index action was not used", entries, plainEntries)
+			case !tc.orbit && entries != plainEntries:
+				t.Errorf("session verifier memoised %d sets, plain %d: this route must carry no index action", entries, plainEntries)
+			}
+		})
 	}
 }
 
@@ -123,8 +149,13 @@ func TestSessionVerifierMemoStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, text := range formulas {
-				if _, err := s.CheckRing(ctx, r, podc.MustParseFormula(text)); err != nil {
-					t.Errorf("CheckRing(%d, %s): %v", r, text, err)
+				v, err := s.Verifier(ctx, podc.RingTopology(), r)
+				if err != nil {
+					t.Errorf("Verifier(ring, %d): %v", r, err)
+					return
+				}
+				if _, err := v.Check(ctx, podc.MustParseFormula(text)); err != nil {
+					t.Errorf("Check(M_%d, %s): %v", r, text, err)
 				}
 			}
 		}()
@@ -162,7 +193,7 @@ func TestSessionDeduplicatesConcurrentCorrespondences(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			corr, err := s.RingCorrespondence(ctx, 3, 6)
+			corr, err := s.Correspondence(ctx, podc.RingTopology(), 3, 6)
 			if err != nil {
 				t.Error(err)
 				return
@@ -186,13 +217,13 @@ func TestSessionWaiterSurvivesCreatorCancellation(t *testing.T) {
 	creatorCtx, cancelCreator := context.WithCancel(context.Background())
 	creatorDone := make(chan error, 1)
 	go func() {
-		_, err := s.RingCorrespondence(creatorCtx, 3, 9)
+		_, err := s.Correspondence(creatorCtx, podc.RingTopology(), 3, 9)
 		creatorDone <- err
 	}()
 	time.Sleep(2 * time.Millisecond) // let the creator claim the flight
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := s.RingCorrespondence(context.Background(), 3, 9)
+		_, err := s.Correspondence(context.Background(), podc.RingTopology(), 3, 9)
 		waiterDone <- err
 	}()
 	time.Sleep(2 * time.Millisecond)
@@ -215,11 +246,11 @@ func TestSessionFailedComputationIsRetried(t *testing.T) {
 	s := podc.NewSession()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RingCorrespondence(ctx, 3, 6); err == nil {
+	if _, err := s.Correspondence(ctx, podc.RingTopology(), 3, 6); err == nil {
 		t.Fatal("cancelled computation should fail")
 	}
 	// The failure must not be cached.
-	corr, err := s.RingCorrespondence(context.Background(), 3, 6)
+	corr, err := s.Correspondence(context.Background(), podc.RingTopology(), 3, 6)
 	if err != nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}
@@ -251,7 +282,7 @@ func TestSessionSweepStreamsAndStopsEarly(t *testing.T) {
 	s := podc.NewSession(podc.WithWorkers(2))
 	// Full run: all sizes arrive.
 	seen := map[int]bool{}
-	for row := range s.Sweep(ctx, []int{4, 5, 6}) {
+	for row := range s.SweepTopology(ctx, podc.RingTopology(), []int{4, 5, 6}) {
 		if row.Err != nil {
 			t.Fatalf("r=%d: %v", row.R, row.Err)
 		}
@@ -267,7 +298,7 @@ func TestSessionSweepStreamsAndStopsEarly(t *testing.T) {
 	// Early break: the iterator must stop and the pool wind down.
 	baseline := runtime.NumGoroutine()
 	got := 0
-	for range s.Sweep(ctx, []int{4, 5, 6, 7, 8, 9}) {
+	for range s.SweepTopology(ctx, podc.RingTopology(), []int{4, 5, 6, 7, 8, 9}) {
 		got++
 		break
 	}
@@ -284,7 +315,7 @@ func TestSessionSweepStreamsAndStopsEarly(t *testing.T) {
 
 	// A summary table from collected rows.
 	var rows []podc.SweepResult
-	for row := range s.Sweep(ctx, []int{4, 5}) {
+	for row := range s.SweepTopology(ctx, podc.RingTopology(), []int{4, 5}) {
 		rows = append(rows, row)
 	}
 	tbl := podc.SweepResultsTable(rows)
@@ -341,11 +372,11 @@ func TestSessionExperimentCachedAndStreamed(t *testing.T) {
 func TestSessionTransferCertificateCached(t *testing.T) {
 	ctx := context.Background()
 	s := podc.NewSession(podc.WithWorkers(2))
-	c1, err := s.RingTransferCertificate(ctx, 3, 4)
+	c1, err := s.TransferCertificate(ctx, podc.RingTopology(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s.RingTransferCertificate(ctx, 3, 4)
+	c2, err := s.TransferCertificate(ctx, podc.RingTopology(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,8 +147,8 @@ func (s *Session) replayEvidenceRecord(ctx context.Context, t family.Topology, s
 	if err != nil {
 		return nil, err
 	}
-	ev.Left = sm.raw().ReduceNormalized(rec.I)
-	ev.Right = lg.raw().ReduceNormalized(rec.I2)
+	ev.Left = sm.m.raw().ReduceNormalized(rec.I)
+	ev.Right = lg.m.raw().ReduceNormalized(rec.I2)
 	if err := mc.ReplayEvidence(ctx, ev); err != nil {
 		return nil, fmt.Errorf("podc: stored evidence rejected by replay: %w", err)
 	}

@@ -23,7 +23,7 @@ func TestSessionStoreReplaysCorrespondence(t *testing.T) {
 	dir := t.TempDir()
 
 	s1 := podc.NewSession(podc.WithStore(dir))
-	first, err := s1.RingCorrespondence(ctx, 3, 5)
+	first, err := s1.Correspondence(ctx, podc.RingTopology(), 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSessionStoreReplaysCorrespondence(t *testing.T) {
 
 	s2 := podc.NewSession(podc.WithStore(dir))
 	before := bisim.ComputeCalls()
-	second, err := s2.RingCorrespondence(ctx, 3, 5)
+	second, err := s2.Correspondence(ctx, podc.RingTopology(), 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSessionStoreReplaysCertificate(t *testing.T) {
 	dir := t.TempDir()
 
 	s1 := podc.NewSession(podc.WithStore(dir))
-	first, err := s1.RingTransferCertificate(ctx, 3, 5)
+	first, err := s1.TransferCertificate(ctx, podc.RingTopology(), 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSessionStoreReplaysCertificate(t *testing.T) {
 
 	s2 := podc.NewSession(podc.WithStore(dir))
 	before := bisim.ComputeCalls()
-	second, err := s2.RingTransferCertificate(ctx, 3, 5)
+	second, err := s2.TransferCertificate(ctx, podc.RingTopology(), 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSessionStoreRejectsTamperedCertificate(t *testing.T) {
 	dir := t.TempDir()
 
 	s1 := podc.NewSession(podc.WithStore(dir))
-	if _, err := s1.RingTransferCertificate(ctx, 3, 4); err != nil {
+	if _, err := s1.TransferCertificate(ctx, podc.RingTopology(), 3, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt every stored entry in place; the next session must detect the
@@ -110,11 +110,11 @@ func TestSessionStoreRejectsTamperedCertificate(t *testing.T) {
 		}
 	}
 	s2 := podc.NewSession(podc.WithStore(dir))
-	cert, err := s2.RingTransferCertificate(ctx, 3, 4)
+	cert, err := s2.TransferCertificate(ctx, podc.RingTopology(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cert.Validate(podc.TokenRingFamily()); err != nil {
+	if err := cert.Validate(podc.RingTopology().Family()); err != nil {
 		t.Fatalf("recomputed certificate invalid: %v", err)
 	}
 	st, ok := s2.StoreStats()
@@ -167,7 +167,7 @@ func TestSessionStoreOpenFailureDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := podc.NewSession(podc.WithStore(filepath.Join(blocker, "store")))
-	corr, err := s.RingCorrespondence(ctx, 3, 4)
+	corr, err := s.Correspondence(ctx, podc.RingTopology(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSessionStoreSweepReplay(t *testing.T) {
 	run := func() []podc.SweepResult {
 		s := podc.NewSession(podc.WithStore(dir))
 		var rows []podc.SweepResult
-		for row := range s.Sweep(ctx, sizes) {
+		for row := range s.SweepTopology(ctx, podc.RingTopology(), sizes) {
 			if row.Err != nil {
 				t.Fatalf("n=%d: %v", row.R, row.Err)
 			}
@@ -231,7 +231,7 @@ func TestSessionCertificateFromStoredCorrespondence(t *testing.T) {
 	}
 	for _, tamper := range []bool{false, true} {
 		dir := t.TempDir()
-		if _, err := podc.NewSession(podc.WithStore(dir)).RingCorrespondence(ctx, 3, 5); err != nil {
+		if _, err := podc.NewSession(podc.WithStore(dir)).Correspondence(ctx, podc.RingTopology(), 3, 5); err != nil {
 			t.Fatal(err)
 		}
 		if tamper {
@@ -255,7 +255,7 @@ func TestSessionCertificateFromStoredCorrespondence(t *testing.T) {
 		}
 		s := podc.NewSession(podc.WithStore(dir))
 		before := bisim.ComputeCalls()
-		cert, err := s.RingTransferCertificate(ctx, 3, 5)
+		cert, err := s.TransferCertificate(ctx, podc.RingTopology(), 3, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,5 +269,48 @@ func TestSessionCertificateFromStoredCorrespondence(t *testing.T) {
 		if !bytes.Equal(gotJSON, wantJSON) {
 			t.Errorf("tampered=%v: certificate differs from BuildTransferCertificate's", tamper)
 		}
+	}
+}
+
+// TestSessionStoreRejectsHollowCertificate: a stored certificate whose
+// entry is intact (matching payload_sha256) but which certifies nothing —
+// no pairs, or another family's name — fails validation and the pair is
+// decided again instead of the entry being served.
+func TestSessionStoreRejectsHollowCertificate(t *testing.T) {
+	ctx := context.Background()
+	ring := podc.RingTopology()
+	key := store.Key{
+		Kind: "certificate", Topology: ring.Name(), Small: 3, Large: 4,
+		Atoms: ring.Atoms(), ReachableOnly: true,
+	}
+	for name, payload := range map[string]string{
+		"empty pairs":  `{"family":"ring","small_size":3,"large_size":4,"one_props":["t"],"pairs":[]}`,
+		"wrong family": `{"family":"star","small_size":3,"large_size":4}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(key, json.RawMessage(payload)); err != nil {
+				t.Fatal(err)
+			}
+			s := podc.NewSession(podc.WithStore(dir))
+			before := bisim.ComputeCalls()
+			cert, err := s.TransferCertificate(ctx, ring, 3, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls, pairs := bisim.ComputeCalls()-before, len(ring.IndexRelation(3, 4)); calls != int64(pairs) {
+				t.Errorf("%d refinements for %d index pairs: the hollow certificate was served, not decided again", calls, pairs)
+			}
+			if err := cert.Validate(ring.Family()); err != nil {
+				t.Fatalf("decided certificate invalid: %v", err)
+			}
+			if cert.FamilyName() != ring.Name() {
+				t.Errorf("certificate family %q, want %q", cert.FamilyName(), ring.Name())
+			}
+		})
 	}
 }

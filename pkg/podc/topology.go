@@ -1,11 +1,6 @@
 package podc
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/family"
-)
+import "repro/internal/family"
 
 // This file surfaces the topology-parametric family engine of
 // internal/family: the paper's verify-small / correspond / transfer-by-
@@ -13,8 +8,9 @@ import (
 // in addition to the Section 5 token ring.  A Topology bundles everything
 // the methodology needs — an instance generator, the inductive index
 // relation, the cutoff heuristic, the vocabulary and the specifications —
-// and WithTopology routes DecideCorrespondence, Session caches and the
-// HTTP service's /v1/correspond endpoint to the selected family.
+// and the Session methods (Instance, Verifier, Correspondence,
+// TransferCertificate, SweepTopology) take the family to work on as their
+// first argument.
 
 // Topology is one parameterized family of networks of identical processes:
 // the token ring of Section 5, or one of the generalised
@@ -155,45 +151,4 @@ func (t Topology) Family() Family {
 		},
 		AtomNames: topo.Atoms(),
 	}
-}
-
-// DecideCorrespondence builds the configured topology's instances of the
-// two sizes (WithTopology; the token ring when no topology is given) and
-// decides their canonical indexed correspondence — the per-topology
-// dispatch point the sweeps, the HTTP service and the examples share.
-// Cancelling ctx stops the decision procedure promptly.
-func DecideCorrespondence(ctx context.Context, small, large int, opts ...Option) (*IndexedCorrespondence, error) {
-	cfg := buildConfig(opts)
-	topo, err := cfg.topologyOrError()
-	if err != nil {
-		return nil, err
-	}
-	if small > large {
-		return nil, fmt.Errorf("podc: DecideCorrespondence: need small <= large, got %d > %d", small, large)
-	}
-	out := &IndexedCorrespondence{in: indexPairsFromRaw(topo.IndexRelation(small, large))}
-	if cfg.evidence {
-		res, fev, err := family.DecideWithEvidence(ctx, topo, small, large)
-		if err != nil {
-			return nil, err
-		}
-		out.res = res
-		out.ev = evidenceFromFamily(fev)
-		return out, nil
-	}
-	res, err := family.DecideCorrespondence(ctx, topo, small, large)
-	if err != nil {
-		return nil, err
-	}
-	out.res = res
-	return out, nil
-}
-
-// raw returns the wrapped internal topology, defaulting to the ring for
-// the zero value.
-func (t Topology) raw() family.Topology {
-	if t.t == nil {
-		return family.Ring()
-	}
-	return t.t
 }

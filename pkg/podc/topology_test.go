@@ -32,14 +32,15 @@ func TestTopologyRegistry(t *testing.T) {
 	}
 }
 
-// TestDecideCorrespondenceDispatch: the package-level entry point
-// dispatches on WithTopology and defaults to the ring.
-func TestDecideCorrespondenceDispatch(t *testing.T) {
+// TestSessionCorrespondenceDispatch: Session.Correspondence decides the
+// family it is given.
+func TestSessionCorrespondenceDispatch(t *testing.T) {
 	ctx := context.Background()
+	s := podc.NewSession()
 
-	// Default: the ring, whose M_2 does not correspond to M_4 (the refuted
-	// Section 5 claim).
-	ringCorr, err := podc.DecideCorrespondence(ctx, 2, 4)
+	// The ring's M_2 does not correspond to M_4 (the refuted Section 5
+	// claim).
+	ringCorr, err := s.Correspondence(ctx, podc.RingTopology(), 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestDecideCorrespondenceDispatch(t *testing.T) {
 	// The star family's two-process instance does correspond: the
 	// requestless protocol lacks the delayed-set structure that breaks the
 	// ring's two-process cutoff.
-	starCorr, err := podc.DecideCorrespondence(ctx, 2, 4, podc.WithTopology(podc.StarTopology()))
+	starCorr, err := s.Correspondence(ctx, podc.StarTopology(), 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +60,11 @@ func TestDecideCorrespondenceDispatch(t *testing.T) {
 	}
 
 	// Invalid sizes surface as errors, not verdicts.
-	if _, err := podc.DecideCorrespondence(ctx, 4, 7, podc.WithTopology(podc.TorusTopology())); err == nil {
+	if _, err := s.Correspondence(ctx, podc.TorusTopology(), 4, 7); err == nil {
 		t.Error("odd torus size must be rejected")
 	}
-	if _, err := podc.DecideCorrespondence(ctx, 5, 4); err == nil {
+	if _, err := s.Correspondence(ctx, podc.RingTopology(), 5, 4); err == nil {
 		t.Error("small > large must be rejected")
-	}
-
-	// The invalid zero Topology (e.g. a discarded TopologyByName failure)
-	// must error, not silently answer for the ring.
-	bogus, _ := podc.TopologyByName("taurus")
-	if _, err := podc.DecideCorrespondence(ctx, 2, 4, podc.WithTopology(bogus)); err == nil {
-		t.Error("the zero Topology must be rejected, not defaulted to the ring")
 	}
 }
 
@@ -90,6 +84,9 @@ func TestSessionRejectsInvalidTopologyInputs(t *testing.T) {
 	if _, err := s.Instance(ctx, zero, 3); err == nil {
 		t.Error("Instance must reject the zero Topology")
 	}
+	if _, err := s.Verifier(ctx, zero, 3); err == nil {
+		t.Error("Verifier must reject the zero Topology")
+	}
 	star, _ := podc.TopologyByName("star")
 	if _, err := s.Correspondence(ctx, star, 6, 3); err == nil {
 		t.Error("Correspondence must reject small > large")
@@ -101,16 +98,6 @@ func TestSessionRejectsInvalidTopologyInputs(t *testing.T) {
 		if row.Err == nil {
 			t.Error("SweepTopology over the zero Topology must stream error rows")
 		}
-	}
-	bad := podc.NewSession(podc.WithTopology(zero))
-	var errRows int
-	for row := range bad.Sweep(ctx, []int{4, 5}) {
-		if row.Err != nil {
-			errRows++
-		}
-	}
-	if errRows != 2 {
-		t.Errorf("a session configured with the zero Topology must stream error rows, got %d of 2", errRows)
 	}
 }
 
@@ -195,8 +182,8 @@ func TestSessionTopologyCorrespondenceCached(t *testing.T) {
 		t.Error("both families' cutoff correspondences should hold")
 	}
 
-	// The ring-specific accessors remain the topology engine's ring view.
-	r1, err := s.RingCorrespondence(ctx, 3, 4)
+	// A topology resolved by name shares the constructor's cache entries.
+	r1, err := s.Correspondence(ctx, podc.RingTopology(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,35 +193,32 @@ func TestSessionTopologyCorrespondenceCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
-		t.Error("RingCorrespondence must share the topology cache")
+		t.Error("the ring resolved by name must share the RingTopology cache entry")
 	}
 }
 
 // TestSessionSweepTopology streams a non-ring sweep through the session.
 func TestSessionSweepTopology(t *testing.T) {
 	ctx := context.Background()
-	s := podc.NewSession(podc.WithWorkers(2), podc.WithTopology(podc.StarTopology()))
-	var rows int
-	for row := range s.Sweep(ctx, []int{4, 5, 6}) {
+	s := podc.NewSession(podc.WithWorkers(2))
+	var rows []podc.SweepResult
+	for row := range s.SweepTopology(ctx, podc.StarTopology(), []int{4, 5, 6}) {
 		if row.Err != nil {
 			t.Fatalf("n=%d: %v", row.R, row.Err)
 		}
 		if row.Topology != "star" {
-			t.Errorf("row topology %q, want star (the session's configured topology)", row.Topology)
+			t.Errorf("row topology %q, want star", row.Topology)
 		}
 		if !row.Corresponds {
 			t.Errorf("star n=%d should correspond", row.R)
 		}
-		rows++
+		rows = append(rows, row)
 	}
-	if rows != 3 {
-		t.Fatalf("got %d rows, want 3", rows)
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
-	tbl, err := s.SweepTable(ctx, []int{4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 || tbl.Rows[0][0] != "star" {
+	tbl := podc.SweepResultsTable(rows)
+	if len(tbl.Rows) != 3 || tbl.Rows[0][0] != "star" {
 		t.Errorf("sweep table should carry the topology column: %v", tbl.Rows)
 	}
 }

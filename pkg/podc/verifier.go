@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/family"
 	"repro/internal/kripke"
 	"repro/internal/mc"
 )
@@ -59,26 +58,6 @@ func newVerifier(ctx context.Context, m *Structure, cfg config) (*Verifier, erro
 		v.checker.SetWorkers(cfg.workers)
 	}
 	return v, nil
-}
-
-// attachRingAction gives the verifier's checker the rotation action of
-// the ring rg, built from the ring's explored space and verified on its
-// structure.  A verifier of a minimized quotient gets none: quotient states
-// are not ring states.  An action that fails verification is not attached
-// and the verifier keeps instantiating; only cancellation is an error.
-func (v *Verifier) attachRingAction(ctx context.Context, rg *Ring) error {
-	if v.min {
-		return nil
-	}
-	pi, ok := family.Packed(family.Ring(), rg.Size())
-	if !ok {
-		return nil
-	}
-	a, err := pi.IndexAction(ctx, rg.inst.Space(), rg.inst.M)
-	if err != nil {
-		return ctx.Err()
-	}
-	return v.checker.SetIndexAction(a)
 }
 
 // Structure returns the structure the verifier actually checks: the
