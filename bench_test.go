@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/explore"
 	"repro/internal/family"
+	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/mc"
 	"repro/internal/paperfig"
@@ -266,38 +267,60 @@ func BenchmarkParameterizedRoute(b *testing.B) {
 }
 
 func BenchmarkCorrespondenceM3ToMr(b *testing.B) {
-	small, err := ring.Build(ring.CutoffSize)
-	if err != nil {
-		b.Fatal(err)
+	ctx := context.Background()
+	small, smallAction := ringWithAction(b, ring.CutoffSize)
+	in := func(r int) []bisim.IndexPair { return ring.CutoffIndexRelation(ring.CutoffSize, r) }
+	decide := func(b *testing.B, large *kripke.Structure, r int, opts bisim.Options) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := bisim.IndexedCompute(ctx, small, large, in(r), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Corresponds() {
+				b.Fatal("cutoff correspondence unexpectedly fails")
+			}
+		}
 	}
 	// The workers dimension sizes only IndexedCompute's index-pair pool
 	// (capped at GOMAXPROCS); every pair decision is one sequential Compute
 	// at any worker count, so workers=8 measures the pool's overlap of the
-	// pair decisions against workers=1.
-	for _, r := range []int{4, 6, 8} {
+	// pair decisions against workers=1.  The orbit dimension passes both
+	// instances' verified rotation actions, so one Compute decides every
+	// pair and the rest is transport; the actions are built outside the
+	// timer, as a session builds each once per instance.
+	for _, r := range []int{4, 6, 8, 12} {
+		large, largeAction := ringWithAction(b, r)
 		for _, workers := range []int{1, 8} {
-			r, workers := r, workers
 			b.Run(fmt.Sprintf("r=%d/workers=%d", r, workers), func(b *testing.B) {
-				opts := bisim.Options{OneProps: []string{ring.PropToken}, ReachableOnly: true, Workers: workers}
-				large, err := ring.Build(r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				in := ring.CutoffIndexRelation(ring.CutoffSize, r)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := bisim.IndexedCompute(context.Background(), small.M, large.M, in, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Corresponds() {
-						b.Fatal("cutoff correspondence unexpectedly fails")
-					}
-				}
+				decide(b, large, r, bisim.Options{OneProps: []string{ring.PropToken}, ReachableOnly: true, Workers: workers})
 			})
 		}
+		if r < 8 {
+			continue
+		}
+		b.Run(fmt.Sprintf("r=%d/orbit", r), func(b *testing.B) {
+			decide(b, large, r, bisim.Options{OneProps: []string{ring.PropToken}, ReachableOnly: true, Workers: 1,
+				LeftAction: smallAction, RightAction: largeAction})
+		})
 	}
+}
+
+// ringWithAction builds the ring M_r through the packed explorer, which
+// keeps the space, and returns it with its verified rotation action.
+func ringWithAction(b *testing.B, r int) (*kripke.Structure, *kripke.IndexAction) {
+	ctx := context.Background()
+	m, sp, err := family.BuildParallel(ctx, family.Ring(), r, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pi, _ := family.Packed(family.Ring(), r)
+	a, err := pi.IndexAction(ctx, sp, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, a
 }
 
 // ---------------------------------------------------------------------------

@@ -4,10 +4,15 @@ package bisim
 // adjacency backings, block bitsets, the degree passes' pair tables and row
 // words — across successive calls.  IndexedCompute hands each of its pool
 // workers one arena and resets it between pair computes, which removes most
-// of the allocator and GC traffic of a multi-pair run (the token-ring
-// correspondence checks decide up to a dozen pair computes over near-
-// identical state counts, so after the first compute the slabs fit and the
-// engine runs allocation-free in steady state).
+// of the allocator and GC traffic of a multi-pair run: the reductions of
+// one IN relation have near-identical state counts, so after a worker's
+// first compute its slabs fit and the engine runs allocation-free in
+// steady state.  How many computes share an arena depends on the caller.
+// Without index actions every IN pair is computed (r on the ring
+// M_3 ~ M_r); with them only one pair per orbit class is (one on the ring
+// and the tori, two on the star, up to eight on the line and the tree at
+// n ≤ 10), so a worker often claims a single pair and its arena is used
+// once.
 //
 // A nil *computeArena is valid everywhere and degrades every helper to a
 // plain make, so direct Compute callers are untouched.  Slices handed out

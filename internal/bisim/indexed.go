@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,8 +97,10 @@ func DefaultIndexRelation(m, m2 *kripke.Structure) []IndexPair {
 		out = append(out, IndexPair{I: last, I2: j})
 	}
 	// Ensure totality on the left for small structures with more than two
-	// indices: pair middle indices with the last index of m2.
-	if len(js) > 1 {
+	// indices: pair middle indices with the last index of m2.  A single
+	// left index has no middle ones; the loop above already paired it with
+	// every index of m2.
+	if len(is) > 1 && len(js) > 1 {
 		lastJ := js[len(js)-1]
 		for _, i := range is[1 : len(is)-1] {
 			out = append(out, IndexPair{I: i, I2: lastJ})
@@ -114,39 +117,104 @@ func DefaultIndexRelation(m, m2 *kripke.Structure) []IndexPair {
 // the context before claiming the next pair and the per-pair Compute polls
 // it at its pass boundaries; every worker goroutine exits before
 // IndexedCompute returns the context's error.
+//
+// With Options.LeftAction and Options.RightAction the pairs are decided
+// once per orbit class.  Pair (i, j) belongs to the class of
+// (rep(i), rep(j)), its indices' orbit representatives; only these basis
+// pairs are reduced and computed.  Let τ_i map a state of m to its view
+// from rep(i) (IndexAction.ToRepresentative) and τ_j likewise on m2.  τ_i
+// is an isomorphism of the normalised reductions M|i → M|rep(i) that
+// ignores initial states, and Compute's maximal correspondence ranges
+// over all states, so R_(i,j) = {(s, t) : (τ_i s, τ_j t) ∈ R_basis} with
+// the same degrees.  Each transported pair gets its own relation, and its
+// initial-state verdict and totality are recomputed on it, so the result
+// is identical to deciding every pair; only OuterIterations and
+// DegreeRounds are the basis's.  A pair with an index the action's
+// structure does not have is decided by its own Compute.
 func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair, opts Options) (*IndexedResult, error) {
 	if len(in) == 0 {
 		return nil, fmt.Errorf("bisim: IndexedCompute: empty index relation")
 	}
-	// Deduplicate while preserving first occurrence, and build the
-	// normalised reductions once per index value (the IN relations of
-	// interest pair one small index with every large index, so reductions
-	// repeat heavily).
+	left, err := newOrbitView(opts.LeftAction, m, "left")
+	if err != nil {
+		return nil, err
+	}
+	right, err := newOrbitView(opts.RightAction, m2, "right")
+	if err != nil {
+		return nil, err
+	}
+	// Deduplicate while preserving first occurrence, and assign each pair
+	// its basis pair (rep(i), rep(j)), which need not itself be in IN.
 	var todo []IndexPair
+	var basisOf []int
+	var bases []IndexPair
 	seen := make(map[IndexPair]bool, len(in))
-	leftRed := make(map[int]*kripke.Structure)
-	rightRed := make(map[int]*kripke.Structure)
+	basisID := make(map[IndexPair]int, len(in))
+	//lint:ctxloop map lookups per IN pair; the reductions below poll ctx
 	for _, p := range in {
-		// Each distinct index value costs a full ReduceNormalized pass, so
-		// the dedup loop itself is a batch boundary.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if seen[p] {
 			continue
 		}
 		seen[p] = true
-		todo = append(todo, p)
-		if _, ok := leftRed[p.I]; !ok {
-			leftRed[p.I] = m.ReduceNormalized(p.I)
+		b := p
+		ri, _, okI := left.rep(p.I)
+		rj, _, okJ := right.rep(p.I2)
+		if okI && okJ {
+			b = IndexPair{I: ri, I2: rj}
 		}
-		if _, ok := rightRed[p.I2]; !ok {
-			rightRed[p.I2] = m2.ReduceNormalized(p.I2)
+		id, ok := basisID[b]
+		if !ok {
+			id = len(bases)
+			basisID[b] = id
+			bases = append(bases, b)
+		}
+		todo = append(todo, p)
+		basisOf = append(basisOf, id)
+	}
+	// Build the normalised reductions once per index value of a basis
+	// pair (the IN relations of interest pair one small index with every
+	// large index, so reductions repeat heavily).
+	leftRed := make(map[int]*kripke.Structure)
+	rightRed := make(map[int]*kripke.Structure)
+	for _, b := range bases {
+		// Each distinct index value costs a full ReduceNormalized pass, so
+		// the loop itself is a batch boundary.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if _, ok := leftRed[b.I]; !ok {
+			leftRed[b.I] = m.ReduceNormalized(b.I)
+		}
+		if _, ok := rightRed[b.I2]; !ok {
+			rightRed[b.I2] = m2.ReduceNormalized(b.I2)
 		}
 	}
 
-	results := make([]*Result, len(todo))
-	errs := make([]error, len(todo))
+	computed, err := computeBases(ctx, bases, leftRed, rightRed, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &IndexedResult{Pairs: make(map[IndexPair]*Result, len(todo))}
+	var tr transporter
+	for k, p := range todo {
+		b := bases[basisOf[k]]
+		if p == b {
+			res.Pairs[p] = computed[basisOf[k]]
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res.Pairs[p] = tr.transport(m, m2, computed[basisOf[k]], left.toRep(p.I), right.toRep(p.I2), opts)
+	}
+	res.INTotalLeft, res.INTotalRight = indexTotality(m, m2, in)
+	return res, nil
+}
+
+// computeBases decides the basis pairs on the worker pool.
+func computeBases(ctx context.Context, bases []IndexPair, leftRed, rightRed map[int]*kripke.Structure, opts Options) ([]*Result, error) {
+	results := make([]*Result, len(bases))
+	errs := make([]error, len(bases))
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -157,8 +225,8 @@ func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair
 	if mp := runtime.GOMAXPROCS(0); workers > mp {
 		workers = mp
 	}
-	if workers > len(todo) {
-		workers = len(todo)
+	if workers > len(bases) {
+		workers = len(bases)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -168,19 +236,19 @@ func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair
 			defer wg.Done()
 			// Each worker owns one scratch arena, allocated lazily on its
 			// first claimed pair and reset between pair computes, so a run
-			// over many index pairs reuses the engine's big flat buffers
-			// instead of reallocating them per pair — and a worker that
-			// never claims a pair never pays for slabs.
+			// over several basis pairs reuses the engine's big flat
+			// buffers instead of reallocating them per pair — and a worker
+			// that never claims a pair never pays for slabs.
 			wOpts := opts
 			for {
 				if err := cancelled(ctx); err != nil {
 					return
 				}
 				k := int(next.Add(1)) - 1
-				if k >= len(todo) {
+				if k >= len(bases) {
 					return
 				}
-				p := todo[k]
+				p := bases[k]
 				if wOpts.arena == nil {
 					wOpts.arena = &computeArena{}
 				} else {
@@ -200,17 +268,141 @@ func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair
 	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}
-	for k := range todo {
+	for k := range bases {
 		if errs[k] != nil {
 			return nil, errs[k]
 		}
 	}
-	res := &IndexedResult{Pairs: make(map[IndexPair]*Result, len(todo))}
-	for k, p := range todo {
-		res.Pairs[p] = results[k]
+	return results, nil
+}
+
+// orbitView is one side of IndexedCompute's orbit classes: the verified
+// action on that side's structure, or nil for none.
+type orbitView struct {
+	a   *kripke.IndexAction
+	tau []int32 // the table toRep returns, reused
+}
+
+// newOrbitView checks that a, if any, was verified on m.
+func newOrbitView(a *kripke.IndexAction, m *kripke.Structure, side string) (*orbitView, error) {
+	if a != nil && a.Structure() != m {
+		return nil, fmt.Errorf("bisim: IndexedCompute: the %s index action was verified on structure %q, not on the %s structure %q",
+			side, a.Structure().Name(), side, m.Name())
 	}
-	res.INTotalLeft, res.INTotalRight = indexTotality(m, m2, in)
-	return res, nil
+	return &orbitView{a: a}, nil
+}
+
+// rep returns the representative of index i's orbit and i's position in
+// the structure's index values: i itself without an action, and false
+// when the action's structure has no index i.
+func (v *orbitView) rep(i int) (rep, k int, ok bool) {
+	if v.a == nil {
+		return i, 0, true
+	}
+	if k, ok = slices.BinarySearch(v.a.Structure().IndexValues(), i); !ok {
+		return 0, 0, false
+	}
+	return v.a.Representatives()[v.a.Orbit(k)], k, true
+}
+
+// toRep returns τ_i as a state table, or nil for the identity.  The table
+// is overwritten by the next call.
+func (v *orbitView) toRep(i int) []int32 {
+	rep, k, ok := v.rep(i)
+	if !ok || rep == i {
+		return nil
+	}
+	if v.tau == nil {
+		v.tau = make([]int32, v.a.Structure().NumStates())
+	}
+	for s := range v.tau {
+		t, _ := v.a.ToRepresentative(k, kripke.State(s))
+		v.tau[s] = int32(t)
+	}
+	return v.tau
+}
+
+// transporter carries basis results to the other pairs of their class.
+// Its buffers are reused across pairs: the inverse of the left map, and
+// the columns of the last basis relation transported.
+type transporter struct {
+	inv    []int32
+	of     *Relation
+	colOff []int32 // column t' spans colOff[t']:colOff[t'+1] of rows and degs
+	rows   []int32
+	degs   []int32
+}
+
+// transport returns the result of a pair from its basis's: (s, t) is
+// related with degree d iff (left[s], right[t]) is, with d, in the basis
+// relation (nil tables are the identity).  The rows are filled column by
+// column in increasing t, through the basis's columns, so each comes out
+// sorted.  The initial-state verdict and the totality flags are
+// recomputed on the new relation; the reductions share m's and m2's
+// initial states and reachable sets, so m and m2 stand in for them.
+func (tr *transporter) transport(m, m2 *kripke.Structure, basis *Result, left, right []int32, opts Options) *Result {
+	b := basis.Relation
+	tr.columns(b)
+	tr.inv = slices.Grow(tr.inv[:0], b.n)[:b.n]
+	for s := range tr.inv {
+		tr.inv[s] = int32(s)
+	}
+	for s, img := range left {
+		tr.inv[img] = int32(s)
+	}
+	rel, cursor := newRelationRows(b.n, b.n2, func(s int) int {
+		if left != nil {
+			s = int(left[s])
+		}
+		return int(b.rowOff[s+1] - b.rowOff[s])
+	})
+	for t := 0; t < b.n2; t++ {
+		img := int32(t)
+		if right != nil {
+			img = right[t]
+		}
+		for x := tr.colOff[img]; x < tr.colOff[img+1]; x++ {
+			s := tr.inv[tr.rows[x]]
+			c := cursor[s]
+			rel.cols[c], rel.degs[c] = int32(t), tr.degs[x]
+			cursor[s]++
+		}
+	}
+	res := &Result{Relation: rel, OuterIterations: basis.OuterIterations, DegreeRounds: basis.DegreeRounds}
+	_, res.InitialRelated = rel.Degree(m.Initial(), m2.Initial())
+	res.TotalLeft, res.TotalRight = totality(m, m2, rel, opts)
+	return res
+}
+
+// columns loads the transpose of b into the column buffers, unless they
+// already hold it.
+func (tr *transporter) columns(b *Relation) {
+	if tr.of == b {
+		return
+	}
+	tr.of = b
+	tr.colOff = slices.Grow(tr.colOff[:0], b.n2+1)[:b.n2+1]
+	clear(tr.colOff)
+	for _, t := range b.cols {
+		tr.colOff[t+1]++
+	}
+	for t := 0; t < b.n2; t++ {
+		tr.colOff[t+1] += tr.colOff[t]
+	}
+	tr.rows = slices.Grow(tr.rows[:0], len(b.cols))[:len(b.cols)]
+	tr.degs = slices.Grow(tr.degs[:0], len(b.cols))[:len(b.cols)]
+	// colOff[t] serves as column t's cursor and ends at column t+1's
+	// start, so one shift restores the offsets.
+	for s := 0; s < b.n; s++ {
+		for x := b.rowOff[s]; x < b.rowOff[s+1]; x++ {
+			t := b.cols[x]
+			c := tr.colOff[t]
+			tr.rows[c], tr.degs[c] = int32(s), b.degs[x]
+			tr.colOff[t]++
+		}
+	}
+	copy(tr.colOff[1:], tr.colOff[:b.n2])
+	tr.colOff[0] = 0
 }
 
 // IndexedCorrespond reports whether the two structures indexed-correspond

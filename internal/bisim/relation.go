@@ -71,6 +71,15 @@ type Options struct {
 	// every worker count.
 	Workers int
 
+	// LeftAction and RightAction, when non-nil, are verified index actions
+	// on exactly the first and second structure IndexedCompute compares
+	// (an action verified on any other structure is an error).  With them
+	// IndexedCompute decides one basis pair per orbit class of the IN
+	// relation and transports its relation to the other pairs of the class
+	// (see IndexedCompute).  Nil means no symmetry: every pair is decided
+	// by its own Compute.  Compute ignores both.
+	LeftAction, RightAction *kripke.IndexAction
+
 	// arena, when non-nil, recycles the engine's large scratch allocations
 	// across Compute calls.  Only IndexedCompute sets it (one arena per pool
 	// worker, reset between pair computes); it is deliberately unexported —

@@ -250,7 +250,7 @@ func SweepRowsTable(rows []SweepRow) *Table {
 			row.DecideElapsed, corresponds, row.MaxDegree, orbits, replay)
 	}
 	t.Notes = append(t.Notes,
-		"decide times the partition-refinement engine on all index pairs of the topology's cutoff IN relation",
+		"decide times the partition-refinement engine on the topology's cutoff IN relation, one index pair per orbit class of the instances' symmetry with the rest transported",
 		"every 'yes' row extends the range of sizes over which Theorem 5 transfers the family's specifications",
 		"build-only rows exceed the decide budget: the raw space is explored (states/s is the packed-BFS throughput) and its symmetry quotient counted (orbits), but no correspondence is decided",
 		"store='replay' rows come from the persistent verdict store without building or deciding anything; rows with an empty store column were computed in this run")

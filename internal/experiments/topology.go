@@ -21,9 +21,12 @@ import (
 // TopologySweep builds the topology's cutoff instance once and decides the
 // cutoff correspondence M_cutoff ~ M_n for every requested size, one job
 // per size on the worker pool, streaming each verdict as soon as it is
-// decided (the channel closes after the last).  Sizes the topology cannot
-// instantiate (for example odd sizes of the 2-row torus) come back as rows
-// with Err set, so a sweep over a mixed size list keeps going.
+// decided (the channel closes after the last).  The cutoff instance is
+// built through the packed explorer, byte-identical to topo.Build, so its
+// space yields the index action each decision uses to decide one index
+// pair per orbit class.  Sizes the topology cannot instantiate (for
+// example odd sizes of the 2-row torus) come back as rows with Err set,
+// so a sweep over a mixed size list keeps going.
 func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes []int) <-chan SweepRow {
 	out := make(chan SweepRow)
 	go func() {
@@ -36,7 +39,7 @@ func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes [
 				return false
 			}
 		}
-		small, err := topo.Build(topo.CutoffSize())
+		small, smallAction, err := cutoffInstance(ctx, topo)
 		if err != nil {
 			for _, size := range sizes {
 				if !fail(size, err) {
@@ -50,7 +53,7 @@ func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes [
 		for k, size := range sizes {
 			k, size := k, size
 			jobs[k] = Job{ID: fmt.Sprintf("%s n=%d", topo.Name(), size), Run: func(ctx context.Context) (*Table, error) {
-				rows[k] = r.decideRow(ctx, topo, small, size)
+				rows[k] = r.decideRow(ctx, topo, small, smallAction, size)
 				return nil, nil
 			}}
 		}
@@ -63,6 +66,23 @@ func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes [
 		}
 	}()
 	return out
+}
+
+// cutoffInstance builds the topology's cutoff instance with one packed
+// explorer worker and returns it with its index action, nil when the
+// topology has none.
+func cutoffInstance(ctx context.Context, topo family.Topology) (*kripke.Structure, *kripke.IndexAction, error) {
+	c := topo.CutoffSize()
+	m, sp, err := family.BuildParallel(ctx, topo, c, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	pi, ok := family.Packed(topo, c)
+	if !ok {
+		return m, nil, nil
+	}
+	a, err := pi.OptionalIndexAction(ctx, sp, m)
+	return m, a, err
 }
 
 // sweepKey addresses one sweep cell's verdict in the persistent store.  The
@@ -92,8 +112,10 @@ func sweepKey(topo family.Topology, size int) store.Key {
 // the reachable set checked for orbit closure instead of being decided.
 // When the runner has a store, the cell
 // is first looked up there — a valid entry replays the verdict without
-// building anything — and fresh decisions are written back.
-func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *kripke.Structure, size int) SweepRow {
+// building anything — and fresh decisions are written back.  An explored
+// instance's index action, with smallAction on the cutoff side, lets the
+// decision compute one index pair per orbit class.
+func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *kripke.Structure, smallAction *kripke.IndexAction, size int) SweepRow {
 	row := SweepRow{Topology: topo.Name(), R: size}
 	if err := topo.ValidSize(size); err != nil {
 		row.Err = err
@@ -116,6 +138,7 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 		}
 	}
 	var large *kripke.Structure
+	var largeAction *kripke.IndexAction
 	buildStart := time.Now()
 	if pi, packed := family.Packed(topo, size); packed {
 		sp, err := explore.Explore(ctx, pi.Def, explore.Options{Workers: r.BuildWorkers})
@@ -147,6 +170,10 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 		// MakeTotal variants may add self loops the raw space lacks.
 		row.States = large.NumStates()
 		row.Transitions = large.NumTransitions()
+		if largeAction, err = pi.OptionalIndexAction(ctx, sp, large); err != nil {
+			row.Err = err
+			return row
+		}
 	} else {
 		var err error
 		if large, err = topo.Build(size); err != nil {
@@ -161,6 +188,7 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 	// -workers bounds the total concurrency of a sweep.
 	opts := family.CorrespondOptions(topo)
 	opts.Workers = r.Workers
+	opts.LeftAction, opts.RightAction = smallAction, largeAction
 	decideStart := time.Now()
 	res, err := bisim.IndexedCompute(ctx, small, large,
 		topo.IndexRelation(topo.CutoffSize(), size), opts)
@@ -249,7 +277,7 @@ func CrossTopology(ctx context.Context, reach int) (*Table, error) {
 				return nil, fmt.Errorf("experiments: E10: %s n=%d: %w", topo.Name(), n, err)
 			}
 			start := time.Now()
-			res, err := family.DecideBuilt(ctx, topo, smallM, small, largeM, n)
+			res, err := family.DecideBuilt(ctx, topo, smallM, small, largeM, n, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: E10: %s %d~%d: %w", topo.Name(), small, n, err)
 			}

@@ -35,7 +35,7 @@ func TestIndexedCorrespondenceMatchesDirectBisimulation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Build(%d): %v", topo.Name(), n, err)
 			}
-			indexed, err := DecideBuilt(context.Background(), topo, smallM, small, largeM, n)
+			indexed, err := DecideBuilt(context.Background(), topo, smallM, small, largeM, n, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: DecideBuilt(%d,%d): %v", topo.Name(), small, n, err)
 			}

@@ -46,7 +46,7 @@ func decideWithEvidence(ctx context.Context, t Topology, small, large int) (*bis
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := DecideBuilt(ctx, t, sm, small, lg, large)
+	res, err := DecideBuilt(ctx, t, sm, small, lg, large, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

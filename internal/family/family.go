@@ -98,21 +98,26 @@ func DecideCorrespondence(ctx context.Context, t Topology, small, large int) (*b
 	if err != nil {
 		return nil, fmt.Errorf("family: %s: building large instance: %w", t.Name(), err)
 	}
-	return DecideBuilt(ctx, t, sm, small, lg, large)
+	return DecideBuilt(ctx, t, sm, small, lg, large, nil, nil)
 }
 
 // DecideBuilt decides the indexed correspondence between two already-built
 // instances of the topology (sizes smallN and largeN), so callers with
 // instance caches — the session layer, the sweeps — do not rebuild.
-func DecideBuilt(ctx context.Context, t Topology, small *kripke.Structure, smallN int, large *kripke.Structure, largeN int) (*bisim.IndexedResult, error) {
+// smallAction and largeAction, when non-nil, are verified index actions
+// on exactly those instances (see PackedInstance.IndexAction); with both,
+// IndexedCompute decides one index pair per orbit class and transports
+// its relation to the rest, with results identical to deciding every pair.
+func DecideBuilt(ctx context.Context, t Topology, small *kripke.Structure, smallN int, large *kripke.Structure, largeN int, smallAction, largeAction *kripke.IndexAction) (*bisim.IndexedResult, error) {
 	if err := t.ValidSize(smallN); err != nil {
 		return nil, fmt.Errorf("family: %s: small size %d: %w", t.Name(), smallN, err)
 	}
 	if err := t.ValidSize(largeN); err != nil {
 		return nil, fmt.Errorf("family: %s: large size %d: %w", t.Name(), largeN, err)
 	}
-	in := t.IndexRelation(smallN, largeN)
-	return bisim.IndexedCompute(ctx, small, large, in, CorrespondOptions(t))
+	opts := CorrespondOptions(t)
+	opts.LeftAction, opts.RightAction = smallAction, largeAction
+	return bisim.IndexedCompute(ctx, small, large, t.IndexRelation(smallN, largeN), opts)
 }
 
 // Topologies returns every built-in topology, ring first, in a stable

@@ -146,6 +146,22 @@ func (pi PackedInstance) IndexAction(ctx context.Context, sp *explore.Space, m *
 	return a, nil
 }
 
+// OptionalIndexAction is IndexAction for callers that use the action only
+// to save work: it returns nil when the instance has no group, when no
+// space was kept (sp is nil) or when the action fails verification, and an
+// error only when ctx is done.  Without an action the caller takes its
+// per-index path, which gives the same answers.
+func (pi PackedInstance) OptionalIndexAction(ctx context.Context, sp *explore.Space, m *kripke.Structure) (*kripke.IndexAction, error) {
+	if pi.Group == nil || sp == nil {
+		return nil, nil
+	}
+	a, err := pi.IndexAction(ctx, sp, m)
+	if err != nil {
+		return nil, ctx.Err()
+	}
+	return a, nil
+}
+
 // BuildQuotient constructs the symmetry quotient of the topology's size-n
 // instance: one representative per orbit of the instance's automorphism
 // group, with witness-decorated transitions (see internal/symmetry).
@@ -210,7 +226,7 @@ func DecideCorrespondenceUnfolded(ctx context.Context, t Topology, small, large 
 	if err != nil {
 		return nil, nil, fmt.Errorf("family: %s: unfolding large instance: %w", t.Name(), err)
 	}
-	res, err := DecideBuilt(ctx, t, sm, small, lg, large)
+	res, err := DecideBuilt(ctx, t, sm, small, lg, large, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -243,3 +243,8 @@ func (a *IndexAction) ToRepresentative(k int, s State) (State, int) {
 	}
 	return s, int(a.orbit[k])
 }
+
+// Orbit returns the orbit number of the index at position k of the
+// structure's IndexValues; Representatives()[Orbit(k)] is its
+// representative.
+func (a *IndexAction) Orbit(k int) int { return int(a.orbit[k]) }

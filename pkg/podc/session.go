@@ -84,10 +84,41 @@ func (s *Session) instanceKey(t family.Topology, n int) instanceKey {
 
 // instance is one cached family instance: its structure and, when it was
 // built by exploration, the explored space (state s of the structure is
-// state s of the space), from which Verifier derives the index action.
+// state s of the space), from which indexAction derives the index action.
 type instance struct {
+	t  family.Topology
+	n  int
 	m  *Structure
 	sp *explore.Space
+
+	// actionMu guards the lazily verified index action: actionDone is set
+	// once action holds the answer, nil included.  A cancelled build is not
+	// remembered, so a later caller retries it.
+	actionMu   sync.Mutex
+	actionDone bool
+	action     *kripke.IndexAction
+}
+
+// indexAction returns the instance's index action, verified on first use,
+// or nil when the instance has none: it was not explored (no space), its
+// topology has no group, or the group fails verification.  Only cold
+// decisions and Verifier ask for it, so rebuilding an instance to validate
+// a stored certificate never pays for an action.
+func (inst *instance) indexAction(ctx context.Context) (*kripke.IndexAction, error) {
+	inst.actionMu.Lock()
+	defer inst.actionMu.Unlock()
+	if inst.actionDone {
+		return inst.action, nil
+	}
+	if pi, ok := family.Packed(inst.t, inst.n); ok {
+		a, err := pi.OptionalIndexAction(ctx, inst.sp, inst.m.raw())
+		if err != nil {
+			return nil, err
+		}
+		inst.action = a
+	}
+	inst.actionDone = true
+	return inst.action, nil
 }
 
 // pairKey addresses one decided correspondence (or transfer certificate)
@@ -194,20 +225,13 @@ func (s *Session) Verifier(ctx context.Context, topo Topology, n int) (*Verifier
 		if err != nil {
 			return nil, err
 		}
-		// Quotient states are not instance states, and a sequential or
-		// unfolded build kept no space to build the action from.
-		pi, ok := family.Packed(t, n)
-		if v.min || inst.sp == nil || !ok || pi.Group == nil {
+		// Quotient states are not instance states.
+		if v.min {
 			return v, nil
 		}
-		a, err := pi.IndexAction(ctx, inst.sp, inst.m.raw())
-		if err != nil {
-			// An action that fails verification is not attached and the
-			// verifier keeps instantiating; only cancellation is an error.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return v, nil
+		a, err := inst.indexAction(ctx)
+		if err != nil || a == nil {
+			return v, err
 		}
 		if err := v.checker.SetIndexAction(a); err != nil {
 			return nil, err
@@ -255,7 +279,7 @@ func (s *Session) topologyInstance(ctx context.Context, t family.Topology, n int
 		if err != nil {
 			return nil, err
 		}
-		return &instance{m: wrapStructure(m), sp: sp}, nil
+		return &instance{t: t, n: n, m: wrapStructure(m), sp: sp}, nil
 	})
 }
 
@@ -288,7 +312,10 @@ func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (
 
 // Correspondence decides (and caches) the topology's canonical indexed
 // correspondence between M_small and M_large.  Concurrent requests for the
-// same (topology, small, large) triple share one computation.
+// same (topology, small, large) triple share one computation.  A cold
+// decision passes both instances' index actions (see Verifier for which
+// instances carry one), so symmetric index pairs are decided once per
+// orbit class; the answer is the same either way.
 func (s *Session) Correspondence(ctx context.Context, topo Topology, small, large int) (*IndexedCorrespondence, error) {
 	if !topo.IsValid() {
 		return nil, fmt.Errorf("podc: Correspondence: invalid topology (zero value)")
@@ -316,7 +343,15 @@ func (s *Session) Correspondence(ctx context.Context, topo Topology, small, larg
 		if err != nil {
 			return nil, err
 		}
-		res, err := family.DecideBuilt(ctx, t, sm.m.raw(), small, lg.m.raw(), large)
+		smallAction, err := sm.indexAction(ctx)
+		if err != nil {
+			return nil, err
+		}
+		largeAction, err := lg.indexAction(ctx)
+		if err != nil {
+			return nil, err
+		}
+		res, err := family.DecideBuilt(ctx, t, sm.m.raw(), small, lg.m.raw(), large, smallAction, largeAction)
 		if err != nil {
 			return nil, err
 		}

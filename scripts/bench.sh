@@ -14,7 +14,10 @@
 # Each JSON entry carries the benchmark name, iteration count and every
 # metric Go reported (ns/op, B/op, allocs/op, and custom metrics such as
 # states/sec from the construction series BenchmarkParallelBuild and
-# BenchmarkPackedExplore).
+# BenchmarkPackedExplore).  BenchmarkCorrespondenceM3ToMr records the
+# per-pair decision (r=N/workers=W) and the orbit decision (r=N/orbit, one
+# Compute per orbit class of index pairs) of the same ring cells side by
+# side.
 #
 # The script fails loudly: a benchmark binary that fails to build, a
 # benchmark that calls b.Fatal, or a run that produces no parseable
