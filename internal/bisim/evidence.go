@@ -305,21 +305,13 @@ func propFormula(p kripke.Prop) logic.Formula {
 func (ex *explainer) literal(a, b int) (logic.Formula, error) {
 	ma, sa := ex.sideState(a)
 	mb, sb := ex.sideState(b)
-	has := func(st *kripke.Structure, s kripke.State, p kripke.Prop) bool {
-		for _, q := range st.Label(s) {
-			if q == p {
-				return true
-			}
-		}
-		return false
-	}
 	for _, p := range ma.Label(sa) {
-		if !has(mb, sb, p) {
+		if !mb.Holds(sb, p) {
 			return propFormula(p), nil
 		}
 	}
 	for _, p := range mb.Label(sb) {
-		if !has(ma, sa, p) {
+		if !ma.Holds(sa, p) {
 			return logic.Neg(propFormula(p)), nil
 		}
 	}

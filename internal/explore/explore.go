@@ -14,7 +14,7 @@
 //     with no labels and no per-state allocations, which is the
 //     representation that scales to tens of millions of states;
 //   - Build additionally materialises the labelled kripke.Structure through
-//     the existing Builder fast paths (AddStateNormalized,
+//     the Builder (AddState into a reused scratch slice,
 //     AddTransitionRow), for the sizes the correspondence and
 //     model-checking engines actually consume.
 //
@@ -62,9 +62,9 @@ type Def struct {
 	// The engine calls Succ concurrently from multiple goroutines, so it
 	// must be safe for concurrent use (pure functions over the code are).
 	Succ func(dst []uint64, code uint64) ([]uint64, error)
-	// Label appends the state's propositions to dst in canonical Prop.Less
-	// order (or any fixed order — unsorted labels are normalised by the
-	// builder).  Label is only called by Build, sequentially.
+	// Label appends the state's propositions to dst, in any order (the
+	// builder stores a label as a set of bits over the propositions).
+	// Label is only called by Build, sequentially.
 	Label func(dst []kripke.Prop, code uint64) []kripke.Prop
 }
 
@@ -327,8 +327,8 @@ func Build(ctx context.Context, def Def, opts Options) (*kripke.Structure, *Spac
 	return m, sp, nil
 }
 
-// BuildFromSpace labels an already-explored Space through the builder fast
-// paths and returns the (partial) structure.
+// BuildFromSpace labels an already-explored Space through the builder and
+// returns the (partial) structure.
 func BuildFromSpace(ctx context.Context, def Def, sp *Space) (*kripke.Structure, error) {
 	if def.Label == nil {
 		return nil, fmt.Errorf("explore: %s: Def.Label is nil", def.Name)
@@ -348,7 +348,7 @@ func BuildFromSpace(ctx context.Context, def Def, sp *Space) (*kripke.Structure,
 			}
 		}
 		scratch = def.Label(scratch[:0], sp.codes[s])
-		b.AddStateNormalized(scratch)
+		b.AddState(scratch...)
 	}
 	if err := b.SetInitial(0); err != nil {
 		return nil, err

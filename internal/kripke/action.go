@@ -2,6 +2,7 @@ package kripke
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -46,11 +47,12 @@ type IndexAction struct {
 // NewIndexAction verifies that gens act on m as described at IndexAction
 // and returns the action.  It checks, for every generator and every state
 // s, that π is a bijection of the states, that σ is a permutation of the
-// index set, that the label of π(s) is σ applied to the label of s (plain
-// propositions unchanged), that the "exactly one" atoms of π(s) are those
-// of s, and that π maps the successor row of s onto the successor row of
-// π(s).  The first violation is returned as an error naming the generator
-// and the state.  The cost is O(generators × (states + transitions)).
+// index set, that the label row of π(s) equals σ applied to the label row
+// of s (plain propositions unchanged), that the "exactly one" atoms of π(s)
+// are those of s, and that π maps the successor row of s onto the
+// successor row of π(s).  The first violation is returned as an error
+// naming the generator and the state.  The cost is O(generators × (states
+// + transitions)).
 func NewIndexAction(m *Structure, gens []IndexGenerator) (*IndexAction, error) {
 	n := m.NumStates()
 	idx := m.IndexValues()
@@ -58,13 +60,10 @@ func NewIndexAction(m *Structure, gens []IndexGenerator) (*IndexAction, error) {
 	// index[g][k] is the position of σ_g(idx[k]) in idx.
 	index := make([][]int32, len(gens))
 	seen := NewBitSet(n)
-	sets := m.propSets()
-	props := make([]Prop, 0, len(sets))
-	//lint:ordered keys are collected then sorted immediately below
-	for p := range sets {
-		props = append(props, p)
-	}
-	slices.SortFunc(props, compareProps)
+	// sigma[p] is the prop id of σ applied to prop p, or -1 when no label
+	// carries the image; scratch holds σ(row(s)).
+	sigma := make([]int32, len(m.vocab))
+	scratch := make([]uint64, m.words)
 	for g, gen := range gens {
 		if len(gen.States) != n {
 			return nil, fmt.Errorf("kripke: %s: generator %d: state table has %d entries for %d states", m.name, g, len(gen.States), n)
@@ -83,11 +82,15 @@ func NewIndexAction(m *Structure, gens []IndexGenerator) (*IndexAction, error) {
 			}
 			seen.Set(int(t))
 		}
-		if err := checkLabels(m, props, gen); err != nil {
-			return nil, fmt.Errorf("kripke: %s: generator %d, %w", m.name, g, err)
+		for p, prop := range m.vocab {
+			q, ok := m.propID(sigmaProp(prop, gen.Index))
+			sigma[p] = int32(q)
+			if !ok {
+				sigma[p] = -1
+			}
 		}
 		for s, t := range gen.States {
-			if err := checkImage(m, State(s), State(t), gen.States); err != nil {
+			if err := checkImage(m, State(s), State(t), gen, sigma, scratch); err != nil {
 				return nil, fmt.Errorf("kripke: %s: generator %d, state %d (image %d): %w", m.name, g, s, t, err)
 			}
 		}
@@ -97,6 +100,15 @@ func NewIndexAction(m *Structure, gens []IndexGenerator) (*IndexAction, error) {
 	}
 	a.orbits(idx, index)
 	return a, nil
+}
+
+// sigmaProp applies the index permutation sigma to p: an indexed
+// proposition moves to its index's image, a plain one stays.
+func sigmaProp(p Prop, sigma map[int]int) Prop {
+	if p.Indexed {
+		p.Index = sigma[p.Index]
+	}
+	return p
 }
 
 // indexPositions checks that sigma permutes the index set idx and returns
@@ -122,64 +134,51 @@ func indexPositions(idx []int, sigma map[int]int) ([]int32, error) {
 	return out, nil
 }
 
-// checkLabels checks σ(p) ∈ L(π(s)) for every proposition p (props, in
-// order) and every state s with p ∈ L(s), one pass over p's state set.
-// Together with the per-state label sizes checkImage compares, and σ
-// being injective, that makes L(π(s)) = σ(L(s)) for every state.
-func checkLabels(m *Structure, props []Prop, gen IndexGenerator) error {
-	var err error
-	for _, p := range props {
-		q := p
-		if q.Indexed {
-			q.Index = gen.Index[q.Index]
-		}
-		img := m.StatesWith(q)
-		m.StatesWith(p).ForEach(func(s int) bool {
-			if t := int(gen.States[s]); img == nil || !img.Get(t) {
-				err = fmt.Errorf("state %d (image %d): label %v does not map onto the image's label %v: %v missing",
-					s, t, m.Label(State(s)), m.Label(State(t)), q)
+// checkImage checks state s against its image t under generator gen:
+// row(t) = σ(row(s)) exactly (sigma maps prop ids, -1 for an image no label
+// carries; scratch is one row), equal "exactly one" atoms and mapped
+// successor rows.
+func checkImage(m *Structure, s, t State, gen IndexGenerator, sigma []int32, scratch []uint64) error {
+	clear(scratch)
+	for k, word := range m.row(m.labelIDs[s]) {
+		for word != 0 {
+			p := k<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if sigma[p] < 0 {
+				return labelMismatch(m, s, t, sigmaProp(m.vocab[p], gen.Index), "missing")
 			}
-			return err == nil
-		})
-		if err != nil {
-			return err
+			setBit(scratch, int(sigma[p]))
 		}
 	}
-	return nil
-}
-
-// checkImage checks state s against its image t under the state
-// permutation pi: label sizes, equal "exactly one" atoms and mapped
-// successor rows.
-func checkImage(m *Structure, s, t State, pi []int32) error {
-	if from, to := m.Label(s), m.Label(t); len(from) != len(to) {
-		return fmt.Errorf("label %v does not map onto the image's label %v", from, to)
+	img := m.row(m.labelIDs[t])
+	for k := range scratch {
+		if diff := scratch[k] &^ img[k]; diff != 0 {
+			return labelMismatch(m, s, t, m.vocab[k<<6|bits.TrailingZeros64(diff)], "missing")
+		}
+		if diff := img[k] &^ scratch[k]; diff != 0 {
+			return labelMismatch(m, s, t, m.vocab[k<<6|bits.TrailingZeros64(diff)], "extra")
+		}
 	}
 	if !slices.Equal(m.OneProps(s), m.OneProps(t)) {
 		return fmt.Errorf("exactly-one atoms %v differ from the image's %v", m.OneProps(s), m.OneProps(t))
 	}
-	row, img := m.Succ(s), m.Succ(t)
-	if len(row) != len(img) {
-		return fmt.Errorf("%d successors, the image has %d", len(row), len(img))
+	row, succ := m.Succ(s), m.Succ(t)
+	if len(row) != len(succ) {
+		return fmt.Errorf("%d successors, the image has %d", len(row), len(succ))
 	}
-	// π is injective, so π(row) ⊆ img with equal sizes is equality.
+	// π is injective, so π(row) ⊆ succ with equal sizes is equality.
 	for _, u := range row {
-		if _, ok := slices.BinarySearch(img, State(pi[u])); !ok {
-			return fmt.Errorf("successor %d maps to %d, which is not a successor of the image", u, pi[u])
+		if _, ok := slices.BinarySearch(succ, State(gen.States[u])); !ok {
+			return fmt.Errorf("successor %d maps to %d, which is not a successor of the image", u, gen.States[u])
 		}
 	}
 	return nil
 }
 
-// compareProps orders propositions as Prop.Less does.
-func compareProps(a, b Prop) int {
-	switch {
-	case a.Less(b):
-		return -1
-	case b.Less(a):
-		return 1
-	}
-	return 0
+// labelMismatch reports that σ(L(s)) and L(t) differ at proposition q,
+// which is missing from or extra in the image's label.
+func labelMismatch(m *Structure, s, t State, q Prop, how string) error {
+	return fmt.Errorf("label %v does not map onto the image's label %v: %v %s", m.Label(s), m.Label(t), q, how)
 }
 
 // orbits partitions the index positions into orbits and records, for each

@@ -28,6 +28,30 @@ func swapPair(t *testing.T) *Structure {
 	return m
 }
 
+// tokenTriple builds three processes passing a token round a ring: state
+// k-1 carries {p, t[k]} and passes to state k mod 3.  Rotating the
+// processes forward (σ: 1→2→3→1) rotates the states forward.
+func tokenTriple(t *testing.T) *Structure {
+	t.Helper()
+	b := NewBuilder("triple")
+	for k := 1; k <= 3; k++ {
+		b.AddState(P("p"), PI("t", k))
+	}
+	for s := State(0); s < 3; s++ {
+		if err := b.AddTransition(s, (s+1)%3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.SetInitial(0); err != nil {
+		t.Fatal(err)
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestIndexActionOrbitsAndWords(t *testing.T) {
 	m := swapPair(t)
 	a, err := NewIndexAction(m, []IndexGenerator{{States: []int32{1, 0}, Index: map[int]int{1: 2, 2: 1}}})
@@ -74,5 +98,20 @@ func TestIndexActionRejectsMalformedTables(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "generator 0") {
 			t.Errorf("%s: error %v, want one naming generator 0 and containing %q", tc.name, err, tc.want)
 		}
+	}
+
+	// Every label keeps its size, but the backward state rotation moves
+	// t[1] to index 3 where σ sends it to index 2: the exact row equality
+	// rejects it, naming the generator and the state.
+	triple := tokenTriple(t)
+	forward := IndexGenerator{States: []int32{1, 2, 0}, Index: map[int]int{1: 2, 2: 3, 3: 1}}
+	if _, err := NewIndexAction(triple, []IndexGenerator{forward}); err != nil {
+		t.Fatalf("forward rotation: %v", err)
+	}
+	backward := IndexGenerator{States: []int32{2, 0, 1}, Index: forward.Index}
+	_, err := NewIndexAction(triple, []IndexGenerator{forward, backward})
+	want := "generator 1, state 0 (image 2): label [p t[1]] does not map onto the image's label [p t[3]]: t[2] missing"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("backward states with a forward index map: error %v, want one containing %q", err, want)
 	}
 }

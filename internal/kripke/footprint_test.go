@@ -1,9 +1,11 @@
 package kripke_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/kripke"
 	"repro/internal/ring"
 )
@@ -48,5 +50,46 @@ func TestReduceAllocatesPerDistinctLabel(t *testing.T) {
 			t.Errorf("ReduceNormalized(%d) allocated %d bytes for %d distinct reduced labels, above the %d-byte bound",
 				i, got, distinct, limit)
 		}
+	}
+}
+
+// TestBuildFromSpaceLabelsPerState bounds what explore.BuildFromSpace
+// allocates for ring M_12 (49,152 states, each with its own label): the
+// builder's edge list and the two CSR edge arrays (8 bytes per transition
+// each), the CSR offsets and the predecessor cursor (12 bytes per state),
+// the state tables (4 bytes per state in the builder, 4 for the label ids
+// and 4 for the "exactly one" ids of the structure), plus a per-state
+// label allowance of 64 bytes.  A label costs one 8-byte row, laid out
+// again when the vocabulary is sorted, a 4-byte "exactly one" id, and two
+// to four 4-byte slots of the intern table: 31 bytes measured on
+// linux/amd64, so the allowance leaves a margin of about twice that.  Cloning each label
+// as a []Prop with a key string and a ones slice costs about a kilobyte
+// per state.
+func TestBuildFromSpaceLabelsPerState(t *testing.T) {
+	const r = 12
+	ctx := context.Background()
+	def := ring.PackedDef(r)
+	sp, err := explore.Explore(ctx, def, explore.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, edges := sp.NumStates(), sp.NumTransitions()
+	var m *kripke.Structure
+	got := allocatedBytes(func() {
+		if m, err = explore.BuildFromSpace(ctx, def, sp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.NumLabels() != n {
+		t.Fatalf("M_%d has %d labels for %d states, want one per state", r, m.NumLabels(), n)
+	}
+	const labelAllowance = 64
+	base := 24*edges + 24*n
+	limit := uint64(base) + labelAllowance*uint64(n) + 64<<10
+	t.Logf("BuildFromSpace(M_%d): %d bytes, %.1f per state beyond the CSR and edge arrays (bound %d)",
+		r, got, float64(int64(got)-int64(base))/float64(n), limit)
+	if got > limit {
+		t.Errorf("BuildFromSpace(M_%d) allocated %d bytes for %d states and %d transitions, above the %d-byte bound",
+			r, got, n, edges, limit)
 	}
 }

@@ -23,7 +23,7 @@ import (
 //	trans FROM TO [TO ...]
 //
 // Propositions are written "name" or "name[index]".  States may be declared
-// in any order but must be declared before they are used in a transition.
+// in any order, each id once, and exactly one state is marked initial.
 
 // EncodeText writes m to w in the text format.
 func EncodeText(w io.Writer, m *Structure) error {
@@ -77,8 +77,9 @@ func DecodeText(r io.Reader) (*Structure, error) {
 	scanner.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	b := NewBuilder("decoded")
 	declared := map[int]State{}
+	declaredAt := map[int]int{} // line of each id's declaration
 	var pendingEdges [][2]int
-	initial := -1
+	initial, initialAt := -1, 0
 	lineNo := 0
 	for scanner.Scan() {
 		lineNo++
@@ -119,10 +120,19 @@ func DecodeText(r io.Reader) (*Structure, error) {
 					props = append(props, p)
 				}
 			}
-			s := b.AddState(props...)
-			declared[id] = s
+			// A second declaration would orphan the first state: its
+			// transitions attach to the second, leaving it without
+			// successors far from the cause.
+			if at, ok := declaredAt[id]; ok {
+				return nil, fmt.Errorf("kripke: line %d: state %d is already declared at line %d", lineNo, id, at)
+			}
+			if isInitial && initial >= 0 {
+				return nil, fmt.Errorf("kripke: line %d: state %d is marked initial, but state %d already is at line %d", lineNo, id, initial, initialAt)
+			}
+			declared[id] = b.AddState(props...)
+			declaredAt[id] = lineNo
 			if isInitial {
-				initial = id
+				initial, initialAt = id, lineNo
 			}
 		case "trans":
 			if len(fields) < 3 {

@@ -122,6 +122,32 @@ func TestJSONRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeTextRejectsDuplicateDeclaration: a second declaration of a
+// state id, or a second initial state, is an error naming both lines.
+// Accepting it used to orphan the first declaration as an extra state with
+// no successors.
+func TestDecodeTextRejectsDuplicateDeclaration(t *testing.T) {
+	for _, tc := range []struct {
+		name, input, want string
+	}{
+		{"relabelled id", "state 0 initial : p\nstate 1 : q\nstate 1 : r\ntrans 0 1\ntrans 1 0\n",
+			"line 3: state 1 is already declared at line 2"},
+		{"initial declared twice", "structure m\nstate 0 initial\nstate 0 initial\ntrans 0 0\n",
+			"line 3: state 0 is already declared at line 2"},
+		{"two initial states", "state 0 initial\n# second\nstate 1 initial\ntrans 0 1\ntrans 1 0\n",
+			"line 3: state 1 is marked initial, but state 0 already is at line 1"},
+	} {
+		m, err := DecodeText(strings.NewReader(tc.input))
+		if err == nil {
+			t.Errorf("%s: decoded %d states, want an error", tc.name, m.NumStates())
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // FuzzDecodeText fuzzes the text-format parser: it must never panic, and
 // whenever it accepts an input, encoding the result and re-parsing it must
 // succeed and be stable.
@@ -133,6 +159,8 @@ func FuzzDecodeText(f *testing.F) {
 	f.Add("trans 0 1\n")
 	f.Add("state 0 : p[\n")
 	f.Add("state 0 initial : \n")
+	f.Add("state 0 initial : p\nstate 1 : q\nstate 1 : r\ntrans 0 1\ntrans 1 0\n")
+	f.Add(wideStructureText(70))
 	f.Fuzz(func(t *testing.T, input string) {
 		m, err := DecodeText(strings.NewReader(input))
 		if err != nil {
@@ -150,4 +178,21 @@ func FuzzDecodeText(f *testing.F) {
 			t.Fatalf("printed form decodes differently: %v", err)
 		}
 	})
+}
+
+// wideStructureText returns a two-state structure whose labels use n
+// propositions in all (n/2 plain, the rest indexed), so for n > 64 every
+// label row spans several words.
+func wideStructureText(n int) string {
+	var sb strings.Builder
+	sb.WriteString("structure wide\nstate 0 initial :")
+	for k := 0; k < n/2; k++ {
+		fmt.Fprintf(&sb, " a%d", k)
+	}
+	sb.WriteString("\nstate 1 :")
+	for k := n / 2; k < n; k++ {
+		fmt.Fprintf(&sb, " b[%d]", k)
+	}
+	sb.WriteString("\ntrans 0 1\ntrans 1 0\n")
+	return sb.String()
 }

@@ -20,9 +20,11 @@
 // The representation is engineered for the hot paths of the correspondence
 // and model-checking engines:
 //
-//   - label sets are interned: every distinct label set gets a dense LabelID,
-//     so label equality is an integer compare and the canonical LabelKey is a
-//     table lookup instead of a string build;
+//   - labels are rows of bits over a sorted proposition vocabulary: every
+//     distinct label set is one interned row of ⌈|vocabulary|/64⌉ words
+//     with a dense LabelID, so label equality is an integer compare and a
+//     family instance, which has a distinct label per state, pays one word
+//     per state for it (labels.go);
 //   - the transition relation is stored in compressed-sparse-row form (one
 //     flat edge array plus offsets per direction), so Succ/Pred return
 //     subslices of shared backing with no per-state slice headers to chase;
@@ -37,6 +39,7 @@ package kripke
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -105,19 +108,25 @@ type Structure struct {
 	predEdges []State
 	predOff   []int32
 
-	// Interned labelling: labelIDs[s] indexes the distinct-label tables.
-	labelIDs  []LabelID
-	labelSets [][]Prop // per LabelID, sorted by Prop.Less, deduplicated
-	labelKeys []string // per LabelID, canonical key
+	// Labelling (labels.go): vocab is the sorted proposition vocabulary,
+	// rows holds one row of words bits per LabelID, and labelIDs[s] is the
+	// row of state s.
+	vocab    []Prop
+	words    int
+	rows     []uint64
+	labelIDs []LabelID
 
-	// ones[s] lists the indexed proposition names holding for exactly one
-	// index in s.  States sharing a LabelID alias one slice unless a builder
-	// override forced a per-state value.
-	ones [][]string
+	// ones[onesIDs[s]] lists the indexed proposition names holding for
+	// exactly one index in s, sorted.  A builder override (SetOnes) is just
+	// another entry of the table.
+	ones    [][]string
+	onesIDs []int32
 
-	// props caches the per-proposition state sets, built on first use (the
-	// cache is a pointer so shallow copies like Rename share it).
+	// props and keys cache the per-proposition state sets and the
+	// per-label canonical keys, built on first use (the caches are
+	// pointers so shallow copies like Rename share them).
 	props *propCache
+	keys  *keyCache
 
 	// reach caches the states reachable from the initial state, built on
 	// first use.  It depends only on the transition relation and the
@@ -158,21 +167,6 @@ func (m *Structure) Reachable() BitSet {
 	return m.reach.set
 }
 
-// propCache lazily holds the per-proposition state sets of one structure.
-type propCache struct {
-	once sync.Once
-	sets map[Prop]BitSet
-}
-
-// propSets returns the per-proposition state sets, building them on first
-// use.  Safe for concurrent callers: structures are immutable and shared.
-func (m *Structure) propSets() map[Prop]BitSet {
-	m.props.once.Do(func() {
-		m.props.sets = buildPropStates(m.NumStates(), m.labelIDs, m.labelSets)
-	})
-	return m.props.sets
-}
-
 // Name returns the structure's name (may be empty).
 func (m *Structure) Name() string { return m.name }
 
@@ -200,9 +194,17 @@ func (m *Structure) HasTransition(s, t State) bool {
 	return i < len(succ) && succ[i] == t
 }
 
-// Label returns the propositions holding in s, sorted.  The returned slice
-// is shared by all states with the same label set and must not be modified.
-func (m *Structure) Label(s State) []Prop { return m.labelSets[m.labelIDs[s]] }
+// Label returns the propositions holding in s, sorted.  The slice is fresh
+// and may be modified by the caller; LabelID is the allocation-free way to
+// compare labels.
+func (m *Structure) Label(s State) []Prop {
+	id := m.labelIDs[s]
+	n := 0
+	for _, word := range m.row(id) {
+		n += bits.OnesCount64(word)
+	}
+	return m.appendLabel(make([]Prop, 0, n), id)
+}
 
 // LabelID returns the interned identifier of s's label set.  Two states of
 // the same structure satisfy the same atomic propositions iff their LabelIDs
@@ -210,23 +212,22 @@ func (m *Structure) Label(s State) []Prop { return m.labelSets[m.labelIDs[s]] }
 func (m *Structure) LabelID(s State) LabelID { return m.labelIDs[s] }
 
 // NumLabels returns the number of distinct label sets.
-func (m *Structure) NumLabels() int { return len(m.labelSets) }
+func (m *Structure) NumLabels() int { return len(m.rows) / m.words }
 
 // LabelKeyByID returns the canonical key of the given label set.  Keys agree
 // across structures: two states of different structures satisfy the same
-// atomic propositions iff their label keys are equal.
-func (m *Structure) LabelKeyByID(id LabelID) string { return m.labelKeys[id] }
-
-// LabelSetByID returns the label set with the given id, sorted.  The
-// returned slice must not be modified.
-func (m *Structure) LabelSetByID(id LabelID) []Prop { return m.labelSets[id] }
+// atomic propositions iff their label keys are equal.  The first call
+// builds the key of every label of the structure; later calls allocate
+// nothing.
+func (m *Structure) LabelKeyByID(id LabelID) string { return m.labelKeys()[id] }
 
 // LabelKey returns a canonical string for the label of s (plain and indexed
 // propositions).  Two states have the same LabelKey iff they satisfy exactly
 // the same atomic propositions.  The derived "exactly one" propositions are
 // not part of the key; use LabelKeyWithOnes when they have been added to AP
-// (Section 4's extension) and must be respected by a correspondence.
-func (m *Structure) LabelKey(s State) string { return m.labelKeys[m.labelIDs[s]] }
+// (Section 4's extension) and must be respected by a correspondence.  Like
+// LabelKeyByID, it allocates only on the structure's first key request.
+func (m *Structure) LabelKey(s State) string { return m.labelKeys()[m.labelIDs[s]] }
 
 // LabelKeyWithOnes returns LabelKey(s) extended with the truth values of the
 // "exactly one" propositions listed in oneProps.  The props must be sorted
@@ -252,29 +253,30 @@ func (m *Structure) LabelKeyWithOnes(s State, oneProps []string) string {
 
 // Holds reports whether proposition p is in the label of s.
 func (m *Structure) Holds(s State, p Prop) bool {
-	bs, ok := m.propSets()[p]
-	return ok && bs.Get(int(s))
+	id, ok := m.propID(p)
+	return ok && hasBit(m.row(m.labelIDs[s]), id)
 }
 
 // StatesWith returns the set of states whose label contains p, or nil when
 // no state satisfies p.  The returned set is shared and must not be
 // modified.
-func (m *Structure) StatesWith(p Prop) BitSet { return m.propSets()[p] }
+func (m *Structure) StatesWith(p Prop) BitSet {
+	if id, ok := m.propID(p); ok {
+		return m.propSets()[id]
+	}
+	return nil
+}
 
 // ExactlyOne reports whether exactly one index value c has prop_c in the
 // label of s (the O_i prop_i atom of Section 4).
 func (m *Structure) ExactlyOne(s State, prop string) bool {
-	for _, o := range m.ones[s] {
-		if o == prop {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(m.ones[m.onesIDs[s]], prop)
 }
 
 // OneProps returns the names of indexed propositions that hold for exactly
-// one index in state s, sorted.
-func (m *Structure) OneProps(s State) []string { return m.ones[s] }
+// one index in state s, sorted.  The slice is shared and must not be
+// modified.
+func (m *Structure) OneProps(s State) []string { return m.ones[m.onesIDs[s]] }
 
 // IndexValues returns the index set I of the structure, sorted.  It is the
 // set of indices that appear in indexed propositions of any state, possibly
@@ -316,29 +318,25 @@ func (m *Structure) DeadlockStates() []State {
 // AtomNames returns the plain proposition names used anywhere in the
 // structure, sorted.
 func (m *Structure) AtomNames() []string {
-	set := map[string]bool{}
-	for _, lbl := range m.labelSets {
-		for _, p := range lbl {
-			if !p.Indexed {
-				set[p.Name] = true
-			}
+	out := []string{}
+	for _, p := range m.vocab {
+		if !p.Indexed {
+			out = append(out, p.Name)
 		}
 	}
-	return sortedStrings(set)
+	return out
 }
 
 // IndexedPropNames returns the indexed proposition names used anywhere in
 // the structure, sorted.
 func (m *Structure) IndexedPropNames() []string {
-	set := map[string]bool{}
-	for _, lbl := range m.labelSets {
-		for _, p := range lbl {
-			if p.Indexed {
-				set[p.Name] = true
-			}
+	out := []string{}
+	for _, p := range m.vocab {
+		if p.Indexed && (len(out) == 0 || out[len(out)-1] != p.Name) {
+			out = append(out, p.Name)
 		}
 	}
-	return sortedStrings(set)
+	return out
 }
 
 // Validate checks the structural invariants of the Kripke structure: the
@@ -367,53 +365,45 @@ func (m *Structure) Validate() error {
 	return nil
 }
 
-func sortedStrings(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	//lint:ordered keys are collected then sorted immediately below
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
 
-// Builder incrementally constructs a Structure.  The zero value is ready to
-// use.  Builders are not safe for concurrent use.
+// Builder incrementally constructs a Structure.  Construct Builders with
+// NewBuilder; they are not safe for concurrent use.
 //
-// Label sets are interned as they are added, so AddState with a label set
-// already seen costs no allocation beyond the per-state id; callers on hot
-// paths may therefore reuse one scratch props slice across AddState calls
-// (the builder never keeps a reference to the argument).
+// Label sets are interned as they are added: a label is a row of bits over
+// the propositions seen so far, and AddState with a label set already seen
+// costs no allocation beyond the per-state id.  Callers on hot paths may
+// therefore reuse one scratch props slice across AddState calls (the
+// builder never keeps a reference to the argument).
 type Builder struct {
 	name         string
 	labelIDs     []LabelID
-	labelSets    [][]Prop
-	labelKeys    []string
-	labelOnes    [][]string // derived "exactly one" props per LabelID
-	intern       map[string]LabelID
 	onesOverride map[State][]string
 	edges        []uint64 // from<<32 | to; deduplicated at Build
 	initial      State
 	initialSet   bool
 	indexValues  map[int]bool
-
-	scratchProps []Prop
-	scratchKey   []byte
-	propArena    []Prop // slab backing for interned label sets
 	indexMask    uint64 // indices 0..63 already in indexValues (fast path)
+
+	// vocab lists the propositions in first-sight order; a proposition's
+	// position is its bit in the rows of labels.  Build sorts it.
+	vocab   []Prop
+	propID  map[Prop]int32
+	labels  rowTable
+	scratch []uint64 // one row, reused by every AddState
 }
 
 // NewBuilder returns a Builder for a structure with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:         name,
-		intern:       make(map[string]LabelID),
 		onesOverride: make(map[State][]string),
 		indexValues:  make(map[int]bool),
+		propID:       make(map[Prop]int32),
+		labels:       rowTable{w: 1},
+		scratch:      make([]uint64, 1),
 	}
 }
 
@@ -437,64 +427,39 @@ func (b *Builder) SetOnes(s State, props []string) error {
 	return nil
 }
 
-// internLabel normalizes props into the builder's scratch space and returns
-// the dense id of the label set, creating it on first sight.  Only a first
-// sight clones the props (and materialises the key string); duplicates are
-// allocation free.
+// internLabel sets the bits of props in the builder's scratch row and
+// returns the dense id of the label set, creating it on first sight.  The
+// props need not be sorted or distinct; only a first sight copies the row.
 func (b *Builder) internLabel(props []Prop) LabelID {
-	lbl := normalizeLabelInto(b.scratchProps[:0], props)
-	b.scratchProps = lbl[:0]
-	b.scratchKey = appendLabelKey(b.scratchKey[:0], lbl)
-	if id, ok := b.intern[string(b.scratchKey)]; ok {
-		return id
+	clear(b.scratch)
+	for _, p := range props {
+		id, ok := b.propID[p]
+		if !ok {
+			id = b.addProp(p)
+		}
+		setBit(b.scratch, int(id))
 	}
-	return b.internNew(lbl, string(b.scratchKey))
+	return b.labels.intern(b.scratch)
 }
 
-// internNew records a label set seen for the first time.  lbl must be sorted
-// and deduplicated; it is cloned, so callers may reuse it.
-func (b *Builder) internNew(lbl []Prop, key string) LabelID {
-	id := LabelID(len(b.labelSets))
-	// Structures whose labels carry per-index atoms (every family instance)
-	// intern a distinct set per state, so the clone is the builder's hottest
-	// allocation; slab-allocating the clones amortises it away.  Handed-out
-	// slices are full-capacity views, so a slab refill never moves them.
-	var cp []Prop
-	if len(lbl) > 0 {
-		if cap(b.propArena)-len(b.propArena) < len(lbl) {
-			// Slabs double up to 64K props, so small structures stay
-			// small and million-state builds refill rarely.
-			size := 2 * cap(b.propArena)
-			if size < 256 {
-				size = 256
-			}
-			if size > 64*1024 {
-				size = 64 * 1024
-			}
-			if size < len(lbl) {
-				size = len(lbl)
-			}
-			b.propArena = make([]Prop, 0, size)
-		}
-		start := len(b.propArena)
-		b.propArena = append(b.propArena, lbl...)
-		cp = b.propArena[start:len(b.propArena):len(b.propArena)]
+// addProp adds p to the vocabulary, widening every row when p needs a new
+// word.
+func (b *Builder) addProp(p Prop) int32 {
+	id := int32(len(b.vocab))
+	b.vocab = append(b.vocab, p)
+	b.propID[p] = id
+	if p.Indexed {
+		b.recordIndex(p.Index)
 	}
-	b.intern[key] = id
-	b.labelSets = append(b.labelSets, cp)
-	b.labelKeys = append(b.labelKeys, key)
-	b.labelOnes = append(b.labelOnes, computeOnes(cp))
-	for _, p := range cp {
-		if p.Indexed {
-			b.recordIndex(p.Index)
-		}
+	if w := int(id)/64 + 1; w > b.labels.w {
+		b.labels.widen(2 * b.labels.w)
+		b.scratch = append(b.scratch, make([]uint64, b.labels.w-len(b.scratch))...)
 	}
 	return id
 }
 
 // recordIndex notes an index value seen in a label.  Small indices hit a
-// bitmask before the map: a million-state build records r indices a few
-// million times, and the map assignments would dominate internNew.
+// bitmask before the map.
 func (b *Builder) recordIndex(i int) {
 	if 0 <= i && i < 64 {
 		if b.indexMask&(1<<uint(i)) != 0 {
@@ -506,36 +471,33 @@ func (b *Builder) recordIndex(i int) {
 }
 
 // AddState adds a state labelled with props and returns its identifier.
+// The props may come in any order and may repeat; the slice is not
+// retained.
 func (b *Builder) AddState(props ...Prop) State {
 	b.labelIDs = append(b.labelIDs, b.internLabel(props))
 	return State(len(b.labelIDs) - 1)
 }
 
-// AddStateNormalized adds a state whose label is already sorted by Prop.Less
-// and deduplicated, skipping the normalization sort — the dominant cost of
-// AddState for builders that generate labels in canonical order (one linear
-// order check remains, and a label that fails it is normalized as usual).
-// The slice is not retained; callers may reuse it.
-func (b *Builder) AddStateNormalized(props []Prop) State {
-	for i := 1; i < len(props); i++ {
-		if !props[i-1].Less(props[i]) {
-			return b.AddState(props...)
-		}
-	}
-	b.scratchKey = appendLabelKey(b.scratchKey[:0], props)
-	id, ok := b.intern[string(b.scratchKey)]
-	if !ok {
-		id = b.internNew(props, string(b.scratchKey))
-	}
-	b.labelIDs = append(b.labelIDs, id)
-	return State(len(b.labelIDs) - 1)
+// Grow pre-allocates the builder's state, label and edge tables for a
+// caller that knows (approximately) how large the structure will be.  A
+// family instance has a distinct label per state, so the label table is
+// sized for one label per state.
+func (b *Builder) Grow(states, edges int) {
+	b.labelIDs = grow(b.labelIDs, states)
+	b.labels.reserve(states)
+	b.edges = grow(b.edges, edges)
 }
 
-// Grow pre-allocates the builder's state and edge tables for a caller that
-// knows (approximately) how large the structure will be.
-func (b *Builder) Grow(states, edges int) {
-	b.labelIDs = slices.Grow(b.labelIDs, states)
-	b.edges = slices.Grow(b.edges, edges)
+// grow returns s with room for n more elements.  Unlike slices.Grow it
+// allocates only the new backing array in every build mode (under -race,
+// slices.Grow also materialises the n-element slice it appends).
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make(S, len(s), len(s)+n)
+	copy(out, s)
+	return out
 }
 
 // SetLabel replaces the label of an existing state.
@@ -623,18 +585,47 @@ func (b *Builder) BuildPartial() (*Structure, error) {
 	}
 	n := len(b.labelIDs)
 	m := &Structure{
-		name:      b.name,
-		initial:   b.initial,
-		labelIDs:  append([]LabelID(nil), b.labelIDs...),
-		labelSets: b.labelSets,
-		labelKeys: b.labelKeys,
+		name:     b.name,
+		initial:  b.initial,
+		labelIDs: append([]LabelID(nil), b.labelIDs...),
+		props:    &propCache{},
+		keys:     &keyCache{},
+		reach:    &reachCache{},
 	}
+	m.vocab, m.rows, m.words = canonical(b.vocab, b.labels.rows, b.labels.w)
+	b.edges = m.setEdges(n, b.edges)
 
+	// The "exactly one" sets: derived per label id, overridden per state.
+	ones := newOnesTable()
+	derived := derivedOnes(m.vocab, m.rows, m.words, ones)
+	m.onesIDs = make([]int32, n)
+	for s, id := range m.labelIDs {
+		m.onesIDs[s] = derived[id]
+		if len(b.onesOverride) > 0 {
+			if override, ok := b.onesOverride[State(s)]; ok {
+				m.onesIDs[s] = ones.intern(override)
+			}
+		}
+	}
+	m.ones = ones.sets
+
+	m.indexValues = make([]int, 0, len(b.indexValues))
+	//lint:ordered index values are collected then sorted immediately below
+	for i := range b.indexValues {
+		m.indexValues = append(m.indexValues, i)
+	}
+	sort.Ints(m.indexValues)
+	return m, nil
+}
+
+// setEdges sorts and deduplicates edges (from<<32 | to) in place, fills the
+// successor and predecessor CSR arrays of an n-state structure from them,
+// and returns the deduplicated edges.
+func (m *Structure) setEdges(n int, edges []uint64) []uint64 {
 	// Edges sorted by (from, to) give the successor CSR directly; a second
 	// counting pass over the same order fills sorted predecessor rows.
-	slices.Sort(b.edges)
-	edges := slices.Compact(b.edges)
-	b.edges = edges
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
 	m.succOff = make([]int32, n+1)
 	m.predOff = make([]int32, n+1)
 	for _, e := range edges {
@@ -655,117 +646,5 @@ func (b *Builder) BuildPartial() (*Structure, error) {
 		m.predEdges[predNext[to]] = from
 		predNext[to]++
 	}
-
-	// The "exactly one" sets: derived per label id, overridden per state.
-	m.ones = make([][]string, n)
-	for s, id := range m.labelIDs {
-		if override, ok := b.onesOverride[State(s)]; ok {
-			m.ones[s] = override
-		} else {
-			m.ones[s] = b.labelOnes[id]
-		}
-	}
-
-	m.props = &propCache{}
-	m.reach = &reachCache{}
-
-	m.indexValues = make([]int, 0, len(b.indexValues))
-	//lint:ordered index values are collected then sorted immediately below
-	for i := range b.indexValues {
-		m.indexValues = append(m.indexValues, i)
-	}
-	sort.Ints(m.indexValues)
-	return m, nil
-}
-
-// buildPropStates computes the per-proposition state sets of a structure.
-func buildPropStates(n int, labelIDs []LabelID, labelSets [][]Prop) map[Prop]BitSet {
-	out := make(map[Prop]BitSet)
-	for s, id := range labelIDs {
-		for _, p := range labelSets[id] {
-			bs, ok := out[p]
-			if !ok {
-				bs = NewBitSet(n)
-				out[p] = bs
-			}
-			bs.Set(s)
-		}
-	}
-	return out
-}
-
-// normalizeLabelInto sorts and deduplicates props into dst (reused scratch).
-func normalizeLabelInto(dst []Prop, props []Prop) []Prop {
-	if len(props) == 0 {
-		return dst
-	}
-	dst = append(dst, props...)
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Less(dst[j]) })
-	out := dst[:1]
-	for _, p := range dst[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// computeOnes returns the names of indexed propositions that appear with
-// exactly one index in the label, sorted.  lbl is sorted by Prop.Less, so
-// indexed propositions are grouped by name in ascending name order and one
-// linear pass suffices (the result inherits the sort).
-func computeOnes(lbl []Prop) []string {
-	// Count first so the result is a single exact-size allocation (or none):
-	// computeOnes runs once per distinct label set, i.e. once per state for
-	// family instances.
-	count := 0
-	for i := 0; i < len(lbl); {
-		if !lbl[i].Indexed {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(lbl) && lbl[j].Name == lbl[i].Name {
-			j++
-		}
-		if j-i == 1 {
-			count++
-		}
-		i = j
-	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]string, 0, count)
-	for i := 0; i < len(lbl); {
-		if !lbl[i].Indexed {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(lbl) && lbl[j].Name == lbl[i].Name {
-			j++
-		}
-		if j-i == 1 {
-			out = append(out, lbl[i].Name)
-		}
-		i = j
-	}
-	return out
-}
-
-// appendLabelKey appends the canonical key of lbl to dst.  Prop.String is
-// inlined so building a key costs no allocation beyond dst itself; callers
-// on hot paths reuse a scratch buffer.
-func appendLabelKey(dst []byte, lbl []Prop) []byte {
-	for _, p := range lbl {
-		dst = append(dst, p.Name...)
-		if p.Indexed {
-			dst = append(dst, '[')
-			dst = strconv.AppendInt(dst, int64(p.Index), 10)
-			dst = append(dst, ']')
-		}
-		dst = append(dst, ';')
-	}
-	return dst
+	return edges
 }

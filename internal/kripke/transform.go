@@ -1,6 +1,9 @@
 package kripke
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the structural operations on Kripke structures that
 // the paper relies on:
@@ -40,43 +43,57 @@ func (m *Structure) RestrictReachable() (*Structure, []State) {
 
 // Induced returns the substructure induced by keep (which must contain the
 // initial state), with states renumbered densely in the order given.  The
-// second result maps new state identifiers back to the original ones.
+// second result maps new state identifiers back to the original ones.  The
+// kept states keep their label rows and "exactly one" atoms (so a
+// reduction's carried values survive); the vocabulary shrinks to the
+// propositions the kept states use.
 func (m *Structure) Induced(keep []State) (*Structure, []State) {
+	oldOf := slices.Clone(keep)
+	if len(keep) == 0 {
+		return m, oldOf
+	}
 	oldToNew := make(map[State]State, len(keep))
 	for i, s := range keep {
 		oldToNew[s] = State(i)
 	}
-	b := NewBuilder(m.name)
-	for _, s := range keep {
-		ns := b.AddState(m.Label(s)...)
-		// Preserve the derived "exactly one" truth values even when m is a
-		// reduction whose labels no longer determine them.
-		_ = b.SetOnes(ns, m.ones[s])
+	out := &Structure{
+		name:        m.name,
+		labelIDs:    make([]LabelID, len(keep)),
+		ones:        m.ones,
+		onesIDs:     make([]int32, len(keep)),
+		props:       &propCache{},
+		keys:        &keyCache{},
+		reach:       &reachCache{},
+		indexValues: m.indexValues,
 	}
-	for _, i := range m.indexValues {
-		b.DeclareIndex(i)
+	// Kept labels are renumbered in first-sight order.
+	idMap := make([]LabelID, m.NumLabels())
+	for id := range idMap {
+		idMap[id] = -1
 	}
+	var rows []uint64
+	for i, s := range keep {
+		id := m.labelIDs[s]
+		if idMap[id] < 0 {
+			idMap[id] = LabelID(len(rows) / m.words)
+			rows = append(rows, m.row(id)...)
+		}
+		out.labelIDs[i] = idMap[id]
+		out.onesIDs[i] = m.onesIDs[s]
+	}
+	out.vocab, out.rows, out.words = canonical(m.vocab, rows, m.words)
+	var edges []uint64
 	for _, s := range keep {
 		for _, t := range m.Succ(s) {
 			if nt, ok := oldToNew[t]; ok {
-				// Both endpoints kept: add the edge (errors are impossible
-				// because the states were just added).
-				_ = b.AddTransition(oldToNew[s], nt)
+				edges = append(edges, uint64(oldToNew[s])<<32|uint64(nt))
 			}
 		}
 	}
+	out.setEdges(len(keep), edges)
 	if init, ok := oldToNew[m.initial]; ok {
-		_ = b.SetInitial(init)
-	} else {
-		_ = b.SetInitial(0)
+		out.initial = init
 	}
-	out, err := b.BuildPartial()
-	if err != nil {
-		// Unreachable: keep is non-empty whenever m is non-empty.
-		out = m
-	}
-	oldOf := make([]State, len(keep))
-	copy(oldOf, keep)
 	return out, oldOf
 }
 
@@ -96,132 +113,67 @@ func (m *Structure) ReduceNormalized(i int) *Structure {
 	return m.reduceWith(i, 0)
 }
 
+// reduceWith keeps the plain propositions and those of index keep, renamed
+// to renameTo.  The reduction of a label depends only on the label, so the
+// work is done once per distinct LabelID of m: a family instance has a label
+// per state but only a handful of reduced ones.
 func (m *Structure) reduceWith(keep, renameTo int) *Structure {
-	n := m.NumStates()
-	out := &Structure{
-		name:      fmt.Sprintf("%s|%d", m.name, keep),
-		initial:   m.initial,
-		succEdges: m.succEdges, // the relation is untouched; share the CSR arrays
-		succOff:   m.succOff,
-		predEdges: m.predEdges,
-		predOff:   m.predOff,
-		reach:     m.reach, // same relation and initial state, same reachable set
-		ones:      m.ones,  // the O_i P_i atoms live in AP and are preserved verbatim
-	}
-	// The reduction of a label set depends only on the set, so the work is
-	// done once per distinct LabelID of m — the correspondence engine
-	// rebuilds reductions constantly, and per-state label work dominated
-	// this function's cost before labels were interned.  Distinct labels of
-	// m may collapse onto one reduced label (a family instance has a label
-	// per state but only a handful of reduced ones), so each reduced label
-	// is built in scratch space and cloned only the first time it appears.
-	intern := make(map[string]LabelID)
-	idMap := make([]LabelID, m.NumLabels())
-	var reduced []Prop
-	var scratch []byte
-	for id, lbl := range m.labelSets {
-		reduced = reduced[:0]
-		for _, p := range lbl {
-			switch {
-			case !p.Indexed:
-				reduced = append(reduced, p)
-			case p.Index == keep:
-				reduced = append(reduced, PI(p.Name, renameTo))
-			}
+	return m.relabel(fmt.Sprintf("%s|%d", m.name, keep), []int{renameTo}, func(p Prop) (Prop, bool) {
+		switch {
+		case !p.Indexed:
+			return p, true
+		case p.Index == keep:
+			return PI(p.Name, renameTo), true
 		}
-		// Insertion sort: surviving labels have at most a handful of props.
-		for i := 1; i < len(reduced); i++ {
-			for j := i; j > 0 && reduced[j].Less(reduced[j-1]); j-- {
-				reduced[j], reduced[j-1] = reduced[j-1], reduced[j]
-			}
-		}
-		scratch = appendLabelKey(scratch[:0], reduced)
-		rid, ok := intern[string(scratch)]
-		if !ok {
-			rid = LabelID(len(out.labelSets))
-			key := string(scratch)
-			intern[key] = rid
-			out.labelSets = append(out.labelSets, append(make([]Prop, 0, len(reduced)), reduced...))
-			out.labelKeys = append(out.labelKeys, key)
-		}
-		idMap[id] = rid
-	}
-	out.labelIDs = make([]LabelID, n)
-	for s, id := range m.labelIDs {
-		out.labelIDs[s] = idMap[id]
-	}
-	out.props = &propCache{}
-	out.indexValues = []int{renameTo}
-	return out
+		return p, false
+	})
 }
 
 // MakeTotal returns a structure in which every deadlock state of m has been
 // given a self loop, making the transition relation total.  If m is already
-// total, m itself is returned.
+// total, m itself is returned.  The labelling is shared with m.
 func (m *Structure) MakeTotal() *Structure {
 	dead := m.DeadlockStates()
 	if len(dead) == 0 {
 		return m
 	}
-	b := NewBuilder(m.name)
-	for s := 0; s < m.NumStates(); s++ {
-		ns := b.AddState(m.Label(State(s))...)
-		_ = b.SetOnes(ns, m.ones[s])
-	}
-	for _, i := range m.indexValues {
-		b.DeclareIndex(i)
-	}
+	edges := make([]uint64, 0, m.NumTransitions()+len(dead))
 	for s := 0; s < m.NumStates(); s++ {
 		for _, t := range m.Succ(State(s)) {
-			_ = b.AddTransition(State(s), t)
+			edges = append(edges, uint64(s)<<32|uint64(t))
 		}
 	}
 	for _, s := range dead {
-		_ = b.AddTransition(s, s)
+		edges = append(edges, uint64(s)<<32|uint64(s))
 	}
-	_ = b.SetInitial(m.initial)
-	out, err := b.BuildPartial()
-	if err != nil {
-		return m
-	}
-	return out
+	out := *m
+	out.reach = &reachCache{}
+	out.setEdges(m.NumStates(), edges)
+	return &out
 }
 
 // Reindex returns a copy of m in which every indexed proposition's index is
 // replaced according to rename (indices not present in rename are kept).
-// The structure's index set is renamed accordingly.
+// The structure's index set is renamed accordingly.  The "exactly one"
+// atoms live in AP, so they are carried over unchanged.
 func (m *Structure) Reindex(rename map[int]int) *Structure {
-	b := NewBuilder(m.name)
-	for s := 0; s < m.NumStates(); s++ {
-		lbl := make([]Prop, 0, len(m.Label(State(s))))
-		for _, p := range m.Label(State(s)) {
-			if p.Indexed {
-				if to, ok := rename[p.Index]; ok {
-					p = PI(p.Name, to)
-				}
-			}
-			lbl = append(lbl, p)
+	to := func(i int) int {
+		if j, ok := rename[i]; ok {
+			return j
 		}
-		b.AddState(lbl...)
+		return i
 	}
+	var idx []int
 	for _, i := range m.indexValues {
-		if to, ok := rename[i]; ok {
-			b.DeclareIndex(to)
-		} else {
-			b.DeclareIndex(i)
+		idx = append(idx, to(i))
+	}
+	slices.Sort(idx)
+	return m.relabel(m.name, slices.Compact(idx), func(p Prop) (Prop, bool) {
+		if p.Indexed {
+			p.Index = to(p.Index)
 		}
-	}
-	for s := 0; s < m.NumStates(); s++ {
-		for _, t := range m.Succ(State(s)) {
-			_ = b.AddTransition(State(s), t)
-		}
-	}
-	_ = b.SetInitial(m.initial)
-	out, err := b.BuildPartial()
-	if err != nil {
-		return m
-	}
-	return out
+		return p, true
+	})
 }
 
 // Rename returns a copy of m with a different name, sharing all other data.

@@ -279,7 +279,7 @@ func (u *Unfolded) Structure() (*kripke.Structure, error) {
 	var scratch []kripke.Prop
 	for _, code := range u.codes {
 		scratch = def.Label(scratch[:0], code)
-		b.AddStateNormalized(scratch)
+		b.AddState(scratch...)
 	}
 	if err := b.SetInitial(0); err != nil {
 		return nil, err
@@ -402,7 +402,7 @@ func (q *Quotient) RepStructure() (*kripke.Structure, error) {
 	var scratch []kripke.Prop
 	for _, code := range q.reps {
 		scratch = def.Label(scratch[:0], code)
-		b.AddStateNormalized(scratch)
+		b.AddState(scratch...)
 	}
 	if err := b.SetInitial(0); err != nil {
 		return nil, err
