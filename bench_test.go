@@ -23,6 +23,7 @@ import (
 	"repro/internal/paperfig"
 	"repro/internal/ring"
 	"repro/internal/store"
+	"repro/internal/symmetry"
 )
 
 // ---------------------------------------------------------------------------
@@ -231,16 +232,22 @@ func BenchmarkPackedExplore(b *testing.B) {
 
 func BenchmarkSymmetryQuotient(b *testing.B) {
 	// The r = 12 ring: 49 152 states collapse to 4 096 orbit
-	// representatives under the cyclic rotation group.
+	// representatives under the cyclic rotation group, explored over the
+	// group's QuotientDef with one worker.
 	const r = 12
+	pi, ok := family.Packed(family.Ring(), r)
+	if !ok {
+		b.Fatal("the ring does not pack")
+	}
+	def := symmetry.QuotientDef(pi.Def, pi.Group)
 	b.ReportAllocs()
 	reps := 0
 	for i := 0; i < b.N; i++ {
-		q, err := family.BuildQuotient(context.Background(), family.Ring(), r)
+		sp, err := explore.Explore(context.Background(), def, explore.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		reps = q.NumReps()
+		reps = sp.NumStates()
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(reps)*float64(b.N)/secs, "orbits/sec")

@@ -1,11 +1,13 @@
 // Package docscheck keeps the documentation honest: its tests fail on
-// broken intra-repository markdown links and on exported identifiers of
-// the public API surface (pkg/podc and internal/family) that lack a godoc
-// comment.  CI runs it as the docs job; locally it is part of the ordinary
-// go test ./... run.
+// broken intra-repository markdown links, on exported identifiers of the
+// public API surface (pkg/podc and internal/family) that lack a godoc
+// comment, and on a DESIGN.md waiver table that no longer lists exactly
+// the tree's //lint: waivers.  CI runs it as the docs job; locally it is
+// part of the ordinary go test ./... run.
 package docscheck
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -15,6 +17,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 // repoRoot locates the repository root relative to this file.
@@ -188,6 +192,67 @@ func checkGenDecl(t *testing.T, fset *token.FileSet, rel string, d *ast.GenDecl)
 				t.Errorf("%s:%d: exported const/var %v lacks a godoc comment",
 					rel, fset.Position(s.Pos()).Line, s.Names)
 			}
+		}
+	}
+}
+
+// waiverTableIntro is the DESIGN.md sentence the waiver table follows.
+const waiverTableIntro = "Waivers currently in the tree:"
+
+// TestWaiverTableMatchesTree pins DESIGN.md §8's waiver table to the tree:
+// its rows, as (file, directive, justification) with backticks dropped,
+// must be exactly the //lint: waivers lint.TreeWaivers finds, as many
+// times each.  Rows carry no line numbers, so ordinary edits do not stale
+// the table; adding, moving to another file or removing a waiver does.
+func TestWaiverTableMatchesTree(t *testing.T) {
+	root := repoRoot(t)
+	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(data), waiverTableIntro)
+	if !ok {
+		t.Fatalf("DESIGN.md lacks %q", waiverTableIntro)
+	}
+	var documented []string
+	for _, line := range strings.Split(strings.TrimLeft(table, "\n"), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 3 {
+			t.Fatalf("waiver table row %q does not have 3 cells", line)
+		}
+		for i := range cells {
+			cells[i] = strings.TrimSpace(strings.ReplaceAll(cells[i], "`", ""))
+		}
+		if cells[0] == "file" || strings.Trim(cells[0], "-") == "" {
+			continue // header and separator
+		}
+		documented = append(documented, strings.Join(cells, " | "))
+	}
+	waivers, err := lint.TreeWaivers(filepath.Join(root, "..."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// count[row] is the row's waivers in the tree minus its table rows.
+	count := make(map[string]int)
+	for _, w := range waivers {
+		rel, err := filepath.Rel(root, w.File)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count[fmt.Sprintf("%s | %s | %s", filepath.ToSlash(rel), w.Directive, w.Reason)]++
+	}
+	for _, row := range documented {
+		count[row]--
+	}
+	for row, c := range count {
+		switch {
+		case c > 0:
+			t.Errorf("DESIGN.md §8 waiver table lacks %d of the tree's waivers %q", c, row)
+		case c < 0:
+			t.Errorf("DESIGN.md §8 waiver table lists %q %d more times than the tree has it", row, -c)
 		}
 	}
 }

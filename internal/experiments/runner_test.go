@@ -193,3 +193,49 @@ func TestCrossTopologyTable(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildOnlyRowsCountOrbits: with a decide budget below every instance,
+// each sweep row is build-only and carries its orbit count under the
+// topology's group, explored over the group's QuotientDef.  The expected
+// counts follow from the groups: the ring's rotations act freely on its
+// r·2^r states (2^r orbits), the star's leaf permutations leave the hub
+// and "some leaf" as token positions (4 orbits with the holder's phase),
+// the line's reversal pairs position i with n+1-i (2·⌈n/2⌉ orbits) and the
+// tori's translations move the token anywhere (2 orbits).
+func TestBuildOnlyRowsCountOrbits(t *testing.T) {
+	want := map[string]map[int]int{
+		"ring":   {10: 1024, 12: 4096},
+		"star":   {5: 4, 8: 4},
+		"line":   {8: 8, 9: 10},
+		"torus":  {8: 2},
+		"torus3": {9: 2},
+	}
+	r := Runner{Workers: 2, BuildWorkers: 2, DecideStateBudget: 1}
+	for name, counts := range want {
+		topo, ok := family.ByName(name)
+		if !ok {
+			t.Fatalf("unknown topology %s", name)
+		}
+		var sizes []int
+		for n := range counts {
+			sizes = append(sizes, n)
+		}
+		sort.Ints(sizes)
+		rows := 0
+		for row := range r.TopologySweep(context.Background(), topo, sizes) {
+			rows++
+			if row.Err != nil {
+				t.Fatalf("%s n=%d: %v", name, row.R, row.Err)
+			}
+			if !row.BuildOnly {
+				t.Errorf("%s n=%d: decided a %d-state instance under a 1-state budget", name, row.R, row.States)
+			}
+			if row.QuotientStates != counts[row.R] {
+				t.Errorf("%s n=%d: %d orbits, want %d", name, row.R, row.QuotientStates, counts[row.R])
+			}
+		}
+		if rows != len(sizes) {
+			t.Errorf("%s: %d rows for %d sizes", name, rows, len(sizes))
+		}
+	}
+}

@@ -155,7 +155,7 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 		if sp.NumStates() > r.decideStateBudget() || (pi.MaxStates > 0 && sp.NumStates() > pi.MaxStates) {
 			row.BuildOnly = true
 			row.BuildElapsed = exploreElapsed
-			row.Err = quotientStats(ctx, pi, sp, &row)
+			row.Err = r.quotientStats(ctx, pi, sp, &row)
 			return row
 		}
 		m, err := explore.BuildFromSpace(ctx, pi.Def, sp)
@@ -220,25 +220,26 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 }
 
 // quotientStats fills the symmetry statistics of a build-only row: the
-// orbit count of the instance's automorphism group, with the orbit-closure
+// orbit count of the instance's automorphism group, explored by the
+// runner's build pool over the group's QuotientDef, with the orbit-closure
 // invariant Σ |orbit(rep)| = |space| checked so a build-only row still
 // certifies something about the space it refused to decide on.
-func quotientStats(ctx context.Context, pi family.PackedInstance, sp *explore.Space, row *SweepRow) error {
+func (r Runner) quotientStats(ctx context.Context, pi family.PackedInstance, sp *explore.Space, row *SweepRow) error {
 	if pi.Group == nil {
 		return nil
 	}
-	q, err := symmetry.BuildQuotient(ctx, pi.Def, pi.Group, 0)
+	q, err := explore.Explore(ctx, symmetry.QuotientDef(pi.Def, pi.Group), explore.Options{Workers: r.BuildWorkers})
 	if err != nil {
 		return err
 	}
-	row.QuotientStates = q.NumReps()
+	row.QuotientStates = q.NumStates()
 	total := 0
-	for i := 0; i < q.NumReps(); i++ {
-		total += pi.Group.OrbitSize(q.Rep(int32(i)))
+	for _, rep := range q.Codes() {
+		total += pi.Group.OrbitSize(rep)
 	}
 	if total != sp.NumStates() {
 		return fmt.Errorf("experiments: %s n=%d: orbit closure violated: orbits of the %d representatives cover %d states, space has %d",
-			row.Topology, row.R, q.NumReps(), total, sp.NumStates())
+			row.Topology, row.R, q.NumStates(), total, sp.NumStates())
 	}
 	return nil
 }

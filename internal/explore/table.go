@@ -38,6 +38,12 @@ type tableSlot struct {
 
 const emptySlot = int32(-1)
 
+// minStripeSize is the initial size of a stripe's permanent and pending
+// arrays.  It is small so that the 64 stripes of a table for a
+// few-hundred-state instance cost a few kilobytes; large spaces double
+// their way up in a handful of cheap early rehashes.
+const minStripeSize = 8
+
 // splitmix64 is the finaliser of the splitmix64 generator — a fast,
 // well-mixed 64-bit hash for the packed codes (which are highly regular).
 func splitmix64(x uint64) uint64 {
@@ -50,7 +56,7 @@ func splitmix64(x uint64) uint64 {
 func newCodeTable(seq bool) *codeTable {
 	t := &codeTable{seq: seq}
 	for i := range t.stripes {
-		t.stripes[i].grow(64)
+		t.stripes[i].grow(minStripeSize)
 	}
 	return t
 }
@@ -136,10 +142,7 @@ func (s *stripe) claimLocked(code uint64, pos uint64) {
 
 func (s *stripe) growPending() {
 	oldKeys, oldPos := s.pkeys, s.ppos
-	size := 2 * len(s.pkeys)
-	if size < 64 {
-		size = 64
-	}
+	size := max(2*len(s.pkeys), minStripeSize)
 	s.pkeys = make([]uint64, size)
 	s.ppos = make([]uint64, size)
 	mask := uint64(size - 1)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bisim"
 	"repro/internal/explore"
 	"repro/internal/kripke"
 	"repro/internal/symmetry"
@@ -160,75 +159,4 @@ func (pi PackedInstance) OptionalIndexAction(ctx context.Context, sp *explore.Sp
 		return nil, ctx.Err()
 	}
 	return a, nil
-}
-
-// BuildQuotient constructs the symmetry quotient of the topology's size-n
-// instance: one representative per orbit of the instance's automorphism
-// group, with witness-decorated transitions (see internal/symmetry).
-func BuildQuotient(ctx context.Context, t Topology, n int) (*symmetry.Quotient, error) {
-	pi, ok := Packed(t, n)
-	if !ok {
-		return nil, fmt.Errorf("family: %s has no packed definition for n=%d", t.Name(), n)
-	}
-	if pi.Group == nil {
-		return nil, fmt.Errorf("family: %s has no symmetry group wired for n=%d", t.Name(), n)
-	}
-	return symmetry.BuildQuotient(ctx, pi.Def, pi.Group, pi.MaxStates)
-}
-
-// BuildUnfolded constructs the topology's size-n instance by the
-// symmetry-reduced route: build the quotient, unfold it back to the full
-// space through the witness permutations, and verify the unfolding against
-// the original definition (orbit membership, sampled successor rows, orbit
-// closure).  The certificate records what was checked.  Topologies without
-// a group fall back to the sequential Build with a nil certificate.
-func BuildUnfolded(ctx context.Context, t Topology, n int) (*kripke.Structure, *symmetry.Certificate, error) {
-	pi, ok := Packed(t, n)
-	if !ok || pi.Group == nil {
-		m, err := t.Build(n)
-		return m, nil, err
-	}
-	q, err := symmetry.BuildQuotient(ctx, pi.Def, pi.Group, pi.MaxStates)
-	if err != nil {
-		return nil, nil, err
-	}
-	u, err := symmetry.Unfold(ctx, q, pi.MaxStates)
-	if err != nil {
-		return nil, nil, err
-	}
-	cert, err := q.Verify(ctx, u, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := u.Structure()
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err = pi.FinishBuilt(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, cert, nil
-}
-
-// DecideCorrespondenceUnfolded is DecideCorrespondence with the oracle
-// (large) side built by the certified quotient-unfold route instead of the
-// direct exploration — the configuration the symmetry machinery exists
-// for, where the large instance is cheap to reach through its orbits.  The
-// returned certificate describes the unfolding checks (nil when the
-// topology has no group and the direct build was used).
-func DecideCorrespondenceUnfolded(ctx context.Context, t Topology, small, large int) (*bisim.IndexedResult, *symmetry.Certificate, error) {
-	sm, err := t.Build(small)
-	if err != nil {
-		return nil, nil, fmt.Errorf("family: %s: building small instance: %w", t.Name(), err)
-	}
-	lg, cert, err := BuildUnfolded(ctx, t, large)
-	if err != nil {
-		return nil, nil, fmt.Errorf("family: %s: unfolding large instance: %w", t.Name(), err)
-	}
-	res, err := DecideBuilt(ctx, t, sm, small, lg, large, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, cert, nil
 }

@@ -97,23 +97,31 @@ func (p *Package) Diag(pos token.Pos, analyzer, format string, args ...any) Diag
 func (p *Package) buildWaivers() {
 	p.waivers = make(map[string][]Waiver)
 	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//lint:")
-				if !ok {
-					continue
-				}
-				directive, reason, _ := strings.Cut(text, " ")
-				pos := p.Fset.Position(c.Pos())
-				p.waivers[pos.Filename] = append(p.waivers[pos.Filename], Waiver{
-					File:      pos.Filename,
-					Line:      pos.Line,
-					Directive: strings.TrimSpace(directive),
-					Reason:    strings.TrimSpace(reason),
-				})
+		name := p.Fset.Position(f.Pos()).Filename
+		p.waivers[name] = fileWaivers(p.Fset, f)
+	}
+}
+
+// fileWaivers returns the //lint: comments of one parsed file, in order.
+func fileWaivers(fset *token.FileSet, f *ast.File) []Waiver {
+	var out []Waiver
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			text, ok := strings.CutPrefix(c.Text, "//lint:")
+			if !ok {
+				continue
 			}
+			directive, reason, _ := strings.Cut(text, " ")
+			pos := fset.Position(c.Pos())
+			out = append(out, Waiver{
+				File:      pos.Filename,
+				Line:      pos.Line,
+				Directive: strings.TrimSpace(directive),
+				Reason:    strings.TrimSpace(reason),
+			})
 		}
 	}
+	return out
 }
 
 // WaiverAt returns the waiver covering the source line of pos (the waiver
@@ -126,16 +134,6 @@ func (p *Package) WaiverAt(pos token.Pos, directive string) *Waiver {
 		}
 	}
 	return nil
-}
-
-// Waivers returns every waiver in the package, in file order.
-func (p *Package) Waivers() []Waiver {
-	var out []Waiver
-	for _, f := range p.Files {
-		name := p.Fset.Position(f.Pos()).Filename
-		out = append(out, p.waivers[name]...)
-	}
-	return out
 }
 
 // waive reports whether the finding at pos is suppressed by the directive.

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,8 +27,10 @@ func TestMatchPath(t *testing.T) {
 }
 
 func TestWaivers(t *testing.T) {
-	pkg := loadFixture(t, "goleak/spawn", "spawn")
-	ws := pkg.Waivers()
+	ws, err := TreeWaivers(filepath.Join("testdata", "src", "goleak", "spawn"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var justified, bare int
 	for _, w := range ws {
 		if w.Directive != "goleak" {
@@ -40,7 +43,7 @@ func TestWaivers(t *testing.T) {
 		}
 	}
 	if justified != 1 || bare != 1 {
-		t.Fatalf("Waivers() = %d justified, %d bare; want 1 and 1", justified, bare)
+		t.Fatalf("TreeWaivers = %d justified, %d bare; want 1 and 1", justified, bare)
 	}
 }
 

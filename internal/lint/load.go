@@ -39,29 +39,9 @@ func NewLoader() *Loader {
 // invariants the suite encodes are production-code disciplines, and test
 // helpers iterate maps and spawn throwaway goroutines freely.
 func (l *Loader) Load(dir, pkgPath string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
+	abs, files, err := parseDir(l.Fset, dir)
 	if err != nil {
 		return nil, err
-	}
-	entries, err := os.ReadDir(abs)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(abs, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("%s: %w", dir, ErrNoGoFiles)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -84,6 +64,36 @@ func (l *Loader) Load(dir, pkgPath string) (*Package, error) {
 	}
 	p.buildWaivers()
 	return p, nil
+}
+
+// parseDir parses the non-test Go files of the package in dir, in file
+// name order, and returns them with the directory's absolute path.
+func parseDir(fset *token.FileSet, dir string) (string, []*ast.File, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", nil, err
+	}
+	entries, err := os.ReadDir(abs)
+	if err != nil {
+		return "", nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(abs, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return "", nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return "", nil, fmt.Errorf("%s: %w", dir, ErrNoGoFiles)
+	}
+	return abs, files, nil
 }
 
 // modulePath ascends from dir to the nearest go.mod and returns the module

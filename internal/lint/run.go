@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"go/token"
 	"io"
 	"os"
 	"path/filepath"
@@ -32,6 +33,18 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	cwd, _ := os.Getwd()
+	if *listWaivers {
+		waivers, err := TreeWaivers(patterns...)
+		if err != nil {
+			fmt.Fprintln(stderr, "repolint:", err)
+			return 2
+		}
+		for _, w := range waivers {
+			fmt.Fprintf(stdout, "%s:%d: //lint:%s %s\n", relTo(cwd, w.File), w.Line, w.Directive, w.Reason)
+		}
+		return 0
+	}
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "repolint:", err)
@@ -39,9 +52,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 	loader := NewLoader()
 	analyzers := All()
-	cwd, _ := os.Getwd()
 	var diags []Diagnostic
-	var waivers []Waiver
 	for _, dir := range dirs {
 		pkgPath, err := importPathFor(dir)
 		if err != nil {
@@ -56,19 +67,9 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "repolint:", err)
 			return 2
 		}
-		if *listWaivers {
-			waivers = append(waivers, pkg.Waivers()...)
-			continue
-		}
 		for _, a := range analyzers {
 			diags = append(diags, a.Run(pkg)...)
 		}
-	}
-	if *listWaivers {
-		for _, w := range waivers {
-			fmt.Fprintf(stdout, "%s:%d: //lint:%s %s\n", relTo(cwd, w.File), w.Line, w.Directive, w.Reason)
-		}
-		return 0
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -95,6 +96,31 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// TreeWaivers returns every //lint: waiver in the non-test files of the
+// packages the patterns name, in directory and file order.  It parses but
+// does not type-check, so listing the inventory stays cheap.
+func TreeWaivers(patterns ...string) ([]Waiver, error) {
+	dirs, err := expandPatterns(patterns)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var out []Waiver
+	for _, dir := range dirs {
+		_, files, err := parseDir(fset, dir)
+		if errors.Is(err, ErrNoGoFiles) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range files {
+			out = append(out, fileWaivers(fset, f)...)
+		}
+	}
+	return out, nil
 }
 
 // relTo shortens abs to a cwd-relative path when that is tidier.

@@ -61,9 +61,6 @@ type Key struct {
 	// ReachableOnly mirrors bisim.Options.ReachableOnly, which changes
 	// verdicts.
 	ReachableOnly bool `json:"reachable_only,omitempty"`
-	// Extra disambiguates anything else that affects the answer (e.g. a
-	// formula-set fingerprint for certificates).
-	Extra string `json:"extra,omitempty"`
 }
 
 // Hash returns the content address of the key: the hex SHA-256 of its

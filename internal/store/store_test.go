@@ -132,6 +132,13 @@ func TestKeyHash(t *testing.T) {
 	if base.Hash() != base.Hash() {
 		t.Fatal("hash not deterministic")
 	}
+	// Entries already on disk are addressed by this digest: a change to
+	// the key's encoding (a field added without omitempty, a renamed JSON
+	// tag) orphans every one of them, so it must come with an
+	// EngineVersion bump and a new pinned value.
+	if got, want := base.Hash(), "c669c45bbf9936837a43982cc715c0d89d450b1a0355ca62b0008a5a7b68a0b9"; got != want {
+		t.Fatalf("testKey().Hash() = %s, want %s", got, want)
+	}
 	reordered := base
 	reordered.Atoms = []string{"t"}
 	multi := base
@@ -148,7 +155,6 @@ func TestKeyHash(t *testing.T) {
 		{Kind: base.Kind, Topology: base.Topology, Small: base.Small, Large: 8, Atoms: base.Atoms, ReachableOnly: true},
 		{Kind: base.Kind, Topology: base.Topology, Small: base.Small, Large: base.Large, ReachableOnly: true},
 		{Kind: base.Kind, Topology: base.Topology, Small: base.Small, Large: base.Large, Atoms: base.Atoms},
-		{Kind: base.Kind, Topology: base.Topology, Small: base.Small, Large: base.Large, Atoms: base.Atoms, ReachableOnly: true, Extra: "x"},
 	}
 	seen := map[string]int{base.Hash(): -1}
 	for i, v := range variants {

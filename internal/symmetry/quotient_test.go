@@ -6,136 +6,50 @@ import (
 	"testing"
 
 	"repro/internal/explore"
-	"repro/internal/ring"
+	"repro/internal/family"
 	"repro/internal/symmetry"
 )
 
-// TestQuotientUnfoldRing: quotient-then-unfold reproduces exactly the
-// direct exploration's state set and transition count, the certificate's
-// checks pass, and the orbit counts obey |space| = Σ orbit sizes.
-func TestQuotientUnfoldRing(t *testing.T) {
+// TestQuotientDefMatchesCanonicalisedSpace: exploring the lifted
+// QuotientDef enumerates exactly the canonical images of the directly
+// explored codes — one representative per reachable orbit, none missing,
+// none extra — for every topology's group at small sizes and at one and
+// two workers.
+func TestQuotientDefMatchesCanonicalisedSpace(t *testing.T) {
 	ctx := context.Background()
-	for _, r := range []int{2, 3, 5, 8, 10} {
-		def := ring.PackedDef(r)
-		g := symmetry.Cyclic(r, 2)
-		direct, err := explore.Explore(ctx, def, explore.Options{})
-		if err != nil {
-			t.Fatal(err)
+	for _, topo := range family.Topologies() {
+		hi := topo.CutoffSize() + 2
+		if topo.Name() == "torus" || topo.Name() == "torus3" {
+			hi = topo.CutoffSize() + 6
 		}
-		q, err := symmetry.BuildQuotient(ctx, def, g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.NumReps() >= direct.NumStates() && r > 2 {
-			t.Fatalf("r=%d: quotient has %d reps for %d states — no reduction", r, q.NumReps(), direct.NumStates())
-		}
-		u, err := symmetry.Unfold(ctx, q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantCodes := slices.Clone(direct.Codes())
-		gotCodes := slices.Clone(u.Codes())
-		slices.Sort(wantCodes)
-		slices.Sort(gotCodes)
-		if !slices.Equal(wantCodes, gotCodes) {
-			t.Fatalf("r=%d: unfolded code set differs from the direct exploration", r)
-		}
-		if u.NumTransitions() != direct.NumTransitions() {
-			t.Fatalf("r=%d: %d unfolded transitions, direct has %d", r, u.NumTransitions(), direct.NumTransitions())
-		}
-		cert, err := q.Verify(ctx, u, u.NumStates())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cert.OrbitClosed {
-			t.Fatalf("r=%d: reachable set is not orbit-closed under C_%d", r, r)
-		}
-		if cert.SuccChecked != u.NumStates() || cert.MembershipChecked != u.NumStates() {
-			t.Fatalf("r=%d: certificate checked %d/%d states, want all %d",
-				r, cert.SuccChecked, cert.MembershipChecked, u.NumStates())
-		}
-	}
-}
-
-// TestQuotientDefMatchesBuildQuotient: running the parallel engine on the
-// lifted QuotientDef enumerates exactly the representatives BuildQuotient
-// finds — the massive-instance orbit-counting path agrees with the
-// witness-tracking path.
-func TestQuotientDefMatchesBuildQuotient(t *testing.T) {
-	ctx := context.Background()
-	for _, r := range []int{3, 6, 9} {
-		def := ring.PackedDef(r)
-		g := symmetry.Cyclic(r, 2)
-		q, err := symmetry.BuildQuotient(ctx, def, g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]uint64, 0, q.NumReps())
-		for i := 0; i < q.NumReps(); i++ {
-			want = append(want, q.Rep(int32(i)))
-		}
-		slices.Sort(want)
-		for _, workers := range []int{1, 8} {
-			sp, err := explore.Explore(ctx, symmetry.QuotientDef(def, g), explore.Options{Workers: workers})
+		for _, n := range family.ValidSizesIn(topo, topo.MinSize(), hi) {
+			pi, ok := family.Packed(topo, n)
+			if !ok || pi.Group == nil {
+				t.Fatalf("%s: no packed definition with a group for n=%d", topo.Name(), n)
+			}
+			g := pi.Group
+			direct, err := explore.Explore(ctx, pi.Def, explore.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := slices.Clone(sp.Codes())
-			slices.Sort(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("r=%d workers=%d: engine rep set differs from BuildQuotient", r, workers)
+			var want []uint64
+			for _, c := range direct.Codes() {
+				want = append(want, g.Canon(c))
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			for _, workers := range []int{1, 2} {
+				sp, err := explore.Explore(ctx, symmetry.QuotientDef(pi.Def, g), explore.Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := slices.Clone(sp.Codes())
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d workers=%d: the quotient explores %d representatives, the canonicalised space has %d orbits",
+						topo.Name(), n, workers, len(got), len(want))
+				}
 			}
 		}
-	}
-}
-
-// TestRepStructure: the quotient's representative structure has one state
-// per orbit and a total transition relation for the ring (every state has
-// a successor).
-func TestRepStructure(t *testing.T) {
-	ctx := context.Background()
-	def := ring.PackedDef(6)
-	q, err := symmetry.BuildQuotient(ctx, def, symmetry.Cyclic(6, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := q.RepStructure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumStates() != q.NumReps() {
-		t.Fatalf("rep structure has %d states, quotient has %d reps", m.NumStates(), q.NumReps())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("ring quotient should be total: %v", err)
-	}
-}
-
-// TestUnfoldedStructureLabels: the unfolded structure is a valid labelled
-// Kripke structure of the full size (spot-check against ring.Build).
-func TestUnfoldedStructureLabels(t *testing.T) {
-	ctx := context.Background()
-	r := 5
-	inst, err := ring.Build(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := symmetry.BuildQuotient(ctx, ring.PackedDef(r), symmetry.Cyclic(r, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := symmetry.Unfold(ctx, q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := u.Structure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumStates() != inst.M.NumStates() {
-		t.Fatalf("unfolded structure has %d states, ring.Build has %d", m.NumStates(), inst.M.NumStates())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("unfolded ring should be total: %v", err)
 	}
 }

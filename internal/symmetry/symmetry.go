@@ -1,8 +1,8 @@
-// Package symmetry implements the automorphism-group machinery behind the
-// symmetry-reduced ("quotient") constructions: per-topology permutation
-// groups acting on packed uint64 state codes, orbit-canonical
-// representatives, and a quotient builder whose results carry a certified
-// orbit-unfolding map back to the full state space.
+// Package symmetry implements the automorphism-group machinery of the
+// repository's families: per-topology permutation groups acting on packed
+// uint64 state codes, orbit-canonical representatives, and QuotientDef,
+// which lifts an explore.Def to one state per orbit so internal/explore
+// counts orbits.
 //
 // A Group is a permutation group on the bit-fields of a packed code — for
 // the families in this repository the fields are the per-process local
@@ -11,9 +11,9 @@
 // automorphism group of its topology's communication graph, and the
 // protocols' transition rules are generated per edge, so each element is
 // an automorphism of the global transition relation: s → t implies
-// σ(s) → σ(t).  That is the one property quotient soundness rests on, and
-// the differential tests in internal/family check it end to end by
-// unfolding quotients back into full spaces.
+// σ(s) → σ(t).  That is the one property quotient soundness rests on;
+// family.PackedInstance.IndexAction checks it on every built instance
+// through kripke.NewIndexAction.
 //
 // Conventions.  A Perm p acts as a source map: field i of Apply(p, code)
 // is field p[i] of code.  Compose(a, b) applies b first, so
@@ -54,27 +54,8 @@ func Compose(a, b Perm) Perm {
 	return out
 }
 
-// Inverse returns the inverse permutation.
-func Inverse(p Perm) Perm {
-	out := make(Perm, len(p))
-	for i, v := range p {
-		out[v] = int32(i)
-	}
-	return out
-}
-
 // Equal reports whether two permutations are identical.
 func (p Perm) Equal(q Perm) bool { return slices.Equal(p, q) }
-
-// IsIdentity reports whether p fixes every field.
-func (p Perm) IsIdentity() bool {
-	for i, v := range p {
-		if int(v) != i {
-			return false
-		}
-	}
-	return true
-}
 
 // Group is a permutation group acting on the fields of packed codes.
 type Group struct {

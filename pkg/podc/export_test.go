@@ -24,3 +24,7 @@ func SessionIndexActions(ctx context.Context, s *Session, topo Topology, small, 
 	right, err = lg.indexAction(ctx)
 	return left, right, err
 }
+
+// PairCSR returns the compact encoding (bisim.Relation.AppendCSR) of one
+// index pair's decided relation.
+func PairCSR(c *Correspondence) []byte { return c.res.Relation.AppendCSR(nil) }

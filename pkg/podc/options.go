@@ -1,6 +1,10 @@
 package podc
 
-import "repro/internal/bisim"
+import (
+	"runtime"
+
+	"repro/internal/bisim"
+)
 
 // Option configures a Verifier, a correspondence computation, a Session or
 // a family verification run.  Options follow the functional-options
@@ -23,15 +27,10 @@ type config struct {
 	correspondenceSizes  []int
 	skipRestrictionCheck bool
 
-	// construction knobs (WithParallelBuild, WithSymmetry): parallelBuild
-	// routes instance construction through the parallel packed-BFS engine
-	// (byte-identical to the sequential build, so it shares the sequential
-	// caches), buildWorkers caps its pool, and symmetry routes builds
-	// through the certified quotient-unfold (cached under its own key,
-	// since the unfolding renumbers states).
-	parallelBuild bool
-	buildWorkers  int
-	symmetry      bool
+	// construction knob (WithParallelBuild): buildWorkers sizes the
+	// packed-BFS pool of instance builds and sweeps; zero (unset) builds
+	// instances with one worker and lets sweeps use one per CPU.
+	buildWorkers int
 
 	// persistence knob (WithStore): storeDir roots the persistent verdict
 	// store a Session replays decided correspondences, certificates and
@@ -132,32 +131,23 @@ func WithEvidence() Option {
 	return func(c *config) { c.evidence = true }
 }
 
-// WithParallelBuild makes a Session construct instances through the
-// parallel packed-BFS engine of internal/explore with a pool of the given
-// size (zero or negative: one worker per available CPU).  The engine's
-// level-synchronised numbering makes the result byte-identical
-// (kripke.EncodeText) to the sequential build for every worker count, so
-// parallel and sequential builds share the session's instance caches.
-// Topologies without a packed definition fall back to their sequential
-// Build.  Sweeps run by the session use the same pool for construction.
+// WithParallelBuild sets the worker pool with which a Session explores
+// instances through the packed-BFS engine of internal/explore (zero or
+// negative: one worker per available CPU).  Every Session instance is
+// built by that engine — with one worker when this option is absent — so
+// that it keeps its explored space and, for the built-in topologies, a
+// verified index action.  The engine's level-synchronised numbering makes
+// the result byte-identical (kripke.EncodeText) to the topology's
+// sequential Build for every worker count.  Topologies without a packed
+// definition fall back to their sequential Build.  Sweeps run by the
+// session use the same pool for construction.
 func WithParallelBuild(workers int) Option {
 	return func(c *config) {
-		c.parallelBuild = true
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
 		c.buildWorkers = workers
 	}
-}
-
-// WithSymmetry makes a Session construct topology instances by the
-// certified symmetry-quotient route: explore one representative per orbit
-// of the instance's automorphism group, unfold the quotient back to the
-// full space through the recorded witness permutations, and verify the
-// unfolding against the original definition before handing the structure
-// out.  The unfolded structure is bisimilar to the direct build but
-// renumbered, so it is cached under a separate key and never mixed with
-// direct builds.  Topologies without a wired group fall back to their
-// sequential Build.
-func WithSymmetry() Option {
-	return func(c *config) { c.symmetry = true }
 }
 
 // WithStore points a Session at a persistent verdict store rooted at dir

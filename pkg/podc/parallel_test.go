@@ -55,43 +55,3 @@ func TestSessionParallelBuildSingleFlight(t *testing.T) {
 			got.NumStates(), got.NumTransitions(), want.NumStates(), want.NumTransitions())
 	}
 }
-
-// TestSessionSymmetryInstances: a Session configured with WithSymmetry
-// serves topology instances built by the certified quotient-unfold route —
-// cached (same pointer on a repeat request) and of the same size as the
-// direct build.
-func TestSessionSymmetryInstances(t *testing.T) {
-	ctx := context.Background()
-	s := podc.NewSession(podc.WithSymmetry())
-	topo := podc.StarTopology()
-	n := topo.CutoffSize() + 2
-
-	m1, err := s.Instance(ctx, topo, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := s.Instance(ctx, topo, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 != m2 {
-		t.Fatal("repeated symmetry-mode Instance requests were not served from the cache")
-	}
-	direct, err := topo.Build(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.NumStates() != direct.NumStates() {
-		t.Fatalf("unfolded instance has %d states, direct build has %d", m1.NumStates(), direct.NumStates())
-	}
-
-	// The symmetry route still decides the family's cutoff correspondence
-	// (the unfolded oracle is bisimilar to the direct build).
-	res, err := s.Correspondence(ctx, topo, topo.CutoffSize(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Corresponds() {
-		t.Fatalf("star %d ~ %d should correspond through the symmetry-built instances", topo.CutoffSize(), n)
-	}
-}

@@ -57,34 +57,15 @@ type Session struct {
 }
 
 // instanceKey addresses one built family instance, and its verifier, in
-// the session cache.  mode separates construction routes that yield
-// different structures: "" for direct and parallel builds (proven
-// byte-identical, so they share entries) and "sym" for the
-// symmetry-unfolded route, whose structures are bisimilar but renumbered.
+// the session cache.
 type instanceKey struct {
 	topology string
 	n        int
-	mode     string
 }
 
-// instanceMode returns the cache mode of the session's configured
-// construction route.
-func (c config) instanceMode() string {
-	if c.symmetry {
-		return "sym"
-	}
-	return ""
-}
-
-// instanceKey returns the cache key of the topology's size-n instance
-// under the session's configured construction route.
-func (s *Session) instanceKey(t family.Topology, n int) instanceKey {
-	return instanceKey{topology: t.Name(), n: n, mode: s.cfg.instanceMode()}
-}
-
-// instance is one cached family instance: its structure and, when it was
-// built by exploration, the explored space (state s of the structure is
-// state s of the space), from which indexAction derives the index action.
+// instance is one cached family instance: its structure and, for every
+// packable topology, the explored space (state s of the structure is state
+// s of the space), from which indexAction derives the index action.
 type instance struct {
 	t  family.Topology
 	n  int
@@ -100,8 +81,8 @@ type instance struct {
 }
 
 // indexAction returns the instance's index action, verified on first use,
-// or nil when the instance has none: it was not explored (no space), its
-// topology has no group, or the group fails verification.  Only cold
+// or nil when the instance has none: its topology does not pack (no
+// space) or has no group, or the group fails verification.  Only cold
 // decisions and Verifier ask for it, so rebuilding an instance to validate
 // a stored certificate never pays for an action.
 func (inst *instance) indexAction(ctx context.Context) (*kripke.IndexAction, error) {
@@ -202,9 +183,9 @@ func getOrCompute[K comparable, T any](ctx context.Context, s *Session, m map[K]
 
 // Verifier returns the cached Verifier for the topology's instance M_n;
 // its memoised satisfaction sets are shared by every later check against
-// that instance.  When the instance was built by exploration (the ring
-// always, every topology under WithParallelBuild) and the verifier does not
-// check a minimized quotient, it carries the topology's index action,
+// that instance.  When the instance's topology packs (every built-in
+// topology does) and the verifier does not check a minimized quotient, it
+// carries the topology's index action,
 // verified once on M_n, so Check answers a top-level "forall i" or
 // "exists i" from one satisfaction set per index orbit instead of n (see
 // mc.Checker.SetIndexAction).  Other verifiers instantiate the quantifier;
@@ -214,7 +195,7 @@ func (s *Session) Verifier(ctx context.Context, topo Topology, n int) (*Verifier
 		return nil, fmt.Errorf("podc: Verifier: invalid topology (zero value)")
 	}
 	t := topo.t
-	return getOrCompute(ctx, s, s.verifiers, s.instanceKey(t, n), func() (*Verifier, error) {
+	return getOrCompute(ctx, s, s.verifiers, instanceKey{topology: t.Name(), n: n}, func() (*Verifier, error) {
 		inst, err := s.topologyInstance(ctx, t, n)
 		if err != nil {
 			return nil, err
@@ -274,7 +255,7 @@ func (s *Session) Instance(ctx context.Context, topo Topology, n int) (*Structur
 }
 
 func (s *Session) topologyInstance(ctx context.Context, t family.Topology, n int) (*instance, error) {
-	return getOrCompute(ctx, s, s.instances, s.instanceKey(t, n), func() (*instance, error) {
+	return getOrCompute(ctx, s, s.instances, instanceKey{topology: t.Name(), n: n}, func() (*instance, error) {
 		m, sp, err := s.buildInstance(ctx, t, n)
 		if err != nil {
 			return nil, err
@@ -283,31 +264,12 @@ func (s *Session) topologyInstance(ctx context.Context, t family.Topology, n int
 	})
 }
 
-// buildInstance constructs one topology instance through the session's
-// configured route: the certified quotient-unfold (WithSymmetry), the
-// parallel packed-BFS engine (WithParallelBuild) or the sequential Build.
-// The space is nil unless the instance was explored.
+// buildInstance explores one topology instance with the session's build
+// pool (one worker unless WithParallelBuild sets it).  The space is nil
+// only for topologies without a packed definition, which BuildParallel
+// builds sequentially.
 func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (*kripke.Structure, *explore.Space, error) {
-	switch {
-	case s.cfg.symmetry:
-		m, _, err := family.BuildUnfolded(ctx, t, n)
-		return m, nil, err
-	case s.cfg.parallelBuild:
-		return family.BuildParallel(ctx, t, n, s.cfg.buildWorkers)
-	case t.Name() == family.Ring().Name():
-		// ring.Build already is the packed explorer with one worker, so
-		// this route builds the same structure and keeps the space for
-		// the index action, without ring.Instance's decoded state views:
-		// M_8 takes 5.3 ms and 2.66 MB against ring.Build's 5.4 ms and
-		// 2.84 MB (median of 5, 2-CPU Xeon, go 1.24).  The token
-		// topologies' packed route allocates 3-4x their sequential Build
-		// (star[8] 128 KB against 38 KB, torus[8] 134 KB against 43 KB),
-		// so they keep t.Build.
-		return family.BuildParallel(ctx, t, n, 1)
-	default:
-		m, err := t.Build(n)
-		return m, nil, err
-	}
+	return family.BuildParallel(ctx, t, n, max(s.cfg.buildWorkers, 1))
 }
 
 // Correspondence decides (and caches) the topology's canonical indexed

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bisim"
+	"repro/internal/family"
 	"repro/internal/kripke"
 	"repro/pkg/podc"
 )
@@ -51,17 +52,16 @@ func TestSessionCachesRingsAndVerifiers(t *testing.T) {
 	}
 }
 
-// TestSessionRingVerifierChecksPerOrbit compares the verifier of every
-// session construction route with a plain verifier of the structure that
-// route built: every verdict agrees, at the initial state and (unless the
-// verifier checks a quotient) at every state.  Routes that explored the
-// instance (the ring by default; any topology under WithParallelBuild)
-// carry its verified index action and answer the top-level quantifiers
-// with fewer memoised satisfaction sets than the plain verifier.
-// WithMinimize (quotient states are not instance states), WithSymmetry
-// (the unfolded build keeps no space) and a star built sequentially carry
-// no action and memoise exactly as many sets.
-func TestSessionRingVerifierChecksPerOrbit(t *testing.T) {
+// TestSessionVerifierChecksPerOrbit compares the session's verifiers with
+// a plain verifier of the structure the session built: every verdict
+// agrees, at the initial state and (unless the verifier checks a quotient)
+// at every state.  Every Session instance is explored, so on the default
+// route and under WithParallelBuild each topology's verifier carries the
+// verified index action and answers the top-level quantifiers with fewer
+// memoised satisfaction sets than the plain verifier.  Under WithMinimize
+// (quotient states are not instance states) it carries none and memoises
+// exactly as many sets.
+func TestSessionVerifierChecksPerOrbit(t *testing.T) {
 	ctx := context.Background()
 	ringFormulas := []string{
 		"forall i . AG (d[i] -> AF c[i])",
@@ -70,27 +70,34 @@ func TestSessionRingVerifierChecksPerOrbit(t *testing.T) {
 		"exists i . AG !c[i]",
 		"forall i . EF (c[i] & one t)",
 	}
-	starFormulas := []string{
+	tokenFormulas := []string{
 		"forall i . AG EF t[i]",
 		"exists i . EX t[i]",
 		"forall i . AG (t[i] -> EF (n[i] & !t[i]))",
 		"exists i . AG !t[i]",
 	}
-	for _, tc := range []struct {
+	type routeCase struct {
 		name     string
 		opts     []podc.Option
 		topo     podc.Topology
 		n        int
 		formulas []string
 		orbit    bool
-	}{
-		{"ring/default", nil, podc.RingTopology(), 4, ringFormulas, true},
-		{"ring/parallel-build", []podc.Option{podc.WithParallelBuild(2)}, podc.RingTopology(), 4, ringFormulas, true},
-		{"ring/minimize", []podc.Option{podc.WithMinimize()}, podc.RingTopology(), 4, ringFormulas, false},
-		{"ring/symmetry", []podc.Option{podc.WithSymmetry()}, podc.RingTopology(), 4, ringFormulas, false},
-		{"star/default", nil, podc.StarTopology(), 5, starFormulas, false},
-		{"star/parallel-build", []podc.Option{podc.WithParallelBuild(2)}, podc.StarTopology(), 5, starFormulas, true},
-	} {
+	}
+	var cases []routeCase
+	for _, topo := range podc.Topologies() {
+		formulas, n := tokenFormulas, 6
+		if topo.Name() == "ring" {
+			formulas, n = ringFormulas, 4
+		}
+		cases = append(cases, routeCase{topo.Name() + "/default", nil, topo, n, formulas, true})
+	}
+	cases = append(cases,
+		routeCase{"ring/parallel-build", []podc.Option{podc.WithParallelBuild(2)}, podc.RingTopology(), 4, ringFormulas, true},
+		routeCase{"ring/minimize", []podc.Option{podc.WithMinimize()}, podc.RingTopology(), 4, ringFormulas, false},
+		routeCase{"star/parallel-build", []podc.Option{podc.WithParallelBuild(2)}, podc.StarTopology(), 5, tokenFormulas, true},
+	)
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			v, err := podc.NewSession(tc.opts...).Verifier(ctx, tc.topo, tc.n)
 			if err != nil {
@@ -130,6 +137,64 @@ func TestSessionRingVerifierChecksPerOrbit(t *testing.T) {
 				t.Errorf("session verifier memoised %d sets, plain %d: this route must carry no index action", entries, plainEntries)
 			}
 		})
+	}
+}
+
+// TestSessionCorrespondenceMatchesPerPairOracle: a default Session decides
+// every token topology's cutoff correspondences by orbits — both instances
+// carry an index action — and the answer equals family.DecideCorrespondence,
+// which decides every index pair on sequentially built instances: the same
+// verdict, the same maximal degree and byte-identical relations for every
+// index pair.
+func TestSessionCorrespondenceMatchesPerPairOracle(t *testing.T) {
+	ctx := context.Background()
+	s := podc.NewSession()
+	for _, topo := range podc.Topologies() {
+		if topo.Name() == "ring" {
+			continue
+		}
+		ft, ok := family.ByName(topo.Name())
+		if !ok {
+			t.Fatalf("%s: not a built-in family topology", topo)
+		}
+		c := topo.CutoffSize()
+		for n := c + 1; n <= 8; n++ {
+			if topo.ValidSize(n) != nil {
+				continue
+			}
+			left, right, err := podc.SessionIndexActions(ctx, s, topo, c, n)
+			if err != nil {
+				t.Fatalf("%s %d~%d: %v", topo, c, n, err)
+			}
+			if left == nil || right == nil {
+				t.Fatalf("%s %d~%d: the session's instances carry no index action (left %v, right %v)", topo, c, n, left != nil, right != nil)
+			}
+			got, err := s.Correspondence(ctx, topo, c, n)
+			if err != nil {
+				t.Fatalf("%s %d~%d: %v", topo, c, n, err)
+			}
+			want, err := family.DecideCorrespondence(ctx, ft, c, n)
+			if err != nil {
+				t.Fatalf("%s %d~%d: %v", topo, c, n, err)
+			}
+			if got.Corresponds() != want.Corresponds() {
+				t.Errorf("%s %d~%d: session says corresponds=%v, oracle %v", topo, c, n, got.Corresponds(), want.Corresponds())
+			}
+			wantDegree := 0
+			for p, w := range want.Pairs {
+				wantDegree = max(wantDegree, w.Relation.MaxDegree())
+				g, ok := got.PairResult(podc.IndexPair{I: p.I, I2: p.I2})
+				if !ok {
+					t.Fatalf("%s %d~%d: session result lacks index pair %v", topo, c, n, p)
+				}
+				if !bytes.Equal(podc.PairCSR(g), w.Relation.AppendCSR(nil)) {
+					t.Errorf("%s %d~%d: index pair %v: session relation differs from the oracle's", topo, c, n, p)
+				}
+			}
+			if got.MaxDegree() != wantDegree {
+				t.Errorf("%s %d~%d: session max degree %d, oracle %d", topo, c, n, got.MaxDegree(), wantDegree)
+			}
+		}
 	}
 }
 

@@ -57,9 +57,7 @@ func (s *Session) verdictStore() *store.Store {
 // storeKey addresses one of the session's artefacts in the verdict store.
 // The key pins the topology, both sizes, the compared vocabulary and the
 // reachability restriction of the canonical decision
-// (family.CorrespondOptions), plus the session's instance-construction mode:
-// the symmetry-unfolded route renumbers states, so its relations must never
-// replay into a directly-built session or vice versa.
+// (family.CorrespondOptions).
 func (s *Session) storeKey(kind string, t family.Topology, small, large int) store.Key {
 	return store.Key{
 		Kind:          kind,
@@ -68,7 +66,6 @@ func (s *Session) storeKey(kind string, t family.Topology, small, large int) sto
 		Large:         large,
 		Atoms:         t.Atoms(),
 		ReachableOnly: true,
-		Extra:         s.cfg.instanceMode(),
 	}
 }
 
