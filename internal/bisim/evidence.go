@@ -178,9 +178,10 @@ func ExplainIndexed(ctx context.Context, m, m2 *kripke.Structure, res *IndexedRe
 		return &Evidence{Reason: ReasonIndexRelation, GameLoop: -1}, IndexPair{}, nil
 	}
 	p := failing[0]
+	pr, _ := res.Pair(p)
 	left := m.ReduceNormalized(p.I)
 	right := m2.ReduceNormalized(p.I2)
-	ev, err := Explain(ctx, left, right, opts, res.Pairs[p])
+	ev, err := Explain(ctx, left, right, opts, pr)
 	if err != nil {
 		return nil, p, err
 	}

@@ -29,6 +29,11 @@ func RelationBytes(r *Relation) int {
 	return 4 * (cap(r.rowOff) + cap(r.cols) + cap(r.degs))
 }
 
+// Totality returns the totality flags of rel between m and m2 under opts.
+func Totality(m, m2 *kripke.Structure, rel *Relation, opts Options) (left, right bool) {
+	return totality(m, m2, rel, opts)
+}
+
 // CheckLookup returns the pair lookup Check's transfer clauses use on r.
 func CheckLookup(r *Relation) func(s, t kripke.State) (int, bool) {
 	return newPairIndex(r).degree

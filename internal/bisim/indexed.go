@@ -1,11 +1,11 @@
 package bisim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -30,25 +30,67 @@ type IndexPair struct {
 	I2 int `json:"i2"`
 }
 
-// IndexedResult is the outcome of IndexedCompute.
+// IndexedResult is the outcome of IndexedCompute.  The pairs of one orbit
+// class share a basis result.  Each pair carries its own verdict flags,
+// decided through its transport maps, and its relation is materialised
+// only when asked for, by Pair or Pairs.  An IndexedResult is never
+// modified after construction and is safe for concurrent use.
 type IndexedResult struct {
-	// Pairs holds the per-index-pair correspondence results, in the order of
-	// the IN relation supplied.
-	Pairs map[IndexPair]*Result
 	// INTotalLeft / INTotalRight report whether IN covers every index value
 	// of the first / second structure.
 	INTotalLeft  bool
 	INTotalRight bool
+
+	bases []*Result
+	pairs []pairEntry // sorted by (I, I2)
+	// left and right are the actions τ_i and τ_j are read from; nil when
+	// that side's maps are all the identity.
+	left, right *kripke.IndexAction
 }
+
+// pairEntry is one pair of IN: its basis, the positions ki and kj of its
+// indices in the actions' index values (-1 where τ is the identity), and
+// its verdict flags.
+type pairEntry struct {
+	IndexPair
+	basis                                 int32
+	ki, kj                                int32
+	initialRelated, totalLeft, totalRight bool
+}
+
+func (e *pairEntry) corresponds() bool { return e.initialRelated && e.totalLeft && e.totalRight }
+
+// NewIndexedResult assembles an indexed result from per-pair results,
+// every pair its own basis: the form a stored correspondence is read back
+// in.  Every result must be non-nil.
+func NewIndexedResult(pairs map[IndexPair]*Result, inTotalLeft, inTotalRight bool) *IndexedResult {
+	r := &IndexedResult{INTotalLeft: inTotalLeft, INTotalRight: inTotalRight}
+	for p, res := range pairs {
+		r.pairs = append(r.pairs, pairEntry{
+			IndexPair: p, basis: int32(len(r.bases)), ki: -1, kj: -1,
+			initialRelated: res.InitialRelated, totalLeft: res.TotalLeft, totalRight: res.TotalRight,
+		})
+		r.bases = append(r.bases, res)
+	}
+	slices.SortFunc(r.pairs, func(a, b pairEntry) int { return indexPairCmp(a.IndexPair, b.IndexPair) })
+	return r
+}
+
+func indexPairCmp(a, b IndexPair) int {
+	return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.I2, b.I2))
+}
+
+// Len returns the number of index pairs.
+func (r *IndexedResult) Len() int { return len(r.pairs) }
 
 // Corresponds reports whether the structures indexed-correspond: IN is total
 // on both index sets and every (i, i') pair's reductions correspond.
 func (r *IndexedResult) Corresponds() bool {
-	if r == nil || !r.INTotalLeft || !r.INTotalRight || len(r.Pairs) == 0 {
+	if r == nil || !r.INTotalLeft || !r.INTotalRight || len(r.pairs) == 0 {
 		return false
 	}
-	for _, res := range r.Pairs {
-		if !res.Corresponds() {
+	for k := range r.pairs {
+		if !r.pairs[k].corresponds() {
 			return false
 		}
 	}
@@ -59,18 +101,45 @@ func (r *IndexedResult) Corresponds() bool {
 // sorted.
 func (r *IndexedResult) FailingPairs() []IndexPair {
 	var out []IndexPair
-	for p, res := range r.Pairs {
-		if !res.Corresponds() {
-			out = append(out, p)
+	for k := range r.pairs {
+		if !r.pairs[k].corresponds() {
+			out = append(out, r.pairs[k].IndexPair)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].I2 < out[b].I2
-	})
 	return out
+}
+
+// MaxDegree returns the largest minimal degree over all pairs' relations.
+// τ_i × τ_j is a bijection of state pairs, so a transported relation holds
+// its basis's degrees, and every basis is some pair's.
+func (r *IndexedResult) MaxDegree() int {
+	d := 0
+	for _, b := range r.bases {
+		d = max(d, b.Relation.MaxDegree())
+	}
+	return d
+}
+
+// Pair returns the result of index pair p, materialising its relation if
+// it was transported, and whether p is in IN.
+func (r *IndexedResult) Pair(p IndexPair) (*Result, bool) {
+	k, ok := slices.BinarySearchFunc(r.pairs, p, func(e pairEntry, p IndexPair) int { return indexPairCmp(e.IndexPair, p) })
+	if !ok {
+		return nil, false
+	}
+	var tr transporter
+	return tr.result(r, &r.pairs[k]), true
+}
+
+// Pairs yields every index pair with its result, sorted by (I, I2),
+// materialising the relations of transported pairs one at a time.
+func (r *IndexedResult) Pairs(yield func(IndexPair, *Result) bool) {
+	var tr transporter
+	for k := range r.pairs {
+		if !yield(r.pairs[k].IndexPair, tr.result(r, &r.pairs[k])) {
+			return
+		}
+	}
 }
 
 // DefaultIndexRelation builds the index relation the paper uses for the
@@ -126,51 +195,55 @@ func DefaultIndexRelation(m, m2 *kripke.Structure) []IndexPair {
 // is an isomorphism of the normalised reductions M|i → M|rep(i) that
 // ignores initial states, and Compute's maximal correspondence ranges
 // over all states, so R_(i,j) = {(s, t) : (τ_i s, τ_j t) ∈ R_basis} with
-// the same degrees.  Each transported pair gets its own relation, and its
-// initial-state verdict and totality are recomputed on it, so the result
-// is identical to deciding every pair; only OuterIterations and
-// DegreeRounds are the basis's.  A pair with an index the action's
-// structure does not have is decided by its own Compute.
+// the same degrees.  A transported pair's flags are decided through τ
+// without building R_(i,j): its initial states are related iff their
+// images are in the basis, and it is total iff the basis covers the image
+// of every state in scope.  Its relation is materialised only by Pair or
+// Pairs, so the result answers exactly as deciding every pair would; only
+// OuterIterations and DegreeRounds are the basis's.  A pair with an index
+// the action's structure does not have is decided by its own Compute.
 func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair, opts Options) (*IndexedResult, error) {
 	if len(in) == 0 {
 		return nil, fmt.Errorf("bisim: IndexedCompute: empty index relation")
 	}
-	left, err := newOrbitView(opts.LeftAction, m, "left")
-	if err != nil {
+	if err := checkAction(opts.LeftAction, m, "left"); err != nil {
 		return nil, err
 	}
-	right, err := newOrbitView(opts.RightAction, m2, "right")
-	if err != nil {
+	if err := checkAction(opts.RightAction, m2, "right"); err != nil {
 		return nil, err
 	}
-	// Deduplicate while preserving first occurrence, and assign each pair
-	// its basis pair (rep(i), rep(j)), which need not itself be in IN.
-	var todo []IndexPair
-	var basisOf []int
+	// Deduplicate, and assign each pair its basis pair (rep(i), rep(j)),
+	// which need not itself be in IN, and its indices' positions in the
+	// actions where τ moves them.
+	var pairs []pairEntry
 	var bases []IndexPair
-	seen := make(map[IndexPair]bool, len(in))
-	basisID := make(map[IndexPair]int, len(in))
+	basisID := make(map[IndexPair]int32, len(in))
 	//lint:ctxloop map lookups per IN pair; the reductions below poll ctx
 	for _, p := range in {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
+		e := pairEntry{IndexPair: p, ki: -1, kj: -1}
 		b := p
-		ri, _, okI := left.rep(p.I)
-		rj, _, okJ := right.rep(p.I2)
+		ri, ki, okI := orbitRep(opts.LeftAction, p.I)
+		rj, kj, okJ := orbitRep(opts.RightAction, p.I2)
 		if okI && okJ {
 			b = IndexPair{I: ri, I2: rj}
+			if ri != p.I {
+				e.ki = int32(ki)
+			}
+			if rj != p.I2 {
+				e.kj = int32(kj)
+			}
 		}
 		id, ok := basisID[b]
 		if !ok {
-			id = len(bases)
+			id = int32(len(bases))
 			basisID[b] = id
 			bases = append(bases, b)
 		}
-		todo = append(todo, p)
-		basisOf = append(basisOf, id)
+		e.basis = id
+		pairs = append(pairs, e)
 	}
+	slices.SortFunc(pairs, func(a, b pairEntry) int { return indexPairCmp(a.IndexPair, b.IndexPair) })
+	pairs = slices.CompactFunc(pairs, func(a, b pairEntry) bool { return a.IndexPair == b.IndexPair })
 	// Build the normalised reductions once per index value of a basis
 	// pair (the IN relations of interest pair one small index with every
 	// large index, so reductions repeat heavily).
@@ -194,21 +267,66 @@ func IndexedCompute(ctx context.Context, m, m2 *kripke.Structure, in []IndexPair
 	if err != nil {
 		return nil, err
 	}
-	res := &IndexedResult{Pairs: make(map[IndexPair]*Result, len(todo))}
-	var tr transporter
-	for k, p := range todo {
-		b := bases[basisOf[k]]
-		if p == b {
-			res.Pairs[p] = computed[basisOf[k]]
-			continue
-		}
+	res := &IndexedResult{bases: computed, pairs: pairs, left: opts.LeftAction, right: opts.RightAction}
+	// Each basis's coverage is computed once, by its first transported
+	// pair.
+	coverage := make([][2]kripke.BitSet, len(bases))
+	for k := range pairs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res.Pairs[p] = tr.transport(m, m2, computed[basisOf[k]], left.toRep(p.I), right.toRep(p.I2), opts)
+		e := &pairs[k]
+		basis := computed[e.basis]
+		e.initialRelated, e.totalLeft, e.totalRight = basis.InitialRelated, basis.TotalLeft, basis.TotalRight
+		if e.ki < 0 && e.kj < 0 {
+			continue
+		}
+		cov := &coverage[e.basis]
+		if cov[0] == nil {
+			cov[0], cov[1] = basis.Relation.coverage()
+		}
+		e.flagsThrough(m, m2, basis.Relation, cov, res, opts)
 	}
 	res.INTotalLeft, res.INTotalRight = indexTotality(m, m2, in)
 	return res, nil
+}
+
+// flagsThrough decides a transported pair's flags from its basis relation
+// b and b's row and column coverage: (s, t) is related iff (τ_i s, τ_j t)
+// is in b, so the pair's initial states are related iff their images are,
+// and its row s (column t) is non-empty iff b's row τ_i s (column τ_j t)
+// is.  A side whose τ is the identity keeps the basis's totality flag.
+// The reductions share m's and m2's initial states and reachable sets, so
+// m and m2 stand in for them.
+func (e *pairEntry) flagsThrough(m, m2 *kripke.Structure, b *Relation, cov *[2]kripke.BitSet, r *IndexedResult, opts Options) {
+	_, e.initialRelated = b.Degree(image(r.left, e.ki, m.Initial()), image(r.right, e.kj, m2.Initial()))
+	if e.ki >= 0 {
+		e.totalLeft = allInScope(m, opts, func(s int) bool { return cov[0].Get(int(image(r.left, e.ki, kripke.State(s)))) })
+	}
+	if e.kj >= 0 {
+		e.totalRight = allInScope(m2, opts, func(t int) bool { return cov[1].Get(int(image(r.right, e.kj, kripke.State(t)))) })
+	}
+}
+
+// image returns τ(s) for the index at position k of a's structure; k < 0
+// is the identity.
+func image(a *kripke.IndexAction, k int32, s kripke.State) kripke.State {
+	if k < 0 {
+		return s
+	}
+	t, _ := a.ToRepresentative(int(k), s)
+	return t
+}
+
+// tauTable returns τ for the index at position k of a's structure as a
+// state table, in buf's storage.
+func tauTable(a *kripke.IndexAction, k int32, buf []int32) []int32 {
+	n := a.Structure().NumStates()
+	buf = slices.Grow(buf[:0], n)[:n]
+	for s := range buf {
+		buf[s] = int32(image(a, k, kripke.State(s)))
+	}
+	return buf
 }
 
 // computeBases decides the basis pairs on the worker pool.
@@ -276,72 +394,75 @@ func computeBases(ctx context.Context, bases []IndexPair, leftRed, rightRed map[
 	return results, nil
 }
 
-// orbitView is one side of IndexedCompute's orbit classes: the verified
-// action on that side's structure, or nil for none.
-type orbitView struct {
-	a   *kripke.IndexAction
-	tau []int32 // the table toRep returns, reused
-}
-
-// newOrbitView checks that a, if any, was verified on m.
-func newOrbitView(a *kripke.IndexAction, m *kripke.Structure, side string) (*orbitView, error) {
+// checkAction checks that the action on one side, if any, was verified on
+// that side's structure m.
+func checkAction(a *kripke.IndexAction, m *kripke.Structure, side string) error {
 	if a != nil && a.Structure() != m {
-		return nil, fmt.Errorf("bisim: IndexedCompute: the %s index action was verified on structure %q, not on the %s structure %q",
+		return fmt.Errorf("bisim: IndexedCompute: the %s index action was verified on structure %q, not on the %s structure %q",
 			side, a.Structure().Name(), side, m.Name())
 	}
-	return &orbitView{a: a}, nil
+	return nil
 }
 
-// rep returns the representative of index i's orbit and i's position in
-// the structure's index values: i itself without an action, and false
-// when the action's structure has no index i.
-func (v *orbitView) rep(i int) (rep, k int, ok bool) {
-	if v.a == nil {
+// orbitRep returns the representative of index i's orbit under a and i's
+// position in the structure's index values: i itself without an action,
+// and false when a's structure has no index i.
+func orbitRep(a *kripke.IndexAction, i int) (rep, k int, ok bool) {
+	if a == nil {
 		return i, 0, true
 	}
-	if k, ok = slices.BinarySearch(v.a.Structure().IndexValues(), i); !ok {
+	if k, ok = slices.BinarySearch(a.Structure().IndexValues(), i); !ok {
 		return 0, 0, false
 	}
-	return v.a.Representatives()[v.a.Orbit(k)], k, true
+	return a.Representatives()[a.Orbit(k)], k, true
 }
 
-// toRep returns τ_i as a state table, or nil for the identity.  The table
-// is overwritten by the next call.
-func (v *orbitView) toRep(i int) []int32 {
-	rep, k, ok := v.rep(i)
-	if !ok || rep == i {
-		return nil
-	}
-	if v.tau == nil {
-		v.tau = make([]int32, v.a.Structure().NumStates())
-	}
-	for s := range v.tau {
-		t, _ := v.a.ToRepresentative(k, kripke.State(s))
-		v.tau[s] = int32(t)
-	}
-	return v.tau
-}
-
-// transporter carries basis results to the other pairs of their class.
-// Its buffers are reused across pairs: the inverse of the left map, and
-// the columns of the last basis relation transported.
+// transporter materialises the relations of transported pairs.  Its
+// buffers are reused across the pairs of one Pairs call: the τ tables,
+// the inverse of the left one, and the columns of the last basis relation
+// transported.  Each Pair or Pairs call has its own, so a shared result
+// has no mutable state.
 type transporter struct {
-	inv    []int32
-	of     *Relation
-	colOff []int32 // column t' spans colOff[t']:colOff[t'+1] of rows and degs
-	rows   []int32
-	degs   []int32
+	tauI, tauJ []int32
+	inv        []int32
+	of         *Relation
+	colOff     []int32 // column t' spans colOff[t']:colOff[t'+1] of rows and degs
+	rows       []int32
+	degs       []int32
 }
 
-// transport returns the result of a pair from its basis's: (s, t) is
-// related with degree d iff (left[s], right[t]) is, with d, in the basis
-// relation (nil tables are the identity).  The rows are filled column by
-// column in increasing t, through the basis's columns, so each comes out
-// sorted.  The initial-state verdict and the totality flags are
-// recomputed on the new relation; the reductions share m's and m2's
-// initial states and reachable sets, so m and m2 stand in for them.
-func (tr *transporter) transport(m, m2 *kripke.Structure, basis *Result, left, right []int32, opts Options) *Result {
-	b := basis.Relation
+// result returns pair e's result: its basis's when both its maps are the
+// identity, otherwise the basis relation transported through them, with
+// e's flags and the basis's work counters.
+func (tr *transporter) result(r *IndexedResult, e *pairEntry) *Result {
+	basis := r.bases[e.basis]
+	if e.ki < 0 && e.kj < 0 {
+		return basis
+	}
+	var left, right []int32
+	if e.ki >= 0 {
+		tr.tauI = tauTable(r.left, e.ki, tr.tauI)
+		left = tr.tauI
+	}
+	if e.kj >= 0 {
+		tr.tauJ = tauTable(r.right, e.kj, tr.tauJ)
+		right = tr.tauJ
+	}
+	return &Result{
+		Relation:        tr.transport(basis.Relation, left, right),
+		InitialRelated:  e.initialRelated,
+		TotalLeft:       e.totalLeft,
+		TotalRight:      e.totalRight,
+		OuterIterations: basis.OuterIterations,
+		DegreeRounds:    basis.DegreeRounds,
+	}
+}
+
+// transport returns the relation in which (s, t) is related with degree d
+// iff (left[s], right[t]) is, with d, in b (nil tables are the identity).
+// The rows are filled column by column in increasing t, through b's
+// columns, so each comes out sorted.
+func (tr *transporter) transport(b *Relation, left, right []int32) *Relation {
 	tr.columns(b)
 	tr.inv = slices.Grow(tr.inv[:0], b.n)[:b.n]
 	for s := range tr.inv {
@@ -368,10 +489,7 @@ func (tr *transporter) transport(m, m2 *kripke.Structure, basis *Result, left, r
 			cursor[s]++
 		}
 	}
-	res := &Result{Relation: rel, OuterIterations: basis.OuterIterations, DegreeRounds: basis.DegreeRounds}
-	_, res.InitialRelated = rel.Degree(m.Initial(), m2.Initial())
-	res.TotalLeft, res.TotalRight = totality(m, m2, rel, opts)
-	return res
+	return rel
 }
 
 // columns loads the transpose of b into the column buffers, unless they

@@ -2,8 +2,10 @@ package bisim_test
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,15 +49,22 @@ func indexedCalls(t *testing.T, m, m2 *kripke.Structure, in []bisim.IndexPair, o
 	return res, bisim.ComputeCalls() - before
 }
 
-// assertSameIndexed requires identical per-pair relations (CSR bytes),
-// verdicts and failing pairs.
-func assertSameIndexed(t *testing.T, got, want *bisim.IndexedResult) {
+// assertSameIndexed requires the result got, decided by orbits, to answer
+// as the per-pair result want.  For every pair, the flags got decided
+// through τ must equal those Degree and totality recompute on the
+// materialised relation, and the relation (AppendCSR bytes) and flags
+// must equal want's; Pairs must yield what Pair returns, in sorted order.
+// The failing pairs, maximal degree, verdicts and ExplainIndexed evidence
+// must agree too.  opts are the options both were decided under; their
+// actions are ignored.
+func assertSameIndexed(t *testing.T, m, m2 *kripke.Structure, opts bisim.Options, got, want *bisim.IndexedResult) {
 	t.Helper()
-	if len(got.Pairs) != len(want.Pairs) {
-		t.Fatalf("%d pairs, want %d", len(got.Pairs), len(want.Pairs))
+	opts.LeftAction, opts.RightAction = nil, nil
+	if got.Len() != want.Len() {
+		t.Fatalf("%d pairs, want %d", got.Len(), want.Len())
 	}
 	for p, w := range want.Pairs {
-		g, ok := got.Pairs[p]
+		g, ok := got.Pair(p)
 		if !ok {
 			t.Fatalf("pair %v missing", p)
 		}
@@ -66,13 +75,47 @@ func assertSameIndexed(t *testing.T, got, want *bisim.IndexedResult) {
 			t.Errorf("pair %v: verdict (%v %v %v), want (%v %v %v)", p,
 				g.InitialRelated, g.TotalLeft, g.TotalRight, w.InitialRelated, w.TotalLeft, w.TotalRight)
 		}
+		_, initial := g.Relation.Degree(m.Initial(), m2.Initial())
+		left, right := bisim.Totality(m, m2, g.Relation, opts)
+		if initial != g.InitialRelated || left != g.TotalLeft || right != g.TotalRight {
+			t.Errorf("pair %v: flags (%v %v %v), recomputed on its relation (%v %v %v)", p,
+				g.InitialRelated, g.TotalLeft, g.TotalRight, initial, left, right)
+		}
+	}
+	var order []bisim.IndexPair
+	for p, g := range got.Pairs {
+		order = append(order, p)
+		if one, _ := got.Pair(p); !bytes.Equal(g.Relation.AppendCSR(nil), one.Relation.AppendCSR(nil)) || g.Corresponds() != one.Corresponds() {
+			t.Errorf("pair %v: Pairs and Pair disagree", p)
+		}
+	}
+	if len(order) != got.Len() || !slices.IsSortedFunc(order, func(a, b bisim.IndexPair) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.I2, b.I2))
+	}) {
+		t.Errorf("Pairs yields %v, want %d pairs sorted", order, got.Len())
 	}
 	if fmt.Sprint(got.FailingPairs()) != fmt.Sprint(want.FailingPairs()) {
 		t.Errorf("failing pairs %v, want %v", got.FailingPairs(), want.FailingPairs())
 	}
+	if got.MaxDegree() != want.MaxDegree() {
+		t.Errorf("max degree %d, want %d", got.MaxDegree(), want.MaxDegree())
+	}
 	if got.INTotalLeft != want.INTotalLeft || got.INTotalRight != want.INTotalRight || got.Corresponds() != want.Corresponds() {
 		t.Errorf("indexed verdict differs")
 	}
+	if g, w := explainIndexed(m, m2, opts, got), explainIndexed(m, m2, opts, want); g != w {
+		t.Errorf("evidence by orbits\n  %s\nper pair\n  %s", g, w)
+	}
+}
+
+// explainIndexed renders ExplainIndexed's answer for res: the pair, the
+// formula with its states and structures and the game path, or the error.
+func explainIndexed(m, m2 *kripke.Structure, opts bisim.Options, res *bisim.IndexedResult) string {
+	ev, pair, err := bisim.ExplainIndexed(context.Background(), m, m2, res, opts)
+	if err != nil || ev == nil {
+		return fmt.Sprintf("%v %v", pair, err)
+	}
+	return fmt.Sprintf("%v %s path=%v side=%s loop=%d", pair, ev, ev.GamePath, ev.GameSide, ev.GameLoop)
 }
 
 // TestOrbitTransportMatchesPerPairCompute: with a swap on a two-process
@@ -97,14 +140,14 @@ func TestOrbitTransportMatchesPerPairCompute(t *testing.T) {
 		want, perPair := indexedCalls(t, m, m2, in, opts)
 		opts.LeftAction, opts.RightAction = left, right
 		got, orbit := indexedCalls(t, m, m2, in, opts)
-		assertSameIndexed(t, got, want)
+		assertSameIndexed(t, m, m2, opts, got, want)
 		if perPair != int64(len(in)) || orbit != 3 {
 			t.Errorf("ReachableOnly=%v: %d computes per pair, %d with actions; want %d and 3", reachable, perPair, orbit, len(in))
 		}
 		// One side's action alone merges that side's orbits only.
 		opts.RightAction = nil
 		got, leftOnly := indexedCalls(t, m, m2, in, opts)
-		assertSameIndexed(t, got, want)
+		assertSameIndexed(t, m, m2, opts, got, want)
 		if leftOnly != 5 {
 			t.Errorf("ReachableOnly=%v: %d computes with the left action alone, want 5", reachable, leftOnly)
 		}
@@ -129,11 +172,12 @@ func TestOrbitTransportTotalityFromTransportedRelation(t *testing.T) {
 	want, _ := indexedCalls(t, m, m2, in, opts)
 	opts.LeftAction = left
 	got, calls := indexedCalls(t, m, m2, in, opts)
-	assertSameIndexed(t, got, want)
+	assertSameIndexed(t, m, m2, opts, got, want)
 	if calls != 1 {
 		t.Errorf("%d computes, want 1", calls)
 	}
-	basis, moved := got.Pairs[in[0]], got.Pairs[in[1]]
+	basis, _ := got.Pair(in[0])
+	moved, _ := got.Pair(in[1])
 	if !basis.Corresponds() {
 		t.Fatalf("basis pair (1,1) does not correspond")
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -208,19 +207,9 @@ func ringRelationsDigest(t *testing.T, small, large int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]bisim.IndexPair, 0, len(res.Pairs))
-	for p := range res.Pairs {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(x, y int) bool {
-		if keys[x].I != keys[y].I {
-			return keys[x].I < keys[y].I
-		}
-		return keys[x].I2 < keys[y].I2
-	})
 	h := sha256.New()
-	for _, p := range keys {
-		data, err := res.Pairs[p].Relation.MarshalJSON()
+	for p, pr := range res.Pairs {
+		data, err := pr.Relation.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,12 +196,8 @@ func (v *Verifier) Run(ctx context.Context, specs []Spec) (*Report, error) {
 			Size:        size,
 			Corresponds: idxRes.Corresponds(),
 			IndexPairs:  len(in),
+			MaxDegree:   idxRes.MaxDegree(),
 			Elapsed:     time.Since(recStart),
-		}
-		for _, pr := range idxRes.Pairs {
-			if d := pr.Relation.MaxDegree(); d > rec.MaxDegree {
-				rec.MaxDegree = d
-			}
 		}
 		report.Correspondence = append(report.Correspondence, rec)
 	}
@@ -292,12 +288,18 @@ func CertificateFrom(familyName string, smallSize, largeSize int, oneProps []str
 		LargeSize: largeSize,
 		OneProps:  oneProps,
 	}
+	// One pass materialises the transported pairs with one transpose per
+	// basis; the certificate then lists them in in's order.
+	rels := make(map[bisim.IndexPair]*bisim.Relation, res.Len())
+	for p, pr := range res.Pairs {
+		rels[p] = pr.Relation
+	}
 	for _, p := range in {
-		pr, ok := res.Pairs[p]
+		rel, ok := rels[p]
 		if !ok {
 			return nil, fmt.Errorf("core: %s %d vs %d: index pair (%d,%d) was not decided", familyName, smallSize, largeSize, p.I, p.I2)
 		}
-		cert.Pairs = append(cert.Pairs, CertifiedIndexPair{I: p.I, I2: p.I2, Relation: pr.Relation})
+		cert.Pairs = append(cert.Pairs, CertifiedIndexPair{I: p.I, I2: p.I2, Relation: rel})
 	}
 	return cert, nil
 }

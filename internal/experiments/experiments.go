@@ -362,17 +362,11 @@ func CorrespondenceCutoff(ctx context.Context, maxR int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			maxDeg := 0
-			for _, pr := range res.Pairs {
-				if d := pr.Relation.MaxDegree(); d > maxDeg {
-					maxDeg = d
-				}
-			}
 			chiLarge, err := mc.New(largeInst.M).Holds(ctx, chi)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(small, r, res.Corresponds(), maxDeg, chiSmall, chiLarge)
+			t.AddRow(small, r, res.Corresponds(), res.MaxDegree(), chiSmall, chiLarge)
 		}
 	}
 	t.Notes = append(t.Notes,

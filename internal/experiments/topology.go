@@ -198,11 +198,7 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 		return row
 	}
 	row.Corresponds = res.Corresponds()
-	for _, pr := range res.Pairs {
-		if d := pr.Relation.MaxDegree(); d > row.MaxDegree {
-			row.MaxDegree = d
-		}
-	}
+	row.MaxDegree = res.MaxDegree()
 	if r.Store != nil {
 		rec := &store.SweepRecord{
 			Corresponds: row.Corresponds,
@@ -282,13 +278,7 @@ func CrossTopology(ctx context.Context, reach int) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: E10: %s %d~%d: %w", topo.Name(), small, n, err)
 			}
-			maxDeg := 0
-			for _, pr := range res.Pairs {
-				if d := pr.Relation.MaxDegree(); d > maxDeg {
-					maxDeg = d
-				}
-			}
-			t.AddRow(topo.Name(), small, n, largeM.NumStates(), res.Corresponds(), maxDeg, time.Since(start))
+			t.AddRow(topo.Name(), small, n, largeM.NumStates(), res.Corresponds(), res.MaxDegree(), time.Since(start))
 		}
 	}
 	t.Notes = append(t.Notes,

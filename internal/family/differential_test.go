@@ -47,7 +47,7 @@ func TestIndexedCorrespondenceMatchesDirectBisimulation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: ComputeFixpoint: %v", label, err)
 				}
-				got, ok := indexed.Pairs[pair]
+				got, ok := indexed.Pair(pair)
 				if !ok {
 					t.Fatalf("%s: indexed result misses pair %v", label, pair)
 				}

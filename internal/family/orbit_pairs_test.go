@@ -162,7 +162,7 @@ func TestOrbitPairsMatchPerPairCompute(t *testing.T) {
 		if want.Corresponds() != tc.wantCorrespond {
 			t.Fatalf("%s: corresponds = %v, want %v", tc.name, want.Corresponds(), tc.wantCorrespond)
 		}
-		assertSameIndexedResult(t, tc.name, got, want)
+		assertSameIndexedResult(t, tc.name, tc, got, want)
 		gotEv, err := explainIndexed(ctx, tc, got)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -177,15 +177,19 @@ func TestOrbitPairsMatchPerPairCompute(t *testing.T) {
 	}
 }
 
-// assertSameIndexedResult requires identical pairs, relation bytes,
-// verdicts and failing pairs.
-func assertSameIndexedResult(t *testing.T, label string, got, want *bisim.IndexedResult) {
+// assertSameIndexedResult requires the result got, decided by orbits, to
+// answer as the per-pair result want.  For every pair, the flags got
+// decided through τ must equal those recomputed on its materialised
+// relation, and the relation (AppendCSR bytes) and flags must equal
+// want's.  The failing pairs, maximal degree and IN totality must agree.
+func assertSameIndexedResult(t *testing.T, label string, tc orbitPairCase, got, want *bisim.IndexedResult) {
 	t.Helper()
-	if len(got.Pairs) != len(want.Pairs) {
-		t.Fatalf("%s: %d pairs, want %d", label, len(got.Pairs), len(want.Pairs))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d pairs, want %d", label, got.Len(), want.Len())
 	}
+	opts := CorrespondOptions(tc.topo)
 	for p, w := range want.Pairs {
-		g, ok := got.Pairs[p]
+		g, ok := got.Pair(p)
 		if !ok {
 			t.Fatalf("%s: pair %v missing", label, p)
 		}
@@ -196,13 +200,44 @@ func assertSameIndexedResult(t *testing.T, label string, got, want *bisim.Indexe
 			t.Fatalf("%s: pair %v: verdict (%v %v %v), want (%v %v %v)", label, p,
 				g.InitialRelated, g.TotalLeft, g.TotalRight, w.InitialRelated, w.TotalLeft, w.TotalRight)
 		}
+		initial, left, right := relationFlags(tc.sm, tc.lg, g.Relation, opts)
+		if initial != g.InitialRelated || left != g.TotalLeft || right != g.TotalRight {
+			t.Fatalf("%s: pair %v: flags (%v %v %v), recomputed on its relation (%v %v %v)", label, p,
+				g.InitialRelated, g.TotalLeft, g.TotalRight, initial, left, right)
+		}
 	}
 	if !slices.Equal(got.FailingPairs(), want.FailingPairs()) {
 		t.Fatalf("%s: failing pairs %v, want %v", label, got.FailingPairs(), want.FailingPairs())
 	}
+	if got.MaxDegree() != want.MaxDegree() {
+		t.Fatalf("%s: max degree %d, want %d", label, got.MaxDegree(), want.MaxDegree())
+	}
 	if got.INTotalLeft != want.INTotalLeft || got.INTotalRight != want.INTotalRight {
 		t.Fatalf("%s: IN totality differs", label)
 	}
+}
+
+// relationFlags recomputes a pair's flags from its relation alone: whether
+// the initial states of m and m2 (which their reductions share) are
+// related, and whether every state in scope, reachable ones under
+// ReachableOnly, has a partner on each side.
+func relationFlags(m, m2 *kripke.Structure, rel *bisim.Relation, opts bisim.Options) (initial, left, right bool) {
+	_, initial = rel.Degree(m.Initial(), m2.Initial())
+	n, n2 := rel.Dims()
+	coveredL, coveredR := kripke.NewBitSet(n), kripke.NewBitSet(n2)
+	for _, p := range rel.Pairs() {
+		coveredL.Set(int(p.S))
+		coveredR.Set(int(p.T))
+	}
+	total := func(m *kripke.Structure, covered kripke.BitSet) bool {
+		for s := range m.NumStates() {
+			if !covered.Get(s) && (!opts.ReachableOnly || m.Reachable().Get(s)) {
+				return false
+			}
+		}
+		return true
+	}
+	return initial, total(m, coveredL), total(m2, coveredR)
 }
 
 // explainIndexed renders ExplainIndexed's evidence for res: the pair, the

@@ -124,8 +124,8 @@ func TestDecideCorrespondenceMatchesManualRoute(t *testing.T) {
 	if viaHelper.Corresponds() != manual.Corresponds() {
 		t.Fatal("helper and manual route disagree")
 	}
-	if len(viaHelper.Pairs) != len(manual.Pairs) {
-		t.Fatalf("pair counts differ: %d vs %d", len(viaHelper.Pairs), len(manual.Pairs))
+	if viaHelper.Len() != manual.Len() {
+		t.Fatalf("pair counts differ: %d vs %d", viaHelper.Len(), manual.Len())
 	}
 	// And the two-process variant must route through the Section 5 relation.
 	in2 := IndexRelationFor(2, 5)

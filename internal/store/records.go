@@ -96,7 +96,9 @@ type CorrespondenceRecord struct {
 	MaxDegree   int `json:"max_degree"`
 }
 
-// RecordIndexed captures an indexed decision for storage.
+// RecordIndexed captures an indexed decision for storage, materialising
+// every pair's relation.  The pairs are recorded in (I, I2) order, so one
+// key's decision always writes the same bytes.
 func RecordIndexed(res *bisim.IndexedResult) *CorrespondenceRecord {
 	if res == nil {
 		return nil
@@ -105,6 +107,7 @@ func RecordIndexed(res *bisim.IndexedResult) *CorrespondenceRecord {
 		Corresponds:  res.Corresponds(),
 		INTotalLeft:  res.INTotalLeft,
 		INTotalRight: res.INTotalRight,
+		MaxDegree:    res.MaxDegree(),
 	}
 	for p, r := range res.Pairs {
 		rec.Pairs = append(rec.Pairs, PairRecord{
@@ -115,9 +118,6 @@ func RecordIndexed(res *bisim.IndexedResult) *CorrespondenceRecord {
 			TotalRight:     r.TotalRight,
 			Relation:       r.Relation,
 		})
-		if d := r.Relation.MaxDegree(); d > rec.MaxDegree {
-			rec.MaxDegree = d
-		}
 	}
 	return rec
 }
@@ -130,26 +130,23 @@ func (rec *CorrespondenceRecord) Restore() (*bisim.IndexedResult, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("store: nil correspondence record")
 	}
-	out := &bisim.IndexedResult{
-		Pairs:        make(map[bisim.IndexPair]*bisim.Result, len(rec.Pairs)),
-		INTotalLeft:  rec.INTotalLeft,
-		INTotalRight: rec.INTotalRight,
-	}
+	pairs := make(map[bisim.IndexPair]*bisim.Result, len(rec.Pairs))
 	for _, p := range rec.Pairs {
 		if p.Relation == nil {
 			return nil, fmt.Errorf("store: pair (%d,%d) misses its relation", p.I, p.I2)
 		}
 		key := bisim.IndexPair{I: p.I, I2: p.I2}
-		if _, dup := out.Pairs[key]; dup {
+		if _, dup := pairs[key]; dup {
 			return nil, fmt.Errorf("store: duplicate pair (%d,%d)", p.I, p.I2)
 		}
-		out.Pairs[key] = &bisim.Result{
+		pairs[key] = &bisim.Result{
 			Relation:       p.Relation,
 			InitialRelated: p.InitialRelated,
 			TotalLeft:      p.TotalLeft,
 			TotalRight:     p.TotalRight,
 		}
 	}
+	out := bisim.NewIndexedResult(pairs, rec.INTotalLeft, rec.INTotalRight)
 	if out.Corresponds() != rec.Corresponds {
 		return nil, fmt.Errorf("store: record verdict %v disagrees with its own pairs", rec.Corresponds)
 	}

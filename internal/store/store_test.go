@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/family"
+	"repro/internal/kripke"
 	"repro/internal/ring"
 )
 
@@ -411,5 +413,61 @@ func TestRestoreRejectsInconsistentRecords(t *testing.T) {
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Fatal("Open(\"\") must fail")
+	}
+}
+
+// TestRecordIndexedDeterministic: two independent decisions of ring
+// M_3 ~ M_8, on freshly built instances, marshal to byte-identical
+// records, by orbits and per pair alike, and so does a record restored and
+// recorded again.  The pairs used to be appended in map order.
+func TestRecordIndexedDeterministic(t *testing.T) {
+	ctx := context.Background()
+	decide := func(withActions bool) []byte {
+		t.Helper()
+		var ms [2]*kripke.Structure
+		var actions [2]*kripke.IndexAction
+		for k, n := range []int{3, 8} {
+			m, sp, err := family.BuildParallel(ctx, family.Ring(), n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms[k] = m
+			if withActions {
+				pi, _ := family.Packed(family.Ring(), n)
+				if actions[k], err = pi.IndexAction(ctx, sp, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		res, err := family.DecideBuilt(ctx, family.Ring(), ms[0], 3, ms[1], 8, actions[0], actions[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(RecordIndexed(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := decide(false)
+	for _, withActions := range []bool{false, true, true} {
+		if got := decide(withActions); !bytes.Equal(got, want) {
+			t.Fatalf("with actions %v: record differs from the first decision's:\n%.300s\nwant\n%.300s", withActions, got, want)
+		}
+	}
+	var rec CorrespondenceRecord
+	if err := json.Unmarshal(want, &rec); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rec.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(RecordIndexed(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("a restored record recorded again differs:\n%.300s\nwant\n%.300s", again, want)
 	}
 }

@@ -214,20 +214,13 @@ func (c *IndexedCorrespondence) FailingPairs() []IndexPair {
 }
 
 // MaxDegree returns the largest minimal degree over all per-pair relations.
-func (c *IndexedCorrespondence) MaxDegree() int {
-	max := 0
-	for _, r := range c.res.Pairs {
-		if d := r.Relation.MaxDegree(); d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (c *IndexedCorrespondence) MaxDegree() int { return c.res.MaxDegree() }
 
 // PairResult returns the correspondence decided for one index pair of the
-// IN relation, and whether that pair was part of it.
+// IN relation, and whether that pair was part of it.  A pair decided
+// through its orbit class's basis has its relation built on each call.
 func (c *IndexedCorrespondence) PairResult(p IndexPair) (*Correspondence, bool) {
-	r, ok := c.res.Pairs[bisim.IndexPair{I: p.I, I2: p.I2}]
+	r, ok := c.res.Pair(bisim.IndexPair{I: p.I, I2: p.I2})
 	if !ok {
 		return nil, false
 	}

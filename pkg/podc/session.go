@@ -317,7 +317,11 @@ func (s *Session) Correspondence(ctx context.Context, topo Topology, small, larg
 		if err != nil {
 			return nil, err
 		}
-		storePut(st, key, store.RecordIndexed(res))
+		// Recording materialises every pair's relation, so a session
+		// without a store skips it.
+		if st != nil {
+			storePut(st, key, store.RecordIndexed(res))
+		}
 		return &IndexedCorrespondence{res: res, in: indexPairsFromRaw(t.IndexRelation(small, large))}, nil
 	})
 }
