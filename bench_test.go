@@ -160,11 +160,11 @@ func BenchmarkStateExplosionBuild(b *testing.B) {
 			b.ReportAllocs()
 			states := 0
 			for i := 0; i < b.N; i++ {
-				inst, err := ring.Build(r)
+				m, err := family.Ring().Build(r)
 				if err != nil {
 					b.Fatal(err)
 				}
-				states = inst.M.NumStates()
+				states = m.NumStates()
 			}
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(states)*float64(b.N)/secs, "states/sec")
@@ -197,11 +197,11 @@ func BenchmarkParallelBuild(b *testing.B) {
 			b.ReportAllocs()
 			states := 0
 			for i := 0; i < b.N; i++ {
-				inst, err := ring.BuildWith(context.Background(), r, ring.BuildOptions{})
+				m, _, err := family.BuildParallel(context.Background(), family.Ring(), r, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				states = inst.M.NumStates()
+				states = m.NumStates()
 			}
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(states)*float64(b.N)/secs, "states/sec")

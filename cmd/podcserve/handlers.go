@@ -400,7 +400,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 // correspondRequest is the body of POST /v1/correspond.
 type correspondRequest struct {
 	// Topology selects the family to compare within ("ring", "star",
-	// "line", "tree", "torus"); it defaults to the token ring.
+	// "line", "tree", "torus", "torus3"); it defaults to the token ring.
 	Topology string `json:"topology,omitempty"`
 	// Small and Large select the instance sizes to compare (Small defaults
 	// to the topology's cutoff, e.g. 3 for the ring).

@@ -149,6 +149,25 @@ func TestQueuedRequestProceedsWhenSlotFrees(t *testing.T) {
 	}
 }
 
+// TestCorrespondWideTokenBuildIs504 asks for a star instance too wide to
+// pack into a word, which the process explorer builds at a cost growing
+// about as n³: the request must come back as 504 at the server's timeout,
+// not hold its admission slot until the build finishes.
+func TestCorrespondWideTokenBuildIs504(t *testing.T) {
+	session := podc.NewSession(podc.WithWorkers(2))
+	ts := httptest.NewServer(newHandler(session, serverConfig{Timeout: 100 * time.Millisecond}))
+	t.Cleanup(ts.Close)
+
+	start := time.Now()
+	resp, body := postJSON(t, ts.URL+"/v1/correspond", correspondRequest{Topology: "star", Large: 600})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d: %s (want 504)", resp.StatusCode, body)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("504 arrived after %v, want within 1s of a 100ms timeout", elapsed)
+	}
+}
+
 // sseRow is one decoded "event: row" payload.
 type sseRow struct {
 	Topology    string `json:"topology"`

@@ -39,18 +39,13 @@ func run() int {
 		return runLocal(ctx, *r, *local, *seed)
 	}
 
-	inst, err := buildInstance(*r, *buggy)
+	sess := podc.NewSession()
+	m, err := buildInstance(ctx, sess, *r, *buggy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ringverify:", err)
 		return 2
 	}
-	m := inst.Structure()
 	fmt.Println(m.Summary())
-	if err := inst.CheckPartitionInvariant(); err != nil {
-		fmt.Println("partition invariant:", err)
-	} else {
-		fmt.Println("partition invariant: holds (structural check)")
-	}
 
 	verifier, err := podc.NewVerifier(ctx, m)
 	if err != nil {
@@ -88,11 +83,11 @@ func run() int {
 	// dedicated buggy report would repeat that decision verbatim.
 	if *buggy && !*correspond {
 		fmt.Println()
-		runBuggyEvidence(ctx, inst)
+		runBuggyEvidence(ctx, sess, m, *r)
 	}
 	if *correspond {
 		fmt.Println()
-		runCorrespondence(ctx, inst)
+		runCorrespondence(ctx, sess, m, verifier, *r, *buggy)
 	}
 	if allHold {
 		return 0
@@ -101,31 +96,52 @@ func run() int {
 }
 
 // runBuggyEvidence decides the correspondence between the correct cutoff
-// ring and the buggy instance and prints the machine-extracted,
+// ring and the buggy instance of size r and prints the machine-extracted,
 // replay-confirmed distinguishing formula — the evidence that the buggy
 // family genuinely differs from the correct one, not just a failed spec.
-func runBuggyEvidence(ctx context.Context, buggy *podc.Ring) {
+func runBuggyEvidence(ctx context.Context, sess *podc.Session, buggy *podc.Structure, r int) {
 	small := podc.RingCutoffSize
-	if buggy.Size() < small {
+	if r < small {
 		small = 2
 	}
-	correct, err := podc.BuildRing(small)
+	_, ev, err := correspond(ctx, sess, small, buggy, r, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ringverify:", err)
 		return
 	}
-	res, err := podc.RingCorrespondence(ctx, correct, buggy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ringverify:", err)
-		return
-	}
-	ev := res.Evidence()
 	if ev == nil {
-		fmt.Printf("correct M_%d and buggy M_%d indexed-correspond (unexpected)\n", small, buggy.Size())
+		fmt.Printf("correct M_%d and buggy M_%d indexed-correspond (unexpected)\n", small, r)
 		return
 	}
-	fmt.Printf("correct M_%d and buggy M_%d DO NOT indexed-correspond\n", small, buggy.Size())
+	fmt.Printf("correct M_%d and buggy M_%d DO NOT indexed-correspond\n", small, r)
 	printEvidence(ev)
+}
+
+// correspond decides whether the correct ring M_small indexed-corresponds
+// to m, the ring instance of size r, and returns the replay-confirmed
+// evidence when it does not.  The correct ring is decided through the
+// session; the buggy variant, which no topology serves, through
+// IndexedCorrespond over the ring's index relation.
+func correspond(ctx context.Context, sess *podc.Session, small int, m *podc.Structure, r int, buggy bool) (bool, *podc.Evidence, error) {
+	topo := podc.RingTopology()
+	if !buggy {
+		res, err := sess.Correspondence(ctx, topo, small, r)
+		if err != nil {
+			return false, nil, err
+		}
+		ev, err := sess.CorrespondenceEvidence(ctx, topo, small, r)
+		return res.Corresponds(), ev, err
+	}
+	correct, err := sess.Instance(ctx, topo, small)
+	if err != nil {
+		return false, nil, err
+	}
+	res, err := podc.IndexedCorrespond(ctx, correct, m, topo.IndexRelation(small, r),
+		podc.WithAtoms(podc.RingTokenAtom), podc.WithReachableOnly(), podc.WithEvidence())
+	if err != nil {
+		return false, nil, err
+	}
+	return res.Corresponds(), res.Evidence(), nil
 }
 
 // printEvidence renders a correspondence evidence object.
@@ -145,44 +161,37 @@ func printEvidence(ev *podc.Evidence) {
 	}
 }
 
-func buildInstance(r int, buggy bool) (*podc.Ring, error) {
+// buildInstance returns the ring instance of size r: the buggy variant
+// built directly, the correct ring from the session.
+func buildInstance(ctx context.Context, sess *podc.Session, r int, buggy bool) (*podc.Structure, error) {
 	if buggy {
 		return podc.BuildBuggyRing(r)
 	}
-	return podc.BuildRing(r)
+	return sess.Instance(ctx, podc.RingTopology(), r)
 }
 
-func runCorrespondence(ctx context.Context, inst *podc.Ring) {
+func runCorrespondence(ctx context.Context, sess *podc.Session, m *podc.Structure, verifier *podc.Verifier, r int, buggy bool) {
 	for _, small := range []int{2, podc.RingCutoffSize} {
-		if small > inst.Size() {
+		if small > r {
 			continue
 		}
-		smallInst, err := podc.BuildRing(small)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ringverify:", err)
-			return
-		}
-		res, err := podc.RingCorrespondence(ctx, smallInst, inst)
+		corresponds, ev, err := correspond(ctx, sess, small, m, r, buggy)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ringverify:", err)
 			return
 		}
 		verdict := "DO NOT indexed-correspond"
-		if res.Corresponds() {
+		if corresponds {
 			verdict = "indexed-correspond (Theorem 5 transfers restricted ICTL*)"
 		}
-		fmt.Printf("M_%d and M_%d %s\n", small, inst.Size(), verdict)
-		if ev := res.Evidence(); ev != nil {
+		fmt.Printf("M_%d and M_%d %s\n", small, r, verdict)
+		if ev != nil {
 			printEvidence(ev)
 		}
 	}
 	chi := podc.RingDistinguishingFormula()
-	verifier, err := podc.NewVerifier(ctx, inst.Structure())
-	if err != nil {
-		return
-	}
 	if holds, err := verifier.Check(ctx, chi); err == nil {
-		fmt.Printf("distinguishing formula %s\n  holds on M_%d: %v (it is false on M_2)\n", chi, inst.Size(), holds)
+		fmt.Printf("distinguishing formula %s\n  holds on M_%d: %v (it is false on M_2)\n", chi, r, holds)
 	}
 }
 

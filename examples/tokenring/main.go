@@ -39,22 +39,16 @@ func main() {
 	fmt.Println()
 
 	// Step 2: the reproduction finding about the paper's own cutoff of two.
-	two, err := podc.BuildRing(2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	three, err := podc.BuildRing(3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := podc.RingCorrespondence(ctx, two, three)
+	sess := podc.NewSession()
+	ringTopo := podc.RingTopology()
+	res, err := sess.Correspondence(ctx, ringTopo, 2, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Paper's claim: M_2 indexed-corresponds to M_3?  decision procedure says: %v\n", res.Corresponds())
 
 	chi := podc.RingDistinguishingFormula()
-	v2, err := podc.NewVerifier(ctx, two.Structure())
+	v2, err := sess.Verifier(ctx, ringTopo, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	v3, err := podc.NewVerifier(ctx, three.Structure())
+	v3, err := sess.Verifier(ctx, ringTopo, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/family"
 	"repro/internal/kripke"
 	"repro/internal/ring"
 )
@@ -95,9 +96,9 @@ func TestDegreeRoutesMatchOracleOnNamedStructures(t *testing.T) {
 		must(t, err)
 		large, err := ring.Build(sizes[1])
 		must(t, err)
-		for _, p := range ring.IndexRelationFor(sizes[0], sizes[1]) {
+		for _, p := range family.Ring().IndexRelation(sizes[0], sizes[1]) {
 			assertRoutesMatchOracle(t, fmt.Sprintf("M_%d|%d vs M_%d|%d", sizes[0], p.I, sizes[1], p.I2),
-				small.M.ReduceNormalized(p.I), large.M.ReduceNormalized(p.I2), ring.CorrespondOptions())
+				small.M.ReduceNormalized(p.I), large.M.ReduceNormalized(p.I2), family.CorrespondOptions(family.Ring()))
 		}
 	}
 }
@@ -328,10 +329,10 @@ func TestIndexedComputeWorkersByteIdentical(t *testing.T) {
 		must(t, err)
 		large, err := ring.Build(sizes[1])
 		must(t, err)
-		in := ring.IndexRelationFor(sizes[0], sizes[1])
+		in := family.Ring().IndexRelation(sizes[0], sizes[1])
 		var want *bisim.IndexedResult
 		for _, w := range []int{1, 2, 4, 8} {
-			opts := ring.CorrespondOptions()
+			opts := family.CorrespondOptions(family.Ring())
 			opts.Workers = w
 			got, err := bisim.IndexedCompute(ctx, small.M, large.M, in, opts)
 			if err != nil {

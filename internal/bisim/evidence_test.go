@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/family"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/mc"
@@ -270,8 +271,8 @@ func TestExplainIndexedRingRefutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := ring.IndexRelationFor(2, 3)
-	opts := ring.CorrespondOptions()
+	in := family.Ring().IndexRelation(2, 3)
+	opts := family.CorrespondOptions(family.Ring())
 	res, err := bisim.IndexedCompute(ctx, m2.M, m3.M, in, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/family"
 	"repro/internal/kripke"
 	"repro/internal/ring"
 )
@@ -14,15 +15,7 @@ import (
 // at 8 bytes per related pair plus 4 bytes per left state (and the closing
 // row offset), so a |S|×|S'| matrix cannot come back unnoticed.
 func TestRelationFootprintPerPair(t *testing.T) {
-	small, err := ring.Build(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := ring.Build(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ring.DecideCorrespondence(context.Background(), small, large)
+	res, err := family.DecideCorrespondence(context.Background(), family.Ring(), 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +50,8 @@ func TestIndexedComputeSharesReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := ring.IndexRelationFor(small.R, large.R)
-	opts := ring.CorrespondOptions()
+	in := family.Ring().IndexRelation(small.R, large.R)
+	opts := family.CorrespondOptions(family.Ring())
 	if !opts.ReachableOnly || len(in) < 3 {
 		t.Fatalf("the test needs ReachableOnly and several index pairs (got %v, %d pairs)", opts.ReachableOnly, len(in))
 	}

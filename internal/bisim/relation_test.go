@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/family"
 	"repro/internal/kripke"
-	"repro/internal/ring"
 )
 
 // denseOracle is the obvious map-backed relation the sparse Relation must
@@ -195,15 +195,7 @@ func TestRelationSetOutOfOrderRows(t *testing.T) {
 // correspondence M_small ~ M_large, in index-pair order.
 func ringRelationsDigest(t *testing.T, small, large int) string {
 	t.Helper()
-	a, err := ring.Build(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ring.Build(large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ring.DecideCorrespondence(context.Background(), a, b)
+	res, err := family.DecideCorrespondence(context.Background(), family.Ring(), small, large)
 	if err != nil {
 		t.Fatal(err)
 	}

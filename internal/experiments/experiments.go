@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/bisim"
+	"repro/internal/family"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/mc"
@@ -304,11 +305,11 @@ func RingChecks(ctx context.Context, maxR int) (*Table, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		inst, err := ring.Build(r)
+		m, _, err := family.BuildParallel(ctx, family.Ring(), r, 1)
 		if err != nil {
 			return nil, err
 		}
-		checkers[r] = mc.New(inst.M)
+		checkers[r] = mc.New(m)
 	}
 	all := append(ring.Invariants(), ring.Properties()...)
 	for _, nf := range all {
@@ -344,25 +345,26 @@ func CorrespondenceCutoff(ctx context.Context, maxR int) (*Table, error) {
 			"distinguishing formula on M_small", "on M_r"},
 	}
 	chi := ring.DistinguishingFormula()
+	rg := family.Ring()
 	for _, small := range []int{2, ring.CutoffSize} {
-		smallInst, err := ring.Build(small)
+		smallM, smallAction, err := instanceWithAction(ctx, rg, small)
 		if err != nil {
 			return nil, err
 		}
-		chiSmall, err := mc.New(smallInst.M).Holds(ctx, chi)
+		chiSmall, err := mc.New(smallM).Holds(ctx, chi)
 		if err != nil {
 			return nil, err
 		}
 		for r := small + 1; r <= maxR; r++ {
-			largeInst, err := ring.Build(r)
+			largeM, largeAction, err := instanceWithAction(ctx, rg, r)
 			if err != nil {
 				return nil, err
 			}
-			res, err := ring.DecideCorrespondence(ctx, smallInst, largeInst)
+			res, err := family.DecideBuilt(ctx, rg, smallM, small, largeM, r, smallAction, largeAction)
 			if err != nil {
 				return nil, err
 			}
-			chiLarge, err := mc.New(largeInst.M).Holds(ctx, chi)
+			chiLarge, err := mc.New(largeM).Holds(ctx, chi)
 			if err != nil {
 				return nil, err
 			}
@@ -404,11 +406,9 @@ func LocalRefutation(ctx context.Context, sizes []int, samplesPerSize int, seed 
 			start := time.Now()
 			pairs := 0
 			violations := 0
-			// Crafted states first (the known failure shapes), then random
-			// samples.
-			states := craftedStates(r)
-			for len(states) < samplesPerSize {
-				states = append(states, ring.RandomReachableState(r, func(n int) int { return int(rng.next() % uint64(n)) }))
+			states, err := ring.SampleStates(ctx, r, samplesPerSize, func(n int) int { return int(rng.next() % uint64(n)) })
+			if err != nil {
+				return nil, err
 			}
 			for _, g := range states {
 				select {
@@ -427,19 +427,6 @@ func LocalRefutation(ctx context.Context, sizes []int, samplesPerSize int, seed 
 	t.Notes = append(t.Notes,
 		"a positive violation count machine-refutes the Appendix correspondence at that ring size without ever constructing its state graph (r·2^r states)")
 	return t, nil
-}
-
-func craftedStates(r int) []ring.GlobalState {
-	allDelayed := ring.GlobalState{Parts: make([]ring.Part, r)}
-	allDelayed.Parts[0] = ring.Token
-	for i := 1; i < r; i++ {
-		allDelayed.Parts[i] = ring.Delayed
-	}
-	queued := ring.GlobalState{Parts: make([]ring.Part, r)}
-	queued.Parts[1] = ring.Token
-	queued.Parts[0] = ring.Delayed
-	queued.Parts[2] = ring.Delayed
-	return []ring.GlobalState{allDelayed, queued}
 }
 
 // splitMix is a tiny deterministic PRNG so the experiment tables are stable
@@ -476,12 +463,13 @@ func StateExplosion(ctx context.Context, maxR int) (*Table, error) {
 			"correspondence M_3~M_r", "all properties hold"},
 	}
 	props := ring.Properties()
-	cutoff, err := ring.Build(ring.CutoffSize)
+	rg := family.Ring()
+	cutoff, cutoffAction, err := instanceWithAction(ctx, rg, ring.CutoffSize)
 	if err != nil {
 		return nil, err
 	}
 	for r := 2; r <= maxR; r++ {
-		inst, err := ring.Build(r)
+		m, action, err := instanceWithAction(ctx, rg, r)
 		if err != nil {
 			return nil, err
 		}
@@ -491,7 +479,7 @@ func StateExplosion(ctx context.Context, maxR int) (*Table, error) {
 		// the word-at-a-time engines are byte-identical at every worker
 		// count, and on a single CPU SetWorkers degrades to the sequential
 		// path.
-		checker := mc.New(inst.M).SetWorkers(runtime.GOMAXPROCS(0))
+		checker := mc.New(m).SetWorkers(runtime.GOMAXPROCS(0))
 		allHold := true
 		for _, p := range props {
 			holds, err := checker.Holds(ctx, p.Formula)
@@ -505,13 +493,13 @@ func StateExplosion(ctx context.Context, maxR int) (*Table, error) {
 		corrCell := "n/a (cutoff not reached)"
 		if r >= ring.CutoffSize {
 			corrStart := time.Now()
-			res, err := ring.DecideCorrespondence(ctx, cutoff, inst)
+			res, err := family.DecideBuilt(ctx, rg, cutoff, ring.CutoffSize, m, r, cutoffAction, action)
 			if err != nil {
 				return nil, err
 			}
 			corrCell = fmt.Sprintf("%v (%s)", res.Corresponds(), time.Since(corrStart).Round(10*time.Microsecond))
 		}
-		t.AddRow(r, inst.M.NumStates(), inst.M.NumTransitions(), directElapsed, corrCell, allHold)
+		t.AddRow(r, m.NumStates(), m.NumTransitions(), directElapsed, corrCell, allHold)
 	}
 	t.Notes = append(t.Notes,
 		"the direct column grows with r·2^r and becomes infeasible around r≈20; the parameterized route checks the four properties once on M_3 (8·3=24 states) and transfers them by Theorem 5",
@@ -548,7 +536,7 @@ func Minimization(ctx context.Context, maxR int) (*Table, error) {
 	}
 	opts := bisim.Options{OneProps: []string{ring.PropToken}}
 	for r := 2; r <= maxR; r++ {
-		inst, err := ring.Build(r)
+		m, _, err := family.BuildParallel(ctx, family.Ring(), r, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -556,7 +544,7 @@ func Minimization(ctx context.Context, maxR int) (*Table, error) {
 			if i > r {
 				continue
 			}
-			red := inst.M.ReduceNormalized(i)
+			red := m.ReduceNormalized(i)
 			classes, err := equivalenceClassCount(ctx, red, opts)
 			if err != nil {
 				return nil, err

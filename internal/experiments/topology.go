@@ -39,7 +39,7 @@ func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes [
 				return false
 			}
 		}
-		small, smallAction, err := cutoffInstance(ctx, topo)
+		small, smallAction, err := instanceWithAction(ctx, topo, topo.CutoffSize())
 		if err != nil {
 			for _, size := range sizes {
 				if !fail(size, err) {
@@ -68,16 +68,15 @@ func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes [
 	return out
 }
 
-// cutoffInstance builds the topology's cutoff instance with one packed
+// instanceWithAction builds the topology's size-n instance with one packed
 // explorer worker and returns it with its index action, nil when the
 // topology has none.
-func cutoffInstance(ctx context.Context, topo family.Topology) (*kripke.Structure, *kripke.IndexAction, error) {
-	c := topo.CutoffSize()
-	m, sp, err := family.BuildParallel(ctx, topo, c, 1)
+func instanceWithAction(ctx context.Context, topo family.Topology, n int) (*kripke.Structure, *kripke.IndexAction, error) {
+	m, sp, err := family.BuildParallel(ctx, topo, n, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	pi, ok := family.Packed(topo, c)
+	pi, ok := family.Packed(topo, n)
 	if !ok {
 		return m, nil, nil
 	}

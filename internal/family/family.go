@@ -51,7 +51,7 @@ type Spec struct {
 // correspondence step is set up, and which sizes are meaningful.
 type Topology interface {
 	// Name identifies the topology ("ring", "star", "line", "tree",
-	// "torus").
+	// "torus", "torus3").
 	Name() string
 	// MinSize is the smallest size for which an instance exists.
 	MinSize() int
@@ -151,10 +151,12 @@ func ByName(name string) (Topology, bool) {
 // remaining processes are pairwise interchangeable from an observer's point
 // of view: pair equal positions up to the small size, fold the large tail
 // onto the last small index, and keep the relation total on the left by
-// construction.  For small = 2 it degenerates to the paper's Section 5
-// relation; for the ring the corrected cutoff relation of
-// ring.CutoffIndexRelation additionally pairs middle indices with the last
-// large index, which foldedIndexRelation also does.
+// construction: {(1,1), ..., (small,small)} ∪ {(small, j) | j > small}.
+// For small = 2 it is the paper's Section 5 relation.  It is not the
+// ring's corrected cutoff relation (ring.CutoffIndexRelation): for
+// small = 3 that one is {(1,1), (3,2..n), (2,n)}, pairing the small
+// instance's middle index with the last large index, while this one is
+// {(1,1), (2,2), (3,3..n)}.
 func foldedIndexRelation(small, n int) []bisim.IndexPair {
 	out := make([]bisim.IndexPair, 0, n+small)
 	for i := 1; i <= small && i <= n; i++ {

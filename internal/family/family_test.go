@@ -1,12 +1,15 @@
 package family
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bisim"
+	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/mc"
 	"repro/internal/ring"
@@ -220,7 +223,8 @@ func TestLineIndexRelationPinsEnds(t *testing.T) {
 }
 
 // TestRingAdapterMatchesRingPackage pins the adapter to the hand-built
-// Section 5 entry points it wraps.
+// Section 5 ingredients it is made of: its build is byte-identical to
+// ring.Build's structure, and its IN relation is the cutoff relation.
 func TestRingAdapterMatchesRingPackage(t *testing.T) {
 	rg := Ring()
 	if rg.CutoffSize() != ring.CutoffSize {
@@ -234,34 +238,54 @@ func TestRingAdapterMatchesRingPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumStates() != inst.M.NumStates() || m.NumTransitions() != inst.M.NumTransitions() {
+	var got, want bytes.Buffer
+	if err := kripke.EncodeText(&got, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := kripke.EncodeText(&want, inst.M); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
 		t.Error("ring adapter builds a different structure than ring.Build")
 	}
 	in := rg.IndexRelation(3, 5)
-	want := ring.IndexRelationFor(3, 5)
-	if fmt.Sprint(in) != fmt.Sprint(want) {
+	if want := ring.CutoffIndexRelation(3, 5); fmt.Sprint(in) != fmt.Sprint(want) {
 		t.Errorf("ring adapter index relation %v, want %v", in, want)
-	}
-	res, err := DecideCorrespondence(context.Background(), rg, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := ring.DecideCorrespondence(context.Background(), inst3(t), inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Corresponds() != direct.Corresponds() {
-		t.Error("adapter and ring.DecideCorrespondence disagree")
 	}
 }
 
-func inst3(t *testing.T) *ring.Instance {
-	t.Helper()
-	inst, err := ring.Build(3)
+// TestDecideCorrespondenceMatchesManualRoute pins the ring's decision
+// through DecideCorrespondence to the spelled-out IndexedCompute call, and
+// the two-process comparison to the Section 5 relation.
+func TestDecideCorrespondenceMatchesManualRoute(t *testing.T) {
+	ctx := context.Background()
+	viaHelper, err := DecideCorrespondence(ctx, Ring(), ring.CutoffSize, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst
+	small, err := ring.Build(ring.CutoffSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := ring.Build(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manual, err := bisim.IndexedCompute(ctx, small.M, large.M, ring.CutoffIndexRelation(ring.CutoffSize, 5),
+		bisim.Options{OneProps: []string{ring.PropToken}, ReachableOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaHelper.Corresponds() != manual.Corresponds() {
+		t.Fatal("helper and manual route disagree")
+	}
+	if viaHelper.Len() != manual.Len() {
+		t.Fatalf("pair counts differ: %d vs %d", viaHelper.Len(), manual.Len())
+	}
+	in2 := Ring().IndexRelation(2, 5)
+	if want := ring.IndexRelation(2, 5); fmt.Sprint(in2) != fmt.Sprint(want) {
+		t.Fatalf("Ring().IndexRelation(2,5) = %v, want the Section 5 relation %v", in2, want)
+	}
 }
 
 // TestBuildDeterminism: two builds of the same instance are identical state
@@ -303,5 +327,26 @@ func TestBuildParallelRefusesOversizedRing(t *testing.T) {
 		if _, _, err := BuildParallel(context.Background(), Ring(), n, 1); !errors.Is(err, ring.ErrTooLarge) {
 			t.Errorf("BuildParallel(ring, %d) err = %v, want ring.ErrTooLarge", n, err)
 		}
+	}
+}
+
+// TestBuildParallelFallbackHonoursDeadline: a token topology too wide to
+// pack into a word is built by the process explorer, whose cost grows
+// about as n³; that route must stop at the caller's deadline instead of
+// finishing the build.
+func TestBuildParallelFallbackHonoursDeadline(t *testing.T) {
+	const n = 600
+	if _, ok := Packed(Star(), n); ok {
+		t.Fatalf("star[%d] packs into a word; the test needs the fallback route", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := BuildParallel(ctx, Star(), n, 1)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("BuildParallel(star, %d) err = %v, want context.DeadlineExceeded", n, err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("BuildParallel(star, %d) returned after %v, want within 1s of a 100ms deadline", n, elapsed)
 	}
 }

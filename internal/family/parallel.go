@@ -75,13 +75,24 @@ func (pi PackedInstance) FinishBuilt(m *kripke.Structure) (*kripke.Structure, er
 // (kripke.EncodeText) to t.Build(n) for every worker count, and returns
 // the explored space too (state s of the structure is state s of the
 // space).  Topologies without a packed definition fall back to the
-// sequential Build and return a nil space.
+// sequential Build and return a nil space; token topologies too wide to
+// pack take that route under ctx.
 func BuildParallel(ctx context.Context, t Topology, n, workers int) (*kripke.Structure, *explore.Space, error) {
 	pi, ok := Packed(t, n)
-	if !ok {
-		m, err := t.Build(n)
+	if ok {
+		return pi.build(ctx, workers)
+	}
+	if tt, ok := t.(*tokenTopology); ok {
+		m, err := tt.build(ctx, n)
 		return m, nil, err
 	}
+	m, err := t.Build(n)
+	return m, nil, err
+}
+
+// build explores the packed instance with the given worker count, after
+// its up-front size refusal, and applies its post-build steps.
+func (pi PackedInstance) build(ctx context.Context, workers int) (*kripke.Structure, *explore.Space, error) {
 	if pi.TooLarge != nil {
 		return nil, nil, pi.TooLarge
 	}

@@ -1,6 +1,7 @@
 package family
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bisim"
@@ -39,14 +40,21 @@ func (ringTopology) ValidSize(n int) error {
 	return nil
 }
 
-// Build implements Topology via ring.Build (the reachable restriction M_r
-// of the Section 5 global graph).
-func (ringTopology) Build(n int) (*kripke.Structure, error) {
-	inst, err := ring.Build(n)
-	if err != nil {
-		return nil, err
+// Build implements Topology: the reachable restriction M_r of the Section 5
+// global graph, explored from the packed definition by one worker, as
+// BuildParallel does.  Sizes Packed does not serve — the one-process ring
+// and sizes ring.Build refuses — are left to ring.Build.
+func (t ringTopology) Build(n int) (*kripke.Structure, error) {
+	pi, ok := t.Packed(n)
+	if !ok {
+		inst, err := ring.Build(n)
+		if err != nil {
+			return nil, err
+		}
+		return inst.M, nil
 	}
-	return inst.M, nil
+	m, _, err := pi.build(context.Background(), 1)
+	return m, err
 }
 
 // Packed implements Packable: the ring's packed-code definition (two bits
@@ -62,15 +70,18 @@ func (ringTopology) Packed(n int) (PackedInstance, bool) {
 		Group:     symmetry.Cyclic(n, 2),
 		Validate:  true,
 		MaxStates: ring.MaxExplicitStates,
-		TooLarge:  ring.CheckSize(n, 0),
+		TooLarge:  ring.CheckSize(n),
 	}, true
 }
 
 // IndexRelation implements Topology: the paper's Section 5 relation for
 // small = 2 (the claim under refutation) and the corrected cutoff relation
-// otherwise, exactly as ring.IndexRelationFor.
+// otherwise.
 func (ringTopology) IndexRelation(small, n int) []bisim.IndexPair {
-	return ring.IndexRelationFor(small, n)
+	if small == 2 {
+		return ring.IndexRelation(small, n)
+	}
+	return ring.CutoffIndexRelation(small, n)
 }
 
 // Atoms implements Topology: O_i t_i is part of the Section 5 vocabulary.

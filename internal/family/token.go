@@ -1,6 +1,7 @@
 package family
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bisim"
@@ -254,11 +255,18 @@ func (t *tokenTopology) Packed(n int) (PackedInstance, bool) {
 // compose it with the topology's pass rules through internal/process,
 // applying the topology's mutation (if any) to the rule list first.
 func (t *tokenTopology) Build(n int) (*kripke.Structure, error) {
+	return t.build(context.Background(), n)
+}
+
+// build is Build under a context, which the exploration polls once per
+// expanded state: BuildParallel's route for sizes that do not pack into a
+// word, whose cost grows far faster than the packed explorer's.
+func (t *tokenTopology) build(ctx context.Context, n int) (*kripke.Structure, error) {
 	net, err := t.network(n)
 	if err != nil {
 		return nil, err
 	}
-	m, err := net.BuildKripke(process.BuildOptions{Name: fmt.Sprintf("%s[%d]", t.name, n)})
+	m, err := net.BuildKripke(ctx, process.BuildOptions{Name: fmt.Sprintf("%s[%d]", t.name, n)})
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@
 package paperfig
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/kripke"
@@ -126,7 +127,7 @@ func Fig41(n int) (*kripke.Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := net.BuildKripke(process.BuildOptions{Name: fmt.Sprintf("fig4.1[%d]", n)})
+	m, err := net.BuildKripke(context.Background(), process.BuildOptions{Name: fmt.Sprintf("fig4.1[%d]", n)})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package process
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -52,11 +53,11 @@ func counterNetwork(n int, boundCounter bool) *Network {
 
 func TestPackedBuildMatchesStringBuild(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
-		packed, err := counterNetwork(n, true).BuildKripke(BuildOptions{Name: "c"})
+		packed, err := counterNetwork(n, true).BuildKripke(context.Background(), BuildOptions{Name: "c"})
 		if err != nil {
 			t.Fatalf("n=%d packed: %v", n, err)
 		}
-		plain, err := counterNetwork(n, false).BuildKripke(BuildOptions{Name: "c"})
+		plain, err := counterNetwork(n, false).BuildKripke(context.Background(), BuildOptions{Name: "c"})
 		if err != nil {
 			t.Fatalf("n=%d plain: %v", n, err)
 		}
@@ -88,7 +89,7 @@ func TestPackedBuildMatchesStringBuild(t *testing.T) {
 func TestPackedBuildRejectsRangeViolation(t *testing.T) {
 	net := counterNetwork(3, true)
 	net.Shared[0].Max = 1 // the counter genuinely reaches 3
-	_, err := net.BuildKripke(BuildOptions{})
+	_, err := net.BuildKripke(context.Background(), BuildOptions{})
 	if err == nil || !strings.Contains(err.Error(), "outside its declared range") {
 		t.Fatalf("expected a declared-range violation, got %v", err)
 	}

@@ -17,6 +17,7 @@
 package process
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -344,8 +345,10 @@ type BuildOptions struct {
 // BuildKripke explores the reachable global states of the network and
 // returns the corresponding Kripke structure.  Each global state is labelled
 // with prop[i] for every process i and proposition prop emitted by i's local
-// state, plus any plain propositions produced by GlobalProps.
-func (n *Network) BuildKripke(opts BuildOptions) (*kripke.Structure, error) {
+// state, plus any plain propositions produced by GlobalProps.  ctx is
+// polled once per expanded state, so a cancelled or expired context stops
+// the exploration with its error.
+func (n *Network) BuildKripke(ctx context.Context, opts BuildOptions) (*kripke.Structure, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -421,6 +424,9 @@ func (n *Network) BuildKripke(opts BuildOptions) (*kripke.Structure, error) {
 	}
 
 	for frontier := 0; frontier < len(views); frontier++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		v := views[frontier]
 		from := kripke.State(frontier)
 		succs, err := n.successors(v)

@@ -1,6 +1,7 @@
 package process
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestNetworkValidate(t *testing.T) {
 
 func TestBuildKripkeTokenRingTwoProcesses(t *testing.T) {
 	net := tokenRingNetwork(2)
-	m, err := net.BuildKripke(BuildOptions{})
+	m, err := net.BuildKripke(context.Background(), BuildOptions{})
 	if err != nil {
 		t.Fatalf("BuildKripke: %v", err)
 	}
@@ -161,7 +162,7 @@ func TestBuildKripkeTokenRingTwoProcesses(t *testing.T) {
 
 func TestBuildKripkeStateLimit(t *testing.T) {
 	net := tokenRingNetwork(8)
-	if _, err := net.BuildKripke(BuildOptions{MaxStates: 10}); err == nil {
+	if _, err := net.BuildKripke(context.Background(), BuildOptions{MaxStates: 10}); err == nil {
 		t.Error("BuildKripke should fail when the state limit is exceeded")
 	} else if !strings.Contains(err.Error(), "state limit") {
 		t.Errorf("unexpected error: %v", err)
@@ -204,7 +205,7 @@ func TestGlobalPropsAndSharedVariables(t *testing.T) {
 			return nil
 		},
 	}
-	m, err := net.BuildKripke(BuildOptions{Name: "barrier"})
+	m, err := net.BuildKripke(context.Background(), BuildOptions{Name: "barrier"})
 	if err != nil {
 		t.Fatalf("BuildKripke: %v", err)
 	}
@@ -242,7 +243,7 @@ func TestUpdateErrors(t *testing.T) {
 			Apply: func(v View, i int) Update { return Update{Locals: map[int]string{99: "d"}} },
 		}},
 	}
-	if _, err := net.BuildKripke(BuildOptions{}); err == nil {
+	if _, err := net.BuildKripke(context.Background(), BuildOptions{}); err == nil {
 		t.Error("update naming an unknown process should fail")
 	}
 	net.Rules = []Rule{{
@@ -250,7 +251,7 @@ func TestUpdateErrors(t *testing.T) {
 		Guard: func(v View, i int) bool { return i == 1 },
 		Apply: func(v View, i int) Update { return Update{Shared: map[string]int{"nope": 1}} },
 	}}
-	if _, err := net.BuildKripke(BuildOptions{}); err == nil {
+	if _, err := net.BuildKripke(context.Background(), BuildOptions{}); err == nil {
 		t.Error("update naming an unknown shared variable should fail")
 	}
 	net.Rules = []Rule{{
@@ -258,7 +259,7 @@ func TestUpdateErrors(t *testing.T) {
 		Guard: func(v View, i int) bool { return i == 1 },
 		Apply: func(v View, i int) Update { return Update{Locals: map[int]string{1: "zzz"}} },
 	}}
-	if _, err := net.BuildKripke(BuildOptions{}); err == nil {
+	if _, err := net.BuildKripke(context.Background(), BuildOptions{}); err == nil {
 		t.Error("update naming an unknown local state should fail")
 	}
 }
@@ -274,7 +275,7 @@ func TestFreeProduct(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FreeProduct: %v", err)
 	}
-	m, err := net.BuildKripke(BuildOptions{})
+	m, err := net.BuildKripke(context.Background(), BuildOptions{})
 	if err != nil {
 		t.Fatalf("BuildKripke: %v", err)
 	}

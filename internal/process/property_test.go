@@ -2,6 +2,7 @@ package process
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestBuildKripkeDeterministicOrdering(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		encode := func() []byte {
 			t.Helper()
-			m, err := propertyNetwork(n).BuildKripke(BuildOptions{})
+			m, err := propertyNetwork(n).BuildKripke(context.Background(), BuildOptions{})
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -91,7 +92,7 @@ func TestBuildKripkeDeterministicOrdering(t *testing.T) {
 func TestLabelsIndexCorrectly(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		net := propertyNetwork(n)
-		m, err := net.BuildKripke(BuildOptions{})
+		m, err := net.BuildKripke(context.Background(), BuildOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -148,7 +149,7 @@ func TestInitialLocalOverrideIndexes(t *testing.T) {
 			}
 			return "a"
 		}
-		m, err := net.BuildKripke(BuildOptions{})
+		m, err := net.BuildKripke(context.Background(), BuildOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -176,7 +177,7 @@ func TestInitialLocalOverrideIndexes(t *testing.T) {
 func TestReachableCountMatchesClosedForm(t *testing.T) {
 	prev := 0
 	for n := 1; n <= 6; n++ {
-		m, err := propertyNetwork(n).BuildKripke(BuildOptions{})
+		m, err := propertyNetwork(n).BuildKripke(context.Background(), BuildOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -203,7 +204,7 @@ func pow(b, e int) int {
 // TestBuildKripkeNameDefault pins the generated structure name format the
 // topologies rely on.
 func TestBuildKripkeNameDefault(t *testing.T) {
-	m, err := propertyNetwork(2).BuildKripke(BuildOptions{})
+	m, err := propertyNetwork(2).BuildKripke(context.Background(), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,13 +60,10 @@ import (
 // executable at ring sizes (r = 200, r = 1000) whose state graphs could
 // never be constructed.
 //
-// The topology-generic halves of this file's original machinery — building
-// instances, the inductive IN relation, the correspondence options and the
-// decision entry point — have been generalised into internal/family, where
-// the ring is one Topology beside star, line, tree and torus; family.Ring
-// delegates back to the consolidated entry points below
-// (CorrespondOptions, IndexRelationFor, DecideCorrespondence), which remain
-// the ring-specific ground truth.
+// Building and deciding ring instances is internal/family's job, where the
+// ring is one Topology beside star, line, tree and torus: family.Ring
+// explores PackedDef, picks between IndexRelation and CutoffIndexRelation,
+// and decides with the same options as every other topology.
 
 // RelationVariant selects which Section 5 relation to build.
 type RelationVariant int
@@ -195,33 +192,6 @@ func CutoffIndexRelation(small, r int) []bisim.IndexPair {
 		out = append(out, bisim.IndexPair{I: i, I2: r})
 	}
 	return out
-}
-
-// CorrespondOptions returns the options under which ring correspondences
-// are decided: the "exactly one token holder" atom O_i t_i is part of AP
-// (Section 4) and totality is required over the reachable states (M_r is a
-// reachable restriction by construction).
-func CorrespondOptions() bisim.Options {
-	return bisim.Options{OneProps: []string{PropToken}, ReachableOnly: true}
-}
-
-// IndexRelationFor returns the IN relation appropriate for comparing
-// M_small with M_r: the paper's Section 5 relation for small = 2 (the claim
-// under refutation) and the corrected cutoff relation otherwise.
-func IndexRelationFor(small, r int) []bisim.IndexPair {
-	if small == 2 {
-		return IndexRelation(small, r)
-	}
-	return CutoffIndexRelation(small, r)
-}
-
-// DecideCorrespondence decides the indexed correspondence between two
-// explicitly built instances through the partition-refinement engine behind
-// bisim.Compute, with the canonical IN relation and options.  It is the one
-// entry point the experiment harness, the serving layer and the examples
-// share.  Cancelling ctx stops the underlying worker pool promptly.
-func DecideCorrespondence(ctx context.Context, small, large *Instance) (*bisim.IndexedResult, error) {
-	return bisim.IndexedCompute(ctx, small.M, large.M, IndexRelationFor(small.R, large.R), CorrespondOptions())
 }
 
 // CutoffSize is the smallest ring that represents all larger rings: the
@@ -453,6 +423,37 @@ func RandomReachableState(r int, next func(n int) int) GlobalState {
 		}
 	}
 	return g
+}
+
+// SampleStates returns at least samples reachable states of the r-process
+// ring for local clause checking.  For r ≥ 3 it starts with the states at
+// which the printed Section 5 relation is known to break — the initial
+// holder with every other process delayed, and a holder with delayed
+// processes queued on both sides — because purely random states rarely hit
+// the Appendix's case-2(b) gap, so a refutation sweep that skipped them
+// would under-report.  It fills the rest with RandomReachableState drawing
+// from next, and returns ctx's error if ctx ends between draws.
+func SampleStates(ctx context.Context, r, samples int, next func(n int) int) ([]GlobalState, error) {
+	var out []GlobalState
+	if r >= 3 {
+		allDelayed := GlobalState{Parts: make([]Part, r)}
+		allDelayed.Parts[0] = Token
+		for i := 1; i < r; i++ {
+			allDelayed.Parts[i] = Delayed
+		}
+		queued := GlobalState{Parts: make([]Part, r)}
+		queued.Parts[1] = Token
+		queued.Parts[0] = Delayed
+		queued.Parts[2] = Delayed
+		out = append(out, allDelayed, queued)
+	}
+	for len(out) < samples {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out = append(out, RandomReachableState(r, next))
+	}
+	return out, nil
 }
 
 // EnumerateReachable enumerates the full reachable state space of a ring of

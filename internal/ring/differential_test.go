@@ -16,7 +16,9 @@ import (
 // oracle bisim.ComputeFixpoint must produce identical relations and
 // identical minimal degrees.
 func TestRefinementMatchesFixpointOnRingFixtures(t *testing.T) {
-	opts := CorrespondOptions()
+	// The options and IN relations family.Ring decides ring
+	// correspondences with.
+	opts := bisim.Options{OneProps: []string{PropToken}, ReachableOnly: true}
 	instances := map[int]*Instance{}
 	build := func(r int) *Instance {
 		if inst, ok := instances[r]; ok {
@@ -33,7 +35,11 @@ func TestRefinementMatchesFixpointOnRingFixtures(t *testing.T) {
 		smallInst := build(small)
 		for r := small + 1; r <= 6; r++ {
 			largeInst := build(r)
-			for _, pair := range IndexRelationFor(small, r) {
+			in := CutoffIndexRelation(small, r)
+			if small == 2 {
+				in = IndexRelation(small, r)
+			}
+			for _, pair := range in {
 				left := smallInst.M.ReduceNormalized(pair.I)
 				right := largeInst.M.ReduceNormalized(pair.I2)
 				label := fmt.Sprintf("M_%d|%d vs M_%d|%d", small, pair.I, r, pair.I2)
@@ -98,44 +104,6 @@ func assertSameCorrespondence(t *testing.T, label string, got, want *bisim.Resul
 			if gok != wok || (gok && gd != wd) {
 				t.Fatalf("%s: pair (%d,%d): refined=(%d,%v) oracle=(%d,%v)", label, s, u, gd, gok, wd, wok)
 			}
-		}
-	}
-}
-
-// TestDecideCorrespondenceMatchesManualRoute pins the consolidated helper
-// to the spelled-out call it replaced in three call sites.
-func TestDecideCorrespondenceMatchesManualRoute(t *testing.T) {
-	small, err := Build(CutoffSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := Build(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaHelper, err := DecideCorrespondence(context.Background(), small, large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manual, err := bisim.IndexedCompute(context.Background(), small.M, large.M, CutoffIndexRelation(CutoffSize, 5), CorrespondOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaHelper.Corresponds() != manual.Corresponds() {
-		t.Fatal("helper and manual route disagree")
-	}
-	if viaHelper.Len() != manual.Len() {
-		t.Fatalf("pair counts differ: %d vs %d", viaHelper.Len(), manual.Len())
-	}
-	// And the two-process variant must route through the Section 5 relation.
-	in2 := IndexRelationFor(2, 5)
-	want := IndexRelation(2, 5)
-	if len(in2) != len(want) {
-		t.Fatalf("IndexRelationFor(2,5) = %v, want the Section 5 relation %v", in2, want)
-	}
-	for i := range in2 {
-		if in2[i] != want[i] {
-			t.Fatalf("IndexRelationFor(2,5)[%d] = %v, want %v", i, in2[i], want[i])
 		}
 	}
 }

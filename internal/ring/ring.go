@@ -13,7 +13,6 @@
 package ring
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -313,8 +312,8 @@ func lowBitsMask(r int) uint64 {
 
 // appendPackedSuccessors appends the successor codes of code under the four
 // global transition rules of Section 5 (see GlobalState.Successors) to dst.
-// With buggy set it also applies the broken delayed-may-enter rule of
-// SuccessorsBuggy.
+// With buggy set a delayed process may also enter its critical section
+// without the token (the broken variant of BuildBuggy).
 func appendPackedSuccessors(dst []uint64, code uint64, r int, buggy bool) []uint64 {
 	delayedEmpty := packedDelayedEmpty(code, r)
 	for i := 1; i <= r; i++ {
@@ -389,25 +388,31 @@ const MaxExplicitStates = 1 << 21
 var ErrTooLarge = errors.New("instance beyond the explicit-construction limit")
 
 // Build constructs M_r for a ring of r processes (r ≥ 1) with a single
-// construction worker.  For r beyond the explicit-construction limit it
+// construction worker, together with the GlobalState view of every state.
+// It is for code that reads those views; family.Ring builds the same
+// structure without them.  For r beyond the explicit-construction limit it
 // returns an error: that is exactly the regime the correspondence theorem
 // (and the LocalCheck in this package) exists for.
 func Build(r int) (*Instance, error) {
-	return BuildWith(context.Background(), r, BuildOptions{Workers: 1})
+	m, sp, err := buildSpace(r, PackedDef)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("ring: building M_%d: %w", r, err)
+	}
+	return instanceFromSpace(r, m, sp), nil
 }
 
-// expectedReachable returns r * 2^r, the size of the reachable state space
-// (holder position × holder in T or C × each other process in N or D).
-func expectedReachable(r int) int {
+// ExpectedReachable returns r · 2^r, the size of the reachable state space
+// (holder position × holder in T or C × each other process in N or D),
+// capped at 2^30.
+func ExpectedReachable(r int) int {
 	if r >= 30 {
 		return 1 << 30
 	}
 	return r * (1 << r)
 }
-
-// ExpectedReachable exposes the closed-form reachable state count used by
-// the experiments (r · 2^r).
-func ExpectedReachable(r int) int { return expectedReachable(r) }
 
 // StateOf returns the ring view of a kripke state.
 func (in *Instance) StateOf(s kripke.State) GlobalState { return in.States[s] }
@@ -521,27 +526,14 @@ func (in *Instance) CheckSingleTokenInvariant() error {
 	return nil
 }
 
-// SuccessorsBuggy returns the successors of g under a deliberately broken
-// variant of the protocol in which a delayed process may enter its critical
-// section without waiting for the token.  The variant exists to demonstrate
-// that the model checker detects the violation of mutual exclusion (property
-// 2) and produces a counterexample; it is used by tests and by the
-// quickstart example.
-func (g GlobalState) SuccessorsBuggy() []GlobalState {
-	out := g.Successors()
-	for i := 1; i <= g.R(); i++ {
-		if g.Part(i) == Delayed {
-			out = append(out, g.withPart(i, Critical))
-		}
-	}
-	return out
-}
-
-// BuildBuggy constructs the Kripke structure of the broken protocol variant
-// (see SuccessorsBuggy) for a ring of r processes.  The variant deadlocks,
-// so deadlock states receive self loops.
+// BuildBuggy constructs the Kripke structure of a deliberately broken
+// variant of the protocol for a ring of r processes, in which a delayed
+// process may enter its critical section without waiting for the token.
+// The variant exists to demonstrate that the model checker detects the
+// violation of mutual exclusion and produces a counterexample.  It
+// deadlocks, so deadlock states receive self loops.
 func BuildBuggy(r int) (*Instance, error) {
-	m, sp, err := explorePacked(context.Background(), r, PackedDefBuggy, BuildOptions{Workers: 1})
+	m, sp, err := buildSpace(r, PackedDefBuggy)
 	if err != nil {
 		return nil, err
 	}

@@ -178,8 +178,8 @@ func IndexedCorrespond(ctx context.Context, left, right *Structure, in []IndexPa
 // Evidence returns the machine-checked explanation of a failed indexed
 // correspondence: the offending index pair, the distinguishing formula
 // over its reductions and the game path.  It is non-nil exactly when the
-// correspondence does not hold and was decided by RingCorrespondence or by
-// IndexedCorrespond with WithEvidence (a Session answers evidence through
+// correspondence does not hold and was decided by IndexedCorrespond with
+// WithEvidence (a Session answers evidence through
 // CorrespondenceEvidence).
 func (c *IndexedCorrespondence) Evidence() *Evidence {
 	if c == nil {

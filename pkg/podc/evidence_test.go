@@ -12,16 +12,17 @@ import (
 // not.
 func TestWithEvidenceIndexedCorrespond(t *testing.T) {
 	ctx := context.Background()
-	m2, err := podc.BuildRing(2)
+	s := podc.NewSession()
+	m2, err := s.Instance(ctx, podc.RingTopology(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, err := podc.BuildRing(3)
+	m3, err := s.Instance(ctx, podc.RingTopology(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := podc.RingTopology().IndexRelation(2, 3)
-	corr, err := podc.IndexedCorrespond(ctx, m2.Structure(), m3.Structure(), in,
+	corr, err := podc.IndexedCorrespond(ctx, m2, m3, in,
 		podc.WithAtoms("t"), podc.WithReachableOnly(), podc.WithEvidence())
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +38,7 @@ func TestWithEvidenceIndexedCorrespond(t *testing.T) {
 		t.Fatalf("evidence not confirmed: %s", ev)
 	}
 	// Without the option, no evidence is attached.
-	plain, err := podc.IndexedCorrespond(ctx, m2.Structure(), m3.Structure(), in,
+	plain, err := podc.IndexedCorrespond(ctx, m2, m3, in,
 		podc.WithAtoms("t"), podc.WithReachableOnly())
 	if err != nil {
 		t.Fatal(err)
@@ -47,12 +48,12 @@ func TestWithEvidenceIndexedCorrespond(t *testing.T) {
 	}
 }
 
-// TestWithEvidenceBuggyRing: the acceptance case — a BuildBuggy ring fails
-// its correspondence with the correct cutoff instance, and the returned
-// evidence is replay-confirmed.
+// TestWithEvidenceBuggyRing: the acceptance case — a BuildBuggyRing ring
+// fails its correspondence with the correct cutoff instance, and the
+// returned evidence is replay-confirmed.
 func TestWithEvidenceBuggyRing(t *testing.T) {
 	ctx := context.Background()
-	correct, err := podc.BuildRing(podc.RingCutoffSize)
+	correct, err := podc.NewSession().Instance(ctx, podc.RingTopology(), podc.RingCutoffSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,8 @@ func TestWithEvidenceBuggyRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corr, err := podc.RingCorrespondence(ctx, correct, buggy)
+		corr, err := podc.IndexedCorrespond(ctx, correct, buggy, podc.RingTopology().IndexRelation(podc.RingCutoffSize, r),
+			podc.WithAtoms(podc.RingTokenAtom), podc.WithReachableOnly(), podc.WithEvidence())
 		if err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
@@ -129,11 +131,11 @@ func TestSessionCorrespondenceEvidence(t *testing.T) {
 // counterexample trace, true existential ones with a witness.
 func TestVerifierExplain(t *testing.T) {
 	ctx := context.Background()
-	rg, err := podc.BuildRing(3)
+	rg, err := podc.NewSession().Instance(ctx, podc.RingTopology(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := podc.NewVerifier(ctx, rg.Structure())
+	v, err := podc.NewVerifier(ctx, rg)
 	if err != nil {
 		t.Fatal(err)
 	}

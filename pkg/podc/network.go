@@ -1,6 +1,7 @@
 package podc
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/process"
@@ -162,7 +163,7 @@ func (n *Network) Build(name string) (*Structure, error) {
 	if n == nil || n.Template == nil {
 		return nil, fmt.Errorf("podc: Network.Build: nil network or template")
 	}
-	m, err := n.raw().BuildKripke(process.BuildOptions{MaxStates: n.MaxStates, Name: name})
+	m, err := n.raw().BuildKripke(context.Background(), process.BuildOptions{MaxStates: n.MaxStates, Name: name})
 	if err != nil {
 		return nil, err
 	}

@@ -45,11 +45,11 @@ func TestSessionParallelBuildSingleFlight(t *testing.T) {
 		}
 	}
 
-	seq, err := podc.BuildRing(r)
+	want, err := podc.RingTopology().Build(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := rings[0], seq.Structure()
+	got := rings[0]
 	if got.NumStates() != want.NumStates() || got.NumTransitions() != want.NumTransitions() {
 		t.Fatalf("parallel-built ring has %d states / %d transitions, sequential has %d / %d",
 			got.NumStates(), got.NumTransitions(), want.NumStates(), want.NumTransitions())

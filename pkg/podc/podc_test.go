@@ -158,30 +158,20 @@ func TestFormulaClassification(t *testing.T) {
 
 func TestRingSurfaceAndTransfer(t *testing.T) {
 	ctx := context.Background()
-	small, err := podc.BuildRing(podc.RingCutoffSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := podc.BuildRing(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corr, err := podc.RingCorrespondence(ctx, small, large)
+	s := podc.NewSession()
+	ringTopo := podc.RingTopology()
+	corr, err := s.Correspondence(ctx, ringTopo, podc.RingCutoffSize, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !corr.Corresponds() {
 		t.Fatal("the corrected cutoff correspondence M_3 ~ M_5 must hold")
 	}
-	if corr.Evidence() != nil {
-		t.Errorf("a holding correspondence carries evidence: %s", corr.Evidence())
+	if ev, err := s.CorrespondenceEvidence(ctx, ringTopo, podc.RingCutoffSize, 5); err != nil || ev != nil {
+		t.Errorf("a holding correspondence carries evidence: %s (err %v)", ev, err)
 	}
 	// The paper's two-process cutoff fails (the reproduction finding).
-	two, err := podc.BuildRing(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refuted, err := podc.RingCorrespondence(ctx, two, large)
+	refuted, err := s.Correspondence(ctx, ringTopo, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +181,8 @@ func TestRingSurfaceAndTransfer(t *testing.T) {
 	if len(refuted.FailingPairs()) == 0 {
 		t.Error("expected failing index pairs for the refuted claim")
 	}
-	if ev := refuted.Evidence(); ev == nil || !ev.Confirmed {
-		t.Errorf("the refuted claim carries no confirmed evidence: %s", ev)
+	if ev, err := s.CorrespondenceEvidence(ctx, ringTopo, 2, 5); err != nil || ev == nil || !ev.Confirmed {
+		t.Errorf("the refuted claim carries no confirmed evidence: %s (err %v)", ev, err)
 	}
 
 	cert, err := podc.BuildTransferCertificate(ctx, podc.RingTopology().Family(), podc.RingCutoffSize, 4)
@@ -370,18 +360,16 @@ func TestPaperFigures(t *testing.T) {
 }
 
 func TestCorrespondDeadline(t *testing.T) {
-	small, err := podc.BuildRing(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := podc.BuildRing(8)
-	if err != nil {
-		t.Fatal(err)
+	s := podc.NewSession()
+	for _, n := range []int{3, 8} {
+		if _, err := s.Instance(context.Background(), podc.RingTopology(), n); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := podc.RingCorrespondence(ctx, small, large); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.Correspondence(ctx, podc.RingTopology(), 3, 8); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -2,18 +2,18 @@ package podc
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
-	"repro/internal/family"
 	"repro/internal/ring"
 )
 
-// This file exposes the paper's Section 5 case study — the token-ring
-// mutual-exclusion protocol — through the public API: building instances,
-// the Section 5 specifications, the canonical correspondences, and the
-// "local" clause checker that refutes the Appendix relation at rings far
-// too large to construct explicitly.
+// This file exposes what is particular to the paper's Section 5 case study
+// — the token-ring mutual-exclusion protocol — through the public API: the
+// broken variant, the Section 5 specifications, the distinguishing formula
+// of the reproduction finding, and the "local" clause checker that refutes
+// the Appendix relation at rings far too large to construct explicitly.
+// The correct ring itself is RingTopology(), built and decided through a
+// Session like every other topology.
 
 // RingCutoffSize is the smallest ring that represents all larger rings.
 // The reproduction shows that the paper's cutoff of two processes is too
@@ -34,44 +34,19 @@ const RingTokenAtom = ring.PropToken
 // errors, not server failures.
 var ErrTooLarge error = ring.ErrTooLarge
 
-// Ring is a fully built instance M_r of the token-ring protocol: the
-// Kripke structure (the reachable restriction of the global transition
-// graph G_r) plus ring-level metadata.
-type Ring struct {
-	inst *ring.Instance
-}
-
-// BuildRing constructs M_r explicitly.  It refuses sizes whose reachable
-// state space (r·2^r states) exceeds the explicit-construction budget —
-// which is exactly the situation the correspondence theorem is for.
-func BuildRing(r int) (*Ring, error) {
-	inst, err := ring.Build(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Ring{inst: inst}, nil
-}
-
-// BuildBuggyRing constructs the deliberately broken protocol variant used
-// to demonstrate counterexample extraction.
-func BuildBuggyRing(r int) (*Ring, error) {
+// BuildBuggyRing constructs the deliberately broken r-process ring, in
+// which a delayed process may enter its critical section without the
+// token; it demonstrates counterexample extraction and failed-
+// correspondence evidence.  No topology serves it, so it is compared with
+// the correct ring through IndexedCorrespond over
+// RingTopology().IndexRelation.
+func BuildBuggyRing(r int) (*Structure, error) {
 	inst, err := ring.BuildBuggy(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Ring{inst: inst}, nil
+	return wrapStructure(inst.M), nil
 }
-
-// Size returns the number of processes.
-func (r *Ring) Size() int { return r.inst.R }
-
-// Structure returns the Kripke structure M_r.
-func (r *Ring) Structure() *Structure { return wrapStructure(r.inst.M) }
-
-// CheckPartitionInvariant verifies structurally (without model checking)
-// that every reachable state partitions the processes into the paper's
-// D/N/T/C parts with exactly one token holder.
-func (r *Ring) CheckPartitionInvariant() error { return r.inst.CheckPartitionInvariant() }
 
 // RingInvariants returns the Section 5 invariants (I1..I4) as specs.
 func RingInvariants() []Spec { return namedFormulasToSpecs(ring.Invariants()) }
@@ -97,31 +72,6 @@ func namedFormulasToSpecs(nfs []ring.NamedFormula) []Spec {
 // Theorem 5, that the paper's two-process cutoff claim cannot hold and a
 // three-process cutoff is needed.
 func RingDistinguishingFormula() Formula { return wrapFormula(ring.DistinguishingFormula()) }
-
-// RingCorrespondence decides the indexed correspondence between two
-// explicitly built ring instances (correct or buggy, of any size BuildRing
-// accepts) with the canonical IN relation and vocabulary ("exactly one
-// token", totality over reachable states).  When they do not correspond,
-// the result's Evidence is the replay-confirmed distinguishing evidence,
-// extracted from the same decision.
-func RingCorrespondence(ctx context.Context, small, large *Ring) (*IndexedCorrespondence, error) {
-	if small == nil || large == nil {
-		return nil, fmt.Errorf("podc: RingCorrespondence: nil ring instance")
-	}
-	res, err := ring.DecideCorrespondence(ctx, small.inst, large.inst)
-	if err != nil {
-		return nil, err
-	}
-	fev, err := family.ExplainBuilt(ctx, family.Ring(), small.inst.M, small.Size(), large.inst.M, large.Size(), res)
-	if err != nil {
-		return nil, err
-	}
-	return &IndexedCorrespondence{
-		res: res,
-		in:  indexPairsFromRaw(ring.IndexRelationFor(small.Size(), large.Size())),
-		ev:  evidenceFromFamily(fev),
-	}, nil
-}
 
 // RingRelationVariant selects which printed Section 5 relation the local
 // checker validates.
@@ -183,16 +133,9 @@ func RingLocalCheck(ctx context.Context, variant RingRelationVariant, ringSize, 
 	}
 	rng := rand.New(rand.NewSource(seed))
 	next := func(n int) int { return rng.Intn(n) }
-	// The known failure shapes first (a token holder with everyone queued
-	// behind it), then random samples: purely random states rarely hit the
-	// Appendix's case-2(b) gap, so a refutation sweep that skipped these
-	// would under-report.
-	states := craftedRingStates(ringSize)
-	for len(states) < samples {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		states = append(states, ring.RandomReachableState(ringSize, next))
+	states, err := ring.SampleStates(ctx, ringSize, samples, next)
+	if err != nil {
+		return nil, err
 	}
 	rep := &RingLocalCheckReport{Variant: variant.String(), RingSize: ringSize, SampledStates: len(states)}
 	for _, g := range states {
@@ -211,23 +154,4 @@ func RingLocalCheck(ctx context.Context, variant RingRelationVariant, ringSize, 
 		}
 	}
 	return rep, nil
-}
-
-// craftedRingStates returns the reachable states at which the printed
-// Section 5 relation is known to break: the initial holder with every other
-// process delayed, and a holder with delayed processes queued behind it.
-func craftedRingStates(r int) []ring.GlobalState {
-	if r < 3 {
-		return nil
-	}
-	allDelayed := ring.GlobalState{Parts: make([]ring.Part, r)}
-	allDelayed.Parts[0] = ring.Token
-	for i := 1; i < r; i++ {
-		allDelayed.Parts[i] = ring.Delayed
-	}
-	queued := ring.GlobalState{Parts: make([]ring.Part, r)}
-	queued.Parts[1] = ring.Token
-	queued.Parts[0] = ring.Delayed
-	queued.Parts[2] = ring.Delayed
-	return []ring.GlobalState{allDelayed, queued}
 }

@@ -303,9 +303,9 @@ func TestSessionWaiterSurvivesCreatorCancellation(t *testing.T) {
 	}
 }
 
-func TestBuildRingTooLargeIsTyped(t *testing.T) {
-	if _, err := podc.BuildRing(25); !errors.Is(err, podc.ErrTooLarge) {
-		t.Errorf("BuildRing(25) err = %v, want podc.ErrTooLarge", err)
+func TestSessionInstanceTooLargeIsTyped(t *testing.T) {
+	if _, err := podc.NewSession().Instance(context.Background(), podc.RingTopology(), 25); !errors.Is(err, podc.ErrTooLarge) {
+		t.Errorf("Session.Instance(RingTopology(), 25) err = %v, want podc.ErrTooLarge", err)
 	}
 }
 

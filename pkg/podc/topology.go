@@ -69,7 +69,7 @@ func Topologies() []Topology {
 func TopologyNames() []string { return family.Names() }
 
 // TopologyByName resolves a built-in topology by its name ("ring",
-// "star", "line", "tree", "torus").
+// "star", "line", "tree", "torus", "torus3").
 func TopologyByName(name string) (Topology, bool) {
 	t, ok := family.ByName(name)
 	if !ok {
