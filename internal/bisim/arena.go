@@ -1,13 +1,14 @@
 package bisim
 
-// computeArena recycles the large flat allocations of one Compute call —
-// adjacency backings, block bitsets, the degree passes' pair tables and row
-// words — across successive calls.  IndexedCompute hands each of its pool
-// workers one arena and resets it between pair computes, which removes most
-// of the allocator and GC traffic of a multi-pair run: the reductions of
-// one IN relation have near-identical state counts, so after a worker's
-// first compute its slabs fit and the engine runs allocation-free in
-// steady state.  How many computes share an arena depends on the caller.
+// computeArena recycles the large flat allocations of one Compute call
+// across successive calls, from two slabs: int32 (the refiner's label
+// classes and its silent and contracted adjacency CSRs, the degree passes'
+// pair tables) and uint64 (block bitsets and row words).  IndexedCompute
+// hands each of its pool workers one arena and resets it between pair
+// computes, which removes most of the allocator and GC traffic of a
+// multi-pair run: the reductions of one IN relation have near-identical
+// state counts, so after a worker's first compute its slabs fit and the
+// engine runs allocation-free in steady state.  How many computes share an arena depends on the caller.
 // Without index actions every IN pair is computed (r on the ring
 // M_3 ~ M_r); with them only one pair per orbit class is (one on the ring
 // and the tori, two on the star, up to eight on the line and the tree at
@@ -26,12 +27,11 @@ package bisim
 // compute of a similar shape is fully arena-served.  This keeps the hand-out
 // path a bump-pointer with no mid-compute slab juggling.
 type computeArena struct {
-	u64  []uint64
-	i32  []int32
-	ints []int
+	u64 []uint64
+	i32 []int32
 
-	u64Off, i32Off, intsOff    int
-	u64Need, i32Need, intsNeed int
+	u64Off, i32Off   int
+	u64Need, i32Need int
 }
 
 // reset reclaims everything handed out since the previous reset and grows
@@ -46,11 +46,8 @@ func (a *computeArena) reset() {
 	if a.i32Need > len(a.i32) {
 		a.i32 = make([]int32, a.i32Need)
 	}
-	if a.intsNeed > len(a.ints) {
-		a.ints = make([]int, a.intsNeed)
-	}
-	a.u64Off, a.i32Off, a.intsOff = 0, 0, 0
-	a.u64Need, a.i32Need, a.intsNeed = 0, 0, 0
+	a.u64Off, a.i32Off = 0, 0
+	a.u64Need, a.i32Need = 0, 0
 }
 
 // u64s returns a length-n word slice.  zeroed=false skips the clear for
@@ -83,23 +80,6 @@ func (a *computeArena) i32s(n int, zeroed bool) []int32 {
 	}
 	s := a.i32[a.i32Off : a.i32Off+n : a.i32Off+n]
 	a.i32Off += n
-	if zeroed {
-		clear(s)
-	}
-	return s
-}
-
-// intsN returns a length-n int slice; see u64s for the zeroed contract.
-func (a *computeArena) intsN(n int, zeroed bool) []int {
-	if a == nil {
-		return make([]int, n)
-	}
-	a.intsNeed += n
-	if a.intsOff+n > len(a.ints) {
-		return make([]int, n)
-	}
-	s := a.ints[a.intsOff : a.intsOff+n : a.intsOff+n]
-	a.intsOff += n
 	if zeroed {
 		clear(s)
 	}

@@ -464,16 +464,16 @@ func (ex *explainer) explainInitial(s, t kripke.State) (*Evidence, error) {
 func (ex *explainer) gamePath(u int, nd *enode) ([]kripke.State, int) {
 	parent := ex.nodes[nd.parent]
 	comp := ex.r.comp
-	inParent := func(v int) bool { return parent.members.Get(comp[v]) }
+	inParent := func(v int) bool { return parent.members.Get(int(comp[v])) }
 	switch nd.kind {
 	case reachPos:
-		target := func(v int) bool { return ex.nodes[nd.splitter].members.Get(comp[v]) }
+		target := func(v int) bool { return ex.nodes[nd.splitter].members.Get(int(comp[v])) }
 		path := ex.bfsPath(u, inParent, target)
 		return ex.localize(path), -1
 	case divPos:
 		// Stem to a divergent contracted node inside the parent block, then
 		// a loop inside that silent SCC.
-		target := func(v int) bool { return ex.r.divMask.Get(comp[v]) && inParent(v) }
+		target := func(v int) bool { return ex.r.divMask.Get(int(comp[v])) && inParent(v) }
 		stem := ex.bfsPath(u, inParent, target)
 		if len(stem) == 0 {
 			return nil, -1
@@ -601,7 +601,7 @@ func (ex *explainer) explainOrphan(orphan kripke.State, left bool) (*Evidence, e
 	otherSide := kripke.NewBitSet(ex.r.cN)
 	for w := 0; w < ex.n+ex.n2; w++ {
 		if (w < ex.n) != left {
-			otherSide.Set(ex.r.comp[w])
+			otherSide.Set(int(ex.r.comp[w]))
 		}
 	}
 	if ex.nodes[leaf].members.Intersects(otherSide) {

@@ -35,6 +35,44 @@ func TestRelationFootprintPerPair(t *testing.T) {
 	}
 }
 
+// TestRefinerFootprint bounds what the refiner's preprocessing allocates
+// for each index pair of ring M_3|i ~ M_12|j: the interned label classes,
+// the silent subgraph and its strongly connected components, and the
+// contracted adjacency in both directions.  Every one of these is an int32
+// array, so the bound is 40 bytes per union state and 12 per union
+// transition (the silent subgraph once, the two contracted directions at
+// most once each), plus 64 KiB for the label interning and the dense rows of
+// small contracted graphs.  Adjacency built from int slices and per-node
+// slice headers, as a [][]int silent graph costs, exceeds it.
+func TestRefinerFootprint(t *testing.T) {
+	small, err := family.Ring().Build(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := family.Ring().Build(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := family.CorrespondOptions(family.Ring())
+	for _, p := range family.Ring().IndexRelation(3, 12) {
+		m, m2 := small.ReduceNormalized(p.I), large.ReduceNormalized(p.I2)
+		states := m.NumStates() + m2.NumStates()
+		edges := m.NumTransitions() + m2.NumTransitions()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cN := bisim.ContractedStates(m, m2, opts)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		limit := uint64(40*states+12*edges) + 64<<10
+		t.Logf("pair %v: %d bytes for %d union states, %d transitions, %d contracted nodes (%.1f per state+edge; bound %d)",
+			p, got, states, edges, cN, float64(got)/float64(states+edges), limit)
+		if got > limit {
+			t.Errorf("pair %v: the refiner's preprocessing allocated %d bytes for %d union states and %d transitions, above the %d-byte bound",
+				p, got, states, edges, limit)
+		}
+	}
+}
+
 // TestIndexedComputeSharesReachability decides ring M_3 ~ M_10 under
 // ReachableOnly — ten index pairs over the reductions of two structures —
 // and then asks each structure for its reachable set.  The reductions

@@ -2,6 +2,8 @@ package bisim
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/kripke"
@@ -58,11 +60,18 @@ import (
 // word-parallel).
 const maxDenseMatrixStates = 1 << 10
 
+// csr is an int32 compressed-sparse-row adjacency: the row of node u is
+// dst[off[u]:off[u+1]].
+type csr struct{ off, dst []int32 }
+
+// row returns the neighbours of node u.
+func (g csr) row(u int) []int32 { return g.dst[g.off[u]:g.off[u+1]] }
+
 type refiner struct {
-	cN      int       // contracted (silent-SCC) node count
-	comp    []int     // contracted node of every union state
-	cSucc   [][]int32 // contracted adjacency, no self edges
-	cPred   [][]int32
+	cN      int     // contracted (silent-SCC) node count
+	comp    []int32 // contracted node of every union state
+	cSucc   csr     // contracted adjacency, no self edges
+	cPred   csr
 	mat     *kripke.TransitionMatrix // bitset rows over contracted nodes, nil when too large
 	divMask kripke.BitSet            // contracted nodes with an internal silent cycle
 
@@ -186,6 +195,9 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 	n, n2 := m.NumStates(), m2.NumStates()
 	N := n + n2
 	ar := opts.arena
+	if m.NumTransitions()+m2.NumTransitions() > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("bisim: the union of %s and %s has more transitions than int32 row offsets hold", m.Name(), m2.Name())
+	}
 
 	// Canonical label of every union state, interned to dense ids.  The two
 	// structures intern labels independently (kripke.LabelID), so only the
@@ -280,39 +292,38 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 	}
 
 	// Contract the silent SCCs: components of the subgraph whose edges stay
-	// within one label class.  The adjacency is built flat (counting pass,
-	// then fill) to avoid per-state slice growth.
-	silentCount := ar.intsN(N, true)
-	totalSilent := 0
+	// within one label class.  The subgraph is an int32 CSR over union
+	// states from the arena: a counting pass sets the row offsets, a second
+	// pass fills the rows.
+	silent := csr{off: ar.i32s(N+1, true)}
 	for u := 0; u < N; u++ {
 		if err := pollUnion(ctx, u); err != nil {
 			return nil, nil, err
 		}
+		k := silent.off[u]
 		off := offset(u)
 		for _, v := range unionSucc(u) {
 			if labelID[u] == labelID[off+int(v)] {
-				silentCount[u]++
-				totalSilent++
+				k++
 			}
 		}
+		silent.off[u+1] = k
 	}
-	silentAdj := make([][]int, N)
-	silentBacking := ar.intsN(totalSilent, false) // append-filled via the capped headers
-	pos := 0
+	silent.dst = ar.i32s(int(silent.off[N]), false) // fully written below
 	for u := 0; u < N; u++ {
 		if err := pollUnion(ctx, u); err != nil {
 			return nil, nil, err
 		}
-		silentAdj[u] = silentBacking[pos : pos : pos+silentCount[u]]
-		pos += silentCount[u]
+		pos := silent.off[u]
 		off := offset(u)
 		for _, v := range unionSucc(u) {
 			if labelID[u] == labelID[off+int(v)] {
-				silentAdj[u] = append(silentAdj[u], off+int(v))
+				silent.dst[pos] = int32(off) + int32(v)
+				pos++
 			}
 		}
 	}
-	comp, cN := graph.FromAdjacency(silentAdj).SCCComp()
+	comp, cN := graph.SCCComp(silent.off, silent.dst)
 	if err := cancelled(ctx); err != nil {
 		return nil, nil, err
 	}
@@ -335,12 +346,14 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 			r.divMask.Set(c) // a multi-state silent SCC contains a silent cycle
 		}
 	}
-	// Contracted adjacency, counting pass then fill.  Parallel edges between
-	// two components are kept: every consumer either dedups through a bitset
-	// or tolerates revisits, and skipping a dedup map here is cheaper.
-	succCount := ar.intsN(cN, true)
-	predCount := ar.intsN(cN, true)
-	totalEdges := 0
+	// Contracted adjacency, both directions as int32 CSRs: a counting pass,
+	// then a fill that uses each row's start offset as its cursor, so the
+	// offsets end one row ahead and are shifted back.  Parallel edges
+	// between two components are kept: every consumer either dedups
+	// through a bitset or tolerates revisits, and skipping a dedup map here
+	// is cheaper.
+	r.cSucc.off = ar.i32s(cN+1, true)
+	r.cPred.off = ar.i32s(cN+1, true)
 	for u := 0; u < N; u++ {
 		if err := pollUnion(ctx, u); err != nil {
 			return nil, nil, err
@@ -352,26 +365,20 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 			cv := comp[uv]
 			if cu == cv {
 				if u == uv {
-					r.divMask.Set(cu) // silent self loop
+					r.divMask.Set(int(cu)) // silent self loop
 				}
 				continue
 			}
-			succCount[cu]++
-			predCount[cv]++
-			totalEdges++
+			r.cSucc.off[cu+1]++
+			r.cPred.off[cv+1]++
 		}
 	}
-	r.cSucc = make([][]int32, cN)
-	r.cPred = make([][]int32, cN)
-	succBacking := ar.i32s(totalEdges, false)
-	predBacking := ar.i32s(totalEdges, false)
-	sPos, pPos := 0, 0
 	for c := 0; c < cN; c++ {
-		r.cSucc[c] = succBacking[sPos : sPos : sPos+succCount[c]]
-		sPos += succCount[c]
-		r.cPred[c] = predBacking[pPos : pPos : pPos+predCount[c]]
-		pPos += predCount[c]
+		r.cSucc.off[c+1] += r.cSucc.off[c]
+		r.cPred.off[c+1] += r.cPred.off[c]
 	}
+	r.cSucc.dst = ar.i32s(int(r.cSucc.off[cN]), false) // fully written below
+	r.cPred.dst = ar.i32s(int(r.cPred.off[cN]), false)
 	for u := 0; u < N; u++ {
 		if err := pollUnion(ctx, u); err != nil {
 			return nil, nil, err
@@ -383,14 +390,20 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 			if cu == cv {
 				continue
 			}
-			r.cSucc[cu] = append(r.cSucc[cu], int32(cv))
-			r.cPred[cv] = append(r.cPred[cv], int32(cu))
+			r.cSucc.dst[r.cSucc.off[cu]] = cv
+			r.cSucc.off[cu]++
+			r.cPred.dst[r.cPred.off[cv]] = cu
+			r.cPred.off[cv]++
 		}
+	}
+	for _, g := range []csr{r.cSucc, r.cPred} {
+		copy(g.off[1:], g.off[:cN])
+		g.off[0] = 0
 	}
 	if cN <= maxDenseMatrixStates {
 		r.mat = kripke.NewTransitionMatrix(cN)
-		for u, vs := range r.cSucc {
-			for _, v := range vs {
+		for u := 0; u < cN; u++ {
+			for _, v := range r.cSucc.row(u) {
 				r.mat.Add(u, int(v))
 			}
 		}
@@ -830,7 +843,7 @@ func (r *refiner) computeDP(sp int32, dp kripke.BitSet) {
 		spSet.ForEach(func(v int) bool { dp.Or(r.mat.Pred(v)); return true })
 	} else {
 		spSet.ForEach(func(v int) bool {
-			for _, p := range r.cPred[v] {
+			for _, p := range r.cPred.row(v) {
 				dp.Set(int(p))
 			}
 			return true
@@ -889,7 +902,7 @@ func (r *refiner) closeBackwardWithin(bid int32, set kripke.BitSet) {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range r.cPred[v] {
+		for _, p := range r.cPred.row(int(v)) {
 			if r.blockOf[p] == bid && !set.Get(int(p)) {
 				set.Set(int(p))
 				stack = append(stack, p)
@@ -948,7 +961,7 @@ func (r *refiner) enqueueSuccessors(set kripke.BitSet) {
 		return
 	}
 	set.ForEach(func(v int) bool {
-		for _, w := range r.cSucc[v] {
+		for _, w := range r.cSucc.row(v) {
 			r.enqueue(r.blockOf[w])
 		}
 		return true

@@ -14,9 +14,10 @@
 //     with no labels and no per-state allocations, which is the
 //     representation that scales to tens of millions of states;
 //   - Build additionally materialises the labelled kripke.Structure through
-//     the Builder (AddState into a reused scratch slice,
-//     AddTransitionRow), for the sizes the correspondence and
-//     model-checking engines actually consume.
+//     the Builder (AddState into a reused scratch slice, then
+//     AdoptSuccessors, which hands the Space's successor rows to the
+//     structure without copying them), for the sizes the correspondence
+//     and model-checking engines actually consume.
 //
 // Determinism.  The sequential explorations this package replaces (a FIFO
 // queue over codes) assign state identifiers in level order, and within a
@@ -41,6 +42,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -87,18 +89,24 @@ const DefaultMaxStates = 1 << 25
 // ErrLimit marks explorations aborted at their state cap.
 var ErrLimit = errors.New("state space beyond the exploration limit")
 
+// ErrTooManyTransitions marks explorations whose transition relation does
+// not fit the int32 row offsets of the successor CSR.
+var ErrTooManyTransitions = errors.New("transition relation beyond the int32 row offsets")
+
 // maxSuccPerState bounds the successor count of a single state, so a
 // stream position packs into (frontier index << 16) | successor index.
 const maxSuccPerState = 1 << 16
 
 // Space is the raw result of an exploration: the reachable codes in
 // canonical BFS order and the deduplicated transition relation in
-// compressed-sparse-row form.  State 0 is the initial state.
+// compressed-sparse-row form.  State 0 is the initial state.  The
+// successor rows are the layout kripke.Structure uses, so a structure built
+// from the space shares them.
 type Space struct {
 	name  string
 	codes []uint64
-	succ  []int32
-	off   []int64
+	succ  []kripke.State
+	off   []int32
 	table *codeTable
 }
 
@@ -120,7 +128,7 @@ func (sp *Space) Codes() []uint64 { return sp.codes }
 
 // Succ returns the successor states of s, sorted ascending.  The slice is
 // a view into shared backing and must not be modified.
-func (sp *Space) Succ(s int32) []int32 { return sp.succ[sp.off[s]:sp.off[s+1]] }
+func (sp *Space) Succ(s int32) []kripke.State { return sp.succ[sp.off[s]:sp.off[s+1]] }
 
 // Lookup returns the state with the given code.
 func (sp *Space) Lookup(code uint64) (int32, bool) { return sp.table.get(code) }
@@ -155,8 +163,8 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 	// size (DESIGN.md §7, "Allocation discipline").
 	frontier := []uint64{def.Init}
 	codeSegs := [][]uint64{frontier}
-	var rowSegs [][]int32 // per level: deduplicated successor rows, concatenated
-	var cntSegs [][]int32 // per level: deduplicated row lengths
+	var rowSegs [][]kripke.State // per level: deduplicated successor rows, concatenated
+	var cntSegs [][]int32        // per level: deduplicated row lengths
 
 	// Reusable per-level chunk buffers (grown as levels grow).
 	var chunks []levelChunk
@@ -255,7 +263,7 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 						}
 						id = got
 					}
-					c.rows = append(c.rows, id)
+					c.rows = append(c.rows, kripke.State(id))
 				}
 				seg := c.rows[start:]
 				slices.Sort(seg)
@@ -278,7 +286,7 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 			c := &chunks[ci]
 			rowSegs = append(rowSegs, c.rows)
 			cntSegs = append(cntSegs, c.dcounts)
-			c.rows = make([]int32, 0, len(c.rows)+len(c.rows)/4)
+			c.rows = make([]kripke.State, 0, len(c.rows)+len(c.rows)/4)
 			c.dcounts = make([]int32, 0, len(c.dcounts)+len(c.dcounts)/4)
 		}
 		if len(next) > 0 {
@@ -287,24 +295,28 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		frontier = next
 	}
 
-	// Final assembly: one exact-size allocation per array.
+	// Final assembly: one exact-size allocation per array.  Row offsets are
+	// int32, the structure's layout, so a larger relation is refused.
 	totalEdges := 0
 	for _, seg := range rowSegs {
 		totalEdges += len(seg)
+	}
+	if totalEdges > math.MaxInt32 {
+		return nil, fmt.Errorf("explore: %s: %d transitions: %w", def.Name, totalEdges, ErrTooManyTransitions)
 	}
 	sp.codes = make([]uint64, 0, numStates)
 	for _, seg := range codeSegs {
 		sp.codes = append(sp.codes, seg...)
 	}
-	sp.succ = make([]int32, 0, totalEdges)
-	sp.off = make([]int64, 1, numStates+1)
+	sp.succ = make([]kripke.State, 0, totalEdges)
+	sp.off = make([]int32, 1, numStates+1)
 	for li, seg := range rowSegs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		sp.succ = append(sp.succ, seg...)
 		for _, n := range cntSegs[li] {
-			sp.off = append(sp.off, sp.off[len(sp.off)-1]+int64(n))
+			sp.off = append(sp.off, sp.off[len(sp.off)-1]+n)
 		}
 	}
 	return sp, nil
@@ -328,14 +340,15 @@ func Build(ctx context.Context, def Def, opts Options) (*kripke.Structure, *Spac
 }
 
 // BuildFromSpace labels an already-explored Space through the builder and
-// returns the (partial) structure.
+// returns the (partial) structure.  The structure adopts the space's
+// successor rows: its Succ(s) is a view into the same backing array.
 func BuildFromSpace(ctx context.Context, def Def, sp *Space) (*kripke.Structure, error) {
 	if def.Label == nil {
 		return nil, fmt.Errorf("explore: %s: Def.Label is nil", def.Name)
 	}
 	n := sp.NumStates()
 	b := kripke.NewBuilder(def.Name)
-	b.Grow(n, sp.NumTransitions())
+	b.Grow(n)
 	//lint:ctxloop bounded by Def.NumIndices, a handful of process indices
 	for i := 1; i <= def.NumIndices; i++ {
 		b.DeclareIndex(i)
@@ -353,15 +366,8 @@ func BuildFromSpace(ctx context.Context, def Def, sp *Space) (*kripke.Structure,
 	if err := b.SetInitial(0); err != nil {
 		return nil, err
 	}
-	for s := 0; s < n; s++ {
-		if s&0xffff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := b.AddTransitionRow(kripke.State(s), sp.Succ(int32(s))); err != nil {
-			return nil, err
-		}
+	if err := b.AdoptSuccessors(sp.off, sp.succ); err != nil {
+		return nil, fmt.Errorf("explore: building %s: %w", def.Name, err)
 	}
 	m, err := b.BuildPartial()
 	if err != nil {
@@ -378,11 +384,11 @@ const unresolved = int32(-1)
 // per-phase scratch buffers, reused across levels.
 type levelChunk struct {
 	lo, hi  int
-	counts  []int32  // raw successor count per frontier state
-	flat    []uint64 // successor codes, concatenated
-	ids     []int32  // parallel to flat: memoised id, or unresolved
-	rows    []int32  // resolved rows, per-state sorted and deduplicated
-	dcounts []int32  // deduplicated row lengths
+	counts  []int32        // raw successor count per frontier state
+	flat    []uint64       // successor codes, concatenated
+	ids     []int32        // parallel to flat: memoised id, or unresolved
+	rows    []kripke.State // resolved rows, per-state sorted and deduplicated
+	dcounts []int32        // deduplicated row lengths
 }
 
 // parallelDo runs fn(0..n-1) on up to workers goroutines, claiming chunk

@@ -84,7 +84,7 @@ func TestExploreMatchesSequentialReference(t *testing.T) {
 						r, workers, s, len(row), len(wantSucc[s]))
 				}
 				for k, id := range row {
-					if id != wantSucc[s][k] {
+					if int32(id) != wantSucc[s][k] {
 						t.Fatalf("r=%d workers=%d: state %d successor %d = %d, want %d",
 							r, workers, s, k, id, wantSucc[s][k])
 					}

@@ -74,25 +74,30 @@ func (pi PackedInstance) FinishBuilt(m *kripke.Structure) (*kripke.Structure, er
 // parallel packed-BFS engine with the given worker count, byte-identical
 // (kripke.EncodeText) to t.Build(n) for every worker count, and returns
 // the explored space too (state s of the structure is state s of the
-// space).  Topologies without a packed definition fall back to the
-// sequential Build and return a nil space; token topologies too wide to
-// pack take that route under ctx.
+// space).  Topologies without a packed definition fall back to
+// BuildUnpacked and return a nil space.
 func BuildParallel(ctx context.Context, t Topology, n, workers int) (*kripke.Structure, *explore.Space, error) {
-	pi, ok := Packed(t, n)
-	if ok {
-		return pi.build(ctx, workers)
+	if pi, ok := Packed(t, n); ok {
+		return pi.Build(ctx, workers)
 	}
-	if tt, ok := t.(*tokenTopology); ok {
-		m, err := tt.build(ctx, n)
-		return m, nil, err
-	}
-	m, err := t.Build(n)
+	m, err := BuildUnpacked(ctx, t, n)
 	return m, nil, err
 }
 
-// build explores the packed instance with the given worker count, after
-// its up-front size refusal, and applies its post-build steps.
-func (pi PackedInstance) build(ctx context.Context, workers int) (*kripke.Structure, *explore.Space, error) {
+// BuildUnpacked builds an instance the topology does not pack with its
+// sequential Build; token topologies too wide to pack take that route
+// under ctx.
+func BuildUnpacked(ctx context.Context, t Topology, n int) (*kripke.Structure, error) {
+	if tt, ok := t.(*tokenTopology); ok {
+		return tt.build(ctx, n)
+	}
+	return t.Build(n)
+}
+
+// Build explores the packed instance with the given worker count, after
+// its up-front size refusal, applies its post-build steps and returns the
+// structure with its explored space.
+func (pi PackedInstance) Build(ctx context.Context, workers int) (*kripke.Structure, *explore.Space, error) {
 	if pi.TooLarge != nil {
 		return nil, nil, pi.TooLarge
 	}

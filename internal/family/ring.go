@@ -53,7 +53,7 @@ func (t ringTopology) Build(n int) (*kripke.Structure, error) {
 		}
 		return inst.M, nil
 	}
-	m, _, err := pi.build(context.Background(), 1)
+	m, _, err := pi.Build(context.Background(), 1)
 	return m, err
 }
 

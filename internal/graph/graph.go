@@ -1,9 +1,10 @@
 // Package graph provides the small set of directed-graph algorithms the
 // model checker and the correspondence engine are built on: depth-first
 // reachability, Tarjan's strongly connected components, and the condensation
-// (component DAG).  Graphs are represented as adjacency lists over dense
-// integer vertices so callers can map Kripke or tableau states directly onto
-// them.
+// (component DAG).  Graphs are represented in compressed-sparse-row form
+// over dense integer vertices so callers can map Kripke or tableau states
+// directly onto them; SCCComp also runs on a bare int32 CSR, the layout of
+// the correspondence engine's silent subgraph.
 package graph
 
 import "fmt"
@@ -20,7 +21,6 @@ import "fmt"
 // of the old adjacency-list representation.
 type Graph struct {
 	n     int
-	adj   [][]int // only for FromAdjacency graphs; nil otherwise
 	eFrom []int32 // pending edge list
 	eTo   []int32
 	off   []int32 // CSR, built by ensure()
@@ -32,10 +32,6 @@ type Graph struct {
 func New(n int) *Graph {
 	return &Graph{n: n}
 }
-
-// FromAdjacency wraps an existing adjacency list without copying it.  The
-// caller must not modify adj afterwards.
-func FromAdjacency(adj [][]int) *Graph { return &Graph{n: len(adj), adj: adj} }
 
 // FromCSR wraps a prebuilt compressed-sparse-row adjacency without copying:
 // off has n+1 entries and dst[off[u]:off[u+1]] lists the successors of u.
@@ -54,10 +50,6 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) AddEdge(u, v int) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range [0, %d)", u, v, g.n))
-	}
-	if g.adj != nil {
-		g.adj[u] = append(g.adj[u], v)
-		return
 	}
 	if g.off != nil && len(g.eFrom) == 0 && len(g.dst) > 0 {
 		// The CSR was built directly, without a pending list (Transpose
@@ -107,9 +99,6 @@ func (g *Graph) ensure() {
 // Succ returns the successors of u in insertion order.  The returned slice
 // must not be modified.
 func (g *Graph) Succ(u int) []int {
-	if g.adj != nil {
-		return g.adj[u]
-	}
 	g.ensure()
 	return g.dst[g.off[u]:g.off[u+1]]
 }
@@ -149,14 +138,6 @@ func (g *Graph) BackwardReachable(targets ...int) []bool {
 // Transpose returns the graph with all edges reversed.
 func (g *Graph) Transpose() *Graph {
 	t := New(g.n)
-	if g.adj != nil {
-		for u, vs := range g.adj {
-			for _, v := range vs {
-				t.AddEdge(v, u)
-			}
-		}
-		return t
-	}
 	// Build the transposed CSR directly with one counting pass — no
 	// per-vertex growth, no pending list (AddEdge reconstructs one if the
 	// transposed graph is ever mutated).
@@ -221,29 +202,64 @@ func (r *SCCResult) IsTrivial(g *Graph, c int) bool {
 // version of Tarjan's algorithm (iterative so that structures with hundreds
 // of thousands of states do not overflow the goroutine stack).
 func (g *Graph) SCC() *SCCResult {
-	n := g.n
+	g.ensure()
+	res := &SCCResult{Comp: make([]int, g.n)}
+	var component []int
+	tarjan(g.off, g.dst, func(w, c int, last bool) {
+		res.Comp[w] = c
+		component = append(component, w)
+		if last {
+			res.Components = append(res.Components, component)
+			component = nil
+		}
+	})
+	return res
+}
+
+// SCCComp computes only the component assignment of Tarjan's algorithm over
+// the CSR (off, dst), where dst[off[u]:off[u+1]] lists the successors of u:
+// it returns comp (vertex -> component number, numbered in reverse
+// topological order like SCC) and the number of components.  Callers that
+// do not need the per-component vertex lists — e.g. the partition-refinement
+// engine, which contracts components on every comparison — avoid the
+// O(#components) slice allocations of SCC.
+func SCCComp(off, dst []int32) (comp []int32, numComponents int) {
+	comp = make([]int32, len(off)-1)
+	tarjan(off, dst, func(w, c int, last bool) {
+		comp[w] = int32(c)
+		if last {
+			numComponents++
+		}
+	})
+	return comp, numComponents
+}
+
+// tarjan runs the iterative Tarjan algorithm over the CSR (off, dst).  As
+// each component c is completed it calls pop(w, c, last) for its members in
+// stack order, last marking the component's root, the final member.
+// Components are completed in reverse topological order.
+func tarjan[V int | int32](off []int32, dst []V, pop func(w, c int, last bool)) {
+	n := len(off) - 1
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
+	index := make([]int32, n)
+	low := make([]int32, n)
 	onStack := make([]bool, n)
-	comp := make([]int, n)
 	for i := range index {
 		index[i] = unvisited
-		comp[i] = unvisited
 	}
-	var stack []int
-	var components [][]int
-	next := 0
+	var stack []int32
+	var next int32
+	components := 0
 
 	type frame struct {
-		v     int
-		child int
+		v     int32
+		child int32
 	}
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		callStack := []frame{{v: root}}
+		callStack := []frame{{v: int32(root)}}
 		for len(callStack) > 0 {
 			fr := &callStack[len(callStack)-1]
 			v := fr.v
@@ -255,12 +271,12 @@ func (g *Graph) SCC() *SCCResult {
 				onStack[v] = true
 			}
 			advanced := false
-			succ := g.Succ(v)
-			for fr.child < len(succ) {
+			succ := dst[off[v]:off[v+1]]
+			for int(fr.child) < len(succ) {
 				w := succ[fr.child]
 				fr.child++
 				if index[w] == unvisited {
-					callStack = append(callStack, frame{v: w})
+					callStack = append(callStack, frame{v: int32(w)})
 					advanced = true
 					break
 				}
@@ -273,18 +289,16 @@ func (g *Graph) SCC() *SCCResult {
 			}
 			// All children explored.
 			if low[v] == index[v] {
-				var component []int
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp[w] = len(components)
-					component = append(component, w)
+					pop(int(w), components, w == v)
 					if w == v {
 						break
 					}
 				}
-				components = append(components, component)
+				components++
 			}
 			callStack = callStack[:len(callStack)-1]
 			if len(callStack) > 0 {
@@ -295,87 +309,6 @@ func (g *Graph) SCC() *SCCResult {
 			}
 		}
 	}
-	return &SCCResult{Comp: comp, Components: components}
-}
-
-// SCCComp computes only the component assignment of Tarjan's algorithm: it
-// returns comp (vertex -> component number, numbered in reverse topological
-// order like SCC) and the number of components.  Callers that do not need
-// the per-component vertex lists — e.g. the partition-refinement engine,
-// which contracts components on every comparison — avoid the O(#components)
-// slice allocations of SCC.
-func (g *Graph) SCCComp() (comp []int, numComponents int) {
-	n := g.n
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp = make([]int, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	var stack []int
-	next := 0
-
-	type frame struct {
-		v     int
-		child int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		callStack := []frame{{v: root}}
-		for len(callStack) > 0 {
-			fr := &callStack[len(callStack)-1]
-			v := fr.v
-			if fr.child == 0 {
-				index[v] = next
-				low[v] = next
-				next++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			succ := g.Succ(v)
-			for fr.child < len(succ) {
-				w := succ[fr.child]
-				fr.child++
-				if index[w] == unvisited {
-					callStack = append(callStack, frame{v: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = numComponents
-					if w == v {
-						break
-					}
-				}
-				numComponents++
-			}
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := callStack[len(callStack)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-		}
-	}
-	return comp, numComponents
 }
 
 // Condensation returns the component DAG of g: one vertex per strongly

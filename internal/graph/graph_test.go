@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -185,16 +184,54 @@ func TestAddEdgePanicsOutOfRange(t *testing.T) {
 	g.AddEdge(0, 5)
 }
 
-func TestFromAdjacency(t *testing.T) {
-	adj := [][]int{{1}, {}}
-	g := FromAdjacency(adj)
-	if g.N() != 2 {
+// TestFromCSR: a graph wrapped around a prebuilt CSR reads its rows in
+// place and runs every algorithm on them.
+func TestFromCSR(t *testing.T) {
+	// 0 -> 1, 1 -> {0, 2}, 2 has no successors.
+	g := FromCSR([]int32{0, 1, 3, 3}, []int{1, 0, 2})
+	if g.N() != 3 {
 		t.Errorf("N = %d", g.N())
 	}
-	succ := g.Succ(0)
-	sort.Ints(succ)
-	if len(succ) != 1 || succ[0] != 1 {
-		t.Errorf("Succ(0) = %v", succ)
+	if got := fmt.Sprint(g.Succ(1)); got != "[0 2]" {
+		t.Errorf("Succ(1) = %s, want [0 2]", got)
+	}
+	scc := g.SCC()
+	if scc.NumComponents() != 2 || scc.Comp[0] != scc.Comp[1] || scc.Comp[2] == scc.Comp[0] {
+		t.Errorf("SCC Comp = %v, want {0,1} and {2}", scc.Comp)
+	}
+	if back := g.BackwardReachable(2); !back[0] || !back[1] {
+		t.Errorf("BackwardReachable(2) = %v, want every vertex", back)
+	}
+}
+
+// TestSCCCompMatchesSCC: on random graphs the int32-CSR SCCComp assigns
+// exactly the components SCC does, with the same numbering.
+func TestSCCCompMatchesSCC(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 50; iter++ {
+		n := 1 + r.Intn(12)
+		g := New(n)
+		for e := r.Intn(2 * n * n); e > 0; e-- {
+			g.AddEdge(r.Intn(n), r.Intn(n))
+		}
+		off := make([]int32, n+1)
+		var dst []int32
+		for u := 0; u < n; u++ {
+			for _, v := range g.Succ(u) {
+				dst = append(dst, int32(v))
+			}
+			off[u+1] = int32(len(dst))
+		}
+		want := g.SCC()
+		comp, k := SCCComp(off, dst)
+		if k != want.NumComponents() {
+			t.Fatalf("iter %d: SCCComp found %d components, SCC %d", iter, k, want.NumComponents())
+		}
+		for v := range comp {
+			if int(comp[v]) != want.Comp[v] {
+				t.Fatalf("iter %d: vertex %d in component %d, SCC says %d", iter, v, comp[v], want.Comp[v])
+			}
+		}
 	}
 }
 

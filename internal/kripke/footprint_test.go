@@ -54,17 +54,19 @@ func TestReduceAllocatesPerDistinctLabel(t *testing.T) {
 }
 
 // TestBuildFromSpaceLabelsPerState bounds what explore.BuildFromSpace
-// allocates for ring M_12 (49,152 states, each with its own label): the
-// builder's edge list and the two CSR edge arrays (8 bytes per transition
-// each), the CSR offsets and the predecessor cursor (12 bytes per state),
-// the state tables (4 bytes per state in the builder, 4 for the label ids
-// and 4 for the "exactly one" ids of the structure), plus a per-state
-// label allowance of 64 bytes.  A label costs one 8-byte row, laid out
-// again when the vocabulary is sorted, a 4-byte "exactly one" id, and two
-// to four 4-byte slots of the intern table: 31 bytes measured on
-// linux/amd64, so the allowance leaves a margin of about twice that.  Cloning each label
-// as a []Prop with a key string and a ones slice costs about a kilobyte
-// per state.
+// allocates for ring M_12 (49,152 states, each with its own label).  The
+// structure adopts the space's successor rows, so the transition relation
+// costs only the predecessor CSR: 4 bytes per transition and 4 per state
+// for its offsets.  The state tables add 12 bytes per state (4 in the
+// builder, 4 for the label ids and 4 for the "exactly one" ids of the
+// structure), plus a per-state label allowance of 64 bytes.  A label costs
+// one 8-byte row, laid out again when the vocabulary is sorted, a 4-byte
+// "exactly one" id, and two to four 4-byte slots of the intern table: 31
+// bytes measured on linux/amd64, so the allowance leaves a margin of about
+// twice that.  Copying the successor rows (8 bytes per transition through
+// an edge list, 4 more for the copy) exceeds the bound, and so does cloning
+// each label as a []Prop with a key string and a ones slice, about a
+// kilobyte per state.
 func TestBuildFromSpaceLabelsPerState(t *testing.T) {
 	const r = 12
 	ctx := context.Background()
@@ -84,12 +86,39 @@ func TestBuildFromSpaceLabelsPerState(t *testing.T) {
 		t.Fatalf("M_%d has %d labels for %d states, want one per state", r, m.NumLabels(), n)
 	}
 	const labelAllowance = 64
-	base := 24*edges + 24*n
+	base := 4*edges + 16*n
 	limit := uint64(base) + labelAllowance*uint64(n) + 64<<10
-	t.Logf("BuildFromSpace(M_%d): %d bytes, %.1f per state beyond the CSR and edge arrays (bound %d)",
+	t.Logf("BuildFromSpace(M_%d): %d bytes, %.1f per state beyond the predecessor CSR and state tables (bound %d)",
 		r, got, float64(int64(got)-int64(base))/float64(n), limit)
 	if got > limit {
 		t.Errorf("BuildFromSpace(M_%d) allocated %d bytes for %d states and %d transitions, above the %d-byte bound",
 			r, got, n, edges, limit)
+	}
+}
+
+// TestBuildFromSpaceSharesSpace: the structure built from an explored
+// space reads its successor rows from the space's own backing array, with
+// no copy, for every state of ring M_8.
+func TestBuildFromSpaceSharesSpace(t *testing.T) {
+	ctx := context.Background()
+	def := ring.PackedDef(8)
+	sp, err := explore.Explore(ctx, def, explore.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := explore.BuildFromSpace(ctx, def, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumStates() != sp.NumStates() || m.NumTransitions() != sp.NumTransitions() {
+		t.Fatalf("structure has %d states and %d transitions, space %d and %d",
+			m.NumStates(), m.NumTransitions(), sp.NumStates(), sp.NumTransitions())
+	}
+	for s := 0; s < sp.NumStates(); s++ {
+		got, want := m.Succ(kripke.State(s)), sp.Succ(int32(s))
+		if len(got) == 0 || len(got) != len(want) || &got[0] != &want[0] {
+			t.Fatalf("state %d: Succ is %v at %p, the space's row %v at %p; want the same backing",
+				s, got, got, want, want)
+		}
 	}
 }

@@ -25,9 +25,11 @@
 //     with a dense LabelID, so label equality is an integer compare and a
 //     family instance, which has a distinct label per state, pays one word
 //     per state for it (labels.go);
-//   - the transition relation is stored in compressed-sparse-row form (one
-//     flat edge array plus offsets per direction), so Succ/Pred return
-//     subslices of shared backing with no per-state slice headers to chase;
+//   - the transition relation is stored in compressed-sparse-row form over
+//     32-bit state ids (one flat edge array plus offsets per direction), so
+//     Succ/Pred return subslices of shared backing with no per-state slice
+//     headers to chase, and a structure built from an explored state space
+//     adopts the explorer's successor rows as its own (AdoptSuccessors);
 //   - the states satisfying each atomic proposition are precomputed as
 //     BitSets (StatesWith), so the model checker seeds atomic labellings
 //     without scanning every state's label.
@@ -48,8 +50,9 @@ import (
 )
 
 // State identifies a state of a Structure.  States are dense integers in
-// [0, NumStates).
-type State int
+// [0, NumStates), 32 bits wide like the explorer's state ids, so a
+// successor row of an explored space is a row of States.
+type State int32
 
 // NoState is returned by operations that fail to find a state.
 const NoState State = -1
@@ -102,7 +105,8 @@ type Structure struct {
 
 	// Transition relation in compressed-sparse-row form, both directions.
 	// The successor list of s is succEdges[succOff[s]:succOff[s+1]], sorted;
-	// likewise for predecessors.
+	// likewise for predecessors.  The successor arrays may be adopted from
+	// the caller (AdoptSuccessors) and are never written.
 	succEdges []State
 	succOff   []int32
 	predEdges []State
@@ -382,6 +386,8 @@ type Builder struct {
 	labelIDs     []LabelID
 	onesOverride map[State][]string
 	edges        []uint64 // from<<32 | to; deduplicated at Build
+	succOff      []int32  // adopted successor CSR (AdoptSuccessors), or nil
+	succ         []State
 	initial      State
 	initialSet   bool
 	indexValues  map[int]bool
@@ -478,14 +484,13 @@ func (b *Builder) AddState(props ...Prop) State {
 	return State(len(b.labelIDs) - 1)
 }
 
-// Grow pre-allocates the builder's state, label and edge tables for a
-// caller that knows (approximately) how large the structure will be.  A
+// Grow pre-allocates the builder's state and label tables for a caller
+// that knows (approximately) how many states the structure will have.  A
 // family instance has a distinct label per state, so the label table is
 // sized for one label per state.
-func (b *Builder) Grow(states, edges int) {
+func (b *Builder) Grow(states int) {
 	b.labelIDs = grow(b.labelIDs, states)
 	b.labels.reserve(states)
-	b.edges = grow(b.edges, edges)
 }
 
 // grow returns s with room for n more elements.  Unlike slices.Grow it
@@ -516,26 +521,49 @@ func (b *Builder) AddTransition(from, to State) error {
 	if int(from) < 0 || int(from) >= n || int(to) < 0 || int(to) >= n {
 		return fmt.Errorf("kripke: AddTransition(%d, %d): state out of range [0,%d)", from, to, n)
 	}
+	if b.succOff != nil {
+		return fmt.Errorf("kripke: AddTransition(%d, %d): the successor rows were adopted", from, to)
+	}
 	b.edges = append(b.edges, uint64(from)<<32|uint64(uint32(to)))
 	return nil
 }
 
-// AddTransitionRow adds a transition from from to every state in row.  It
-// validates from once and amortises the per-edge bounds check, which
-// matters when a pre-explored state space replays millions of edges
-// through the builder.
-func (b *Builder) AddTransitionRow(from State, row []int32) error {
+// AdoptSuccessors sets the whole transition relation from a successor CSR
+// over the states added so far: succ[off[s]:off[s+1]] lists the successors
+// of s, strictly ascending.  The built structure keeps both slices as its
+// successor rows without copying them, so the caller must not modify them
+// afterwards; only the predecessor rows are allocated.  One pass validates
+// the rows and names the first bad one.  It fails if AddTransition was
+// used, and later AddTransition calls fail.
+func (b *Builder) AdoptSuccessors(off []int32, succ []State) error {
 	n := len(b.labelIDs)
-	if int(from) < 0 || int(from) >= n {
-		return fmt.Errorf("kripke: AddTransitionRow(%d): state out of range [0,%d)", from, n)
+	bad := func(row int, format string, args ...any) error {
+		return fmt.Errorf("kripke: AdoptSuccessors: row %d: %s", row, fmt.Sprintf(format, args...))
 	}
-	base := uint64(from) << 32
-	for _, to := range row {
-		if to < 0 || int(to) >= n {
-			return fmt.Errorf("kripke: AddTransitionRow(%d, %d): state out of range [0,%d)", from, to, n)
+	switch {
+	case len(b.edges) > 0:
+		return fmt.Errorf("kripke: AdoptSuccessors: transitions were already added")
+	case len(off) != n+1:
+		return bad(max(min(len(off)-1, n), 0), "%d offsets for %d states, want %d", len(off), n, n+1)
+	case off[0] != 0:
+		return bad(0, "starts at offset %d, want 0", off[0])
+	}
+	for s := 0; s < n; s++ {
+		if off[s+1] < off[s] || int(off[s+1]) > len(succ) {
+			return bad(s, "offsets %d..%d are not a range of [0,%d]", off[s], off[s+1], len(succ))
 		}
-		b.edges = append(b.edges, base|uint64(uint32(to)))
+		prev := State(-1)
+		for _, t := range succ[off[s]:off[s+1]] {
+			if t <= prev || int(t) >= n {
+				return bad(s, "successor %d after %d is not ascending in [0,%d)", t, prev, n)
+			}
+			prev = t
+		}
 	}
+	if int(off[n]) != len(succ) {
+		return bad(n-1, "ends at offset %d, but %d successors were given", off[n], len(succ))
+	}
+	b.succOff, b.succ = off, succ
 	return nil
 }
 
@@ -593,7 +621,11 @@ func (b *Builder) BuildPartial() (*Structure, error) {
 		reach:    &reachCache{},
 	}
 	m.vocab, m.rows, m.words = canonical(b.vocab, b.labels.rows, b.labels.w)
-	b.edges = m.setEdges(n, b.edges)
+	if b.succOff != nil {
+		m.setSucc(b.succOff, b.succ)
+	} else {
+		b.edges = m.setEdges(n, b.edges)
+	}
 
 	// The "exactly one" sets: derived per label id, overridden per state.
 	ones := newOnesTable()
@@ -618,33 +650,45 @@ func (b *Builder) BuildPartial() (*Structure, error) {
 	return m, nil
 }
 
-// setEdges sorts and deduplicates edges (from<<32 | to) in place, fills the
-// successor and predecessor CSR arrays of an n-state structure from them,
-// and returns the deduplicated edges.
+// setEdges sorts and deduplicates edges (from<<32 | to) in place, installs
+// them as the successor CSR of an n-state structure and returns the
+// deduplicated edges.
 func (m *Structure) setEdges(n int, edges []uint64) []uint64 {
-	// Edges sorted by (from, to) give the successor CSR directly; a second
-	// counting pass over the same order fills sorted predecessor rows.
 	slices.Sort(edges)
 	edges = slices.Compact(edges)
-	m.succOff = make([]int32, n+1)
-	m.predOff = make([]int32, n+1)
-	for _, e := range edges {
-		m.succOff[int(e>>32)+1]++
-		m.predOff[int(uint32(e))+1]++
+	off := make([]int32, n+1)
+	succ := make([]State, len(edges))
+	for i, e := range edges {
+		off[int(e>>32)+1]++
+		succ[i] = State(uint32(e))
 	}
 	for s := 0; s < n; s++ {
-		m.succOff[s+1] += m.succOff[s]
-		m.predOff[s+1] += m.predOff[s]
+		off[s+1] += off[s]
 	}
-	m.succEdges = make([]State, len(edges))
-	m.predEdges = make([]State, len(edges))
-	predNext := make([]int32, n)
-	copy(predNext, m.predOff[:n])
-	for i, e := range edges {
-		from, to := State(e>>32), State(uint32(e))
-		m.succEdges[i] = to
-		m.predEdges[predNext[to]] = from
-		predNext[to]++
-	}
+	m.setSucc(off, succ)
 	return edges
+}
+
+// setSucc installs a successor CSR with ascending rows and fills the
+// predecessor CSR from it by counting.  Sources are placed from the last
+// state down, each row's cursor falling from its end to its start, so every
+// predecessor row comes out ascending with no cursor array.
+func (m *Structure) setSucc(off []int32, succ []State) {
+	n := len(off) - 1
+	m.succOff, m.succEdges = off, succ
+	m.predOff = make([]int32, n+1)
+	for _, t := range succ {
+		m.predOff[t]++
+	}
+	for t := 1; t < n; t++ {
+		m.predOff[t] += m.predOff[t-1]
+	}
+	m.predOff[n] = int32(len(succ))
+	m.predEdges = make([]State, len(succ))
+	for s := n - 1; s >= 0; s-- {
+		for _, t := range succ[off[s]:off[s+1]] {
+			m.predOff[t]--
+			m.predEdges[m.predOff[t]] = State(s)
+		}
+	}
 }

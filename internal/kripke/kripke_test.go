@@ -3,6 +3,7 @@ package kripke
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -397,5 +398,101 @@ func TestInducedSubstructure(t *testing.T) {
 	// Transition 0->2 is dropped because state 2 is excluded.
 	if sub.NumTransitions() != 3 {
 		t.Errorf("Induced transitions = %d, want 3", sub.NumTransitions())
+	}
+}
+
+// TestAdoptSuccessorsRejectsMalformedRows: AdoptSuccessors validates the
+// whole CSR before adopting it, and every rejection names the row at
+// fault.
+func TestAdoptSuccessorsRejectsMalformedRows(t *testing.T) {
+	cases := []struct {
+		name string
+		off  []int32
+		succ []State
+		row  string
+	}{
+		{"short offsets", []int32{0, 1, 2}, []State{1, 2}, "row 2:"},
+		{"long offsets", []int32{0, 1, 2, 3, 3}, []State{1, 2, 0}, "row 3:"},
+		{"nonzero start", []int32{1, 1, 2, 3}, []State{1, 2, 0}, "row 0:"},
+		{"decreasing offsets", []int32{0, 2, 1, 3}, []State{1, 2, 0}, "row 1:"},
+		{"offset past the successors", []int32{0, 1, 5, 5}, []State{1, 2, 0}, "row 1:"},
+		{"unsorted row", []int32{0, 2, 3, 4}, []State{2, 1, 2, 0}, "row 0:"},
+		{"duplicate target", []int32{0, 1, 3, 4}, []State{1, 2, 2, 0}, "row 1:"},
+		{"target out of range", []int32{0, 1, 2, 3}, []State{1, 3, 0}, "row 1:"},
+		{"negative target", []int32{0, 1, 2, 3}, []State{1, 2, -1}, "row 2:"},
+		{"successors past the last row", []int32{0, 1, 2, 3}, []State{1, 2, 0, 1}, "row 2:"},
+	}
+	for _, tc := range cases {
+		b := NewBuilder("three")
+		for i := 0; i < 3; i++ {
+			b.AddState(PI("s", i))
+		}
+		err := b.AdoptSuccessors(tc.off, tc.succ)
+		if err == nil {
+			t.Errorf("%s: AdoptSuccessors(%v, %v) accepted malformed rows", tc.name, tc.off, tc.succ)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.row) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, strings.TrimSuffix(tc.row, ":"))
+		}
+	}
+}
+
+// TestAdoptSuccessorsMatchesAddTransition: the adopted rows and the edge
+// list route give the same relation in both directions, and the adopted
+// route keeps the caller's successor array instead of copying it.
+func TestAdoptSuccessorsMatchesAddTransition(t *testing.T) {
+	edges := [][2]State{{0, 1}, {0, 2}, {1, 2}, {2, 0}, {2, 1}, {2, 2}}
+	off := []int32{0, 2, 3, 6}
+	succ := []State{1, 2, 2, 0, 1, 2}
+	build := func(adopt bool) *Structure {
+		b := NewBuilder("tri")
+		for i := 0; i < 3; i++ {
+			b.AddState(PI("s", i))
+		}
+		if adopt {
+			if err := b.AdoptSuccessors(off, succ); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddTransition(0, 0); err == nil {
+				t.Error("AddTransition after AdoptSuccessors should fail")
+			}
+		} else {
+			for _, e := range edges {
+				if err := b.AddTransition(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.AdoptSuccessors(off, succ); err == nil {
+				t.Error("AdoptSuccessors after AddTransition should fail")
+			}
+		}
+		if err := b.SetInitial(0); err != nil {
+			t.Fatal(err)
+		}
+		m, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	adopted, listed := build(true), build(false)
+	var want, got bytes.Buffer
+	if err := EncodeText(&want, listed); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeText(&got, adopted); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("adopted rows encode as\n%s\nwant\n%s", got.String(), want.String())
+	}
+	for s := State(0); s < 3; s++ {
+		if a, l := fmt.Sprint(adopted.Pred(s)), fmt.Sprint(listed.Pred(s)); a != l {
+			t.Errorf("Pred(%d) = %s, want %s", s, a, l)
+		}
+	}
+	if &adopted.Succ(0)[0] != &succ[0] {
+		t.Error("the adopted structure copied the successor array")
 	}
 }

@@ -2,7 +2,9 @@ package podc
 
 import (
 	"context"
+	"sync/atomic"
 
+	"repro/internal/family"
 	"repro/internal/kripke"
 )
 
@@ -28,3 +30,20 @@ func SessionIndexActions(ctx context.Context, s *Session, topo Topology, small, 
 // PairCSR returns the compact encoding (bisim.Relation.AppendCSR) of one
 // index pair's decided relation.
 func PairCSR(c *Correspondence) []byte { return c.res.Relation.AppendCSR(nil) }
+
+// CountingPacked wraps topo so that every Packed call on it is counted;
+// the returned function reads the count.
+func CountingPacked(topo Topology) (Topology, func() int64) {
+	c := &countingPackable{Topology: topo.t}
+	return Topology{t: c}, c.calls.Load
+}
+
+type countingPackable struct {
+	family.Topology
+	calls atomic.Int64
+}
+
+func (c *countingPackable) Packed(n int) (family.PackedInstance, bool) {
+	c.calls.Add(1)
+	return family.Packed(c.Topology, n)
+}

@@ -64,12 +64,12 @@ type instanceKey struct {
 }
 
 // instance is one cached family instance: its structure and, for every
-// packable topology, the explored space (state s of the structure is state
-// s of the space), from which indexAction derives the index action.
+// packable topology, the packed instance it was built from and the
+// explored space (state s of the structure is state s of the space), from
+// which indexAction derives the index action.
 type instance struct {
-	t  family.Topology
-	n  int
 	m  *Structure
+	pi *family.PackedInstance // nil when the topology does not pack size n
 	sp *explore.Space
 
 	// actionMu guards the lazily verified index action: actionDone is set
@@ -91,8 +91,8 @@ func (inst *instance) indexAction(ctx context.Context) (*kripke.IndexAction, err
 	if inst.actionDone {
 		return inst.action, nil
 	}
-	if pi, ok := family.Packed(inst.t, inst.n); ok {
-		a, err := pi.OptionalIndexAction(ctx, inst.sp, inst.m.raw())
+	if inst.pi != nil {
+		a, err := inst.pi.OptionalIndexAction(ctx, inst.sp, inst.m.raw())
 		if err != nil {
 			return nil, err
 		}
@@ -256,20 +256,30 @@ func (s *Session) Instance(ctx context.Context, topo Topology, n int) (*Structur
 
 func (s *Session) topologyInstance(ctx context.Context, t family.Topology, n int) (*instance, error) {
 	return getOrCompute(ctx, s, s.instances, instanceKey{topology: t.Name(), n: n}, func() (*instance, error) {
-		m, sp, err := s.buildInstance(ctx, t, n)
-		if err != nil {
-			return nil, err
-		}
-		return &instance{t: t, n: n, m: wrapStructure(m), sp: sp}, nil
+		return s.buildInstance(ctx, t, n)
 	})
 }
 
 // buildInstance explores one topology instance with the session's build
-// pool (one worker unless WithParallelBuild sets it).  The space is nil
-// only for topologies without a packed definition, which BuildParallel
-// builds sequentially.
-func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (*kripke.Structure, *explore.Space, error) {
-	return family.BuildParallel(ctx, t, n, max(s.cfg.buildWorkers, 1))
+// pool (one worker unless WithParallelBuild sets it), asking the topology
+// for its packed instance once; the instance keeps it for indexAction.
+// Topologies without a packed definition are built sequentially and keep
+// no space.
+func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (*instance, error) {
+	inst := &instance{}
+	var m *kripke.Structure
+	var err error
+	if pi, ok := family.Packed(t, n); ok {
+		inst.pi = &pi
+		m, inst.sp, err = pi.Build(ctx, max(s.cfg.buildWorkers, 1))
+	} else {
+		m, err = family.BuildUnpacked(ctx, t, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	inst.m = wrapStructure(m)
+	return inst, nil
 }
 
 // Correspondence decides (and caches) the topology's canonical indexed

@@ -309,6 +309,37 @@ func TestSessionInstanceTooLargeIsTyped(t *testing.T) {
 	}
 }
 
+// TestSessionAsksPackedOncePerInstance: a built instance keeps the packed
+// instance it was built from, and its index action uses it, so the
+// topology is asked for Packed once per built instance — here M_5 (built
+// by Verifier, which also derives its action) and M_3 (built and given an
+// action by the cold correspondence decision).
+func TestSessionAsksPackedOncePerInstance(t *testing.T) {
+	ctx := context.Background()
+	topo, calls := podc.CountingPacked(podc.RingTopology())
+	s := podc.NewSession()
+	if _, err := s.Verifier(ctx, topo, 5); err != nil {
+		t.Fatal(err)
+	}
+	corr, err := s.Correspondence(ctx, topo, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !corr.Corresponds() {
+		t.Fatal("M_3 ~ M_5 must hold")
+	}
+	left, right, err := podc.SessionIndexActions(ctx, s, topo, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left == nil || right == nil {
+		t.Fatal("both ring instances should carry an index action")
+	}
+	if got := calls(); got != 2 {
+		t.Errorf("Packed called %d times for 2 built instances and their index actions, want 2", got)
+	}
+}
+
 func TestSessionFailedComputationIsRetried(t *testing.T) {
 	s := podc.NewSession()
 	ctx, cancel := context.WithCancel(context.Background())
