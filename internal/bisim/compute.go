@@ -37,8 +37,8 @@ func cancelled(ctx context.Context) error {
 //     < m and "matched move" references any pair of R.
 //
 // As proved after the definition in Section 3, the minimal degree of any
-// corresponding pair is bounded by |S| + |S'|, which bounds the inner
-// iteration.
+// corresponding pair is bounded by |S| + |S'|, so the inner iteration
+// always ends within the |S|·|S'| + 1 rounds ComputeFixpoint allows it.
 
 // Result is the outcome of Compute.
 type Result struct {
@@ -54,7 +54,7 @@ type Result struct {
 	TotalRight bool
 	// OuterIterations and DegreeRounds are work counters for the experiment
 	// harness.  For the refinement engine OuterIterations counts the
-	// refinement/divergence passes plus the final pruning rounds; for the
+	// refinement/divergence passes plus the one degree pass; for the
 	// nested-fixpoint oracle it counts the outer pruning rounds alone.
 	OuterIterations int
 	DegreeRounds    int
@@ -73,24 +73,19 @@ func (r *Result) Corresponds() bool {
 // The computation honours ctx: a cancelled or expired context makes Compute
 // return promptly with ctx's error.
 //
-// Two engines implement the decision procedure behind this API.  The
-// default is the partition-refinement engine of refine.go, which refines an
-// initial label partition of the disjoint union with a splitter queue
+// Compute runs the partition-refinement engine of refine.go, which refines
+// an initial label partition of the disjoint union with a splitter queue
 // instead of pruning label-equal state pairs, and is asymptotically far
-// cheaper on structures with many states per label class.  Setting
-// Options.MaxDegreeRounds selects the original nested-fixpoint procedure
-// (ComputeFixpoint), which is the only engine whose semantics depend on
-// that bound.  Both produce identical relations and minimal degrees; the
-// differential tests in refine_test.go assert it.
+// cheaper on structures with many states per label class.  The original
+// nested-fixpoint procedure stays as ComputeFixpoint, the oracle the
+// differential tests (refine_test.go, degree_differential_test.go) hold it
+// to: both produce identical relations and minimal degrees.
 func Compute(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*Result, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
 	if n == 0 || n2 == 0 {
 		return nil, fmt.Errorf("bisim: Compute: structures must be non-empty (got %d and %d states)", n, n2)
 	}
 	computeCalls.Add(1)
-	if opts.MaxDegreeRounds > 0 {
-		return computeFixpoint(ctx, m, m2, opts)
-	}
 	return computeRefined(ctx, m, m2, opts)
 }
 
@@ -114,8 +109,13 @@ func RefineBatches() int64 { return 0 }
 
 // ComputeFixpoint runs the original nested-fixpoint decision procedure on
 // the label-equal candidate pair set.  It is retained as the cross-check
-// oracle for the partition-refinement engine and as the engine honouring
-// Options.MaxDegreeRounds; new callers should use Compute.
+// oracle for the partition-refinement engine; new callers should use
+// Compute.
+//
+// Starting from every label-equal pair it repeatedly assigns minimal
+// degrees (computeDegrees) and removes the pairs without a finite degree
+// until the set is stable — the greatest fixpoint — then packages the
+// relation, the initial-state verdict and the totality flags.
 func ComputeFixpoint(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*Result, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
 	if n == 0 || n2 == 0 {
@@ -145,39 +145,19 @@ func computeFixpoint(ctx context.Context, m, m2 *kripke.Structure, opts Options)
 			}
 		}
 	}
-	return pruneAndFinish(ctx, m, m2, inR, opts, &Result{}, computeDegrees)
-}
 
-// degreesFunc assigns minimal degrees for the pairs of inR; computeDegrees
-// is the reference implementation, computeDegreesFast (refine.go) the
-// worklist-scheduled one the refinement engine uses.  Both poll ctx once per
-// degree round and report its error when cancelled.
-type degreesFunc func(ctx context.Context, m, m2 *kripke.Structure, inR []bool, deg []int, maxRounds int) (int, error)
-
-// pruneAndFinish is the tail shared by both engines: starting from the
-// candidate set inR it repeatedly assigns minimal degrees and removes pairs
-// without a finite degree until the set is stable (the greatest fixpoint),
-// then packages the relation, the initial-state verdict and the totality
-// flags.  The nested-fixpoint engine seeds it with every label-equal pair;
-// the refinement engine seeds it with the (normally already stable) pairs
-// read off the refined partition, so the loop body runs exactly once there.
-func pruneAndFinish(ctx context.Context, m, m2 *kripke.Structure, inR []bool, opts Options, res *Result, degrees degreesFunc) (*Result, error) {
-	n, n2 := m.NumStates(), m2.NumStates()
-	maxRounds := opts.MaxDegreeRounds
-	if maxRounds <= 0 {
-		// The paper bounds the minimal degree by |S| + |S'|; we allow up to
-		// |S| * |S'| rounds to stay safe (the iteration stops as soon as a
-		// round makes no progress, so the generous bound costs nothing).
-		maxRounds = n*n2 + 1
-	}
-
+	// The paper bounds the minimal degree by |S| + |S'|; the inner
+	// iteration allows up to |S|·|S'| rounds to stay safe (it stops as soon
+	// as a round makes no progress, so the generous bound costs nothing).
+	maxRounds := n*n2 + 1
+	res := &Result{}
 	deg := make([]int, n*n2)
 	for {
 		if err := cancelled(ctx); err != nil {
 			return nil, err
 		}
 		res.OuterIterations++
-		rounds, err := degrees(ctx, m, m2, inR, deg, maxRounds)
+		rounds, err := computeDegrees(ctx, m, m2, inR, deg, maxRounds)
 		res.DegreeRounds += rounds
 		if err != nil {
 			return nil, err
@@ -193,7 +173,6 @@ func pruneAndFinish(ctx context.Context, m, m2 *kripke.Structure, inR []bool, op
 			break
 		}
 	}
-
 	return finishResult(m, m2, inR, deg, opts, res)
 }
 
@@ -267,7 +246,8 @@ func allInScope(m *kripke.Structure, opts Options, covered func(s int) bool) boo
 
 // computeDegrees assigns to deg the minimal degree of every pair of the
 // candidate relation inR (InfiniteDegree if the pair has no finite degree),
-// and returns the number of rounds used.
+// and returns the number of rounds used.  It polls ctx once per round and
+// reports its error when cancelled.
 func computeDegrees(ctx context.Context, m, m2 *kripke.Structure, inR []bool, deg []int, maxRounds int) (int, error) {
 	n2 := m2.NumStates()
 	for i := range deg {

@@ -123,9 +123,9 @@ func Explain(ctx context.Context, m, m2 *kripke.Structure, opts Options, res *Re
 	if n == 0 || n2 == 0 {
 		return nil, fmt.Errorf("bisim: Explain: structures must be non-empty (got %d and %d states)", n, n2)
 	}
-	// Run the production refiner with the recorder attached.  It is called
-	// directly rather than through Compute, so MaxDegreeRounds, which
-	// selects the nested-fixpoint engine there, has no effect on evidence.
+	// Run the production refiner with the recorder attached, directly
+	// rather than through Compute: evidence needs the partition's history,
+	// not the degrees.
 	r, compLabel, err := newRefiner(ctx, m, m2, opts)
 	if err != nil {
 		return nil, err

@@ -6,21 +6,25 @@ import (
 	"repro/internal/kripke"
 )
 
-// SetMaskDegreeBlockLimit is a test hook: it lets the external test package
-// force the generic degree path and returns the previous limit.
-func SetMaskDegreeBlockLimit(v int) int {
-	old := maskDegreeBlockLimit
-	maskDegreeBlockLimit = v
-	return old
+// DegreePass runs Compute's degree pass on the partition stateBlock of the
+// union of m and m2 (block ids 0..numBlocks-1, second structure offset by
+// m's state count), whatever the partition's quality.
+func DegreePass(m, m2 *kripke.Structure, stateBlock []int32, numBlocks int) (*Result, error) {
+	return degreePass(context.Background(), m, m2, stateBlock, numBlocks, Options{}, &Result{})
 }
 
-// SetPackedLeftLimit is a test hook: lowering the limit to zero makes the
-// packed degree pass step aside, so the external test package can force
-// maskedFinish on any input.  It returns the previous limit.
-func SetPackedLeftLimit(v int) int {
-	old := packedLeftLimit
-	packedLeftLimit = v
-	return old
+// Stabilize runs Compute up to its stable partition — preprocessing,
+// initial partition and refinement — without the degree pass.
+func Stabilize(m, m2 *kripke.Structure, opts Options) {
+	ctx := context.Background()
+	r, compLabel, err := newRefiner(ctx, m, m2, opts)
+	if err != nil {
+		panic(err)
+	}
+	r.initPartition(compLabel)
+	if err := r.stabilize(ctx, &Result{}); err != nil {
+		panic(err)
+	}
 }
 
 // RelationBytes returns the bytes a relation's pair storage holds: the

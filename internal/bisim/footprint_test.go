@@ -73,6 +73,43 @@ func TestRefinerFootprint(t *testing.T) {
 	}
 }
 
+// TestDegreePassFootprint bounds what Compute allocates past its stable
+// partition — the degree pass and the Result — at 20 bytes per related pair,
+// 128 per union state and 32 per union transition, plus 64 KiB.  A pair
+// costs its degree slot (4 bytes), its place in the Result's relation (8)
+// and its bit in seven row words; a right state's row costs up to seven
+// words (56 bytes) before it holds a pair.  The inputs are cycles compared
+// with themselves: with one label (one block of 2,000 × 2,000 pairs) and
+// with distinct labels (4,000 blocks of one pair each), so neither a
+// per-pair table of more than a dozen bytes nor an |S|·|S'| array fits.
+func TestDegreePassFootprint(t *testing.T) {
+	for _, c := range []struct{ n, labels int }{{2000, 1}, {4000, 4000}} {
+		m := labelledCycle(t, c.n, c.labels, 0)
+		var before, mid, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bisim.Stabilize(m, m, bisim.Options{})
+		runtime.ReadMemStats(&mid)
+		res, err := bisim.Compute(context.Background(), m, m, bisim.Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Corresponds() {
+			t.Fatalf("n=%d labels=%d: a cycle must correspond to itself", c.n, c.labels)
+		}
+		pairs, states, edges := res.Relation.Size(), 2*m.NumStates(), 2*m.NumTransitions()
+		stabilize := int64(mid.TotalAlloc - before.TotalAlloc)
+		got := int64(after.TotalAlloc-mid.TotalAlloc) - stabilize
+		limit := int64(20*pairs+128*states+32*edges) + 64<<10
+		t.Logf("n=%d labels=%d: degree pass %d bytes for %d pairs (%.1f per pair), stabilise %d bytes; bound %d",
+			c.n, c.labels, got, pairs, float64(got)/float64(pairs), stabilize, limit)
+		if got > limit {
+			t.Errorf("n=%d labels=%d: the degree pass allocated %d bytes for %d pairs, %d union states and %d transitions, above the %d-byte bound",
+				c.n, c.labels, got, pairs, states, edges, limit)
+		}
+	}
+}
+
 // TestIndexedComputeSharesReachability decides ring M_3 ~ M_10 under
 // ReachableOnly — ten index pairs over the reductions of two structures —
 // and then asks each structure for its reachable set.  The reductions

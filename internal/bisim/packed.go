@@ -2,213 +2,286 @@ package bisim
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/bits"
 
 	"repro/internal/kripke"
 )
 
-// packedLeftLimit is the number of left states per block up to which
-// maskedFinishPacked packs a block's pairs into one uint64 row (a test hook
-// lowers it to force maskedFinish).
-var packedLeftLimit = 64
+// ErrUnresolvedDegree reports a pair of the refined partition that the
+// degree pass could not give a finite degree.  Every pair of a stuttering
+// equivalence block has one, so the error means the partition was coarser
+// than stuttering equivalence — a bug, never an input property.  The
+// wrapping error names the first such pair.
+var ErrUnresolvedDegree = errors.New("bisim: a pair of the refined partition has no finite degree")
 
-// maskedFinishPacked is the word-at-a-time counterpart of maskedFinish: the
-// pairs owned by right state t — at most 64, one per left state of t's
-// block — form one uint64 row indexed by left rank, and each degree round
-// evaluates whole rows:
+// degreePass assigns the minimal degree of every pair of the same-block
+// relation of the partition stateBlock (block ids 0..numBlocks-1 over the
+// union, second structure offset by n) and packages the Result.  It is the
+// word-at-a-time form of the reference computeDegrees, specialised to a
+// partition: a pair (s, t) lies in a single block b, a stuttering move is a
+// successor inside b, and a matched move only needs the mover's block among
+// the other side's successor blocks.
 //
-//   - clause2b(row) = A | (B ∧ subset) | or-R, where A marks ranks whose
-//     every move is matched, B marks ranks whose only unmatched moves
-//     stutter, subset tests their in-block successor mask against t's
-//     resolved row, and or-R unions the resolved rows of t's stuttering
-//     successors (the "t stutters to a smaller degree" disjunct);
-//   - clause2c(row) = C | (D ∧ and-R) | exists, dually, with and-R the
+// The pairs owned by right state t — one per left state of t's block —
+// form a row of ⌈L_b/64⌉ words indexed by left rank, and each degree round
+// evaluates whole words:
+//
+//   - clause2b = A | (B ∧ subset) | or-R, where A marks ranks whose every
+//     move is matched, B marks ranks whose only unmatched moves stutter,
+//     subset tests their in-block successor ranks against t's resolved row,
+//     and or-R unions the resolved rows of t's stuttering successors (the
+//     "t stutters to a smaller degree" disjunct);
+//   - clause2c = C | (D ∧ and-R) | exists, dually, with and-R the
 //     intersection of the successors' resolved rows and exists the ranks
 //     with a resolved in-block successor.
 //
-// Resolved rows advance only between rounds (newly resolved bits are held
-// back until every row of the round is evaluated), which reproduces the
-// strict "degree < k" threshold of the scalar worklist, so the assigned
-// degrees and the round count are identical.  It reports ok=false — the
-// caller falls back to maskedFinish — if some block holds more than
-// packedLeftLimit left states (rank masks would overflow) or some pair ends
-// unresolved.
-func maskedFinishPacked(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32, numBlocks int, opts Options, res *Result) (*Result, bool, error) {
+// Successor-block sets and in-block successor ranks are sparse word lists
+// (sparseRows), bounded by the transitions; with at most 64 blocks and 64
+// left states per block every list and every row is one word.  Resolved
+// rows advance only between rounds (newly resolved bits are held back until
+// every row of the round is evaluated), which reproduces the strict
+// "degree < k" threshold of the reference, so the degrees are identical.
+// A pair left unresolved is reported as ErrUnresolvedDegree.
+func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32, numBlocks int, opts Options, res *Result) (*Result, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
 	ar := opts.arena
 
-	blockLefts := make([][]int32, numBlocks)
+	// Left states of every block, by rank: a counting pass records each
+	// left state's rank, a prefix sum turns the counts into offsets.
+	lefts := csr{off: ar.i32s(numBlocks+1, true), dst: ar.i32s(n, false)}
 	rank := ar.i32s(n, false)
 	for s := 0; s < n; s++ {
 		b := stateBlock[s]
-		if len(blockLefts[b]) >= packedLeftLimit {
-			return nil, false, nil
-		}
-		rank[s] = int32(len(blockLefts[b]))
-		blockLefts[b] = append(blockLefts[b], int32(s))
+		rank[s] = lefts.off[b+1]
+		lefts.off[b+1]++
 	}
-	pairBase := ar.i32s(n2, false)
-	total := 0
+	widest := int32(0)
+	for b := 0; b < numBlocks; b++ {
+		widest = max(widest, lefts.off[b+1])
+		lefts.off[b+1] += lefts.off[b]
+	}
+	for s := 0; s < n; s++ {
+		lefts.dst[lefts.off[stateBlock[s]]+rank[s]] = int32(s)
+	}
+	// Right state t owns the degree slots pairBase[t].. and the row words
+	// rowOff[t]..rowOff[t+1]-1.
+	pairBase := ar.i32s(n2+1, false)
+	rowOff := ar.i32s(n2+1, false)
+	pairBase[0], rowOff[0] = 0, 0
 	for t := 0; t < n2; t++ {
-		pairBase[t] = int32(total)
-		total += len(blockLefts[stateBlock[n+t]])
+		b := stateBlock[n+t]
+		l := lefts.off[b+1] - lefts.off[b]
+		pairBase[t+1] = pairBase[t] + l
+		rowOff[t+1] = rowOff[t] + (l+63)/64
 	}
 
-	// Successor-block mask of every union state (same layout as
-	// maskedFinish), fused with the stuttering-move extraction: succRM[s]
-	// holds the ranks of s's in-block successors, and on the right side the
-	// in-block edges are counted for the CSR lists below.
-	masks := ar.u64s(n+n2, true)
-	succRM := ar.u64s(n, true)
-	for s := 0; s < n; s++ {
+	// The successor blocks of every union state and the in-block successor
+	// ranks of every left state.  Left states take their rows in block
+	// order (row lefts.off[b]+j for the left of rank j in block b), so a
+	// sweep over a right state's row reads them sequentially; right state t
+	// takes row n+t.
+	succBlocks := newSparseRows(ar, n+n2, numBlocks, m.NumTransitions()+m2.NumTransitions(), func(u int, buf []int32) []int32 {
+		if u < n {
+			for _, v := range m.Succ(kripke.State(lefts.dst[u])) {
+				buf = append(buf, stateBlock[v])
+			}
+			return buf
+		}
+		for _, v := range m2.Succ(kripke.State(u - n)) {
+			buf = append(buf, stateBlock[n+int(v)])
+		}
+		return buf
+	})
+	succRanks := newSparseRows(ar, n, int(widest), m.NumTransitions(), func(p int, buf []int32) []int32 {
+		s := lefts.dst[p]
 		b := stateBlock[s]
 		for _, v := range m.Succ(kripke.State(s)) {
-			masks[s] |= 1 << uint(stateBlock[v])
 			if stateBlock[v] == b {
-				succRM[s] |= 1 << uint(rank[v])
+				buf = append(buf, rank[v])
 			}
 		}
-	}
-	// Right stuttering moves as flat CSR successor and predecessor lists
-	// (repeats are harmless: successor rows are combined with idempotent
-	// AND/OR, and predecessors only schedule re-evaluation).  The
-	// predecessor lists drive the dirty-row worklist below.
-	ibrSuccCnt := ar.i32s(n2, true)
-	ibrPredCnt := ar.i32s(n2, true)
-	ibrTotal := int32(0)
-	for t := 0; t < n2; t++ {
-		b := stateBlock[n+t]
-		for _, v := range m2.Succ(kripke.State(t)) {
-			masks[n+t] |= 1 << uint(stateBlock[n+int(v)])
-			if stateBlock[n+int(v)] == b {
-				ibrSuccCnt[t]++
-				ibrPredCnt[v]++
-				ibrTotal++
-			}
-		}
-	}
-	ibrSuccOff := ar.i32s(n2+1, false)
-	ibrPredOff := ar.i32s(n2+1, false)
-	sPos, pPos := int32(0), int32(0)
-	for t := 0; t < n2; t++ {
-		ibrSuccOff[t] = sPos
-		sPos += ibrSuccCnt[t]
-		ibrPredOff[t] = pPos
-		pPos += ibrPredCnt[t]
-	}
-	ibrSuccOff[n2], ibrPredOff[n2] = sPos, pPos
-	ibrSuccL := ar.i32s(int(ibrTotal), false)
-	ibrPredL := ar.i32s(int(ibrTotal), false)
-	clear(ibrSuccCnt) // reuse the counts as fill cursors
-	clear(ibrPredCnt)
-	for t := 0; t < n2; t++ {
-		b := stateBlock[n+t]
-		for _, v := range m2.Succ(kripke.State(t)) {
-			if stateBlock[n+int(v)] == b {
-				ibrSuccL[ibrSuccOff[t]+ibrSuccCnt[t]] = int32(v)
-				ibrSuccCnt[t]++
-				ibrPredL[ibrPredOff[v]+ibrPredCnt[v]] = int32(t)
-				ibrPredCnt[v]++
-			}
-		}
-	}
-	ibrSucc := func(t int32) []int32 { return ibrSuccL[ibrSuccOff[t]:ibrSuccOff[t+1]] }
-	ibrPred := func(t int32) []int32 { return ibrPredL[ibrPredOff[t]:ibrPredOff[t+1]] }
+		return buf
+	})
 
-	// Static per-row clause masks and round 0.  Bit j of a row talks about
-	// the pair (blockLefts[b][j], t).
-	rowA := ar.u64s(n2, true) // every move of s matched
-	rowB := ar.u64s(n2, true) // only stuttering moves of s unmatched
-	rowC := ar.u64s(n2, true) // every move of t matched
-	rowD := ar.u64s(n2, true) // only stuttering moves of t unmatched
-	unresolved := ar.u64s(n2, true)
-	resolvedR := ar.u64s(n2, true) // ranks resolved strictly before this round
-	newly := ar.u64s(n2, true)
-	deg := ar.i32s(total, false) // round 0 writes every slot
-	assigned := 0
+	// Right stuttering moves as CSR successor and predecessor lists
+	// (repeats are harmless: successor rows are combined with idempotent
+	// AND/OR, and predecessors only schedule re-evaluation).  A successor
+	// is listed by the offset of its row words, the only thing evalRow
+	// reads of it; the predecessor lists drive the dirty-row worklist
+	// below.  The fill uses each row's start offset as its cursor, so the
+	// offsets end one row ahead and are shifted back.
+	ibrSucc := csr{off: ar.i32s(n2+1, true)}
+	ibrPred := csr{off: ar.i32s(n2+1, true)}
+	for t := 0; t < n2; t++ {
+		b := stateBlock[n+t]
+		for _, v := range m2.Succ(kripke.State(t)) {
+			if stateBlock[n+int(v)] == b {
+				ibrSucc.off[t+1]++
+				ibrPred.off[v+1]++
+			}
+		}
+	}
+	for t := 0; t < n2; t++ {
+		ibrSucc.off[t+1] += ibrSucc.off[t]
+		ibrPred.off[t+1] += ibrPred.off[t]
+	}
+	ibrSucc.dst = ar.i32s(int(ibrSucc.off[n2]), false) // fully written below
+	ibrPred.dst = ar.i32s(int(ibrPred.off[n2]), false)
+	for t := 0; t < n2; t++ {
+		b := stateBlock[n+t]
+		for _, v := range m2.Succ(kripke.State(t)) {
+			if stateBlock[n+int(v)] == b {
+				ibrSucc.dst[ibrSucc.off[t]] = rowOff[v]
+				ibrSucc.off[t]++
+				ibrPred.dst[ibrPred.off[v]] = int32(t)
+				ibrPred.off[v]++
+			}
+		}
+	}
+	for _, g := range []csr{ibrSucc, ibrPred} {
+		copy(g.off[1:], g.off[:n2])
+		g.off[0] = 0
+	}
+
+	// Static clause words and round 0: a pair is an exact match iff the two
+	// states offer successors in exactly the same blocks.  Bit j of word w
+	// of t's row talks about the pair (left of rank 64w+j, t).  t's
+	// successor blocks are scattered into the dense tset, so a pair costs
+	// one pass over the left state's list: s \ t word by word, and |t \ s|
+	// as |t| − |s ∩ t|.
+	words := int(rowOff[n2])
+	rowA := ar.u64s(words, true) // every move of s matched
+	rowB := ar.u64s(words, true) // only stuttering moves of s unmatched
+	rowC := ar.u64s(words, true) // every move of t matched
+	rowD := ar.u64s(words, true) // only stuttering moves of t unmatched
+	unresolved := ar.u64s(words, true)
+	resolvedR := ar.u64s(words, true)        // ranks resolved strictly before this round
+	newly := ar.u64s(words, true)            // this round's resolutions; zero between rounds
+	deg := ar.i32s(int(pairBase[n2]), false) // every slot written once its pair resolves
+	open := ar.i32s(n2, true)                // unresolved pairs of each right state
+	tset := ar.u64s((numBlocks+63)/64, true)
 	anyResolved := false
 	for t := 0; t < n2; t++ {
 		b := stateBlock[n+t]
-		lefts := blockLefts[b]
-		tm := masks[n+t]
-		bBit := uint64(1) << uint(b)
-		base := pairBase[t]
-		for j, s := range lefts {
-			sm := masks[s]
-			jBit := uint64(1) << uint(j)
-			if sm&^tm == 0 {
-				rowA[t] |= jBit
-			} else if sm&^tm == bBit {
-				rowB[t] |= jBit
+		bw, bBit := b>>6, uint64(1)<<uint(b&63)
+		tw, tb := succBlocks.row(n + t)
+		tCount := 0
+		for e, w := range tw {
+			tset[w] = tb[e]
+			tCount += bits.OnesCount64(tb[e])
+		}
+		tStutters := tset[bw]&bBit != 0
+		row, base, first := rowOff[t], pairBase[t], int(lefts.off[b])
+		for j := range int(lefts.off[b+1]) - first {
+			// sOnly classifies s \ t: 0 empty, 1 exactly {b}, 2 otherwise.
+			sOnly, shared, sStutters := 0, 0, false
+			for e := succBlocks.off[first+j]; e < succBlocks.off[first+j+1]; e++ {
+				w, sb := succBlocks.word[e], succBlocks.bits[e]
+				shared += bits.OnesCount64(sb & tset[w])
+				if w == bw {
+					sStutters = sb&bBit != 0
+				}
+				if d := sb &^ tset[w]; d != 0 {
+					if w == bw && d == bBit {
+						sOnly = max(sOnly, 1)
+					} else {
+						sOnly = 2
+					}
+				}
 			}
-			if tm&^sm == 0 {
-				rowC[t] |= jBit
-			} else if tm&^sm == bBit {
-				rowD[t] |= jBit
+			tOnly := tCount - shared
+			i, bit := row+int32(j>>6), uint64(1)<<uint(j&63)
+			switch sOnly {
+			case 0:
+				rowA[i] |= bit
+			case 1:
+				rowB[i] |= bit
 			}
-			if sm == tm {
+			switch {
+			case tOnly == 0:
+				rowC[i] |= bit
+			case tOnly == 1 && tStutters && !sStutters:
+				rowD[i] |= bit
+			}
+			if sOnly == 0 && tOnly == 0 {
 				deg[base+int32(j)] = 0
-				resolvedR[t] |= jBit
-				assigned++
+				resolvedR[i] |= bit
 				anyResolved = true
 			} else {
-				deg[base+int32(j)] = -1
-				unresolved[t] |= jBit
+				unresolved[i] |= bit
+				open[t]++
 			}
+		}
+		for _, w := range tw {
+			tset[w] = 0
 		}
 	}
 
-	// Dirty-row worklist: a row's verdicts depend only on its own resolved
-	// word and the resolved words of its in-block right successors, so row t
-	// needs re-evaluation in round k only when resolvedR[t] or some
-	// resolvedR[t1], t1 ∈ ibrSucc[t], grew in round k-1 — i.e. when a row of
-	// {t} ∪ ibrPred[t'] resolved, for t' the grown row.  Evaluating a
-	// strict superset of the scalar engine's candidate pairs cannot resolve
-	// anything extra (an unscheduled pair's relevant resolved bits are
-	// unchanged, so its verdict is unchanged), hence degrees and round
-	// counts stay identical to maskedFinish.
-	evalRow := func(t int, k int32) {
-		un := unresolved[t]
-		if un == 0 {
-			newly[t] = 0
-			return
-		}
-		var orR uint64
-		andR := ^uint64(0)
-		for _, t1 := range ibrSucc(int32(t)) {
-			orR |= resolvedR[t1]
-			andR &= resolvedR[t1]
-		}
-		c2b := rowA[t] | orR
-		c2c := rowC[t] | rowD[t]&andR
-		// The per-bit disjuncts (subset / exists tests against t's resolved
-		// row) only matter for bits the mask terms left open.
-		lefts := blockLefts[stateBlock[n+t]]
-		rt := resolvedR[t]
-		for rem := un & rowB[t] &^ c2b; rem != 0; rem &= rem - 1 {
-			j := bits.TrailingZeros64(rem)
-			if succRM[lefts[j]]&^rt == 0 {
-				c2b |= 1 << uint(j)
+	// evalRow evaluates every unresolved pair of row t in round k and
+	// reports whether any resolved.  A row's verdicts depend only on its
+	// own resolved words (read whole by the subset and exists tests) and
+	// the same-index words of its in-block right successors, which share
+	// its block and so its width.
+	evalRow := func(t int, k int32) bool {
+		lo, hi := rowOff[t], rowOff[t+1]
+		rt := resolvedR[lo:hi]
+		first := lefts.off[stateBlock[n+t]]
+		grew := false
+		for i := lo; i < hi; i++ {
+			un := unresolved[i]
+			if un == 0 {
+				continue
+			}
+			w := i - lo
+			var orR uint64
+			andR := ^uint64(0)
+			for _, o1 := range ibrSucc.row(t) {
+				r1 := resolvedR[o1+w]
+				orR |= r1
+				andR &= r1
+			}
+			c2b := rowA[i] | orR
+			c2c := rowC[i] | rowD[i]&andR
+			// The per-bit disjuncts (subset / exists tests against t's
+			// resolved row) only matter for bits the word terms left open,
+			// and the exists test only where clause2b already holds.
+			for rem := un & rowB[i] &^ c2b; rem != 0; rem &= rem - 1 {
+				j := bits.TrailingZeros64(rem)
+				if succRanks.within(int(first+w<<6)+j, rt) {
+					c2b |= 1 << uint(j)
+				}
+			}
+			for rem := un & c2b &^ c2c; rem != 0; rem &= rem - 1 {
+				j := bits.TrailingZeros64(rem)
+				if succRanks.meets(int(first+w<<6)+j, rt) {
+					c2c |= 1 << uint(j)
+				}
+			}
+			nw := un & c2b & c2c
+			if nw == 0 {
+				continue
+			}
+			grew = true
+			newly[i] = nw
+			unresolved[i] = un &^ nw
+			open[t] -= int32(bits.OnesCount64(nw))
+			base := pairBase[t] + w<<6
+			for rem := nw; rem != 0; rem &= rem - 1 {
+				deg[base+int32(bits.TrailingZeros64(rem))] = k
 			}
 		}
-		for rem := un &^ c2c; rem != 0; rem &= rem - 1 {
-			j := bits.TrailingZeros64(rem)
-			if succRM[lefts[j]]&rt != 0 {
-				c2c |= 1 << uint(j)
-			}
-		}
-		nw := un & c2b & c2c
-		newly[t] = nw
-		if nw == 0 {
-			return
-		}
-		unresolved[t] = un &^ nw
-		base := pairBase[t]
-		for rem := nw; rem != 0; rem &= rem - 1 {
-			deg[base+int32(bits.TrailingZeros64(rem))] = k
-		}
+		return grew
 	}
 
+	// Dirty-row worklist: row t needs re-evaluation in round k only when
+	// its own resolved words or those of some in-block right successor grew
+	// in round k-1 — i.e. when a row of {t} ∪ ibrPred[t'] resolved, for t'
+	// the grown row.  Evaluating a strict superset of the reference's
+	// candidate pairs cannot resolve anything extra (an unscheduled pair's
+	// relevant resolved bits are unchanged, so its verdict is unchanged),
+	// hence degrees and round counts stay identical.
 	dirtyAt := ar.i32s(n2, false)
 	for i := range dirtyAt {
 		dirtyAt[i] = -1
@@ -216,7 +289,7 @@ func maskedFinishPacked(ctx context.Context, m, m2 *kripke.Structure, stateBlock
 	evalList := ar.i32s(n2, false)[:0]
 	nextList := ar.i32s(n2, false)[:0]
 	schedule := func(t int32, round int32, list []int32) []int32 {
-		if unresolved[t] != 0 && dirtyAt[t] != round {
+		if open[t] != 0 && dirtyAt[t] != round {
 			dirtyAt[t] = round
 			list = append(list, t)
 		}
@@ -224,56 +297,164 @@ func maskedFinishPacked(ctx context.Context, m, m2 *kripke.Structure, stateBlock
 	}
 	if anyResolved {
 		for t := int32(0); t < int32(n2); t++ {
-			if resolvedR[t] == 0 {
-				continue
+			if open[t] == pairBase[t+1]-pairBase[t] {
+				continue // nothing of row t resolved in round 0
 			}
 			evalList = schedule(t, 1, evalList)
-			for _, tp := range ibrPred(t) {
+			for _, tp := range ibrPred.row(int(t)) {
 				evalList = schedule(tp, 1, evalList)
 			}
 		}
 	}
 
 	// Loop while the previous round resolved something — even with an empty
-	// worklist the scalar engine runs (and counts) one final barren round,
-	// and DegreeRounds must match it exactly.
+	// worklist the reference runs (and counts) one final barren round, and
+	// DegreeRounds must match it exactly.
 	rounds := int32(1)
 	for prevResolved := anyResolved; prevResolved; {
 		if err := cancelled(ctx); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		k := rounds
 		// Rows only read resolvedR (frozen for the round) and write their own
-		// deg slots and newly word, so the sweep order cannot affect the
-		// outcome.
+		// deg slots and newly words, so the sweep order cannot affect the
+		// outcome.  The rows that resolved something are kept, in place.
+		grown := evalList[:0]
 		for _, t := range evalList {
-			evalRow(int(t), k)
+			if evalRow(int(t), k) {
+				grown = append(grown, t)
+			}
 		}
 		// Publish the round's resolutions only now: rows evaluated above all
 		// saw the same strictly-before-k resolved state.  The publish also
 		// builds the next round's worklist.
 		nextList = nextList[:0]
-		any := false
-		for _, t := range evalList {
-			nw := newly[t]
-			if nw == 0 {
-				continue
+		for _, t := range grown {
+			for i := rowOff[t]; i < rowOff[t+1]; i++ {
+				resolvedR[i] |= newly[i]
+				newly[i] = 0
 			}
-			any = true
-			resolvedR[t] |= nw
-			assigned += bits.OnesCount64(nw)
 			nextList = schedule(t, k+1, nextList)
-			for _, tp := range ibrPred(t) {
+			for _, tp := range ibrPred.row(int(t)) {
 				nextList = schedule(tp, k+1, nextList)
 			}
 		}
-		evalList, nextList = nextList, evalList
-		prevResolved = any
+		evalList, nextList = nextList, grown
+		prevResolved = len(grown) > 0
 		rounds++
 	}
-	if assigned != total {
-		return nil, false, nil
+	for t, left := range open {
+		if left == 0 {
+			continue
+		}
+		i := rowOff[t]
+		for unresolved[i] == 0 {
+			i++
+		}
+		j := (i-rowOff[t])<<6 + int32(bits.TrailingZeros64(unresolved[i]))
+		s := lefts.row(int(stateBlock[n+t]))[j]
+		return nil, fmt.Errorf("%w: (%d, %d) of %s and %s", ErrUnresolvedDegree, s, t, m.Name(), m2.Name())
 	}
 
-	return blockFinish(m, m2, stateBlock, blockLefts, pairBase, deg, rounds, opts, res), true, nil
+	return blockFinish(m, m2, stateBlock, lefts, pairBase, deg, rounds, opts, res), nil
+}
+
+// blockFinish packages the outcome of the degree pass, where
+// deg[pairBase[t]+j] is the degree of the pair (lefts.row(b)[j], t) for t's
+// block b.  Walking t upwards fills every relation row in increasing right
+// state, and totality comes straight from the block structure: a state is
+// covered iff the other side populates its block.
+func blockFinish(m, m2 *kripke.Structure, stateBlock []int32, lefts csr, pairBase, deg []int32, rounds int32, opts Options, res *Result) *Result {
+	n, n2 := m.NumStates(), m2.NumStates()
+	rightCount := make([]int32, len(lefts.off)-1)
+	for t := 0; t < n2; t++ {
+		rightCount[stateBlock[n+t]]++
+	}
+	rel, cursor := newRelationRows(n, n2, func(s int) int { return int(rightCount[stateBlock[s]]) })
+	for t := 0; t < n2; t++ {
+		base := pairBase[t]
+		for j, s := range lefts.row(int(stateBlock[n+t])) {
+			rel.cols[cursor[s]], rel.degs[cursor[s]] = int32(t), deg[base+int32(j)]
+			cursor[s]++
+		}
+	}
+	res.OuterIterations++
+	res.DegreeRounds += int(rounds)
+	res.Relation = rel
+	_, res.InitialRelated = rel.Degree(m.Initial(), m2.Initial())
+	res.TotalLeft = allInScope(m, opts, func(s int) bool { return rightCount[stateBlock[s]] > 0 })
+	res.TotalRight = allInScope(m2, opts, func(t int) bool {
+		b := stateBlock[n+t]
+		return lefts.off[b+1] > lefts.off[b]
+	})
+	return res
+}
+
+// sparseRows is a compressed-sparse-row family of bit sets: row u lists
+// its non-zero words as the entries off[u]..off[u+1]-1, each a word index
+// with that word's bits.  A row holds one entry per distinct word it
+// touches, so rows built from transitions are bounded by the transitions
+// however wide the universe is.
+type sparseRows struct {
+	off  []int32
+	word []int32
+	bits []uint64
+}
+
+// newSparseRows builds rows 0..rows-1 over the items 0..width-1, row u
+// holding the items that items(u, buf) appends to buf (repeats allowed);
+// the rows list at most edges items in all.  A row has one entry per
+// distinct word, in order of first appearance, so the entries fit
+// min(edges, rows·⌈width/64⌉) slots, which the arrays are sized to.
+func newSparseRows(ar *computeArena, rows, width, edges int, items func(u int, buf []int32) []int32) sparseRows {
+	slot := ar.i32s((width+63)/64, false) // per word: its latest entry
+	for i := range slot {
+		slot[i] = -1
+	}
+	capacity := min(edges, rows*len(slot))
+	sr := sparseRows{off: ar.i32s(rows+1, false), word: ar.i32s(capacity, false), bits: ar.u64s(capacity, false)}
+	var buf []int32
+	e := int32(0)
+	for u := 0; u < rows; u++ {
+		lo := e
+		sr.off[u] = lo
+		buf = items(u, buf[:0])
+		for _, x := range buf {
+			w := x >> 6
+			if slot[w] < lo { // entries of earlier rows lie below lo
+				slot[w] = e
+				sr.word[e], sr.bits[e] = w, 0
+				e++
+			}
+			sr.bits[slot[w]] |= 1 << uint(x&63)
+		}
+	}
+	sr.off[rows] = e
+	return sr
+}
+
+// row returns the word indices and bits of row u.
+func (r sparseRows) row(u int) ([]int32, []uint64) {
+	lo, hi := r.off[u], r.off[u+1]
+	return r.word[lo:hi], r.bits[lo:hi]
+}
+
+// within reports whether row u is a subset of the dense set.
+func (r sparseRows) within(u int, set []uint64) bool {
+	for e := r.off[u]; e < r.off[u+1]; e++ {
+		if r.bits[e]&^set[r.word[e]] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// meets reports whether row u intersects the dense set.
+func (r sparseRows) meets(u int, set []uint64) bool {
+	for e := r.off[u]; e < r.off[u+1]; e++ {
+		if r.bits[e]&set[r.word[e]] != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -40,13 +40,13 @@ import (
 // as bitset rows (kripke.TransitionMatrix).
 //
 // Once the partition is stable the candidate relation "same block" gets its
-// minimal degrees from one of three degree passes, chosen by the input's
-// shape alone: maskedFinishPacked (packed.go) when every block fits a
-// 64-bit row, maskedFinish when a block holds more than 64 left states, and
-// the shared pruneAndFinish tail past 64 blocks.  All three reproduce the
-// inner fixpoint of the legacy engine, so the engines return bit-identical
-// results; pruneAndFinish also defensively re-prunes (a no-op when the
-// partition is exact, a safety net otherwise).
+// minimal degrees from one pass, degreePass (packed.go), at every number of
+// blocks and every block width: it reproduces the inner fixpoint of the
+// nested-fixpoint oracle, so the engines return identical results.  Its
+// working arrays grow with the related pairs, the union states and the
+// transitions, never with |S|·|S'|.  A pair left without a finite degree
+// would mean the partition is too coarse; the pass reports it as
+// ErrUnresolvedDegree.
 //
 // Explain (evidence.go) runs this same refiner with a provenance recorder
 // attached, so this file holds the only splitter drain and divergence pass.
@@ -130,8 +130,7 @@ type rblock struct {
 // computeRefined computes the maximal correspondence between m and m2 by
 // partition refinement of their disjoint union.
 func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*Result, error) {
-	n, n2 := m.NumStates(), m2.NumStates()
-	N := n + n2
+	N := m.NumStates() + m2.NumStates()
 	ar := opts.arena // nil for direct calls; every helper degrades to make
 	r, compLabel, err := newRefiner(ctx, m, m2, opts)
 	if err != nil {
@@ -151,37 +150,9 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 		stateBlock[u] = r.blockOf[r.comp[u]]
 	}
 
-	// Minimal degrees; the input's shape picks the route.  With few enough
-	// blocks the successor-block set of a state fits one machine word, and
-	// when no block holds more than 64 left states the pairs of one right
-	// state fit one word as well, so whole rows resolve at once
-	// (maskedFinishPacked).  Wider blocks take the per-pair compact table
-	// (maskedFinish).  Past 64 blocks, or in the never-expected case that a
-	// pair turns out to have no finite degree (the refinement would have
-	// over-approximated), the generic prune-and-assign loop takes over; it
-	// handles any candidate set.
-	if len(r.blocks) <= maskDegreeBlockLimit {
-		out, ok, err := maskedFinishPacked(ctx, m, m2, stateBlock, len(r.blocks), opts, res)
-		if err == nil && !ok {
-			out, ok, err = maskedFinish(ctx, m, m2, stateBlock, len(r.blocks), opts, res)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return out, nil
-		}
-	}
-	inR := make([]bool, n*n2)
-	for s := 0; s < n; s++ {
-		base := s * n2
-		for t := 0; t < n2; t++ {
-			if stateBlock[s] == stateBlock[n+t] {
-				inR[base+t] = true
-			}
-		}
-	}
-	return pruneAndFinish(ctx, m, m2, inR, opts, res, computeDegreesFast)
+	// Minimal degrees of the same-block relation, in one word-parallel pass
+	// at any number and width of blocks (packed.go).
+	return degreePass(ctx, m, m2, stateBlock, len(r.blocks), opts, res)
 }
 
 // newRefiner preprocesses the disjoint union of m and m2 (second structure
@@ -466,342 +437,6 @@ func (r *refiner) stabilize(ctx context.Context, res *Result) error {
 			return nil
 		}
 	}
-}
-
-// maskDegreeBlockLimit is the block count up to which maskedFinish packs a
-// state's successor-block set into a uint64 (a test hook lowers it to force
-// the generic path).
-var maskDegreeBlockLimit = 64
-
-// maskedFinish assigns the minimal degree of every pair of the same-block
-// relation and packages the Result, exploiting that the candidate set is a
-// partition with at most 64 blocks:
-//
-//   - pairs live in a compact table — right state t owns the slots
-//     [pairBase[t], pairBase[t]+len(lefts of t's block)) — so the working
-//     arrays are proportional to the relation, not to |S|·|S'|, and stay
-//     cache-resident;
-//   - a pair (s, t) lies in a single block b, a stuttering move is a
-//     successor inside b, and a matched move only needs the mover's block
-//     to appear among the other side's successor blocks — a one-bit test
-//     against the per-state successor-block mask;
-//   - re-examination is scheduled by the same worklist rule as
-//     computeDegreesFast, so the assigned degrees are identical to the
-//     reference computeDegrees.
-//
-// It reports ok=false if some pair received no finite degree (meaning the
-// refinement over-approximated, which the theory rules out but the caller
-// still guards), in which case the generic pruning loop takes over.
-func maskedFinish(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32, numBlocks int, opts Options, res *Result) (*Result, bool, error) {
-	n, n2 := m.NumStates(), m2.NumStates()
-	ar := opts.arena
-
-	// Left states of every block, and each left state's rank in its block.
-	blockLefts := make([][]int32, numBlocks)
-	rank := ar.i32s(n, false)
-	for s := 0; s < n; s++ {
-		b := stateBlock[s]
-		rank[s] = int32(len(blockLefts[b]))
-		blockLefts[b] = append(blockLefts[b], int32(s))
-	}
-	// Compact pair table.
-	pairBase := ar.i32s(n2, false)
-	total := 0
-	for t := 0; t < n2; t++ {
-		pairBase[t] = int32(total)
-		total += len(blockLefts[stateBlock[n+t]])
-	}
-	pairS := ar.i32s(total, false)
-	pairT := ar.i32s(total, false)
-	for t := 0; t < n2; t++ {
-		off := pairBase[t]
-		for j, s := range blockLefts[stateBlock[n+t]] {
-			pairS[off+int32(j)] = s
-			pairT[off+int32(j)] = int32(t)
-		}
-	}
-
-	// Successor-block mask of every union state.
-	masks := ar.u64s(n+n2, true)
-	for s := 0; s < n; s++ {
-		for _, v := range m.Succ(kripke.State(s)) {
-			masks[s] |= 1 << uint(stateBlock[v])
-		}
-	}
-	for t := 0; t < n2; t++ {
-		for _, v := range m2.Succ(kripke.State(t)) {
-			masks[n+t] |= 1 << uint(stateBlock[n+int(v)])
-		}
-	}
-
-	// In-block (stuttering) successor and predecessor lists.  All degree
-	// references in the clauses are stuttering moves, so only these edges
-	// ever need per-pair work; flat backing, counting pass first.
-	ibSuccOf := func(u int) []kripke.State {
-		if u < n {
-			return m.Succ(kripke.State(u))
-		}
-		return m2.Succ(kripke.State(u - n))
-	}
-	N := n + n2
-	ibsCount := ar.i32s(N, true)
-	ibpCount := ar.i32s(N, true)
-	ibTotal := 0
-	for u := 0; u < N; u++ {
-		off := 0
-		if u >= n {
-			off = n
-		}
-		b := stateBlock[u]
-		for _, v := range ibSuccOf(u) {
-			if stateBlock[off+int(v)] == b {
-				ibsCount[u]++
-				ibpCount[off+int(v)]++
-				ibTotal++
-			}
-		}
-	}
-	ibSucc := make([][]int32, N)
-	ibPred := make([][]int32, N)
-	ibsBacking := ar.i32s(ibTotal, false) // append-filled via the capped headers
-	ibpBacking := ar.i32s(ibTotal, false)
-	sOff, pOff := 0, 0
-	for u := 0; u < N; u++ {
-		ibSucc[u] = ibsBacking[sOff : sOff : sOff+int(ibsCount[u])]
-		sOff += int(ibsCount[u])
-		ibPred[u] = ibpBacking[pOff : pOff : pOff+int(ibpCount[u])]
-		pOff += int(ibpCount[u])
-	}
-	for u := 0; u < N; u++ {
-		off := 0
-		if u >= n {
-			off = n
-		}
-		b := stateBlock[u]
-		for _, v := range ibSuccOf(u) {
-			uv := off + int(v)
-			if stateBlock[uv] == b {
-				ibSucc[u] = append(ibSucc[u], int32(uv))
-				ibPred[uv] = append(ibPred[uv], int32(u))
-			}
-		}
-	}
-	// Round 0: a pair is an exact match iff the two states offer successors
-	// in exactly the same blocks.
-	deg := ar.i32s(total, false)
-	for i := range deg {
-		deg[i] = -1
-	}
-	var resolved []int32
-	for id := 0; id < total; id++ {
-		if masks[pairS[id]] == masks[n+int(pairT[id])] {
-			deg[id] = 0
-			resolved = append(resolved, int32(id))
-		}
-	}
-	assigned := len(resolved)
-
-	// clause2b: either t stutters to a strictly smaller degree, or every
-	// move of s is matched or stutters to a strictly smaller degree.  Only
-	// in-block moves can stutter and only in-block moves can be unmatched
-	// while the clause still holds, so comparing the successor-block masks
-	// settles the clause outright in the common case.
-	clause2b := func(s, t int, k int32) bool {
-		sm, tm := masks[s], masks[n+t]
-		if sm&^tm == 0 {
-			return true // every move of s is matched
-		}
-		b := stateBlock[s]
-		bBit := uint64(1) << uint(b)
-		if sm&^tm == bBit {
-			// Only the stuttering moves are unmatched; they all need a
-			// strictly smaller degree.
-			ok := true
-			tRow := pairBase[t]
-			for _, s1 := range ibSucc[s] {
-				if d := deg[tRow+rank[s1]]; d < 0 || d >= k {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-		}
-		for _, t1 := range ibSucc[n+t] {
-			if d := deg[pairBase[int(t1)-n]+rank[s]]; d >= 0 && d < k {
-				return true
-			}
-		}
-		return false
-	}
-	clause2c := func(s, t int, k int32) bool {
-		sm, tm := masks[s], masks[n+t]
-		if tm&^sm == 0 {
-			return true // every move of t is matched
-		}
-		b := stateBlock[s]
-		bBit := uint64(1) << uint(b)
-		if tm&^sm == bBit {
-			ok := true
-			for _, t1 := range ibSucc[n+t] {
-				if d := deg[pairBase[int(t1)-n]+rank[s]]; d < 0 || d >= k {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-		}
-		tRow := pairBase[t]
-		for _, s1 := range ibSucc[s] {
-			if d := deg[tRow+rank[s1]]; d >= 0 && d < k {
-				return true
-			}
-		}
-		return false
-	}
-
-	scheduledAt := ar.i32s(total, false)
-	for i := range scheduledAt {
-		scheduledAt[i] = -1
-	}
-	var cands []int32
-	rounds := int32(1)
-	for len(resolved) > 0 {
-		if err := cancelled(ctx); err != nil {
-			return nil, false, err
-		}
-		cands = cands[:0]
-		schedule := func(j int32) {
-			if deg[j] < 0 && scheduledAt[j] != rounds {
-				scheduledAt[j] = rounds
-				cands = append(cands, j)
-			}
-		}
-		for _, id := range resolved {
-			s, t := int(pairS[id]), int(pairT[id])
-			for _, sp := range ibPred[s] {
-				schedule(pairBase[t] + rank[sp])
-			}
-			for _, tp := range ibPred[n+t] {
-				schedule(pairBase[int(tp)-n] + rank[s])
-			}
-		}
-		resolved = resolved[:0]
-		for _, id := range cands {
-			s, t := int(pairS[id]), int(pairT[id])
-			if clause2b(s, t, rounds) && clause2c(s, t, rounds) {
-				deg[id] = rounds
-				resolved = append(resolved, id)
-			}
-		}
-		assigned += len(resolved)
-		rounds++
-	}
-	if assigned != total {
-		return nil, false, nil
-	}
-
-	return blockFinish(m, m2, stateBlock, blockLefts, pairBase, deg, rounds, opts, res), true, nil
-}
-
-// blockFinish packages the outcome of a block-structured degree pass
-// (maskedFinish, maskedFinishPacked), where deg[pairBase[t]+j] is the
-// degree of the pair (blockLefts[b][j], t) for t's block b.  Walking t
-// upwards fills every relation row in increasing right state, and
-// totality comes straight from the block structure: a state is covered
-// iff the other side populates its block.
-func blockFinish(m, m2 *kripke.Structure, stateBlock []int32, blockLefts [][]int32, pairBase, deg []int32, rounds int32, opts Options, res *Result) *Result {
-	n, n2 := m.NumStates(), m2.NumStates()
-	rightCount := make([]int32, len(blockLefts))
-	for t := 0; t < n2; t++ {
-		rightCount[stateBlock[n+t]]++
-	}
-	rel, cursor := newRelationRows(n, n2, func(s int) int { return int(rightCount[stateBlock[s]]) })
-	for t := 0; t < n2; t++ {
-		base := pairBase[t]
-		for j, s := range blockLefts[stateBlock[n+t]] {
-			rel.cols[cursor[s]], rel.degs[cursor[s]] = int32(t), deg[base+int32(j)]
-			cursor[s]++
-		}
-	}
-	res.OuterIterations++
-	res.DegreeRounds += int(rounds)
-	res.Relation = rel
-	_, res.InitialRelated = rel.Degree(m.Initial(), m2.Initial())
-	res.TotalLeft = allInScope(m, opts, func(s int) bool { return rightCount[stateBlock[s]] > 0 })
-	res.TotalRight = allInScope(m2, opts, func(t int) bool { return len(blockLefts[stateBlock[n+t]]) > 0 })
-	return res
-}
-
-// computeDegreesFast assigns exactly the same minimal degrees as
-// computeDegrees (the reference implementation in compute.go, kept as the
-// oracle) but replaces the per-round rescan of every unresolved pair with
-// worklist scheduling: a pair is re-examined in round k only when one of the
-// pairs its clauses reference — (s, t1) for a successor t1 of t, or (s1, t)
-// for a successor s1 of s — was resolved in round k-1.  With no new adjacent
-// resolution the clause verdict cannot change (every resolved degree is
-// already below the round counter), so the schedule loses nothing; it is
-// what turns the degree pass from O(maxDegree · |R|) into roughly one check
-// per relation edge.
-func computeDegreesFast(ctx context.Context, m, m2 *kripke.Structure, inR []bool, deg []int, maxRounds int) (int, error) {
-	n2 := m2.NumStates()
-	for i := range deg {
-		deg[i] = InfiniteDegree
-	}
-	// Round 0: exact matches with respect to inR.
-	var resolved []int
-	for i, ok := range inR {
-		if !ok {
-			continue
-		}
-		s := kripke.State(i / n2)
-		t := kripke.State(i % n2)
-		if exactMatch(m, m2, inR, n2, s, t) {
-			deg[i] = 0
-			resolved = append(resolved, i)
-		}
-	}
-	scheduledAt := make([]int32, len(inR))
-	for i := range scheduledAt {
-		scheduledAt[i] = -1
-	}
-	var cands []int
-	rounds := 1
-	for len(resolved) > 0 && rounds <= maxRounds {
-		if err := cancelled(ctx); err != nil {
-			return rounds, err
-		}
-		cands = cands[:0]
-		schedule := func(j int) {
-			if inR[j] && deg[j] == InfiniteDegree && scheduledAt[j] != int32(rounds) {
-				scheduledAt[j] = int32(rounds)
-				cands = append(cands, j)
-			}
-		}
-		for _, i := range resolved {
-			s, t := i/n2, i%n2
-			for _, sp := range m.Pred(kripke.State(s)) {
-				schedule(int(sp)*n2 + t)
-			}
-			for _, tp := range m2.Pred(kripke.State(t)) {
-				schedule(s*n2 + int(tp))
-			}
-		}
-		resolved = resolved[:0]
-		for _, i := range cands {
-			s := kripke.State(i / n2)
-			t := kripke.State(i % n2)
-			if degClause2b(m, m2, inR, deg, n2, s, t, rounds) && degClause2c(m, m2, inR, deg, n2, s, t, rounds) {
-				deg[i] = rounds
-				resolved = append(resolved, i)
-			}
-		}
-		rounds++
-	}
-	return rounds, nil
 }
 
 func (r *refiner) enqueue(bid int32) {

@@ -170,37 +170,47 @@ func TestRefineMatchesOracleWithOneProps(t *testing.T) {
 	assertEnginesAgree(t, "no-oneprops", m1, m2, bisim.Options{})
 }
 
-func TestRefineGenericPathMatchesOracle(t *testing.T) {
-	// The masked degree pass handles partitions of at most 64 blocks; force
-	// the generic worklist path (computeDegreesFast + pruneAndFinish) so it
-	// gets the same differential coverage.
-	old := bisim.SetMaskDegreeBlockLimit(0)
-	defer bisim.SetMaskDegreeBlockLimit(old)
-
-	cycle := twoStateCycle(t)
-	for stutter := 0; stutter <= 3; stutter++ {
-		assertEnginesAgree(t, fmt.Sprintf("generic/stutter=%d", stutter), cycle, stutteredCycle(t, stutter), bisim.Options{})
+// labelledCycle builds a cycle over n positions, position i labelled
+// l<i mod k> and repeated as a run of 1 + (7i mod (stutter+1)) label-equal
+// states, so the copies of one label class sit at different stuttering
+// depths.
+func labelledCycle(t *testing.T, n, k, stutter int) *kripke.Structure {
+	t.Helper()
+	b := kripke.NewBuilder(fmt.Sprintf("cycle%d/%d", n, k))
+	var first, prev []kripke.State
+	for i := 0; i < n; i++ {
+		run := make([]kripke.State, 1+(7*i)%(stutter+1))
+		for j := range run {
+			run[j] = b.AddState(kripke.P(fmt.Sprintf("l%d", i%k)))
+			if j > 0 {
+				must(t, b.AddTransition(run[j-1], run[j]))
+			}
+		}
+		if prev != nil {
+			must(t, b.AddTransition(prev[len(prev)-1], run[0]))
+		} else {
+			first = run
+		}
+		prev = run
 	}
-	r := rand.New(rand.NewSource(987))
-	for iter := 0; iter < 120; iter++ {
-		m1 := randomStructure(r, 2+r.Intn(7), 2, "left")
-		m2 := randomStructure(r, 2+r.Intn(7), 2, "right")
-		assertEnginesAgree(t, fmt.Sprintf("generic iter=%d", iter), m1, m2, bisim.Options{ReachableOnly: iter%2 == 0})
-	}
+	must(t, b.AddTransition(prev[len(prev)-1], first[0]))
+	must(t, b.SetInitial(first[0]))
+	return build(t, b)
 }
 
-func TestMaxDegreeRoundsRoutesToFixpoint(t *testing.T) {
-	// MaxDegreeRounds caps the inner fixpoint, a semantics only the legacy
-	// engine has; bisim.Compute must keep honouring it exactly as before.
-	left := twoStateCycle(t)
-	right := stutteredCycle(t, 3)
-	capped, err := bisim.Compute(context.Background(), left, right, bisim.Options{MaxDegreeRounds: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestRefineGenericPathMatchesOracle checks the refinement engine against
+// the oracle past 64 blocks, where a state's successor-block set spans
+// several words: cycles whose labels repeat with period k = 65..200,
+// against stuttered copies and against themselves.
+func TestRefineGenericPathMatchesOracle(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{65, 65}, {130, 65}, {130, 100}, {200, 200}} {
+		plain := labelledCycle(t, c.n, c.k, 0)
+		for stutter := 0; stutter <= 2; stutter++ {
+			other := labelledCycle(t, c.n, c.k, stutter)
+			label := fmt.Sprintf("n=%d k=%d stutter=%d", c.n, c.k, stutter)
+			assertEnginesAgree(t, label, plain, other, bisim.Options{})
+			assertEnginesAgree(t, label+"/reachable-only", other, plain, bisim.Options{ReachableOnly: true})
+			assertEnginesAgree(t, label+"/self", other, other, bisim.Options{})
+		}
 	}
-	oracle, err := bisim.ComputeFixpoint(context.Background(), left, right, bisim.Options{MaxDegreeRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "capped", capped, oracle)
 }

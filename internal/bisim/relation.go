@@ -59,11 +59,6 @@ type Options struct {
 	// covered.
 	ReachableOnly bool
 
-	// MaxDegreeRounds bounds the inner degree iteration.  Zero means the
-	// theoretical bound |S| + |S'| (the paper proves the minimal degree
-	// never exceeds it).
-	MaxDegreeRounds int
-
 	// Workers caps the pool IndexedCompute decides the IN pairs on, zero
 	// or negative meaning one worker per available CPU (the pool never
 	// exceeds GOMAXPROCS).  Each pair decision is one sequential Compute,
