@@ -68,6 +68,15 @@ type Def struct {
 	// builder stores a label as a set of bits over the propositions).
 	// Label is only called by Build, sequentially.
 	Label func(dst []kripke.Prop, code uint64) []kripke.Prop
+	// States and Transitions, when positive, declare the expected number
+	// of reachable states and of distinct transitions.  They are capacity
+	// hints only: Explore allocates the Space's arrays at the declared
+	// size and writes them in place.  Transitions is clamped to
+	// math.MaxInt32, and a States past Options.MaxStates, which predicts
+	// ErrLimit, drops both hints.  A wrong hint costs memory, never a
+	// different result; the slack of an over-declared size stays with the
+	// Space.
+	States, Transitions int
 }
 
 // Options controls an exploration.
@@ -156,18 +165,32 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 	sp.table.insert(def.Init, 0)
 	numStates := 1
 
-	// The state codes and the CSR arrays are accumulated as per-level
-	// segments and assembled once at the end: growing multi-hundred-MB
-	// slices through append would copy the whole prefix over and over,
-	// which is exactly the cost that made labelled builds degrade with
-	// size (DESIGN.md §7, "Allocation discipline").
-	frontier := []uint64{def.Init}
-	codeSegs := [][]uint64{frontier}
-	var rowSegs [][]kripke.State // per level: deduplicated successor rows, concatenated
-	var cntSegs [][]int32        // per level: deduplicated row lengths
+	// The Space's arrays are written once.  They are allocated at the Def's
+	// declared size; the frontier is a view into sp.codes, and each level
+	// appends its new codes, rows and offsets in place.  A level that would
+	// overflow a declared capacity (every level of an undeclared Def)
+	// switches that array to per-level segments, and the array is assembled
+	// once at the end.  Growing multi-hundred-MB slices through append
+	// would copy the whole prefix over and over, which is exactly the cost
+	// that made labelled builds degrade with size (DESIGN.md §7,
+	// "Allocation discipline").
+	hintStates, hintEdges := max(def.States, 1), min(max(def.Transitions, 0), math.MaxInt32)
+	if hintStates > maxStates {
+		// A size past the cap predicts ErrLimit: pay nothing up front for it.
+		hintStates, hintEdges = 1, 0
+	}
+	sp.codes = append(make([]uint64, 0, hintStates), def.Init)
+	sp.off = append(make([]int32, 0, hintStates+1), 0)
+	sp.succ = make([]kripke.State, 0, hintEdges)
+	frontier := sp.codes
+	var codeSegs [][]uint64      // per level past sp.codes' capacity: the new codes
+	var rowSegs [][]kripke.State // per chunk past sp.succ's capacity: deduplicated rows
+	var cntSegs [][]int32        // parallel to rowSegs: the row lengths
 
-	// Reusable per-level chunk buffers (grown as levels grow).
+	// Reusable per-level chunk buffers (grown as levels grow) and pending
+	// entries.
 	var chunks []levelChunk
+	var pend []pendingEntry
 
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -229,12 +252,19 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		// Phase B: the canonical renumber pass.  Drain the pending sets,
 		// sort the new codes by minimal stream position and assign ids —
 		// exactly the first-occurrence order of the sequential stream.
-		pend := sp.table.drainPending()
+		pend = sp.table.drainPending(pend)
 		slices.SortFunc(pend, func(a, b pendingEntry) int { return cmp.Compare(a.pos, b.pos) })
 		if numStates+len(pend) > maxStates {
 			return nil, fmt.Errorf("explore: %s: more than %d reachable states: %w", def.Name, maxStates, ErrLimit)
 		}
-		next := make([]uint64, len(pend))
+		var next []uint64
+		if codeSegs == nil && len(sp.codes)+len(pend) <= cap(sp.codes) {
+			sp.codes = sp.codes[:len(sp.codes)+len(pend)]
+			next = sp.codes[numStates:]
+		} else {
+			next = make([]uint64, len(pend))
+			codeSegs = append(codeSegs, next)
+		}
 		for i, e := range pend {
 			sp.table.insert(e.code, int32(numStates+i))
 			next[i] = e.code
@@ -277,47 +307,70 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 			return nil, err
 		}
 
-		// Phase D: steal the chunk buffers as the level's CSR segments — the
-		// chunk rows are already the final deduplicated successor rows, in
-		// frontier order — and hand each chunk a fresh, similarly sized
-		// buffer for the next level.  Stealing instead of copying halves the
+		// Phase D: the chunk rows are already the final deduplicated
+		// successor rows, in frontier order.  While they fit, append them
+		// and their offsets to the Space's arrays and keep the chunk
+		// buffers.  Past the declared capacity, steal the chunk buffers as
+		// the level's segments and hand each chunk a fresh, similarly sized
+		// buffer for the next level: stealing instead of copying halves the
 		// engine's traffic over the transition arrays.
+		levelEdges := 0
 		for ci := 0; ci < numChunks; ci++ {
-			c := &chunks[ci]
-			rowSegs = append(rowSegs, c.rows)
-			cntSegs = append(cntSegs, c.dcounts)
-			c.rows = make([]kripke.State, 0, len(c.rows)+len(c.rows)/4)
-			c.dcounts = make([]int32, 0, len(c.dcounts)+len(c.dcounts)/4)
+			levelEdges += len(chunks[ci].rows)
 		}
-		if len(next) > 0 {
-			codeSegs = append(codeSegs, next)
+		if rowSegs == nil && len(sp.succ)+levelEdges <= cap(sp.succ) && len(sp.off)+levelSize <= cap(sp.off) {
+			for ci := 0; ci < numChunks; ci++ {
+				c := &chunks[ci]
+				sp.succ = append(sp.succ, c.rows...)
+				end := sp.off[len(sp.off)-1]
+				for _, n := range c.dcounts {
+					end += n
+					sp.off = append(sp.off, end)
+				}
+			}
+		} else {
+			for ci := 0; ci < numChunks; ci++ {
+				c := &chunks[ci]
+				rowSegs = append(rowSegs, c.rows)
+				cntSegs = append(cntSegs, c.dcounts)
+				c.rows = make([]kripke.State, 0, len(c.rows)+len(c.rows)/4)
+				c.dcounts = make([]int32, 0, len(c.dcounts)+len(c.dcounts)/4)
+			}
 		}
 		frontier = next
 	}
 
-	// Final assembly: one exact-size allocation per array.  Row offsets are
-	// int32, the structure's layout, so a larger relation is refused.
-	totalEdges := 0
-	for _, seg := range rowSegs {
-		totalEdges += len(seg)
-	}
-	if totalEdges > math.MaxInt32 {
-		return nil, fmt.Errorf("explore: %s: %d transitions: %w", def.Name, totalEdges, ErrTooManyTransitions)
-	}
-	sp.codes = make([]uint64, 0, numStates)
-	for _, seg := range codeSegs {
-		sp.codes = append(sp.codes, seg...)
-	}
-	sp.succ = make([]kripke.State, 0, totalEdges)
-	sp.off = make([]int32, 1, numStates+1)
-	for li, seg := range rowSegs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	// Final assembly of the arrays that overflowed their declared capacity:
+	// one exact-size allocation each, the in-place prefix first.  Row
+	// offsets are int32, the structure's layout, so a larger relation is
+	// refused.
+	if codeSegs != nil {
+		codes := append(make([]uint64, 0, numStates), sp.codes...)
+		for _, seg := range codeSegs {
+			codes = append(codes, seg...)
 		}
-		sp.succ = append(sp.succ, seg...)
-		for _, n := range cntSegs[li] {
-			sp.off = append(sp.off, sp.off[len(sp.off)-1]+n)
+		sp.codes = codes
+	}
+	if rowSegs != nil {
+		totalEdges := len(sp.succ)
+		for _, seg := range rowSegs {
+			totalEdges += len(seg)
 		}
+		if totalEdges > math.MaxInt32 {
+			return nil, fmt.Errorf("explore: %s: %d transitions: %w", def.Name, totalEdges, ErrTooManyTransitions)
+		}
+		succ := append(make([]kripke.State, 0, totalEdges), sp.succ...)
+		off := append(make([]int32, 0, numStates+1), sp.off...)
+		for li, seg := range rowSegs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			succ = append(succ, seg...)
+			for _, n := range cntSegs[li] {
+				off = append(off, off[len(off)-1]+n)
+			}
+		}
+		sp.succ, sp.off = succ, off
 	}
 	return sp, nil
 }

@@ -1,0 +1,162 @@
+package explore_test
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/explore"
+	"repro/internal/family"
+	"repro/internal/ring"
+)
+
+// allocatedBytes returns the bytes fn allocates, the least of three runs so
+// a stray runtime allocation cannot inflate it.
+func allocatedBytes(fn func()) uint64 {
+	var least uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
+			least = got
+		}
+	}
+	return least
+}
+
+// sameSpace fails unless got has want's codes and successor rows.
+func sameSpace(t *testing.T, label string, got, want *explore.Space) {
+	t.Helper()
+	if !slices.Equal(got.Codes(), want.Codes()) || got.NumTransitions() != want.NumTransitions() {
+		t.Fatalf("%s: %d states and %d transitions, want %d and %d (or the codes differ)",
+			label, got.NumStates(), got.NumTransitions(), want.NumStates(), want.NumTransitions())
+	}
+	for s := int32(0); int(s) < want.NumStates(); s++ {
+		if !slices.Equal(got.Succ(s), want.Succ(s)) {
+			t.Fatalf("%s: state %d successors %v, want %v", label, s, got.Succ(s), want.Succ(s))
+		}
+	}
+}
+
+// TestExploreSizeHintsAreCapacityOnly: a Def's declared States and
+// Transitions change no code, row or offset of the Space, whether they are
+// exact, short (the arrays switch to per-level segments mid-exploration,
+// together or one at a time), long, negative or past MaxStates, at one
+// worker and at two.  A size past MaxStates allocates nothing up front.
+func TestExploreSizeHintsAreCapacityOnly(t *testing.T) {
+	const maxStates = 1 << 20
+	ctx := context.Background()
+	star, ok := family.Packed(family.Star(), 6)
+	if !ok {
+		t.Fatal("star 6 does not pack")
+	}
+	var defs []explore.Def
+	for r := 1; r <= 10; r++ {
+		defs = append(defs, ring.PackedDef(r))
+	}
+	for r := 2; r <= 6; r++ {
+		defs = append(defs, ring.PackedDefBuggy(r))
+	}
+	defs = append(defs, star.Def)
+	for _, def := range defs {
+		def.States, def.Transitions = 0, 0
+		want, err := explore.Explore(ctx, def, explore.Options{Workers: 1, MaxStates: maxStates})
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		n, e := want.NumStates(), want.NumTransitions()
+		hints := []struct {
+			name          string
+			states, edges int
+		}{
+			{"exact", n, e},
+			{"half", n / 2, e / 2},
+			{"double", 2 * n, 2 * e},
+			{"exact states, half transitions", n, e / 2},
+			{"half states, exact transitions", n / 2, e},
+			{"negative", -1, -1},
+			{"past MaxStates", maxStates + 1, e},
+		}
+		for _, h := range hints {
+			for _, workers := range []int{1, 2} {
+				d := def
+				d.States, d.Transitions = h.states, h.edges
+				got, err := explore.Explore(ctx, d, explore.Options{Workers: workers, MaxStates: maxStates})
+				if err != nil {
+					t.Fatalf("%s %s workers=%d: %v", def.Name, h.name, workers, err)
+				}
+				sameSpace(t, fmt.Sprintf("%s %s workers=%d", def.Name, h.name, workers), got, want)
+			}
+		}
+	}
+
+	huge := ring.PackedDef(4)
+	huge.States = 1 << 40
+	got := allocatedBytes(func() {
+		if _, err := explore.Explore(ctx, huge, explore.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got >= 1<<20 {
+		t.Errorf("ring[4] declaring 2^40 states allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// TestExploreFootprintHinted bounds what Explore allocates for ring M_12
+// (49,152 states, 344,052 transitions), whose Def declares its exact size.
+// The Space's arrays are written once: 8 bytes of code and 4 of row offset
+// per state, 4 bytes per transition.  The allowance covers the rest.  The
+// code table takes 112 bytes per state: 16-byte slots that double at 62.5%
+// load, their doubling history, and the per-level pending sets (111
+// measured on linux/amd64).  The chunk scratch takes 18 bytes per
+// transition: raw successor codes (8 bytes), their memoised ids and the
+// resolved rows (4 each), grown by append (15.6 measured).  Assembling the
+// arrays from per-level segments, which copies every code, row and
+// offset once more, exceeds the bound.
+func TestExploreFootprintHinted(t *testing.T) {
+	def := ring.PackedDef(12)
+	var sp *explore.Space
+	got := allocatedBytes(func() {
+		var err error
+		if sp, err = explore.Explore(context.Background(), def, explore.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	n, e := uint64(sp.NumStates()), uint64(sp.NumTransitions())
+	if int(n) != def.States || int(e) != def.Transitions {
+		t.Fatalf("M_12 has %d states and %d transitions, declared %d and %d", n, e, def.States, def.Transitions)
+	}
+	base := 12*n + 4*e
+	limit := base + 112*n + 18*e
+	t.Logf("Explore(M_12): %d bytes, %.1f per state beyond the Space's arrays (bound %d)",
+		got, float64(got-base)/float64(n), limit)
+	if got > limit {
+		t.Errorf("Explore(M_12) allocated %d bytes for %d states and %d transitions, above the %d-byte bound",
+			got, n, e, limit)
+	}
+}
+
+// TestExploreFootprintUndeclared: a Def that declares no size allocates no
+// more than the explorer did before declared sizes existed.  The buggy
+// ring at r = 8 (65,280 states, 635,816 transitions) allocated 18,759,216
+// bytes then on linux/amd64 with Go 1.24.
+func TestExploreFootprintUndeclared(t *testing.T) {
+	def := ring.PackedDefBuggy(8)
+	if def.States != 0 || def.Transitions != 0 {
+		t.Fatalf("buggy ring declares %d states and %d transitions, want none", def.States, def.Transitions)
+	}
+	got := allocatedBytes(func() {
+		if _, err := explore.Explore(context.Background(), def, explore.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const limit = 18_759_216
+	t.Logf("Explore(buggy r=8): %d bytes (bound %d)", got, limit)
+	if got > limit {
+		t.Errorf("Explore(buggy r=8) allocated %d bytes, above the %d-byte bound", got, limit)
+	}
+}

@@ -178,14 +178,18 @@ type pendingEntry struct {
 	pos  uint64
 }
 
-// drainPending collects and clears every stripe's pending set.
+// drainPending collects and clears every stripe's pending set into dst's
+// backing, which it reallocates only when a level outgrows it.
 // Sequential-phase only.
-func (t *codeTable) drainPending() []pendingEntry {
+func (t *codeTable) drainPending(dst []pendingEntry) []pendingEntry {
 	total := 0
 	for i := range t.stripes {
 		total += t.stripes[i].pn
 	}
-	out := make([]pendingEntry, 0, total)
+	out := dst[:0]
+	if cap(out) < total {
+		out = make([]pendingEntry, 0, total)
+	}
 	for i := range t.stripes {
 		s := &t.stripes[i]
 		if s.pn == 0 {

@@ -2,7 +2,10 @@ package kripke_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/explore"
@@ -55,18 +58,17 @@ func TestReduceAllocatesPerDistinctLabel(t *testing.T) {
 
 // TestBuildFromSpaceLabelsPerState bounds what explore.BuildFromSpace
 // allocates for ring M_12 (49,152 states, each with its own label).  The
-// structure adopts the space's successor rows, so the transition relation
-// costs only the predecessor CSR: 4 bytes per transition and 4 per state
-// for its offsets.  The state tables add 12 bytes per state (4 in the
-// builder, 4 for the label ids and 4 for the "exactly one" ids of the
-// structure), plus a per-state label allowance of 64 bytes.  A label costs
-// one 8-byte row, laid out again when the vocabulary is sorted, a 4-byte
-// "exactly one" id, and two to four 4-byte slots of the intern table: 31
-// bytes measured on linux/amd64, so the allowance leaves a margin of about
-// twice that.  Copying the successor rows (8 bytes per transition through
-// an edge list, 4 more for the copy) exceeds the bound, and so does cloning
-// each label as a []Prop with a key string and a ones slice, about a
-// kilobyte per state.
+// structure adopts the space's successor rows and transposes them only on
+// the first Pred call, so the transition relation costs nothing.  The state
+// tables take 12 bytes per state (4 in the builder, 4 for the label ids and
+// 4 for the "exactly one" ids of the structure), plus a per-state label
+// allowance of 64 bytes.  A label costs one 8-byte row, laid out again when
+// the vocabulary is sorted, a 4-byte "exactly one" id, and two to four
+// 4-byte slots of the intern table: 31 bytes measured on linux/amd64, so
+// the allowance leaves a margin of about twice that.  Copying the successor
+// rows (8 bytes per transition through an edge list, 4 more for the copy)
+// exceeds the bound, and so does cloning each label as a []Prop with a key
+// string and a ones slice, about a kilobyte per state.
 func TestBuildFromSpaceLabelsPerState(t *testing.T) {
 	const r = 12
 	ctx := context.Background()
@@ -86,9 +88,9 @@ func TestBuildFromSpaceLabelsPerState(t *testing.T) {
 		t.Fatalf("M_%d has %d labels for %d states, want one per state", r, m.NumLabels(), n)
 	}
 	const labelAllowance = 64
-	base := 4*edges + 16*n
+	base := 12 * n
 	limit := uint64(base) + labelAllowance*uint64(n) + 64<<10
-	t.Logf("BuildFromSpace(M_%d): %d bytes, %.1f per state beyond the predecessor CSR and state tables (bound %d)",
+	t.Logf("BuildFromSpace(M_%d): %d bytes, %.1f per state beyond the state tables (bound %d)",
 		r, got, float64(int64(got)-int64(base))/float64(n), limit)
 	if got > limit {
 		t.Errorf("BuildFromSpace(M_%d) allocated %d bytes for %d states and %d transitions, above the %d-byte bound",
@@ -119,6 +121,86 @@ func TestBuildFromSpaceSharesSpace(t *testing.T) {
 		if len(got) == 0 || len(got) != len(want) || &got[0] != &want[0] {
 			t.Fatalf("state %d: Succ is %v at %p, the space's row %v at %p; want the same backing",
 				s, got, got, want, want)
+		}
+	}
+}
+
+// allocatedOnce returns the bytes one call of fn allocates.
+func allocatedOnce(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPredBuiltOnceAndShared: a structure built from an explored space
+// holds no predecessor rows until the first Pred call transposes its
+// relation, once for the structure and every reduction sharing it.  Eight
+// goroutines racing their first Pred calls over ring M_8 and its
+// normalized reductions all read an eager transpose's rows, and once one
+// structure has transposed, a reduction's first Pred allocates nothing.
+func TestPredBuiltOnceAndShared(t *testing.T) {
+	ctx := context.Background()
+	def := ring.PackedDef(8)
+	sp, err := explore.Explore(ctx, def, explore.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *kripke.Structure {
+		m, err := explore.BuildFromSpace(ctx, def, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := build()
+	n := m.NumStates()
+	want := make([][]kripke.State, n)
+	for s := 0; s < n; s++ {
+		for _, u := range m.Succ(kripke.State(s)) {
+			want[u] = append(want[u], kripke.State(s))
+		}
+	}
+	structs := []*kripke.Structure{m}
+	for _, i := range m.IndexValues() {
+		structs = append(structs, m.ReduceNormalized(i))
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range structs {
+				x := structs[(g+k)%len(structs)]
+				for s := 0; s < n; s++ {
+					if got := x.Pred(kripke.State(s)); !slices.Equal(got, want[s]) {
+						errs[g] = fmt.Errorf("%s: Pred(%d) = %v, want %v", x.Name(), s, got, want[s])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fresh := build()
+	before := fresh.ReduceNormalized(1)
+	edges := uint64(fresh.NumTransitions())
+	if got := allocatedOnce(func() { fresh.Pred(0) }); got < 4*edges {
+		t.Errorf("the first Pred on a built M_8 allocated %d bytes, want the %d-byte transpose: "+
+			"BuildFromSpace built the predecessor rows", got, 4*edges)
+	}
+	after := fresh.ReduceNormalized(2)
+	for _, x := range []*kripke.Structure{before, after} {
+		if got := allocatedOnce(func() { x.Pred(0) }); got != 0 {
+			t.Errorf("%s: its first Pred, after M_8's, allocated %d bytes, want 0", x.Name(), got)
 		}
 	}
 }

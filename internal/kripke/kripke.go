@@ -26,10 +26,12 @@
 //     family instance, which has a distinct label per state, pays one word
 //     per state for it (labels.go);
 //   - the transition relation is stored in compressed-sparse-row form over
-//     32-bit state ids (one flat edge array plus offsets per direction), so
-//     Succ/Pred return subslices of shared backing with no per-state slice
-//     headers to chase, and a structure built from an explored state space
-//     adopts the explorer's successor rows as its own (AdoptSuccessors);
+//     32-bit state ids (one flat edge array plus offsets), so Succ/Pred
+//     return subslices of shared backing with no per-state slice headers to
+//     chase, a structure built from an explored state space adopts the
+//     explorer's successor rows as its own (AdoptSuccessors), and the
+//     predecessor rows are transposed only when the model checker first
+//     reads them;
 //   - the states satisfying each atomic proposition are precomputed as
 //     BitSets (StatesWith), so the model checker seeds atomic labellings
 //     without scanning every state's label.
@@ -103,14 +105,14 @@ type Structure struct {
 	name    string
 	initial State
 
-	// Transition relation in compressed-sparse-row form, both directions.
-	// The successor list of s is succEdges[succOff[s]:succOff[s+1]], sorted;
-	// likewise for predecessors.  The successor arrays may be adopted from
-	// the caller (AdoptSuccessors) and are never written.
+	// Transition relation in compressed-sparse-row form.  The successor
+	// list of s is succEdges[succOff[s]:succOff[s+1]], sorted.  The arrays
+	// may be adopted from the caller (AdoptSuccessors) and are never
+	// written.  The predecessor rows are their transpose, built on the
+	// first Pred call: only model checking reads them.
 	succEdges []State
 	succOff   []int32
-	predEdges []State
-	predOff   []int32
+	pred      *predCache
 
 	// Labelling (labels.go): vocab is the sorted proposition vocabulary,
 	// rows holds one row of words bits per LabelID, and labelIDs[s] is the
@@ -145,6 +147,14 @@ type Structure struct {
 type reachCache struct {
 	once sync.Once
 	set  BitSet
+}
+
+// predCache lazily holds the predecessor CSR of one transition relation:
+// the predecessors of t are edges[off[t]:off[t+1]], sorted.
+type predCache struct {
+	once  sync.Once
+	edges []State
+	off   []int32
 }
 
 // Reachable returns the set of states reachable from the initial state
@@ -188,8 +198,15 @@ func (m *Structure) Initial() State { return m.initial }
 func (m *Structure) Succ(s State) []State { return m.succEdges[m.succOff[s]:m.succOff[s+1]] }
 
 // Pred returns the predecessors of s in increasing order.  The returned
-// slice is a view into shared backing and must not be modified.
-func (m *Structure) Pred(s State) []State { return m.predEdges[m.predOff[s]:m.predOff[s+1]] }
+// slice is a view into shared backing and must not be modified.  The first
+// call on a transition relation transposes it, once for every structure
+// that shares the relation (its reductions and renamings); safe for
+// concurrent callers.
+func (m *Structure) Pred(s State) []State {
+	p := m.pred
+	p.once.Do(func() { p.edges, p.off = transpose(m.succOff, m.succEdges) })
+	return p.edges[p.off[s]:p.off[s+1]]
+}
 
 // HasTransition reports whether there is a transition from s to t.
 func (m *Structure) HasTransition(s, t State) bool {
@@ -532,9 +549,10 @@ func (b *Builder) AddTransition(from, to State) error {
 // over the states added so far: succ[off[s]:off[s+1]] lists the successors
 // of s, strictly ascending.  The built structure keeps both slices as its
 // successor rows without copying them, so the caller must not modify them
-// afterwards; only the predecessor rows are allocated.  One pass validates
-// the rows and names the first bad one.  It fails if AddTransition was
-// used, and later AddTransition calls fail.
+// afterwards; the structure allocates nothing for its transition relation
+// until the first Pred call transposes it.  One pass validates the rows and
+// names the first bad one.  It fails if AddTransition was used, and later
+// AddTransition calls fail.
 func (b *Builder) AdoptSuccessors(off []int32, succ []State) error {
 	n := len(b.labelIDs)
 	bad := func(row int, format string, args ...any) error {
@@ -669,26 +687,33 @@ func (m *Structure) setEdges(n int, edges []uint64) []uint64 {
 	return edges
 }
 
-// setSucc installs a successor CSR with ascending rows and fills the
-// predecessor CSR from it by counting.  Sources are placed from the last
-// state down, each row's cursor falling from its end to its start, so every
-// predecessor row comes out ascending with no cursor array.
+// setSucc installs a successor CSR with ascending rows, with an empty
+// predecessor cache for the new relation.
 func (m *Structure) setSucc(off []int32, succ []State) {
-	n := len(off) - 1
 	m.succOff, m.succEdges = off, succ
-	m.predOff = make([]int32, n+1)
+	m.pred = &predCache{}
+}
+
+// transpose returns the predecessor CSR of a successor CSR with ascending
+// rows, filled by counting.  Sources are placed from the last state down,
+// each row's cursor falling from its end to its start, so every
+// predecessor row comes out ascending with no cursor array.
+func transpose(off []int32, succ []State) ([]State, []int32) {
+	n := len(off) - 1
+	predOff := make([]int32, n+1)
 	for _, t := range succ {
-		m.predOff[t]++
+		predOff[t]++
 	}
 	for t := 1; t < n; t++ {
-		m.predOff[t] += m.predOff[t-1]
+		predOff[t] += predOff[t-1]
 	}
-	m.predOff[n] = int32(len(succ))
-	m.predEdges = make([]State, len(succ))
+	predOff[n] = int32(len(succ))
+	pred := make([]State, len(succ))
 	for s := n - 1; s >= 0; s-- {
 		for _, t := range succ[off[s]:off[s+1]] {
-			m.predOff[t]--
-			m.predEdges[m.predOff[t]] = State(s)
+			predOff[t]--
+			pred[predOff[t]] = State(s)
 		}
 	}
+	return pred, predOff
 }

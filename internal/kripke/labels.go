@@ -370,8 +370,7 @@ func (m *Structure) relabel(name string, indexValues []int, f func(Prop) (Prop, 
 		initial:     m.initial,
 		succEdges:   m.succEdges, // the relation is untouched; share the CSR arrays
 		succOff:     m.succOff,
-		predEdges:   m.predEdges,
-		predOff:     m.predOff,
+		pred:        m.pred,  // same relation, transposed at most once
 		reach:       m.reach, // same relation and initial state, same reachable set
 		vocab:       vocab,
 		words:       w,

@@ -3,6 +3,7 @@ package ring
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/explore"
 	"repro/internal/kripke"
@@ -21,8 +22,12 @@ func PackedDefBuggy(r int) explore.Def {
 	return packedDef(r, fmt.Sprintf("ring-buggy[%d]", r), true)
 }
 
+// packedDef declares the correct ring's exact size, so its exploration
+// writes the Space's arrays once.  The buggy ring declares none: its
+// reachable space runs from 1.5 times the correct ring's at r = 2 to over
+// 300 times at r = 12, with no closed form.
 func packedDef(r int, name string, buggy bool) explore.Def {
-	return explore.Def{
+	def := explore.Def{
 		Name:       name,
 		Init:       packState(NewGlobalState(r)),
 		NumIndices: r,
@@ -33,6 +38,23 @@ func packedDef(r int, name string, buggy bool) explore.Def {
 			return appendPackedLabel(dst, code, r)
 		},
 	}
+	if !buggy {
+		def.States, def.Transitions = ExpectedReachable(r), expectedTransitions(r)
+	}
+	return def
+}
+
+// expectedTransitions returns r·2^(r−1)·(r+2) − r, the distinct
+// transitions of the correct r-process ring (exact for r = 1..14), capped
+// at math.MaxInt32, past which no successor CSR can hold the relation.
+func expectedTransitions(r int) int {
+	if r < 1 {
+		return 0
+	}
+	if r >= 30 {
+		return math.MaxInt32
+	}
+	return min(r<<(r-1)*(r+2)-r, math.MaxInt32)
 }
 
 // buildSpace explores def(r) with one worker, refusing sizes beyond the

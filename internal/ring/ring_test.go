@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/explore"
 	"repro/internal/logic"
 	"repro/internal/mc"
 )
@@ -781,6 +782,27 @@ func TestInstanceStateRoundTrip(t *testing.T) {
 	for id, g := range inst.States {
 		if back, ok := inst.StateID(g); !ok || int(back) != id {
 			t.Fatalf("StateID(StateOf(%d)) = %d, %v", id, back, ok)
+		}
+	}
+}
+
+// TestRingDefDeclaresExactSizes: the correct ring's Def declares exactly
+// the states and transitions its exploration finds, r·2^r and
+// r·2^(r−1)·(r+2) − r, and the buggy ring's Def declares none.
+func TestRingDefDeclaresExactSizes(t *testing.T) {
+	for r := 1; r <= 14; r++ {
+		def := PackedDef(r)
+		sp, err := explore.Explore(context.Background(), def, explore.Options{})
+		if err != nil {
+			t.Fatalf("r=%d: %v", r, err)
+		}
+		if def.States != sp.NumStates() || def.Transitions != sp.NumTransitions() {
+			t.Errorf("r=%d: declares %d states and %d transitions, explored %d and %d",
+				r, def.States, def.Transitions, sp.NumStates(), sp.NumTransitions())
+		}
+		if buggy := PackedDefBuggy(r); buggy.States != 0 || buggy.Transitions != 0 {
+			t.Errorf("r=%d: buggy ring declares %d states and %d transitions, want none",
+				r, buggy.States, buggy.Transitions)
 		}
 	}
 }
