@@ -20,10 +20,11 @@ import (
 	"repro/pkg/podc"
 )
 
-// buildPool returns the Kripke structure of the n-client resource pool.
-// Each client is idle, waiting or using; any waiting client may be granted
-// the resource when it is free, and must release it before the next grant.
-func buildPool(n int) (*podc.Structure, error) {
+// buildPool returns the Kripke structure of the n-client resource pool,
+// built under ctx.  Each client is idle, waiting or using; any waiting
+// client may be granted the resource when it is free, and must release it
+// before the next grant.
+func buildPool(ctx context.Context, n int) (*podc.Structure, error) {
 	net := &podc.Network{
 		Template: &podc.ProcessTemplate{
 			Name:    "client",
@@ -62,7 +63,7 @@ func buildPool(n int) (*podc.Structure, error) {
 			},
 		},
 	}
-	return net.Build(fmt.Sprintf("pool[%d]", n))
+	return net.Build(ctx, fmt.Sprintf("pool[%d]", n))
 }
 
 func main() {
@@ -80,7 +81,7 @@ func main() {
 
 	family := &podc.FamilyFunc{
 		FamilyName: "resource-pool",
-		BuildFunc:  buildPool,
+		BuildFunc:  func(n int) (*podc.Structure, error) { return buildPool(ctx, n) },
 		Indices: func(small, n int) []podc.IndexPair {
 			// All clients are fully interchangeable, so pair equal positions
 			// first and fold the tail onto the last small client.

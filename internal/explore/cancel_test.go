@@ -110,3 +110,43 @@ func TestBuildCancelled(t *testing.T) {
 	}
 	settleGoroutines(t, baseline)
 }
+
+// TestExploreCancelPerState: one worker splits a level into four chunks,
+// so a level of slow states holds a chunk for a long time; cancellation is
+// polled between states, and lands within one state's cost.
+func TestExploreCancelPerState(t *testing.T) {
+	const width, cost = 400, 5 * time.Millisecond
+	def := explore.Def{
+		Name: "fan",
+		Succ: func(dst []uint64, code uint64) ([]uint64, error) {
+			if code == 0 {
+				for c := uint64(1); c <= width; c++ {
+					dst = append(dst, c)
+				}
+				return dst, nil
+			}
+			time.Sleep(cost)
+			return dst, nil
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := explore.Explore(ctx, def, explore.Options{Workers: 1})
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	cancelled := time.Now()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if elapsed := time.Since(cancelled); elapsed > 100*time.Millisecond {
+			t.Errorf("Explore returned %v after cancel, want within 100ms", elapsed)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Explore did not return after cancellation")
+	}
+}

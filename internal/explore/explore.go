@@ -209,7 +209,10 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 
 		// Phase A: generate successors chunk by chunk, memoise the ids of
 		// codes already in the table and claim the minimal stream position
-		// of every code not yet in it.
+		// of every code not yet in it.  A chunk may hold many expensive
+		// states, so cancellation is polled between states, by a
+		// non-blocking receive on the level's Done channel.
+		done := ctx.Done()
 		err := parallelDo(ctx, workers, numChunks, func(ci int) error {
 			c := &chunks[ci]
 			lo := ci * chunkSize
@@ -223,6 +226,11 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 			c.ids = c.ids[:0]
 			var err error
 			for k := lo; k < hi; k++ {
+				select {
+				case <-done:
+					return ctx.Err()
+				default:
+				}
 				base := len(c.flat)
 				c.flat, err = def.Succ(c.flat, frontier[k])
 				if err != nil {

@@ -1,0 +1,21 @@
+package explore
+
+// DrainReallocs replays Explore's per-level use of the code table's pending
+// buffer over levels (each level's newly discovered codes, in stream order)
+// and returns how many times drainPending reallocated the buffer.
+func DrainReallocs(levels [][]uint64) int {
+	t := newCodeTable(true)
+	var pend []pendingEntry
+	reallocs := 0
+	for _, level := range levels {
+		for j, code := range level {
+			t.claim(code, uint64(j))
+		}
+		before := cap(pend)
+		pend = t.drainPending(pend)
+		if cap(pend) != before {
+			reallocs++
+		}
+	}
+	return reallocs
+}

@@ -3,6 +3,7 @@ package explore_test
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
@@ -158,5 +159,53 @@ func TestExploreFootprintUndeclared(t *testing.T) {
 	t.Logf("Explore(buggy r=8): %d bytes (bound %d)", got, limit)
 	if got > limit {
 		t.Errorf("Explore(buggy r=8) allocated %d bytes, above the %d-byte bound", got, limit)
+	}
+}
+
+// TestDrainPendingGrowsGeometrically: the pending buffer is reallocated at
+// most ⌈log₂ widest level⌉ + 1 times, over the BFS levels of ring M_12 and
+// over levels that widen by one state each, where reallocating at the
+// exact size would cost one reallocation per level.
+func TestDrainPendingGrowsGeometrically(t *testing.T) {
+	sp, err := explore.Explore(context.Background(), ring.PackedDef(12), explore.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// State ids are in BFS order, so each level is a contiguous id range.
+	depth := make([]int, sp.NumStates())
+	var ringLevels [][]uint64
+	for s := range int32(sp.NumStates()) {
+		if depth[s] == len(ringLevels) {
+			ringLevels = append(ringLevels, nil)
+		}
+		ringLevels[depth[s]] = append(ringLevels[depth[s]], sp.Code(s))
+		for _, u := range sp.Succ(s) {
+			if int32(u) > s && depth[u] == 0 {
+				depth[u] = depth[s] + 1
+			}
+		}
+	}
+	var rampLevels [][]uint64
+	for w := 1; w <= 200; w++ {
+		level := make([]uint64, w)
+		for j := range level {
+			level[j] = uint64(j)
+		}
+		rampLevels = append(rampLevels, level)
+	}
+	for _, c := range []struct {
+		name   string
+		levels [][]uint64
+	}{{"ring M_12", ringLevels[1:]}, {"ramp", rampLevels}} {
+		name, levels := c.name, c.levels
+		widest := 0
+		for _, level := range levels {
+			widest = max(widest, len(level))
+		}
+		got, bound := explore.DrainReallocs(levels), bits.Len(uint(widest-1))+1
+		if got > bound {
+			t.Errorf("%s: %d levels (widest %d): pending buffer reallocated %d times, want at most %d",
+				name, len(levels), widest, got, bound)
+		}
 	}
 }

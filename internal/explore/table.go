@@ -179,7 +179,9 @@ type pendingEntry struct {
 }
 
 // drainPending collects and clears every stripe's pending set into dst's
-// backing, which it reallocates only when a level outgrows it.
+// backing.  A level that outgrows it reallocates it at no less than twice
+// its capacity, so an exploration whose levels widen one after another
+// reallocates it O(log widest level) times, not once per level.
 // Sequential-phase only.
 func (t *codeTable) drainPending(dst []pendingEntry) []pendingEntry {
 	total := 0
@@ -188,7 +190,7 @@ func (t *codeTable) drainPending(dst []pendingEntry) []pendingEntry {
 	}
 	out := dst[:0]
 	if cap(out) < total {
-		out = make([]pendingEntry, 0, total)
+		out = make([]pendingEntry, 0, max(total, 2*cap(out)))
 	}
 	for i := range t.stripes {
 		s := &t.stripes[i]

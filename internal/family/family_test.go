@@ -331,13 +331,13 @@ func TestBuildParallelRefusesOversizedRing(t *testing.T) {
 }
 
 // TestBuildParallelFallbackHonoursDeadline: a token topology too wide to
-// pack into a word is built by the process explorer, whose cost grows
-// about as n³; that route must stop at the caller's deadline instead of
-// finishing the build.
+// pack into a word explores interned codes at a cost per state that grows
+// about as n²; one worker must stop at the caller's deadline instead of
+// finishing the level, let alone the build.
 func TestBuildParallelFallbackHonoursDeadline(t *testing.T) {
 	const n = 600
-	if _, ok := Packed(Star(), n); ok {
-		t.Fatalf("star[%d] packs into a word; the test needs the fallback route", n)
+	if pi, ok := Packed(Star(), n); !ok || pi.Group != nil {
+		t.Fatalf("star[%d] should have a definition over interned codes (ok = %v)", n, ok)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

@@ -10,14 +10,15 @@ import (
 )
 
 // PackedInstance is a topology instance exposed intensionally to the
-// parallel construction and symmetry engines: a packed-code definition of
-// the state space plus the family's per-size metadata.
+// parallel construction and symmetry engines: a state-space definition
+// over uint64 codes plus the family's per-size metadata.
 type PackedInstance struct {
-	// Def is the packed-code state-space definition (see internal/explore).
+	// Def is the state-space definition (see internal/explore).
 	Def explore.Def
 	// Group is the instance's automorphism group for symmetry quotients,
 	// or nil when none is wired (e.g. mutated variants, whose rewritten
-	// rules may break the process symmetry the group expresses).
+	// rules may break the process symmetry the group expresses, and
+	// instances whose codes are interned ids, not one-word fields).
 	Group *symmetry.Group
 	// MakeTotal completes deadlock states with self loops after building,
 	// exactly as the topology's sequential Build does for broken variants.
@@ -35,18 +36,18 @@ type PackedInstance struct {
 	TooLarge error
 }
 
-// Packable is the optional Topology extension providing packed
+// Packable is the optional Topology extension providing explore
 // definitions.  Both built-in topology implementations provide it;
 // external implementations fall back to their sequential Build.
 type Packable interface {
-	// Packed returns the packed instance of size n, or ok == false when
-	// the size is invalid or the instance does not pack into a word.
+	// Packed returns the instance of size n, or ok == false when the size
+	// has no definition: it is invalid, or (for the ring) beyond the
+	// 31-process packing its hand-written definition serves.
 	Packed(n int) (PackedInstance, bool)
 }
 
-// Packed returns the topology's packed size-n instance, or ok == false
-// when the topology does not support packed construction (or the size does
-// not pack).
+// Packed returns the topology's size-n instance, or ok == false when the
+// topology does not provide definitions (or none for this size).
 func Packed(t Topology, n int) (PackedInstance, bool) {
 	p, ok := t.(Packable)
 	if !ok {
@@ -71,27 +72,17 @@ func (pi PackedInstance) FinishBuilt(m *kripke.Structure) (*kripke.Structure, er
 }
 
 // BuildParallel constructs the topology's size-n instance through the
-// parallel packed-BFS engine with the given worker count, byte-identical
+// parallel explorer with the given worker count, byte-identical
 // (kripke.EncodeText) to t.Build(n) for every worker count, and returns
 // the explored space too (state s of the structure is state s of the
-// space).  Topologies without a packed definition fall back to
-// BuildUnpacked and return a nil space.
+// space).  Sizes the topology has no definition for are left to t.Build,
+// which returns a nil space.
 func BuildParallel(ctx context.Context, t Topology, n, workers int) (*kripke.Structure, *explore.Space, error) {
 	if pi, ok := Packed(t, n); ok {
 		return pi.Build(ctx, workers)
 	}
-	m, err := BuildUnpacked(ctx, t, n)
+	m, err := t.Build(n)
 	return m, nil, err
-}
-
-// BuildUnpacked builds an instance the topology does not pack with its
-// sequential Build; token topologies too wide to pack take that route
-// under ctx.
-func BuildUnpacked(ctx context.Context, t Topology, n int) (*kripke.Structure, error) {
-	if tt, ok := t.(*tokenTopology); ok {
-		return tt.build(ctx, n)
-	}
-	return t.Build(n)
 }
 
 // Build explores the packed instance with the given worker count, after

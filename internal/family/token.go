@@ -193,12 +193,14 @@ func tokenRules(neigh func(i int) []int, maxDeg int) []process.Rule {
 	return rules
 }
 
-// network instantiates the token template n times with the topology's pass
-// rules (mutation applied), the shared construction behind Build and
-// Packed.
-func (t *tokenTopology) network(n int) (*process.Network, error) {
+// instance instantiates the token template n times with the topology's
+// pass rules (mutation applied) and returns its explore definition with
+// the topology's automorphism group, when one is wired, the variant is
+// unmutated and the codes are one word each (a group permutes one-word
+// fields, never the ids of interned codes).
+func (t *tokenTopology) instance(n int) (PackedInstance, error) {
 	if err := t.ValidSize(n); err != nil {
-		return nil, fmt.Errorf("family: %w", err)
+		return PackedInstance{}, fmt.Errorf("family: %w", err)
 	}
 	neigh := t.neighbors(n)
 	maxDeg := 0
@@ -211,11 +213,11 @@ func (t *tokenTopology) network(n int) (*process.Network, error) {
 	if t.mutation != nil {
 		rewritten, err := t.mutation.Apply(rules)
 		if err != nil {
-			return nil, fmt.Errorf("family: %s: %w", t.name, err)
+			return PackedInstance{}, fmt.Errorf("family: %s: %w", t.name, err)
 		}
 		rules = rewritten
 	}
-	return &process.Network{
+	net := &process.Network{
 		Template: tokenTemplate(),
 		N:        n,
 		Rules:    rules,
@@ -225,58 +227,37 @@ func (t *tokenTopology) network(n int) (*process.Network, error) {
 			}
 			return tokenStateIdle
 		},
-	}, nil
-}
-
-// Packed implements Packable: the network's packed-code definition (the
-// stateCodec fields of internal/process) with the topology's automorphism
-// group, when one is wired and the variant is unmutated.
-func (t *tokenTopology) Packed(n int) (PackedInstance, bool) {
-	net, err := t.network(n)
+	}
+	def, packed, err := net.Def(fmt.Sprintf("%s[%d]", t.name, n))
 	if err != nil {
-		return PackedInstance{}, false
+		return PackedInstance{}, fmt.Errorf("family: %w", err)
 	}
-	def, ok := net.PackedDef(fmt.Sprintf("%s[%d]", t.name, n))
-	if !ok {
-		return PackedInstance{}, false
-	}
-	pi := PackedInstance{
-		Def:       def,
-		MakeTotal: t.mutation != nil,
-		MaxStates: 1_000_000,
-	}
-	if t.group != nil && t.mutation == nil {
+	// A broken variant may deadlock (e.g. the token vanishes); MakeTotal
+	// gives deadlock states self loops, as ring.BuildBuggy does, so CTL*
+	// semantics and the correspondence definition stay aligned.
+	pi := PackedInstance{Def: def, MakeTotal: t.mutation != nil, MaxStates: process.DefaultMaxStates}
+	if packed && t.group != nil && t.mutation == nil {
 		pi.Group = t.group(n)
 	}
-	return pi, true
+	return pi, nil
 }
 
-// Build implements Topology: instantiate the token template n times and
-// compose it with the topology's pass rules through internal/process,
-// applying the topology's mutation (if any) to the rule list first.
+// Packed implements Packable for every valid size: the instance's explore
+// definition (see instance).
+func (t *tokenTopology) Packed(n int) (PackedInstance, bool) {
+	pi, err := t.instance(n)
+	return pi, err == nil
+}
+
+// Build implements Topology: the instance explored from its definition by
+// one worker, as BuildParallel does.
 func (t *tokenTopology) Build(n int) (*kripke.Structure, error) {
-	return t.build(context.Background(), n)
-}
-
-// build is Build under a context, which the exploration polls once per
-// expanded state: BuildParallel's route for sizes that do not pack into a
-// word, whose cost grows far faster than the packed explorer's.
-func (t *tokenTopology) build(ctx context.Context, n int) (*kripke.Structure, error) {
-	net, err := t.network(n)
+	pi, err := t.instance(n)
 	if err != nil {
 		return nil, err
 	}
-	m, err := net.BuildKripke(ctx, process.BuildOptions{Name: fmt.Sprintf("%s[%d]", t.name, n)})
-	if err != nil {
-		return nil, err
-	}
-	if t.mutation != nil {
-		// A broken variant may deadlock (e.g. the token vanishes); give
-		// deadlock states self loops, as ring.BuildBuggy does, so CTL*
-		// semantics and the correspondence definition stay aligned.
-		m = m.MakeTotal()
-	}
-	return m, nil
+	m, _, err := pi.Build(context.Background(), 1)
+	return m, err
 }
 
 // Star returns the star family: process 1 is the hub, processes 2..n are

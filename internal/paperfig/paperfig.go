@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/explore"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/process"
@@ -127,7 +128,11 @@ func Fig41(n int) (*kripke.Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := net.BuildKripke(context.Background(), process.BuildOptions{Name: fmt.Sprintf("fig4.1[%d]", n)})
+	def, _, err := net.Def(fmt.Sprintf("fig4.1[%d]", n))
+	if err != nil {
+		return nil, err
+	}
+	m, _, err := explore.Build(context.Background(), def, explore.Options{Workers: 1, MaxStates: process.DefaultMaxStates})
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,13 @@
 package process
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
 
-// The packed uint64 state encoding must be invisible: a network built with
-// every shared variable bounded (packed dedup) and the same network with
-// bounds removed (canonical string dedup) must produce identical Kripke
+// The code route must be invisible: a network built with every shared
+// variable bounded (one-word codes) and the same network with bounds
+// removed (interned multi-word codes) must produce identical Kripke
 // structures state for state.
 
 // counterNetwork is a small network with a genuinely used shared variable:
@@ -53,11 +52,11 @@ func counterNetwork(n int, boundCounter bool) *Network {
 
 func TestPackedBuildMatchesStringBuild(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
-		packed, err := counterNetwork(n, true).BuildKripke(context.Background(), BuildOptions{Name: "c"})
+		packed, err := build(counterNetwork(n, true), "c", 0)
 		if err != nil {
 			t.Fatalf("n=%d packed: %v", n, err)
 		}
-		plain, err := counterNetwork(n, false).BuildKripke(context.Background(), BuildOptions{Name: "c"})
+		plain, err := build(counterNetwork(n, false), "c", 0)
 		if err != nil {
 			t.Fatalf("n=%d plain: %v", n, err)
 		}
@@ -89,25 +88,33 @@ func TestPackedBuildMatchesStringBuild(t *testing.T) {
 func TestPackedBuildRejectsRangeViolation(t *testing.T) {
 	net := counterNetwork(3, true)
 	net.Shared[0].Max = 1 // the counter genuinely reaches 3
-	_, err := net.BuildKripke(context.Background(), BuildOptions{})
+	_, err := build(net, "", 0)
 	if err == nil || !strings.Contains(err.Error(), "outside its declared range") {
 		t.Fatalf("expected a declared-range violation, got %v", err)
 	}
 }
 
 func TestCodecFallsBackWhenUnpackable(t *testing.T) {
-	// Unbounded shared variable: not packable.
-	if _, ok := counterNetwork(2, false).newStateCodec(); ok {
-		t.Error("network with an unbounded shared variable must not be packable")
+	packed := func(net *Network) bool {
+		t.Helper()
+		_, packed, err := net.Def("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return packed
 	}
-	// Bounded: packable.
-	if _, ok := counterNetwork(2, true).newStateCodec(); !ok {
-		t.Error("fully bounded network must be packable")
+	// Unbounded shared variable: a full 64-bit field, so interned.
+	if packed(counterNetwork(2, false)) {
+		t.Error("network with an unbounded shared variable must not be packed")
 	}
-	// Too many processes for the word: not packable.
+	// Bounded: packed.
+	if !packed(counterNetwork(2, true)) {
+		t.Error("fully bounded network must be packed")
+	}
+	// Too many processes for the word: interned.
 	big := counterNetwork(2, true)
 	big.N = 70
-	if _, ok := big.newStateCodec(); ok {
+	if packed(big) {
 		t.Error("70 one-bit locals plus a counter must not fit one word")
 	}
 }

@@ -6,25 +6,24 @@
 // local state.  A Network instantiates N copies of the template (numbered
 // 1..N, as in the paper), optionally adds shared variables (e.g. "which
 // process holds the token"), and composes them with guarded-command Rules.
-// BuildKripke explores the reachable global state space breadth-first and
-// produces the global Kripke structure whose states are labelled with the
-// indexed propositions of every process, exactly the kind of structure
-// Sections 4 and 5 of the paper analyse.
+// Network.Def describes the reachable global state space to
+// internal/explore, the one explorer, whose breadth-first build produces
+// the global Kripke structure whose states are labelled with the indexed
+// propositions of every process, exactly the kind of structure Sections 4
+// and 5 of the paper analyse.  A global state is one 64-bit code when it
+// fits a word and an interned multi-word code otherwise (see def.go).
 //
 // The package is deliberately explicit-state: the point of the paper is that
 // one never needs to build the large instances, because the correspondence
 // theorem lets the small instance answer for all of them.
 package process
 
-import (
-	"context"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+import "fmt"
 
-	"repro/internal/kripke"
-)
+// DefaultMaxStates is the explicit-construction budget of a network build
+// that sets none: exceeding it means the caller asked for an instance the
+// correspondence theorem should answer for instead.
+const DefaultMaxStates = 1_000_000
 
 // Template describes one finite-state process of a family.
 type Template struct {
@@ -83,11 +82,11 @@ type SharedVar struct {
 	Name    string
 	Initial int
 	// Max, when positive, declares an inclusive upper bound on the values
-	// the variable takes (values must stay in [0, Max]).  Declaring bounds
-	// for every shared variable lets the state-space builder pack global
-	// states into machine words instead of strings; a rule that drives a
-	// bounded variable outside its range makes BuildKripke fail.  Zero
-	// leaves the variable unbounded (and the builder on the string path).
+	// the variable takes (values must stay in [0, Max]) and stores the
+	// variable in bitsFor(Max) bits of the state code; a rule that drives a
+	// bounded variable outside its range makes the exploration fail.  Zero
+	// leaves the variable unbounded: it takes a full 64-bit field, so the
+	// network's codes are interned (see Network.Def).
 	Max int
 }
 
@@ -226,79 +225,6 @@ func (v View) ProcessesIn(state string) []int {
 	return out
 }
 
-func (v View) key() string {
-	var sb strings.Builder
-	for _, ls := range v.locals {
-		sb.WriteString(strconv.Itoa(ls))
-		sb.WriteByte(',')
-	}
-	sb.WriteByte('|')
-	for _, sv := range v.shared {
-		sb.WriteString(strconv.Itoa(sv))
-		sb.WriteByte(',')
-	}
-	return sb.String()
-}
-
-// stateCodec packs a global state — every process's local-state index plus
-// the shared variable values — into one uint64, so the exploration's
-// frontier dedup is a word-keyed map probe instead of a string build.  A
-// network is packable when the local fields of all N processes and the
-// declared ranges of all shared variables (SharedVar.Max) fit in 64 bits;
-// BuildKripke falls back to the canonical string keys otherwise.
-type stateCodec struct {
-	localBits  uint
-	sharedOff  []uint
-	sharedMax  []int
-	sharedBits []uint
-}
-
-// newStateCodec returns the codec for n, or ok=false when the network's
-// states do not pack into a word.
-func (n *Network) newStateCodec() (c stateCodec, ok bool) {
-	c.localBits = bitsFor(len(n.Template.States) - 1)
-	total := uint(n.N) * c.localBits
-	for _, sv := range n.Shared {
-		if sv.Max <= 0 || sv.Initial < 0 || sv.Initial > sv.Max {
-			return stateCodec{}, false
-		}
-		c.sharedOff = append(c.sharedOff, total)
-		c.sharedMax = append(c.sharedMax, sv.Max)
-		c.sharedBits = append(c.sharedBits, bitsFor(sv.Max))
-		total += bitsFor(sv.Max)
-	}
-	if total > 64 {
-		return stateCodec{}, false
-	}
-	return c, true
-}
-
-// bitsFor returns the number of bits needed to store values in [0, max].
-func bitsFor(max int) uint {
-	bits := uint(1)
-	for max >= 1<<bits {
-		bits++
-	}
-	return bits
-}
-
-// encode packs v, reporting an error when a shared variable has left its
-// declared range.
-func (c stateCodec) encode(v View) (uint64, error) {
-	var code uint64
-	for i, ls := range v.locals {
-		code |= uint64(ls) << (uint(i) * c.localBits)
-	}
-	for i, val := range v.shared {
-		if val < 0 || val > c.sharedMax[i] {
-			return 0, fmt.Errorf("process: shared variable %q = %d outside its declared range [0, %d]",
-				v.net.Shared[i].Name, val, c.sharedMax[i])
-		}
-		code |= uint64(val) << c.sharedOff[i]
-	}
-	return code, nil
-}
-
 func (v View) apply(u Update) (View, error) {
 	out := View{net: v.net,
 		locals: append([]int(nil), v.locals...),
@@ -328,122 +254,6 @@ func (v View) apply(u Update) (View, error) {
 		}
 	}
 	return out, nil
-}
-
-// BuildOptions controls state-space generation.
-type BuildOptions struct {
-	// MaxStates caps the number of reachable global states generated; 0
-	// means the default of 1,000,000.  Exceeding the cap is an error: the
-	// caller asked for an instance that is too large to build explicitly,
-	// which is precisely the situation the paper's correspondence theorem is
-	// for.
-	MaxStates int
-	// Name overrides the generated structure name.
-	Name string
-}
-
-// BuildKripke explores the reachable global states of the network and
-// returns the corresponding Kripke structure.  Each global state is labelled
-// with prop[i] for every process i and proposition prop emitted by i's local
-// state, plus any plain propositions produced by GlobalProps.  ctx is
-// polled once per expanded state, so a cancelled or expired context stops
-// the exploration with its error.
-func (n *Network) BuildKripke(ctx context.Context, opts BuildOptions) (*kripke.Structure, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	maxStates := opts.MaxStates
-	if maxStates <= 0 {
-		maxStates = 1_000_000
-	}
-	name := opts.Name
-	if name == "" {
-		name = fmt.Sprintf("%s[%d]", n.Template.Name, n.N)
-	}
-
-	initial, err := n.initialView()
-	if err != nil {
-		return nil, err
-	}
-
-	b := kripke.NewBuilder(name)
-	for i := 1; i <= n.N; i++ {
-		b.DeclareIndex(i)
-	}
-	// Frontier dedup: packed word keys when the network's states fit in a
-	// uint64 (see stateCodec), canonical string keys otherwise.
-	codec, packed := n.newStateCodec()
-	var byCode map[uint64]kripke.State
-	var byKey map[string]kripke.State
-	if packed {
-		byCode = map[uint64]kripke.State{}
-	} else {
-		byKey = map[string]kripke.State{}
-	}
-	var views []View
-	var labelScratch []kripke.Prop
-
-	addState := func(v View) (kripke.State, bool, error) {
-		var code uint64
-		var key string
-		if packed {
-			var err error
-			if code, err = codec.encode(v); err != nil {
-				return 0, false, err
-			}
-			if id, ok := byCode[code]; ok {
-				return id, false, nil
-			}
-		} else {
-			key = v.key()
-			if id, ok := byKey[key]; ok {
-				return id, false, nil
-			}
-		}
-		if len(views) >= maxStates {
-			return 0, false, fmt.Errorf("process: network %s exceeds the %d state limit; "+
-				"build a small instance and use the correspondence theorem instead", name, maxStates)
-		}
-		labelScratch = n.appendLabel(labelScratch[:0], v)
-		id := b.AddState(labelScratch...)
-		if packed {
-			byCode[code] = id
-		} else {
-			byKey[key] = id
-		}
-		views = append(views, v)
-		return id, true, nil
-	}
-
-	initID, _, err := addState(initial)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.SetInitial(initID); err != nil {
-		return nil, err
-	}
-
-	for frontier := 0; frontier < len(views); frontier++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		v := views[frontier]
-		from := kripke.State(frontier)
-		succs, err := n.successors(v)
-		if err != nil {
-			return nil, err
-		}
-		for _, sv := range succs {
-			to, _, err := addState(sv)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.AddTransition(from, to); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.BuildPartial()
 }
 
 func (n *Network) initialView() (View, error) {
@@ -491,25 +301,6 @@ func (n *Network) successors(v View) ([]View, error) {
 		out = append(out, next)
 	}
 	return out, nil
-}
-
-// appendLabel appends the global label of v to dst (reusable scratch): the
-// indexed propositions of every process's local state plus any plain
-// propositions from GlobalProps.
-func (n *Network) appendLabel(dst []kripke.Prop, v View) []kripke.Prop {
-	for i := 1; i <= n.N; i++ {
-		for _, prop := range n.Template.Labels[v.Local(i)] {
-			dst = append(dst, kripke.PI(prop, i))
-		}
-	}
-	if n.GlobalProps != nil {
-		plain := n.GlobalProps(v)
-		sort.Strings(plain)
-		for _, p := range plain {
-			dst = append(dst, kripke.P(p))
-		}
-	}
-	return dst
 }
 
 // FreeProduct returns a network of N copies of the template with no shared

@@ -1,10 +1,11 @@
 package process
 
 import (
-	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/kripke"
 )
 
@@ -138,9 +139,9 @@ func TestNetworkValidate(t *testing.T) {
 
 func TestBuildKripkeTokenRingTwoProcesses(t *testing.T) {
 	net := tokenRingNetwork(2)
-	m, err := net.BuildKripke(context.Background(), BuildOptions{})
+	m, err := build(net, "", 0)
 	if err != nil {
-		t.Fatalf("BuildKripke: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	if m.NumStates() != 8 {
 		t.Errorf("two-process ring has %d states, want 8 (Fig 5.1)", m.NumStates())
@@ -162,9 +163,9 @@ func TestBuildKripkeTokenRingTwoProcesses(t *testing.T) {
 
 func TestBuildKripkeStateLimit(t *testing.T) {
 	net := tokenRingNetwork(8)
-	if _, err := net.BuildKripke(context.Background(), BuildOptions{MaxStates: 10}); err == nil {
-		t.Error("BuildKripke should fail when the state limit is exceeded")
-	} else if !strings.Contains(err.Error(), "state limit") {
+	if _, err := build(net, "", 10); err == nil {
+		t.Error("the build should fail when the state limit is exceeded")
+	} else if !errors.Is(err, explore.ErrLimit) || !strings.Contains(err.Error(), "more than 10 reachable states") {
 		t.Errorf("unexpected error: %v", err)
 	}
 }
@@ -205,9 +206,9 @@ func TestGlobalPropsAndSharedVariables(t *testing.T) {
 			return nil
 		},
 	}
-	m, err := net.BuildKripke(context.Background(), BuildOptions{Name: "barrier"})
+	m, err := build(net, "barrier", 0)
 	if err != nil {
-		t.Fatalf("BuildKripke: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	// 2^3 local configurations; the shared counter is determined by them.
 	if m.NumStates() != 8 {
@@ -243,7 +244,7 @@ func TestUpdateErrors(t *testing.T) {
 			Apply: func(v View, i int) Update { return Update{Locals: map[int]string{99: "d"}} },
 		}},
 	}
-	if _, err := net.BuildKripke(context.Background(), BuildOptions{}); err == nil {
+	if _, err := build(net, "", 0); err == nil {
 		t.Error("update naming an unknown process should fail")
 	}
 	net.Rules = []Rule{{
@@ -251,7 +252,7 @@ func TestUpdateErrors(t *testing.T) {
 		Guard: func(v View, i int) bool { return i == 1 },
 		Apply: func(v View, i int) Update { return Update{Shared: map[string]int{"nope": 1}} },
 	}}
-	if _, err := net.BuildKripke(context.Background(), BuildOptions{}); err == nil {
+	if _, err := build(net, "", 0); err == nil {
 		t.Error("update naming an unknown shared variable should fail")
 	}
 	net.Rules = []Rule{{
@@ -259,7 +260,7 @@ func TestUpdateErrors(t *testing.T) {
 		Guard: func(v View, i int) bool { return i == 1 },
 		Apply: func(v View, i int) Update { return Update{Locals: map[int]string{1: "zzz"}} },
 	}}
-	if _, err := net.BuildKripke(context.Background(), BuildOptions{}); err == nil {
+	if _, err := build(net, "", 0); err == nil {
 		t.Error("update naming an unknown local state should fail")
 	}
 }
@@ -275,9 +276,9 @@ func TestFreeProduct(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FreeProduct: %v", err)
 	}
-	m, err := net.BuildKripke(context.Background(), BuildOptions{})
+	m, err := build(net, "", 0)
 	if err != nil {
-		t.Fatalf("BuildKripke: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	if m.NumStates() != 8 {
 		t.Errorf("free product of 3 two-state processes has %d states, want 8", m.NumStates())

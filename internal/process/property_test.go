@@ -2,7 +2,6 @@ package process
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"testing"
 
@@ -66,7 +65,7 @@ func TestBuildKripkeDeterministicOrdering(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		encode := func() []byte {
 			t.Helper()
-			m, err := propertyNetwork(n).BuildKripke(context.Background(), BuildOptions{})
+			m, err := build(propertyNetwork(n), "", 0)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -92,7 +91,7 @@ func TestBuildKripkeDeterministicOrdering(t *testing.T) {
 func TestLabelsIndexCorrectly(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		net := propertyNetwork(n)
-		m, err := net.BuildKripke(context.Background(), BuildOptions{})
+		m, err := build(net, "", 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -149,7 +148,7 @@ func TestInitialLocalOverrideIndexes(t *testing.T) {
 			}
 			return "a"
 		}
-		m, err := net.BuildKripke(context.Background(), BuildOptions{})
+		m, err := build(net, "", 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -177,7 +176,7 @@ func TestInitialLocalOverrideIndexes(t *testing.T) {
 func TestReachableCountMatchesClosedForm(t *testing.T) {
 	prev := 0
 	for n := 1; n <= 6; n++ {
-		m, err := propertyNetwork(n).BuildKripke(context.Background(), BuildOptions{})
+		m, err := build(propertyNetwork(n), "", 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -204,7 +203,7 @@ func pow(b, e int) int {
 // TestBuildKripkeNameDefault pins the generated structure name format the
 // topologies rely on.
 func TestBuildKripkeNameDefault(t *testing.T) {
-	m, err := propertyNetwork(2).BuildKripke(context.Background(), BuildOptions{})
+	m, err := build(propertyNetwork(2), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func ExampleNetwork() {
 			},
 		},
 	}
-	m, err := net.Build("pool[3]")
+	m, err := net.Build(context.Background(), "pool[3]")
 	if err != nil {
 		log.Fatal(err)
 	}

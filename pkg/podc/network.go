@@ -2,8 +2,10 @@ package podc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"repro/internal/explore"
 	"repro/internal/process"
 )
 
@@ -95,11 +97,12 @@ type SharedVariable struct {
 	Name    string
 	Initial int
 	// Max, when positive, declares an inclusive upper bound on the values
-	// the variable takes (values must stay in [0, Max]).  When every shared
-	// variable is bounded, the state-space builder packs global states into
-	// machine words instead of strings, which makes exploration markedly
-	// faster; a rule that drives a bounded variable outside its range makes
-	// Build fail.  Zero leaves the variable unbounded.
+	// the variable takes (values must stay in [0, Max]) and packs the
+	// variable into the bits Max needs in the global state's code; a rule
+	// that drives a bounded variable outside its range makes Build fail.
+	// Zero leaves the variable unbounded: it takes a full 64-bit field, so
+	// its values may be negative and the network's codes are interned
+	// instead of packed into one word.
 	Max int
 }
 
@@ -157,13 +160,28 @@ func (n *Network) raw() *process.Network {
 
 // Build explores the reachable global state space breadth-first and
 // returns the network's Kripke structure, labelled with the indexed
-// propositions of every process.  An optional name overrides the generated
-// structure name.
-func (n *Network) Build(name string) (*Structure, error) {
+// propositions of every process.  A non-empty name overrides the generated
+// structure name.  The exploration runs on one goroutine, so rules need
+// not be pure functions of the view, and polls ctx between states: a
+// cancelled or expired context stops it with the context's error.  A
+// network past MaxStates is refused with an error naming the state limit.
+func (n *Network) Build(ctx context.Context, name string) (*Structure, error) {
 	if n == nil || n.Template == nil {
 		return nil, fmt.Errorf("podc: Network.Build: nil network or template")
 	}
-	m, err := n.raw().BuildKripke(context.Background(), process.BuildOptions{MaxStates: n.MaxStates, Name: name})
+	def, _, err := n.raw().Def(name)
+	if err != nil {
+		return nil, err
+	}
+	limit := n.MaxStates
+	if limit <= 0 {
+		limit = process.DefaultMaxStates
+	}
+	m, _, err := explore.Build(ctx, def, explore.Options{Workers: 1, MaxStates: limit})
+	if errors.Is(err, explore.ErrLimit) {
+		return nil, fmt.Errorf("podc: network %s exceeds the %d state limit (%w); "+
+			"build a small instance and use the correspondence theorem instead", def.Name, limit, explore.ErrLimit)
+	}
 	if err != nil {
 		return nil, err
 	}

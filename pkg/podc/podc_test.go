@@ -297,13 +297,11 @@ func TestNetworkBuild(t *testing.T) {
 			},
 		}},
 	}
-	m, err := net.Build("bits[3]")
+	m, err := net.Build(context.Background(), "bits[3]")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2^3 global states, with the all-on deadlock made total by the builder?
-	// BuildKripke adds self-loops only via MakeTotal inside; just check the
-	// structure is well-formed and has 8 states.
+	// 2^3 global states; the builder leaves the all-on deadlock as it is.
 	if m.NumStates() != 8 {
 		t.Errorf("3 bits should give 8 reachable states, got %d", m.NumStates())
 	}
@@ -315,6 +313,61 @@ func TestNetworkBuild(t *testing.T) {
 	holds, err := v.Check(ctx, podc.MustParseFormula("forall i . EF on[i]"))
 	if err != nil || !holds {
 		t.Errorf("every bit can turn on: %v %v", holds, err)
+	}
+}
+
+// bitsNetwork is n independent bits that flip either way: 2^n reachable
+// states, and more than one word of code from n = 65 bits on.
+func bitsNetwork(n int) *podc.Network {
+	flip := func(from, to string) podc.NetworkRule {
+		return podc.NetworkRule{
+			Name:  from + "->" + to,
+			Guard: func(v podc.NetworkView, i int) bool { return v.Local(i) == from },
+			Apply: func(v podc.NetworkView, i int) podc.NetworkUpdate {
+				return podc.NetworkUpdate{Locals: map[int]string{i: to}}
+			},
+		}
+	}
+	return &podc.Network{
+		Template: &podc.ProcessTemplate{
+			Name:    "bit",
+			States:  []string{"off", "on"},
+			Initial: "off",
+			Labels:  map[string][]string{"on": {"on"}},
+		},
+		N:     n,
+		Rules: []podc.NetworkRule{flip("off", "on"), flip("on", "off")},
+	}
+}
+
+// TestNetworkBuildHonoursDeadline: a network too wide for one-word codes,
+// whose state space takes far longer to build than the deadline, stops at
+// the deadline with the context's error.
+func TestNetworkBuildHonoursDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := bitsNetwork(80).Build(ctx, "")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Build returned after %v, want within 1s of a 100ms deadline", elapsed)
+	}
+}
+
+// TestNetworkBuildStateLimit: a network past its MaxStates is refused with
+// an error that names the state limit.
+func TestNetworkBuildStateLimit(t *testing.T) {
+	net := bitsNetwork(4)
+	net.MaxStates = 10
+	_, err := net.Build(context.Background(), "bits[4]")
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 10 state limit") {
+		t.Fatalf("err = %v, want the 10 state limit named", err)
+	}
+	net.MaxStates = 16
+	if m, err := net.Build(context.Background(), "bits[4]"); err != nil || m.NumStates() != 16 {
+		t.Fatalf("at the limit: %v", err)
 	}
 }
 

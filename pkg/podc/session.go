@@ -262,9 +262,8 @@ func (s *Session) topologyInstance(ctx context.Context, t family.Topology, n int
 
 // buildInstance explores one topology instance with the session's build
 // pool (one worker unless WithParallelBuild sets it), asking the topology
-// for its packed instance once; the instance keeps it for indexAction.
-// Topologies without a packed definition are built sequentially and keep
-// no space.
+// for its definition once; the instance keeps it for indexAction.  Sizes
+// without a definition are left to the topology's Build and keep no space.
 func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (*instance, error) {
 	inst := &instance{}
 	var m *kripke.Structure
@@ -273,7 +272,7 @@ func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (
 		inst.pi = &pi
 		m, inst.sp, err = pi.Build(ctx, max(s.cfg.buildWorkers, 1))
 	} else {
-		m, err = family.BuildUnpacked(ctx, t, n)
+		m, err = t.Build(n)
 	}
 	if err != nil {
 		return nil, err
