@@ -34,7 +34,9 @@
 // table is read lock-free during a level (it only grows between levels),
 // and per-stripe mutexes guard only the small per-level pending sets, so
 // the hot path costs one hash and a few probes instead of a Go map
-// operation.
+// operation.  A slot is 8 bytes, a hash tag and an id confirmed against
+// the Space's codes, which the table owns.  Each chunk of a level keeps one
+// id stream, in which a code new to the table points into its fresh list.
 package explore
 
 import (
@@ -113,27 +115,26 @@ const maxSuccPerState = 1 << 16
 // from the space shares them.
 type Space struct {
 	name  string
-	codes []uint64
 	succ  []kripke.State
 	off   []int32
-	table *codeTable
+	table *codeTable // owns the codes
 }
 
 // Name returns the definition's name.
 func (sp *Space) Name() string { return sp.name }
 
 // NumStates returns the number of reachable states.
-func (sp *Space) NumStates() int { return len(sp.codes) }
+func (sp *Space) NumStates() int { return len(sp.table.codes) }
 
 // NumTransitions returns the number of distinct transitions.
 func (sp *Space) NumTransitions() int { return len(sp.succ) }
 
 // Code returns the packed code of state s.
-func (sp *Space) Code(s int32) uint64 { return sp.codes[s] }
+func (sp *Space) Code(s int32) uint64 { return sp.table.codes[s] }
 
 // Codes returns every reachable code in state order.  The slice is shared
 // backing and must not be modified.
-func (sp *Space) Codes() []uint64 { return sp.codes }
+func (sp *Space) Codes() []uint64 { return sp.table.codes }
 
 // Succ returns the successor states of s, sorted ascending.  The slice is
 // a view into shared backing and must not be modified.
@@ -161,17 +162,13 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		return nil, fmt.Errorf("explore: %s: Def.Succ is nil", def.Name)
 	}
 
-	sp := &Space{name: def.Name, table: newCodeTable(workers <= 1)}
-	sp.table.insert(def.Init, 0)
-	numStates := 1
-
-	// The Space's arrays are written once.  They are allocated at the Def's
-	// declared size; the frontier is a view into sp.codes, and each level
-	// appends its new codes, rows and offsets in place.  A level that would
-	// overflow a declared capacity (every level of an undeclared Def)
-	// switches that array to per-level segments, and the array is assembled
-	// once at the end.  Growing multi-hundred-MB slices through append
-	// would copy the whole prefix over and over, which is exactly the cost
+	// The Space's arrays and the code table are allocated at the Def's
+	// declared size; the frontier is a view into the table's codes, and
+	// each level appends its new codes, rows and offsets in place.  Codes
+	// past the declared capacity grow through slices.Grow, as the table
+	// reads them.  Rows and offsets past theirs switch to per-level
+	// segments, assembled once at the end: growing the transition rows
+	// through append would copy the whole prefix over and over, the cost
 	// that made labelled builds degrade with size (DESIGN.md §7,
 	// "Allocation discipline").
 	hintStates, hintEdges := max(def.States, 1), min(max(def.Transitions, 0), math.MaxInt32)
@@ -179,11 +176,11 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		// A size past the cap predicts ErrLimit: pay nothing up front for it.
 		hintStates, hintEdges = 1, 0
 	}
-	sp.codes = append(make([]uint64, 0, hintStates), def.Init)
-	sp.off = append(make([]int32, 0, hintStates+1), 0)
-	sp.succ = make([]kripke.State, 0, hintEdges)
-	frontier := sp.codes
-	var codeSegs [][]uint64      // per level past sp.codes' capacity: the new codes
+	table := newCodeTable(workers <= 1, hintStates)
+	table.insert(def.Init)
+	sp := &Space{name: def.Name, table: table, off: append(make([]int32, 0, hintStates+1), 0),
+		succ: make([]kripke.State, 0, hintEdges)}
+	frontier := table.codes
 	var rowSegs [][]kripke.State // per chunk past sp.succ's capacity: deduplicated rows
 	var cntSegs [][]int32        // parallel to rowSegs: the row lengths
 
@@ -196,6 +193,7 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		numStates := len(table.codes)
 		levelSize := len(frontier)
 		levelBase := numStates - levelSize
 		numChunks := workers * 4
@@ -207,23 +205,20 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 			chunks = append(chunks, levelChunk{})
 		}
 
-		// Phase A: generate successors chunk by chunk, memoise the ids of
-		// codes already in the table and claim the minimal stream position
-		// of every code not yet in it.  A chunk may hold many expensive
-		// states, so cancellation is polled between states, by a
+		// Phase A: generate successors chunk by chunk into the chunk's
+		// scratch, record the id of every code already in the table and,
+		// for a code not yet in it, a reference -1-k to its copy in fresh,
+		// claiming its minimal stream position.  A chunk may hold many
+		// expensive states, so cancellation is polled between states, by a
 		// non-blocking receive on the level's Done channel.
 		done := ctx.Done()
 		err := parallelDo(ctx, workers, numChunks, func(ci int) error {
 			c := &chunks[ci]
 			lo := ci * chunkSize
-			hi := lo + chunkSize
-			if hi > levelSize {
-				hi = levelSize
-			}
-			c.lo, c.hi = lo, hi
+			hi := min(lo+chunkSize, levelSize)
 			c.counts = c.counts[:0]
-			c.flat = c.flat[:0]
 			c.ids = c.ids[:0]
+			c.fresh = c.fresh[:0]
 			var err error
 			for k := lo; k < hi; k++ {
 				select {
@@ -231,24 +226,23 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 					return ctx.Err()
 				default:
 				}
-				base := len(c.flat)
-				c.flat, err = def.Succ(c.flat, frontier[k])
+				c.scratch, err = def.Succ(c.scratch[:0], frontier[k])
 				if err != nil {
 					return fmt.Errorf("explore: %s: successors of state %d: %w", def.Name, levelBase+k, err)
 				}
-				row := c.flat[base:]
-				if len(row) >= maxSuccPerState {
+				if len(c.scratch) >= maxSuccPerState {
 					return fmt.Errorf("explore: %s: state %d has %d successors (limit %d)",
-						def.Name, levelBase+k, len(row), maxSuccPerState)
+						def.Name, levelBase+k, len(c.scratch), maxSuccPerState)
 				}
-				c.counts = append(c.counts, int32(len(row)))
-				for j, code := range row {
-					if id, ok := sp.table.get(code); ok {
-						c.ids = append(c.ids, id)
+				c.counts = append(c.counts, int32(len(c.scratch)))
+				for j, code := range c.scratch {
+					if id, ok := table.get(code); ok {
+						c.ids = append(c.ids, kripke.State(id))
 						continue
 					}
-					c.ids = append(c.ids, unresolved)
-					sp.table.claim(code, uint64(k)<<16|uint64(j))
+					c.ids = append(c.ids, kripke.State(-1-len(c.fresh)))
+					c.fresh = append(c.fresh, code)
+					table.claim(code, uint64(k)<<16|uint64(j))
 				}
 			}
 			return nil
@@ -260,55 +254,42 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		// Phase B: the canonical renumber pass.  Drain the pending sets,
 		// sort the new codes by minimal stream position and assign ids —
 		// exactly the first-occurrence order of the sequential stream.
-		pend = sp.table.drainPending(pend)
+		pend = table.drainPending(pend)
 		slices.SortFunc(pend, func(a, b pendingEntry) int { return cmp.Compare(a.pos, b.pos) })
 		if numStates+len(pend) > maxStates {
 			return nil, fmt.Errorf("explore: %s: more than %d reachable states: %w", def.Name, maxStates, ErrLimit)
 		}
-		var next []uint64
-		if codeSegs == nil && len(sp.codes)+len(pend) <= cap(sp.codes) {
-			sp.codes = sp.codes[:len(sp.codes)+len(pend)]
-			next = sp.codes[numStates:]
-		} else {
-			next = make([]uint64, len(pend))
-			codeSegs = append(codeSegs, next)
+		table.codes = slices.Grow(table.codes, len(pend))
+		for _, e := range pend {
+			table.insert(e.code)
 		}
-		for i, e := range pend {
-			sp.table.insert(e.code, int32(numStates+i))
-			next[i] = e.code
-		}
-		numStates += len(pend)
 
-		// Phase C: resolve the unresolved successor ids (codes that were
-		// new in phase A), then sort and deduplicate each state's row (the
-		// CSR convention of the builder).  Memoised ids skip the second
-		// table lookup entirely.
+		// Phase C: resolve the fresh references (codes that were new in
+		// phase A), then sort and deduplicate each state's row (the CSR
+		// convention of the builder), compacting the rows in place inside
+		// ids and overwriting counts with their deduplicated lengths.
 		err = parallelDo(ctx, workers, numChunks, func(ci int) error {
 			c := &chunks[ci]
-			c.rows = c.rows[:0]
-			c.dcounts = c.dcounts[:0]
-			base := 0
-			for _, n := range c.counts {
-				codes := c.flat[base : base+int(n)]
-				ids := c.ids[base : base+int(n)]
+			base, end := 0, 0
+			for r, n := range c.counts {
+				row := c.ids[base : base+int(n)]
 				base += int(n)
-				start := len(c.rows)
-				for i, id := range ids {
-					if id == unresolved {
-						got, ok := sp.table.get(codes[i])
+				for i, id := range row {
+					if id < 0 {
+						code := c.fresh[-1-id]
+						got, ok := table.get(code)
 						if !ok {
-							return fmt.Errorf("explore: %s: successor code %#x missing from the table", def.Name, codes[i])
+							return fmt.Errorf("explore: %s: successor code %#x missing from the table", def.Name, code)
 						}
-						id = got
+						row[i] = kripke.State(got)
 					}
-					c.rows = append(c.rows, kripke.State(id))
 				}
-				seg := c.rows[start:]
-				slices.Sort(seg)
-				seg = slices.Compact(seg)
-				c.rows = c.rows[:start+len(seg)]
-				c.dcounts = append(c.dcounts, int32(len(seg)))
+				slices.Sort(row)
+				row = slices.Compact(row)
+				end += copy(c.ids[end:], row)
+				c.counts[r] = int32(len(row))
 			}
+			c.ids = c.ids[:end]
 			return nil
 		})
 		if err != nil {
@@ -324,14 +305,14 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		// engine's traffic over the transition arrays.
 		levelEdges := 0
 		for ci := 0; ci < numChunks; ci++ {
-			levelEdges += len(chunks[ci].rows)
+			levelEdges += len(chunks[ci].ids)
 		}
 		if rowSegs == nil && len(sp.succ)+levelEdges <= cap(sp.succ) && len(sp.off)+levelSize <= cap(sp.off) {
 			for ci := 0; ci < numChunks; ci++ {
 				c := &chunks[ci]
-				sp.succ = append(sp.succ, c.rows...)
+				sp.succ = append(sp.succ, c.ids...)
 				end := sp.off[len(sp.off)-1]
-				for _, n := range c.dcounts {
+				for _, n := range c.counts {
 					end += n
 					sp.off = append(sp.off, end)
 				}
@@ -339,26 +320,19 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		} else {
 			for ci := 0; ci < numChunks; ci++ {
 				c := &chunks[ci]
-				rowSegs = append(rowSegs, c.rows)
-				cntSegs = append(cntSegs, c.dcounts)
-				c.rows = make([]kripke.State, 0, len(c.rows)+len(c.rows)/4)
-				c.dcounts = make([]int32, 0, len(c.dcounts)+len(c.dcounts)/4)
+				rowSegs = append(rowSegs, c.ids)
+				cntSegs = append(cntSegs, c.counts)
+				c.ids = make([]kripke.State, 0, len(c.ids)+len(c.ids)/4)
+				c.counts = make([]int32, 0, len(c.counts)+len(c.counts)/4)
 			}
 		}
-		frontier = next
+		frontier = table.codes[numStates:]
 	}
 
-	// Final assembly of the arrays that overflowed their declared capacity:
-	// one exact-size allocation each, the in-place prefix first.  Row
-	// offsets are int32, the structure's layout, so a larger relation is
-	// refused.
-	if codeSegs != nil {
-		codes := append(make([]uint64, 0, numStates), sp.codes...)
-		for _, seg := range codeSegs {
-			codes = append(codes, seg...)
-		}
-		sp.codes = codes
-	}
+	// Final assembly of the rows and offsets that overflowed their declared
+	// capacity: one exact-size allocation each, the in-place prefix first.
+	// Row offsets are int32, the structure's layout, so a larger relation
+	// is refused.
 	if rowSegs != nil {
 		totalEdges := len(sp.succ)
 		for _, seg := range rowSegs {
@@ -368,7 +342,7 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 			return nil, fmt.Errorf("explore: %s: %d transitions: %w", def.Name, totalEdges, ErrTooManyTransitions)
 		}
 		succ := append(make([]kripke.State, 0, totalEdges), sp.succ...)
-		off := append(make([]int32, 0, numStates+1), sp.off...)
+		off := append(make([]int32, 0, len(table.codes)+1), sp.off...)
 		for li, seg := range rowSegs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -415,13 +389,14 @@ func BuildFromSpace(ctx context.Context, def Def, sp *Space) (*kripke.Structure,
 		b.DeclareIndex(i)
 	}
 	var scratch []kripke.Prop
+	codes := sp.Codes()
 	for s := 0; s < n; s++ {
 		if s&0xffff == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		scratch = def.Label(scratch[:0], sp.codes[s])
+		scratch = def.Label(scratch[:0], codes[s])
 		b.AddState(scratch...)
 	}
 	if err := b.SetInitial(0); err != nil {
@@ -437,19 +412,17 @@ func BuildFromSpace(ctx context.Context, def Def, sp *Space) (*kripke.Structure,
 	return m, nil
 }
 
-// unresolved marks a successor whose code was not yet in the permanent
-// table during phase A; phase C resolves it after the renumber pass.
-const unresolved = int32(-1)
-
 // levelChunk is one contiguous slice of a level's frontier with its
 // per-phase scratch buffers, reused across levels.
 type levelChunk struct {
-	lo, hi  int
-	counts  []int32        // raw successor count per frontier state
-	flat    []uint64       // successor codes, concatenated
-	ids     []int32        // parallel to flat: memoised id, or unresolved
-	rows    []kripke.State // resolved rows, per-state sorted and deduplicated
-	dcounts []int32        // deduplicated row lengths
+	scratch []uint64 // one state's successor codes
+	// ids holds each state's successors in phase A: an id, or -1-k for the
+	// code fresh[k] not yet in the table.  Phase C resolves, sorts and
+	// deduplicates each row in place and overwrites counts, the raw
+	// successor count per frontier state, with the deduplicated lengths.
+	ids    []kripke.State
+	counts []int32
+	fresh  []uint64
 }
 
 // parallelDo runs fn(0..n-1) on up to workers goroutines, claiming chunk

@@ -4,7 +4,7 @@ package explore
 // buffer over levels (each level's newly discovered codes, in stream order)
 // and returns how many times drainPending reallocated the buffer.
 func DrainReallocs(levels [][]uint64) int {
-	t := newCodeTable(true)
+	t := newCodeTable(true, 1)
 	var pend []pendingEntry
 	reallocs := 0
 	for _, level := range levels {

@@ -1,18 +1,23 @@
 package explore
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// codeTable maps packed uint64 codes to int32 state ids.  It is an
+// codeTable maps packed uint64 codes to int32 state ids, and owns the codes
+// themselves: codes[id] is state id's code, appended by insert.  It is an
 // open-addressing hash table striped 64 ways: each stripe owns a permanent
-// keys/ids array plus a per-level pending set (also open addressing)
-// guarded by the stripe mutex.  During a level's parallel phase the
-// permanent arrays are read-only (they grow only in the sequential renumber
-// pass between levels), so get() runs lock-free; only claims on genuinely
-// new codes take a stripe lock.  A table created for a single-worker
+// slot array plus a per-level pending set (also open addressing) guarded by
+// the stripe mutex.  During a level's parallel phases the permanent arrays
+// and codes are read-only (they grow only in the sequential renumber pass
+// between levels), so get() runs lock-free; only claims on genuinely new
+// codes take a stripe lock.  A table created for a single-worker
 // exploration (seq) skips the stripe locks entirely — every phase is run by
 // one goroutine.
 type codeTable struct {
 	seq     bool
+	codes   []uint64
 	stripes [numStripes]stripe
 }
 
@@ -29,19 +34,22 @@ type stripe struct {
 	pn    int
 }
 
-// tableSlot keeps a code and its id adjacent, so a probe costs a single
-// cache line instead of one miss in a key array plus one in an id array.
+// tableSlot is 8 bytes: a 32-bit tag of the code's hash and the id.  The
+// tag is bits 6..37 of splitmix64(code) (bits 0..5 pick the stripe), so its
+// low bits are the slot index and grow rehashes from the tag alone.  Equal
+// tags are confirmed against codes[id], so each code is stored once, in the
+// codes the Space returns.
 type tableSlot struct {
-	key uint64
+	tag uint32
 	id  int32
 }
 
 const emptySlot = int32(-1)
 
-// minStripeSize is the initial size of a stripe's permanent and pending
+// minStripeSize is the smallest size of a stripe's permanent and pending
 // arrays.  It is small so that the 64 stripes of a table for a
-// few-hundred-state instance cost a few kilobytes; large spaces double
-// their way up in a handful of cheap early rehashes.
+// few-hundred-state instance cost a few kilobytes; a Def that declares no
+// size doubles its stripes up in a handful of cheap early rehashes.
 const minStripeSize = 8
 
 // splitmix64 is the finaliser of the splitmix64 generator — a fast,
@@ -53,10 +61,15 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func newCodeTable(seq bool) *codeTable {
-	t := &codeTable{seq: seq}
+// newCodeTable returns a table whose codes have capacity states and whose
+// stripes are sized so that states codes, spread evenly, stay under the
+// 62.5% load at which insert grows a stripe.
+func newCodeTable(seq bool, states int) *codeTable {
+	t := &codeTable{seq: seq, codes: make([]uint64, 0, states)}
+	perStripe := (states + numStripes - 1) / numStripes
+	size := max(1<<bits.Len(uint(perStripe*8/5)), minStripeSize)
 	for i := range t.stripes {
-		t.stripes[i].grow(minStripeSize)
+		t.stripes[i].grow(size)
 	}
 	return t
 }
@@ -69,18 +82,18 @@ func (s *stripe) grow(size int) {
 	}
 	for _, sl := range old {
 		if sl.id != emptySlot {
-			s.place(sl.key, sl.id)
+			s.place(sl)
 		}
 	}
 }
 
-func (s *stripe) place(code uint64, id int32) {
-	mask := uint64(len(s.slots) - 1)
-	i := (splitmix64(code) >> 6) & mask
+func (s *stripe) place(sl tableSlot) {
+	mask := uint32(len(s.slots) - 1)
+	i := sl.tag & mask
 	for s.slots[i].id != emptySlot {
 		i = (i + 1) & mask
 	}
-	s.slots[i] = tableSlot{key: code, id: id}
+	s.slots[i] = sl
 }
 
 // get returns the permanent id of code.  Safe for concurrent use while the
@@ -88,17 +101,16 @@ func (s *stripe) place(code uint64, id int32) {
 func (t *codeTable) get(code uint64) (int32, bool) {
 	h := splitmix64(code)
 	s := &t.stripes[h&(numStripes-1)]
-	mask := uint64(len(s.slots) - 1)
-	i := (h >> 6) & mask
-	for {
+	tag := uint32(h >> 6)
+	mask := uint32(len(s.slots) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
 		sl := s.slots[i]
 		if sl.id == emptySlot {
 			return 0, false
 		}
-		if sl.key == code {
+		if sl.tag == tag && t.codes[sl.id] == code {
 			return sl.id, true
 		}
-		i = (i + 1) & mask
 	}
 }
 
@@ -159,16 +171,20 @@ func (s *stripe) growPending() {
 	}
 }
 
-// insert adds code with a permanent id.  Sequential-phase only.  The table
-// grows at 62.5% load: probe chains stay short enough that the lock-free
-// get() — the engine's hottest operation — averages under two probes.
-func (t *codeTable) insert(code uint64, id int32) {
-	s := &t.stripes[splitmix64(code)&(numStripes-1)]
+// insert appends code to codes and gives it the next id.  Sequential-phase
+// only; a caller inserting a batch reserves codes' capacity first.  A
+// stripe grows at 62.5% load: probe chains stay short enough that the
+// lock-free get() — the engine's hottest operation — averages under two
+// probes.
+func (t *codeTable) insert(code uint64) {
+	h := splitmix64(code)
+	s := &t.stripes[h&(numStripes-1)]
 	if (s.n+1)*8 >= len(s.slots)*5 {
 		s.grow(len(s.slots) * 2)
 	}
-	s.place(code, id)
+	s.place(tableSlot{tag: uint32(h >> 6), id: int32(len(t.codes))})
 	s.n++
+	t.codes = append(t.codes, code)
 }
 
 // pendingEntry is one newly discovered code with its minimal stream

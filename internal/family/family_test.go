@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/bisim"
+	"repro/internal/explore"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/mc"
@@ -64,6 +65,44 @@ func TestTokenInstancesShape(t *testing.T) {
 				if !m.ExactlyOne(s, ring.PropToken) {
 					t.Errorf("%s[%d]: state %d does not have exactly one token holder", topo.Name(), n, s)
 				}
+			}
+		}
+	}
+}
+
+// TestTokenDefDeclaresExactSizes: every token topology's definition
+// declares exactly the states and transitions its exploration finds, at
+// every valid size from 4 to 40 (one-word and interned codes alike), and a
+// mutated variant, whose reachable space the closed form does not describe,
+// declares none.
+func TestTokenDefDeclaresExactSizes(t *testing.T) {
+	for _, topo := range Topologies()[1:] {
+		for _, n := range ValidSizesIn(topo, 4, 40) {
+			pi, ok := Packed(topo, n)
+			if !ok {
+				t.Fatalf("%s[%d]: no definition", topo.Name(), n)
+			}
+			sp, err := explore.Explore(context.Background(), pi.Def, explore.Options{})
+			if err != nil {
+				t.Fatalf("%s[%d]: %v", topo.Name(), n, err)
+			}
+			if pi.Def.States != sp.NumStates() || pi.Def.Transitions != sp.NumTransitions() {
+				t.Errorf("%s[%d]: declares %d states and %d transitions, explored %d and %d",
+					topo.Name(), n, pi.Def.States, pi.Def.Transitions, sp.NumStates(), sp.NumTransitions())
+			}
+		}
+		for _, m := range TokenMutations() {
+			mutant, err := Mutate(topo, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pi, ok := Packed(mutant, mutant.MinSize())
+			if !ok {
+				t.Fatalf("%s[%d]: no definition", mutant.Name(), mutant.MinSize())
+			}
+			if pi.Def.States != 0 || pi.Def.Transitions != 0 {
+				t.Errorf("%s: declares %d states and %d transitions, want none",
+					mutant.Name(), pi.Def.States, pi.Def.Transitions)
 			}
 		}
 	}

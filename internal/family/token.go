@@ -197,17 +197,18 @@ func tokenRules(neigh func(i int) []int, maxDeg int) []process.Rule {
 // pass rules (mutation applied) and returns its explore definition with
 // the topology's automorphism group, when one is wired, the variant is
 // unmutated and the codes are one word each (a group permutes one-word
-// fields, never the ids of interned codes).
+// fields, never the ids of interned codes).  An unmutated definition
+// declares its exact size; a mutated one declares none.
 func (t *tokenTopology) instance(n int) (PackedInstance, error) {
 	if err := t.ValidSize(n); err != nil {
 		return PackedInstance{}, fmt.Errorf("family: %w", err)
 	}
 	neigh := t.neighbors(n)
-	maxDeg := 0
+	maxDeg, sumDeg := 0, 0
 	for i := 1; i <= n; i++ {
-		if d := len(neigh(i)); d > maxDeg {
-			maxDeg = d
-		}
+		d := len(neigh(i))
+		maxDeg = max(maxDeg, d)
+		sumDeg += d
 	}
 	rules := tokenRules(neigh, maxDeg)
 	if t.mutation != nil {
@@ -231,6 +232,12 @@ func (t *tokenTopology) instance(n int) (PackedInstance, error) {
 	def, packed, err := net.Def(fmt.Sprintf("%s[%d]", t.name, n))
 	if err != nil {
 		return PackedInstance{}, fmt.Errorf("family: %w", err)
+	}
+	if t.mutation == nil {
+		// The graph is connected, so the token reaches every process: n
+		// holders in two phases, each holder entering its critical section
+		// or passing to any neighbour, each critical process leaving it.
+		def.States, def.Transitions = 2*n, 2*n+sumDeg
 	}
 	// A broken variant may deadlock (e.g. the token vanishes); MakeTotal
 	// gives deadlock states self loops, as ring.BuildBuggy does, so CTL*
