@@ -331,6 +331,10 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, errors.New("give either ring or structure, not both"))
 		return
 	case req.Ring > 0:
+		if err := podc.RingTopology().ValidSize(req.Ring); err != nil {
+			httpError(w, r, http.StatusBadRequest, err)
+			return
+		}
 		v, err := s.session.Verifier(ctx, podc.RingTopology(), req.Ring)
 		if err != nil {
 			httpError(w, r, statusFor(err), err)

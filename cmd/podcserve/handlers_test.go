@@ -100,6 +100,7 @@ func TestCheckBadRequests(t *testing.T) {
 		"structure junk": {Structure: "nonsense directive", Formula: "AG p"},
 		"deadlocked":     {Structure: "structure dead\nstate 0 initial : p\nstate 1 : q\ntrans 0 1\n", Formula: "AG EF q"},
 		"oversized ring": {Ring: 100, Formula: "AG p"},
+		"ring of one":    {Ring: 1, Formula: "AG p"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/check", req)
 		if resp.StatusCode != http.StatusBadRequest {

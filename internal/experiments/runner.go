@@ -196,8 +196,8 @@ type SweepRow struct {
 	DecideElapsed time.Duration
 	Corresponds   bool
 	MaxDegree     int
-	// StatesPerSec is the construction throughput of the packed-BFS
-	// engine (zero when the sequential fallback built the instance).
+	// StatesPerSec is the construction throughput of the explorer (zero
+	// on rows replayed from the store).
 	StatesPerSec float64
 	// BuildOnly marks rows beyond the runner's decide budget: the space
 	// was explored and invariant-checked, but no correspondence was

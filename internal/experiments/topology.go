@@ -68,17 +68,17 @@ func (r Runner) TopologySweep(ctx context.Context, topo family.Topology, sizes [
 	return out
 }
 
-// instanceWithAction builds the topology's size-n instance with one packed
+// instanceWithAction builds the topology's size-n instance with one
 // explorer worker and returns it with its index action, nil when the
-// topology has none.
+// instance has none.
 func instanceWithAction(ctx context.Context, topo family.Topology, n int) (*kripke.Structure, *kripke.IndexAction, error) {
-	m, sp, err := family.BuildParallel(ctx, topo, n, 1)
+	pi, err := topo.Packed(n)
 	if err != nil {
 		return nil, nil, err
 	}
-	pi, ok := family.Packed(topo, n)
-	if !ok {
-		return m, nil, nil
+	m, sp, err := pi.Build(ctx, 1)
+	if err != nil {
+		return nil, nil, err
 	}
 	a, err := pi.OptionalIndexAction(ctx, sp, m)
 	return m, a, err
@@ -103,9 +103,9 @@ func sweepKey(topo family.Topology, size int) store.Key {
 	}
 }
 
-// decideRow measures one (topology, size) cell of a sweep.  Topologies with
-// a packed definition are explored by the parallel packed-BFS engine
-// (byte-identical to the sequential build); sizes whose spaces exceed the
+// decideRow measures one (topology, size) cell of a sweep.  The instance
+// is explored from the topology's definition by the runner's build pool
+// (byte-identical to Topology.Build); sizes whose spaces exceed the
 // decide budget come back as build-only rows carrying the raw-space counts,
 // the construction throughput and the symmetry-quotient orbit count, with
 // the reachable set checked for orbit closure instead of being decided.
@@ -139,48 +139,43 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 	var large *kripke.Structure
 	var largeAction *kripke.IndexAction
 	buildStart := time.Now()
-	if pi, packed := family.Packed(topo, size); packed {
-		sp, err := explore.Explore(ctx, pi.Def, explore.Options{Workers: r.BuildWorkers})
-		if err != nil {
-			row.Err = err
-			return row
-		}
-		exploreElapsed := time.Since(buildStart)
-		row.States = sp.NumStates()
-		row.Transitions = sp.NumTransitions()
-		if secs := exploreElapsed.Seconds(); secs > 0 {
-			row.StatesPerSec = float64(sp.NumStates()) / secs
-		}
-		if sp.NumStates() > r.decideStateBudget() || (pi.MaxStates > 0 && sp.NumStates() > pi.MaxStates) {
-			row.BuildOnly = true
-			row.BuildElapsed = exploreElapsed
-			row.Err = r.quotientStats(ctx, pi, sp, &row)
-			return row
-		}
-		m, err := explore.BuildFromSpace(ctx, pi.Def, sp)
-		if err != nil {
-			row.Err = err
-			return row
-		}
-		if large, err = pi.FinishBuilt(m); err != nil {
-			row.Err = err
-			return row
-		}
-		// MakeTotal variants may add self loops the raw space lacks.
-		row.States = large.NumStates()
-		row.Transitions = large.NumTransitions()
-		if largeAction, err = pi.OptionalIndexAction(ctx, sp, large); err != nil {
-			row.Err = err
-			return row
-		}
-	} else {
-		var err error
-		if large, err = topo.Build(size); err != nil {
-			row.Err = err
-			return row
-		}
-		row.States = large.NumStates()
-		row.Transitions = large.NumTransitions()
+	pi, err := topo.Packed(size)
+	if err != nil {
+		row.Err = err
+		return row
+	}
+	sp, err := explore.Explore(ctx, pi.Def, explore.Options{Workers: r.BuildWorkers})
+	if err != nil {
+		row.Err = err
+		return row
+	}
+	exploreElapsed := time.Since(buildStart)
+	row.States = sp.NumStates()
+	row.Transitions = sp.NumTransitions()
+	if secs := exploreElapsed.Seconds(); secs > 0 {
+		row.StatesPerSec = float64(sp.NumStates()) / secs
+	}
+	if sp.NumStates() > r.decideStateBudget() || (pi.MaxStates > 0 && sp.NumStates() > pi.MaxStates) {
+		row.BuildOnly = true
+		row.BuildElapsed = exploreElapsed
+		row.Err = r.quotientStats(ctx, pi, sp, &row)
+		return row
+	}
+	m, err := explore.BuildFromSpace(ctx, pi.Def, sp)
+	if err != nil {
+		row.Err = err
+		return row
+	}
+	if large, err = pi.FinishBuilt(m); err != nil {
+		row.Err = err
+		return row
+	}
+	// MakeTotal variants may add self loops the raw space lacks.
+	row.States = large.NumStates()
+	row.Transitions = large.NumTransitions()
+	if largeAction, err = pi.OptionalIndexAction(ctx, sp, large); err != nil {
+		row.Err = err
+		return row
 	}
 	row.BuildElapsed = time.Since(buildStart)
 	// The inner index-pair pool inherits the runner's cap, so
@@ -260,7 +255,7 @@ func CrossTopology(ctx context.Context, reach int) (*Table, error) {
 	}
 	for _, topo := range family.Topologies() {
 		small := topo.CutoffSize()
-		smallM, err := topo.Build(small)
+		smallM, _, err := family.BuildParallel(ctx, topo, small, 1)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E10: %s cutoff: %w", topo.Name(), err)
 		}
@@ -268,7 +263,7 @@ func CrossTopology(ctx context.Context, reach int) (*Table, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			largeM, err := topo.Build(n)
+			largeM, _, err := family.BuildParallel(ctx, topo, n, 1)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: E10: %s n=%d: %w", topo.Name(), n, err)
 			}

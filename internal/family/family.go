@@ -10,7 +10,8 @@
 // the ring.  This package factors the topology-specific ingredients into
 // the Topology interface:
 //
-//   - an instance generator (Build),
+//   - an instance definition (Packed): the explore definition of M_n,
+//     which BuildParallel explores and Build wraps with one worker,
 //   - the inductive step: the IN relation carrying the correspondence from
 //     the small instance to size n (IndexRelation),
 //   - the small-size heuristic (CutoffSize, MinSize, ValidSize), and
@@ -62,10 +63,14 @@ type Topology interface {
 	// ValidSize reports whether an instance of size n exists (nil) or why
 	// not (e.g. a 2-row torus needs an even number of processes).
 	ValidSize(n int) error
-	// Build constructs the instance M_n explicitly.  Implementations
-	// return an error rather than exhausting memory for sizes beyond the
+	// Packed returns the definition of the instance M_n, or an error that
+	// says why there is none: the size is invalid, or beyond what the
+	// definition can encode.  Sizes within the encoding but beyond the
 	// explicit-construction budget — the regime the correspondence theorem
-	// exists for.
+	// exists for — carry their refusal in PackedInstance.TooLarge.
+	Packed(n int) (PackedInstance, error)
+	// Build constructs the instance M_n explicitly: a convenience for
+	// BuildParallel(context.Background(), t, n, 1).
 	Build(n int) (*kripke.Structure, error)
 	// IndexRelation returns the IN relation between the index sets of the
 	// small instance M_small and the instance M_n — the inductive step of
@@ -87,14 +92,14 @@ func CorrespondOptions(t Topology) bisim.Options {
 
 // DecideCorrespondence builds the topology's instances of the two sizes and
 // decides their indexed correspondence over the topology's IN relation with
-// the partition-refinement engine.  Cancelling ctx stops the worker pool
-// promptly.
+// the partition-refinement engine.  Cancelling ctx stops the builds and the
+// worker pool promptly.
 func DecideCorrespondence(ctx context.Context, t Topology, small, large int) (*bisim.IndexedResult, error) {
-	sm, err := t.Build(small)
+	sm, _, err := BuildParallel(ctx, t, small, 1)
 	if err != nil {
 		return nil, fmt.Errorf("family: %s: building small instance: %w", t.Name(), err)
 	}
-	lg, err := t.Build(large)
+	lg, _, err := BuildParallel(ctx, t, large, 1)
 	if err != nil {
 		return nil, fmt.Errorf("family: %s: building large instance: %w", t.Name(), err)
 	}

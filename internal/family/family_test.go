@@ -389,3 +389,60 @@ func TestBuildParallelFallbackHonoursDeadline(t *testing.T) {
 		t.Fatalf("BuildParallel(star, %d) returned after %v, want within 1s of a 100ms deadline", n, elapsed)
 	}
 }
+
+// TestPackedErrors: every size a topology has no definition for is an
+// error that says why — an invalid size gets its ValidSize refusal, a ring
+// past the 31 processes its packing serves gets ring.ErrTooLarge — and
+// every valid size has a definition.
+func TestPackedErrors(t *testing.T) {
+	for _, c := range []struct {
+		topo Topology
+		n    int
+	}{{Ring(), 1}, {Ring(), 40}, {Star(), 1}, {Torus(), 7}} {
+		if _, err := c.topo.Packed(c.n); err == nil {
+			t.Errorf("%s.Packed(%d) err = nil, want an error", c.topo.Name(), c.n)
+		}
+	}
+	if _, err := Ring().Packed(40); !errors.Is(err, ring.ErrTooLarge) {
+		t.Errorf("ring.Packed(40) err = %v, want ring.ErrTooLarge", err)
+	}
+	for _, topo := range Topologies() {
+		if _, err := topo.Packed(topo.CutoffSize()); err != nil {
+			t.Errorf("%s.Packed(%d): %v", topo.Name(), topo.CutoffSize(), err)
+		}
+	}
+}
+
+// TestRingRejectsOneProcess: the ring family starts at two processes, so
+// building its one-process instance is the ValidSize error, by either
+// route, not a two-state M_1.
+func TestRingRejectsOneProcess(t *testing.T) {
+	want := Ring().ValidSize(1)
+	if want == nil {
+		t.Fatal("ring.ValidSize(1) should reject the size")
+	}
+	if m, err := Ring().Build(1); err == nil {
+		t.Errorf("ring.Build(1) built %d states, want an error", m.NumStates())
+	}
+	for _, workers := range []int{1, 2} {
+		if _, _, err := BuildParallel(context.Background(), Ring(), 1, workers); err == nil || err.Error() != "family: "+want.Error() {
+			t.Errorf("BuildParallel(ring, 1, %d) err = %v, want the ValidSize error %q", workers, err, want)
+		}
+	}
+}
+
+// TestDecideCorrespondenceHonoursDeadline: both instance builds run under
+// the caller's context, so a deadline stops a large interned-code build
+// instead of waiting for it to finish.
+func TestDecideCorrespondenceHonoursDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := DecideCorrespondence(ctx, Star(), 3, 400)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("DecideCorrespondence(star, 3, 400) err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("DecideCorrespondence(star, 3, 400) returned after %v, want within 1s of a 100ms deadline", elapsed)
+	}
+}

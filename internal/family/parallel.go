@@ -20,45 +20,31 @@ type PackedInstance struct {
 	// rules may break the process symmetry the group expresses, and
 	// instances whose codes are interned ids, not one-word fields).
 	Group *symmetry.Group
-	// MakeTotal completes deadlock states with self loops after building,
-	// exactly as the topology's sequential Build does for broken variants.
+	// MakeTotal completes deadlock states with self loops after building
+	// (the broken variants of the mutation harness).
 	MakeTotal bool
-	// Validate requires the built structure to be total, exactly as the
-	// topology's sequential Build does (the ring validates; the token
-	// families do not).
+	// Validate requires the built structure to be total (the ring
+	// validates; the token families do not).
 	Validate bool
-	// MaxStates is the explicit-construction budget of the sequential
-	// Build, honoured by the labelled parallel path so both refuse the
-	// same sizes.
+	// MaxStates is the explicit-construction budget a build explores up
+	// to.
 	MaxStates int
-	// TooLarge, when non-nil, is the sequential Build's up-front refusal
-	// of this size; BuildParallel returns it without exploring.
+	// TooLarge, when non-nil, is the up-front refusal of this size, which
+	// Build returns without exploring; the sweeps still explore such
+	// sizes for their build-only rows.
 	TooLarge error
 }
 
-// Packable is the optional Topology extension providing explore
-// definitions.  Both built-in topology implementations provide it;
-// external implementations fall back to their sequential Build.
-type Packable interface {
-	// Packed returns the instance of size n, or ok == false when the size
-	// has no definition: it is invalid, or (for the ring) beyond the
-	// 31-process packing its hand-written definition serves.
-	Packed(n int) (PackedInstance, bool)
-}
-
-// Packed returns the topology's size-n instance, or ok == false when the
-// topology does not provide definitions (or none for this size).
+// Packed returns the topology's size-n instance, or ok == false when it has
+// none (t.Packed's error says why).
 func Packed(t Topology, n int) (PackedInstance, bool) {
-	p, ok := t.(Packable)
-	if !ok {
-		return PackedInstance{}, false
-	}
-	return p.Packed(n)
+	pi, err := t.Packed(n)
+	return pi, err == nil
 }
 
 // FinishBuilt applies the packed instance's post-build steps (totality
 // completion or validation) to a freshly built partial structure, exactly
-// as the topology's sequential Build would.
+// as Build does.
 func (pi PackedInstance) FinishBuilt(m *kripke.Structure) (*kripke.Structure, error) {
 	if pi.MakeTotal {
 		return m.MakeTotal(), nil
@@ -73,16 +59,22 @@ func (pi PackedInstance) FinishBuilt(m *kripke.Structure) (*kripke.Structure, er
 
 // BuildParallel constructs the topology's size-n instance through the
 // parallel explorer with the given worker count, byte-identical
-// (kripke.EncodeText) to t.Build(n) for every worker count, and returns
-// the explored space too (state s of the structure is state s of the
-// space).  Sizes the topology has no definition for are left to t.Build,
-// which returns a nil space.
+// (kripke.EncodeText) for every worker count, and returns the explored
+// space too (state s of the structure is state s of the space).  A size
+// the topology has no definition for returns t.Packed's error.
 func BuildParallel(ctx context.Context, t Topology, n, workers int) (*kripke.Structure, *explore.Space, error) {
-	if pi, ok := Packed(t, n); ok {
-		return pi.Build(ctx, workers)
+	pi, err := t.Packed(n)
+	if err != nil {
+		return nil, nil, err
 	}
-	m, err := t.Build(n)
-	return m, nil, err
+	return pi.Build(ctx, workers)
+}
+
+// build is the body of every Topology's Build: the instance explored by
+// one worker, without its space.
+func build(t Topology, n int) (*kripke.Structure, error) {
+	m, _, err := BuildParallel(context.Background(), t, n, 1)
+	return m, err
 }
 
 // Build explores the packed instance with the given worker count, after
@@ -153,12 +145,12 @@ func (pi PackedInstance) IndexAction(ctx context.Context, sp *explore.Space, m *
 }
 
 // OptionalIndexAction is IndexAction for callers that use the action only
-// to save work: it returns nil when the instance has no group, when no
-// space was kept (sp is nil) or when the action fails verification, and an
-// error only when ctx is done.  Without an action the caller takes its
-// per-index path, which gives the same answers.
+// to save work: it returns nil when the instance has no group or when the
+// action fails verification, and an error only when ctx is done.  Without
+// an action the caller takes its per-index path, which gives the same
+// answers.
 func (pi PackedInstance) OptionalIndexAction(ctx context.Context, sp *explore.Space, m *kripke.Structure) (*kripke.IndexAction, error) {
-	if pi.Group == nil || sp == nil {
+	if pi.Group == nil {
 		return nil, nil
 	}
 	a, err := pi.IndexAction(ctx, sp, m)

@@ -1,7 +1,6 @@
 package family
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bisim"
@@ -32,7 +31,7 @@ func (ringTopology) MinSize() int { return 2 }
 func (ringTopology) CutoffSize() int { return ring.CutoffSize }
 
 // ValidSize implements Topology: every size from two up exists, though
-// Build refuses sizes beyond the explicit-construction budget.
+// Packed refuses sizes beyond the explicit-construction budget.
 func (ringTopology) ValidSize(n int) error {
 	if n < 2 {
 		return fmt.Errorf("ring topology needs at least 2 processes, got %d", n)
@@ -41,29 +40,21 @@ func (ringTopology) ValidSize(n int) error {
 }
 
 // Build implements Topology: the reachable restriction M_r of the Section 5
-// global graph, explored from the packed definition by one worker, as
-// BuildParallel does.  Sizes Packed does not serve — the one-process ring
-// and sizes ring.Build refuses — are left to ring.Build.
-func (t ringTopology) Build(n int) (*kripke.Structure, error) {
-	pi, ok := t.Packed(n)
-	if !ok {
-		inst, err := ring.Build(n)
-		if err != nil {
-			return nil, err
-		}
-		return inst.M, nil
-	}
-	m, _, err := pi.Build(context.Background(), 1)
-	return m, err
-}
+// global graph.
+func (t ringTopology) Build(n int) (*kripke.Structure, error) { return build(t, n) }
 
-// Packed implements Packable: the ring's packed-code definition (two bits
+// Packed implements Topology: the ring's packed-code definition (two bits
 // per process) with the rotation group C_n — rotations are automorphisms
 // of the Section 5 protocol because every rule is defined relative to ring
-// distance (cln is rotation-equivariant).
-func (ringTopology) Packed(n int) (PackedInstance, bool) {
-	if n < 2 || n > 31 {
-		return PackedInstance{}, false
+// distance (cln is rotation-equivariant).  Rings past the 31 processes the
+// packing serves get ring.CheckSize's refusal, as from ring.Build; rings
+// of 17..31 carry it as TooLarge, so sweeps can still explore them.
+func (t ringTopology) Packed(n int) (PackedInstance, error) {
+	if err := t.ValidSize(n); err != nil {
+		return PackedInstance{}, fmt.Errorf("family: %w", err)
+	}
+	if n > 31 {
+		return PackedInstance{}, ring.CheckSize(n)
 	}
 	return PackedInstance{
 		Def:       ring.PackedDef(n),
@@ -71,7 +62,7 @@ func (ringTopology) Packed(n int) (PackedInstance, bool) {
 		Validate:  true,
 		MaxStates: ring.MaxExplicitStates,
 		TooLarge:  ring.CheckSize(n),
-	}, true
+	}, nil
 }
 
 // IndexRelation implements Topology: the paper's Section 5 relation for

@@ -1,7 +1,6 @@
 package family
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bisim"
@@ -193,13 +192,14 @@ func tokenRules(neigh func(i int) []int, maxDeg int) []process.Rule {
 	return rules
 }
 
-// instance instantiates the token template n times with the topology's
-// pass rules (mutation applied) and returns its explore definition with
-// the topology's automorphism group, when one is wired, the variant is
-// unmutated and the codes are one word each (a group permutes one-word
-// fields, never the ids of interned codes).  An unmutated definition
-// declares its exact size; a mutated one declares none.
-func (t *tokenTopology) instance(n int) (PackedInstance, error) {
+// Packed implements Topology for every valid size: it instantiates the
+// token template n times with the topology's pass rules (mutation
+// applied) and returns its explore definition with the topology's
+// automorphism group, when one is wired, the variant is unmutated and the
+// codes are one word each (a group permutes one-word fields, never the
+// ids of interned codes).  An unmutated definition declares its exact
+// size; a mutated one declares none.
+func (t *tokenTopology) Packed(n int) (PackedInstance, error) {
 	if err := t.ValidSize(n); err != nil {
 		return PackedInstance{}, fmt.Errorf("family: %w", err)
 	}
@@ -249,23 +249,8 @@ func (t *tokenTopology) instance(n int) (PackedInstance, error) {
 	return pi, nil
 }
 
-// Packed implements Packable for every valid size: the instance's explore
-// definition (see instance).
-func (t *tokenTopology) Packed(n int) (PackedInstance, bool) {
-	pi, err := t.instance(n)
-	return pi, err == nil
-}
-
-// Build implements Topology: the instance explored from its definition by
-// one worker, as BuildParallel does.
-func (t *tokenTopology) Build(n int) (*kripke.Structure, error) {
-	pi, err := t.instance(n)
-	if err != nil {
-		return nil, err
-	}
-	m, _, err := pi.Build(context.Background(), 1)
-	return m, err
-}
+// Build implements Topology.
+func (t *tokenTopology) Build(n int) (*kripke.Structure, error) { return build(t, n) }
 
 // Star returns the star family: process 1 is the hub, processes 2..n are
 // leaves, and the token shuttles hub → leaf → hub.  The hub plays the

@@ -43,7 +43,7 @@ type countingPackable struct {
 	calls atomic.Int64
 }
 
-func (c *countingPackable) Packed(n int) (family.PackedInstance, bool) {
+func (c *countingPackable) Packed(n int) (family.PackedInstance, error) {
 	c.calls.Add(1)
-	return family.Packed(c.Topology, n)
+	return c.Topology.Packed(n)
 }

@@ -63,13 +63,13 @@ type instanceKey struct {
 	n        int
 }
 
-// instance is one cached family instance: its structure and, for every
-// packable topology, the packed instance it was built from and the
-// explored space (state s of the structure is state s of the space), from
-// which indexAction derives the index action.
+// instance is one cached family instance: its structure, the packed
+// instance it was built from and the explored space (state s of the
+// structure is state s of the space), from which indexAction derives the
+// index action.
 type instance struct {
 	m  *Structure
-	pi *family.PackedInstance // nil when the topology does not pack size n
+	pi family.PackedInstance
 	sp *explore.Space
 
 	// actionMu guards the lazily verified index action: actionDone is set
@@ -81,8 +81,8 @@ type instance struct {
 }
 
 // indexAction returns the instance's index action, verified on first use,
-// or nil when the instance has none: its topology does not pack (no
-// space) or has no group, or the group fails verification.  Only cold
+// or nil when the instance has none: its topology has no group, or the
+// group fails verification.  Only cold
 // decisions and Verifier ask for it, so rebuilding an instance to validate
 // a stored certificate never pays for an action.
 func (inst *instance) indexAction(ctx context.Context) (*kripke.IndexAction, error) {
@@ -91,13 +91,11 @@ func (inst *instance) indexAction(ctx context.Context) (*kripke.IndexAction, err
 	if inst.actionDone {
 		return inst.action, nil
 	}
-	if inst.pi != nil {
-		a, err := inst.pi.OptionalIndexAction(ctx, inst.sp, inst.m.raw())
-		if err != nil {
-			return nil, err
-		}
-		inst.action = a
+	a, err := inst.pi.OptionalIndexAction(ctx, inst.sp, inst.m.raw())
+	if err != nil {
+		return nil, err
 	}
+	inst.action = a
 	inst.actionDone = true
 	return inst.action, nil
 }
@@ -262,23 +260,17 @@ func (s *Session) topologyInstance(ctx context.Context, t family.Topology, n int
 
 // buildInstance explores one topology instance with the session's build
 // pool (one worker unless WithParallelBuild sets it), asking the topology
-// for its definition once; the instance keeps it for indexAction.  Sizes
-// without a definition are left to the topology's Build and keep no space.
+// for its definition once; the instance keeps it for indexAction.
 func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (*instance, error) {
-	inst := &instance{}
-	var m *kripke.Structure
-	var err error
-	if pi, ok := family.Packed(t, n); ok {
-		inst.pi = &pi
-		m, inst.sp, err = pi.Build(ctx, max(s.cfg.buildWorkers, 1))
-	} else {
-		m, err = t.Build(n)
-	}
+	pi, err := t.Packed(n)
 	if err != nil {
 		return nil, err
 	}
-	inst.m = wrapStructure(m)
-	return inst, nil
+	m, sp, err := pi.Build(ctx, max(s.cfg.buildWorkers, 1))
+	if err != nil {
+		return nil, err
+	}
+	return &instance{m: wrapStructure(m), pi: pi, sp: sp}, nil
 }
 
 // Correspondence decides (and caches) the topology's canonical indexed
@@ -487,8 +479,8 @@ type SweepResult struct {
 	MaxDegree   int           `json:"max_degree"`
 	Build       time.Duration `json:"build_ns"`
 	Decide      time.Duration `json:"decide_ns"`
-	// StatesPerSec is the packed-BFS construction throughput (zero when
-	// the sequential fallback built the instance).
+	// StatesPerSec is the explorer's construction throughput (zero on
+	// rows replayed from the store).
 	StatesPerSec float64 `json:"states_per_sec,omitempty"`
 	// BuildOnly marks sizes beyond the decide budget: the space was
 	// explored and invariant-checked, but no correspondence was decided
