@@ -2,18 +2,20 @@ package bisim
 
 // computeArena recycles the large flat allocations of one Compute call
 // across successive calls, from two slabs: int32 (the refiner's label
-// classes and its silent and contracted adjacency CSRs, the degree passes'
-// pair tables) and uint64 (block bitsets and row words).  IndexedCompute
-// hands each of its pool workers one arena and resets it between pair
-// computes, which removes most of the allocator and GC traffic of a
-// multi-pair run: the reductions of one IN relation have near-identical
-// state counts, so after a worker's first compute its slabs fit and the
-// engine runs allocation-free in steady state.  How many computes share an arena depends on the caller.
-// Without index actions every IN pair is computed (r on the ring
-// M_3 ~ M_r); with them only one pair per orbit class is (one on the ring
-// and the tori, two on the star, up to eight on the line and the tree at
-// n ≤ 10), so a worker often claims a single pair and its arena is used
-// once.
+// classes, silent components and contracted adjacency CSRs, the degree
+// pass's ranks, row offsets, sparse rows and predecessor lists) and uint64
+// (block bitsets and row words).  IndexedCompute hands each of its pool
+// workers one arena and resets it between pair computes, which removes
+// most of the allocator and GC traffic of a multi-pair run: the reductions
+// of one IN relation have near-identical state counts, so after a worker's
+// first compute its slabs fit and the engine runs allocation-free in
+// steady state.
+//
+// How many computes share an arena depends on the caller.  Without index
+// actions every IN pair is computed (r on the ring M_3 ~ M_r); with them
+// only one pair per orbit class is (one on the ring and the tori, two on
+// the star, up to eight on the line and the tree at n ≤ 10), so a worker
+// often claims a single pair and its arena is used once.
 //
 // A nil *computeArena is valid everywhere and degrades every helper to a
 // plain make, so direct Compute callers are untouched.  Slices handed out

@@ -3,6 +3,7 @@ package bisim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/kripke"
@@ -181,7 +182,7 @@ func computeFixpoint(ctx context.Context, m, m2 *kripke.Structure, opts Options)
 // and the totality flags.
 func finishResult(m, m2 *kripke.Structure, inR []bool, deg []int, opts Options, res *Result) (*Result, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
-	rel, cursor := newRelationRows(n, n2, func(s int) int {
+	rel := newRelationRows(n, n2, func(s int) int {
 		count := 0
 		for _, ok := range inR[s*n2 : (s+1)*n2] {
 			if ok {
@@ -190,6 +191,7 @@ func finishResult(m, m2 *kripke.Structure, inR []bool, deg []int, opts Options, 
 		}
 		return count
 	})
+	cursor := slices.Clone(rel.rowOff[:n])
 	for s := 0; s < n; s++ {
 		for t := 0; t < n2; t++ {
 			if i := s*n2 + t; inR[i] {

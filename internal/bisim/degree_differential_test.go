@@ -71,6 +71,25 @@ func TestUnresolvedDegreeIsAnError(t *testing.T) {
 	if !strings.Contains(err.Error(), "(0, 0)") {
 		t.Errorf("error %q does not name the pair (0, 0)", err)
 	}
+
+	// Two unresolved right states: right 0 is a b-sink and matches left 1
+	// exactly, rights 1 and 2 loop on a and can never match left 0.  The
+	// error names the lowest of them.
+	b3 := kripke.NewBuilder("sink-then-loops")
+	for _, l := range []string{"b", "a", "a"} {
+		b3.AddState(kripke.P(l))
+	}
+	for u := kripke.State(0); u < 3; u++ {
+		must(t, b3.AddTransition(u, u))
+	}
+	must(t, b3.SetInitial(1))
+	res, err = bisim.DegreePass(left, build(t, b3), []int32{0, 1, 1, 0, 0}, 2)
+	if !errors.Is(err, bisim.ErrUnresolvedDegree) {
+		t.Fatalf("two unresolved rows: got result %v, error %v; want ErrUnresolvedDegree", res, err)
+	}
+	if !strings.Contains(err.Error(), "(0, 1)") {
+		t.Errorf("two unresolved rows: error %q does not name the lowest pair (0, 1)", err)
+	}
 }
 
 // TestDegreePassBlocksOneWordApart gives the degree pass a stable

@@ -37,13 +37,15 @@ func TestRelationFootprintPerPair(t *testing.T) {
 
 // TestRefinerFootprint bounds what the refiner's preprocessing allocates
 // for each index pair of ring M_3|i ~ M_12|j: the interned label classes,
-// the silent subgraph and its strongly connected components, and the
+// the strongly connected components of the silent edges, and the
 // contracted adjacency in both directions.  Every one of these is an int32
-// array, so the bound is 40 bytes per union state and 12 per union
-// transition (the silent subgraph once, the two contracted directions at
-// most once each), plus 64 KiB for the label interning and the dense rows of
-// small contracted graphs.  Adjacency built from int slices and per-node
-// slice headers, as a [][]int silent graph costs, exceeds it.
+// array, and the silent components are found on the structures' own
+// successor rows, so the bound is 36 bytes per union state (label class,
+// component, Tarjan's index, low link and on-stack flag, and per contracted
+// node its size, label and two row offsets) and 8 per union transition (the
+// two contracted directions at most once each), plus 64 KiB for the label
+// interning and the dense rows of small contracted graphs.  A copy of the
+// silent edges, as a CSR or as [][]int rows, exceeds it.
 func TestRefinerFootprint(t *testing.T) {
 	small, err := family.Ring().Build(3)
 	if err != nil {
@@ -63,7 +65,7 @@ func TestRefinerFootprint(t *testing.T) {
 		cN := bisim.ContractedStates(m, m2, opts)
 		runtime.ReadMemStats(&after)
 		got := after.TotalAlloc - before.TotalAlloc
-		limit := uint64(40*states+12*edges) + 64<<10
+		limit := uint64(36*states+8*edges) + 64<<10
 		t.Logf("pair %v: %d bytes for %d union states, %d transitions, %d contracted nodes (%.1f per state+edge; bound %d)",
 			p, got, states, edges, cN, float64(got)/float64(states+edges), limit)
 		if got > limit {
@@ -74,40 +76,78 @@ func TestRefinerFootprint(t *testing.T) {
 }
 
 // TestDegreePassFootprint bounds what Compute allocates past its stable
-// partition — the degree pass and the Result — at 20 bytes per related pair,
-// 128 per union state and 32 per union transition, plus 64 KiB.  A pair
-// costs its degree slot (4 bytes), its place in the Result's relation (8)
-// and its bit in seven row words; a right state's row costs up to seven
-// words (56 bytes) before it holds a pair.  The inputs are cycles compared
-// with themselves: with one label (one block of 2,000 × 2,000 pairs) and
-// with distinct labels (4,000 blocks of one pair each), so neither a
-// per-pair table of more than a dozen bytes nor an |S|·|S'| array fits.
+// partition — the degree pass and the Result.  A pair costs its place in
+// the Result's relation (8 bytes) and its bit in six row words (0.75); a
+// right state's row costs at least one word in each of the six (48 bytes)
+// before it holds a pair.  The first inputs are cycles compared with
+// themselves, bounded at 10 bytes per pair, 128 per union state and 32 per
+// union transition, plus 64 KiB: with one label (one block of
+// 2,000 × 2,000 pairs) and with distinct labels (4,000 blocks of one pair
+// each), so neither a per-pair table beside the relation nor an |S|·|S'|
+// array fits.  The second are the index pairs of ring M_3|i ~ M_12|j, the
+// shape the correspondence sweep runs: M_3's reductions have 24 states, so
+// every right row is one word.  They are bounded at 8 bytes per pair, 100
+// per right state (the six words, seven int32 tables and a successor-block
+// entry) and 4 per union transition (the in-block predecessor lists), plus
+// 64 KiB, so a copy of the right successor rows does not fit either.
 func TestDegreePassFootprint(t *testing.T) {
 	for _, c := range []struct{ n, labels int }{{2000, 1}, {4000, 4000}} {
 		m := labelledCycle(t, c.n, c.labels, 0)
-		var before, mid, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		bisim.Stabilize(m, m, bisim.Options{})
-		runtime.ReadMemStats(&mid)
-		res, err := bisim.Compute(context.Background(), m, m, bisim.Options{})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Corresponds() {
-			t.Fatalf("n=%d labels=%d: a cycle must correspond to itself", c.n, c.labels)
-		}
+		got, res := degreePassBytes(t, m, m, bisim.Options{})
 		pairs, states, edges := res.Relation.Size(), 2*m.NumStates(), 2*m.NumTransitions()
-		stabilize := int64(mid.TotalAlloc - before.TotalAlloc)
-		got := int64(after.TotalAlloc-mid.TotalAlloc) - stabilize
-		limit := int64(20*pairs+128*states+32*edges) + 64<<10
-		t.Logf("n=%d labels=%d: degree pass %d bytes for %d pairs (%.1f per pair), stabilise %d bytes; bound %d",
-			c.n, c.labels, got, pairs, float64(got)/float64(pairs), stabilize, limit)
+		limit := int64(10*pairs+128*states+32*edges) + 64<<10
+		t.Logf("n=%d labels=%d: degree pass %d bytes for %d pairs (%.1f per pair); bound %d",
+			c.n, c.labels, got, pairs, float64(got)/float64(pairs), limit)
 		if got > limit {
 			t.Errorf("n=%d labels=%d: the degree pass allocated %d bytes for %d pairs, %d union states and %d transitions, above the %d-byte bound",
 				c.n, c.labels, got, pairs, states, edges, limit)
 		}
 	}
+	small, err := family.Ring().Build(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := family.Ring().Build(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := family.CorrespondOptions(family.Ring())
+	for _, p := range family.Ring().IndexRelation(3, 12) {
+		m, m2 := small.ReduceNormalized(p.I), large.ReduceNormalized(p.I2)
+		got, res := degreePassBytes(t, m, m2, opts)
+		if m.NumStates() > 64 {
+			t.Fatalf("pair %v: M_3|%d has %d states; the case needs one-word rows", p, p.I, m.NumStates())
+		}
+		pairs, right, edges := res.Relation.Size(), m2.NumStates(), m.NumTransitions()+m2.NumTransitions()
+		limit := int64(8*pairs+100*right+4*edges) + 64<<10
+		t.Logf("pair %v: degree pass %d bytes for %d pairs, %d right states and %d transitions (%.1f per right state); bound %d",
+			p, got, pairs, right, edges, float64(got)/float64(right), limit)
+		if got > limit {
+			t.Errorf("pair %v: the degree pass allocated %d bytes for %d pairs, %d right states and %d transitions, above the %d-byte bound",
+				p, got, pairs, right, edges, limit)
+		}
+	}
+}
+
+// degreePassBytes returns what Compute(m, m2) allocates past its stable
+// partition: its total allocation minus that of a run of the Stabilize
+// hook.  The structures must correspond.
+func degreePassBytes(t *testing.T, m, m2 *kripke.Structure, opts bisim.Options) (int64, *bisim.Result) {
+	t.Helper()
+	var before, mid, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bisim.Stabilize(m, m2, opts)
+	runtime.ReadMemStats(&mid)
+	res, err := bisim.Compute(context.Background(), m, m2, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Corresponds() {
+		t.Fatalf("%s and %s must correspond", m.Name(), m2.Name())
+	}
+	stabilize := int64(mid.TotalAlloc - before.TotalAlloc)
+	return int64(after.TotalAlloc-mid.TotalAlloc) - stabilize, res
 }
 
 // TestIndexedComputeSharesReachability decides ring M_3 ~ M_10 under

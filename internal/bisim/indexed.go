@@ -471,12 +471,13 @@ func (tr *transporter) transport(b *Relation, left, right []int32) *Relation {
 	for s, img := range left {
 		tr.inv[img] = int32(s)
 	}
-	rel, cursor := newRelationRows(b.n, b.n2, func(s int) int {
+	rel := newRelationRows(b.n, b.n2, func(s int) int {
 		if left != nil {
 			s = int(left[s])
 		}
 		return int(b.rowOff[s+1] - b.rowOff[s])
 	})
+	cursor := slices.Clone(rel.rowOff[:b.n])
 	for t := 0; t < b.n2; t++ {
 		img := int32(t)
 		if right != nil {

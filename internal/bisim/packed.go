@@ -40,10 +40,12 @@ var ErrUnresolvedDegree = errors.New("bisim: a pair of the refined partition has
 // Successor-block sets and in-block successor ranks are sparse word lists
 // (sparseRows), bounded by the transitions; with at most 64 blocks and 64
 // left states per block every list and every row is one word.  Resolved
-// rows advance only between rounds (newly resolved bits are held back until
-// every row of the round is evaluated), which reproduces the strict
+// rows advance only between rounds (a round reads the resolved rows as they
+// stood before it and rebuilds a grown row's from its unresolved words only
+// when every row of the round is evaluated), which reproduces the strict
 // "degree < k" threshold of the reference, so the degrees are identical.
-// A pair left unresolved is reported as ErrUnresolvedDegree.
+// Each degree is written straight into the relation the pass returns.  A
+// pair left unresolved is reported as ErrUnresolvedDegree.
 func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32, numBlocks int, opts Options, res *Result) (*Result, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
 	ar := opts.arena
@@ -65,17 +67,23 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 	for s := 0; s < n; s++ {
 		lefts.dst[lefts.off[stateBlock[s]]+rank[s]] = int32(s)
 	}
-	// Right state t owns the degree slots pairBase[t].. and the row words
-	// rowOff[t]..rowOff[t+1]-1.
-	pairBase := ar.i32s(n2+1, false)
+	// Right state t owns the row words rowOff[t]..rowOff[t+1]-1, and has
+	// rank rightRank[t] among the rightCount[b] right states of its block.
+	rightCount := ar.i32s(numBlocks, true)
+	rightRank := ar.i32s(n2, false)
 	rowOff := ar.i32s(n2+1, false)
-	pairBase[0], rowOff[0] = 0, 0
+	rowOff[0] = 0
 	for t := 0; t < n2; t++ {
 		b := stateBlock[n+t]
-		l := lefts.off[b+1] - lefts.off[b]
-		pairBase[t+1] = pairBase[t] + l
-		rowOff[t+1] = rowOff[t] + (l+63)/64
+		rightRank[t] = rightCount[b]
+		rightCount[b]++
+		rowOff[t+1] = rowOff[t] + (lefts.off[b+1]-lefts.off[b]+63)/64
 	}
+	// The relation the pass returns: row s has one slot per right state of
+	// s's block, in increasing order, so the pair (s, t) sits at
+	// rel.rowOff[s]+rightRank[t] and its degree is written there once it
+	// resolves.
+	rel := newRelationRows(n, n2, func(s int) int { return int(rightCount[stateBlock[s]]) })
 
 	// The successor blocks of every union state and the in-block successor
 	// ranks of every left state.  Left states take their rows in block
@@ -105,62 +113,50 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 		return buf
 	})
 
-	// Right stuttering moves as CSR successor and predecessor lists
-	// (repeats are harmless: successor rows are combined with idempotent
-	// AND/OR, and predecessors only schedule re-evaluation).  A successor
-	// is listed by the offset of its row words, the only thing evalRow
-	// reads of it; the predecessor lists drive the dirty-row worklist
-	// below.  The fill uses each row's start offset as its cursor, so the
-	// offsets end one row ahead and are shifted back.
-	ibrSucc := csr{off: ar.i32s(n2+1, true)}
+	// Right stuttering moves as CSR predecessor lists, which drive the
+	// dirty-row worklist below (repeats are harmless: predecessors only
+	// schedule re-evaluation).  evalRow reads the successors in place, from
+	// m2's own rows.  The fill uses each row's start offset as its cursor,
+	// so the offsets end one row ahead and are shifted back.
 	ibrPred := csr{off: ar.i32s(n2+1, true)}
 	for t := 0; t < n2; t++ {
 		b := stateBlock[n+t]
 		for _, v := range m2.Succ(kripke.State(t)) {
 			if stateBlock[n+int(v)] == b {
-				ibrSucc.off[t+1]++
 				ibrPred.off[v+1]++
 			}
 		}
 	}
 	for t := 0; t < n2; t++ {
-		ibrSucc.off[t+1] += ibrSucc.off[t]
 		ibrPred.off[t+1] += ibrPred.off[t]
 	}
-	ibrSucc.dst = ar.i32s(int(ibrSucc.off[n2]), false) // fully written below
-	ibrPred.dst = ar.i32s(int(ibrPred.off[n2]), false)
+	ibrPred.dst = ar.i32s(int(ibrPred.off[n2]), false) // fully written below
 	for t := 0; t < n2; t++ {
 		b := stateBlock[n+t]
 		for _, v := range m2.Succ(kripke.State(t)) {
 			if stateBlock[n+int(v)] == b {
-				ibrSucc.dst[ibrSucc.off[t]] = rowOff[v]
-				ibrSucc.off[t]++
 				ibrPred.dst[ibrPred.off[v]] = int32(t)
 				ibrPred.off[v]++
 			}
 		}
 	}
-	for _, g := range []csr{ibrSucc, ibrPred} {
-		copy(g.off[1:], g.off[:n2])
-		g.off[0] = 0
-	}
+	copy(ibrPred.off[1:], ibrPred.off[:n2])
+	ibrPred.off[0] = 0
 
 	// Static clause words and round 0: a pair is an exact match iff the two
 	// states offer successors in exactly the same blocks.  Bit j of word w
 	// of t's row talks about the pair (left of rank 64w+j, t).  t's
 	// successor blocks are scattered into the dense tset, so a pair costs
 	// one pass over the left state's list: s \ t word by word, and |t \ s|
-	// as |t| − |s ∩ t|.
+	// as |t| − |s ∩ t|.  Between rounds resolvedR == valid &^ unresolved,
+	// valid masking the ranks past the block's width in a row's last word.
 	words := int(rowOff[n2])
 	rowA := ar.u64s(words, true) // every move of s matched
 	rowB := ar.u64s(words, true) // only stuttering moves of s unmatched
 	rowC := ar.u64s(words, true) // every move of t matched
 	rowD := ar.u64s(words, true) // only stuttering moves of t unmatched
 	unresolved := ar.u64s(words, true)
-	resolvedR := ar.u64s(words, true)        // ranks resolved strictly before this round
-	newly := ar.u64s(words, true)            // this round's resolutions; zero between rounds
-	deg := ar.i32s(int(pairBase[n2]), false) // every slot written once its pair resolves
-	open := ar.i32s(n2, true)                // unresolved pairs of each right state
+	resolvedR := ar.u64s(words, true) // ranks resolved strictly before this round
 	tset := ar.u64s((numBlocks+63)/64, true)
 	anyResolved := false
 	for t := 0; t < n2; t++ {
@@ -173,7 +169,7 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 			tCount += bits.OnesCount64(tb[e])
 		}
 		tStutters := tset[bw]&bBit != 0
-		row, base, first := rowOff[t], pairBase[t], int(lefts.off[b])
+		row, rr, first := rowOff[t], rightRank[t], int(lefts.off[b])
 		for j := range int(lefts.off[b+1]) - first {
 			// sOnly classifies s \ t: 0 empty, 1 exactly {b}, 2 otherwise.
 			sOnly, shared, sStutters := 0, 0, false
@@ -205,13 +201,14 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 			case tOnly == 1 && tStutters && !sStutters:
 				rowD[i] |= bit
 			}
+			// The relation's degrees start at zero, the degree of an exact
+			// match.
+			rel.cols[rel.rowOff[lefts.dst[first+j]]+rr] = int32(t)
 			if sOnly == 0 && tOnly == 0 {
-				deg[base+int32(j)] = 0
 				resolvedR[i] |= bit
 				anyResolved = true
 			} else {
 				unresolved[i] |= bit
-				open[t]++
 			}
 		}
 		for _, w := range tw {
@@ -227,7 +224,9 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 	evalRow := func(t int, k int32) bool {
 		lo, hi := rowOff[t], rowOff[t+1]
 		rt := resolvedR[lo:hi]
-		first := lefts.off[stateBlock[n+t]]
+		b := stateBlock[n+t]
+		first, rr := lefts.off[b], rightRank[t]
+		succ := m2.Succ(kripke.State(t))
 		grew := false
 		for i := lo; i < hi; i++ {
 			un := unresolved[i]
@@ -237,8 +236,11 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 			w := i - lo
 			var orR uint64
 			andR := ^uint64(0)
-			for _, o1 := range ibrSucc.row(t) {
-				r1 := resolvedR[o1+w]
+			for _, v := range succ {
+				if stateBlock[n+int(v)] != b {
+					continue
+				}
+				r1 := resolvedR[rowOff[v]+w]
 				orR |= r1
 				andR &= r1
 			}
@@ -264,12 +266,10 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 				continue
 			}
 			grew = true
-			newly[i] = nw
 			unresolved[i] = un &^ nw
-			open[t] -= int32(bits.OnesCount64(nw))
-			base := pairBase[t] + w<<6
 			for rem := nw; rem != 0; rem &= rem - 1 {
-				deg[base+int32(bits.TrailingZeros64(rem))] = k
+				s := lefts.dst[first+w<<6+int32(bits.TrailingZeros64(rem))]
+				rel.degs[rel.rowOff[s]+rr] = k
 			}
 		}
 		return grew
@@ -289,7 +289,7 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 	evalList := ar.i32s(n2, false)[:0]
 	nextList := ar.i32s(n2, false)[:0]
 	schedule := func(t int32, round int32, list []int32) []int32 {
-		if open[t] != 0 && dirtyAt[t] != round {
+		if dirtyAt[t] != round && anySet(unresolved[rowOff[t]:rowOff[t+1]]) {
 			dirtyAt[t] = round
 			list = append(list, t)
 		}
@@ -297,7 +297,7 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 	}
 	if anyResolved {
 		for t := int32(0); t < int32(n2); t++ {
-			if open[t] == pairBase[t+1]-pairBase[t] {
+			if !anySet(resolvedR[rowOff[t]:rowOff[t+1]]) {
 				continue // nothing of row t resolved in round 0
 			}
 			evalList = schedule(t, 1, evalList)
@@ -317,7 +317,7 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 		}
 		k := rounds
 		// Rows only read resolvedR (frozen for the round) and write their own
-		// deg slots and newly words, so the sweep order cannot affect the
+		// unresolved words and degrees, so the sweep order cannot affect the
 		// outcome.  The rows that resolved something are kept, in place.
 		grown := evalList[:0]
 		for _, t := range evalList {
@@ -330,10 +330,13 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 		// builds the next round's worklist.
 		nextList = nextList[:0]
 		for _, t := range grown {
-			for i := rowOff[t]; i < rowOff[t+1]; i++ {
-				resolvedR[i] |= newly[i]
-				newly[i] = 0
+			lo, hi := rowOff[t], rowOff[t+1]
+			for i := lo; i < hi; i++ {
+				resolvedR[i] = ^unresolved[i]
 			}
+			b := stateBlock[n+int(t)]
+			width := lefts.off[b+1] - lefts.off[b]
+			resolvedR[hi-1] &= ^uint64(0) >> (uint(-width) & 63) // valid: ranks below width
 			nextList = schedule(t, k+1, nextList)
 			for _, tp := range ibrPred.row(int(t)) {
 				nextList = schedule(tp, k+1, nextList)
@@ -343,41 +346,19 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 		prevResolved = len(grown) > 0
 		rounds++
 	}
-	for t, left := range open {
-		if left == 0 {
-			continue
+	for t := 0; t < n2; t++ {
+		for i := rowOff[t]; i < rowOff[t+1]; i++ {
+			if unresolved[i] == 0 {
+				continue
+			}
+			j := (i-rowOff[t])<<6 + int32(bits.TrailingZeros64(unresolved[i]))
+			s := lefts.row(int(stateBlock[n+t]))[j]
+			return nil, fmt.Errorf("%w: (%d, %d) of %s and %s", ErrUnresolvedDegree, s, t, m.Name(), m2.Name())
 		}
-		i := rowOff[t]
-		for unresolved[i] == 0 {
-			i++
-		}
-		j := (i-rowOff[t])<<6 + int32(bits.TrailingZeros64(unresolved[i]))
-		s := lefts.row(int(stateBlock[n+t]))[j]
-		return nil, fmt.Errorf("%w: (%d, %d) of %s and %s", ErrUnresolvedDegree, s, t, m.Name(), m2.Name())
 	}
 
-	return blockFinish(m, m2, stateBlock, lefts, pairBase, deg, rounds, opts, res), nil
-}
-
-// blockFinish packages the outcome of the degree pass, where
-// deg[pairBase[t]+j] is the degree of the pair (lefts.row(b)[j], t) for t's
-// block b.  Walking t upwards fills every relation row in increasing right
-// state, and totality comes straight from the block structure: a state is
-// covered iff the other side populates its block.
-func blockFinish(m, m2 *kripke.Structure, stateBlock []int32, lefts csr, pairBase, deg []int32, rounds int32, opts Options, res *Result) *Result {
-	n, n2 := m.NumStates(), m2.NumStates()
-	rightCount := make([]int32, len(lefts.off)-1)
-	for t := 0; t < n2; t++ {
-		rightCount[stateBlock[n+t]]++
-	}
-	rel, cursor := newRelationRows(n, n2, func(s int) int { return int(rightCount[stateBlock[s]]) })
-	for t := 0; t < n2; t++ {
-		base := pairBase[t]
-		for j, s := range lefts.row(int(stateBlock[n+t])) {
-			rel.cols[cursor[s]], rel.degs[cursor[s]] = int32(t), deg[base+int32(j)]
-			cursor[s]++
-		}
-	}
+	// Totality comes straight from the block structure: a state is covered
+	// iff the other side populates its block.
 	res.OuterIterations++
 	res.DegreeRounds += int(rounds)
 	res.Relation = rel
@@ -387,7 +368,17 @@ func blockFinish(m, m2 *kripke.Structure, stateBlock []int32, lefts csr, pairBas
 		b := stateBlock[n+t]
 		return lefts.off[b+1] > lefts.off[b]
 	})
-	return res
+	return res, nil
+}
+
+// anySet reports whether any of the words has a bit set.
+func anySet(words []uint64) bool {
+	for _, w := range words {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // sparseRows is a compressed-sparse-row family of bit sets: row u lists

@@ -263,38 +263,16 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 	}
 
 	// Contract the silent SCCs: components of the subgraph whose edges stay
-	// within one label class.  The subgraph is an int32 CSR over union
-	// states from the arena: a counting pass sets the row offsets, a second
-	// pass fills the rows.
-	silent := csr{off: ar.i32s(N+1, true)}
-	for u := 0; u < N; u++ {
-		if err := pollUnion(ctx, u); err != nil {
-			return nil, nil, err
-		}
-		k := silent.off[u]
-		off := offset(u)
-		for _, v := range unionSucc(u) {
-			if labelID[u] == labelID[off+int(v)] {
-				k++
-			}
-		}
-		silent.off[u+1] = k
+	// within one label class, found on each structure's own successor rows
+	// through an edge filter.  The union has no edges between the two
+	// structures, so numbering m2's components on from m's count gives
+	// exactly the numbering of one run over the union.
+	comp := ar.i32s(N, false) // fully written by SCCComp
+	silentIn := func(labels []int32) func(u, v int) bool {
+		return func(u, v int) bool { return labels[u] == labels[v] }
 	}
-	silent.dst = ar.i32s(int(silent.off[N]), false) // fully written below
-	for u := 0; u < N; u++ {
-		if err := pollUnion(ctx, u); err != nil {
-			return nil, nil, err
-		}
-		pos := silent.off[u]
-		off := offset(u)
-		for _, v := range unionSucc(u) {
-			if labelID[u] == labelID[off+int(v)] {
-				silent.dst[pos] = int32(off) + int32(v)
-				pos++
-			}
-		}
-	}
-	comp, cN := graph.SCCComp(silent.off, silent.dst)
+	cN := graph.SCCComp(comp[:n], 0, func(u int) []kripke.State { return m.Succ(kripke.State(u)) }, silentIn(labelID[:n]))
+	cN += graph.SCCComp(comp[n:], cN, func(u int) []kripke.State { return m2.Succ(kripke.State(u)) }, silentIn(labelID[n:]))
 	if err := cancelled(ctx); err != nil {
 		return nil, nil, err
 	}

@@ -121,21 +121,20 @@ func NewRelation(n, n2 int) *Relation {
 }
 
 // newRelationRows returns a relation between structures with n and n2
-// states whose row s has room for exactly rowLen(s) pairs, plus a fill
-// cursor per row (the row's start).  The caller fills every slot, writing
-// each row in increasing order of its second-structure states.
-func newRelationRows(n, n2 int, rowLen func(s int) int) (*Relation, []int32) {
+// states whose row s has room for exactly rowLen(s) pairs, every degree
+// zero.  The caller fills every slot, writing each row in increasing order
+// of its second-structure states; a caller filling rows front to back takes
+// its cursors from a copy of rowOff.
+func newRelationRows(n, n2 int, rowLen func(s int) int) *Relation {
 	r := &Relation{n: n, n2: n2, rowOff: make([]int32, n+1)}
-	cursor := make([]int32, n)
 	total := 0
 	for s := 0; s < n; s++ {
-		cursor[s] = int32(total)
 		total += rowLen(s)
 		r.rowOff[s+1] = int32(total)
 	}
 	r.cols = make([]int32, total)
 	r.degs = make([]int32, total)
-	return r, cursor
+	return r
 }
 
 // Dims returns the state counts (|S|, |S'|) the relation is defined over.
@@ -358,7 +357,9 @@ func UnmarshalRelationJSON(data []byte) (*Relation, error) {
 		}
 		rowLen[p.S]++
 	}
-	r, cursor := newRelationRows(js.N, js.N2, func(s int) int { return int(rowLen[s]) })
+	r := newRelationRows(js.N, js.N2, func(s int) int { return int(rowLen[s]) })
+	cursor := rowLen // reused: every row length was read above
+	copy(cursor, r.rowOff[:js.N])
 	for _, p := range js.Pairs {
 		i := cursor[p.S]
 		r.cols[i], r.degs[i] = int32(p.T), int32(p.Degree)

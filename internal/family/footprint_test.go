@@ -21,21 +21,19 @@ func meanAllocatedBytes(runs int, fn func()) float64 {
 
 // TestParallelBuildFootprint bounds what the packed route costs on the
 // small token instances every Session builds through it: BuildParallel
-// with one worker may allocate at most twice the topology's sequential
-// Build.  The explorer's 64-stripe code table is what dominates a
-// few-dozen-state space, so a stripe floor sized for large spaces fails
-// this.
+// with one worker may allocate at most 3 KiB per state and 256 bytes per
+// transition of the instance it returns.  The explorer's 64-stripe code
+// table is what dominates a few-dozen-state space, so a stripe floor sized
+// for large spaces (64 slots, which doubles the cost) fails this.
 func TestParallelBuildFootprint(t *testing.T) {
 	const n, runs = 8, 20
 	ctx := context.Background()
 	for _, topo := range []Topology{Star(), Line(), Tree(), Torus()} {
-		var err error
-		seq := meanAllocatedBytes(runs, func() {
-			if _, e := topo.Build(n); e != nil {
-				err = e
-			}
-		})
-		packed := meanAllocatedBytes(runs, func() {
+		m, _, err := BuildParallel(ctx, topo, n, 1)
+		if err != nil {
+			t.Fatalf("%s[%d]: %v", topo.Name(), n, err)
+		}
+		got := meanAllocatedBytes(runs, func() {
 			if _, _, e := BuildParallel(ctx, topo, n, 1); e != nil {
 				err = e
 			}
@@ -43,9 +41,12 @@ func TestParallelBuildFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s[%d]: %v", topo.Name(), n, err)
 		}
-		t.Logf("%s[%d]: BuildParallel %.0f B, Build %.0f B (%.2fx)", topo.Name(), n, packed, seq, packed/seq)
-		if packed > 2*seq {
-			t.Errorf("%s[%d]: BuildParallel allocates %.0f bytes, more than twice Build's %.0f", topo.Name(), n, packed, seq)
+		limit := float64(3<<10*m.NumStates() + 256*m.NumTransitions())
+		t.Logf("%s[%d]: BuildParallel %.0f B for %d states and %d transitions (bound %.0f)",
+			topo.Name(), n, got, m.NumStates(), m.NumTransitions(), limit)
+		if got > limit {
+			t.Errorf("%s[%d]: BuildParallel allocates %.0f bytes for %d states and %d transitions, above the %.0f-byte bound",
+				topo.Name(), n, got, m.NumStates(), m.NumTransitions(), limit)
 		}
 	}
 }

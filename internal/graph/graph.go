@@ -3,8 +3,9 @@
 // reachability, Tarjan's strongly connected components, and the condensation
 // (component DAG).  Graphs are represented in compressed-sparse-row form
 // over dense integer vertices so callers can map Kripke or tableau states
-// directly onto them; SCCComp also runs on a bare int32 CSR, the layout of
-// the correspondence engine's silent subgraph.
+// directly onto them; SCCComp also runs over any caller's adjacency rows
+// through an accessor and an edge filter, which is how the correspondence
+// engine finds its silent components without building a subgraph.
 package graph
 
 import "fmt"
@@ -205,7 +206,7 @@ func (g *Graph) SCC() *SCCResult {
 	g.ensure()
 	res := &SCCResult{Comp: make([]int, g.n)}
 	var component []int
-	tarjan(g.off, g.dst, func(w, c int, last bool) {
+	tarjan(g.n, g.Succ, nil, func(w, c int, last bool) {
 		res.Comp[w] = c
 		component = append(component, w)
 		if last {
@@ -216,30 +217,34 @@ func (g *Graph) SCC() *SCCResult {
 	return res
 }
 
-// SCCComp computes only the component assignment of Tarjan's algorithm over
-// the CSR (off, dst), where dst[off[u]:off[u+1]] lists the successors of u:
-// it returns comp (vertex -> component number, numbered in reverse
-// topological order like SCC) and the number of components.  Callers that
-// do not need the per-component vertex lists — e.g. the partition-refinement
-// engine, which contracts components on every comparison — avoid the
-// O(#components) slice allocations of SCC.
-func SCCComp(off, dst []int32) (comp []int32, numComponents int) {
-	comp = make([]int32, len(off)-1)
-	tarjan(off, dst, func(w, c int, last bool) {
-		comp[w] = int32(c)
+// SCCComp computes only the component assignment of Tarjan's algorithm
+// over the vertices 0..len(comp)-1, whose successors are the members v of
+// succ(u) that keep(u, v) accepts (every member when keep is nil).  It
+// writes each vertex's component number into comp, numbering from first in
+// reverse topological order like SCC, and returns the number of components.
+// A caller can thus find the components of a subgraph of adjacency rows it
+// already holds without copying them, and skip the per-component vertex
+// lists SCC allocates: the partition-refinement engine runs it over each
+// structure's label-preserving edges, numbering the second structure's
+// components on from the first's.
+func SCCComp[V ~int | ~int32](comp []int32, first int, succ func(u int) []V, keep func(u, v int) bool) int {
+	numComponents := 0
+	tarjan(len(comp), succ, keep, func(w, c int, last bool) {
+		comp[w] = int32(first + c)
 		if last {
 			numComponents++
 		}
 	})
-	return comp, numComponents
+	return numComponents
 }
 
-// tarjan runs the iterative Tarjan algorithm over the CSR (off, dst).  As
-// each component c is completed it calls pop(w, c, last) for its members in
-// stack order, last marking the component's root, the final member.
-// Components are completed in reverse topological order.
-func tarjan[V int | int32](off []int32, dst []V, pop func(w, c int, last bool)) {
-	n := len(off) - 1
+// tarjan runs the iterative Tarjan algorithm over the vertices 0..n-1,
+// whose successors are the members w of succ(v) that keep(v, w) accepts
+// (every member when keep is nil).  As each component c is completed it
+// calls pop(w, c, last) for its members in stack order, last marking the
+// component's root, the final member.  Components are completed in reverse
+// topological order.
+func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bool, pop func(w, c int, last bool)) {
 	const unvisited = -1
 	index := make([]int32, n)
 	low := make([]int32, n)
@@ -271,10 +276,13 @@ func tarjan[V int | int32](off []int32, dst []V, pop func(w, c int, last bool)) 
 				onStack[v] = true
 			}
 			advanced := false
-			succ := dst[off[v]:off[v+1]]
-			for int(fr.child) < len(succ) {
-				w := succ[fr.child]
+			row := succ(int(v))
+			for int(fr.child) < len(row) {
+				w := row[fr.child]
 				fr.child++
+				if keep != nil && !keep(int(v), int(w)) {
+					continue
+				}
 				if index[w] == unvisited {
 					callStack = append(callStack, frame{v: int32(w)})
 					advanced = true

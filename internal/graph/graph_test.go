@@ -204,32 +204,53 @@ func TestFromCSR(t *testing.T) {
 	}
 }
 
-// TestSCCCompMatchesSCC: on random graphs the int32-CSR SCCComp assigns
-// exactly the components SCC does, with the same numbering.
+// TestSCCCompMatchesSCC: on random graphs SCCComp, reading int32 rows
+// through an accessor, assigns exactly the components SCC does, with the
+// same numbering shifted by first.  With a random edge filter it must
+// equal SCC on an explicitly filtered copy of the graph.
 func TestSCCCompMatchesSCC(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 50; iter++ {
+	for iter := 0; iter < 100; iter++ {
 		n := 1 + r.Intn(12)
 		g := New(n)
 		for e := r.Intn(2 * n * n); e > 0; e-- {
 			g.AddEdge(r.Intn(n), r.Intn(n))
 		}
-		off := make([]int32, n+1)
-		var dst []int32
+		rows := make([][]int32, n)
 		for u := 0; u < n; u++ {
 			for _, v := range g.Succ(u) {
-				dst = append(dst, int32(v))
+				rows[u] = append(rows[u], int32(v))
 			}
-			off[u+1] = int32(len(dst))
 		}
-		want := g.SCC()
-		comp, k := SCCComp(off, dst)
-		if k != want.NumComponents() {
-			t.Fatalf("iter %d: SCCComp found %d components, SCC %d", iter, k, want.NumComponents())
+		var keep func(u, v int) bool
+		want := g
+		if iter%2 == 1 {
+			// Keep an edge by a random verdict on its endpoints, fixed
+			// for the whole run.
+			dropped := make([]bool, n*n)
+			for i := range dropped {
+				dropped[i] = r.Intn(3) == 0
+			}
+			keep = func(u, v int) bool { return !dropped[u*n+v] }
+			want = New(n)
+			for u := 0; u < n; u++ {
+				for _, v := range g.Succ(u) {
+					if keep(u, v) {
+						want.AddEdge(u, v)
+					}
+				}
+			}
+		}
+		scc := want.SCC()
+		first := r.Intn(5)
+		comp := make([]int32, n)
+		k := SCCComp(comp, first, func(u int) []int32 { return rows[u] }, keep)
+		if k != scc.NumComponents() {
+			t.Fatalf("iter %d: SCCComp found %d components, SCC %d", iter, k, scc.NumComponents())
 		}
 		for v := range comp {
-			if int(comp[v]) != want.Comp[v] {
-				t.Fatalf("iter %d: vertex %d in component %d, SCC says %d", iter, v, comp[v], want.Comp[v])
+			if int(comp[v]) != first+scc.Comp[v] {
+				t.Fatalf("iter %d: vertex %d in component %d, SCC says %d + first %d", iter, v, comp[v], scc.Comp[v], first)
 			}
 		}
 	}
