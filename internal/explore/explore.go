@@ -36,7 +36,7 @@
 // the hot path costs one hash and a few probes instead of a Go map
 // operation.  A slot is 8 bytes, a hash tag and an id confirmed against
 // the Space's codes, which the table owns.  Each chunk of a level keeps one
-// id stream, in which a code new to the table points into its fresh list.
+// id stream, in which a code new to the table names its pending entry.
 package explore
 
 import (
@@ -184,10 +184,10 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 	var rowSegs [][]kripke.State // per chunk past sp.succ's capacity: deduplicated rows
 	var cntSegs [][]int32        // parallel to rowSegs: the row lengths
 
-	// Reusable per-level chunk buffers (grown as levels grow) and pending
-	// entries.
+	// Reusable per-level chunk buffers (grown as levels grow) and the
+	// handles of the pending entries.
 	var chunks []levelChunk
-	var pend []pendingEntry
+	var pend []int32
 
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -207,8 +207,8 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 
 		// Phase A: generate successors chunk by chunk into the chunk's
 		// scratch, record the id of every code already in the table and,
-		// for a code not yet in it, a reference -1-k to its copy in fresh,
-		// claiming its minimal stream position.  A chunk may hold many
+		// for a code not yet in it, -1-h for the handle h of its pending
+		// entry, claiming its minimal stream position.  A chunk may hold many
 		// expensive states, so cancellation is polled between states, by a
 		// non-blocking receive on the level's Done channel.
 		done := ctx.Done()
@@ -218,7 +218,6 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 			hi := min(lo+chunkSize, levelSize)
 			c.counts = c.counts[:0]
 			c.ids = c.ids[:0]
-			c.fresh = c.fresh[:0]
 			var err error
 			for k := lo; k < hi; k++ {
 				select {
@@ -240,9 +239,12 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 						c.ids = append(c.ids, kripke.State(id))
 						continue
 					}
-					c.ids = append(c.ids, kripke.State(-1-len(c.fresh)))
-					c.fresh = append(c.fresh, code)
-					table.claim(code, uint64(k)<<16|uint64(j))
+					h, ok := table.claim(code, uint64(k)<<16|uint64(j))
+					if !ok {
+						return fmt.Errorf("explore: %s: more than %d new states in one table stripe at one level: %w",
+							def.Name, maxPendingEntries, ErrLimit)
+					}
+					c.ids = append(c.ids, kripke.State(-1-h))
 				}
 			}
 			return nil
@@ -251,23 +253,26 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 			return nil, err
 		}
 
-		// Phase B: the canonical renumber pass.  Drain the pending sets,
-		// sort the new codes by minimal stream position and assign ids —
-		// exactly the first-occurrence order of the sequential stream.
+		// Phase B: the canonical renumber pass.  Sort the pending handles by
+		// minimal stream position and write each entry its new id, exactly
+		// in the first-occurrence order of the sequential stream.
 		pend = table.drainPending(pend)
-		slices.SortFunc(pend, func(a, b pendingEntry) int { return cmp.Compare(a.pos, b.pos) })
+		slices.SortFunc(pend, func(a, b int32) int { return cmp.Compare(table.entry(a).val, table.entry(b).val) })
 		if numStates+len(pend) > maxStates {
 			return nil, fmt.Errorf("explore: %s: more than %d reachable states: %w", def.Name, maxStates, ErrLimit)
 		}
 		table.codes = slices.Grow(table.codes, len(pend))
-		for _, e := range pend {
+		for _, h := range pend {
+			e := table.entry(h)
+			e.val = uint64(len(table.codes))
 			table.insert(e.code)
 		}
 
-		// Phase C: resolve the fresh references (codes that were new in
-		// phase A), then sort and deduplicate each state's row (the CSR
-		// convention of the builder), compacting the rows in place inside
-		// ids and overwriting counts with their deduplicated lengths.
+		// Phase C: resolve each handle (a code that was new in phase A) to
+		// the id in its entry, then sort and deduplicate each state's row
+		// (the CSR convention of the builder), compacting the rows in place
+		// inside ids and overwriting counts with their deduplicated lengths.
+		firstNew, endNew := uint64(numStates), uint64(numStates+len(pend))
 		err = parallelDo(ctx, workers, numChunks, func(ci int) error {
 			c := &chunks[ci]
 			base, end := 0, 0
@@ -276,12 +281,12 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 				base += int(n)
 				for i, id := range row {
 					if id < 0 {
-						code := c.fresh[-1-id]
-						got, ok := table.get(code)
-						if !ok {
-							return fmt.Errorf("explore: %s: successor code %#x missing from the table", def.Name, code)
+						e := table.entry(int32(-1 - id))
+						if e.val < firstNew || e.val >= endNew {
+							return fmt.Errorf("explore: %s: successor code %#x resolved to id %d, outside the level's new ids [%d, %d)",
+								def.Name, e.code, e.val, firstNew, endNew)
 						}
-						row[i] = kripke.State(got)
+						row[i] = kripke.State(e.val)
 					}
 				}
 				slices.Sort(row)
@@ -295,6 +300,7 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		if err != nil {
 			return nil, err
 		}
+		table.resetPending()
 
 		// Phase D: the chunk rows are already the final deduplicated
 		// successor rows, in frontier order.  While they fit, append them
@@ -416,13 +422,12 @@ func BuildFromSpace(ctx context.Context, def Def, sp *Space) (*kripke.Structure,
 // per-phase scratch buffers, reused across levels.
 type levelChunk struct {
 	scratch []uint64 // one state's successor codes
-	// ids holds each state's successors in phase A: an id, or -1-k for the
-	// code fresh[k] not yet in the table.  Phase C resolves, sorts and
-	// deduplicates each row in place and overwrites counts, the raw
-	// successor count per frontier state, with the deduplicated lengths.
+	// ids holds each state's successors in phase A: an id, or -1-h for a
+	// code new to the table, h its pending entry's handle.  Phase C
+	// resolves, sorts and deduplicates each row in place and overwrites
+	// counts, the raw successor count per state, with the new lengths.
 	ids    []kripke.State
 	counts []int32
-	fresh  []uint64
 }
 
 // parallelDo runs fn(0..n-1) on up to workers goroutines, claiming chunk

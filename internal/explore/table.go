@@ -8,13 +8,12 @@ import (
 // codeTable maps packed uint64 codes to int32 state ids, and owns the codes
 // themselves: codes[id] is state id's code, appended by insert.  It is an
 // open-addressing hash table striped 64 ways: each stripe owns a permanent
-// slot array plus a per-level pending set (also open addressing) guarded by
-// the stripe mutex.  During a level's parallel phases the permanent arrays
-// and codes are read-only (they grow only in the sequential renumber pass
-// between levels), so get() runs lock-free; only claims on genuinely new
-// codes take a stripe lock.  A table created for a single-worker
-// exploration (seq) skips the stripe locks entirely — every phase is run by
-// one goroutine.
+// slot array plus a per-level pending list guarded by the stripe mutex.
+// During a level's parallel phases the permanent arrays and codes are
+// read-only (they grow only in the sequential renumber pass between
+// levels), so get() runs lock-free; only claims on genuinely new codes take
+// a stripe lock.  A table created for a single-worker exploration (seq)
+// skips the stripe locks entirely — every phase is run by one goroutine.
 type codeTable struct {
 	seq     bool
 	codes   []uint64
@@ -27,11 +26,11 @@ type stripe struct {
 	mu    sync.Mutex
 	slots []tableSlot // open-addressing; id == emptySlot marks empty
 	n     int         // occupied slots
-	// The per-level pending set: code -> minimal stream position, stored
-	// as pos+1 so a zero slot marks empty.
-	pkeys []uint64
-	ppos  []uint64
-	pn    int
+	// The per-level pending list of new codes, and an open-addressing
+	// index into it: entry index + 1 (zero marks empty), confirmed
+	// against the entry's code.
+	pend []pendingEntry
+	pidx []int32
 }
 
 // tableSlot is 8 bytes: a 32-bit tag of the code's hash and the id.  The
@@ -114,60 +113,62 @@ func (t *codeTable) get(code uint64) (int32, bool) {
 	}
 }
 
+// maxPendingEntries bounds a stripe's pending list: a handle keeps 25 bits
+// for the entry index.  A variable so a test can reach it cheaply.
+var maxPendingEntries = 1 << 25
+
 // claim records that code was produced at stream position pos, keeping the
-// minimal position across all claimants.  Callers must have checked get()
-// first; a code that is both permanent and claimed would get two ids.
-func (t *codeTable) claim(code uint64, pos uint64) {
-	s := &t.stripes[splitmix64(code)&(numStripes-1)]
-	if t.seq {
-		s.claimLocked(code, pos)
-		return
+// minimal position across all claimants, and returns the handle of code's
+// pending entry, entryIndex<<6 | stripe.  The handle stays valid when the
+// stripe's index rehashes.  It reports false, claiming nothing, when a new
+// entry would not fit a handle.  Callers must have checked get() first; a
+// code that is both permanent and claimed would get two ids.
+func (t *codeTable) claim(code uint64, pos uint64) (int32, bool) {
+	h := splitmix64(code)
+	i := int(h & (numStripes - 1))
+	s := &t.stripes[i]
+	if !t.seq {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
-	s.mu.Lock()
-	s.claimLocked(code, pos)
-	s.mu.Unlock()
+	e, ok := s.claimLocked(code, h, pos)
+	return int32(e<<6 | i), ok
 }
 
-func (s *stripe) claimLocked(code uint64, pos uint64) {
-	if len(s.pkeys) == 0 || (s.pn+1)*8 >= len(s.pkeys)*5 {
+// claimLocked returns the index of code's entry in the stripe's pending
+// list, appending the entry if code is new; h is splitmix64(code).
+func (s *stripe) claimLocked(code, h, pos uint64) (int, bool) {
+	if (len(s.pend)+1)*8 >= len(s.pidx)*5 {
 		s.growPending()
 	}
-	mask := uint64(len(s.pkeys) - 1)
-	i := (splitmix64(code) >> 6) & mask
-	for {
-		p := s.ppos[i]
-		if p == 0 {
-			s.pkeys[i] = code
-			s.ppos[i] = pos + 1
-			s.pn++
-			return
-		}
-		if s.pkeys[i] == code {
-			if pos+1 < p {
-				s.ppos[i] = pos + 1
+	mask := uint64(len(s.pidx) - 1)
+	for i := (h >> 6) & mask; ; i = (i + 1) & mask {
+		e := int(s.pidx[i]) - 1
+		if e < 0 {
+			if len(s.pend) >= maxPendingEntries {
+				return 0, false
 			}
-			return
+			s.pidx[i] = int32(len(s.pend) + 1)
+			s.pend = append(s.pend, pendingEntry{code, pos})
+			return len(s.pend) - 1, true
 		}
-		i = (i + 1) & mask
+		if p := &s.pend[e]; p.code == code {
+			p.val = min(p.val, pos)
+			return e, true
+		}
 	}
 }
 
+// growPending doubles the stripe's pending index and rehashes its entries.
 func (s *stripe) growPending() {
-	oldKeys, oldPos := s.pkeys, s.ppos
-	size := max(2*len(s.pkeys), minStripeSize)
-	s.pkeys = make([]uint64, size)
-	s.ppos = make([]uint64, size)
-	mask := uint64(size - 1)
-	for i, p := range oldPos {
-		if p == 0 {
-			continue
+	s.pidx = make([]int32, max(2*len(s.pidx), minStripeSize))
+	mask := uint64(len(s.pidx) - 1)
+	for e, p := range s.pend {
+		i := (splitmix64(p.code) >> 6) & mask
+		for s.pidx[i] != 0 {
+			i = (i + 1) & mask
 		}
-		j := (splitmix64(oldKeys[i]) >> 6) & mask
-		for s.ppos[j] != 0 {
-			j = (j + 1) & mask
-		}
-		s.pkeys[j] = oldKeys[i]
-		s.ppos[j] = p
+		s.pidx[i] = int32(e + 1)
 	}
 }
 
@@ -187,39 +188,49 @@ func (t *codeTable) insert(code uint64) {
 	t.codes = append(t.codes, code)
 }
 
-// pendingEntry is one newly discovered code with its minimal stream
-// position within the level that produced it.
+// pendingEntry is one newly discovered code of a level.  Its val is the
+// minimal stream position that produced the code until phase B numbers
+// it, and its new id after.
 type pendingEntry struct {
 	code uint64
-	pos  uint64
+	val  uint64
 }
 
-// drainPending collects and clears every stripe's pending set into dst's
-// backing.  A level that outgrows it reallocates it at no less than twice
-// its capacity, so an exploration whose levels widen one after another
-// reallocates it O(log widest level) times, not once per level.
-// Sequential-phase only.
-func (t *codeTable) drainPending(dst []pendingEntry) []pendingEntry {
+// entry returns the pending entry a claim handle names.
+func (t *codeTable) entry(h int32) *pendingEntry {
+	return &t.stripes[h&(numStripes-1)].pend[h>>6]
+}
+
+// drainPending collects the handle of every stripe's pending entry into
+// dst's backing.  A level that outgrows it reallocates it at no less than
+// twice its capacity, so an exploration whose levels widen one after
+// another reallocates it O(log widest level) times, not once per level.
+// The entries stay until resetPending.  Sequential-phase only.
+func (t *codeTable) drainPending(dst []int32) []int32 {
 	total := 0
 	for i := range t.stripes {
-		total += t.stripes[i].pn
+		total += len(t.stripes[i].pend)
 	}
 	out := dst[:0]
 	if cap(out) < total {
-		out = make([]pendingEntry, 0, max(total, 2*cap(out)))
+		out = make([]int32, 0, max(total, 2*cap(out)))
 	}
 	for i := range t.stripes {
-		s := &t.stripes[i]
-		if s.pn == 0 {
-			continue
+		for e := range t.stripes[i].pend {
+			out = append(out, int32(e<<6|i))
 		}
-		for j, p := range s.ppos {
-			if p != 0 {
-				out = append(out, pendingEntry{s.pkeys[j], p - 1})
-			}
-		}
-		clear(s.ppos)
-		s.pn = 0
 	}
 	return out
+}
+
+// resetPending empties every stripe's pending list and index for the next
+// level, keeping their backing.  Sequential-phase only.
+func (t *codeTable) resetPending() {
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		if len(s.pend) > 0 {
+			s.pend = s.pend[:0]
+			clear(s.pidx)
+		}
+	}
 }

@@ -1,6 +1,11 @@
 package explore
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"math"
+	"testing"
+)
 
 // unsplitmix64 inverts splitmix64: it undoes the three xor-shifts and the
 // two odd multiplications, then the additive constant.
@@ -73,4 +78,66 @@ func TestCodeTableTagCollision(t *testing.T) {
 		t.Fatalf("stripe did not grow: %d slots before the fillers, %d after", before, after)
 	}
 	check(tab, "after growth")
+}
+
+// TestClaimRefusesHandleOverflow: a stripe's pending list holds at most
+// maxPendingEntries entries in one level, the most whose index fits a
+// handle's 25 bits.  With the bound lowered, a new code past it is refused
+// and claims nothing, a code already pending is still found, and every
+// handle claim returned names its entry after the index has rehashed.
+// resetPending makes room again, and Explore reports the overflow as
+// ErrLimit.
+func TestClaimRefusesHandleOverflow(t *testing.T) {
+	if h := int64(maxPendingEntries-1)<<6 | (numStripes - 1); h > math.MaxInt32 {
+		t.Fatalf("the largest handle, %d, does not fit an int32", h)
+	}
+	defer func(saved int) { maxPendingEntries = saved }(maxPendingEntries)
+	maxPendingEntries = 20
+
+	const stripe = 5
+	var codes []uint64 // all in one stripe
+	for i := uint64(1); i <= 21; i++ {
+		codes = append(codes, unsplitmix64(i<<6|stripe))
+	}
+	tab := newCodeTable(true, 1)
+	for i, code := range codes[:20] {
+		h, ok := tab.claim(code, uint64(100+i))
+		if !ok || h != int32(i<<6|stripe) {
+			t.Fatalf("claim of new code %d = (%d, %v), want (%d, true)", i, h, ok, i<<6|stripe)
+		}
+	}
+	if h, ok := tab.claim(codes[20], 0); ok {
+		t.Fatalf("claim past the bound returned handle %d", h)
+	}
+	s := &tab.stripes[stripe]
+	if len(s.pend) != 20 {
+		t.Fatalf("a refused claim left %d entries, want 20", len(s.pend))
+	}
+	if e, ok := s.claimLocked(codes[3], splitmix64(codes[3]), 7); !ok || e != 3 {
+		t.Fatalf("claimLocked of a pending code at the bound = (%d, %v), want (3, true)", e, ok)
+	}
+	for i, code := range codes[:20] {
+		want := uint64(100 + i)
+		if i == 3 {
+			want = 7
+		}
+		if e := tab.entry(int32(i<<6 | stripe)); e.code != code || e.val != want {
+			t.Fatalf("entry %d = {%#x, %d}, want {%#x, %d}", i, e.code, e.val, code, want)
+		}
+	}
+	tab.resetPending()
+	if h, ok := tab.claim(codes[20], 0); !ok || h != stripe {
+		t.Fatalf("claim after resetPending = (%d, %v), want (%d, true)", h, ok, stripe)
+	}
+
+	maxPendingEntries = 2
+	fan := Def{Name: "fan", Succ: func(dst []uint64, code uint64) ([]uint64, error) {
+		for c := uint64(1); code == 0 && c <= numStripes*2+1; c++ {
+			dst = append(dst, c) // some stripe gets three of them
+		}
+		return dst, nil
+	}}
+	if _, err := Explore(context.Background(), fan, Options{Workers: 1}); !errors.Is(err, ErrLimit) {
+		t.Fatalf("Explore past the bound: %v, want ErrLimit", err)
+	}
 }

@@ -8,7 +8,10 @@
 // engine finds its silent components without building a subgraph.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Graph is a directed graph over the vertices 0..N-1.
 //
@@ -245,35 +248,33 @@ func SCCComp[V ~int | ~int32](comp []int32, first int, succ func(u int) []V, kee
 // component's root, the final member.  Components are completed in reverse
 // topological order.
 func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bool, pop func(w, c int, last bool)) {
-	const unvisited = -1
+	// A vertex is finished once its component is complete, so it never
+	// lowers a low link; a low link lives in its vertex's call frame.
+	const unvisited, finished = -1, math.MaxInt32
 	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = unvisited
 	}
-	var stack []int32
+	stack := make([]int32, 0, n)
 	var next int32
 	components := 0
 
 	type frame struct {
-		v     int32
-		child int32
+		v, child, low int32
 	}
+	var callStack []frame
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		callStack := []frame{{v: int32(root)}}
+		callStack = append(callStack[:0], frame{v: int32(root)})
 		for len(callStack) > 0 {
 			fr := &callStack[len(callStack)-1]
 			v := fr.v
 			if fr.child == 0 {
-				index[v] = next
-				low[v] = next
+				index[v], fr.low = next, next
 				next++
 				stack = append(stack, v)
-				onStack[v] = true
 			}
 			advanced := false
 			row := succ(int(v))
@@ -288,19 +289,18 @@ func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bo
 					advanced = true
 					break
 				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
+				fr.low = min(fr.low, index[w])
 			}
 			if advanced {
 				continue
 			}
 			// All children explored.
-			if low[v] == index[v] {
+			low := fr.low
+			if low == index[v] {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
+					index[w] = finished
 					pop(int(w), components, w == v)
 					if w == v {
 						break
@@ -310,10 +310,8 @@ func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bo
 			}
 			callStack = callStack[:len(callStack)-1]
 			if len(callStack) > 0 {
-				parent := callStack[len(callStack)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
+				parent := &callStack[len(callStack)-1]
+				parent.low = min(parent.low, low)
 			}
 		}
 	}

@@ -277,3 +277,28 @@ func TestTransposeThenAddEdge(t *testing.T) {
 		t.Errorf("after AddEdge, Succ(0) = %s, want [2]", got)
 	}
 }
+
+// TestSCCCompAllocs: SCCComp allocates its per-vertex arrays once and
+// reuses one call stack across DFS roots: on a sparse 10,000-vertex random
+// graph with an edge filter, the shape of the silent subgraphs the
+// refiner runs it over, it makes at most 8 allocations (7 measured; the
+// call stack still doubles with DFS depth, so a dense graph makes more).
+// It made 2,299 when every root grew a call stack of its own from one
+// frame and the Tarjan stack grew by append.
+func TestSCCCompAllocs(t *testing.T) {
+	const n = 10_000
+	r := rand.New(rand.NewSource(11))
+	rows := make([][]int32, n)
+	for u := range rows {
+		for d := r.Intn(3); d > 0; d-- {
+			rows[u] = append(rows[u], int32(r.Intn(n)))
+		}
+	}
+	succ := func(u int) []int32 { return rows[u] }
+	keep := func(u, v int) bool { return (u^v)%3 != 0 }
+	comp := make([]int32, n)
+	got := testing.AllocsPerRun(5, func() { SCCComp(comp, 0, succ, keep) })
+	if got > 8 {
+		t.Errorf("SCCComp on %d vertices allocated %.0f times, want at most 8", n, got)
+	}
+}
