@@ -82,12 +82,18 @@ func (r *Result) Corresponds() bool {
 // differential tests (refine_test.go, degree_differential_test.go) hold it
 // to: both produce identical relations and minimal degrees.
 func Compute(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*Result, error) {
+	return compute(ctx, m, m2, opts, new(computeArena))
+}
+
+// compute is Compute on the scratch memory of ar, which IndexedCompute's
+// workers keep across their pair computes.
+func compute(ctx context.Context, m, m2 *kripke.Structure, opts Options, ar *computeArena) (*Result, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
 	if n == 0 || n2 == 0 {
 		return nil, fmt.Errorf("bisim: Compute: structures must be non-empty (got %d and %d states)", n, n2)
 	}
 	computeCalls.Add(1)
-	return computeRefined(ctx, m, m2, opts)
+	return computeRefined(ctx, m, m2, opts, ar)
 }
 
 // computeCalls counts every Compute invocation process-wide.  Store replays

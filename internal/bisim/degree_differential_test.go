@@ -64,7 +64,7 @@ func TestUnresolvedDegreeIsAnError(t *testing.T) {
 	right := build(t, b2)
 
 	// Union states: left 0, left 1, right 0; the a-states share block 0.
-	res, err := bisim.DegreePass(left, right, []int32{0, 1, 0}, 2)
+	res, err := bisim.DegreePass(left, right, []int32{0, 1, 0}, 2, bisim.Options{})
 	if !errors.Is(err, bisim.ErrUnresolvedDegree) {
 		t.Fatalf("got result %v, error %v; want ErrUnresolvedDegree", res, err)
 	}
@@ -83,7 +83,7 @@ func TestUnresolvedDegreeIsAnError(t *testing.T) {
 		must(t, b3.AddTransition(u, u))
 	}
 	must(t, b3.SetInitial(1))
-	res, err = bisim.DegreePass(left, build(t, b3), []int32{0, 1, 1, 0, 0}, 2)
+	res, err = bisim.DegreePass(left, build(t, b3), []int32{0, 1, 1, 0, 0}, 2, bisim.Options{})
 	if !errors.Is(err, bisim.ErrUnresolvedDegree) {
 		t.Fatalf("two unresolved rows: got result %v, error %v; want ErrUnresolvedDegree", res, err)
 	}
@@ -124,7 +124,7 @@ func TestDegreePassBlocksOneWordApart(t *testing.T) {
 	right := build(t, b2)
 
 	// Union states: left s, s1, s2, y, then right t0, t1, t2, y'.
-	got, err := bisim.DegreePass(left, right, []int32{0, 0, 0, 64, 0, 0, 0, 64}, 65)
+	got, err := bisim.DegreePass(left, right, []int32{0, 0, 0, 64, 0, 0, 0, 64}, 65, bisim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func Explain(ctx context.Context, m, m2 *kripke.Structure, opts Options, res *Re
 	// Run the production refiner with the recorder attached, directly
 	// rather than through Compute: evidence needs the partition's history,
 	// not the degrees.
-	r, compLabel, err := newRefiner(ctx, m, m2, opts)
+	r, compLabel, err := newRefiner(ctx, m, m2, opts, new(computeArena))
 	if err != nil {
 		return nil, err
 	}

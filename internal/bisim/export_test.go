@@ -6,18 +6,21 @@ import (
 	"repro/internal/kripke"
 )
 
-// DegreePass runs Compute's degree pass on the partition stateBlock of the
-// union of m and m2 (block ids 0..numBlocks-1, second structure offset by
-// m's state count), whatever the partition's quality.
-func DegreePass(m, m2 *kripke.Structure, stateBlock []int32, numBlocks int) (*Result, error) {
-	return degreePass(context.Background(), m, m2, stateBlock, numBlocks, Options{}, &Result{})
+// DegreePass runs Compute's degree pass, on a fresh arena, on the
+// partition stateBlock of the union of m and m2 (block ids
+// 0..numBlocks-1, second structure offset by m's state count), whatever
+// the partition's quality.
+func DegreePass(m, m2 *kripke.Structure, stateBlock []int32, numBlocks int, opts Options) (*Result, error) {
+	return degreePass(context.Background(), m, m2, stateBlock, numBlocks, opts, new(computeArena), &Result{})
 }
 
-// Stabilize runs Compute up to its stable partition — preprocessing,
-// initial partition and refinement — without the degree pass.
-func Stabilize(m, m2 *kripke.Structure, opts Options) {
+// Partition runs Compute up to its stable partition — preprocessing,
+// initial partition and refinement — and returns the block id of every
+// union state (second structure offset by m's state count) and the number
+// of blocks, the input of DegreePass.
+func Partition(m, m2 *kripke.Structure, opts Options) ([]int32, int) {
 	ctx := context.Background()
-	r, compLabel, err := newRefiner(ctx, m, m2, opts)
+	r, compLabel, err := newRefiner(ctx, m, m2, opts, new(computeArena))
 	if err != nil {
 		panic(err)
 	}
@@ -25,6 +28,11 @@ func Stabilize(m, m2 *kripke.Structure, opts Options) {
 	if err := r.stabilize(ctx, &Result{}); err != nil {
 		panic(err)
 	}
+	stateBlock := make([]int32, len(r.comp))
+	for u, c := range r.comp {
+		stateBlock[u] = r.blockOf[c]
+	}
+	return stateBlock, len(r.blocks)
 }
 
 // RelationBytes returns the bytes a relation's pair storage holds: the
@@ -50,7 +58,7 @@ const MaxDenseMatrixStates = maxDenseMatrixStates
 // ContractedStates returns the number of contracted nodes the refiner
 // works on for the union of m and m2.
 func ContractedStates(m, m2 *kripke.Structure, opts Options) int {
-	r, _, err := newRefiner(context.Background(), m, m2, opts)
+	r, _, err := newRefiner(context.Background(), m, m2, opts, new(computeArena))
 	if err != nil {
 		panic(err)
 	}

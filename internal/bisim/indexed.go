@@ -338,8 +338,8 @@ func computeBases(ctx context.Context, bases []IndexPair, leftRed, rightRed map[
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// The pool exists to overlap pair decisions on real cores.  More pool
-	// goroutines than cores buy no overlap but each would grow its own
-	// arena slabs, so cap the pool at the core budget.
+	// goroutines than cores buy no overlap but each would fill its own
+	// arena, so cap the pool at the core budget.
 	if mp := runtime.GOMAXPROCS(0); workers > mp {
 		workers = mp
 	}
@@ -352,12 +352,12 @@ func computeBases(ctx context.Context, bases []IndexPair, leftRed, rightRed map[
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one scratch arena, allocated lazily on its
-			// first claimed pair and reset between pair computes, so a run
-			// over several basis pairs reuses the engine's big flat
-			// buffers instead of reallocating them per pair — and a worker
-			// that never claims a pair never pays for slabs.
-			wOpts := opts
+			// Each worker owns one scratch arena, which every compute
+			// leaves empty but keeps the memory of, so a run over several
+			// basis pairs reuses the engine's big flat buffers instead of
+			// reallocating them per pair.  The arena holds nothing until
+			// the worker's first compute.
+			var ar computeArena
 			for {
 				if err := cancelled(ctx); err != nil {
 					return
@@ -367,12 +367,7 @@ func computeBases(ctx context.Context, bases []IndexPair, leftRed, rightRed map[
 					return
 				}
 				p := bases[k]
-				if wOpts.arena == nil {
-					wOpts.arena = &computeArena{}
-				} else {
-					wOpts.arena.reset()
-				}
-				r, err := Compute(ctx, leftRed[p.I], rightRed[p.I2], wOpts)
+				r, err := compute(ctx, leftRed[p.I], rightRed[p.I2], opts, &ar)
 				if err != nil {
 					errs[k] = fmt.Errorf("bisim: IndexedCompute(%d,%d): %w", p.I, p.I2, err)
 					return

@@ -46,9 +46,12 @@ var ErrUnresolvedDegree = errors.New("bisim: a pair of the refined partition has
 // "degree < k" threshold of the reference, so the degrees are identical.
 // Each degree is written straight into the relation the pass returns.  A
 // pair left unresolved is reported as ErrUnresolvedDegree.
-func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32, numBlocks int, opts Options, res *Result) (*Result, error) {
+//
+// The working arrays come from ar.  The successor-block rows and the dense
+// scratch row that only round 0 reads are taken last and released after
+// it, and the worklist arrays of the later rounds take their place.
+func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32, numBlocks int, opts Options, ar *computeArena, res *Result) (*Result, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
-	ar := opts.arena
 
 	// Left states of every block, by rank: a counting pass records each
 	// left state's rank, a prefix sum turns the counts into offsets.
@@ -85,23 +88,9 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 	// resolves.
 	rel := newRelationRows(n, n2, func(s int) int { return int(rightCount[stateBlock[s]]) })
 
-	// The successor blocks of every union state and the in-block successor
-	// ranks of every left state.  Left states take their rows in block
-	// order (row lefts.off[b]+j for the left of rank j in block b), so a
-	// sweep over a right state's row reads them sequentially; right state t
-	// takes row n+t.
-	succBlocks := newSparseRows(ar, n+n2, numBlocks, m.NumTransitions()+m2.NumTransitions(), func(u int, buf []int32) []int32 {
-		if u < n {
-			for _, v := range m.Succ(kripke.State(lefts.dst[u])) {
-				buf = append(buf, stateBlock[v])
-			}
-			return buf
-		}
-		for _, v := range m2.Succ(kripke.State(u - n)) {
-			buf = append(buf, stateBlock[n+int(v)])
-		}
-		return buf
-	})
+	// The in-block successor ranks of every left state, row lefts.off[b]+j
+	// for the left of rank j in block b, so a sweep over a right state's row
+	// reads them sequentially.
 	succRanks := newSparseRows(ar, n, int(widest), m.NumTransitions(), func(p int, buf []int32) []int32 {
 		s := lefts.dst[p]
 		b := stateBlock[s]
@@ -157,6 +146,22 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 	rowD := ar.u64s(words, true) // only stuttering moves of t unmatched
 	unresolved := ar.u64s(words, true)
 	resolvedR := ar.u64s(words, true) // ranks resolved strictly before this round
+	// The successor blocks of every union state, read by round 0 alone.
+	// Left states take their rows in block order, like succRanks; right
+	// state t takes row n+t.
+	round0 := ar.mark()
+	succBlocks := newSparseRows(ar, n+n2, numBlocks, m.NumTransitions()+m2.NumTransitions(), func(u int, buf []int32) []int32 {
+		if u < n {
+			for _, v := range m.Succ(kripke.State(lefts.dst[u])) {
+				buf = append(buf, stateBlock[v])
+			}
+			return buf
+		}
+		for _, v := range m2.Succ(kripke.State(u - n)) {
+			buf = append(buf, stateBlock[n+int(v)])
+		}
+		return buf
+	})
 	tset := ar.u64s((numBlocks+63)/64, true)
 	anyResolved := false
 	for t := 0; t < n2; t++ {
@@ -215,6 +220,7 @@ func degreePass(ctx context.Context, m, m2 *kripke.Structure, stateBlock []int32
 			tset[w] = 0
 		}
 	}
+	ar.release(round0)
 
 	// evalRow evaluates every unresolved pair of row t in round k and
 	// reports whether any resolved.  A row's verdicts depend only on its
@@ -396,14 +402,18 @@ type sparseRows struct {
 // holding the items that items(u, buf) appends to buf (repeats allowed);
 // the rows list at most edges items in all.  A row has one entry per
 // distinct word, in order of first appearance, so the entries fit
-// min(edges, rows·⌈width/64⌉) slots, which the arrays are sized to.
+// min(edges, rows·⌈width/64⌉) slots, which the arrays are sized to.  The
+// arrays come from ar; the per-word slot table the build reads is released
+// before it returns.
 func newSparseRows(ar *computeArena, rows, width, edges int, items func(u int, buf []int32) []int32) sparseRows {
-	slot := ar.i32s((width+63)/64, false) // per word: its latest entry
+	words := (width + 63) / 64
+	capacity := min(edges, rows*words)
+	sr := sparseRows{off: ar.i32s(rows+1, false), word: ar.i32s(capacity, false), bits: ar.u64s(capacity, false)}
+	defer ar.release(ar.mark())
+	slot := ar.i32s(words, false) // per word: its latest entry
 	for i := range slot {
 		slot[i] = -1
 	}
-	capacity := min(edges, rows*len(slot))
-	sr := sparseRows{off: ar.i32s(rows+1, false), word: ar.i32s(capacity, false), bits: ar.u64s(capacity, false)}
 	var buf []int32
 	e := int32(0)
 	for u := 0; u < rows; u++ {

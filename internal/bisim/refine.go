@@ -99,8 +99,8 @@ type refiner struct {
 	stackBuf    []int32       // closeBackwardWithin worklist
 	succScratch kripke.BitSet // enqueueSuccessors accumulator
 
-	// arena (possibly nil) backs the block sets and large scratch arrays so
-	// IndexedCompute can recycle them across pair computes.
+	// arena backs the block sets and the large arrays; the caller releases
+	// them once it has read the partition.
 	arena *computeArena
 
 	// prov records every block the refinement creates, for Explain; nil
@@ -128,11 +128,16 @@ type rblock struct {
 }
 
 // computeRefined computes the maximal correspondence between m and m2 by
-// partition refinement of their disjoint union.
-func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*Result, error) {
+// partition refinement of their disjoint union, on the scratch memory of
+// ar, which it leaves as it found it.
+func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options, ar *computeArena) (*Result, error) {
+	defer ar.release(ar.mark())
 	N := m.NumStates() + m2.NumStates()
-	ar := opts.arena // nil for direct calls; every helper degrades to make
-	r, compLabel, err := newRefiner(ctx, m, m2, opts)
+	// Per-union-state block id: s ~ t iff stateBlock[s] == stateBlock[n+t].
+	// It outlives the refiner, so it is taken below the refiner's arrays.
+	stateBlock := ar.i32s(N, false)
+	refining := ar.mark()
+	r, compLabel, err := newRefiner(ctx, m, m2, opts, ar)
 	if err != nil {
 		return nil, err
 	}
@@ -143,16 +148,17 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 	if err := r.stabilize(ctx, res); err != nil {
 		return nil, err
 	}
-
-	// Per-union-state block id: s ~ t iff stateBlock[s] == stateBlock[n+t].
-	stateBlock := ar.i32s(N, false)
 	for u := 0; u < N; u++ {
 		stateBlock[u] = r.blockOf[r.comp[u]]
 	}
+	numBlocks := len(r.blocks)
+	// Nothing the refiner holds is read again: the degree pass takes its
+	// arrays from the same memory.
+	ar.release(refining)
 
 	// Minimal degrees of the same-block relation, in one word-parallel pass
 	// at any number and width of blocks (packed.go).
-	return degreePass(ctx, m, m2, stateBlock, len(r.blocks), opts, res)
+	return degreePass(ctx, m, m2, stateBlock, numBlocks, opts, ar, res)
 }
 
 // newRefiner preprocesses the disjoint union of m and m2 (second structure
@@ -160,12 +166,11 @@ func computeRefined(ctx context.Context, m, m2 *kripke.Structure, opts Options) 
 // label, contracts the silent SCCs, and builds the contracted adjacency and
 // divergence mask.  It returns the refiner, whose partition initPartition
 // then seeds, and the label class of every contracted node.  Compute and
-// Explain share it, so both refine the same graph.  Every loop over the
-// union polls ctx once per 1,024 states.
-func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*refiner, []int32, error) {
+// Explain share it, so both refine the same graph.  The refiner's arrays
+// come from ar.  Every loop over the union polls ctx once per 1,024 states.
+func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options, ar *computeArena) (*refiner, []int32, error) {
 	n, n2 := m.NumStates(), m2.NumStates()
 	N := n + n2
-	ar := opts.arena
 	if m.NumTransitions()+m2.NumTransitions() > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("bisim: the union of %s and %s has more transitions than int32 row offsets hold", m.Name(), m2.Name())
 	}
@@ -266,13 +271,17 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 	// within one label class, found on each structure's own successor rows
 	// through an edge filter.  The union has no edges between the two
 	// structures, so numbering m2's components on from m's count gives
-	// exactly the numbering of one run over the union.
+	// exactly the numbering of one run over the union.  Tarjan's stack is
+	// released as soon as both runs are done.
 	comp := ar.i32s(N, false) // fully written by SCCComp
 	silentIn := func(labels []int32) func(u, v int) bool {
 		return func(u, v int) bool { return labels[u] == labels[v] }
 	}
-	cN := graph.SCCComp(comp[:n], 0, func(u int) []kripke.State { return m.Succ(kripke.State(u)) }, silentIn(labelID[:n]))
-	cN += graph.SCCComp(comp[n:], cN, func(u int) []kripke.State { return m2.Succ(kripke.State(u)) }, silentIn(labelID[n:]))
+	searched := ar.mark()
+	stack := ar.i32s(max(n, n2), false)
+	cN := graph.SCCComp(comp[:n], stack, 0, func(u int) []kripke.State { return m.Succ(kripke.State(u)) }, silentIn(labelID[:n]))
+	cN += graph.SCCComp(comp[n:], stack, cN, func(u int) []kripke.State { return m2.Succ(kripke.State(u)) }, silentIn(labelID[n:]))
+	ar.release(searched)
 	if err := cancelled(ctx); err != nil {
 		return nil, nil, err
 	}
@@ -300,7 +309,9 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 	// offsets end one row ahead and are shifted back.  Parallel edges
 	// between two components are kept: every consumer either dedups
 	// through a bitset or tolerates revisits, and skipping a dedup map here
-	// is cheaper.
+	// is cheaper.  The two directions' targets are one hand-out, so that
+	// once released they are one block the degree pass's predecessor lists
+	// fit in.
 	r.cSucc.off = ar.i32s(cN+1, true)
 	r.cPred.off = ar.i32s(cN+1, true)
 	for u := 0; u < N; u++ {
@@ -326,8 +337,9 @@ func newRefiner(ctx context.Context, m, m2 *kripke.Structure, opts Options) (*re
 		r.cSucc.off[c+1] += r.cSucc.off[c]
 		r.cPred.off[c+1] += r.cPred.off[c]
 	}
-	r.cSucc.dst = ar.i32s(int(r.cSucc.off[cN]), false) // fully written below
-	r.cPred.dst = ar.i32s(int(r.cPred.off[cN]), false)
+	edges := int(r.cSucc.off[cN])
+	dst := ar.i32s(2*edges, false) // fully written below
+	r.cSucc.dst, r.cPred.dst = dst[:edges:edges], dst[edges:]
 	for u := 0; u < N; u++ {
 		if err := pollUnion(ctx, u); err != nil {
 			return nil, nil, err
@@ -563,7 +575,7 @@ func (r *refiner) divide(bid int32, pos kripke.BitSet, splitter int32) bool {
 func (r *refiner) enqueueSuccessors(set kripke.BitSet) {
 	if r.mat != nil {
 		if r.succScratch == nil {
-			r.succScratch = kripke.NewBitSet(r.cN)
+			r.succScratch = kripke.BitSet(r.arena.bitset(r.cN, false)) // cleared below
 		}
 		out := r.succScratch
 		for i := range out {

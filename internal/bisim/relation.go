@@ -74,13 +74,6 @@ type Options struct {
 	// (see IndexedCompute).  Nil means no symmetry: every pair is decided
 	// by its own Compute.  Compute ignores both.
 	LeftAction, RightAction *kripke.IndexAction
-
-	// arena, when non-nil, recycles the engine's large scratch allocations
-	// across Compute calls.  Only IndexedCompute sets it (one arena per pool
-	// worker, reset between pair computes); it is deliberately unexported —
-	// arenas are single-goroutine and their hand-outs die at the next reset,
-	// so the field must not escape the package's own call discipline.
-	arena *computeArena
 }
 
 func (o Options) normalizedOneProps() []string {

@@ -8,10 +8,7 @@
 // engine finds its silent components without building a subgraph.
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Graph is a directed graph over the vertices 0..N-1.
 //
@@ -209,7 +206,7 @@ func (g *Graph) SCC() *SCCResult {
 	g.ensure()
 	res := &SCCResult{Comp: make([]int, g.n)}
 	var component []int
-	tarjan(g.n, g.Succ, nil, func(w, c int, last bool) {
+	tarjan(g.n, g.Succ, nil, make([]int32, g.n), make([]int32, g.n), func(w, c int, last bool) {
 		res.Comp[w] = c
 		component = append(component, w)
 		if last {
@@ -230,9 +227,15 @@ func (g *Graph) SCC() *SCCResult {
 // lists SCC allocates: the partition-refinement engine runs it over each
 // structure's label-preserving edges, numbering the second structure's
 // components on from the first's.
-func SCCComp[V ~int | ~int32](comp []int32, first int, succ func(u int) []V, keep func(u, v int) bool) int {
+//
+// comp doubles as the search's index array (a vertex's index sits there,
+// encoded as a negative, until its component is popped), and stack is the
+// caller's scratch for Tarjan's vertex stack, at least len(comp) entries
+// whose contents on return are arbitrary.  Only the DFS call stack is
+// allocated, and it grows with the search depth.
+func SCCComp[V ~int | ~int32](comp, stack []int32, first int, succ func(u int) []V, keep func(u, v int) bool) int {
 	numComponents := 0
-	tarjan(len(comp), succ, keep, func(w, c int, last bool) {
+	tarjan(len(comp), succ, keep, comp, stack, func(w, c int, last bool) {
 		comp[w] = int32(first + c)
 		if last {
 			numComponents++
@@ -247,15 +250,20 @@ func SCCComp[V ~int | ~int32](comp []int32, first int, succ func(u int) []V, kee
 // calls pop(w, c, last) for its members in stack order, last marking the
 // component's root, the final member.  Components are completed in reverse
 // topological order.
-func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bool, pop func(w, c int, last bool)) {
+//
+// index and stack are scratch of n entries each.  index[v] is -1 while v is
+// unvisited, -2-i while v is on the stack with DFS index i, and
+// non-negative once v's component is complete; pop may overwrite a popped
+// vertex's entry with any non-negative value.
+func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bool, index, stack []int32, pop func(w, c int, last bool)) {
 	// A vertex is finished once its component is complete, so it never
 	// lowers a low link; a low link lives in its vertex's call frame.
-	const unvisited, finished = -1, math.MaxInt32
-	index := make([]int32, n)
+	const unvisited = -1
+	index = index[:n]
 	for i := range index {
 		index[i] = unvisited
 	}
-	stack := make([]int32, 0, n)
+	stack = stack[:0]
 	var next int32
 	components := 0
 
@@ -272,7 +280,7 @@ func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bo
 			fr := &callStack[len(callStack)-1]
 			v := fr.v
 			if fr.child == 0 {
-				index[v], fr.low = next, next
+				index[v], fr.low = -2-next, next
 				next++
 				stack = append(stack, v)
 			}
@@ -284,23 +292,26 @@ func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bo
 				if keep != nil && !keep(int(v), int(w)) {
 					continue
 				}
-				if index[w] == unvisited {
+				iw := index[w]
+				if iw == unvisited {
 					callStack = append(callStack, frame{v: int32(w)})
 					advanced = true
 					break
 				}
-				fr.low = min(fr.low, index[w])
+				if iw < unvisited {
+					fr.low = min(fr.low, -2-iw)
+				}
 			}
 			if advanced {
 				continue
 			}
 			// All children explored.
 			low := fr.low
-			if low == index[v] {
+			if low == -2-index[v] {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					index[w] = finished
+					index[w] = 0
 					pop(int(w), components, w == v)
 					if w == v {
 						break

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -243,8 +244,13 @@ func TestSCCCompMatchesSCC(t *testing.T) {
 		}
 		scc := want.SCC()
 		first := r.Intn(5)
-		comp := make([]int32, n)
-		k := SCCComp(comp, first, func(u int) []int32 { return rows[u] }, keep)
+		// The outputs start as junk: comp is fully written and stack is
+		// scratch.
+		comp, stack := make([]int32, n), make([]int32, n)
+		for v := range comp {
+			comp[v], stack[v] = int32(r.Intn(7)-3), int32(r.Intn(7)-3)
+		}
+		k := SCCComp(comp, stack, first, func(u int) []int32 { return rows[u] }, keep)
 		if k != scc.NumComponents() {
 			t.Fatalf("iter %d: SCCComp found %d components, SCC %d", iter, k, scc.NumComponents())
 		}
@@ -278,13 +284,13 @@ func TestTransposeThenAddEdge(t *testing.T) {
 	}
 }
 
-// TestSCCCompAllocs: SCCComp allocates its per-vertex arrays once and
-// reuses one call stack across DFS roots: on a sparse 10,000-vertex random
-// graph with an edge filter, the shape of the silent subgraphs the
-// refiner runs it over, it makes at most 8 allocations (7 measured; the
-// call stack still doubles with DFS depth, so a dense graph makes more).
-// It made 2,299 when every root grew a call stack of its own from one
-// frame and the Tarjan stack grew by append.
+// TestSCCCompAllocs: given the caller's scratch for Tarjan's stack, and
+// keeping each vertex's DFS index in comp itself, SCCComp allocates only
+// its DFS call stack, which grows with the search depth.  On a sparse
+// 10,000-vertex random graph with an edge filter, the shape of the silent
+// subgraphs the refiner runs it over, that is at most 8 allocations and 2
+// bytes per vertex (5 and 379 bytes in all measured).  It allocated 8 bytes
+// per vertex more when the index array and the Tarjan stack were its own.
 func TestSCCCompAllocs(t *testing.T) {
 	const n = 10_000
 	r := rand.New(rand.NewSource(11))
@@ -296,9 +302,19 @@ func TestSCCCompAllocs(t *testing.T) {
 	}
 	succ := func(u int) []int32 { return rows[u] }
 	keep := func(u, v int) bool { return (u^v)%3 != 0 }
-	comp := make([]int32, n)
-	got := testing.AllocsPerRun(5, func() { SCCComp(comp, 0, succ, keep) })
-	if got > 8 {
-		t.Errorf("SCCComp on %d vertices allocated %.0f times, want at most 8", n, got)
+	comp, stack := make([]int32, n), make([]int32, n)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { SCCComp(comp, stack, 0, succ, keep) })
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call besides the measured runs.
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("SCCComp on %d vertices: %.0f allocations, %.0f bytes per run", n, allocs, perRun)
+	if allocs > 8 {
+		t.Errorf("SCCComp on %d vertices allocated %.0f times, want at most 8", n, allocs)
+	}
+	if perRun > 2*n {
+		t.Errorf("SCCComp on %d vertices allocated %.0f bytes per run, want at most %d", n, perRun, 2*n)
 	}
 }
