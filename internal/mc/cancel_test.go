@@ -121,3 +121,28 @@ func TestTableauCancelledMidway(t *testing.T) {
 	}
 	settleGoroutines(t, baseline)
 }
+
+// TestTableauCancelledInEnumeration: at 20 temporal operators each leaf
+// signature enumerates 2^20 candidate assignments, so the enumeration polls
+// the context itself and a cancellation landing there surfaces promptly.
+func TestTableauCancelledInEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(444444))
+	c := New(randomStructure(r, 64)).SetWorkers(4)
+	f := logic.ExistsPath(logic.Conj(nestEventually(19, logic.Prop("q")), logic.Next(logic.Prop("p"))))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Holds(ctx, f)
+		done <- err
+	}()
+	time.Sleep(2 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("tableau enumeration did not return promptly after cancellation")
+	}
+}

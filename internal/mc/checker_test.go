@@ -535,15 +535,6 @@ func TestWitnessEXAndEU(t *testing.T) {
 	}
 }
 
-func TestPathFormulaComplexity(t *testing.T) {
-	if got := PathFormulaComplexity(logic.MustParse("(F p) & (G q)")); got != 2 {
-		t.Errorf("complexity = %d, want 2", got)
-	}
-	if got := PathFormulaComplexity(logic.MustParse("p")); got != 0 {
-		t.Errorf("complexity = %d, want 0", got)
-	}
-}
-
 func TestTableauComplexityLimit(t *testing.T) {
 	m := buildLine(t)
 	c := New(m)

@@ -3,7 +3,6 @@ package mc
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 )
@@ -32,6 +31,9 @@ import (
 // The construction is exponential in the number of temporal operators of ψ
 // but linear in the structure, which matches the known complexity of CTL*
 // model checking; the formulas in this library (and in the paper) are tiny.
+// tableau_packed.go builds the product (steps 3–5) on bit-packed
+// assignments; tableau_scalar_test.go keeps a one-node-at-a-time product as
+// the reference it is tested against.
 
 const placeholderPrefix = "$mc$"
 
@@ -45,16 +47,7 @@ func (c *Checker) satExistsLTL(p logic.Formula) (kripke.BitSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The packed product (tableau_packed.go) handles every formula whose
-	// closure fits in one word; the scalar product below remains both the
-	// fallback for wider formulas and the reference the packed engine is
-	// pinned against in vector_test.go.
-	if sat, ok, err := c.runTableauPacked(tb, placeholders); err != nil {
-		return nil, err
-	} else if ok {
-		return sat, nil
-	}
-	return c.runTableau(tb, placeholders)
+	return c.runTableauPacked(tb, placeholders)
 }
 
 // atomizePathFormula replaces every embedded state subformula rooted at an E
@@ -133,276 +126,53 @@ func (c *Checker) atomizePathFormula(p logic.Formula) (logic.Formula, map[string
 	return out, placeholders, nil
 }
 
-// tableau holds the closure of a desugared, atomized path formula.
+// tableauOperatorLimit caps the temporal operators of a path formula: the
+// product enumerates 2^operators assignments per leaf signature.
+const tableauOperatorLimit = 20
+
+// tableau holds the closure of a desugared, atomized path formula.  The root
+// is the last closure entry.
 type tableau struct {
-	root     logic.Formula
 	closure  []logic.Formula // all distinct subformulas, children before parents
-	keyOf    map[string]int
-	children [][]int // indices into closure
-	untils   []int   // closure indices of U nodes
-	nexts    []int   // closure indices of X nodes
+	children [][]int         // indices into closure
+	untils   []int           // closure indices of U nodes
+	nexts    []int           // closure indices of X nodes
+	derived  []int           // closure indices of ¬, ∧ and ∨ nodes
 }
 
+// newTableau builds the closure of root.  It refuses a formula with more than
+// tableauOperatorLimit temporal operators.
 func newTableau(root logic.Formula) (*tableau, error) {
-	tb := &tableau{root: root, keyOf: make(map[string]int)}
-	var add func(f logic.Formula) (int, error)
-	add = func(f logic.Formula) (int, error) {
+	tb := &tableau{}
+	keyOf := make(map[string]int)
+	var add func(f logic.Formula) int
+	add = func(f logic.Formula) int {
 		key := logic.Key(f)
-		if idx, ok := tb.keyOf[key]; ok {
-			return idx, nil
+		if idx, ok := keyOf[key]; ok {
+			return idx
 		}
 		kids := logic.Children(f)
 		kidIdx := make([]int, len(kids))
 		for i, k := range kids {
-			idx, err := add(k)
-			if err != nil {
-				return 0, err
-			}
-			kidIdx[i] = idx
+			kidIdx[i] = add(k)
 		}
 		idx := len(tb.closure)
 		tb.closure = append(tb.closure, f)
 		tb.children = append(tb.children, kidIdx)
-		tb.keyOf[key] = idx
+		keyOf[key] = idx
 		switch f.(type) {
 		case *logic.U:
 			tb.untils = append(tb.untils, idx)
 		case *logic.X:
 			tb.nexts = append(tb.nexts, idx)
+		case *logic.Not, *logic.And, *logic.Or:
+			tb.derived = append(tb.derived, idx)
 		}
-		return idx, nil
+		return idx
 	}
-	if _, err := add(root); err != nil {
-		return nil, err
+	add(root)
+	if free := len(tb.untils) + len(tb.nexts); free > tableauOperatorLimit {
+		return nil, fmt.Errorf("mc: path formula has %d temporal operators, exceeding the tableau limit of %d", free, tableauOperatorLimit)
 	}
 	return tb, nil
-}
-
-// tableauNode is one (state, assignment) pair.  The assignment records the
-// truth value of every closure formula.
-type tableauNode struct {
-	state kripke.State
-	truth []bool
-}
-
-// runTableau builds the product of the structure with the tableau and
-// returns the states s for which some node (s, K) with root ∈ K reaches a
-// nontrivial self-fulfilling SCC.
-func (c *Checker) runTableau(tb *tableau, placeholders map[string]kripke.BitSet) (kripke.BitSet, error) {
-	numStates := c.m.NumStates()
-	rootIdx := tb.keyOf[logic.Key(tb.root)]
-
-	// Enumerate tableau nodes per structure state.
-	var nodes []tableauNode
-	nodesOfState := make([][]int, numStates)
-	free := len(tb.untils) + len(tb.nexts)
-	if free > 20 {
-		return nil, fmt.Errorf("mc: path formula has %d temporal operators, exceeding the tableau limit of 20", free)
-	}
-	combos := 1 << free
-	for s := 0; s < numStates; s++ {
-		if s&1023 == 0 {
-			if err := c.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		base, err := c.baseTruth(tb, kripke.State(s), placeholders)
-		if err != nil {
-			return nil, err
-		}
-		for mask := 0; mask < combos; mask++ {
-			truth := make([]bool, len(tb.closure))
-			copy(truth, base)
-			bit := 0
-			for _, idx := range tb.untils {
-				truth[idx] = mask&(1<<bit) != 0
-				bit++
-			}
-			for _, idx := range tb.nexts {
-				truth[idx] = mask&(1<<bit) != 0
-				bit++
-			}
-			if !tb.evaluateDerived(truth) {
-				continue
-			}
-			nodesOfState[s] = append(nodesOfState[s], len(nodes))
-			nodes = append(nodes, tableauNode{state: kripke.State(s), truth: truth})
-		}
-	}
-	c.stats.TableauNodes += len(nodes)
-
-	// Build edges.
-	g := graph.New(len(nodes))
-	for ni, n := range nodes {
-		if ni&1023 == 0 {
-			if err := c.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		for _, t := range c.m.Succ(n.state) {
-			for _, mj := range nodesOfState[t] {
-				if tb.edgeAllowed(n.truth, nodes[mj].truth) {
-					g.AddEdge(ni, mj)
-				}
-			}
-		}
-	}
-
-	// Find self-fulfilling nontrivial SCCs.
-	scc := g.SCC()
-	good := make([]bool, len(nodes))
-	for comp := 0; comp < scc.NumComponents(); comp++ {
-		if scc.IsTrivial(g, comp) {
-			continue
-		}
-		if tb.selfFulfilling(nodes, scc.Components[comp]) {
-			for _, v := range scc.Components[comp] {
-				good[v] = true
-			}
-		}
-	}
-
-	// Nodes that can reach a good node.
-	var seeds []int
-	for v, ok := range good {
-		if ok {
-			seeds = append(seeds, v)
-		}
-	}
-	canReach := g.BackwardReachable(seeds...)
-
-	sat := kripke.NewBitSet(numStates)
-	for s := 0; s < numStates; s++ {
-		for _, ni := range nodesOfState[s] {
-			if nodes[ni].truth[rootIdx] && canReach[ni] {
-				sat.Set(s)
-				break
-			}
-		}
-	}
-	return sat, nil
-}
-
-// baseTruth computes the truth values of the leaf formulas (constants, plain
-// atoms, placeholders, instantiated indexed atoms and "exactly one" atoms)
-// at state s.  Non-leaf entries are left false and are filled in by
-// evaluateDerived.
-func (c *Checker) baseTruth(tb *tableau, s kripke.State, placeholders map[string]kripke.BitSet) ([]bool, error) {
-	truth := make([]bool, len(tb.closure))
-	for idx, f := range tb.closure {
-		switch node := f.(type) {
-		case *logic.Const:
-			truth[idx] = node.Value
-		case *logic.Atom:
-			if sat, ok := placeholders[node.Name]; ok {
-				truth[idx] = sat.Get(int(s))
-			} else {
-				truth[idx] = c.m.Holds(s, kripke.P(node.Name))
-			}
-		case *logic.InstAtom:
-			truth[idx] = c.m.Holds(s, kripke.PI(node.Prop, node.Index))
-		case *logic.One:
-			truth[idx] = c.m.ExactlyOne(s, node.Prop)
-		}
-	}
-	return truth, nil
-}
-
-// evaluateDerived fills in the truth values of boolean nodes bottom-up given
-// the leaf and elementary (U, X) values, and checks local consistency of the
-// until expansion (h ∈ K ⇒ gUh ∈ K, and gUh ∈ K ∧ h ∉ K ⇒ g ∈ K).  It
-// reports whether the assignment is locally consistent.
-func (tb *tableau) evaluateDerived(truth []bool) bool {
-	for idx, f := range tb.closure {
-		kids := tb.children[idx]
-		switch f.(type) {
-		case *logic.Not:
-			truth[idx] = !truth[kids[0]]
-		case *logic.And:
-			v := true
-			for _, k := range kids {
-				v = v && truth[k]
-			}
-			truth[idx] = v
-		case *logic.Or:
-			v := false
-			for _, k := range kids {
-				v = v || truth[k]
-			}
-			truth[idx] = v
-		}
-	}
-	// Local consistency of untils.
-	for _, idx := range tb.untils {
-		kids := tb.children[idx]
-		l, r := truth[kids[0]], truth[kids[1]]
-		u := truth[idx]
-		if r && !u {
-			return false
-		}
-		if u && !r && !l {
-			return false
-		}
-	}
-	return true
-}
-
-// edgeAllowed reports whether the tableau permits an edge from assignment k
-// to assignment kNext: the expansion laws for X and U must hold across the
-// step.
-func (tb *tableau) edgeAllowed(k, kNext []bool) bool {
-	for _, idx := range tb.nexts {
-		child := tb.children[idx][0]
-		if k[idx] != kNext[child] {
-			return false
-		}
-	}
-	for _, idx := range tb.untils {
-		kids := tb.children[idx]
-		l, r := k[kids[0]], k[kids[1]]
-		want := r || (l && kNext[idx])
-		if k[idx] != want {
-			return false
-		}
-	}
-	return true
-}
-
-// selfFulfilling reports whether the SCC given by the node indices comp is
-// self-fulfilling: for every until formula that is asserted in some node of
-// the component, the right-hand side holds in some node of the component.
-func (tb *tableau) selfFulfilling(nodes []tableauNode, comp []int) bool {
-	for _, uIdx := range tb.untils {
-		rIdx := tb.children[uIdx][1]
-		asserted := false
-		fulfilled := false
-		for _, v := range comp {
-			if nodes[v].truth[uIdx] {
-				asserted = true
-			}
-			if nodes[v].truth[rIdx] {
-				fulfilled = true
-			}
-		}
-		if asserted && !fulfilled {
-			return false
-		}
-	}
-	return true
-}
-
-// PathFormulaComplexity returns the number of temporal operators in the
-// desugared form of p; it determines the exponent of the tableau size and is
-// exposed for the experiment harness.
-func PathFormulaComplexity(p logic.Formula) int {
-	d := logic.Desugar(p)
-	count := 0
-	logic.Walk(d, func(f logic.Formula) bool {
-		switch f.(type) {
-		case *logic.U, *logic.X:
-			count++
-		}
-		return true
-	})
-	return count
 }

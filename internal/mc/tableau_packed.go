@@ -2,126 +2,126 @@ package mc
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 )
 
-// This file implements the packed CTL* tableau product: the word-at-a-time
-// counterpart of runTableau in ltl.go.  A truth assignment to the closure is
-// one uint64 (closure index = bit position), so local consistency, the
-// expansion-law edge test and the self-fulfilling check all become word
-// operations; states sharing a leaf signature share their assignment list,
-// and the set of expansion-compatible successor assignments of each
-// assignment is a precomputed bit row over the global assignment table.
+// This file implements the CTL* tableau product word at a time.  A truth
+// assignment to the closure is ⌈|closure|/64⌉ words (closure index = bit
+// position), so local consistency, the expansion-law edge test and the
+// self-fulfilling check are word operations.  States that share a leaf
+// signature share their assignment list, and for each (source signature,
+// target signature) pair that some transition joins, every source assignment
+// has a bit row over the target signature's assignments: the successors the
+// expansion laws permit.
 //
-// The packed engine enumerates assignments in exactly the scalar order
-// (state-major, mask ascending, until bits before next bits), so it
-// constructs the same node set, the same edge set and the same Stats.
-// It bows out (ok=false) when the closure exceeds one word, when the
-// temporal-operator count makes the per-signature enumeration too wide, or
-// when the deduplicated assignment table outgrows the bit-row budget; the
-// caller then falls back to runTableau, which also owns the >20-operator
-// error so the two engines report identical failures.
+// Assignments are enumerated state-major, mask ascending with until bits
+// below next bits: the order of the scalar reference product in
+// tableau_scalar_test.go, so both build the same nodes, edges and Stats.
 
-const (
-	// maxPackedClosure is the closure-size ceiling for one-word assignments.
-	maxPackedClosure = 64
-	// maxPackedFree caps 2^free, the per-signature enumeration width.
-	maxPackedFree = 10
-	// maxPackedAssignments caps the global assignment table (and with it the
-	// allowed-successor bit rows at A*A/64 words).
-	maxPackedAssignments = 1024
-)
+// sigPair is one (source signature, target signature) pair that some
+// transition joins.  Its rows start at base, one per source assignment, each
+// rowWords words over the target signature's assignments.
+type sigPair struct {
+	src, dst int32
+	base     int
+	rowWords int
+}
 
-// runTableauPacked decides E ψ with the packed product.  ok=false means the
-// formula is out of the packed engine's envelope and the scalar tableau must
-// run instead.
-func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string]kripke.BitSet) (kripke.BitSet, bool, error) {
-	numClosure := len(tb.closure)
-	free := len(tb.untils) + len(tb.nexts)
-	if numClosure > maxPackedClosure || free > maxPackedFree {
-		return nil, false, nil
-	}
+// runTableauPacked builds the product of the structure with the tableau and
+// returns the states s for which some node (s, K) with the root in K reaches
+// a nontrivial self-fulfilling SCC.
+func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string]kripke.BitSet) (kripke.BitSet, error) {
 	numStates := c.m.NumStates()
-	rootBit := uint64(1) << uint(tb.keyOf[logic.Key(tb.root)])
+	words := (len(tb.closure) + 63) / 64
+	root := len(tb.closure) - 1 // newTableau appends children before parents
 
-	sigs, err := c.leafSignatures(tb, placeholders)
+	sigs, err := c.leafSignatures(tb, placeholders, words)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
-	// Deduplicate leaf signatures in state order (deterministic ids).
-	sigOf := make([]int, numStates)
-	sigID := make(map[uint64]int)
+	// Number the distinct leaf signatures in state order (deterministic
+	// ids).  sigID maps a signature's hash to the newest id with that hash;
+	// sameHash chains each id to the one before it (-1 ends the chain).
+	sigOf := make([]int32, numStates)
+	sigID := make(map[uint64]int32)
 	var sigVals []uint64
-	for s, sig := range sigs {
-		id, ok := sigID[sig]
+	var sameHash []int32
+	for s := 0; s < numStates; s++ {
+		sig := sigs[s*words : (s+1)*words]
+		var h uint64
+		for _, x := range sig {
+			h = (h ^ x) * 0x9e3779b97f4a7c15
+		}
+		head, ok := sigID[h]
 		if !ok {
-			id = len(sigVals)
-			sigID[sig] = id
-			sigVals = append(sigVals, sig)
+			head = -1
+		}
+		id := head
+		for id >= 0 && !slices.Equal(sigVals[int(id)*words:][:words], sig) {
+			id = sameHash[id]
+		}
+		if id < 0 {
+			id = int32(len(sameHash))
+			sameHash = append(sameHash, head)
+			sigID[h] = id
+			sigVals = append(sigVals, sig...)
 		}
 		sigOf[s] = id
 	}
+	numSigs := len(sameHash)
 
-	// Enumerate the locally consistent assignments of each signature, masks
-	// ascending with until bits below next bits — the scalar loop's order.
-	combos := 1 << free
+	// Enumerate the locally consistent assignments of each signature.  At
+	// the operator limit one signature walks 2^20 masks, so the loop polls
+	// cancellation as it goes.
+	elems := append(append([]int(nil), tb.untils...), tb.nexts...)
+	combos := 1 << len(elems)
 	var asg []uint64
-	sigStart := make([]int, len(sigVals)+1)
-	for sid, base := range sigVals {
-		if err := c.cancelled(); err != nil {
-			return nil, false, err
-		}
-		sigStart[sid] = len(asg)
+	sigStart := make([]int32, numSigs+1)
+	w := make([]uint64, words)
+	for sid := 0; sid < numSigs; sid++ {
+		sigStart[sid] = int32(len(asg) / words)
 		for mask := 0; mask < combos; mask++ {
-			w := base
-			bit := 0
-			for _, idx := range tb.untils {
-				if mask&(1<<bit) != 0 {
-					w |= 1 << uint(idx)
+			if mask&1023 == 0 {
+				if err := c.cancelled(); err != nil {
+					return nil, err
 				}
-				bit++
 			}
-			for _, idx := range tb.nexts {
-				if mask&(1<<bit) != 0 {
-					w |= 1 << uint(idx)
-				}
-				bit++
+			copy(w, sigVals[sid*words:(sid+1)*words])
+			for m := uint(mask); m != 0; m &= m - 1 {
+				idx := elems[bits.TrailingZeros(m)]
+				w[idx>>6] |= 1 << (uint(idx) & 63)
 			}
-			if w, ok := tb.deriveMask(w); ok {
-				asg = append(asg, w)
+			if tb.derive(w) {
+				asg = append(asg, w...)
 			}
 		}
 	}
-	numAsg := len(asg)
-	sigStart[len(sigVals)] = numAsg
-	if numAsg > maxPackedAssignments {
-		return nil, false, nil
-	}
+	sigStart[numSigs] = int32(len(asg) / words)
 
-	// Node numbering: state-major, assignment ascending, like the scalar
-	// enumeration.  nodeAsg maps a node to its global assignment index.
-	nodeBase := make([]int, numStates+1)
-	for s := 0; s < numStates; s++ {
-		sid := sigOf[s]
+	// Node numbering: state-major, assignment ascending.  nodeAsg maps a
+	// node to its global assignment index.
+	nodeBase := make([]int32, numStates+1)
+	for s, sid := range sigOf {
 		nodeBase[s+1] = nodeBase[s] + sigStart[sid+1] - sigStart[sid]
 	}
-	numNodes := nodeBase[numStates]
+	numNodes := int(nodeBase[numStates])
 	c.stats.TableauNodes += numNodes
 	nodeAsg := make([]int32, numNodes)
-	for s := 0; s < numStates; s++ {
-		sid, base := sigOf[s], nodeBase[s]
-		for j := 0; j < sigStart[sid+1]-sigStart[sid]; j++ {
-			nodeAsg[base+j] = int32(sigStart[sid] + j)
+	for s, sid := range sigOf {
+		for j := nodeBase[s]; j < nodeBase[s+1]; j++ {
+			nodeAsg[j] = sigStart[sid] + j - nodeBase[s]
 		}
 	}
 
-	allowed, err := c.allowedRows(tb, asg)
+	edgeStart, edgePair, pairs := c.signaturePairs(sigOf, numSigs)
+	rows, err := c.pairRows(tb, asg, words, sigStart, pairs)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	// Product CSR: a counting pass then a fill pass, both fanned out over
@@ -129,21 +129,22 @@ func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string]kripke.B
 	off := make([]int32, numNodes+1)
 	err = c.parallelChunks(numStates, 64, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			sid, base := sigOf[s], nodeBase[s]
-			succ := c.m.Succ(kripke.State(s))
-			for j := 0; j < sigStart[sid+1]-sigStart[sid]; j++ {
-				row := allowed[sigStart[sid]+j]
+			base := nodeBase[s]
+			for j := int32(0); j < nodeBase[s+1]-base; j++ {
 				deg := 0
-				for _, t := range succ {
-					tsid := sigOf[t]
-					deg += popcountRange(row, sigStart[tsid], sigStart[tsid+1])
+				for e := edgeStart[s]; e < edgeStart[s+1]; e++ {
+					p := &pairs[edgePair[e]]
+					row := rows[p.base+int(j)*p.rowWords:][:p.rowWords]
+					for _, x := range row {
+						deg += bits.OnesCount64(x)
+					}
 				}
 				off[base+j+1] = int32(deg)
 			}
 		}
 	}, func(int) {})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	for i := 0; i < numNodes; i++ {
 		off[i+1] += off[i]
@@ -151,47 +152,52 @@ func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string]kripke.B
 	dst := make([]int, off[numNodes])
 	err = c.parallelChunks(numStates, 64, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			sid, base := sigOf[s], nodeBase[s]
+			base := nodeBase[s]
 			succ := c.m.Succ(kripke.State(s))
-			for j := 0; j < sigStart[sid+1]-sigStart[sid]; j++ {
-				row := allowed[sigStart[sid]+j]
-				pos := int(off[base+j])
-				for _, t := range succ {
-					tsid := sigOf[t]
-					tBase := nodeBase[int(t)] - sigStart[tsid]
-					forEachBitRange(row, sigStart[tsid], sigStart[tsid+1], func(ai int) {
-						dst[pos] = tBase + ai
-						pos++
-					})
+			for j := int32(0); j < nodeBase[s+1]-base; j++ {
+				pos := off[base+j]
+				for k, t := range succ {
+					p := &pairs[edgePair[edgeStart[s]+int32(k)]]
+					row := rows[p.base+int(j)*p.rowWords:][:p.rowWords]
+					for wi, x := range row {
+						for ; x != 0; x &= x - 1 {
+							dst[pos] = int(nodeBase[t]) + wi<<6 + bits.TrailingZeros64(x)
+							pos++
+						}
+					}
 				}
 			}
 		}
 	}, func(int) {})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	g := graph.FromCSR(off, dst)
 
-	// Self-fulfilling nontrivial SCCs: OR the component's assignment words,
-	// then every until is checked with two bit probes.  Components are
+	// Self-fulfilling nontrivial SCCs: OR the component's assignments, then
+	// every until is checked with two bit probes.  Components are
 	// independent, so the scan fans out (good has one slot per node; no two
 	// components share a slot).
 	scc := g.SCC()
 	good := make([]bool, numNodes)
-	err = c.parallelChunks(len(scc.Components), 8, func(_, lo, hi int) {
+	var ors []uint64
+	err = c.parallelChunks(len(scc.Components), 8, func(worker, lo, hi int) {
+		or := ors[worker*words : (worker+1)*words]
 		for ci := lo; ci < hi; ci++ {
 			comp := scc.Components[ci]
 			if scc.IsTrivial(g, ci) {
 				continue
 			}
-			var or uint64
+			clear(or)
 			for _, v := range comp {
-				or |= asg[nodeAsg[v]]
+				a := asg[int(nodeAsg[v])*words:][:words]
+				for i := range or {
+					or[i] |= a[i]
+				}
 			}
 			ok := true
-			for _, uIdx := range tb.untils {
-				rIdx := tb.children[uIdx][1]
-				if or&(1<<uint(uIdx)) != 0 && or&(1<<uint(rIdx)) == 0 {
+			for _, u := range tb.untils {
+				if hasBit(or, u) && !hasBit(or, tb.children[u][1]) {
 					ok = false
 					break
 				}
@@ -202,9 +208,9 @@ func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string]kripke.B
 				}
 			}
 		}
-	}, func(int) {})
+	}, func(workers int) { ors = make([]uint64, workers*words) })
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	var seeds []int
@@ -217,34 +223,33 @@ func (c *Checker) runTableauPacked(tb *tableau, placeholders map[string]kripke.B
 
 	sat := kripke.NewBitSet(numStates)
 	for s := 0; s < numStates; s++ {
-		sid, base := sigOf[s], nodeBase[s]
-		for j := 0; j < sigStart[sid+1]-sigStart[sid]; j++ {
-			if asg[sigStart[sid]+j]&rootBit != 0 && canReach[base+j] {
+		for v := nodeBase[s]; v < nodeBase[s+1]; v++ {
+			if hasBit(asg[int(nodeAsg[v])*words:], root) && canReach[v] {
 				sat.Set(s)
 				break
 			}
 		}
 	}
-	return sat, true, nil
+	return sat, nil
 }
 
 // leafSignatures packs the leaf truth values (constants, atoms and
 // placeholders, instantiated indexed atoms, "exactly one" atoms) of every
-// state into one word per state, mirroring baseTruth.  Derived and elementary
-// bits stay zero.
-func (c *Checker) leafSignatures(tb *tableau, placeholders map[string]kripke.BitSet) ([]uint64, error) {
+// state into words words per state.  Derived and elementary bits stay zero.
+func (c *Checker) leafSignatures(tb *tableau, placeholders map[string]kripke.BitSet, words int) ([]uint64, error) {
 	n := c.m.NumStates()
-	sigs := make([]uint64, n)
+	sigs := make([]uint64, n*words)
 	for idx, f := range tb.closure {
 		if err := c.cancelled(); err != nil {
 			return nil, err
 		}
-		bit := uint64(1) << uint(idx)
+		wi, bit := idx>>6, uint64(1)<<(uint(idx)&63)
+		set := func(s int) bool { sigs[s*words+wi] |= bit; return true }
 		switch node := f.(type) {
 		case *logic.Const:
 			if node.Value {
-				for s := range sigs {
-					sigs[s] |= bit
+				for s := 0; s < n; s++ {
+					set(s)
 				}
 			}
 		case *logic.Atom:
@@ -252,13 +257,13 @@ func (c *Checker) leafSignatures(tb *tableau, placeholders map[string]kripke.Bit
 			if !ok {
 				bs = c.m.StatesWith(kripke.P(node.Name))
 			}
-			bs.ForEach(func(s int) bool { sigs[s] |= bit; return true })
+			bs.ForEach(set)
 		case *logic.InstAtom:
-			c.m.StatesWith(kripke.PI(node.Prop, node.Index)).ForEach(func(s int) bool { sigs[s] |= bit; return true })
+			c.m.StatesWith(kripke.PI(node.Prop, node.Index)).ForEach(set)
 		case *logic.One:
 			for s := 0; s < n; s++ {
 				if c.m.ExactlyOne(kripke.State(s), node.Prop) {
-					sigs[s] |= bit
+					set(s)
 				}
 			}
 		}
@@ -266,183 +271,178 @@ func (c *Checker) leafSignatures(tb *tableau, placeholders map[string]kripke.Bit
 	return sigs, nil
 }
 
-// deriveMask fills the boolean bits of the assignment word bottom-up from the
-// leaf and elementary bits (the closure lists children before parents) and
-// checks local consistency of the until expansion; it mirrors
-// evaluateDerived on packed assignments.
-func (tb *tableau) deriveMask(w uint64) (uint64, bool) {
-	for idx, f := range tb.closure {
-		kids := tb.children[idx]
-		bit := uint64(1) << uint(idx)
-		switch f.(type) {
-		case *logic.Not:
-			if w&(1<<uint(kids[0])) == 0 {
-				w |= bit
-			} else {
-				w &^= bit
+// signaturePairs numbers the (source signature, target signature) pairs that
+// transitions join, source-major, and names each transition's pair:
+// edgePair[edgeStart[s]+k] is the pair of s's k-th successor.  It walks the
+// states grouped by signature and stamps each target signature with the
+// source it was last reached from, so no pair is looked up by key.
+func (c *Checker) signaturePairs(sigOf []int32, numSigs int) (edgeStart, edgePair []int32, pairs []sigPair) {
+	n := len(sigOf)
+	edgeStart = make([]int32, n+1)
+	for s := 0; s < n; s++ {
+		edgeStart[s+1] = edgeStart[s] + int32(len(c.m.Succ(kripke.State(s))))
+	}
+	edgePair = make([]int32, edgeStart[n])
+
+	at := make([]int32, numSigs+1)
+	for _, sid := range sigOf {
+		at[sid+1]++
+	}
+	for i := 0; i < numSigs; i++ {
+		at[i+1] += at[i]
+	}
+	order := make([]int32, n)
+	for s, sid := range sigOf {
+		order[at[sid]] = int32(s)
+		at[sid]++
+	}
+
+	stamp := make([]int32, numSigs) // source signature + 1 that last named it
+	pairOf := make([]int32, numSigs)
+	for _, s := range order {
+		src := sigOf[s]
+		for k, t := range c.m.Succ(kripke.State(s)) {
+			dst := sigOf[t]
+			if stamp[dst] != src+1 {
+				stamp[dst] = src + 1
+				pairOf[dst] = int32(len(pairs))
+				pairs = append(pairs, sigPair{src: src, dst: dst})
 			}
+			edgePair[edgeStart[s]+int32(k)] = pairOf[dst]
+		}
+	}
+	return edgeStart, edgePair, pairs
+}
+
+// pairRows fills, for every signature pair, one bit row per source
+// assignment over the target signature's assignments: bit i is set iff the
+// expansion laws let target assignment i follow.  It sets each pair's base
+// and rowWords.  Pairs are independent, so the pass fans out.
+func (c *Checker) pairRows(tb *tableau, asg []uint64, words int, sigStart []int32, pairs []sigPair) ([]uint64, error) {
+	total := 0
+	for pi := range pairs {
+		p := &pairs[pi]
+		p.base = total
+		p.rowWords = int(sigStart[p.dst+1]-sigStart[p.dst]+63) / 64
+		total += int(sigStart[p.src+1]-sigStart[p.src]) * p.rowWords
+	}
+	rows := make([]uint64, total)
+	var masks []uint64
+	err := c.parallelChunks(len(pairs), 1, func(worker, lo, hi int) {
+		req := masks[2*worker*words:][:words]
+		val := masks[(2*worker+1)*words:][:words]
+		for pi := lo; pi < hi; pi++ {
+			p := pairs[pi]
+			for a := sigStart[p.src]; a < sigStart[p.src+1]; a++ {
+				if a&255 == 0 && c.cancelled() != nil {
+					return
+				}
+				if !tb.successorMask(asg[int(a)*words:][:words], req, val) {
+					continue
+				}
+				row := rows[p.base+int(a-sigStart[p.src])*p.rowWords:][:p.rowWords]
+				for i := 0; i < int(sigStart[p.dst+1]-sigStart[p.dst]); i++ {
+					b := asg[(int(sigStart[p.dst])+i)*words:][:words]
+					follows := true
+					for wi := range b {
+						if b[wi]&req[wi] != val[wi] {
+							follows = false
+							break
+						}
+					}
+					if follows {
+						row[i>>6] |= 1 << (uint(i) & 63)
+					}
+				}
+			}
+		}
+	}, func(workers int) { masks = make([]uint64, 2*workers*words) })
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// derive fills the boolean bits of assignment w bottom-up from the leaf and
+// elementary bits (the closure lists children before parents) and reports
+// whether the until expansion is locally consistent: h ∈ K ⇒ g U h ∈ K, and
+// g U h ∈ K ∧ h ∉ K ⇒ g ∈ K.
+func (tb *tableau) derive(w []uint64) bool {
+	for _, idx := range tb.derived {
+		kids := tb.children[idx]
+		var v bool
+		switch tb.closure[idx].(type) {
+		case *logic.Not:
+			v = !hasBit(w, kids[0])
 		case *logic.And:
-			v := true
+			v = true
 			for _, k := range kids {
-				if w&(1<<uint(k)) == 0 {
+				if !hasBit(w, k) {
 					v = false
 					break
 				}
 			}
-			if v {
-				w |= bit
-			} else {
-				w &^= bit
-			}
-		case *logic.Or:
-			v := false
+		default: // *logic.Or
 			for _, k := range kids {
-				if w&(1<<uint(k)) != 0 {
+				if hasBit(w, k) {
 					v = true
 					break
 				}
 			}
-			if v {
-				w |= bit
-			} else {
-				w &^= bit
-			}
+		}
+		bit := uint64(1) << (uint(idx) & 63)
+		if v {
+			w[idx>>6] |= bit
+		} else {
+			w[idx>>6] &^= bit
 		}
 	}
 	for _, idx := range tb.untils {
 		kids := tb.children[idx]
-		l := w&(1<<uint(kids[0])) != 0
-		r := w&(1<<uint(kids[1])) != 0
-		u := w&(1<<uint(idx)) != 0
-		if r && !u {
-			return 0, false
-		}
-		if u && !r && !l {
-			return 0, false
+		l, r, u := hasBit(w, kids[0]), hasBit(w, kids[1]), hasBit(w, idx)
+		if r && !u || u && !r && !l {
+			return false
 		}
 	}
-	return w, true
+	return true
 }
 
-// allowedRows precomputes, for every assignment, the bit row (over the global
-// assignment table) of successor assignments the expansion laws permit.  The
-// X law fixes one successor bit per next operator; the U law either fixes the
-// successor's until bit, imposes nothing, or (on a locally impossible
-// combination) empties the row.  Each row is a handful of column ANDs, and
-// the rows are independent, so the pass fans out across the worker budget.
-func (c *Checker) allowedRows(tb *tableau, asg []uint64) ([][]uint64, error) {
-	numAsg := len(asg)
-	rowWords := (numAsg + 63) / 64
-	// cols[p] = assignments whose bit p is set, as a row over the table.
-	cols := make([][]uint64, len(tb.closure))
-	for p := range cols {
-		cols[p] = make([]uint64, rowWords)
+// successorMask writes what the expansion laws demand of a successor of
+// assignment a as masks: b may follow a iff b&req == val in every word.
+// X g ∈ a fixes g's bit to a's X g bit.  g U h with g ∈ a and h ∉ a fixes the
+// until's own bit; derive has already settled the other until cases, which
+// demand nothing of the successor.  It reports false, and a has no
+// successor, when two demands on one bit disagree, as X (g U h) can make
+// them.
+func (tb *tableau) successorMask(a, req, val []uint64) bool {
+	clear(req)
+	clear(val)
+	fix := func(idx int, v bool) bool {
+		wi, bit := idx>>6, uint64(1)<<(uint(idx)&63)
+		if req[wi]&bit != 0 {
+			return (val[wi]&bit != 0) == v
+		}
+		req[wi] |= bit
+		if v {
+			val[wi] |= bit
+		}
+		return true
 	}
-	for ai, w := range asg {
-		for ; w != 0; w &= w - 1 {
-			cols[bits.TrailingZeros64(w)][ai>>6] |= 1 << (uint(ai) & 63)
+	for _, idx := range tb.nexts {
+		if !fix(tb.children[idx][0], hasBit(a, idx)) {
+			return false
 		}
 	}
-	fullRow := make([]uint64, rowWords)
-	for i := range fullRow {
-		fullRow[i] = ^uint64(0)
-	}
-	if rem := uint(numAsg) & 63; rem != 0 && rowWords > 0 {
-		fullRow[rowWords-1] = 1<<rem - 1
-	}
-	allowed := make([][]uint64, numAsg)
-	err := c.parallelChunks(numAsg, 16, func(_, lo, hi int) {
-		for ai := lo; ai < hi; ai++ {
-			w := asg[ai]
-			row := make([]uint64, rowWords)
-			copy(row, fullRow)
-			dead := false
-			for _, idx := range tb.nexts {
-				child := tb.children[idx][0]
-				andCol(row, cols[child], w&(1<<uint(idx)) != 0)
-			}
-			for _, idx := range tb.untils {
-				kids := tb.children[idx]
-				l := w&(1<<uint(kids[0])) != 0
-				r := w&(1<<uint(kids[1])) != 0
-				u := w&(1<<uint(idx)) != 0
-				switch {
-				case r:
-					// want = true regardless of the successor.
-					dead = dead || !u
-				case l:
-					// want = successor's until bit.
-					andCol(row, cols[idx], u)
-				default:
-					// want = false regardless of the successor.
-					dead = dead || u
-				}
-			}
-			if dead {
-				for i := range row {
-					row[i] = 0
-				}
-			}
-			allowed[ai] = row
+	for _, idx := range tb.untils {
+		kids := tb.children[idx]
+		if hasBit(a, kids[0]) && !hasBit(a, kids[1]) && !fix(idx, hasBit(a, idx)) {
+			return false
 		}
-	}, func(int) {})
-	if err != nil {
-		return nil, err
 	}
-	return allowed, nil
+	return true
 }
 
-// andCol intersects row with col (want=true) or its complement (want=false).
-func andCol(row, col []uint64, want bool) {
-	if want {
-		for i := range row {
-			row[i] &= col[i]
-		}
-	} else {
-		for i := range row {
-			row[i] &^= col[i]
-		}
-	}
-}
-
-// popcountRange counts the set bits of row in the index range [lo, hi).
-func popcountRange(row []uint64, lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	lw, hw := lo>>6, (hi-1)>>6
-	if lw == hw {
-		w := row[lw] >> (uint(lo) & 63)
-		if n := hi - lo; n < 64 {
-			w &= 1<<uint(n) - 1
-		}
-		return bits.OnesCount64(w)
-	}
-	cnt := bits.OnesCount64(row[lw] >> (uint(lo) & 63))
-	for wi := lw + 1; wi < hw; wi++ {
-		cnt += bits.OnesCount64(row[wi])
-	}
-	last := row[hw]
-	if rem := uint(hi) & 63; rem != 0 {
-		last &= 1<<rem - 1
-	}
-	cnt += bits.OnesCount64(last)
-	return cnt
-}
-
-// forEachBitRange calls fn on every set bit of row in [lo, hi), ascending.
-func forEachBitRange(row []uint64, lo, hi int, fn func(i int)) {
-	for i := lo; i < hi; {
-		w := row[i>>6] >> (uint(i) & 63)
-		if w == 0 {
-			i = (i>>6 + 1) << 6
-			continue
-		}
-		i += bits.TrailingZeros64(w)
-		if i >= hi {
-			return
-		}
-		fn(i)
-		i++
-	}
+// hasBit reports whether bit i of the word slice w is set.
+func hasBit(w []uint64, i int) bool {
+	return w[i>>6]>>(uint(i)&63)&1 != 0
 }

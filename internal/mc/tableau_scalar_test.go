@@ -6,20 +6,229 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/kripke"
 	"repro/internal/logic"
 )
 
-// The scalar tableau (ltl.go) is the reference the packed product
-// (tableau_packed.go) is pinned against, and it remains the only engine for
-// formulas outside the packed envelope (closure > 64, more than 10 temporal
-// operators, or an oversized assignment table).  The tests here drive the
-// scalar product directly — every current end-to-end formula fits the packed
-// envelope, so without them the fallback would be dead code in the suite.
+// The scalar tableau product below is the reference the packed product
+// (tableau_packed.go) is pinned against, the way vector_test.go keeps the
+// scalar EX/EU/EG: it builds one node per (state, assignment) pair with a
+// []bool assignment and tests every candidate edge against the expansion
+// laws directly.  It is deliberately naive and lives only in tests.
 
-// tableauBothEngines atomizes the path formula p, builds its tableau and
-// returns the satisfaction sets computed by the scalar and packed products.
-func tableauBothEngines(t *testing.T, c *Checker, p logic.Formula) (scalar, packed kripke.BitSet) {
+// tableauNode is one (state, assignment) pair.  The assignment records the
+// truth value of every closure formula.
+type tableauNode struct {
+	state kripke.State
+	truth []bool
+}
+
+// runTableau builds the product of the structure with the tableau one node
+// at a time and returns the states s for which some node (s, K) with root ∈ K
+// reaches a nontrivial self-fulfilling SCC.
+func (c *Checker) runTableau(tb *tableau, placeholders map[string]kripke.BitSet) (kripke.BitSet, error) {
+	numStates := c.m.NumStates()
+	rootIdx := len(tb.closure) - 1
+
+	// Enumerate tableau nodes per structure state.
+	var nodes []tableauNode
+	nodesOfState := make([][]int, numStates)
+	free := len(tb.untils) + len(tb.nexts)
+	combos := 1 << free
+	for s := 0; s < numStates; s++ {
+		if s&1023 == 0 {
+			if err := c.cancelled(); err != nil {
+				return nil, err
+			}
+		}
+		base := c.baseTruth(tb, kripke.State(s), placeholders)
+		truth := make([]bool, len(tb.closure))
+		for mask := 0; mask < combos; mask++ {
+			copy(truth, base)
+			bit := 0
+			for _, idx := range tb.untils {
+				truth[idx] = mask&(1<<bit) != 0
+				bit++
+			}
+			for _, idx := range tb.nexts {
+				truth[idx] = mask&(1<<bit) != 0
+				bit++
+			}
+			if !tb.evaluateDerived(truth) {
+				continue
+			}
+			nodesOfState[s] = append(nodesOfState[s], len(nodes))
+			nodes = append(nodes, tableauNode{state: kripke.State(s), truth: append([]bool(nil), truth...)})
+		}
+	}
+	c.stats.TableauNodes += len(nodes)
+
+	// Build edges.
+	g := graph.New(len(nodes))
+	for ni, n := range nodes {
+		if ni&1023 == 0 {
+			if err := c.cancelled(); err != nil {
+				return nil, err
+			}
+		}
+		for _, t := range c.m.Succ(n.state) {
+			for _, mj := range nodesOfState[t] {
+				if tb.edgeAllowed(n.truth, nodes[mj].truth) {
+					g.AddEdge(ni, mj)
+				}
+			}
+		}
+	}
+
+	// Find self-fulfilling nontrivial SCCs.
+	scc := g.SCC()
+	good := make([]bool, len(nodes))
+	for comp := 0; comp < scc.NumComponents(); comp++ {
+		if scc.IsTrivial(g, comp) {
+			continue
+		}
+		if tb.selfFulfilling(nodes, scc.Components[comp]) {
+			for _, v := range scc.Components[comp] {
+				good[v] = true
+			}
+		}
+	}
+
+	// Nodes that can reach a good node.
+	var seeds []int
+	for v, ok := range good {
+		if ok {
+			seeds = append(seeds, v)
+		}
+	}
+	canReach := g.BackwardReachable(seeds...)
+
+	sat := kripke.NewBitSet(numStates)
+	for s := 0; s < numStates; s++ {
+		for _, ni := range nodesOfState[s] {
+			if nodes[ni].truth[rootIdx] && canReach[ni] {
+				sat.Set(s)
+				break
+			}
+		}
+	}
+	return sat, nil
+}
+
+// baseTruth computes the truth values of the leaf formulas (constants, plain
+// atoms, placeholders, instantiated indexed atoms and "exactly one" atoms)
+// at state s.  Non-leaf entries are left false and are filled in by
+// evaluateDerived.
+func (c *Checker) baseTruth(tb *tableau, s kripke.State, placeholders map[string]kripke.BitSet) []bool {
+	truth := make([]bool, len(tb.closure))
+	for idx, f := range tb.closure {
+		switch node := f.(type) {
+		case *logic.Const:
+			truth[idx] = node.Value
+		case *logic.Atom:
+			if sat, ok := placeholders[node.Name]; ok {
+				truth[idx] = sat.Get(int(s))
+			} else {
+				truth[idx] = c.m.Holds(s, kripke.P(node.Name))
+			}
+		case *logic.InstAtom:
+			truth[idx] = c.m.Holds(s, kripke.PI(node.Prop, node.Index))
+		case *logic.One:
+			truth[idx] = c.m.ExactlyOne(s, node.Prop)
+		}
+	}
+	return truth
+}
+
+// evaluateDerived fills in the truth values of boolean nodes bottom-up given
+// the leaf and elementary (U, X) values, and checks local consistency of the
+// until expansion (h ∈ K ⇒ gUh ∈ K, and gUh ∈ K ∧ h ∉ K ⇒ g ∈ K).  It
+// reports whether the assignment is locally consistent.
+func (tb *tableau) evaluateDerived(truth []bool) bool {
+	for idx, f := range tb.closure {
+		kids := tb.children[idx]
+		switch f.(type) {
+		case *logic.Not:
+			truth[idx] = !truth[kids[0]]
+		case *logic.And:
+			v := true
+			for _, k := range kids {
+				v = v && truth[k]
+			}
+			truth[idx] = v
+		case *logic.Or:
+			v := false
+			for _, k := range kids {
+				v = v || truth[k]
+			}
+			truth[idx] = v
+		}
+	}
+	// Local consistency of untils.
+	for _, idx := range tb.untils {
+		kids := tb.children[idx]
+		l, r := truth[kids[0]], truth[kids[1]]
+		u := truth[idx]
+		if r && !u {
+			return false
+		}
+		if u && !r && !l {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeAllowed reports whether the tableau permits an edge from assignment k
+// to assignment kNext: the expansion laws for X and U must hold across the
+// step.
+func (tb *tableau) edgeAllowed(k, kNext []bool) bool {
+	for _, idx := range tb.nexts {
+		child := tb.children[idx][0]
+		if k[idx] != kNext[child] {
+			return false
+		}
+	}
+	for _, idx := range tb.untils {
+		kids := tb.children[idx]
+		l, r := k[kids[0]], k[kids[1]]
+		want := r || (l && kNext[idx])
+		if k[idx] != want {
+			return false
+		}
+	}
+	return true
+}
+
+// selfFulfilling reports whether the SCC given by the node indices comp is
+// self-fulfilling: for every until formula that is asserted in some node of
+// the component, the right-hand side holds in some node of the component.
+func (tb *tableau) selfFulfilling(nodes []tableauNode, comp []int) bool {
+	for _, uIdx := range tb.untils {
+		rIdx := tb.children[uIdx][1]
+		asserted := false
+		fulfilled := false
+		for _, v := range comp {
+			if nodes[v].truth[uIdx] {
+				asserted = true
+			}
+			if nodes[v].truth[rIdx] {
+				fulfilled = true
+			}
+		}
+		if asserted && !fulfilled {
+			return false
+		}
+	}
+	return true
+}
+
+// tableauProduct atomizes the path formula p, builds its tableau and decides
+// it with the scalar reference product or the packed one.  It returns the
+// satisfaction set and the number of nodes the product added to
+// Stats().TableauNodes.
+func tableauProduct(t *testing.T, c *Checker, p logic.Formula, scalar bool) (kripke.BitSet, int) {
 	t.Helper()
 	atomized, placeholders, err := c.atomizePathFormula(logic.Desugar(p))
 	if err != nil {
@@ -29,24 +238,25 @@ func tableauBothEngines(t *testing.T, c *Checker, p logic.Formula) (scalar, pack
 	if err != nil {
 		t.Fatalf("newTableau(%s): %v", p, err)
 	}
-	packed, ok, err := c.runTableauPacked(tb, placeholders)
+	run := c.runTableauPacked
+	if scalar {
+		run = c.runTableau
+	}
+	before := c.Stats().TableauNodes
+	sat, err := run(tb, placeholders)
 	if err != nil {
-		t.Fatalf("runTableauPacked(%s): %v", p, err)
+		t.Fatalf("tableau product (scalar %v) of %s: %v", scalar, p, err)
 	}
-	if !ok {
-		t.Fatalf("runTableauPacked(%s) bowed out; pick a formula inside the packed envelope", p)
-	}
-	scalar, err = c.runTableau(tb, placeholders)
-	if err != nil {
-		t.Fatalf("runTableau(%s): %v", p, err)
-	}
-	return scalar, packed
+	return sat, c.Stats().TableauNodes - before
 }
 
 // TestScalarTableauMatchesPacked: on randomized structures the scalar product
-// agrees with the packed product state-for-state, across untils, nexts,
-// negations, placeholders (embedded E subformulas), instantiated indexed
-// atoms and "exactly one" atoms.
+// agrees with the packed product state-for-state and builds as many nodes,
+// across untils, nexts, negations, placeholders (embedded E subformulas),
+// instantiated indexed atoms and "exactly one" atoms.  The battery includes
+// a closure of 85 entries (two-word assignments), 11 and 20 temporal
+// operators, an assignment table of more than 1,024 entries, and an
+// X (g U h) whose demand on the successor contradicts the until's own.
 func TestScalarTableauMatchesPacked(t *testing.T) {
 	p, q, rr := logic.Prop("p"), logic.Prop("q"), logic.Prop("r")
 	formulas := []logic.Formula{
@@ -59,23 +269,51 @@ func TestScalarTableauMatchesPacked(t *testing.T) {
 			logic.Next(logic.Conj(p, logic.EG(q))),
 		),
 		logic.Until(logic.InstProp("t", 0), logic.Disj(q, logic.ExactlyOne("t"))),
+		logic.MustParse("p & !(p U q) & X (p U q)"),
+		chainFormula(40),
+		logic.Conj(chainFormula(40), logic.Until(p, rr)),
+		logic.Conj(nestEventually(10, q), logic.Next(p)),
 	}
-	r := rand.New(rand.NewSource(515151))
-	for iter := 0; iter < 8; iter++ {
-		m := randomStructure(r, 2+r.Intn(30))
+	compare := func(iter int, m *kripke.Structure, f logic.Formula) {
+		t.Helper()
+		// The scalar product is sequential, so one run serves every worker
+		// count.
+		scalar, scalarNodes := tableauProduct(t, New(m), f, true)
 		for _, workers := range vectorWorkerCounts {
-			c := New(m).SetWorkers(workers)
-			for _, f := range formulas {
-				scalar, packed := tableauBothEngines(t, c, f)
-				for s := 0; s < m.NumStates(); s++ {
-					if scalar.Get(s) != packed.Get(s) {
-						t.Fatalf("iter %d workers %d formula %s: scalar and packed disagree at state %d (scalar %v, packed %v)",
-							iter, workers, f, s, scalar.Get(s), packed.Get(s))
-					}
+			packed, packedNodes := tableauProduct(t, New(m).SetWorkers(workers), f, false)
+			if packedNodes != scalarNodes {
+				t.Fatalf("iter %d workers %d formula %s: scalar product built %d nodes, packed %d",
+					iter, workers, f, scalarNodes, packedNodes)
+			}
+			for s := 0; s < m.NumStates(); s++ {
+				if scalar.Get(s) != packed.Get(s) {
+					t.Fatalf("iter %d workers %d formula %s: scalar and packed disagree at state %d (scalar %v, packed %v)",
+						iter, workers, f, s, scalar.Get(s), packed.Get(s))
 				}
 			}
 		}
 	}
+	r := rand.New(rand.NewSource(515151))
+	for iter := 0; iter < 8; iter++ {
+		m := randomStructure(r, 2+r.Intn(30))
+		for _, f := range formulas {
+			compare(iter, m, f)
+		}
+	}
+
+	// Eight independent nexts give 256 assignments per leaf signature, so
+	// five or more labels make a table of over 1,024.  Twenty operators
+	// enumerate 2^20 masks per signature, so that structure stays tiny.
+	var nexts []logic.Formula
+	for _, f := range []logic.Formula{p, q, rr, logic.Next(p), logic.Next(q), logic.Next(rr), logic.Next(logic.Next(p)), logic.Next(logic.Next(q))} {
+		nexts = append(nexts, logic.Next(f))
+	}
+	wide := randomStructure(r, 24)
+	if wide.NumLabels() < 5 {
+		t.Fatalf("structure has %d labels, want at least 5 for a table over 1,024 assignments", wide.NumLabels())
+	}
+	compare(8, wide, logic.Conj(nexts...))
+	compare(9, randomStructure(r, 1), logic.Conj(nestEventually(19, q), logic.Next(p)))
 }
 
 // nestEventually wraps f in n F operators; each desugars to an until, so the
@@ -88,9 +326,8 @@ func nestEventually(n int, f logic.Formula) logic.Formula {
 	return f
 }
 
-// TestScalarFallbackWideFormula: a path formula with more than 10 temporal
-// operators is outside the packed envelope, so Holds routes it through the
-// scalar tableau end to end.  F^11 q and (X p) ∨ F^10 q collapse to EF q and
+// TestScalarFallbackWideFormula: path formulas with 11 temporal operators,
+// decided end to end.  F^11 q and (X p) ∨ F^10 q collapse to EF q and
 // EX p ∨ EF q respectively, giving CTL oracles for the answer.
 func TestScalarFallbackWideFormula(t *testing.T) {
 	p, q := logic.Prop("p"), logic.Prop("q")
@@ -113,7 +350,7 @@ func TestScalarFallbackWideFormula(t *testing.T) {
 	}
 	for s := 0; s < m.NumStates(); s++ {
 		if wide.Get(s) != efq.Get(s) {
-			t.Fatalf("E F^11 q disagrees with EF q at state %d (scalar %v, oracle %v)", s, wide.Get(s), efq.Get(s))
+			t.Fatalf("E F^11 q disagrees with EF q at state %d (tableau %v, oracle %v)", s, wide.Get(s), efq.Get(s))
 		}
 	}
 
@@ -124,13 +361,13 @@ func TestScalarFallbackWideFormula(t *testing.T) {
 	for s := 0; s < m.NumStates(); s++ {
 		want := exp.Get(s) || efq.Get(s)
 		if mixed.Get(s) != want {
-			t.Fatalf("E ((X p) | F^10 q) disagrees with EX p ∨ EF q at state %d (scalar %v, oracle %v)", s, mixed.Get(s), want)
+			t.Fatalf("E ((X p) | F^10 q) disagrees with EX p ∨ EF q at state %d (tableau %v, oracle %v)", s, mixed.Get(s), want)
 		}
 	}
 }
 
-// TestScalarTableauOperatorLimit: past 20 temporal operators the scalar
-// tableau refuses rather than enumerating 2^21 assignments per state.
+// TestScalarTableauOperatorLimit: past 20 temporal operators the tableau
+// refuses rather than enumerating 2^21 assignments per state.
 func TestScalarTableauOperatorLimit(t *testing.T) {
 	r := rand.New(rand.NewSource(535353))
 	c := New(randomStructure(r, 4))
