@@ -3,214 +3,58 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/bisim"
 	"repro/internal/kripke"
-	"repro/internal/logic"
 	"repro/internal/ring"
 )
 
-// testFamily is a function-based Family: build constructs M_n (a nil
-// build makes every instance fail), in is the IN relation and ones the
-// "exactly one" atoms.
-type testFamily struct {
-	name  string
-	build func(n int) (*kripke.Structure, error)
-	in    func(small, n int) []bisim.IndexPair
-	ones  []string
+// ringName and ringOneProps name the token ring of Section 5 and its
+// "exactly one" atoms, the family the certificates below are for.
+const ringName = "token-ring"
+
+var ringOneProps = []string{ring.PropToken}
+
+// ringInstance builds the ring M_n.
+func ringInstance(n int) (*kripke.Structure, error) {
+	inst, err := ring.Build(n)
+	if err != nil {
+		return nil, err
+	}
+	return inst.M, nil
 }
 
-func (f *testFamily) Name() string { return f.name }
-
-func (f *testFamily) Instance(n int) (*kripke.Structure, error) {
-	if f.build == nil {
-		return nil, fmt.Errorf("family %s has no instance builder", f.name)
+// buildRingCertificate decides the ring's cutoff correspondence between
+// M_small and M_large pair by pair and packages it as a certificate.
+func buildRingCertificate(small, large int) (*TransferCertificate, error) {
+	sm, err := ringInstance(small)
+	if err != nil {
+		return nil, err
 	}
-	return f.build(n)
+	lg, err := ringInstance(large)
+	if err != nil {
+		return nil, err
+	}
+	in := ring.CutoffIndexRelation(small, large)
+	res, err := bisim.IndexedCompute(context.Background(), sm, lg, in, bisim.Options{OneProps: ringOneProps, ReachableOnly: true})
+	if err != nil {
+		return nil, err
+	}
+	return CertificateFrom(ringName, small, large, ringOneProps, in, res)
 }
 
-func (f *testFamily) IndexRelation(small, n int) []bisim.IndexPair { return f.in(small, n) }
-
-func (f *testFamily) OneProps() []string { return f.ones }
-
-// ringFamily adapts the token ring of Section 5 to the core.Family
-// interface.
-func ringFamily() Family {
-	return &testFamily{
-		name: "token-ring",
-		build: func(n int) (*kripke.Structure, error) {
-			inst, err := ring.Build(n)
-			if err != nil {
-				return nil, err
-			}
-			return inst.M, nil
-		},
-		in:   ring.CutoffIndexRelation,
-		ones: []string{ring.PropToken},
-	}
-}
-
-func ringSpecs() []Spec {
-	var specs []Spec
-	for _, nf := range ring.Properties() {
-		specs = append(specs, Spec{Name: nf.Name, Formula: nf.Formula})
-	}
-	return specs
-}
-
-func TestVerifierRunsThePaperWorkflowFromTheCutoff(t *testing.T) {
-	v, err := NewVerifier(ringFamily(), Options{
-		SmallSize:           ring.CutoffSize,
-		CorrespondenceSizes: []int{4, 5},
-	})
-	if err != nil {
-		t.Fatalf("NewVerifier: %v", err)
-	}
-	report, err := v.Run(context.Background(), ringSpecs())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !report.AllHold() {
-		t.Error("all four Section 5 properties should hold on the cutoff instance")
-	}
-	for _, res := range report.Results {
-		if !res.Transferable {
-			t.Errorf("property %s should be transferable: %v", res.Spec.Name, res.RestrictionIssues)
-		}
-	}
-	if got := report.VerifiedSizes(); len(got) != 2 || got[0] != 4 || got[1] != 5 {
-		t.Errorf("VerifiedSizes = %v, want [4 5]", got)
-	}
-	if report.SmallStates != ring.ExpectedReachable(ring.CutoffSize) {
-		t.Errorf("SmallStates = %d", report.SmallStates)
-	}
-	summary := report.Summary()
-	for _, want := range []string{"token-ring", "holds", "transfers by Theorem 5", "correspond"} {
-		if !strings.Contains(summary, want) {
-			t.Errorf("Summary missing %q:\n%s", want, summary)
-		}
-	}
-}
-
-func TestVerifierDetectsTheTwoProcessCutoffFailure(t *testing.T) {
-	v, err := NewVerifier(ringFamily(), Options{
-		SmallSize:           2,
-		CorrespondenceSizes: []int{3, 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := append(ringSpecs(), Spec{Name: "distinguishing", Formula: ring.DistinguishingFormula()})
-	report, err := v.Run(context.Background(), specs)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, c := range report.Correspondence {
-		if c.Corresponds {
-			t.Errorf("M_2 must not correspond to M_%d", c.Size)
-		}
-	}
-	if got := report.VerifiedSizes(); len(got) != 0 {
-		t.Errorf("VerifiedSizes = %v, want none", got)
-	}
-	// The distinguishing formula fails on M_2 even though it is restricted —
-	// which is exactly why nothing can be concluded about larger rings from
-	// the two-process instance.
-	var dist *Result
-	for i := range report.Results {
-		if report.Results[i].Spec.Name == "distinguishing" {
-			dist = &report.Results[i]
-		}
-	}
-	if dist == nil {
-		t.Fatal("missing result for the distinguishing formula")
-	}
-	if dist.HoldsSmall {
-		t.Error("the distinguishing formula must fail on M_2")
-	}
-	if !dist.Transferable {
-		t.Error("the distinguishing formula is in the restricted fragment")
-	}
-	if !strings.Contains(report.Summary(), "DO NOT correspond") {
-		t.Errorf("summary should flag the failed correspondence:\n%s", report.Summary())
-	}
-}
-
-func TestVerifierRejectsUnrestrictedSpecs(t *testing.T) {
-	v, err := NewVerifier(ringFamily(), Options{SmallSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := v.Run(context.Background(), []Spec{{Name: "nexttime", Formula: logic.MustParse("forall i . AG (AX t[i])")}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	res := report.Results[0]
-	if res.Transferable {
-		t.Error("a formula with nexttime must not be marked transferable")
-	}
-	if len(res.RestrictionIssues) == 0 {
-		t.Error("restriction issues should be reported")
-	}
-
-	// With the check disabled the formula is treated as transferable (the
-	// caller takes responsibility).
-	v2, err := NewVerifier(ringFamily(), Options{SmallSize: 2, SkipRestrictionCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report2, err := v2.Run(context.Background(), []Spec{{Name: "nexttime", Formula: logic.MustParse("forall i . AG (AX t[i])")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report2.Results[0].Transferable {
-		t.Error("SkipRestrictionCheck should mark the spec transferable")
-	}
-}
-
-func TestVerifierErrors(t *testing.T) {
-	if _, err := NewVerifier(nil, Options{}); err == nil {
-		t.Error("nil family should be rejected")
-	}
-	v, err := NewVerifier(ringFamily(), Options{SmallSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Run(context.Background(), []Spec{{Name: "empty"}}); err == nil {
-		t.Error("spec without formula should be rejected")
-	}
-	if _, err := v.Run(context.Background(), []Spec{{Name: "free-var", Formula: logic.MustParse("d[i]")}}); err == nil {
-		t.Error("formula with a free index variable should be rejected by the checker")
-	}
-	// A family whose builder fails propagates the error.
-	broken := &testFamily{name: "broken"}
-	vb, err := NewVerifier(broken, Options{SmallSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vb.Run(context.Background(), ringSpecs()); err == nil {
-		t.Error("family without a builder should fail")
-	}
-	// Oversized correspondence instance propagates the builder's refusal.
-	vc, err := NewVerifier(ringFamily(), Options{SmallSize: 3, CorrespondenceSizes: []int{50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vc.Run(context.Background(), ringSpecs()); err == nil {
-		t.Error("an instance beyond the explicit limit should fail loudly")
-	}
+// validateRing validates c as a certificate of the ring family.
+func validateRing(c *TransferCertificate) error {
+	return c.Validate(ringName, ringOneProps, ring.CutoffIndexRelation(c.SmallSize, c.LargeSize), ringInstance)
 }
 
 func TestTransferCertificateRoundTrip(t *testing.T) {
-	family := ringFamily()
-	cert, err := BuildCertificate(context.Background(), family, ring.CutoffSize, 4)
+	cert, err := buildRingCertificate(ring.CutoffSize, 4)
 	if err != nil {
-		t.Fatalf("BuildCertificate: %v", err)
+		t.Fatalf("buildRingCertificate: %v", err)
 	}
-	if err := cert.Validate(family); err != nil {
+	if err := validateRing(cert); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	// The certificate survives JSON serialisation.
@@ -222,7 +66,7 @@ func TestTransferCertificateRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if err := decoded.Validate(family); err != nil {
+	if err := validateRing(&decoded); err != nil {
 		t.Fatalf("decoded certificate fails validation: %v", err)
 	}
 	// Corrupting a relation makes validation fail.
@@ -232,12 +76,12 @@ func TestTransferCertificateRoundTrip(t *testing.T) {
 	rel := decoded.Pairs[0].Relation
 	pairs := rel.Pairs()
 	rel.Remove(pairs[0].S, pairs[0].T)
-	if err := decoded.Validate(family); err == nil {
+	if err := validateRing(&decoded); err == nil {
 		t.Error("corrupted certificate should fail validation")
 	}
 	// No certificate exists between M_2 and larger rings.
-	if _, err := BuildCertificate(context.Background(), family, 2, 4); err == nil {
-		t.Error("BuildCertificate must refuse the non-corresponding pair (2,4)")
+	if _, err := buildRingCertificate(2, 4); err == nil {
+		t.Error("CertificateFrom must refuse the non-corresponding pair (2,4)")
 	}
 }
 
@@ -246,7 +90,6 @@ func TestTransferCertificateRoundTrip(t *testing.T) {
 // order, before its relations are checked; otherwise a certificate with
 // fewer (or no) pairs would validate without certifying anything.
 func TestValidateRejectsHollowCertificates(t *testing.T) {
-	family := ringFamily()
 	for name, hollow := range map[string]func(*TransferCertificate){
 		"empty pairs":       func(c *TransferCertificate) { c.Pairs = []CertifiedIndexPair{} },
 		"no pairs":          func(c *TransferCertificate) { c.Pairs = nil },
@@ -259,11 +102,11 @@ func TestValidateRejectsHollowCertificates(t *testing.T) {
 		"null relation": func(c *TransferCertificate) { c.Pairs[0].Relation = nil },
 	} {
 		t.Run(name, func(t *testing.T) {
-			cert, err := BuildCertificate(context.Background(), family, ring.CutoffSize, 5)
+			cert, err := buildRingCertificate(ring.CutoffSize, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := cert.Validate(family); err != nil {
+			if err := validateRing(cert); err != nil {
 				t.Fatalf("intact certificate: %v", err)
 			}
 			hollow(cert)
@@ -276,7 +119,7 @@ func TestValidateRejectsHollowCertificates(t *testing.T) {
 			if err := json.Unmarshal(data, &decoded); err != nil {
 				t.Fatal(err)
 			}
-			if err := decoded.Validate(family); err == nil {
+			if err := validateRing(&decoded); err == nil {
 				t.Errorf("hollow certificate validated: family %q, one_props %v, %d pairs",
 					decoded.Family, decoded.OneProps, len(decoded.Pairs))
 			}

@@ -360,7 +360,7 @@ func CorrespondenceCutoff(ctx context.Context, maxR int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := family.DecideBuilt(ctx, rg, smallM, small, largeM, r, smallAction, largeAction)
+			res, err := family.DecideBuilt(ctx, rg, smallM, small, largeM, r, smallAction, largeAction, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -493,7 +493,7 @@ func StateExplosion(ctx context.Context, maxR int) (*Table, error) {
 		corrCell := "n/a (cutoff not reached)"
 		if r >= ring.CutoffSize {
 			corrStart := time.Now()
-			res, err := family.DecideBuilt(ctx, rg, cutoff, ring.CutoffSize, m, r, cutoffAction, action)
+			res, err := family.DecideBuilt(ctx, rg, cutoff, ring.CutoffSize, m, r, cutoffAction, action, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bisim"
 	"repro/internal/explore"
 	"repro/internal/family"
 	"repro/internal/kripke"
@@ -180,12 +179,8 @@ func (r Runner) decideRow(ctx context.Context, topo family.Topology, small *krip
 	row.BuildElapsed = time.Since(buildStart)
 	// The inner index-pair pool inherits the runner's cap, so
 	// -workers bounds the total concurrency of a sweep.
-	opts := family.CorrespondOptions(topo)
-	opts.Workers = r.Workers
-	opts.LeftAction, opts.RightAction = smallAction, largeAction
 	decideStart := time.Now()
-	res, err := bisim.IndexedCompute(ctx, small, large,
-		topo.IndexRelation(topo.CutoffSize(), size), opts)
+	res, err := family.DecideBuilt(ctx, topo, small, topo.CutoffSize(), large, size, smallAction, largeAction, r.Workers)
 	row.DecideElapsed = time.Since(decideStart)
 	if err != nil {
 		row.Err = err
@@ -268,7 +263,7 @@ func CrossTopology(ctx context.Context, reach int) (*Table, error) {
 				return nil, fmt.Errorf("experiments: E10: %s n=%d: %w", topo.Name(), n, err)
 			}
 			start := time.Now()
-			res, err := family.DecideBuilt(ctx, topo, smallM, small, largeM, n, nil, nil)
+			res, err := family.DecideBuilt(ctx, topo, smallM, small, largeM, n, nil, nil, 0)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: E10: %s %d~%d: %w", topo.Name(), small, n, err)
 			}

@@ -103,7 +103,7 @@ func DecideCorrespondence(ctx context.Context, t Topology, small, large int) (*b
 	if err != nil {
 		return nil, fmt.Errorf("family: %s: building large instance: %w", t.Name(), err)
 	}
-	return DecideBuilt(ctx, t, sm, small, lg, large, nil, nil)
+	return DecideBuilt(ctx, t, sm, small, lg, large, nil, nil, 0)
 }
 
 // DecideBuilt decides the indexed correspondence between two already-built
@@ -113,7 +113,9 @@ func DecideCorrespondence(ctx context.Context, t Topology, small, large int) (*b
 // on exactly those instances (see PackedInstance.IndexAction); with both,
 // IndexedCompute decides one index pair per orbit class and transports
 // its relation to the rest, with results identical to deciding every pair.
-func DecideBuilt(ctx context.Context, t Topology, small *kripke.Structure, smallN int, large *kripke.Structure, largeN int, smallAction, largeAction *kripke.IndexAction) (*bisim.IndexedResult, error) {
+// workers caps the index-pair pool (bisim.Options.Workers; zero or
+// negative: one worker per CPU); the result is the same at every count.
+func DecideBuilt(ctx context.Context, t Topology, small *kripke.Structure, smallN int, large *kripke.Structure, largeN int, smallAction, largeAction *kripke.IndexAction, workers int) (*bisim.IndexedResult, error) {
 	if err := t.ValidSize(smallN); err != nil {
 		return nil, fmt.Errorf("family: %s: small size %d: %w", t.Name(), smallN, err)
 	}
@@ -122,6 +124,7 @@ func DecideBuilt(ctx context.Context, t Topology, small *kripke.Structure, small
 	}
 	opts := CorrespondOptions(t)
 	opts.LeftAction, opts.RightAction = smallAction, largeAction
+	opts.Workers = workers
 	return bisim.IndexedCompute(ctx, small, large, t.IndexRelation(smallN, largeN), opts)
 }
 

@@ -54,7 +54,7 @@ func TestMutationHarness(t *testing.T) {
 				if err != nil {
 					t.Fatalf("building mutated instance: %v", err)
 				}
-				res, err := DecideBuilt(ctx, base, correct, small, broken, large, nil, nil)
+				res, err := DecideBuilt(ctx, base, correct, small, broken, large, nil, nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -142,12 +142,12 @@ func TestOrbitPairsMatchPerPairCompute(t *testing.T) {
 	for _, tc := range cases {
 		in := tc.topo.IndexRelation(tc.small, tc.large)
 		before := bisim.ComputeCalls()
-		want, err := DecideBuilt(ctx, tc.topo, tc.sm, tc.small, tc.lg, tc.large, nil, nil)
+		want, err := DecideBuilt(ctx, tc.topo, tc.sm, tc.small, tc.lg, tc.large, nil, nil, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		mid := bisim.ComputeCalls()
-		got, err := DecideBuilt(ctx, tc.topo, tc.sm, tc.small, tc.lg, tc.large, tc.smAct, tc.lgAct)
+		got, err := DecideBuilt(ctx, tc.topo, tc.sm, tc.small, tc.lg, tc.large, tc.smAct, tc.lgAct, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

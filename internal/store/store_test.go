@@ -439,7 +439,7 @@ func TestRecordIndexedDeterministic(t *testing.T) {
 				}
 			}
 		}
-		res, err := family.DecideBuilt(ctx, family.Ring(), ms[0], 3, ms[1], 8, actions[0], actions[1])
+		res, err := family.DecideBuilt(ctx, family.Ring(), ms[0], 3, ms[1], 8, actions[0], actions[1], 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,11 +12,7 @@ import (
 // topology's (small, large) correspondence passes to IndexedCompute, nil
 // for an instance that has none.
 func SessionIndexActions(ctx context.Context, s *Session, topo Topology, small, large int) (left, right *kripke.IndexAction, err error) {
-	sm, err := s.topologyInstance(ctx, topo.t, small)
-	if err != nil {
-		return nil, nil, err
-	}
-	lg, err := s.topologyInstance(ctx, topo.t, large)
+	sm, lg, err := s.instancePair(ctx, topo.t, small, large)
 	if err != nil {
 		return nil, nil, err
 	}

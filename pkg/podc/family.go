@@ -4,11 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/bisim"
 	"repro/internal/core"
 	"repro/internal/kripke"
+	"repro/internal/mc"
 )
 
 // Family describes a parameterized family of networks {M_n} of identical
@@ -69,27 +73,36 @@ func (f *FamilyFunc) IndexRelation(small, n int) []IndexPair {
 // Atoms implements Family.
 func (f *FamilyFunc) Atoms() []string { return f.AtomNames }
 
-// coreFamily adapts a public Family to the internal core.Family interface.
-type coreFamily struct{ f Family }
-
-func (a coreFamily) Name() string { return a.f.Name() }
-
-func (a coreFamily) Instance(n int) (*kripke.Structure, error) {
-	m, err := a.f.Build(n)
+// familyInstance builds f's instance M_n.  A user's Build is input from
+// outside the library, so a nil instance is an error, not a later panic.
+func familyInstance(f Family, n int) (*kripke.Structure, error) {
+	m, err := f.Build(n)
 	if err != nil {
 		return nil, err
 	}
 	if m == nil {
-		return nil, fmt.Errorf("podc: family %s built a nil instance for n=%d", a.f.Name(), n)
+		return nil, fmt.Errorf("podc: family %s built a nil instance for n=%d", f.Name(), n)
 	}
 	return m.raw(), nil
 }
 
-func (a coreFamily) IndexRelation(small, n int) []bisim.IndexPair {
-	return indexPairsToRaw(a.f.IndexRelation(small, n))
+// decideFamily builds f's instance M_largeSize and decides its indexed
+// correspondence with small, f's instance M_smallSize, over f's index
+// relation, which it returns with the result.  A Family supplies no index
+// actions, so every index pair is decided on its own.
+func decideFamily(ctx context.Context, f Family, small *kripke.Structure, smallSize, largeSize, workers int) ([]bisim.IndexPair, *bisim.IndexedResult, error) {
+	large, err := familyInstance(f, largeSize)
+	if err != nil {
+		return nil, nil, fmt.Errorf("building instance %d of %s: %w", largeSize, f.Name(), err)
+	}
+	in := indexPairsToRaw(f.IndexRelation(smallSize, largeSize))
+	res, err := bisim.IndexedCompute(ctx, small, large, in,
+		bisim.Options{OneProps: f.Atoms(), ReachableOnly: true, Workers: workers})
+	if err != nil {
+		return nil, nil, fmt.Errorf("correspondence %d vs %d of %s: %w", smallSize, largeSize, f.Name(), err)
+	}
+	return in, res, nil
 }
-
-func (a coreFamily) OneProps() []string { return a.f.Atoms() }
 
 // Spec is a named specification to verify for a family.
 type Spec struct {
@@ -123,7 +136,11 @@ type SizeVerdict struct {
 
 // FamilyReport is the outcome of VerifyFamily.
 type FamilyReport struct {
-	rep *core.Report
+	family                        string
+	smallSize                     int
+	smallStates, smallTransitions int
+	results                       []SpecResult
+	sizes                         []SizeVerdict
 }
 
 // VerifyFamily runs the paper's three-step methodology for one family:
@@ -138,71 +155,121 @@ func VerifyFamily(ctx context.Context, f Family, specs []Spec, opts ...Option) (
 		return nil, fmt.Errorf("podc: VerifyFamily: nil family")
 	}
 	cfg := buildConfig(opts)
-	coreSpecs := make([]core.Spec, len(specs))
 	//lint:ctxloop spec validation only, bounded by the caller's spec list
-	for i, s := range specs {
+	for _, s := range specs {
 		if !s.Formula.IsValid() {
 			return nil, fmt.Errorf("podc: VerifyFamily: specification %q has no formula", s.Name)
 		}
-		coreSpecs[i] = core.Spec{Name: s.Name, Formula: s.Formula.raw()}
 	}
-	v, err := core.NewVerifier(coreFamily{f: f}, core.Options{
-		SmallSize:            cfg.smallSize,
-		CorrespondenceSizes:  cfg.correspondenceSizes,
-		SkipRestrictionCheck: cfg.skipRestrictionCheck,
-	})
+	smallSize := cfg.smallSize
+	if smallSize <= 0 {
+		smallSize = 2
+	}
+	small, err := familyInstance(f, smallSize)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("podc: VerifyFamily: building small instance of %s: %w", f.Name(), err)
 	}
-	rep, err := v.Run(ctx, coreSpecs)
-	if err != nil {
-		return nil, err
+	r := &FamilyReport{
+		family:           f.Name(),
+		smallSize:        smallSize,
+		smallStates:      small.NumStates(),
+		smallTransitions: small.NumTransitions(),
+		results:          make([]SpecResult, 0, len(specs)),
+		sizes:            make([]SizeVerdict, 0, len(cfg.correspondenceSizes)),
 	}
-	return &FamilyReport{rep: rep}, nil
+
+	checker := mc.New(small)
+	for _, s := range specs {
+		res := SpecResult{Name: s.Name, Transferable: true}
+		if !cfg.skipRestrictionCheck {
+			res.RestrictionIssues = s.Formula.RestrictionIssues()
+			res.Transferable = len(res.RestrictionIssues) == 0
+		}
+		if res.Holds, err = checker.Holds(ctx, s.Formula.raw()); err != nil {
+			return nil, fmt.Errorf("podc: VerifyFamily: checking %q on %s (n=%d): %w", s.Name, f.Name(), smallSize, err)
+		}
+		r.results = append(r.results, res)
+	}
+
+	for _, size := range cfg.correspondenceSizes {
+		start := time.Now()
+		in, res, err := decideFamily(ctx, f, small, smallSize, size, cfg.workers)
+		if err != nil {
+			return nil, fmt.Errorf("podc: VerifyFamily: %w", err)
+		}
+		r.sizes = append(r.sizes, SizeVerdict{
+			Size:        size,
+			Corresponds: res.Corresponds(),
+			IndexPairs:  len(in),
+			MaxDegree:   res.MaxDegree(),
+			Elapsed:     time.Since(start),
+		})
+	}
+	return r, nil
 }
 
 // Summary renders the report as human-readable text.
-func (r *FamilyReport) Summary() string { return r.rep.Summary() }
+func (r *FamilyReport) Summary() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "family %s: small instance n=%d (%d states, %d transitions)\n",
+		r.family, r.smallSize, r.smallStates, r.smallTransitions)
+	for _, res := range r.results {
+		status := "FAILS"
+		if res.Holds {
+			status = "holds"
+		}
+		transfer := "transfers by Theorem 5"
+		if !res.Transferable {
+			transfer = "NOT transferable (outside restricted ICTL*)"
+		}
+		fmt.Fprintf(&b, "  spec %-30s %s on M_%d; %s\n", res.Name, status, r.smallSize, transfer)
+	}
+	for _, c := range r.sizes {
+		status := "correspond"
+		if !c.Corresponds {
+			status = "DO NOT correspond"
+		}
+		fmt.Fprintf(&b, "  M_%d and M_%d %s (%d index pairs, max degree %d, %v)\n",
+			r.smallSize, c.Size, status, c.IndexPairs, c.MaxDegree, c.Elapsed.Round(time.Millisecond))
+	}
+	if sizes := r.VerifiedSizes(); len(sizes) > 0 && r.AllHold() {
+		fmt.Fprintf(&b, "  => every transferable spec above holds for sizes %v as well\n", sizes)
+	}
+	return b.String()
+}
 
 // AllHold reports whether every specification holds on the small instance.
-func (r *FamilyReport) AllHold() bool { return r.rep.AllHold() }
+func (r *FamilyReport) AllHold() bool {
+	for _, res := range r.results {
+		if !res.Holds {
+			return false
+		}
+	}
+	return len(r.results) > 0
+}
 
 // VerifiedSizes returns the sizes for which every transferable
 // specification that holds on the small instance is guaranteed by Theorem 5
 // to hold as well.
-func (r *FamilyReport) VerifiedSizes() []int { return r.rep.VerifiedSizes() }
+func (r *FamilyReport) VerifiedSizes() []int {
+	var out []int
+	for _, c := range r.sizes {
+		if c.Corresponds {
+			out = append(out, c.Size)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
 
 // SmallSize returns the size of the exhaustively checked instance.
-func (r *FamilyReport) SmallSize() int { return r.rep.SmallSize }
+func (r *FamilyReport) SmallSize() int { return r.smallSize }
 
 // Results returns the per-specification verdicts on the small instance.
-func (r *FamilyReport) Results() []SpecResult {
-	out := make([]SpecResult, len(r.rep.Results))
-	for i, res := range r.rep.Results {
-		out[i] = SpecResult{
-			Name:              res.Spec.Name,
-			Holds:             res.HoldsSmall,
-			Transferable:      res.Transferable,
-			RestrictionIssues: res.RestrictionIssues,
-		}
-	}
-	return out
-}
+func (r *FamilyReport) Results() []SpecResult { return slices.Clone(r.results) }
 
 // Correspondences returns the per-size correspondence verdicts.
-func (r *FamilyReport) Correspondences() []SizeVerdict {
-	out := make([]SizeVerdict, len(r.rep.Correspondence))
-	for i, c := range r.rep.Correspondence {
-		out[i] = SizeVerdict{
-			Size:        c.Size,
-			Corresponds: c.Corresponds,
-			IndexPairs:  c.IndexPairs,
-			MaxDegree:   c.MaxDegree,
-			Elapsed:     c.Elapsed,
-		}
-	}
-	return out
-}
+func (r *FamilyReport) Correspondences() []SizeVerdict { return slices.Clone(r.sizes) }
 
 // TransferCertificate is a portable, serialisable record of why a result
 // transfers from a small instance to a large one: the per-index-pair
@@ -221,7 +288,15 @@ func BuildTransferCertificate(ctx context.Context, f Family, smallSize, largeSiz
 	if f == nil {
 		return nil, fmt.Errorf("podc: BuildTransferCertificate: nil family")
 	}
-	cert, err := core.BuildCertificate(ctx, coreFamily{f: f}, smallSize, largeSize)
+	small, err := familyInstance(f, smallSize)
+	if err != nil {
+		return nil, err
+	}
+	in, res, err := decideFamily(ctx, f, small, smallSize, largeSize, 0)
+	if err != nil {
+		return nil, err
+	}
+	cert, err := core.CertificateFrom(f.Name(), smallSize, largeSize, f.Atoms(), in, res)
 	if err != nil {
 		return nil, err
 	}
@@ -260,5 +335,6 @@ func (c *TransferCertificate) Validate(f Family) error {
 	if f == nil {
 		return fmt.Errorf("podc: TransferCertificate.Validate: nil family")
 	}
-	return c.cert.Validate(coreFamily{f: f})
+	in := indexPairsToRaw(f.IndexRelation(c.cert.SmallSize, c.cert.LargeSize))
+	return c.cert.Validate(f.Name(), f.Atoms(), in, func(n int) (*kripke.Structure, error) { return familyInstance(f, n) })
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bisim"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/explore"
@@ -273,6 +274,16 @@ func (s *Session) buildInstance(ctx context.Context, t family.Topology, n int) (
 	return &instance{m: wrapStructure(m), pi: pi, sp: sp}, nil
 }
 
+// instancePair returns the session's cached instances M_small and M_large
+// of the topology, building them on first use.
+func (s *Session) instancePair(ctx context.Context, t family.Topology, small, large int) (sm, lg *instance, err error) {
+	if sm, err = s.topologyInstance(ctx, t, small); err != nil {
+		return nil, nil, err
+	}
+	lg, err = s.topologyInstance(ctx, t, large)
+	return sm, lg, err
+}
+
 // Correspondence decides (and caches) the topology's canonical indexed
 // correspondence between M_small and M_large.  Concurrent requests for the
 // same (topology, small, large) triple share one computation.  A cold
@@ -298,23 +309,7 @@ func (s *Session) Correspondence(ctx context.Context, topo Topology, small, larg
 				return &IndexedCorrespondence{res: res, in: indexPairsFromRaw(t.IndexRelation(small, large)), restored: true}, nil
 			}
 		}
-		sm, err := s.topologyInstance(ctx, t, small)
-		if err != nil {
-			return nil, err
-		}
-		lg, err := s.topologyInstance(ctx, t, large)
-		if err != nil {
-			return nil, err
-		}
-		smallAction, err := sm.indexAction(ctx)
-		if err != nil {
-			return nil, err
-		}
-		largeAction, err := lg.indexAction(ctx)
-		if err != nil {
-			return nil, err
-		}
-		res, err := family.DecideBuilt(ctx, t, sm.m.raw(), small, lg.m.raw(), large, smallAction, largeAction)
+		res, err := s.decide(ctx, t, small, large)
 		if err != nil {
 			return nil, err
 		}
@@ -325,6 +320,25 @@ func (s *Session) Correspondence(ctx context.Context, topo Topology, small, larg
 		}
 		return &IndexedCorrespondence{res: res, in: indexPairsFromRaw(t.IndexRelation(small, large))}, nil
 	})
+}
+
+// decide decides the topology's (small, large) correspondence on the
+// session's cached instances, passing both instances' index actions and the
+// session's worker cap.
+func (s *Session) decide(ctx context.Context, t family.Topology, small, large int) (*bisim.IndexedResult, error) {
+	sm, lg, err := s.instancePair(ctx, t, small, large)
+	if err != nil {
+		return nil, err
+	}
+	smallAction, err := sm.indexAction(ctx)
+	if err != nil {
+		return nil, err
+	}
+	largeAction, err := lg.indexAction(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return family.DecideBuilt(ctx, t, sm.m.raw(), small, lg.m.raw(), large, smallAction, largeAction, s.cfg.workers)
 }
 
 // CorrespondenceEvidence returns the machine-checked evidence for a failed
@@ -354,11 +368,7 @@ func (s *Session) CorrespondenceEvidence(ctx context.Context, topo Topology, sma
 			return ev, nil
 		}
 	}
-	sm, err := s.topologyInstance(ctx, t, small)
-	if err != nil {
-		return nil, err
-	}
-	lg, err := s.topologyInstance(ctx, t, large)
+	sm, lg, err := s.instancePair(ctx, t, small, large)
 	if err != nil {
 		return nil, err
 	}
@@ -372,23 +382,29 @@ func (s *Session) CorrespondenceEvidence(ctx context.Context, topo Topology, sma
 	return evidenceFromFamily(fev), nil
 }
 
-// sessionFamily adapts a topology to the Family interface with instance
-// builds served from the session cache.
-func (s *Session) sessionFamily(ctx context.Context, t family.Topology) Family {
-	return &FamilyFunc{
-		FamilyName: t.Name(),
-		BuildFunc: func(n int) (*Structure, error) {
-			inst, err := s.topologyInstance(ctx, t, n)
-			if err != nil {
-				return nil, err
-			}
-			return inst.m, nil
-		},
-		Indices: func(small, n int) []IndexPair {
-			return indexPairsFromRaw(t.IndexRelation(small, n))
-		},
-		AtomNames: t.Atoms(),
+// validateCertificate validates cert as the topology's (small, large)
+// certificate against the session's cached instances.
+func (s *Session) validateCertificate(ctx context.Context, t family.Topology, small, large int, cert *TransferCertificate) error {
+	if cert.SmallSize() != small || cert.LargeSize() != large {
+		return fmt.Errorf("podc: certificate is for sizes %d vs %d, not %d vs %d", cert.SmallSize(), cert.LargeSize(), small, large)
 	}
+	return cert.cert.Validate(t.Name(), t.Atoms(), t.IndexRelation(small, large), func(n int) (*kripke.Structure, error) {
+		inst, err := s.topologyInstance(ctx, t, n)
+		if err != nil {
+			return nil, err
+		}
+		return inst.m.raw(), nil
+	})
+}
+
+// topologyCertificate packages res, the topology's decided (small, large)
+// correspondence, as its transfer certificate.
+func topologyCertificate(t family.Topology, small, large int, res *bisim.IndexedResult) (*TransferCertificate, error) {
+	cert, err := core.CertificateFrom(t.Name(), small, large, t.Atoms(), t.IndexRelation(small, large), res)
+	if err != nil {
+		return nil, err
+	}
+	return &TransferCertificate{cert: cert}, nil
 }
 
 // TransferCertificate builds (and caches) the topology's transfer
@@ -413,7 +429,7 @@ func (s *Session) TransferCertificate(ctx context.Context, topo Topology, small,
 			// cached) instances, which is the certificate's whole point —
 			// validation is cheap, the decision procedure is not.
 			if cert, cerr := TransferCertificateFromJSON(raw); cerr == nil {
-				if cert.Validate(s.sessionFamily(ctx, t)) == nil {
+				if s.validateCertificate(ctx, t, small, large, cert) == nil {
 					return cert, nil
 				}
 			}
@@ -422,18 +438,18 @@ func (s *Session) TransferCertificate(ctx context.Context, topo Topology, small,
 		// deciding it a second time.  A correspondence restored from the
 		// store has passed only Restore's structural audit, so its
 		// certificate is validated like a stored one, and the pair is
-		// decided afresh if either fails.
+		// decided afresh on the session's instances if either fails.
 		corr, err := s.Correspondence(ctx, topo, small, large)
 		if err != nil {
 			return nil, err
 		}
-		var cert *TransferCertificate
-		decided, err := core.CertificateFrom(t.Name(), small, large, t.Atoms(), t.IndexRelation(small, large), corr.res)
-		if err == nil {
-			cert = &TransferCertificate{cert: decided}
-		}
-		if corr.restored && (err != nil || cert.Validate(s.sessionFamily(ctx, t)) != nil) {
-			cert, err = BuildTransferCertificate(ctx, s.sessionFamily(ctx, t), small, large)
+		cert, err := topologyCertificate(t, small, large, corr.res)
+		if corr.restored && (err != nil || s.validateCertificate(ctx, t, small, large, cert) != nil) {
+			res, derr := s.decide(ctx, t, small, large)
+			if derr != nil {
+				return nil, derr
+			}
+			cert, err = topologyCertificate(t, small, large, res)
 		}
 		if err != nil {
 			return nil, err

@@ -136,11 +136,7 @@ func (s *Session) replayEvidenceRecord(ctx context.Context, t family.Topology, s
 		return nil, fmt.Errorf("podc: re-parsing stored evidence formula: %w", err)
 	}
 	ev.Formula = f
-	sm, err := s.topologyInstance(ctx, t, small)
-	if err != nil {
-		return nil, err
-	}
-	lg, err := s.topologyInstance(ctx, t, large)
+	sm, lg, err := s.instancePair(ctx, t, small, large)
 	if err != nil {
 		return nil, err
 	}

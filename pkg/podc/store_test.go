@@ -218,7 +218,8 @@ func TestSessionStoreSweepReplay(t *testing.T) {
 // the restored relations without a refinement, and validated first, since
 // those relations passed only Restore's structural audit.  A record whose
 // relations were emptied — re-signed, so only validation can catch it —
-// must not reach the certificate; the pair is decided afresh instead.
+// must not reach the certificate; the pair is decided afresh instead, on
+// the session's instances with one refinement per orbit class.
 func TestSessionCertificateFromStoredCorrespondence(t *testing.T) {
 	ctx := context.Background()
 	want, err := podc.BuildTransferCertificate(ctx, podc.RingTopology().Family(), 3, 5)
@@ -229,6 +230,12 @@ func TestSessionCertificateFromStoredCorrespondence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := podc.RingTopology().IndexRelation(3, 5)
+	left, right, err := podc.SessionIndexActions(ctx, podc.NewSession(), podc.RingTopology(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := orbitClasses(t, in, left, right)
 	for _, tamper := range []bool{false, true} {
 		dir := t.TempDir()
 		if _, err := podc.NewSession(podc.WithStore(dir)).Correspondence(ctx, podc.RingTopology(), 3, 5); err != nil {
@@ -259,8 +266,12 @@ func TestSessionCertificateFromStoredCorrespondence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls := bisim.ComputeCalls() - before; (calls != 0) != tamper {
-			t.Errorf("tampered=%v: %d refinements", tamper, calls)
+		want := 0
+		if tamper {
+			want = classes
+		}
+		if calls := bisim.ComputeCalls() - before; calls != int64(want) {
+			t.Errorf("tampered=%v: %d refinements, want %d", tamper, calls, want)
 		}
 		gotJSON, err := json.Marshal(cert)
 		if err != nil {
@@ -273,9 +284,10 @@ func TestSessionCertificateFromStoredCorrespondence(t *testing.T) {
 }
 
 // TestSessionStoreRejectsHollowCertificate: a stored certificate whose
-// entry is intact (matching payload_sha256) but which certifies nothing —
-// no pairs, or another family's name — fails validation and the pair is
-// decided again instead of the entry being served.
+// entry is intact (matching payload_sha256) but which does not certify the
+// requested pair — no pairs, another family's name, or a valid certificate
+// for other sizes — fails validation and the pair is decided again instead
+// of the entry being served.
 func TestSessionStoreRejectsHollowCertificate(t *testing.T) {
 	ctx := context.Background()
 	ring := podc.RingTopology()
@@ -283,9 +295,18 @@ func TestSessionStoreRejectsHollowCertificate(t *testing.T) {
 		Kind: "certificate", Topology: ring.Name(), Small: 3, Large: 4,
 		Atoms: ring.Atoms(), ReachableOnly: true,
 	}
+	other, err := podc.BuildTransferCertificate(ctx, ring.Family(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherJSON, err := json.Marshal(other)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, payload := range map[string]string{
 		"empty pairs":  `{"family":"ring","small_size":3,"large_size":4,"one_props":["t"],"pairs":[]}`,
 		"wrong family": `{"family":"star","small_size":3,"large_size":4}`,
+		"other sizes":  string(otherJSON),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -313,8 +334,8 @@ func TestSessionStoreRejectsHollowCertificate(t *testing.T) {
 			if err := cert.Validate(ring.Family()); err != nil {
 				t.Fatalf("decided certificate invalid: %v", err)
 			}
-			if cert.FamilyName() != ring.Name() {
-				t.Errorf("certificate family %q, want %q", cert.FamilyName(), ring.Name())
+			if cert.FamilyName() != ring.Name() || cert.SmallSize() != 3 || cert.LargeSize() != 4 {
+				t.Errorf("certificate for %s %d vs %d, want %s 3 vs 4", cert.FamilyName(), cert.SmallSize(), cert.LargeSize(), ring.Name())
 			}
 		})
 	}

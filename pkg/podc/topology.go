@@ -136,19 +136,10 @@ func (t Topology) Specs() []Spec {
 // Family adapts the topology to the Family interface, so VerifyFamily and
 // BuildTransferCertificate work with any topology.
 func (t Topology) Family() Family {
-	topo := t.t
 	return &FamilyFunc{
-		FamilyName: topo.Name(),
-		BuildFunc: func(n int) (*Structure, error) {
-			m, err := topo.Build(n)
-			if err != nil {
-				return nil, err
-			}
-			return wrapStructure(m), nil
-		},
-		Indices: func(small, n int) []IndexPair {
-			return indexPairsFromRaw(topo.IndexRelation(small, n))
-		},
-		AtomNames: topo.Atoms(),
+		FamilyName: t.t.Name(),
+		BuildFunc:  t.Build,
+		Indices:    t.IndexRelation,
+		AtomNames:  t.t.Atoms(),
 	}
 }
