@@ -103,9 +103,6 @@ func newServerMetrics(session *podc.Session, queueDepth, slotsBusy func() int64)
 	reg.CounterFunc("podc_engine_refinements_total",
 		"Process-wide partition-refinement computations (store replays never reach the engine).",
 		bisim.ComputeCalls)
-	reg.CounterFunc("podc_engine_refine_batches_total",
-		"Always 0: the batched parallel splitter drain it counted was deleted; kept until per-request engine counters replace it.",
-		bisim.RefineBatches)
 	return m
 }
 

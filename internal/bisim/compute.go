@@ -109,9 +109,8 @@ func ComputeCalls() int64 { return computeCalls.Load() }
 // RefineBatches always returns 0.  It counted the splitter-queue batches of
 // a batched parallel drain that no longer exists; the refinement engine
 // pops one splitter at a time at every worker count.  It stays only because
-// the benchmark harness and the podc_engine_refine_batches_total metric
-// read it, until per-request engine counters replace the process-global
-// ones.
+// the benchmark harness reads it, until per-request engine counters
+// replace the process-global ones.
 func RefineBatches() int64 { return 0 }
 
 // ComputeFixpoint runs the original nested-fixpoint decision procedure on

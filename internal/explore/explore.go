@@ -35,8 +35,20 @@
 // and per-stripe mutexes guard only the small per-level pending sets, so
 // the hot path costs one hash and a few probes instead of a Go map
 // operation.  A slot is 8 bytes, a hash tag and an id confirmed against
-// the Space's codes, which the table owns.  Each chunk of a level keeps one
-// id stream, in which a code new to the table names its pending entry.
+// the Space's codes, which the table owns.  A stripe is sized exactly, not
+// to a power of two: room at the 62.5% load for its expected share of the
+// declared states plus four standard deviations, so a declared size grows
+// almost no stripe; the tag picks a home slot by multiply-shift, so a
+// stripe that does grow rehashes from the tags alone.
+//
+// Chunks.  A level is split into chunks of at most 1,024 frontier states
+// (fewer on a narrow level, so every worker has several).  Each chunk
+// keeps one id stream, in which a code new to the table names its pending
+// entry, presized from the expected successors per state with 1/8 of slack
+// and doubled when a level outruns it.  A level wider than the last adds
+// chunks instead of regrowing every chunk's stream, so construction
+// allocates about what it keeps: the Space's arrays, the table and one
+// stream per chunk of the widest level.
 package explore
 
 import (
@@ -184,10 +196,16 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 	var rowSegs [][]kripke.State // per chunk past sp.succ's capacity: deduplicated rows
 	var cntSegs [][]int32        // parallel to rowSegs: the row lengths
 
-	// Reusable per-level chunk buffers (grown as levels grow) and the
-	// handles of the pending entries.
+	// Per-level chunk buffers, reused across levels while the rows fit the
+	// Space's arrays, and the handles of the pending entries.  A chunk's
+	// ids are presized at rateEdges raw successors per rateStates states:
+	// the declared Transitions per declared state for the first level, and
+	// for every later one the previous level's successors per state before
+	// deduplication, which follows a level-to-level drift that one global
+	// ratio misses.
 	var chunks []levelChunk
 	var pend []int32
+	rateEdges, rateStates := hintEdges, hintStates
 
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -196,11 +214,8 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		numStates := len(table.codes)
 		levelSize := len(frontier)
 		levelBase := numStates - levelSize
-		numChunks := workers * 4
-		if numChunks > levelSize {
-			numChunks = levelSize
-		}
-		chunkSize := (levelSize + numChunks - 1) / numChunks
+		chunkSize := min(maxChunkStates, (levelSize+4*workers-1)/(4*workers))
+		numChunks := (levelSize + chunkSize - 1) / chunkSize
 		for len(chunks) < numChunks {
 			chunks = append(chunks, levelChunk{})
 		}
@@ -216,8 +231,7 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 			c := &chunks[ci]
 			lo := ci * chunkSize
 			hi := min(lo+chunkSize, levelSize)
-			c.counts = c.counts[:0]
-			c.ids = c.ids[:0]
+			c.reserve(hi-lo, rateEdges, rateStates)
 			var err error
 			for k := lo; k < hi; k++ {
 				select {
@@ -234,6 +248,10 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 						def.Name, levelBase+k, len(c.scratch), maxSuccPerState)
 				}
 				c.counts = append(c.counts, int32(len(c.scratch)))
+				if len(c.scratch) > cap(c.ids)-len(c.ids) {
+					ids := make([]kripke.State, len(c.ids), 2*cap(c.ids)+len(c.scratch))
+					c.ids = ids[:copy(ids, c.ids)]
+				}
 				for j, code := range c.scratch {
 					if id, ok := table.get(code); ok {
 						c.ids = append(c.ids, kripke.State(id))
@@ -251,6 +269,10 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		})
 		if err != nil {
 			return nil, err
+		}
+		rateEdges, rateStates = 0, levelSize
+		for ci := 0; ci < numChunks; ci++ {
+			rateEdges += len(chunks[ci].ids)
 		}
 
 		// Phase B: the canonical renumber pass.  Sort the pending handles by
@@ -306,9 +328,9 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		// successor rows, in frontier order.  While they fit, append them
 		// and their offsets to the Space's arrays and keep the chunk
 		// buffers.  Past the declared capacity, steal the chunk buffers as
-		// the level's segments and hand each chunk a fresh, similarly sized
-		// buffer for the next level: stealing instead of copying halves the
-		// engine's traffic over the transition arrays.
+		// the level's segments, and the next level presizes fresh ones:
+		// stealing instead of copying halves the engine's traffic over the
+		// transition arrays.
 		levelEdges := 0
 		for ci := 0; ci < numChunks; ci++ {
 			levelEdges += len(chunks[ci].ids)
@@ -328,8 +350,7 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 				c := &chunks[ci]
 				rowSegs = append(rowSegs, c.ids)
 				cntSegs = append(cntSegs, c.counts)
-				c.ids = make([]kripke.State, 0, len(c.ids)+len(c.ids)/4)
-				c.counts = make([]int32, 0, len(c.counts)+len(c.counts)/4)
+				c.ids, c.counts = nil, nil
 			}
 		}
 		frontier = table.codes[numStates:]
@@ -360,6 +381,7 @@ func Explore(ctx context.Context, def Def, opts Options) (*Space, error) {
 		}
 		sp.succ, sp.off = succ, off
 	}
+	table.releasePending()
 	return sp, nil
 }
 
@@ -418,6 +440,19 @@ func BuildFromSpace(ctx context.Context, def Def, sp *Space) (*kripke.Structure,
 	return m, nil
 }
 
+// maxChunkStates caps the frontier states of one chunk.  Chunks of a wide
+// level all have this size, so the chunk buffers of a level wider than the
+// last are new chunks, presized once, rather than every chunk's buffers
+// regrown by append, which costs about five times a buffer's final size.
+const maxChunkStates = 1024
+
+// expectedSuccessors returns the id capacity presized for a chunk of
+// states frontier states: rateEdges raw successors per rateStates states,
+// with 1/8 of slack.
+func expectedSuccessors(states, rateEdges, rateStates int) int {
+	return int((int64(states)*int64(rateEdges)*9 + 8*int64(rateStates) - 1) / (8 * int64(rateStates)))
+}
+
 // levelChunk is one contiguous slice of a level's frontier with its
 // per-phase scratch buffers, reused across levels.
 type levelChunk struct {
@@ -428,6 +463,29 @@ type levelChunk struct {
 	// counts, the raw successor count per state, with the new lengths.
 	ids    []kripke.State
 	counts []int32
+}
+
+// reserve empties the chunk's buffers for a level in which it holds states
+// frontier states, and presizes them at rateEdges raw successors per
+// rateStates states.  Phase A doubles ids further when a level's
+// successors outrun the estimate.
+func (c *levelChunk) reserve(states, rateEdges, rateStates int) {
+	c.counts = regrow(c.counts, states, maxChunkStates)
+	c.ids = regrow(c.ids, expectedSuccessors(states, rateEdges, rateStates),
+		expectedSuccessors(maxChunkStates, rateEdges, rateStates))
+}
+
+// regrow returns s emptied if it has room for need elements, and otherwise
+// a new empty buffer of twice s's capacity, or need if more, but no more
+// than full, what a chunk of maxChunkStates states needs.  A chunk whose
+// share of a level widens level after level thus reallocates O(log
+// maxChunkStates) times while the rate holds, and doubling never takes it
+// past a full chunk.
+func regrow[S ~[]E, E any](s S, need, full int) S {
+	if cap(s) >= need {
+		return s[:0]
+	}
+	return make(S, 0, max(need, min(2*cap(s), full)))
 }
 
 // parallelDo runs fn(0..n-1) on up to workers goroutines, claiming chunk

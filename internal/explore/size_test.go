@@ -122,17 +122,21 @@ func TestExploreSizeHintsAreCapacityOnly(t *testing.T) {
 // (49,152 states, 344,052 transitions), whose Def declares its exact size.
 // The Space's arrays are written once: 8 bytes of code and 4 of row offset
 // per state, 4 bytes per transition.  The allowance covers the rest.  The
-// code table takes 44 bytes per state: 8-byte slots presized from the
-// declared States (21 at M_12's load), and the per-level pending lists of
-// 16-byte entries grown by append, with their 4-byte index and the 4-byte
-// handle drain (17; 38.4 measured on linux/amd64 in all).  The chunk
-// scratch takes 5 bytes per transition: one id stream of 4 bytes per raw
-// successor (4.1 measured).  All of it came to 5,307,536 bytes.  It came
-// to 7,886,832 when the pending sets were 16-byte open-addressed slots and
-// each chunk copied the code of every edge into a state not yet in the
-// table, and to 12,959,024 with 16-byte table slots that doubled up from
-// their minimum size and a chunk stream of raw codes, ids and resolved
-// rows; both exceed the bound.
+// code table takes 36 bytes per state: 8-byte slots in stripes sized
+// exactly for their share of the declared States plus four standard
+// deviations (16 at M_12's load, size classes included), and the per-level
+// pending lists of 16-byte entries grown by append, with their 4-byte
+// index and the 4-byte handle drain (17; about 34 measured on linux/amd64
+// in all).  The chunk id streams take 3 bytes per transition: 4 per raw
+// successor with 1/8 of slack in chunks of at most 1,024 states, which a
+// wider level adds rather than regrows (2.4 measured).  All of it came to
+// 4,438,576 bytes.  It came to 5,307,536 with power-of-two stripes and one
+// chunk per worker grown by append as levels widened, to 7,886,832 when
+// the pending sets were 16-byte open-addressed slots and each chunk copied
+// the code of every edge into a state not yet in the table, and to
+// 12,959,024 with 16-byte table slots that doubled up from their minimum
+// size and a chunk stream of raw codes, ids and resolved rows; all three
+// exceed the bound.
 func TestExploreFootprintHinted(t *testing.T) {
 	def := ring.PackedDef(12)
 	var sp *explore.Space
@@ -147,7 +151,7 @@ func TestExploreFootprintHinted(t *testing.T) {
 		t.Fatalf("M_12 has %d states and %d transitions, declared %d and %d", n, e, def.States, def.Transitions)
 	}
 	base := 12*n + 4*e
-	limit := base + 44*n + 5*e
+	limit := base + 36*n + 3*e
 	t.Logf("Explore(M_12): %d bytes, %.1f per state beyond the Space's arrays (bound %d)",
 		got, float64(got-base)/float64(n), limit)
 	if got > limit {

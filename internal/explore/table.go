@@ -1,7 +1,7 @@
 package explore
 
 import (
-	"math/bits"
+	"math"
 	"sync"
 )
 
@@ -34,10 +34,10 @@ type stripe struct {
 }
 
 // tableSlot is 8 bytes: a 32-bit tag of the code's hash and the id.  The
-// tag is bits 6..37 of splitmix64(code) (bits 0..5 pick the stripe), so its
-// low bits are the slot index and grow rehashes from the tag alone.  Equal
-// tags are confirmed against codes[id], so each code is stored once, in the
-// codes the Space returns.
+// tag is bits 6..37 of splitmix64(code) (bits 0..5 pick the stripe), and a
+// stripe of any size maps it to a home slot by multiply-shift (home), so
+// grow rehashes from the tag alone.  Equal tags are confirmed against
+// codes[id], so each code is stored once, in the codes the Space returns.
 type tableSlot struct {
 	tag uint32
 	id  int32
@@ -61,16 +61,27 @@ func splitmix64(x uint64) uint64 {
 }
 
 // newCodeTable returns a table whose codes have capacity states and whose
-// stripes are sized so that states codes, spread evenly, stay under the
+// stripes are sized (stripeSlots) so that states codes stay under the
 // 62.5% load at which insert grows a stripe.
 func newCodeTable(seq bool, states int) *codeTable {
 	t := &codeTable{seq: seq, codes: make([]uint64, 0, states)}
-	perStripe := (states + numStripes - 1) / numStripes
-	size := max(1<<bits.Len(uint(perStripe*8/5)), minStripeSize)
+	size := stripeSlots(states)
 	for i := range t.stripes {
 		t.stripes[i].grow(size)
 	}
 	return t
+}
+
+// stripeSlots returns the slot count of a stripe of a table expected to
+// hold states codes: room under the 62.5% load for the stripe's share plus
+// four standard deviations of it, exactly, not rounded up to a power of
+// two.  A stripe's share of uniformly hashed codes is binomial with
+// variance about the share itself, so without the slack about half the
+// stripes would overflow and double.
+func stripeSlots(states int) int {
+	share := float64(states) / numStripes
+	fit := int(math.Ceil(share + 4*math.Sqrt(share)))
+	return max(fit*8/5+1, minStripeSize)
 }
 
 func (s *stripe) grow(size int) {
@@ -86,11 +97,17 @@ func (s *stripe) grow(size int) {
 	}
 }
 
+// home returns the slot at which tag's probe sequence starts in a stripe
+// of n slots: the multiply-shift range reduction (Lemire, arXiv:1805.10941)
+// of the 32-bit tag, so n need not be a power of two.
+func home(tag uint32, n int) int { return int(uint64(tag) * uint64(n) >> 32) }
+
 func (s *stripe) place(sl tableSlot) {
-	mask := uint32(len(s.slots) - 1)
-	i := sl.tag & mask
+	i := home(sl.tag, len(s.slots))
 	for s.slots[i].id != emptySlot {
-		i = (i + 1) & mask
+		if i++; i == len(s.slots) {
+			i = 0
+		}
 	}
 	s.slots[i] = sl
 }
@@ -99,16 +116,18 @@ func (s *stripe) place(sl tableSlot) {
 // permanent arrays are frozen (i.e. during a level's parallel phases).
 func (t *codeTable) get(code uint64) (int32, bool) {
 	h := splitmix64(code)
-	s := &t.stripes[h&(numStripes-1)]
+	slots := t.stripes[h&(numStripes-1)].slots
 	tag := uint32(h >> 6)
-	mask := uint32(len(s.slots) - 1)
-	for i := tag & mask; ; i = (i + 1) & mask {
-		sl := s.slots[i]
+	for i := home(tag, len(slots)); ; {
+		sl := slots[i]
 		if sl.id == emptySlot {
 			return 0, false
 		}
 		if sl.tag == tag && t.codes[sl.id] == code {
 			return sl.id, true
+		}
+		if i++; i == len(slots) {
+			i = 0
 		}
 	}
 }
@@ -232,5 +251,14 @@ func (t *codeTable) resetPending() {
 			s.pend = s.pend[:0]
 			clear(s.pidx)
 		}
+	}
+}
+
+// releasePending drops every stripe's pending list and index once an
+// exploration is over: the Space keeps the table for Lookup, which reads
+// only the slots and the codes.
+func (t *codeTable) releasePending() {
+	for i := range t.stripes {
+		t.stripes[i].pend, t.stripes[i].pidx = nil, nil
 	}
 }

@@ -8,7 +8,10 @@
 // engine finds its silent components without building a subgraph.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Graph is a directed graph over the vertices 0..N-1.
 //
@@ -267,10 +270,16 @@ func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bo
 	var next int32
 	components := 0
 
+	// The DFS call stack starts at ⌈n/2^k⌉ frames, 64 to 128 of them (all
+	// n below 128), and doubles up to n, the deepest a search can go: a
+	// search as deep as the graph allocates under 2n + n/64 frames in all,
+	// where growing it by append, about 1.25 times a step, allocated about
+	// 5n.
 	type frame struct {
 		v, child, low int32
 	}
-	var callStack []frame
+	k := max(0, bits.Len(uint(n))-7)
+	callStack := make([]frame, 0, (n+1<<k-1)>>k)
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
@@ -294,6 +303,10 @@ func tarjan[V ~int | ~int32](n int, succ func(v int) []V, keep func(v, w int) bo
 				}
 				iw := index[w]
 				if iw == unvisited {
+					if len(callStack) == cap(callStack) {
+						grown := make([]frame, len(callStack), min(2*cap(callStack), n))
+						callStack = grown[:copy(grown, callStack)]
+					}
 					callStack = append(callStack, frame{v: int32(w)})
 					advanced = true
 					break

@@ -289,8 +289,9 @@ func TestTransposeThenAddEdge(t *testing.T) {
 // its DFS call stack, which grows with the search depth.  On a sparse
 // 10,000-vertex random graph with an edge filter, the shape of the silent
 // subgraphs the refiner runs it over, that is at most 8 allocations and 2
-// bytes per vertex (5 and 379 bytes in all measured).  It allocated 8 bytes
-// per vertex more when the index array and the Tarjan stack were its own.
+// bytes per vertex (1 and 1,024 bytes in all measured, the stack's first
+// 79 frames).  It allocated 8 bytes per vertex more when the index array
+// and the Tarjan stack were its own.
 func TestSCCCompAllocs(t *testing.T) {
 	const n = 10_000
 	r := rand.New(rand.NewSource(11))
@@ -316,5 +317,37 @@ func TestSCCCompAllocs(t *testing.T) {
 	}
 	if perRun > 2*n {
 		t.Errorf("SCCComp on %d vertices allocated %.0f bytes per run, want at most %d", n, perRun, 2*n)
+	}
+}
+
+// TestSCCCompDeepPathAllocs: on a 100,000-vertex path, whose depth-first
+// search is as deep as the graph, SCCComp's call stack of 12-byte frames
+// grows by doubling and never past the vertex count, so it allocates under
+// twice the deepest stack's 1.2 MB.  Growing it by append allocated about
+// 6 MB.
+func TestSCCCompDeepPathAllocs(t *testing.T) {
+	const n = 100_000
+	next := make([]int32, n-1) // the row of vertex u < n-1 is next[u:u+1]
+	for u := range next {
+		next[u] = int32(u + 1)
+	}
+	succ := func(u int) []int32 {
+		if u == n-1 {
+			return nil
+		}
+		return next[u : u+1]
+	}
+	comp, stack := make([]int32, n), make([]int32, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k := SCCComp(comp, stack, 0, succ, nil)
+	runtime.ReadMemStats(&after)
+	if k != n {
+		t.Fatalf("SCCComp found %d components on an %d-vertex path, want %d", k, n, n)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*12*n+64<<10)
+	t.Logf("SCCComp on a %d-vertex path: %d bytes (bound %d)", n, got, limit)
+	if got > limit {
+		t.Errorf("SCCComp on a %d-vertex path allocated %d bytes, above the %d-byte bound", n, got, limit)
 	}
 }

@@ -398,6 +398,10 @@ func (m *Structure) Validate() error {
 // costs no allocation beyond the per-state id.  Callers on hot paths may
 // therefore reuse one scratch props slice across AddState calls (the
 // builder never keeps a reference to the argument).
+//
+// A build hands the builder's label ids and label rows to the structure
+// without copying them.  A builder used again after a build copies them
+// back first (own), so every structure it built stays as it was.
 type Builder struct {
 	name         string
 	labelIDs     []LabelID
@@ -416,6 +420,11 @@ type Builder struct {
 	propID  map[Prop]int32
 	labels  rowTable
 	scratch []uint64 // one row, reused by every AddState
+
+	// shared marks labelIDs, vocab and labels.rows as the last built
+	// structure's: the rows are rewritten over its sorted vocabulary, and
+	// propID and the intern slots are stale until own re-bases them.
+	shared bool
 }
 
 // NewBuilder returns a Builder for a structure with the given name.
@@ -465,6 +474,28 @@ func (b *Builder) internLabel(props []Prop) LabelID {
 	return b.labels.intern(b.scratch)
 }
 
+// own gives the builder private copies of the label ids, vocabulary and
+// rows that the last build handed to its structure, re-based on that
+// structure's sorted vocabulary: the prop ids and intern slots are rebuilt
+// for the rewritten rows.  A label keeps its LabelID, so a later build
+// numbers labels exactly as a builder that never built would.  Every
+// method that changes them calls it first, before it reads any of them.
+func (b *Builder) own() {
+	if !b.shared {
+		return
+	}
+	b.shared = false
+	b.labelIDs = slices.Clone(b.labelIDs)
+	b.vocab = slices.Clone(b.vocab)
+	clear(b.propID)
+	for p, prop := range b.vocab {
+		b.propID[prop] = int32(p)
+	}
+	b.labels.rows = slices.Clone(b.labels.rows)
+	b.labels.rehash(len(b.labels.slots))
+	b.scratch = make([]uint64, b.labels.w)
+}
+
 // addProp adds p to the vocabulary, widening every row when p needs a new
 // word.
 func (b *Builder) addProp(p Prop) int32 {
@@ -497,6 +528,7 @@ func (b *Builder) recordIndex(i int) {
 // The props may come in any order and may repeat; the slice is not
 // retained.
 func (b *Builder) AddState(props ...Prop) State {
+	b.own()
 	b.labelIDs = append(b.labelIDs, b.internLabel(props))
 	return State(len(b.labelIDs) - 1)
 }
@@ -506,6 +538,7 @@ func (b *Builder) AddState(props ...Prop) State {
 // family instance has a distinct label per state, so the label table is
 // sized for one label per state.
 func (b *Builder) Grow(states int) {
+	b.own()
 	b.labelIDs = grow(b.labelIDs, states)
 	b.labels.reserve(states)
 }
@@ -527,6 +560,7 @@ func (b *Builder) SetLabel(s State, props ...Prop) error {
 	if int(s) < 0 || int(s) >= len(b.labelIDs) {
 		return fmt.Errorf("kripke: SetLabel: state %d out of range", s)
 	}
+	b.own()
 	b.labelIDs[s] = b.internLabel(props)
 	return nil
 }
@@ -629,16 +663,22 @@ func (b *Builder) BuildPartial() (*Structure, error) {
 	if !b.initialSet {
 		return nil, fmt.Errorf("kripke: Build: structure %q has no initial state", b.name)
 	}
+	// The structure takes the label ids and rows, and canonical rewrites
+	// the rows in place.  A shared builder's are canonical already (own
+	// re-bases them before any change), so a second build shares them
+	// unchanged.
 	n := len(b.labelIDs)
 	m := &Structure{
 		name:     b.name,
 		initial:  b.initial,
-		labelIDs: append([]LabelID(nil), b.labelIDs...),
+		labelIDs: b.labelIDs,
 		props:    &propCache{},
 		keys:     &keyCache{},
 		reach:    &reachCache{},
 	}
 	m.vocab, m.rows, m.words = canonical(b.vocab, b.labels.rows, b.labels.w)
+	b.labelIDs, b.vocab, b.labels.rows, b.labels.w = m.labelIDs, m.vocab, m.rows, m.words
+	b.shared = true
 	if b.succOff != nil {
 		m.setSucc(b.succOff, b.succ)
 	} else {

@@ -196,6 +196,99 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuilderReuseAfterBuild: a build hands the builder's label ids and
+// label rows to its structure, and the rows are rewritten there over the
+// sorted vocabulary.  A builder used again after a build, one that failed
+// validation included, must leave every structure it built byte-identical
+// under EncodeText, and its final build must equal, LabelIDs included, that
+// of a builder that never built before.  The wide label's 130 propositions,
+// seen in reverse order, widen the builder's rows to four words, which the
+// build narrows to three in place.
+func TestBuilderReuseAfterBuild(t *testing.T) {
+	var wide []Prop
+	for k := 129; k >= 0; k-- {
+		wide = append(wide, P(fmt.Sprintf("w%03d", k)))
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each step changes the builder; a build may follow any of them.
+	steps := []func(b *Builder){
+		func(b *Builder) {
+			b.AddState(P("z"), PI("d", 2))
+			b.AddState(P("a"))
+			b.AddState(wide...)
+			must(b.AddTransition(0, 1))
+			must(b.AddTransition(1, 2))
+			must(b.AddTransition(2, 0))
+			must(b.SetInitial(0))
+		},
+		func(b *Builder) { must(b.SetLabel(1, P("z"), P("c"))) },
+		func(b *Builder) {
+			b.AddState(P("b"), PI("d", 1))
+			must(b.AddTransition(3, 0))
+			must(b.AddTransition(2, 3))
+		},
+		func(b *Builder) { b.AddState(P("a")) }, // state 4 has no successors yet
+		func(b *Builder) {
+			must(b.AddTransition(4, 4))
+			b.Grow(8)
+			b.AddState(append(wide[:3:3], P("y"))...)
+			must(b.AddTransition(5, 5))
+			must(b.SetLabel(0, wide[7], PI("d", 3)))
+		},
+	}
+	encode := func(m *Structure) string {
+		var buf bytes.Buffer
+		must(EncodeText(&buf, m))
+		return buf.String()
+	}
+	run := func(buildAfter map[int]bool) (final *Structure, built []*Structure, texts []string) {
+		b := NewBuilder("reuse")
+		for i, step := range steps {
+			step(b)
+			if !buildAfter[i] {
+				continue
+			}
+			m, err := b.Build()
+			if i == 3 {
+				if err == nil {
+					t.Fatal("Build with a state without successors should fail")
+				}
+				continue
+			}
+			must(err)
+			built, texts = append(built, m), append(texts, encode(m))
+		}
+		final, err := b.Build()
+		must(err)
+		return final, built, texts
+	}
+
+	want, _, _ := run(nil)
+	for _, after := range []map[int]bool{{0: true}, {1: true}, {2: true}, {3: true}, {0: true, 1: true, 2: true, 3: true}} {
+		got, built, texts := run(after)
+		if encode(got) != encode(want) || got.NumLabels() != want.NumLabels() {
+			t.Fatalf("builds after steps %v: final structure\n%s\nwant\n%s", after, encode(got), encode(want))
+		}
+		for s := range want.NumStates() {
+			if got.LabelID(State(s)) != want.LabelID(State(s)) {
+				t.Fatalf("builds after steps %v: state %d has LabelID %d, want %d",
+					after, s, got.LabelID(State(s)), want.LabelID(State(s)))
+			}
+		}
+		for i, m := range built {
+			if encode(m) != texts[i] {
+				t.Errorf("builds after steps %v: build %d changed after the builder was reused:\n%s\nwas\n%s",
+					after, i, encode(m), texts[i])
+			}
+		}
+	}
+}
+
 func TestRestrictReachable(t *testing.T) {
 	b := NewBuilder("unreachable")
 	s0 := b.AddState(P("p"))

@@ -144,10 +144,12 @@ func mapRow(dst, row []uint64, to []int32) {
 }
 
 // canonical sorts vocab by Prop.Less, drops the propositions no row of
-// width w uses, and rewrites rows over the result.  It returns its inputs
-// unchanged when they are canonical already; otherwise the results are
-// fresh.  The propositions of vocab must be distinct, so distinct rows stay
-// distinct and LabelIDs are preserved.
+// width w uses, and rewrites rows over the result in place, at a width no
+// wider than w.  It returns its inputs unchanged when they are canonical
+// already; otherwise the vocabulary is fresh and the rows are a prefix of
+// rows' backing, so the caller must own rows.  The propositions of vocab
+// must be distinct, so distinct rows stay distinct and LabelIDs are
+// preserved.
 func canonical(vocab []Prop, rows []uint64, w int) ([]Prop, []uint64, int) {
 	used := make([]uint64, w)
 	for i, x := range rows {
@@ -177,11 +179,17 @@ func canonical(vocab []Prop, rows []uint64, w int) ([]Prop, []uint64, int) {
 		sorted[i] = vocab[p]
 		to[p] = int32(i)
 	}
-	out := make([]uint64, len(rows)/w*w2)
-	for l := 0; l < len(rows)/w; l++ {
-		mapRow(out[l*w2:(l+1)*w2], rows[l*w:(l+1)*w], to)
+	// Row l moves down to words l*w2 ≤ l*w, so it overwrites no row after
+	// it; a copy of it is the input while its own words are rewritten.
+	row := make([]uint64, w)
+	n := len(rows) / w
+	for l := 0; l < n; l++ {
+		copy(row, rows[l*w:(l+1)*w])
+		dst := rows[l*w2 : (l+1)*w2]
+		clear(dst)
+		mapRow(dst, row, to)
 	}
-	return sorted, out, w2
+	return sorted, slices.Clip(rows[:n*w2]), w2
 }
 
 // compareProps orders propositions as Prop.Less does.
