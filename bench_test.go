@@ -341,6 +341,7 @@ func BenchmarkCTLLabelling(b *testing.B) {
 		b.Fatal(err)
 	}
 	formula := logic.MustParse("forall i . AG(d[i] -> AF c[i])")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		checker := mc.New(inst.M)

@@ -128,13 +128,21 @@ func (b BitSet) ClearAll() {
 // elements.
 func (b BitSet) Complement(n int) BitSet {
 	out := make(BitSet, len(b))
-	for i, w := range b {
-		out[i] = ^w
+	out.SetComplement(b, n)
+	return out
+}
+
+// SetComplement overwrites the set with the integers of [0, n) that are not
+// in x, for sets of the same capacity created with NewBitSet(n); x may be
+// the receiver itself.  Like Complement it keeps the bits at and above n
+// clear.
+func (b BitSet) SetComplement(x BitSet, n int) {
+	for i, w := range x {
+		b[i] = ^w
 	}
 	if rem := uint(n) & 63; rem != 0 {
-		out[n>>6] &= 1<<rem - 1
+		b[n>>6] &= 1<<rem - 1
 	}
-	return out
 }
 
 // ForEachWord calls fn on every non-zero word together with its word index,

@@ -108,7 +108,7 @@ func TestBitSetAlgebraMatchesMapSets(t *testing.T) {
 // TestBitSetComplementMasksTail: the complement over n elements keeps every
 // bit at and above n clear, at sizes on and around the word boundaries, so
 // Count, Empty and Equal see exactly [0, n); complementing twice gives the
-// original set back.
+// original set back, and SetComplement in place equals Complement.
 func TestBitSetComplementMasksTail(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 129} {
 		full := NewBitSet(n)
@@ -145,6 +145,11 @@ func TestBitSetComplementMasksTail(t *testing.T) {
 			}
 			if !c.Complement(n).Equal(tc.b) {
 				t.Errorf("n=%d %s: double complement is not the original set", n, tc.name)
+			}
+			inPlace := tc.b.Clone()
+			inPlace.SetComplement(inPlace, n)
+			if !inPlace.Equal(c) {
+				t.Errorf("n=%d %s: in-place SetComplement differs from Complement", n, tc.name)
 			}
 		}
 	}

@@ -224,7 +224,8 @@ func collectFree(f Formula, bound map[string]bool, free map[string]bool) {
 		inner[n.Var] = true
 		collectFree(n.Body, inner, free)
 	default:
-		for _, c := range Children(f) {
+		var buf [2]Formula
+		for _, c := range children(f, &buf) {
 			collectFree(c, bound, free)
 		}
 	}

@@ -439,45 +439,59 @@ func EU(l, r Formula) Formula { return ExistsPath(Until(l, r)) }
 // Structural helpers.
 // ---------------------------------------------------------------------------
 
-// Children returns the immediate subformulas of f in a deterministic order.
-// Leaf nodes return nil.
+// Children returns the immediate subformulas of f in a deterministic order,
+// as a fresh slice the caller may keep or modify.  Leaf nodes return nil.
 func Children(f Formula) []Formula {
+	var buf [2]Formula
+	return append([]Formula(nil), children(f, &buf)...)
+}
+
+// children is Children for read-only walkers: it returns an And's or Or's
+// own operand slice and writes the one or two children of any other node
+// into buf, so a walk allocates nothing.  Callers must not modify or keep
+// the result.
+func children(f Formula, buf *[2]Formula) []Formula {
 	switch n := f.(type) {
-	case *Const, *Atom, *IndexedAtom, *InstAtom, *One:
-		return nil
-	case *Not:
-		return []Formula{n.F}
 	case *And:
-		return append([]Formula(nil), n.Fs...)
+		return n.Fs
 	case *Or:
-		return append([]Formula(nil), n.Fs...)
-	case *Implies:
-		return []Formula{n.L, n.R}
-	case *Iff:
-		return []Formula{n.L, n.R}
+		return n.Fs
+	case *Not:
+		buf[0] = n.F
 	case *E:
-		return []Formula{n.F}
+		buf[0] = n.F
 	case *A:
-		return []Formula{n.F}
+		buf[0] = n.F
 	case *X:
-		return []Formula{n.F}
-	case *U:
-		return []Formula{n.L, n.R}
-	case *R:
-		return []Formula{n.L, n.Rhs}
-	case *W:
-		return []Formula{n.L, n.R}
+		buf[0] = n.F
 	case *Ev:
-		return []Formula{n.F}
+		buf[0] = n.F
 	case *Alw:
-		return []Formula{n.F}
+		buf[0] = n.F
 	case *ForallIndex:
-		return []Formula{n.Body}
+		buf[0] = n.Body
 	case *ExistsIndex:
-		return []Formula{n.Body}
+		buf[0] = n.Body
+	case *Implies:
+		buf[0], buf[1] = n.L, n.R
+		return buf[:2]
+	case *Iff:
+		buf[0], buf[1] = n.L, n.R
+		return buf[:2]
+	case *U:
+		buf[0], buf[1] = n.L, n.R
+		return buf[:2]
+	case *R:
+		buf[0], buf[1] = n.L, n.Rhs
+		return buf[:2]
+	case *W:
+		buf[0], buf[1] = n.L, n.R
+		return buf[:2]
 	default:
+		// Const, Atom, IndexedAtom, InstAtom, One and unknown kinds.
 		return nil
 	}
+	return buf[:1]
 }
 
 // Rebuild returns a copy of f with its immediate children replaced by kids,
@@ -485,7 +499,8 @@ func Children(f Formula) []Formula {
 // unchanged.  Rebuild is the workhorse of the structural transformations in
 // this package.
 func Rebuild(f Formula, kids []Formula) (Formula, error) {
-	want := len(Children(f))
+	var buf [2]Formula
+	want := len(children(f, &buf))
 	if len(kids) != want {
 		return nil, fmt.Errorf("logic: Rebuild(%s): got %d children, want %d", KindOf(f), len(kids), want)
 	}
@@ -536,7 +551,8 @@ func Walk(f Formula, fn func(Formula) bool) {
 	if !fn(f) {
 		return
 	}
-	for _, c := range Children(f) {
+	var buf [2]Formula
+	for _, c := range children(f, &buf) {
 		Walk(c, fn)
 	}
 }
@@ -571,7 +587,8 @@ func Size(f Formula) int {
 
 // Depth returns the height of the syntax tree of f (a leaf has depth 1).
 func Depth(f Formula) int {
-	kids := Children(f)
+	var buf [2]Formula
+	kids := children(f, &buf)
 	if len(kids) == 0 {
 		return 1
 	}
@@ -612,7 +629,8 @@ func Equal(a, b Formula) bool {
 		y := b.(*ExistsIndex)
 		return x.Var == y.Var && Equal(x.Body, y.Body)
 	default:
-		ac, bc := Children(a), Children(b)
+		var abuf, bbuf [2]Formula
+		ac, bc := children(a, &abuf), children(b, &bbuf)
 		if len(ac) != len(bc) {
 			return false
 		}
@@ -674,7 +692,8 @@ func writeKey(b *strings.Builder, f Formula) {
 	default:
 		b.WriteByte('(')
 		b.WriteString(KindOf(f).String())
-		for _, c := range Children(f) {
+		var buf [2]Formula
+		for _, c := range children(f, &buf) {
 			b.WriteByte(' ')
 			writeKey(b, c)
 		}

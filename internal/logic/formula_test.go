@@ -124,6 +124,49 @@ func TestChildrenAndRebuild(t *testing.T) {
 	}
 }
 
+// TestChildrenIsACopy: Children's slice belongs to the caller, so writing
+// into it leaves the formula as it was, for n-ary and binary nodes alike.
+func TestChildrenIsACopy(t *testing.T) {
+	for _, f := range []Formula{Conj(Prop("p"), Prop("q"), Prop("r")), Until(Prop("p"), Prop("q"))} {
+		before := Key(f)
+		kids := Children(f)
+		kids[0] = False()
+		if Key(f) != before {
+			t.Errorf("writing Children's slice changed %s", f)
+		}
+	}
+}
+
+// TestWalkAllocatesNothing: the read-only walkers visit children without
+// copying them, so walking, comparing and measuring a generated depth-3
+// formula allocates nothing.
+func TestWalkAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(1986))
+	for i := 0; i < 20; i++ {
+		f := ForallIdx("i", randomFormula(r, 3, true))
+		g := ForallIdx("i", randomFormula(r, 3, true))
+		nodes := 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			Walk(f, func(Formula) bool {
+				nodes++
+				return true
+			})
+		}); allocs != 0 {
+			t.Fatalf("Walk(%s) allocated %.1f times per run", f, allocs)
+		}
+		if nodes == 0 {
+			t.Fatalf("Walk(%s) visited nothing", f)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			Equal(f, f)
+			Equal(f, g)
+			Depth(f)
+		}); allocs != 0 {
+			t.Fatalf("Equal/Depth(%s) allocated %.1f times per run", f, allocs)
+		}
+	}
+}
+
 func TestSubformulasBottomUpOrder(t *testing.T) {
 	f := AG(Imp(Prop("p"), AF(Prop("q"))))
 	subs := Subformulas(f)

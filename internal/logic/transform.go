@@ -333,7 +333,8 @@ func MaxQuantifierNesting(f Formula) int {
 		return 1 + MaxQuantifierNesting(n.Body)
 	default:
 		max := 0
-		for _, c := range Children(f) {
+		var buf [2]Formula
+		for _, c := range children(f, &buf) {
 			if d := MaxQuantifierNesting(c); d > max {
 				max = d
 			}

@@ -42,9 +42,13 @@ import (
 )
 
 // Checker evaluates formulas over a fixed Kripke structure.  A Checker is
-// not safe for concurrent use; create one per goroutine (they are cheap, the
-// underlying structure is shared).  MemoStats alone may be called while a
-// query runs.
+// not safe for concurrent use; create one per goroutine (the underlying
+// structure is shared).  Besides its memo, a checker keeps its labelling
+// scratch from the first fixpoint on: five n-bit sets and, from the first
+// EG, two int32 arrays of n plus the search stacks, about 8n + 5n/8 bytes
+// in all (vector.go).  Keeping one checker per structure lets every query
+// after the first allocate only the sets its memo keeps.  MemoStats alone
+// may be called while a query runs.
 type Checker struct {
 	m *kripke.Structure
 	// cache is the memo.  Its entries are never modified once inserted, so
@@ -70,6 +74,9 @@ type Checker struct {
 	// Holds/HoldsAt use to evaluate top-level index quantifiers once per
 	// orbit (orbit.go).
 	action *kripke.IndexAction
+
+	// scratch is the labelling algorithms' working memory (vector.go).
+	scratch scratch
 }
 
 // SetWorkers caps the checker's internal worker pools at n (0 or 1 disables
@@ -236,7 +243,9 @@ func (c *Checker) satState(f logic.Formula) (kripke.BitSet, error) {
 }
 
 // computeState returns a set the memo may keep: every combinator below
-// writes into a fresh set and leaves its operands untouched.
+// writes into a fresh set and leaves its operands untouched.  Throwaway
+// operands live in the checker's scratch, and are filled only after every
+// recursive satState call of the node has returned.
 func (c *Checker) computeState(f logic.Formula) (kripke.BitSet, error) {
 	n := c.m.NumStates()
 	switch node := f.(type) {
@@ -295,17 +304,24 @@ func (c *Checker) computeState(f logic.Formula) (kripke.BitSet, error) {
 		}
 		// l ↔ r holds where both hold or neither does.
 		sat := intersect(l, r)
-		neither := l.Complement(n)
+		neither := c.complementOperand(0, l)
 		neither.AndNot(r)
 		sat.Or(neither)
 		return sat, nil
 	case *logic.A:
-		// A p ≡ ¬ E ¬p.
-		inner, err := c.satExistsPath(logic.Neg(node.F))
+		// A p ≡ ¬ E ¬p.  Unless ¬p is a state formula, whose set is the
+		// memo's, E ¬p's set is this query's own and is complemented in
+		// place.
+		p := logic.Neg(node.F)
+		inner, err := c.satExistsPath(p)
 		if err != nil {
 			return nil, err
 		}
-		return inner.Complement(n), nil
+		if logic.IsStateFormula(p) {
+			return inner.Complement(n), nil
+		}
+		inner.SetComplement(inner, n)
+		return inner, nil
 	case *logic.E:
 		return c.satExistsPath(node.F)
 	case *logic.ForallIndex, *logic.ExistsIndex:
@@ -317,7 +333,8 @@ func (c *Checker) computeState(f logic.Formula) (kripke.BitSet, error) {
 
 // satExistsPath evaluates E p for a path formula p.  It takes the CTL fast
 // path when p is a single temporal operator over state formulas and falls
-// back to the tableau engine otherwise.
+// back to the tableau engine otherwise.  Both return a fresh set; only a
+// state formula p returns its memo entry.
 func (c *Checker) satExistsPath(p logic.Formula) (kripke.BitSet, error) {
 	// E applied to a state formula adds nothing (every state starts some
 	// path when the relation is total; on partial structures we interpret
@@ -384,7 +401,7 @@ func (c *Checker) tryCTL(p logic.Formula) (kripke.BitSet, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		sat, err := c.satEU(constSet(c.m.NumStates(), true), r)
+		sat, err := c.satEU(nil, r)
 		if err != nil {
 			return nil, false, err
 		}
@@ -415,7 +432,10 @@ func (c *Checker) tryCTL(p logic.Formula) (kripke.BitSet, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		return c.euOrEG(h, intersect(g, h), h)
+		gh := c.work().op[0]
+		gh.CopyFrom(g)
+		gh.And(h)
+		return c.euOrEG(h, gh, h)
 	case *logic.W:
 		// E[g W h] ≡ E[g U h] ∨ EG g.
 		if !logic.IsStateFormula(node.L) || !logic.IsStateFormula(node.R) {
@@ -438,14 +458,18 @@ func (c *Checker) tryCTL(p logic.Formula) (kripke.BitSet, bool, error) {
 }
 
 // euOrEG evaluates E[f U g] ∨ EG h, the shape shared by the R, W and
-// negated-U rewrites.
+// negated-U rewrites.  EG h is closed in the scratch seeds set and merged,
+// so the result is the only set allocated.
 func (c *Checker) euOrEG(f, g, h kripke.BitSet) (kripke.BitSet, bool, error) {
 	sat, err := c.satEU(f, g)
 	if err != nil {
 		return nil, false, err
 	}
-	eg, err := c.satEG(h)
+	eg, err := c.egSeeds(h)
 	if err != nil {
+		return nil, false, err
+	}
+	if err := c.euInto(h, eg); err != nil {
 		return nil, false, err
 	}
 	sat.Or(eg)
@@ -475,7 +499,7 @@ func (c *Checker) tryCTLNegated(p logic.Formula) (kripke.BitSet, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		sat, err := c.satEX(inner.Complement(n))
+		sat, err := c.satEX(c.complementOperand(0, inner))
 		if err != nil {
 			return nil, false, err
 		}
@@ -493,8 +517,10 @@ func (c *Checker) tryCTLNegated(p logic.Formula) (kripke.BitSet, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		notH := h.Complement(n)
-		return c.euOrEG(notH, intersect(g.Complement(n), notH), notH)
+		notH := c.complementOperand(0, h)
+		stop := c.complementOperand(1, g)
+		stop.And(notH)
+		return c.euOrEG(notH, stop, notH)
 	case *logic.Ev:
 		// E ¬F g ≡ EG ¬g.
 		if !logic.IsStateFormula(node.F) {
@@ -504,7 +530,7 @@ func (c *Checker) tryCTLNegated(p logic.Formula) (kripke.BitSet, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		sat, err := c.satEG(inner.Complement(n))
+		sat, err := c.satEG(c.complementOperand(0, inner))
 		if err != nil {
 			return nil, false, err
 		}
@@ -518,8 +544,8 @@ func (c *Checker) tryCTLNegated(p logic.Formula) (kripke.BitSet, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		sat, err := c.satEU(constSet(n, true), inner.Complement(n))
-		if err != nil {
+		sat := inner.Complement(n)
+		if err := c.euInto(nil, sat); err != nil {
 			return nil, false, err
 		}
 		return sat, true, nil
@@ -544,7 +570,7 @@ func (c *Checker) atomSet(p kripke.Prop) kripke.BitSet {
 func constSet(n int, v bool) kripke.BitSet {
 	sat := kripke.NewBitSet(n)
 	if v {
-		return sat.Complement(n)
+		sat.SetComplement(sat, n)
 	}
 	return sat
 }

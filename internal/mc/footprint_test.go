@@ -2,9 +2,14 @@ package mc_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/mc"
 	"repro/internal/ring"
@@ -76,4 +81,129 @@ func TestMemoFootprintIsBitPacked(t *testing.T) {
 	if bytes <= keyBytes {
 		t.Fatalf("MemoStats bytes = %d does not count the sets (keys alone are %d)", bytes, keyBytes)
 	}
+}
+
+// TestCTLQueryFootprint: a CTL query allocates the satisfaction sets its
+// memo keeps and little else.  A ring M_10 checker is warmed with one query
+// of each shape on index 1, so its labelling scratch exists; then each
+// fresh query, on an index no earlier query touched, may allocate at most
+// one n/8-byte set per memo entry it adds plus one set's worth for keys and
+// formula nodes.  EG's Tarjan arrays, EU's levels, the complemented
+// operands of AF/AG/A[U] and the parallel gather's accumulators must all
+// come from the scratch.  No query may write in place into an earlier memo
+// entry or into the structure's atom sets, which atom entries share, and
+// afterwards the reused checker must answer as an independent checker on a
+// separately built M_10 does.  The memo's map is presized before
+// measuring, so its amortised growth is not charged to one query.
+//
+// TotalAlloc is process-wide, and a goroutine start allocates only when
+// the runtime has no free goroutine to reuse, so each query is measured on
+// three identically warmed checkers and the least count is judged.
+//
+// Runs at workers 1 and 4.  At 4 workers the frontier levels occupying 64
+// or more words fan out, and starting a level's goroutines allocates their
+// closures, about 450 B whatever n is; poolBookkeeping allows for the up to
+// 16 such levels these queries take on M_10.  Per-worker accumulators made
+// afresh would cost 4 × n/8 bytes per level and exceed it many times over.
+func TestCTLQueryFootprint(t *testing.T) {
+	const poolBookkeeping, attempts = 10 << 10, 3
+	inst, err := ring.Build(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ring.Build(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := mc.New(fresh.M)
+	n := inst.M.NumStates()
+	set := uint64((n + 63) / 64 * 8)
+	shapes := []string{"EG !c[%d]", "AF d[%d]", "AG !c[%d]", "E[n[%d] U t[%d]]", "EF c[%d]", "EX t[%d]", "A[n[%d] U c[%d]]"}
+	instance := func(shape string, i int) logic.Formula {
+		if strings.Count(shape, "%d") == 2 {
+			return logic.MustParse(fmt.Sprintf(shape, i, i))
+		}
+		return logic.MustParse(fmt.Sprintf(shape, i))
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 4} {
+		checkers := make([]*mc.Checker, attempts)
+		for a := range checkers {
+			c := mc.New(inst.M).SetWorkers(workers)
+			for _, shape := range shapes {
+				if _, err := c.Holds(ctx, instance(shape, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mc.PresizeMemo(c, 64)
+			checkers[a] = c
+		}
+		for k, shape := range shapes {
+			f := instance(shape, k+2)
+			least, added := uint64(math.MaxUint64), 0
+			for _, c := range checkers {
+				memo, atoms := mc.MemoSnapshot(c), atomSets(inst.M)
+				entries, _ := c.MemoStats()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := c.Holds(ctx, f); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+				if key := mc.MemoChanged(c, memo); key != "" {
+					t.Fatalf("workers=%d %s: memo entry %s was written in place", workers, f, key)
+				}
+				for p, cur := range atomSets(inst.M) {
+					if !cur.Equal(atoms[p]) {
+						t.Fatalf("workers=%d %s: the structure's set of %s was written in place", workers, f, p)
+					}
+				}
+				now, _ := c.MemoStats()
+				added = now - entries
+			}
+			if added == 0 {
+				t.Fatalf("workers=%d %s: no memo entry added, the query was not fresh", workers, f)
+			}
+			limit := uint64(added+1) * set
+			if workers > 1 {
+				limit += poolBookkeeping
+			}
+			t.Logf("workers=%d %s: %d B for %d new memo entries (limit %d)", workers, f, least, added, limit)
+			if least > limit {
+				t.Errorf("workers=%d %s: allocated %d B for %d new memo entries, above %d B",
+					workers, f, least, added, limit)
+			}
+		}
+		for i := 1; i <= len(shapes)+1; i++ {
+			for _, shape := range append(shapes, "c[%d]", "d[%d]", "n[%d]", "t[%d]", "!c[%d]", "!t[%d]") {
+				f := instance(shape, i)
+				got, err := checkers[0].Sat(ctx, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := oracle.Sat(ctx, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("workers=%d: Sat(%s) on the reused checker differs from an independent checker on a separately built M_10", workers, f)
+				}
+			}
+		}
+	}
+}
+
+// atomSets copies the structure's state set of every indexed ring atom.
+func atomSets(m *kripke.Structure) map[kripke.Prop]kripke.BitSet {
+	out := make(map[kripke.Prop]kripke.BitSet)
+	for _, p := range []string{"c", "d", "n", "t"} {
+		for _, i := range m.IndexValues() {
+			prop := kripke.PI(p, i)
+			if set := m.StatesWith(prop); set != nil {
+				out[prop] = set.Clone()
+			}
+		}
+	}
+	return out
 }

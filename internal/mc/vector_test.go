@@ -2,13 +2,16 @@ package mc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/kripke"
 	"repro/internal/logic"
+	"repro/internal/ring"
 )
 
 // Metamorphic battery for the word-at-a-time CTL engine (vector.go): on
@@ -331,5 +334,190 @@ func TestVectorHoldsAtOutOfRange(t *testing.T) {
 	}
 	if _, err := c.HoldsAt(ctx, logic.MustParse("!p"), 65); err == nil {
 		t.Fatal("HoldsAt(65) on 65 states should report out of range")
+	}
+}
+
+// TestVectorReusedChecker: one checker answers every EU and EG case of a
+// random structure in turn, so each call runs on the scratch the previous
+// one left behind.  Every result must equal the scalar oracle with the same
+// FixpointIterations for that call, and must still do so after all later
+// calls: a returned set that aliased the scratch would change under them.
+// The large case pushes frontiers past gatherParallelWords, so the kept
+// per-worker accumulators are reused across levels and calls too.
+func TestVectorReusedChecker(t *testing.T) {
+	r := rand.New(rand.NewSource(860707))
+	sizes := []int{2, 17, 63, 64, 65, 130, 700}
+	if !testing.Short() {
+		sizes = append(sizes, 5000)
+	}
+	for _, n := range sizes {
+		m := randomStructure(r, n)
+		sets := boolSetCases(r, n)
+		names := []string{"random", "empty", "full"}
+		type result struct {
+			label string
+			got   kripke.BitSet
+			want  []bool
+		}
+		for _, w := range vectorWorkerCounts {
+			cv := New(m).SetWorkers(w)
+			var results []result
+			check := func(label string, got kripke.BitSet, err error, want []bool, iters, wantIters int) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertSameSat(t, label, got, want)
+				if iters != wantIters {
+					t.Fatalf("%s: FixpointIterations: vector=%d scalar=%d", label, iters, wantIters)
+				}
+				results = append(results, result{label, got, want})
+			}
+			for _, fname := range names {
+				f := sets[fname]
+				for _, gname := range names {
+					g := sets[gname]
+					cs := New(m)
+					want := cs.satEUScalar(f, g)
+					before := cv.stats.FixpointIterations
+					got, err := cv.satEU(bitsFromBools(f), bitsFromBools(g))
+					check(fmt.Sprintf("n=%d workers=%d EU f=%s g=%s", n, w, fname, gname),
+						got, err, want, cv.stats.FixpointIterations-before, cs.stats.FixpointIterations)
+				}
+				cs := New(m)
+				want := cs.satEGScalar(f)
+				before := cv.stats.FixpointIterations
+				got, err := cv.satEG(bitsFromBools(f))
+				check(fmt.Sprintf("n=%d workers=%d EG f=%s", n, w, fname),
+					got, err, want, cv.stats.FixpointIterations-before, cs.stats.FixpointIterations)
+			}
+			for _, res := range results {
+				assertSameSat(t, res.label+" (after later calls)", res.got, res.want)
+			}
+		}
+	}
+}
+
+// countdownCtx is a context that reports itself cancelled from its limit-th
+// Done poll on, so a test can stop a search at a chosen checkpoint.
+type countdownCtx struct {
+	context.Context
+	polls, limit atomic.Int64
+	done         chan struct{}
+}
+
+func newCountdownCtx(limit int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background(), done: make(chan struct{})}
+	c.limit.Store(limit)
+	return c
+}
+
+func (c *countdownCtx) Done() <-chan struct{} {
+	if c.polls.Add(1) == c.limit.Load() {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *countdownCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestVectorAfterCancelledEG: an EG search cancelled mid-Tarjan leaves
+// visited indices, stacked vertices and partial seeds in the scratch.  The
+// same checker's next answers, EG and EU alike, must still equal the scalar
+// oracle, and the cancelled subformula must be computable afresh.
+func TestVectorAfterCancelledEG(t *testing.T) {
+	c, f := cancelFixture(t)
+	n := c.m.NumStates()
+	all := constSet(n, true)
+	// egSeeds polls every 4,096 visits; the second poll lands with 8,192
+	// of the 20,000 states visited and the search still open.
+	c.bind(newCountdownCtx(2))
+	if _, err := c.egSeeds(all); !errors.Is(err, context.Canceled) {
+		t.Fatalf("egSeeds under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	visited := 0
+	for _, ix := range c.scratch.index {
+		if ix != -1 {
+			visited++
+		}
+	}
+	if visited == 0 || visited == n {
+		t.Fatalf("cancellation did not land mid-search: %d of %d states visited", visited, n)
+	}
+
+	ctx := context.Background()
+	c.bind(ctx)
+	r := rand.New(rand.NewSource(860708))
+	for name, fs := range boolSetCases(r, n) {
+		cs := New(c.m)
+		want := cs.satEGScalar(fs)
+		before := c.stats.FixpointIterations
+		got, err := c.satEG(bitsFromBools(fs))
+		if err != nil {
+			t.Fatalf("EG %s after cancellation: %v", name, err)
+		}
+		assertSameSat(t, "EG "+name+" after cancellation", got, want)
+		if iters := c.stats.FixpointIterations - before; iters != cs.stats.FixpointIterations {
+			t.Fatalf("EG %s after cancellation: FixpointIterations: vector=%d scalar=%d", name, iters, cs.stats.FixpointIterations)
+		}
+		wantEU := New(c.m).satEUScalar(fs, notBools(fs))
+		gotEU, err := c.satEU(bitsFromBools(fs), bitsFromBools(notBools(fs)))
+		if err != nil {
+			t.Fatalf("EU %s after cancellation: %v", name, err)
+		}
+		assertSameSat(t, "EU "+name+" after cancellation", gotEU, wantEU)
+	}
+	got, err := c.Sat(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(c.m).Sat(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("Sat(%s) after a cancelled EG differs from a fresh checker's", f)
+	}
+}
+
+// BenchmarkEGSeeds runs EG's seed search on ring M_12 (49,152 states) for
+// four indexed atoms and their complements, eight passes per op on one
+// checker whose scratch a warm-up pass allocated, so B/op shows what the
+// passes themselves allocate.
+func BenchmarkEGSeeds(b *testing.B) {
+	inst, err := ring.Build(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := inst.M
+	n := m.NumStates()
+	var operands []kripke.BitSet
+	for i, p := range []string{"d", "t", "c", "n"} {
+		set := m.StatesWith(kripke.PI(p, i+1))
+		if set == nil {
+			set = kripke.NewBitSet(n)
+		}
+		operands = append(operands, set, set.Complement(n))
+	}
+	c := New(m)
+	c.bind(context.Background())
+	if _, err := c.egSeeds(operands[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range operands {
+			if _, err := c.egSeeds(f); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
